@@ -6,7 +6,6 @@ from .grid import (
     ReachabilityTable,
     bfs_distances,
     bfs_layers,
-    euclidean,
     manhattan,
     obstacle_potential,
 )
@@ -26,7 +25,6 @@ from .preprocess import (
     fix_logical,
     fix_numeric_diagonal,
     fold,
-    preprocess_window,
 )
 from .solvers import (
     BACKEND_ANNEALER,
@@ -47,6 +45,7 @@ from .planner import (
     STATUS_REACHED,
     StitchError,
     WindowConfig,
+    build_window,
     plan_paths,
     plan_single,
     stitch,
@@ -58,7 +57,7 @@ from .postprocess import (
     fix_one_hot_continuity,
     resolve_clash_wait,
 )
-from .multi import GlobalClock, allocate_offsets, plan_multi, validate_robots
+from .multi import plan_multi, validate_robots
 from .classical import astar, dijkstra, path_moves, prioritized_plan
 from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario, serialize_scenario
 from .render import render_svg

@@ -11,18 +11,12 @@ import time
 from dataclasses import replace
 from statistics import median
 
-import numpy as np
-
 from .classical import astar, path_moves, prioritized_plan
 from .multi import plan_multi
+from .planner import derive_seed
 from .scenario import ScenarioSpec
 
-SCHEMA_VERSION = 1
-
-
-def _derived_seed(base: int, repeat: int) -> int:
-    entropy = (base & 0xFFFFFFFFFFFFFFFF, repeat)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+SCHEMA_VERSION = 1  # of the `plan` and `bench` JSON
 
 
 def classical_lengths(spec: ScenarioSpec) -> dict:
@@ -67,7 +61,7 @@ def run_benchmark(spec: ScenarioSpec, repeats: int | None = None,
 
     runs = []
     for rep in range(repeats):
-        seed = _derived_seed(spec.seed, rep)
+        seed = derive_seed(spec.seed, rep)
         t1 = time.perf_counter()
         result = run_pipeline(spec, seed)
         elapsed = time.perf_counter() - t1

@@ -10,14 +10,12 @@ import json
 import sys
 from dataclasses import replace
 
-from .bench import format_table, report_json, run_benchmark, run_pipeline
-from .oracle import oracle_check, window_spec_for
-from .preprocess import preprocess_window
+from .bench import SCHEMA_VERSION, format_table, report_json, run_benchmark, run_pipeline
+from .oracle import oracle_check
 from .penalties import build_window_model
+from .planner import build_window
 from .render import render_svg
 from .scenario import ScenarioError, load_scenario
-
-SCHEMA_VERSION = 1
 
 
 def _apply_solver_overrides(spec, args):
@@ -96,13 +94,9 @@ def _cmd_export_qubo(args) -> int:
     if len(spec.robots) != 1:
         raise ScenarioError("export-qubo handles single-robot scenarios")
     robot = spec.robots[0]
-    wspec = window_spec_for(spec.grid, robot.start, robot.goal,
-                            spec.window_cfg.window_len, spec.weights)
-    if args.raw:
-        model = build_window_model(wspec)
-    else:
-        folded, _, _ = preprocess_window(wspec)
-        model = folded.model
+    wspec, _, folded = build_window(spec.grid, [(robot.start, robot.goal, {robot.start})],
+                                    spec.window_cfg.window_len, spec.weights)
+    model = build_window_model(wspec) if args.raw else folded.model
     _emit(model.to_text(), args.output)
     return 0
 

@@ -1,6 +1,5 @@
 """Grid world: occupancy maps, neighborhoods, distances, and reachability layers."""
 
-import math
 from dataclasses import dataclass
 
 Cell = tuple[int, int]
@@ -81,11 +80,6 @@ def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def euclidean(a: Cell, b: Cell) -> float:
-    """Straight-line distance between two cells."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def max_manhattan(grid: GridMap) -> int:
     """Largest L1 distance representable on the map (corner to corner)."""
     return (grid.rows - 1) + (grid.cols - 1)
@@ -109,28 +103,13 @@ class ReachabilityTable:
     def contains(self, c: Cell) -> bool:
         return any(c in cells for cells in self.layers.values())
 
-    def first_time(self, c: Cell) -> int | None:
-        for t in range(self.horizon + 1):
-            if c in self.layers[t]:
-                return t
-        return None
 
-
-def bfs_layers(
-    grid: GridMap,
-    start: Cell,
-    horizon: int,
-    allow_wait: bool = False,
-    exclude_visited=(),
-    exclude_revisits: bool = True,
-) -> ReachabilityTable:
+def bfs_layers(grid: GridMap, start: Cell, horizon: int,
+               exclude_visited=()) -> ReachabilityTable:
     """Breadth-first reachability layers from `start` up to `horizon` steps.
 
-    With `exclude_revisits` (the default) a cell appears only in the layer of
-    its first reach, and cells in `exclude_visited` never appear at all; with
-    it off, layer t holds every cell reachable in exactly t moves, revisits
-    included. `allow_wait` additionally carries each layer forward into the
-    next one.
+    A cell appears only in the layer of its first reach, and cells in
+    `exclude_visited` never appear at all.
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
@@ -138,27 +117,15 @@ def bfs_layers(
     if start in excluded:
         raise ValueError(f"start {start} is in the excluded set")
     layers: dict[int, set[Cell]] = {0: {start}}
-    if exclude_revisits:
-        seen = {start} | set(excluded)
-        frontier = {start}
-        for t in range(1, horizon + 1):
-            fresh = set()
-            for c in frontier:
-                for n in grid.neighbors(c):
-                    if n not in seen:
-                        seen.add(n)
-                        fresh.add(n)
-            layers[t] = fresh | layers[t - 1] if allow_wait else fresh
-            frontier = fresh
-    else:
-        current = {start}
-        for t in range(1, horizon + 1):
-            fresh = set()
-            for c in current:
-                fresh |= grid.neighbors(c, allow_wait=allow_wait)
-            fresh -= excluded
-            layers[t] = fresh
-            current = fresh
+    seen = {start} | excluded
+    for t in range(1, horizon + 1):
+        fresh = set()
+        for c in layers[t - 1]:
+            for n in grid.neighbors(c):
+                if n not in seen:
+                    seen.add(n)
+                    fresh.add(n)
+        layers[t] = fresh
     return ReachabilityTable(layers, horizon)
 
 

@@ -6,9 +6,7 @@ count grows linearly in the robot count while conflicts are resolved inside
 the optimization rather than sequentially.
 """
 
-from dataclasses import dataclass
-
-from .grid import GridMap, manhattan
+from .grid import GridMap
 from .planner import (
     PenaltyWeights,
     PlanningResult,
@@ -17,45 +15,8 @@ from .planner import (
     WindowConfig,
     plan_paths,
 )
-from .qubo import Dims, block_size
 
-__all__ = [
-    "GlobalClock",
-    "RobotSpec",
-    "allocate_offsets",
-    "plan_multi",
-    "validate_robots",
-]
-
-
-@dataclass(frozen=True)
-class GlobalClock:
-    """Shared timeline: time 0 is the first release, robots join at offsets."""
-
-    horizon: int
-    intervals: tuple[tuple[int, int], ...]  # per robot: (release, release + local horizon)
-
-    @classmethod
-    def from_robots(cls, robots, safety_factor: float = 2.0) -> "GlobalClock":
-        """Generous per-robot horizons: L1 distance scaled by a safety factor.
-
-        Overestimating costs nothing, since unused variable slots are never
-        populated in the sparse model.
-        """
-        intervals = []
-        for r in robots:
-            span = max(1, int(manhattan(r.start, r.goal) * safety_factor))
-            intervals.append((r.release, r.release + span))
-        return cls(max(end for _, end in intervals), tuple(intervals))
-
-
-def allocate_offsets(robots, dims: Dims) -> list[int]:
-    """Base variable index of each robot's block: robot r owns one full
-    rows*cols*(horizon+1) slice after the blocks of robots before it."""
-    if not robots:
-        raise ValueError("need at least one robot")
-    block = block_size(dims)
-    return [r * block for r in range(len(robots))]
+__all__ = ["RobotSpec", "plan_multi", "validate_robots"]
 
 
 def validate_robots(grid: GridMap, robots) -> None:
@@ -89,8 +50,9 @@ def plan_multi(grid: GridMap, robots,
                map_hook=None) -> PlanningResult:
     """Jointly plan a set of robots; one robot degenerates to single planning.
 
-    Robots are prioritized by their order in `robots`: when residual clashes
-    must be cleared by waiting, the later robot yields.
+    Robots are planned in ascending `id` order, whatever their order in
+    `robots`, and that order is their priority: when residual clashes must
+    be cleared by waiting, the robot with the larger id yields.
     """
     robots = sorted(robots, key=lambda r: r.id)
     validate_robots(grid, robots)

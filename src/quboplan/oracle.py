@@ -1,7 +1,7 @@
 """Annealer-vs-exhaustive agreement checks on pipeline-generated instances.
 
-Random small scenarios are pushed through logical fixing and folding exactly
-as the planner would, and the annealer's best energy is compared against the
+Random small scenarios are built into their first window by the planner's
+own window builder, and the annealer's best energy is compared against the
 enumerated ground state on every instance small enough to enumerate.
 """
 
@@ -9,15 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .grid import GridMap, bfs_distances, bfs_layers, manhattan
-from .penalties import (
-    GOAL_MODE_APPROX,
-    GOAL_MODE_LATE,
-    PenaltyWeights,
-    RobotWindow,
-    WindowSpec,
-)
-from .preprocess import preprocess_window
+from .grid import GridMap, bfs_distances
+from .penalties import PenaltyWeights
+from .planner import build_window, derive_seed
 from .solvers import (
     EXHAUSTIVE_VAR_CAP,
     SolverConfig,
@@ -26,24 +20,9 @@ from .solvers import (
 )
 
 
-def window_spec_for(grid: GridMap, start, goal, horizon: int,
-                    weights: PenaltyWeights | None = None,
-                    visited=(), excluded=()) -> WindowSpec:
-    """First-window spec with the same mode choice the planner makes."""
-    weights = weights or PenaltyWeights()
-    table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
-    if manhattan(start, goal) < horizon and table.contains(goal):
-        mode = GOAL_MODE_LATE
-    else:
-        mode = GOAL_MODE_APPROX
-    record = RobotWindow(start=start, goal=goal, horizon=horizon,
-                         goal_mode=mode, visited=frozenset(visited),
-                         excluded=frozenset(excluded))
-    return WindowSpec(grid, (record,), weights)
-
-
 def random_instances(samples: int, seed: int, max_free: int = 20):
-    """Random solvable window models with at most `max_free` free variables."""
+    """First windows of random solvable scenarios, as the planner builds them,
+    with at most `max_free` free variables."""
     rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE)))
     produced = 0
     while produced < samples:
@@ -60,8 +39,8 @@ def random_instances(samples: int, seed: int, max_free: int = 20):
         if goal not in bfs_distances(grid, start):
             continue
         horizon = int(rng.integers(3, 6))
-        spec = window_spec_for(grid, start, goal, horizon)
-        folded, report, _ = preprocess_window(spec)
+        spec, _, folded = build_window(grid, [(start, goal, {start})], horizon,
+                                       PenaltyWeights())
         n = folded.model.num_vars
         if n < 1 or n > min(max_free, EXHAUSTIVE_VAR_CAP):
             continue
@@ -82,8 +61,7 @@ def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7,
         ground = solve_exhaustive(model).best.energy
         hits = 0
         for run in range(runs_per_sample):
-            sub = int(np.random.SeedSequence(
-                (seed & 0xFFFFFFFFFFFFFFFF, total + run)).generate_state(1, np.uint64)[0])
+            sub = derive_seed(seed, total + run)
             best = solve_annealing(model, replace(base_cfg, seed=sub)).best.energy
             if abs(best - ground) <= 1e-9:
                 hits += 1

@@ -44,7 +44,6 @@ class PenaltyWeights:
     bt_soft_factor: float = 0.5
     potential_radius: int = 1
     norm_scale: float | None = None
-    goal_profile: str = "late"  # debug knob: "late", "constant", or "early"
 
     def __post_init__(self):
         for name in ("k_hot", "k_adj", "k_start", "k_goal", "k_lock",
@@ -55,8 +54,6 @@ class PenaltyWeights:
             raise ValueError("goal_ramp_max must be >= 1")
         if self.norm_scale is not None and self.norm_scale <= 0:
             raise ValueError("norm_scale must be positive")
-        if self.goal_profile not in ("late", "constant", "early"):
-            raise ValueError(f"unknown goal profile {self.goal_profile!r}")
 
     def pick_scale(self, free_vars: int) -> float:
         if self.norm_scale is not None:
@@ -64,13 +61,9 @@ class PenaltyWeights:
         return 2.0 if free_vars < SMALL_MODEL_VARS else 1.0
 
     def goal_factor(self, t: int, horizon: int) -> float:
-        """Time multiplier of the goal reward at step t of a window."""
-        ramp = (self.goal_ramp_max - 1.0) * t / horizon if horizon else 0.0
-        if self.goal_profile == "late":
-            return 1.0 + ramp
-        if self.goal_profile == "early":
-            return self.goal_ramp_max - ramp
-        return 1.0
+        """Time multiplier of the goal reward at step t of a window, rising
+        linearly from 1 to `goal_ramp_max`."""
+        return 1.0 + ((self.goal_ramp_max - 1.0) * t / horizon if horizon else 0.0)
 
 
 @dataclass(frozen=True)
@@ -78,19 +71,16 @@ class RobotWindow:
     """One robot's slice of a planning window.
 
     `visited` carries cells from earlier windows that should be softly
-    discouraged, `excluded` carries cells structurally removed from this
-    robot's reachability, and `release` records the global time of local
-    step 0.
+    discouraged, and `excluded` carries cells structurally removed from this
+    robot's reachability.
     """
 
     start: Cell
     goal: Cell
     horizon: int
     goal_mode: str = GOAL_MODE_LATE
-    active: bool = True
     visited: frozenset[Cell] = frozenset()
     excluded: frozenset[Cell] = frozenset()
-    release: int = 0
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -285,11 +275,10 @@ def apply_approximation(model: QuboModel, spec: WindowSpec, robot: int,
 
 def apply_vertex_collision(model: QuboModel, spec: WindowSpec,
                            admissible: Admissible) -> QuboModel:
-    """Couple every (cell, step) admissible to two active robots at once."""
+    """Couple every (cell, step) admissible to two robots at once."""
     k = spec.weights.k_coll
-    active = [r for r, rec in enumerate(spec.robots) if rec.active]
-    for i, r1 in enumerate(active):
-        for r2 in active[i + 1:]:
+    for r1 in range(len(spec.robots)):
+        for r2 in range(r1 + 1, len(spec.robots)):
             steps = min(spec.robots[r1].horizon, spec.robots[r2].horizon)
             for t in range(steps + 1):
                 for c in sorted(admissible[r1][t] & admissible[r2][t]):
@@ -303,7 +292,7 @@ def apply_vertex_collision(model: QuboModel, spec: WindowSpec,
 
 def build_window_model(spec: WindowSpec, admissible: Admissible | None = None,
                        allow_wait: bool = False) -> QuboModel:
-    """Emit every penalty for every active robot into one QUBO.
+    """Emit every penalty for every robot into one QUBO.
 
     Without an explicit admissible structure the model spans the full dense
     variable space, which keeps the builder self-contained for exhaustive
@@ -313,8 +302,6 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None,
         admissible = dense_admissible(spec)
     model = QuboModel(len(spec.robots) * block_size(spec.dims))
     for robot, rec in enumerate(spec.robots):
-        if not rec.active:
-            continue
         apply_one_hot(model, spec, robot, admissible)
         apply_adjacency(model, spec, robot, admissible, allow_wait=allow_wait)
         apply_start(model, spec, robot, admissible)
@@ -325,6 +312,6 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None,
         apply_goal_lock(model, spec, robot, admissible)
         apply_backtracking(model, spec, robot, admissible)
         apply_teleportation(model, spec, robot, admissible)
-    if sum(1 for rec in spec.robots if rec.active) >= 2:
+    if len(spec.robots) >= 2:
         apply_vertex_collision(model, spec, admissible)
     return model

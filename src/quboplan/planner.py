@@ -27,7 +27,7 @@ from .postprocess import (
     fix_one_hot_continuity,
     resolve_clash_wait,
 )
-from .preprocess import fix_logical, fix_numeric_diagonal, fold
+from .preprocess import FixReport, FoldedModel, fix_logical, fix_numeric_diagonal, fold
 from .qubo import decode
 from .solvers import SolverConfig, solve
 
@@ -84,8 +84,9 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
     """Soundness gate for a decoded path.
 
     Accepts a sequence of cells or of per-step cell sets. Checks one cell per
-    step, obstacle freedom, step adjacency, and that the goal is not claimed
-    before the L1 lower bound from the path's first cell allows.
+    step, then reports the earliest step onto a blocked cell or off the
+    adjacency rule (see `detect_invalid_move`), then that the goal is not
+    claimed before the L1 lower bound from the path's first cell allows.
     """
     cells: list[Cell] = []
     for t, entry in enumerate(path):
@@ -96,16 +97,9 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
         cells.append(entry)
     if not cells:
         return PathDiagnosis(False, "empty", 0)
-    for t, c in enumerate(cells):
-        if not grid.is_free(c):
-            return PathDiagnosis(False, "obstacle", t)
-    for t in range(1, len(cells)):
-        prev, cur = cells[t - 1], cells[t]
-        if cur == prev:
-            if not allow_wait:
-                return PathDiagnosis(False, "adjacency", t)
-        elif cur not in grid.neighbors(prev):
-            return PathDiagnosis(False, "adjacency", t)
+    bad = detect_invalid_move(cells, grid, allow_wait=allow_wait)
+    if bad is not None:
+        return PathDiagnosis(False, bad[1], bad[0])
     if goal is not None and goal in cells:
         first = cells.index(goal)
         if first < manhattan(cells[0], goal):
@@ -261,103 +255,104 @@ class _Agent:
         self.done = True
 
 
-def _derive_seed(base: int, *parts: int) -> int:
+def derive_seed(base: int, *parts: int) -> int:
+    """Seed for one part of a run (a window attempt, a bench repeat) drawn
+    from the run's base seed; each part is taken modulo 2**32."""
     entropy = (base & 0xFFFFFFFFFFFFFFFF,) + tuple(p & 0xFFFFFFFF for p in parts)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _window_layers(grid: GridMap, agent: _Agent, horizon: int):
-    """Reachability basis for one robot's window, with history fallback.
+def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
+                 allow_wait: bool = False) -> tuple[WindowSpec, FixReport, FoldedModel]:
+    """One window's spec, presolve report and folded model.
 
-    Cells visited in earlier windows are excluded from the search first; when
-    that walls off the goal or strands the robot short of the horizon, the
-    exclusion is dropped so the softened revisit penalties take over instead.
-    Returns (excluded cells, goal reachable flag), or None when the robot has
-    nowhere to move at all.
+    `robots` holds one (current cell, goal, visited cells) triple per robot.
+    Cells visited in earlier windows are left out of a robot's reachability
+    search; when that walls off the goal, or ends the search short of the
+    horizon where the full search reaches further, the exclusion is dropped
+    and the softened revisit penalties take over instead. A robot whose goal
+    is reachable and strictly closer than the horizon (L1) seeks it with the
+    late-time reward, any other with the window-final approximation reward.
+    Logical fixing reuses these searches; the model is then built, folded,
+    and cleared of hopeless diagonals.
     """
-    goal = agent.spec.goal
-    excluded = frozenset(agent.visited) - {agent.current}
-    table = bfs_layers(grid, agent.current, horizon, exclude_visited=excluded)
-    if table.contains(goal):
-        return excluded, True
-    fallback = bfs_layers(grid, agent.current, horizon)
-    if fallback.contains(goal):
-        return frozenset(), True
-    if table.max_depth() < horizon and fallback.max_depth() > table.max_depth():
-        table = fallback
-        excluded = frozenset()
-    if table.max_depth() == 0:
-        return None
-    return excluded, False
-
-
-def _attempt_window(grid, agents, weights, solver_cfg, horizon, global_start,
-                    seed, multi):
-    """Build, presolve, solve, and repair one window.
-
-    Returns (outcomes, stats) where outcomes is a per-agent list of
-    (path, reached_goal), or None when the attempt failed and the caller
-    should retry. stats carries the window diagnostics either way.
-    """
-    records = []
-    modes = {}
-    stats: dict = {"modes": modes, "repairs": [], "backend": "presolve",
-                   "best_energy": None, "norm_scale": None}
-    for agent in agents:
-        layers = _window_layers(grid, agent, horizon)
-        if layers is None:
-            stats["failure"] = f"robot {agent.spec.id} cannot move"
-            stats["deterministic"] = True
-            return None, stats
-        excluded, goal_reachable = layers
-        if manhattan(agent.current, agent.spec.goal) < horizon and goal_reachable:
+    records, tables = [], []
+    for start, goal, visited in robots:
+        excluded = frozenset(visited) - {start}
+        table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
+        reachable = table.contains(goal)
+        if not reachable and excluded:
+            full = bfs_layers(grid, start, horizon)
+            reachable = full.contains(goal)
+            if reachable or table.max_depth() < min(horizon, full.max_depth()):
+                table, excluded = full, frozenset()
+        if reachable and manhattan(start, goal) < horizon:
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
-        modes[agent.spec.id] = mode
-        records.append(RobotWindow(
-            start=agent.current,
-            goal=agent.spec.goal,
-            horizon=horizon,
-            goal_mode=mode,
-            visited=frozenset(agent.visited),
-            excluded=excluded,
-            release=global_start,
-        ))
+        records.append(RobotWindow(start, goal, horizon, mode, frozenset(visited), excluded))
+        tables.append(table)
     spec = WindowSpec(grid, tuple(records), weights)
-    report, admissible = fix_logical(spec)
-    model = build_window_model(spec, admissible, allow_wait=multi)
-    folded = fold(model, report)
-    folded = fix_numeric_diagonal(folded, report)
+    report, admissible = fix_logical(spec, tables)
+    model = build_window_model(spec, admissible, allow_wait=allow_wait)
+    folded = fix_numeric_diagonal(fold(model, report), report)
+    return spec, report, folded
 
-    stats.update(
-        original=report.original_count,
-        reduced=report.reduced_count,
-        reduction_pct=report.reduction_pct,
-        solved_by_preprocess=report.solved_by_preprocess,
-        numeric_fixed=report.numeric_fixed,
-    )
+
+@dataclass
+class _Attempt:
+    """One try at a window.
+
+    `paths` holds every robot's (path, reached goal) when the try was
+    accepted, and `report` is None when no model was built.
+    """
+
+    report: FixReport | None
+    modes: dict[int, str] = field(default_factory=dict)
+    paths: list[tuple[list[Cell], bool]] | None = None
+    failure: str | None = None
+    backend: str = "presolve"
+    best_energy: float | None = None
+    norm_scale: float | None = None
+    histogram: list[tuple[float, int]] = field(default_factory=list)
+    repairs: list[str] = field(default_factory=list)
+
+    @property
+    def deterministic(self) -> bool:
+        """Retrying the same window cannot change the outcome."""
+        return self.report is None or self.report.solved_by_preprocess
+
+
+def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi) -> _Attempt:
+    """Build, presolve, solve, and repair one window."""
+    for agent in agents:
+        if not grid.neighbors(agent.current):
+            return _Attempt(None, failure=f"robot {agent.spec.id} cannot move")
+    spec, report, folded = build_window(
+        grid, [(a.current, a.spec.goal, a.visited) for a in agents], horizon, weights,
+        allow_wait=multi)
+    modes = [rec.goal_mode for rec in spec.robots]
+    attempt = _Attempt(report, {a.spec.id: m for a, m in zip(agents, modes)})
     if report.solved_by_preprocess:
         ones = set(folded.fixed_one)
-        stats["deterministic"] = True
     else:
         scale = weights.pick_scale(folded.model.num_vars)
         cfg = replace(solver_cfg, seed=seed)
         sampleset = solve(folded.model.normalized(scale), cfg)
         ones = folded.expand(sampleset.best.bits)
-        stats.update(backend=cfg.backend, best_energy=sampleset.best.energy,
-                     norm_scale=scale,
-                     histogram=[(s.energy, s.occurrences)
-                                for s in sampleset.samples[:8]])
+        attempt.backend = cfg.backend
+        attempt.best_energy = sampleset.best.energy
+        attempt.norm_scale = scale
+        attempt.histogram = [(s.energy, s.occurrences) for s in sampleset.samples[:8]]
 
-    occupancy = decode(ones, spec.dims, len(records))
-    outcomes = []
+    occupancy = decode(ones, spec.dims, len(agents))
+    paths = []
     for r, agent in enumerate(agents):
         per_step = [occupancy[r].get(t, set()) for t in range(horizon + 1)]
         repair = fix_one_hot_continuity(per_step, agent.current, grid,
                                         allow_wait=multi)
         if repair.dropped:
-            stats["repairs"].append(
+            attempt.repairs.append(
                 f"robot {agent.spec.id}: dropped {repair.dropped} extra cell(s)"
             )
         goal = agent.spec.goal
@@ -365,28 +360,29 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, global_start,
         if goal in repair.path:
             path = repair.path[: repair.path.index(goal) + 1]
             reached = True
-        elif repair.complete and modes[agent.spec.id] == GOAL_MODE_APPROX:
+        elif repair.complete and modes[r] == GOAL_MODE_APPROX:
             path = repair.path
         elif (multi and repair.path and repair.reason == "empty_step"
-              and modes[agent.spec.id] == GOAL_MODE_APPROX):
+              and modes[r] == GOAL_MODE_APPROX):
             # Trapped short of the horizon (another robot blocks the way):
             # hold position for the remaining steps and try again next window.
             path = repair.path + [repair.path[-1]] * (horizon + 1 - len(repair.path))
-            stats["repairs"].append(
+            attempt.repairs.append(
                 f"robot {agent.spec.id}: waits from t={repair.failed_at}"
             )
         else:
-            stats["failure"] = f"robot {agent.spec.id}: {repair.reason or 'goal_missed'}"
-            return None, stats
+            attempt.failure = f"robot {agent.spec.id}: {repair.reason or 'goal_missed'}"
+            return attempt
         bad = detect_invalid_move(path, grid, allow_wait=multi)
         if bad is not None:
-            stats["failure"] = f"robot {agent.spec.id}: {bad[1]} at t={bad[0]}"
-            return None, stats
+            attempt.failure = f"robot {agent.spec.id}: {bad[1]} at t={bad[0]}"
+            return attempt
         if len(path) < 2 and not reached and not multi:
-            stats["failure"] = f"robot {agent.spec.id}: no progress"
-            return None, stats
-        outcomes.append((path, reached))
-    return outcomes, stats
+            attempt.failure = f"robot {agent.spec.id}: no progress"
+            return attempt
+        paths.append((path, reached))
+    attempt.paths = paths
+    return attempt
 
 
 def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
@@ -460,56 +456,52 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                 agent.finish(STATUS_EXHAUSTED)
             continue
 
-        outcomes = None
-        stats: dict = {}
         horizon = wcfg.window_len
         escalated = False
-        attempts = 0
-        for attempt in range(wcfg.max_retries_per_window):
-            if attempt > 0 and attempt == wcfg.max_retries_per_window - 1:
+        for retries in range(wcfg.max_retries_per_window):
+            if retries > 0 and retries == wcfg.max_retries_per_window - 1:
                 # Last chance: widen the window once before giving up.
                 horizon = 2 * wcfg.window_len
                 escalated = True
-            attempts = attempt + 1
-            seed = _derive_seed(scfg.seed, window_index, attempt, int(escalated))
-            outcomes, stats = _attempt_window(
-                eff_grid, active, weights, scfg, horizon, clock, seed, multi)
-            if outcomes is not None:
+            seed = derive_seed(scfg.seed, window_index, retries, int(escalated))
+            attempt = _attempt_window(eff_grid, active, weights, scfg, horizon, seed, multi)
+            if attempt.paths is not None:
                 break
-            if stats.get("deterministic") and not escalated:
+            if attempt.deterministic and not escalated:
                 # Retrying an identical deterministic window cannot help.
                 horizon = 2 * wcfg.window_len
                 escalated = True
 
+        report = attempt.report or FixReport()
         record = WindowRecord(
             index=window_index,
             global_start=clock,
             horizon=horizon,
-            original=stats.get("original", 0),
-            reduced=stats.get("reduced", 0),
-            reduction_pct=stats.get("reduction_pct", 0.0),
-            solved_by_preprocess=stats.get("solved_by_preprocess", False),
-            numeric_fixed=stats.get("numeric_fixed", 0),
-            retries=attempts - 1,
+            original=report.original_count,
+            reduced=report.reduced_count,
+            reduction_pct=report.reduction_pct,
+            solved_by_preprocess=attempt.report is not None and report.solved_by_preprocess,
+            numeric_fixed=report.numeric_fixed,
+            retries=retries,
             escalated=escalated,
-            backend=stats.get("backend", "presolve"),
-            best_energy=stats.get("best_energy"),
-            norm_scale=stats.get("norm_scale"),
-            modes=stats.get("modes", {}),
-            repairs=stats.get("repairs", []),
-            histogram=stats.get("histogram", []),
+            backend=attempt.backend,
+            best_energy=attempt.best_energy,
+            norm_scale=attempt.norm_scale,
+            modes=attempt.modes,
+            repairs=attempt.repairs,
+            histogram=attempt.histogram,
         )
-        if "failure" in stats:
-            record.repairs.append(f"window abandoned: {stats['failure']}")
+        if attempt.failure is not None:
+            record.repairs.append(f"window abandoned: {attempt.failure}")
         windows.append(record)
 
-        if outcomes is None:
+        if attempt.paths is None:
             for agent in active:
                 agent.log.append(record)
                 agent.finish(STATUS_EXHAUSTED)
             break
 
-        for agent, (path, reached) in zip(active, outcomes):
+        for agent, (path, reached) in zip(active, attempt.paths):
             agent.log.append(record)
             agent.steps = stitch(agent.steps, path, start_time=clock)
             agent.visited |= set(path)

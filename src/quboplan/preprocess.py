@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cell, bfs_layers, manhattan
+from .grid import Cell, ReachabilityTable, bfs_layers, manhattan
 from .penalties import Admissible, GOAL_MODE_LATE, WindowSpec
 from .qubo import QuboModel, block_size, var_index
 
@@ -46,43 +46,28 @@ class FixReport:
     def solved_by_preprocess(self) -> bool:
         return self.reduced_count == 0
 
-    def as_dict(self) -> dict:
-        return {
-            "original": self.original_count,
-            "reduced": self.reduced_count,
-            "reduction_pct": round(self.reduction_pct, 4),
-            "solved_by_preprocess": self.solved_by_preprocess,
-        }
 
-
-def fix_logical(spec: WindowSpec) -> tuple[FixReport, Admissible]:
+def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable] | None = None
+                ) -> tuple[FixReport, Admissible]:
     """Forced assignments for one window, plus the admissible variable sets.
 
-    Raises `InfeasibleWindowError` when a goal-seeking robot cannot reach its
-    goal within the window; the caller reacts by switching that robot to the
-    approximation objective or widening the window.
+    `tables` holds each robot's reachability layers from its start over its
+    horizon, minus its `excluded` cells; they are searched here when not
+    given. Raises `InfeasibleWindowError` when a goal-seeking robot cannot
+    reach its goal within the window; the caller reacts by switching that
+    robot to the approximation objective or widening the window.
     """
     dims = spec.dims
     report = FixReport(original_count=len(spec.robots) * block_size(dims))
     admissible: Admissible = []
 
-    tables = []
-    for rec in spec.robots:
-        if not rec.active:
-            tables.append(None)
-            continue
-        tables.append(bfs_layers(
-            spec.grid, rec.start, rec.horizon,
-            exclude_visited=rec.excluded,
-        ))
-    multi = sum(1 for rec in spec.robots if rec.active) >= 2
-    joint_depth = max((t.max_depth() for t in tables if t is not None), default=0)
+    if tables is None:
+        tables = [bfs_layers(spec.grid, rec.start, rec.horizon, exclude_visited=rec.excluded)
+                  for rec in spec.robots]
+    multi = len(spec.robots) >= 2
+    joint_depth = max(t.max_depth() for t in tables)
 
-    for robot, rec in enumerate(spec.robots):
-        if not rec.active:
-            admissible.append([set() for _ in range(spec.horizon + 1)])
-            continue
-        table = tables[robot]
+    for robot, (rec, table) in enumerate(zip(spec.robots, tables)):
         layers = [set(table.layers[t]) for t in range(rec.horizon + 1)]
         # Early goal claims are impossible, so drop those variables outright.
         for t in range(min(manhattan(rec.start, rec.goal), rec.horizon + 1)):
@@ -227,17 +212,3 @@ def fix_numeric_diagonal(folded: FoldedModel, report: FixReport,
             folded.fixed_zero | newly_fixed,
         )
     return folded
-
-
-def preprocess_window(spec: WindowSpec, allow_wait: bool = False,
-                      aggressiveness: float | None = 3.0
-                      ) -> tuple[FoldedModel, FixReport, Admissible]:
-    """Full presolve pipeline: logical fixing, model build, fold, numeric pass."""
-    from .penalties import build_window_model
-
-    report, admissible = fix_logical(spec)
-    model = build_window_model(spec, admissible, allow_wait=allow_wait)
-    folded = fold(model, report)
-    if aggressiveness is not None:
-        folded = fix_numeric_diagonal(folded, report, aggressiveness)
-    return folded, report, admissible

@@ -128,17 +128,6 @@ class QuboModel:
             dup.coeffs[key] = w * factor
         return dup
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Per-variable incident off-diagonal terms, for incremental solvers."""
-        inc: list[list[tuple[int, float]]] = [[] for _ in range(self.num_vars)]
-        for (a, b), w in self.coeffs.items():
-            if a != b:
-                inc[a].append((b, w))
-                inc[b].append((a, w))
-        for row in inc:
-            row.sort()
-        return inc
-
     def to_text(self) -> str:
         """Plain-text triple list: header "num_vars constant", then "a b w" lines."""
         lines = [f"{self.num_vars} {self.constant!r}"]

@@ -64,7 +64,7 @@ def parse_map_text(rows: list[str], first_line: int = 1) -> GridMap:
 _WEIGHT_KEYS = {
     "k_hot", "k_adj", "k_start", "k_goal", "k_lock", "k_bt", "k_tel",
     "k_approx", "k_coll", "goal_ramp_max", "bt_soft_factor", "norm_scale",
-    "potential_radius", "goal_profile",
+    "potential_radius",
 }
 _WINDOW_KEYS = {"window_len", "max_windows", "max_retries"}
 _SOLVER_KEYS = {"backend", "reads", "sweeps", "beta0", "beta1", "seed"}
@@ -151,9 +151,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
         w = section_dict("weights", _WEIGHT_KEYS)
         kwargs = {}
         for key, value in w.items():
-            if key == "goal_profile":
-                kwargs[key] = value
-            elif key == "norm_scale":
+            if key == "norm_scale":
                 kwargs[key] = None if value.lower() == "auto" else float(value)
             elif key == "potential_radius":
                 kwargs[key] = int(value)

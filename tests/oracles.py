@@ -27,8 +27,6 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
 
     total = 0.0
     for r, rec in enumerate(spec.robots):
-        if not rec.active:
-            continue
         horizon = rec.horizon
         for t in range(horizon + 1):
             filled = sum(occ(r, t, c) for c in admissible[r][t])
@@ -76,9 +74,8 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
             if rec.goal in admissible[r][t]:
                 total += w.k_tel * occ(r, t, rec.goal)
 
-    active = [r for r, rec in enumerate(spec.robots) if rec.active]
-    for i, r1 in enumerate(active):
-        for r2 in active[i + 1:]:
+    for r1 in range(len(spec.robots)):
+        for r2 in range(r1 + 1, len(spec.robots)):
             shared_horizon = min(spec.robots[r1].horizon, spec.robots[r2].horizon)
             for t in range(shared_horizon + 1):
                 for c in admissible[r1][t] & admissible[r2][t]:

@@ -83,6 +83,27 @@ def test_export_qubo_raw_is_larger(capsys):
     assert raw_lines > folded_lines
 
 
+@pytest.mark.parametrize("name", ["demo3", "single5"])
+def test_export_qubo_is_the_planners_first_window(name, capsys, monkeypatch):
+    from quboplan import planner
+    from quboplan.bench import run_pipeline
+    from quboplan.scenario import load_scenario
+
+    presolved = []
+    numeric_pass = planner.fix_numeric_diagonal
+
+    def recording(folded, report):
+        folded = numeric_pass(folded, report)
+        presolved.append(folded.model)
+        return folded
+
+    monkeypatch.setattr(planner, "fix_numeric_diagonal", recording)
+    spec = load_scenario(str(SCENARIOS / f"{name}.scn"))
+    run_pipeline(spec, spec.seed)
+    assert main(["export-qubo", str(SCENARIOS / f"{name}.scn")]) == 0
+    assert capsys.readouterr().out == presolved[0].to_text()
+
+
 def test_oracle_check_small_run(capsys):
     code = main(["oracle-check", "--samples", "4", "--runs", "2",
                  "--seed", "3", "--threshold", "0.5"])

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from quboplan.grid import (
     GridMap,
     bfs_distances,
     bfs_layers,
-    euclidean,
     manhattan,
     max_manhattan,
     obstacle_potential,
@@ -62,12 +59,6 @@ def test_manhattan_values():
     assert manhattan((2, 1), (0, 3)) == 4
 
 
-def test_euclidean_values():
-    assert euclidean((0, 0), (3, 4)) == 5.0
-    assert euclidean((1, 1), (1, 1)) == 0.0
-    assert abs(euclidean((0, 0), (1, 1)) - math.sqrt(2)) < 1e-9
-
-
 def test_manhattan_lower_bounds_grid_distance():
     g = GridMap(4, 4, frozenset({(1, 1), (1, 2), (2, 1)}))
     dist = bfs_distances(g, (0, 0))
@@ -94,35 +85,14 @@ def test_bfs_layers_2x2_shape():
     assert table.layers == {0: {(0, 0)}, 1: {(0, 1), (1, 0)}, 2: {(1, 1)}}
 
 
-def test_bfs_layers_single_cell_wait():
-    g = GridMap(1, 1)
-    table = bfs_layers(g, (0, 0), 3, allow_wait=True)
-    assert all(table.layers[t] == {(0, 0)} for t in range(4))
-
-
 def test_bfs_layers_horizon_zero():
     g = GridMap(3, 3)
     assert bfs_layers(g, (1, 1), 0).layers == {0: {(1, 1)}}
 
 
-def test_bfs_layers_exclusion_off_wait_on_monotone():
-    g = GridMap(4, 5, frozenset({(1, 2), (2, 2)}))
-    table = bfs_layers(g, (0, 0), 7, allow_wait=True, exclude_revisits=False)
-    for t in range(7):
-        assert table.layers[t] <= table.layers[t + 1]
-
-
-def test_bfs_layers_exclusion_off_parity():
-    g = GridMap(3, 3)
-    table = bfs_layers(g, (0, 0), 4, exclude_revisits=False)
-    # without wait, revisits come back with the step parity
-    assert (0, 0) in table.layers[2]
-    assert (0, 0) not in table.layers[3]
-
-
 def test_bfs_layers_never_contain_obstacles():
     g = GridMap(4, 4, frozenset({(0, 1), (2, 2), (3, 0)}))
-    table = bfs_layers(g, (0, 0), 8, allow_wait=True)
+    table = bfs_layers(g, (0, 0), 8)
     for cells in table.layers.values():
         assert not (cells & g.obstacles)
 

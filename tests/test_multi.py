@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quboplan.grid import GridMap
-from quboplan.multi import GlobalClock, allocate_offsets, plan_multi, validate_robots
+from quboplan.multi import plan_multi, validate_robots
 from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
 from quboplan.planner import (
     RobotSpec,
@@ -17,27 +17,6 @@ from quboplan.qubo import block_size
 from quboplan.solvers import SolverConfig
 
 EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
-
-
-def test_allocate_offsets_examples():
-    robots = [RobotSpec(0, (0, 0), (4, 4)), RobotSpec(1, (4, 0), (0, 4))]
-    assert allocate_offsets(robots, (5, 5, 9)) == [0, 250]
-    assert allocate_offsets(robots[:1], (5, 5, 9)) == [0]
-    three = robots + [RobotSpec(2, (0, 4), (4, 0))]
-    assert allocate_offsets(three, (3, 3, 4)) == [0, 45, 90]
-
-
-def test_allocate_offsets_requires_robots():
-    with pytest.raises(ValueError):
-        allocate_offsets([], (3, 3, 4))
-
-
-def test_global_clock_intervals():
-    robots = [RobotSpec(0, (0, 0), (0, 3)), RobotSpec(1, (2, 0), (2, 3), release=4)]
-    clock = GlobalClock.from_robots(robots)
-    assert clock.intervals[0] == (0, 6)
-    assert clock.intervals[1] == (4, 10)
-    assert clock.horizon == 10
 
 
 def test_validate_robots_rejects_shared_goal():

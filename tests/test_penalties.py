@@ -94,14 +94,6 @@ def test_goal_late_time_ramp():
     assert model.get(goal_var(4), goal_var(4)) == pytest.approx(-2.0)
 
 
-def test_goal_profiles():
-    w = PenaltyWeights(goal_profile="constant")
-    assert w.goal_factor(0, 4) == w.goal_factor(4, 4) == 1.0
-    w = PenaltyWeights(goal_profile="early")
-    assert w.goal_factor(0, 4) == 2.0
-    assert w.goal_factor(4, 4) == 1.0
-
-
 def test_goal_lock_contributions():
     spec = spec_1x2(horizon=2)
     adm = dense_admissible(spec)
@@ -222,18 +214,6 @@ def test_valid_path_scores_only_goal_rewards():
     assert model.energy(ones) == pytest.approx(expected)
 
 
-def test_inactive_robot_contributes_nothing():
-    g = GridMap(2, 2)
-    recs = (
-        RobotWindow(start=(0, 0), goal=(1, 1), horizon=2),
-        RobotWindow(start=(1, 0), goal=(0, 1), horizon=2, active=False),
-    )
-    spec = WindowSpec(g, recs, W)
-    model = build_window_model(spec)
-    block = block_size(spec.dims)
-    assert all(a < block and b < block for a, b in model.coeffs)
-
-
 def _random_window(rng):
     while True:
         rows = int(rng.integers(2, 5))
@@ -310,14 +290,12 @@ def test_obstacle_cells_never_receive_variables():
 
 
 def test_built_models_store_no_zero_coefficients():
-    from quboplan.preprocess import preprocess_window
+    from quboplan.planner import build_window
 
     g = GridMap(5, 5, frozenset({(2, 2)}))
-    rec = RobotWindow(start=(0, 0), goal=(4, 4), horizon=10)
-    spec = WindowSpec(g, (rec,), W)
+    spec, _, folded = build_window(g, [((0, 0), (4, 4), {(0, 0)})], 10, W)
     dense = build_window_model(spec)
     assert all(w != 0.0 for w in dense.coeffs.values())
-    folded, _, _ = preprocess_window(spec)
     assert all(w != 0.0 for w in folded.model.coeffs.values())
 
 
@@ -328,8 +306,6 @@ def test_weights_validation():
         PenaltyWeights(goal_ramp_max=0.5)
     with pytest.raises(ValueError):
         PenaltyWeights(norm_scale=-1.0)
-    with pytest.raises(ValueError):
-        PenaltyWeights(goal_profile="sometimes")
 
 
 def test_norm_scale_auto_rule():

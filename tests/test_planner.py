@@ -42,6 +42,8 @@ def test_validate_rejects_multi_cell_step():
 def test_validate_rejects_obstacle_and_early_goal():
     g = GridMap(3, 3, frozenset({(1, 1)}))
     assert validate_path(g, [(0, 0), (1, 1)]).kind == "obstacle"
+    out = validate_path(g, [(0, 0), (0, 2), (1, 1)])  # jump, then obstacle
+    assert (out.kind, out.step) == ("adjacency", 1)
     sneaky = [(0, 0), (2, 2), (2, 1)]  # claims a distance-4 goal at step 1
     out = validate_path(GridMap(3, 3), sneaky, goal=(2, 2))
     assert out.kind in ("adjacency", "early_goal")

@@ -16,8 +16,8 @@ from quboplan.preprocess import (
     fix_logical,
     fix_numeric_diagonal,
     fold,
-    preprocess_window,
 )
+from quboplan.planner import build_window
 from quboplan.qubo import QuboModel, var_index
 
 from oracles import all_shortest_paths, brute_force_minima, four_var_fixture, random_grid_model
@@ -212,9 +212,8 @@ def test_numeric_fix_preserves_minimum_on_random_instances():
 
 def test_preprocess_window_end_to_end_energy_identity():
     grid = GridMap(3, 3, frozenset({(1, 1)}))
-    spec = window(grid, (0, 0), (2, 2), 4)
-    folded, report, adm = preprocess_window(spec)
-    model = build_window_model(spec, adm)
+    spec, _, folded = build_window(grid, [((0, 0), (2, 2), {(0, 0)})], 4, PenaltyWeights())
+    model = build_window_model(spec, fix_logical(spec)[1])
     rng = np.random.default_rng(12)
     for _ in range(30):
         bits = [int(rng.integers(2)) for _ in folded.free_vars]
