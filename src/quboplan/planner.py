@@ -290,7 +290,7 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
-        records.append(RobotWindow(start, goal, horizon, mode, frozenset(visited), excluded))
+        records.append(RobotWindow(start, goal, horizon, mode, visited, excluded))
         tables.append(table)
     spec = WindowSpec(grid, tuple(records), weights)
     report, admissible = fix_logical(spec, tables)
