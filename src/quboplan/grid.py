@@ -80,6 +80,14 @@ def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+def min_moves(grid: GridMap, a: Cell, b: Cell) -> int:
+    """Fewest moves from a to b on the map without its obstacles: the L1
+    distance on a 4-connected map, the Chebyshev distance on an 8-connected
+    one. No path on the map is shorter."""
+    di, dj = abs(a[0] - b[0]), abs(a[1] - b[1])
+    return max(di, dj) if grid.connectivity == 8 else di + dj
+
+
 def max_manhattan(grid: GridMap) -> int:
     """Largest L1 distance representable on the map (corner to corner)."""
     return (grid.rows - 1) + (grid.cols - 1)

@@ -11,7 +11,7 @@ occupancy.
 
 from dataclasses import dataclass, field
 
-from .grid import Cell, GridMap, manhattan, max_manhattan, obstacle_potential
+from .grid import Cell, GridMap, manhattan, max_manhattan, min_moves, obstacle_potential
 from .qubo import Dims, QuboModel, block_size, var_index
 
 GOAL_MODE_LATE = "late_time"
@@ -239,10 +239,10 @@ def apply_backtracking(model: QuboModel, spec: WindowSpec, robot: int,
 
 def apply_teleportation(model: QuboModel, spec: WindowSpec, robot: int,
                         admissible: Admissible) -> QuboModel:
-    """Penalize claiming the goal before the L1 lower bound allows."""
+    """Penalize claiming the goal before the move lower bound allows."""
     rec = spec.robots[robot]
     k = spec.weights.k_tel
-    bound = min(manhattan(rec.start, rec.goal), rec.horizon + 1)
+    bound = min(min_moves(spec.grid, rec.start, rec.goal), rec.horizon + 1)
     for t in range(bound):
         if rec.goal in admissible[robot][t]:
             a = var_index(spec.dims, robot, t, rec.goal)

@@ -8,11 +8,12 @@ advance by exactly one per step. Failed windows are retried with fresh solver
 seeds; the final retry widens the window once before giving up.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Cell, GridMap, bfs_distances, bfs_layers, manhattan
+from .grid import Cell, GridMap, bfs_distances, bfs_layers, min_moves
 from .penalties import (
     GOAL_MODE_APPROX,
     GOAL_MODE_LATE,
@@ -86,7 +87,7 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
     Accepts a sequence of cells or of per-step cell sets. Checks one cell per
     step, then reports the earliest step onto a blocked cell or off the
     adjacency rule (see `detect_invalid_move`), then that the goal is not
-    claimed before the L1 lower bound from the path's first cell allows.
+    claimed before the move lower bound from the path's first cell allows.
     """
     cells: list[Cell] = []
     for t, entry in enumerate(path):
@@ -102,8 +103,37 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
         return PathDiagnosis(False, bad[1], bad[0])
     if goal is not None and goal in cells:
         first = cells.index(goal)
-        if first < manhattan(cells[0], goal):
+        if first < min_moves(grid, cells[0], goal):
             return PathDiagnosis(False, "early_goal", first)
+    return PathDiagnosis(True)
+
+
+def _validate_by_window(cells, stitched, maps, goal: Cell,
+                        allow_wait: bool) -> PathDiagnosis:
+    """Validate a finished path window by window, each on its own map.
+
+    `stitched` is the path as the windows stitched it, and `maps` holds one
+    (stitched cells up to the window's end, map it was planned on) pair per
+    window. Clash repair only repeats cells as waits, so each cell of
+    `cells` belongs to the window of the stitched cell it matches or
+    repeats. Each window's run of cells, with the cell it starts from, is
+    checked on that window's map; steps are reported along `cells`.
+    """
+    ends = [end for end, _ in maps]
+    owner, p = [], 0
+    for i, c in enumerate(cells):
+        if i and p + 1 < len(stitched) and c == stitched[p + 1]:
+            p += 1
+        owner.append(bisect_right(ends, p))
+    lo = 0
+    for hi in range(1, len(cells) + 1):
+        if hi < len(cells) and owner[hi] == owner[lo]:
+            continue
+        first = max(lo - 1, 0)
+        diagnosis = validate_path(maps[owner[lo]][1], cells[first:hi], goal, allow_wait)
+        if not diagnosis:
+            return PathDiagnosis(False, diagnosis.kind, first + diagnosis.step)
+        lo = hi
     return PathDiagnosis(True)
 
 
@@ -239,7 +269,7 @@ class PlanningResult:
 
 
 class _Agent:
-    __slots__ = ("spec", "current", "visited", "steps", "status", "done", "log")
+    __slots__ = ("spec", "current", "visited", "steps", "status", "done", "log", "maps")
 
     def __init__(self, spec: RobotSpec):
         self.spec = spec
@@ -249,6 +279,8 @@ class _Agent:
         self.status: str | None = None
         self.done = False
         self.log: list[WindowRecord] = []
+        # (stitched steps so far, map planned on) after each window
+        self.maps: list[tuple[int, GridMap]] = []
 
     def finish(self, status: str):
         self.status = status
@@ -271,8 +303,9 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
     search; when that walls off the goal, or ends the search short of the
     horizon where the full search reaches further, the exclusion is dropped
     and the softened revisit penalties take over instead. A robot whose goal
-    is reachable and strictly closer than the horizon (L1) seeks it with the
-    late-time reward, any other with the window-final approximation reward.
+    is reachable and strictly closer than the horizon (`min_moves`) seeks it
+    with the late-time reward, any other with the window-final approximation
+    reward.
     Logical fixing reuses these searches; the model is then built, folded,
     and cleared of hopeless diagonals.
     """
@@ -286,7 +319,7 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
             reachable = full.contains(goal)
             if reachable or table.max_depth() < min(horizon, full.max_depth()):
                 table, excluded = full, frozenset()
-        if reachable and manhattan(start, goal) < horizon:
+        if reachable and min_moves(grid, start, goal) < horizon:
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
@@ -396,7 +429,9 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     there and become static obstacles for later windows; robots released
     mid-window join at the next window boundary, waiting on their start
     cell. `map_hook(window_index, grid) -> GridMap | None` may swap the map
-    between windows for dynamic scenes.
+    between windows for dynamic scenes. Every finished plan is validated
+    window by window on the map each window was planned on, clash-repair
+    waits included.
     """
     robots = list(robots)
     if len({r.id for r in robots}) != len(robots):
@@ -504,6 +539,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         for agent, (path, reached) in zip(active, attempt.paths):
             agent.log.append(record)
             agent.steps = stitch(agent.steps, path, start_time=clock)
+            agent.maps.append((len(agent.steps), current_grid))
             agent.visited |= set(path)
             agent.current = path[-1]
             if reached:
@@ -535,19 +571,17 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                 plan.status = STATUS_EXHAUSTED
                 plan.notes.append(f"unresolved vertex conflict at t={conflict[0]}")
 
-    if map_hook is None:
-        by_id = {r.id: r for r in robots}
-        for plan in plans:
-            if plan.status != STATUS_REACHED:
-                continue
-            diagnosis = validate_path(grid, plan.cells,
-                                      goal=by_id[plan.robot].goal,
-                                      allow_wait=multi)
-            if not diagnosis:
-                plan.status = STATUS_EXHAUSTED
-                plan.notes.append(
-                    f"validation failed: {diagnosis.kind} at step {diagnosis.step}"
-                )
+    for plan, agent in zip(plans, agents):
+        if plan.status != STATUS_REACHED:
+            continue
+        diagnosis = _validate_by_window(plan.cells, [c for _, c in agent.steps],
+                                        agent.maps or [(len(agent.steps), grid)],
+                                        agent.spec.goal, multi)
+        if not diagnosis:
+            plan.status = STATUS_EXHAUSTED
+            plan.notes.append(
+                f"validation failed: {diagnosis.kind} at step {diagnosis.step}"
+            )
 
     return PlanningResult(plans, windows, clash_events, unresolved)
 

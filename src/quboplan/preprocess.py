@@ -1,19 +1,19 @@
 """Variable fixing: shrink a window's QUBO before any solver sees it.
 
-Logical fixing derives forced assignments from reachability alone: the start
-bit is on, everything else at step 0 is off, cells outside the BFS layer of a
-step are off, a singleton layer forces its variable on, and the goal cannot
-be claimed before the L1 bound. Folding substitutes the fixed values into the
-coefficients and reindexes the survivors densely. A conservative numeric pass
-then clears outlier diagonals that no incident negative mass could ever
-compensate.
+Logical fixing derives forced assignments from reachability alone: a step
+admits only its BFS layer (the start alone at step 0), a singleton layer
+forces its variable on, and the goal cannot be claimed before the move lower
+bound. Cells outside a layer never enter the model, so no work is spent on
+them. Folding substitutes the fixed values into the coefficients and
+reindexes the survivors densely. A conservative numeric pass then clears
+outlier diagonals that no incident negative mass could ever compensate.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cell, ReachabilityTable, bfs_layers, manhattan
+from .grid import Cell, ReachabilityTable, bfs_layers, min_moves
 from .penalties import Admissible, GOAL_MODE_LATE, WindowSpec
 from .qubo import QuboModel, block_size, var_index
 
@@ -28,7 +28,11 @@ class InfeasibleWindowError(Exception):
 
 @dataclass
 class FixReport:
-    """What preprocessing decided: forced bits and the resulting model size."""
+    """What preprocessing decided: forced bits and the resulting model size.
+
+    `fixed_zero` holds only explicitly cleared variables (the numeric pass);
+    logical fixing leaves the non-admissible ones for `fold` to drop.
+    """
 
     fixed_one: set[int] = field(default_factory=set)
     fixed_zero: set[int] = field(default_factory=set)
@@ -70,7 +74,7 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable] | None = None
     for robot, (rec, table) in enumerate(zip(spec.robots, tables)):
         layers = [set(table.layers[t]) for t in range(rec.horizon + 1)]
         # Early goal claims are impossible, so drop those variables outright.
-        for t in range(min(manhattan(rec.start, rec.goal), rec.horizon + 1)):
+        for t in range(min(min_moves(spec.grid, rec.start, rec.goal), rec.horizon + 1)):
             layers[t].discard(rec.goal)
         goal_time = next(
             (t for t, cells in enumerate(layers) if rec.goal in cells), None)
@@ -96,15 +100,9 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable] | None = None
             layers.append(set())
         admissible.append(layers)
 
-    all_cells = {
-        (i, j) for i in range(spec.grid.rows) for j in range(spec.grid.cols)
-    }
     reduced = 0
-    for robot, rec in enumerate(spec.robots):
-        for t in range(spec.horizon + 1):
-            cells = admissible[robot][t]
-            for c in all_cells - cells:
-                report.fixed_zero.add(var_index(dims, robot, t, c))
+    for robot, layers in enumerate(admissible):
+        for t, cells in enumerate(layers):
             if len(cells) == 1:
                 report.fixed_one.add(var_index(dims, robot, t, next(iter(cells))))
             else:
@@ -120,7 +118,6 @@ class FoldedModel:
     model: QuboModel
     free_vars: list[int]  # dense index -> original index
     fixed_one: frozenset[int]
-    fixed_zero: frozenset[int]
 
     def expand(self, bits) -> set[int]:
         """Original-index assignment from a dense free-variable assignment."""
@@ -134,17 +131,21 @@ class FoldedModel:
 def fold(model: QuboModel, report: FixReport) -> FoldedModel:
     """Substitute fixed values into the model and reindex the free variables.
 
+    Free variables are those some coefficient touches, minus the fixed ones,
+    in ascending order: an untouched variable changes no energy and is
+    dropped as fixed to zero, so the cost is O(nnz), not O(num_vars).
     Variables fixed to zero drop every incident entry; variables fixed to one
     move their diagonal into the constant and project their pair terms onto
-    the partner's diagonal. Energies are preserved exactly for any assignment
-    extending the fixed values.
+    the partner's diagonal. Energies are preserved exactly for any
+    assignment extending the fixed values.
     """
     ones = report.fixed_one
     zeros = report.fixed_zero
     overlap = ones & zeros
     if overlap:
         raise ValueError(f"fix sets overlap on {sorted(overlap)[:4]}")
-    free = [v for v in range(model.num_vars) if v not in ones and v not in zeros]
+    touched = {v for key in model.coeffs for v in key}
+    free = sorted(touched - ones - zeros)
     position = {orig: dense for dense, orig in enumerate(free)}
     out = QuboModel(len(free), model.constant)
     for (a, b), w in model.coeffs.items():
@@ -165,7 +166,7 @@ def fold(model: QuboModel, report: FixReport) -> FoldedModel:
             out.add(position[a], position[a], w)
         else:
             out.add(position[a], position[b], w)
-    return FoldedModel(out, free, frozenset(ones), frozenset(zeros))
+    return FoldedModel(out, free, frozenset(ones))
 
 
 def fix_numeric_diagonal(folded: FoldedModel, report: FixReport,
@@ -199,16 +200,12 @@ def fix_numeric_diagonal(folded: FoldedModel, report: FixReport,
         ]
         if not doomed:
             break
-        sub = FixReport(fixed_zero=set(doomed))
-        refolded = fold(model, sub)
-        newly_fixed = {folded.free_vars[d] for d in doomed}
+        refolded = fold(model, FixReport(fixed_zero=set(doomed)))
+        kept = [folded.free_vars[d] for d in refolded.free_vars]
+        # Refolding also drops any survivor left without a coefficient.
+        newly_fixed = set(folded.free_vars) - set(kept)
         report.fixed_zero |= newly_fixed
         report.numeric_fixed += len(doomed)
-        report.reduced_count -= len(doomed)
-        folded = FoldedModel(
-            refolded.model,
-            [folded.free_vars[d] for d in refolded.free_vars],
-            folded.fixed_one,
-            folded.fixed_zero | newly_fixed,
-        )
+        report.reduced_count -= len(newly_fixed)
+        folded = FoldedModel(refolded.model, kept, folded.fixed_one)
     return folded

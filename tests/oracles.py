@@ -70,7 +70,9 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
             if c in rec.visited:
                 for t in times:
                     total += w.k_bt * w.bt_soft_factor * occ(r, t, c)
-        for t in range(min(manhattan(rec.start, rec.goal), horizon + 1)):
+        gap = (abs(rec.start[0] - rec.goal[0]), abs(rec.start[1] - rec.goal[1]))
+        fewest = max(gap) if spec.grid.connectivity == 8 else sum(gap)
+        for t in range(min(fewest, horizon + 1)):
             if rec.goal in admissible[r][t]:
                 total += w.k_tel * occ(r, t, rec.goal)
 

@@ -49,15 +49,16 @@ def test_astar_dijkstra_lengths_agree_and_match_bfs():
         free = [c for c in cells if c not in obstacles]
         if len(free) < 2:
             continue
-        g = GridMap(rows, cols, obstacles)
         start, goal = free[0], free[-1]
-        reference = bfs_distances(g, start).get(goal)
-        a = astar(g, start, goal)
-        d = dijkstra(g, start, goal)
-        if reference is None:
-            assert a is None and d is None
-        else:
-            assert path_moves(a) == path_moves(d) == reference
+        for connectivity in (4, 8):
+            g = GridMap(rows, cols, obstacles, connectivity=connectivity)
+            reference = bfs_distances(g, start).get(goal)
+            a = astar(g, start, goal)
+            d = dijkstra(g, start, goal)
+            if reference is None:
+                assert a is None and d is None
+            else:
+                assert path_moves(a) == path_moves(d) == reference, connectivity
 
 
 def test_prioritized_disjoint_corridors_match_solo():

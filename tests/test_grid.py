@@ -7,6 +7,7 @@ from quboplan.grid import (
     bfs_layers,
     manhattan,
     max_manhattan,
+    min_moves,
     obstacle_potential,
 )
 
@@ -67,6 +68,18 @@ def test_manhattan_lower_bounds_grid_distance():
     empty = GridMap(4, 4)
     for cell, d in bfs_distances(empty, (0, 0)).items():
         assert manhattan((0, 0), cell) == d
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_min_moves_lower_bounds_grid_distance(connectivity):
+    walls = frozenset({(1, 1), (1, 2), (2, 1)})
+    g = GridMap(4, 4, walls, connectivity=connectivity)
+    for cell, d in bfs_distances(g, (0, 0)).items():
+        assert min_moves(g, (0, 0), cell) <= d
+    empty = GridMap(4, 4, connectivity=connectivity)
+    for cell, d in bfs_distances(empty, (0, 0)).items():
+        assert min_moves(empty, (0, 0), cell) == d
+    assert min_moves(empty, (0, 0), (3, 2)) == (3 if connectivity == 8 else 5)
 
 
 def test_bfs_layers_first_reach_3x3():

@@ -3,9 +3,11 @@ import pytest
 
 from quboplan.grid import GridMap, manhattan
 from quboplan.penalties import PenaltyWeights
+from quboplan import planner
 from quboplan.planner import (
     Plan,
     RobotSpec,
+    STATUS_EXHAUSTED,
     STATUS_INFEASIBLE,
     STATUS_REACHED,
     StitchError,
@@ -47,6 +49,12 @@ def test_validate_rejects_obstacle_and_early_goal():
     sneaky = [(0, 0), (2, 2), (2, 1)]  # claims a distance-4 goal at step 1
     out = validate_path(GridMap(3, 3), sneaky, goal=(2, 2))
     assert out.kind in ("adjacency", "early_goal")
+
+
+def test_validate_accepts_diagonal_on_eight_connected_map():
+    diagonal = [(0, 0), (1, 1), (2, 2)]
+    assert validate_path(GridMap(3, 3, connectivity=8), diagonal, goal=(2, 2))
+    assert validate_path(GridMap(3, 3), diagonal, goal=(2, 2)).kind == "adjacency"
 
 
 def test_validate_wait_flag():
@@ -172,6 +180,56 @@ def test_plan_dynamic_map_swap_between_windows():
                        solver_cfg=EXHAUSTIVE, map_hook=swap)
     assert plan.status == STATUS_REACHED
     assert (0, 3) not in [c for t, c in plan.steps if t >= 2]
+
+
+def test_plan_validates_each_window_on_its_own_map(monkeypatch):
+    # (0, 1) closes behind the robot in window 1; window 0 was planned with
+    # it open, so the finished plan is valid.
+    def close_behind(window_index, grid):
+        return grid.with_obstacles({(0, 1)}) if window_index == 1 else None
+
+    plan = plan_single(GridMap(1, 6), (0, 0), (0, 5),
+                       window_cfg=WindowConfig(window_len=2),
+                       solver_cfg=EXHAUSTIVE, map_hook=close_behind)
+    assert plan.status == STATUS_REACHED and not plan.notes
+
+    # A window-1 segment routed through the cell closed in window 1 is caught.
+    def close_ahead(window_index, grid):
+        return grid.with_obstacles({(0, 3)}) if window_index == 1 else None
+
+    def stitch_through_closed_cell(steps, window_path, start_time=0):
+        window_path = list(window_path)
+        if window_path[:3] == [(0, 2), (1, 2), (1, 3)]:
+            window_path[1] = (0, 3)
+        return stitch(steps, window_path, start_time)
+
+    monkeypatch.setattr(planner, "stitch", stitch_through_closed_cell)
+    plan = plan_single(GridMap(3, 5), (0, 0), (0, 4),
+                       window_cfg=WindowConfig(window_len=2),
+                       solver_cfg=EXHAUSTIVE, map_hook=close_ahead)
+    assert plan.cells[3] == (0, 3)
+    assert plan.status == STATUS_EXHAUSTED
+    assert plan.notes == ["validation failed: obstacle at step 3"]
+
+
+def test_window_validation_follows_clash_waits():
+    open_map = GridMap(2, 3)
+    closed = open_map.with_obstacles({(0, 0)})
+    stitched = [(0, 0), (0, 1), (0, 2), (1, 2)]
+    maps = [(2, open_map), (4, closed)]  # window 1 starts from (0, 1)
+    waited = [(0, 0), (0, 0), (0, 1), (0, 2), (0, 2), (1, 2)]
+    assert planner._validate_by_window(waited, stitched, maps, (1, 2), True)
+    out = planner._validate_by_window(waited, stitched, maps, (1, 2), False)
+    assert (out.kind, out.step) == ("adjacency", 1)
+    # judged on window 1's map, the wait on (0, 0) would be an obstacle
+    assert not planner._validate_by_window(waited, stitched, [(4, closed)], (1, 2), True)
+
+
+def test_plan_single_eight_connected_reaches_goal_diagonally():
+    plan = plan_single(GridMap(5, 5, connectivity=8), (0, 0), (3, 3),
+                       window_cfg=WindowConfig(window_len=6))
+    assert plan.status == STATUS_REACHED
+    assert plan.moves == 3
 
 
 def test_plan_release_offsets_single_robot():

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from perfbench.corpus import city, serpentine
+from quboplan import preprocess
 from quboplan.grid import GridMap
 from quboplan.penalties import (
     GOAL_MODE_APPROX,
@@ -19,6 +23,7 @@ from quboplan.preprocess import (
 )
 from quboplan.planner import build_window
 from quboplan.qubo import QuboModel, var_index
+from quboplan.scenario import load_scenario
 
 from oracles import all_shortest_paths, brute_force_minima, four_var_fixture, random_grid_model
 
@@ -219,3 +224,54 @@ def test_preprocess_window_end_to_end_energy_identity():
         bits = [int(rng.integers(2)) for _ in folded.free_vars]
         assert folded.model.energy({i for i, b in enumerate(bits) if b}) == pytest.approx(
             model.energy(folded.expand(bits)), abs=1e-9)
+
+
+def _first_windows():
+    """(grid, per-robot window state, horizon, weights) of first windows."""
+    for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.scn")):
+        scn = load_scenario(str(path))
+        yield pytest.param(scn.grid, [(r.start, r.goal, {r.start}) for r in scn.robots],
+                           scn.window_cfg.window_len, scn.weights, id=scn.name)
+    grid, start, goal = serpentine(40, 0, False)
+    yield pytest.param(grid, [(start, goal, {start})], 6, PenaltyWeights(), id="serpentine40")
+    inst = city(0)[0]
+    yield pytest.param(inst.grid, [(r.start, r.goal, {r.start}) for r in inst.robots],
+                       inst.window_cfg.window_len, inst.weights, id="city0")
+
+
+@pytest.mark.parametrize("grid, robots, horizon, weights", _first_windows())
+def test_fold_drops_exactly_the_non_admissible_variables(grid, robots, horizon, weights):
+    allow_wait = len(robots) > 1
+    spec, _, _ = build_window(grid, robots, horizon, weights, allow_wait=allow_wait)
+    report, admissible = fix_logical(spec)
+    model = build_window_model(spec, admissible, allow_wait=allow_wait)
+    cells = [(i, j) for i in range(grid.rows) for j in range(grid.cols)]
+    outside = {
+        var_index(spec.dims, r, t, c)
+        for r, layers in enumerate(admissible)
+        for t, allowed in enumerate(layers)
+        for c in cells if c not in allowed
+    }
+    explicit = fold(model, FixReport(fixed_one=set(report.fixed_one), fixed_zero=outside))
+    implicit = fold(model, report)
+    assert implicit.model.coeffs == explicit.model.coeffs
+    assert implicit.model.constant == explicit.model.constant
+    assert implicit.free_vars == explicit.free_vars
+    assert len(implicit.free_vars) == report.reduced_count
+
+
+def test_fix_logical_work_follows_the_admissible_variables(monkeypatch):
+    calls = 0
+    real = preprocess.var_index
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(preprocess, "var_index", counted)
+    spec = window(GridMap(40, 40), (0, 0), (39, 39), 6, mode=GOAL_MODE_APPROX)
+    report, admissible = fix_logical(spec)
+    entries = sum(len(cells) for layers in admissible for cells in layers)
+    assert report.original_count == 40 * 40 * 7
+    assert calls <= entries
