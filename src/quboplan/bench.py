@@ -14,9 +14,9 @@ from statistics import median
 from .classical import astar, path_moves, prioritized_plan
 from .multi import plan_multi
 from .planner import derive_seed
-from .scenario import ScenarioSpec
+from .scenario import ScenarioError, ScenarioSpec
 
-SCHEMA_VERSION = 1  # of the `plan` and `bench` JSON
+SCHEMA_VERSION = 2  # of the `plan` and `bench` JSON
 
 
 def classical_lengths(spec: ScenarioSpec) -> dict:
@@ -54,7 +54,10 @@ def run_benchmark(spec: ScenarioSpec, repeats: int | None = None,
     Timing columns are informational only and excluded by default so the
     report is byte-stable for a fixed (scenario, seed).
     """
-    repeats = repeats or spec.repeats
+    if repeats is None:
+        repeats = spec.repeats
+    if repeats < 1:
+        raise ScenarioError("repeats must be >= 1")
     t0 = time.perf_counter()
     classical = classical_lengths(spec)
     classical_seconds = time.perf_counter() - t0

@@ -19,16 +19,13 @@ from .scenario import ScenarioError, load_scenario
 
 
 def _apply_solver_overrides(spec, args):
-    cfg = spec.solver_cfg
-    if getattr(args, "backend", None):
-        cfg = replace(cfg, backend=args.backend)
-    if getattr(args, "reads", None):
-        cfg = replace(cfg, num_reads=args.reads)
-    if getattr(args, "sweeps", None):
-        cfg = replace(cfg, sweeps=args.sweeps)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    spec.solver_cfg = cfg
+    flags = {"backend": args.backend, "num_reads": args.reads,
+             "sweeps": args.sweeps, "seed": args.seed}
+    try:
+        spec.solver_cfg = replace(
+            spec.solver_cfg, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     return spec
 
 
@@ -78,6 +75,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.samples < 1 or args.runs < 1:
+        raise ScenarioError("samples and runs must be >= 1")
     report = oracle_check(samples=args.samples, runs_per_sample=args.runs,
                           seed=args.seed if args.seed is not None else 7)
     summary = {k: v for k, v in report.items() if k != "instances"}

@@ -12,17 +12,12 @@ import numpy as np
 from .grid import GridMap, bfs_distances
 from .penalties import PenaltyWeights
 from .planner import build_window, derive_seed
-from .solvers import (
-    EXHAUSTIVE_VAR_CAP,
-    SolverConfig,
-    solve_annealing,
-    solve_exhaustive,
-)
+from .solvers import BACKEND_ANNEALER, EXHAUSTIVE_VAR_CAP, SolverConfig, solve, solve_exhaustive
 
 
 def random_instances(samples: int, seed: int, max_free: int = 20):
-    """First windows of random solvable scenarios, as the planner builds them,
-    with at most `max_free` free variables."""
+    """Folded first-window models of random solvable scenarios, as the
+    planner builds them, with at most `max_free` free variables."""
     rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE)))
     produced = 0
     while produced < samples:
@@ -39,36 +34,34 @@ def random_instances(samples: int, seed: int, max_free: int = 20):
         if goal not in bfs_distances(grid, start):
             continue
         horizon = int(rng.integers(3, 6))
-        spec, _, folded = build_window(grid, [(start, goal, {start})], horizon,
-                                       PenaltyWeights())
+        _, _, folded = build_window(grid, [(start, goal, {start})], horizon,
+                                    PenaltyWeights())
         n = folded.model.num_vars
         if n < 1 or n > min(max_free, EXHAUSTIVE_VAR_CAP):
             continue
         produced += 1
-        yield spec, folded
+        yield folded.model
 
 
 def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7,
                  solver_cfg: SolverConfig | None = None) -> dict:
     """Fraction of annealer runs that hit the enumerated ground state."""
-    base_cfg = solver_cfg or SolverConfig()
+    base_cfg = replace(solver_cfg or SolverConfig(), backend=BACKEND_ANNEALER)
     total = 0
     agreed = 0
     details = []
-    for spec, folded in random_instances(samples, seed):
-        scale = spec.weights.pick_scale(folded.model.num_vars)
-        model = folded.model.normalized(scale)
+    for model in random_instances(samples, seed):
         ground = solve_exhaustive(model).best.energy
         hits = 0
         for run in range(runs_per_sample):
             sub = derive_seed(seed, total + run)
-            best = solve_annealing(model, replace(base_cfg, seed=sub)).best.energy
+            best = solve(model, replace(base_cfg, seed=sub)).best.energy
             if abs(best - ground) <= 1e-9:
                 hits += 1
         total += runs_per_sample
         agreed += hits
         details.append({
-            "free_vars": folded.model.num_vars,
+            "free_vars": model.num_vars,
             "ground_energy": ground,
             "hits": hits,
             "runs": runs_per_sample,

@@ -17,18 +17,16 @@ from .qubo import Dims, QuboModel, block_size, var_index
 GOAL_MODE_LATE = "late_time"
 GOAL_MODE_APPROX = "approximation"
 
-# Free-variable count below which the stronger normalization scale pays off.
-SMALL_MODEL_VARS = 80
-
 
 @dataclass(frozen=True)
 class PenaltyWeights:
-    """Relative importance of each constraint, plus normalization policy.
+    """Relative importance of each constraint.
 
     The defaults were tuned empirically on the benchmark scenarios; all
-    weights must stay strictly positive. `norm_scale=None` selects the scale
-    automatically: 2.0 for models under `SMALL_MODEL_VARS` free variables,
-    1.0 otherwise.
+    weights must stay strictly positive and `potential_radius` at least 1.
+    Only the weights' ratios matter: the annealer reads its β range per unit
+    of the model's peak coefficient (`solvers.solve`), so no overall scale is
+    set here.
     """
 
     k_hot: float = 4.0
@@ -43,7 +41,6 @@ class PenaltyWeights:
     goal_ramp_max: float = 2.0
     bt_soft_factor: float = 0.5
     potential_radius: int = 1
-    norm_scale: float | None = None
 
     def __post_init__(self):
         for name in ("k_hot", "k_adj", "k_start", "k_goal", "k_lock",
@@ -52,13 +49,8 @@ class PenaltyWeights:
                 raise ValueError(f"{name} must be strictly positive")
         if self.goal_ramp_max < 1:
             raise ValueError("goal_ramp_max must be >= 1")
-        if self.norm_scale is not None and self.norm_scale <= 0:
-            raise ValueError("norm_scale must be positive")
-
-    def pick_scale(self, free_vars: int) -> float:
-        if self.norm_scale is not None:
-            return self.norm_scale
-        return 2.0 if free_vars < SMALL_MODEL_VARS else 1.0
+        if self.potential_radius < 1:
+            raise ValueError("potential_radius must be >= 1")
 
     def goal_factor(self, t: int, horizon: int) -> float:
         """Time multiplier of the goal reward at step t of a window, rising

@@ -172,7 +172,6 @@ class WindowRecord:
     escalated: bool
     backend: str
     best_energy: float | None
-    norm_scale: float | None
     modes: dict[int, str]
     repairs: list[str] = field(default_factory=list)
     histogram: list[tuple[float, int]] = field(default_factory=list)
@@ -191,7 +190,6 @@ class WindowRecord:
             "escalated": self.escalated,
             "backend": self.backend,
             "best_energy": self.best_energy,
-            "norm_scale": self.norm_scale,
             "histogram": [[e, n] for e, n in self.histogram],
             "modes": {str(k): v for k, v in sorted(self.modes.items())},
             "repairs": list(self.repairs),
@@ -346,7 +344,6 @@ class _Attempt:
     failure: str | None = None
     backend: str = "presolve"
     best_energy: float | None = None
-    norm_scale: float | None = None
     histogram: list[tuple[float, int]] = field(default_factory=list)
     repairs: list[str] = field(default_factory=list)
 
@@ -369,13 +366,11 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi) -> 
     if report.solved_by_preprocess:
         ones = set(folded.fixed_one)
     else:
-        scale = weights.pick_scale(folded.model.num_vars)
         cfg = replace(solver_cfg, seed=seed)
-        sampleset = solve(folded.model.normalized(scale), cfg)
+        sampleset = solve(folded.model, cfg)
         ones = folded.expand(sampleset.best.bits)
         attempt.backend = cfg.backend
         attempt.best_energy = sampleset.best.energy
-        attempt.norm_scale = scale
         attempt.histogram = [(s.energy, s.occurrences) for s in sampleset.samples[:8]]
 
     occupancy = decode(ones, spec.dims, len(agents))
@@ -521,7 +516,6 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             escalated=escalated,
             backend=attempt.backend,
             best_energy=attempt.best_energy,
-            norm_scale=attempt.norm_scale,
             modes=attempt.modes,
             repairs=attempt.repairs,
             histogram=attempt.histogram,

@@ -1,6 +1,5 @@
 """Sparse upper-triangular QUBO container and the grid variable encoding."""
 
-import warnings
 from collections.abc import Collection
 
 from .grid import Cell
@@ -89,11 +88,6 @@ class QuboModel:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def copy(self) -> "QuboModel":
-        dup = QuboModel(self.num_vars, self.constant)
-        dup.coeffs = dict(self.coeffs)
-        return dup
-
     def energy(self, ones: Collection[int]) -> float:
         """Objective value for the assignment whose set bits are `ones`."""
         active = ones if isinstance(ones, (set, frozenset)) else set(ones)
@@ -108,25 +102,6 @@ class QuboModel:
 
     def max_abs_coefficient(self) -> float:
         return max((abs(w) for w in self.coeffs.values()), default=0.0)
-
-    def normalized(self, scale: float) -> "QuboModel":
-        """Rescale so the largest absolute coefficient equals `scale` exactly.
-
-        The constant is scaled by the same factor. Positive rescaling never
-        changes which assignments minimize the objective. An all-zero model is
-        returned unchanged with a warning.
-        """
-        if scale <= 0:
-            raise ValueError("normalization scale must be positive")
-        peak = self.max_abs_coefficient()
-        if peak == 0.0:
-            warnings.warn("normalizing a model with no nonzero coefficients", stacklevel=2)
-            return self.copy()
-        factor = scale / peak
-        dup = QuboModel(self.num_vars, self.constant * factor)
-        for key, w in self.coeffs.items():
-            dup.coeffs[key] = w * factor
-        return dup
 
     def to_text(self) -> str:
         """Plain-text triple list: header "num_vars constant", then "a b w" lines."""

@@ -63,8 +63,7 @@ def parse_map_text(rows: list[str], first_line: int = 1) -> GridMap:
 
 _WEIGHT_KEYS = {
     "k_hot", "k_adj", "k_start", "k_goal", "k_lock", "k_bt", "k_tel",
-    "k_approx", "k_coll", "goal_ramp_max", "bt_soft_factor", "norm_scale",
-    "potential_radius",
+    "k_approx", "k_coll", "goal_ramp_max", "bt_soft_factor", "potential_radius",
 }
 _WINDOW_KEYS = {"window_len", "max_windows", "max_retries"}
 _SOLVER_KEYS = {"backend", "reads", "sweeps", "beta0", "beta1", "seed"}
@@ -151,12 +150,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
         w = section_dict("weights", _WEIGHT_KEYS)
         kwargs = {}
         for key, value in w.items():
-            if key == "norm_scale":
-                kwargs[key] = None if value.lower() == "auto" else float(value)
-            elif key == "potential_radius":
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
+            kwargs[key] = int(value) if key == "potential_radius" else float(value)
         weights = PenaltyWeights(**kwargs)
 
         wd = section_dict("window", _WINDOW_KEYS)
@@ -213,8 +207,7 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
     for f in dataclasses.fields(PenaltyWeights):
         value = getattr(spec.weights, f.name)
         if value != getattr(defaults, f.name):
-            text = "auto" if value is None else str(value)
-            weight_lines.append(f"{f.name} = {text}")
+            weight_lines.append(f"{f.name} = {value}")
     if weight_lines:
         lines += ["", "[weights]"] + weight_lines
 

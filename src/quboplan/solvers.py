@@ -4,10 +4,14 @@ Both backends consume a frozen model over dense free variables and return a
 `SampleSet`. The exhaustive backend is the ground-truth oracle for small
 instances; the annealer is the production sampler. A future hardware or
 circuit backend would slot in behind the same interface.
+
+`solve` reads the annealing β range per unit of the model's peak |coefficient|
+and never rescales the model: scaling Q by s is the same as scaling β by s, so
+sample energies stay in the model's own units.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,11 +21,18 @@ BACKEND_ANNEALER = "annealer"
 EXHAUSTIVE_VAR_CAP = 24
 _ENUM_CHUNK = 1 << 16
 _RANDOM_BUDGET = 8_000_000  # floats held at once while annealing
+# Free-variable count below which `solve` anneals twice as cold per unit of
+# the peak coefficient.
+SMALL_MODEL_VARS = 80
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Backend choice and sampling parameters. Same seed, same samples."""
+    """Backend choice and sampling parameters. Same seed, same samples.
+
+    Through `solve`, `beta_range` is read per unit of the model's peak
+    |coefficient|; `solve_annealing` takes it as absolute inverse temperatures.
+    """
 
     backend: str = BACKEND_ANNEALER
     num_reads: int = 100
@@ -214,7 +225,17 @@ def solve_annealing(model, cfg: SolverConfig) -> SampleSet:
 
 
 def solve(model, cfg: SolverConfig) -> SampleSet:
-    """Dispatch to the configured backend."""
+    """Dispatch to the configured backend.
+
+    The annealer reads `cfg.beta_range` per unit of the peak |coefficient|,
+    doubled under `SMALL_MODEL_VARS` free variables, so scaling the model by
+    a positive factor leaves its samples unchanged up to the rounding of β.
+    """
     if cfg.backend == BACKEND_EXHAUSTIVE:
         return solve_exhaustive(model)
+    peak = model.max_abs_coefficient()
+    if peak > 0:
+        scale = (2.0 if model.num_vars < SMALL_MODEL_VARS else 1.0) / peak
+        lo, hi = cfg.beta_range
+        cfg = replace(cfg, beta_range=(lo * scale, hi * scale))
     return solve_annealing(model, cfg)

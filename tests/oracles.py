@@ -128,6 +128,15 @@ def brute_force_minima(model: QuboModel):
     return best, argmins
 
 
+def peak_rescaled(model: QuboModel, scale: float) -> QuboModel:
+    """The model with its largest |coefficient| scaled to `scale`, constant
+    included: the rescale that `solvers.solve` folds into β instead."""
+    factor = scale / max(abs(w) for w in model.coeffs.values())
+    out = QuboModel(model.num_vars, model.constant * factor)
+    out.coeffs = {key: w * factor for key, w in model.coeffs.items()}
+    return out
+
+
 def random_grid_model(rng, n, density=0.4, step=0.25, span=16) -> QuboModel:
     """Random model with grid-quantized coefficients (keeps ties exact)."""
     model = QuboModel(n)

@@ -29,7 +29,7 @@ from quboplan.qubo import var_index
 from quboplan.scenario import load_scenario
 from quboplan.solvers import SolverConfig, solve_exhaustive
 
-from oracles import penalty_energy, random_grid_model
+from oracles import peak_rescaled, penalty_energy, random_grid_model
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -176,7 +176,7 @@ def test_criterion_7_normalization_argmin_invariance():
         base = solve_exhaustive(model)
         base_bits = {s.bits for s in base}
         for scale in (1.0, 2.0, 5.0):
-            scaled_model = model.normalized(scale)
+            scaled_model = peak_rescaled(model, scale)
             scaled = solve_exhaustive(scaled_model)
             tol = 1e-9 * max(1.0, abs(scaled.best.energy))
             for bits in base_bits:

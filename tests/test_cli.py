@@ -13,7 +13,7 @@ def test_plan_writes_json_and_exits_zero(tmp_path, capsys):
     code = main(["plan", str(SCENARIOS / "demo3.scn"), "-o", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["status"] == "ok"
     assert payload["robots"][0]["moves"] == 4
     assert payload["preprocess"]["original"] == 45
@@ -110,3 +110,25 @@ def test_oracle_check_small_run(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["runs"] == 8
+
+
+@pytest.mark.parametrize("argv, weights", [
+    (["plan", "--reads", "-5"], ""),
+    (["plan", "--reads", "0"], ""),
+    (["plan", "--sweeps", "0"], ""),
+    (["bench", "--repeats", "0"], ""),
+    (["bench", "--repeats", "-1"], ""),
+    (["plan"], "\n[weights]\npotential_radius = 0\n"),
+], ids=["reads-5", "reads0", "sweeps0", "repeats0", "repeats-1", "potential_radius0"])
+def test_out_of_range_inputs_exit_two(argv, weights, tmp_path, capsys):
+    scn = tmp_path / "demo3.scn"
+    scn.write_text((SCENARIOS / "demo3.scn").read_text() + weights)
+    assert main([argv[0], str(scn)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--runs"])
+def test_oracle_check_rejects_zero_counts(flag, capsys):
+    assert main(["oracle-check", flag, "0"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err

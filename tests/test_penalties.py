@@ -305,11 +305,4 @@ def test_weights_validation():
     with pytest.raises(ValueError):
         PenaltyWeights(goal_ramp_max=0.5)
     with pytest.raises(ValueError):
-        PenaltyWeights(norm_scale=-1.0)
-
-
-def test_norm_scale_auto_rule():
-    w = PenaltyWeights()
-    assert w.pick_scale(20) == 2.0
-    assert w.pick_scale(200) == 1.0
-    assert PenaltyWeights(norm_scale=5.0).pick_scale(20) == 5.0
+        PenaltyWeights(potential_radius=0)

@@ -265,3 +265,29 @@ def test_window_config_validation():
         WindowConfig(window_len=1)
     with pytest.raises(ValueError):
         WindowConfig(max_windows=0)
+
+
+def test_best_energy_is_the_folded_models_energy_of_the_chosen_sample(monkeypatch):
+    folded_models, chosen = [], []
+    numeric_pass, solve = planner.fix_numeric_diagonal, planner.solve
+
+    def recording_pass(folded, report):
+        folded = numeric_pass(folded, report)
+        folded_models.append(folded.model)
+        return folded
+
+    def recording_solve(model, cfg):
+        sampleset = solve(model, cfg)
+        ones = {i for i, b in enumerate(sampleset.best.bits) if b}
+        chosen.append(folded_models[-1].energy(ones))
+        return sampleset
+
+    monkeypatch.setattr(planner, "fix_numeric_diagonal", recording_pass)
+    monkeypatch.setattr(planner, "solve", recording_solve)
+    result = plan_paths(GridMap(5, 5, frozenset({(2, 2)})),
+                        [RobotSpec(0, (0, 0), (4, 4)), RobotSpec(1, (4, 0), (0, 4))],
+                        window_cfg=WindowConfig(window_len=5),
+                        solver_cfg=SolverConfig(seed=3, num_reads=50, sweeps=200))
+    annealed = [w for w in result.windows if w.backend == "annealer"]
+    assert len(annealed) >= 2 and all(w.retries == 0 for w in annealed)
+    assert [w.best_energy for w in annealed] == chosen

@@ -99,43 +99,6 @@ def test_energy_matches_symmetric_matrix_form():
         assert m.energy({i for i in range(n) if x[i]}) == pytest.approx(expected, abs=1e-9)
 
 
-def test_normalize_scales_to_peak():
-    m = QuboModel(3)
-    m.add(0, 0, -8.0)
-    m.add(0, 1, 4.0)
-    m.add(1, 2, 2.0)
-    out = m.normalized(1.0)
-    assert sorted(out.coeffs.values()) == [-1.0, 0.25, 0.5]
-    out2 = QuboModel(2)
-    out2.add(0, 0, -8.0)
-    out2.add(0, 1, 4.0)
-    scaled = out2.normalized(2.0)
-    assert sorted(scaled.coeffs.values()) == [-2.0, 1.0]
-
-
-def test_normalize_scales_constant_identically():
-    m = QuboModel(2, constant=4.0)
-    m.add(0, 0, -8.0)
-    assert m.normalized(1.0).constant == 0.5
-
-
-def test_normalize_all_zero_warns():
-    m = QuboModel(3)
-    with pytest.warns(UserWarning):
-        out = m.normalized(1.0)
-    assert out.coeffs == {}
-
-
-def test_normalize_preserves_argmin_of_fixture():
-    from oracles import brute_force_minima
-
-    m = four_var_fixture()
-    _, argmins = brute_force_minima(m)
-    assert argmins == [(1, 0, 0, 1)]
-    _, scaled_argmins = brute_force_minima(m.normalized(1.0))
-    assert scaled_argmins == argmins
-
-
 def test_text_roundtrip():
     m = four_var_fixture()
     m.constant = 1.25

@@ -50,7 +50,6 @@ def test_full_scenario_roundtrip():
 [weights]
 k_hot = 5.0
 k_approx = 2.0
-norm_scale = auto
 
 [window]
 window_len = 8
@@ -111,9 +110,10 @@ def test_shared_goal_rejected():
 def test_unknown_section_and_key_rejected():
     with pytest.raises(ScenarioError, match="unknown section"):
         parse_scenario("[maps]\n...\n")
-    text = MINIMAL + "\n[solver]\nthreads = 4\n"
-    with pytest.raises(ScenarioError, match="unknown \\[solver\\] key"):
-        parse_scenario(text)
+    for section, line in (("solver", "threads = 4"), ("weights", "norm_scale = 1.0")):
+        text = MINIMAL + f"\n[{section}]\n{line}\n"
+        with pytest.raises(ScenarioError, match=f"unknown \\[{section}\\] key"):
+            parse_scenario(text)
 
 
 def test_out_of_grid_robot_rejected():

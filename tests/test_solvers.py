@@ -1,8 +1,14 @@
+import pathlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from quboplan.planner import build_window, derive_seed
 from quboplan.qubo import QuboModel
+from quboplan.scenario import load_scenario
 from quboplan.solvers import (
+    SMALL_MODEL_VARS,
     SolverConfig,
     metropolis_accept,
     solve,
@@ -10,7 +16,9 @@ from quboplan.solvers import (
     solve_exhaustive,
 )
 
-from oracles import brute_force_minima, four_var_fixture, random_grid_model
+from oracles import brute_force_minima, four_var_fixture, peak_rescaled, random_grid_model
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_solver_config_validation():
@@ -145,3 +153,35 @@ def test_annealer_agrees_with_exhaustive_on_pipeline_instances():
     report = oracle_check(samples=25, runs_per_sample=4, seed=7)
     assert report["runs"] == 100
     assert report["agreement"] >= 0.95
+
+
+def _first_window(name):
+    """The folded model and annealer settings of a shipped scenario's first
+    window attempt, as the planner builds and seeds them."""
+    spec = load_scenario(str(SCENARIOS / f"{name}.scn"))
+    robots = [(r.start, r.goal, {r.start}) for r in spec.robots]
+    _, _, folded = build_window(spec.grid, robots, spec.window_cfg.window_len, spec.weights,
+                                allow_wait=len(robots) > 1)
+    cfg = replace(spec.solver_cfg, backend="annealer", seed=derive_seed(spec.seed, 0, 0, 0))
+    return folded.model, cfg
+
+
+def _draws(sampleset):
+    return [(s.bits, s.occurrences) for s in sampleset]
+
+
+@pytest.mark.parametrize("name", ["single5", "multi5", "multi10_2", "multi10_4", "demo3"])
+def test_solve_matches_annealing_the_peak_rescaled_model(name):
+    # solve folds the peak |coefficient| into β: it must draw what the
+    # absolute-β annealer draws on the model rescaled to a peak of 2.0 (under
+    # SMALL_MODEL_VARS free variables) or 1.0.
+    model, cfg = _first_window(name)
+    peak = 2.0 if model.num_vars < SMALL_MODEL_VARS else 1.0
+    assert _draws(solve(model, cfg)) == _draws(solve_annealing(peak_rescaled(model, peak), cfg))
+
+
+@pytest.mark.parametrize("k", [-3, 1, 4])
+def test_solve_is_invariant_to_scaling_the_model(k):
+    model, cfg = _first_window("multi5")
+    scaled = peak_rescaled(model, 2.0 ** k * model.max_abs_coefficient())
+    assert _draws(solve(scaled, cfg)) == _draws(solve(model, cfg))
