@@ -59,7 +59,7 @@ from .postprocess import (
 )
 from .multi import plan_multi, validate_robots
 from .classical import astar, dijkstra, path_moves, prioritized_plan
-from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario, serialize_scenario
+from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario
 from .render import render_svg
 from .bench import run_benchmark, run_pipeline
 

@@ -121,7 +121,7 @@ def _space_time_astar(grid: GridMap, start: Cell, goal: Cell, release: int,
     return None
 
 
-def prioritized_plan(grid: GridMap, robots, horizon: int | None = None) -> dict[int, list | None]:
+def prioritized_plan(grid: GridMap, robots) -> dict[int, list | None]:
     """Plan robots one by one in index order through space-time A*.
 
     Earlier robots' timed cells are vertex obstacles and their goals stay
@@ -131,8 +131,7 @@ def prioritized_plan(grid: GridMap, robots, horizon: int | None = None) -> dict[
     be routed.
     """
     robots = sorted(robots, key=lambda r: r.id)
-    if horizon is None:
-        horizon = 2 * grid.rows * grid.cols + max((r.release for r in robots), default=0)
+    horizon = 2 * grid.rows * grid.cols + max((r.release for r in robots), default=0)
     reservations = _Reservations()
     out: dict[int, list | None] = {}
     for r in robots:

@@ -16,6 +16,7 @@ from .penalties import build_window_model
 from .planner import build_window
 from .render import render_svg
 from .scenario import ScenarioError, load_scenario
+from .solvers import ModelTooLargeError
 
 
 def _apply_solver_overrides(spec, args):
@@ -154,10 +155,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, ModelTooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

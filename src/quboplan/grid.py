@@ -98,7 +98,6 @@ class ReachabilityTable:
     """Per-time-step sets of cells a robot could occupy, produced by BFS."""
 
     layers: dict[int, set[Cell]]
-    horizon: int
 
     def max_depth(self) -> int:
         """Latest time step with a non-empty layer."""
@@ -134,7 +133,7 @@ def bfs_layers(grid: GridMap, start: Cell, horizon: int,
                     seen.add(n)
                     fresh.add(n)
         layers[t] = fresh
-    return ReachabilityTable(layers, horizon)
+    return ReachabilityTable(layers)
 
 
 def bfs_distances(grid: GridMap, start: Cell) -> dict[Cell, int]:

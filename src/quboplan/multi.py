@@ -46,8 +46,7 @@ def validate_robots(grid: GridMap, robots) -> None:
 def plan_multi(grid: GridMap, robots,
                weights: PenaltyWeights | None = None,
                window_cfg: WindowConfig | None = None,
-               solver_cfg: SolverConfig | None = None,
-               map_hook=None) -> PlanningResult:
+               solver_cfg: SolverConfig | None = None) -> PlanningResult:
     """Jointly plan a set of robots; one robot degenerates to single planning.
 
     Robots are planned in ascending `id` order, whatever their order in
@@ -59,5 +58,4 @@ def plan_multi(grid: GridMap, robots,
     return plan_paths(
         grid, robots,
         weights=weights, window_cfg=window_cfg, solver_cfg=solver_cfg,
-        map_hook=map_hook,
     )

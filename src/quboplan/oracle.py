@@ -5,19 +5,17 @@ own window builder, and the annealer's best energy is compared against the
 enumerated ground state on every instance small enough to enumerate.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from .grid import GridMap, bfs_distances
 from .penalties import PenaltyWeights
 from .planner import build_window, derive_seed
-from .solvers import BACKEND_ANNEALER, EXHAUSTIVE_VAR_CAP, SolverConfig, solve, solve_exhaustive
+from .solvers import SolverConfig, solve, solve_exhaustive
 
 
-def random_instances(samples: int, seed: int, max_free: int = 20):
+def random_instances(samples: int, seed: int):
     """Folded first-window models of random solvable scenarios, as the
-    planner builds them, with at most `max_free` free variables."""
+    planner builds them, with 1 to 20 free variables."""
     rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE)))
     produced = 0
     while produced < samples:
@@ -37,16 +35,14 @@ def random_instances(samples: int, seed: int, max_free: int = 20):
         _, _, folded = build_window(grid, [(start, goal, {start})], horizon,
                                     PenaltyWeights())
         n = folded.model.num_vars
-        if n < 1 or n > min(max_free, EXHAUSTIVE_VAR_CAP):
+        if n < 1 or n > 20:
             continue
         produced += 1
         yield folded.model
 
 
-def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7,
-                 solver_cfg: SolverConfig | None = None) -> dict:
-    """Fraction of annealer runs that hit the enumerated ground state."""
-    base_cfg = replace(solver_cfg or SolverConfig(), backend=BACKEND_ANNEALER)
+def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7) -> dict:
+    """Fraction of default annealer runs that hit the enumerated ground state."""
     total = 0
     agreed = 0
     details = []
@@ -55,7 +51,7 @@ def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7,
         hits = 0
         for run in range(runs_per_sample):
             sub = derive_seed(seed, total + run)
-            best = solve(model, replace(base_cfg, seed=sub)).best.energy
+            best = solve(model, SolverConfig(seed=sub)).best.energy
             if abs(best - ground) <= 1e-9:
                 hits += 1
         total += runs_per_sample

@@ -23,7 +23,8 @@ class PenaltyWeights:
     """Relative importance of each constraint.
 
     The defaults were tuned empirically on the benchmark scenarios; all
-    weights must stay strictly positive and `potential_radius` at least 1.
+    weights must stay strictly positive, `bt_soft_factor` non-negative (a
+    negative one would reward revisits) and `potential_radius` at least 1.
     Only the weights' ratios matter: the annealer reads its β range per unit
     of the model's peak coefficient (`solvers.solve`), so no overall scale is
     set here.
@@ -49,6 +50,8 @@ class PenaltyWeights:
                 raise ValueError(f"{name} must be strictly positive")
         if self.goal_ramp_max < 1:
             raise ValueError("goal_ramp_max must be >= 1")
+        if self.bt_soft_factor < 0:
+            raise ValueError("bt_soft_factor must be >= 0")
         if self.potential_radius < 1:
             raise ValueError("potential_radius must be >= 1")
 

@@ -5,10 +5,11 @@ the robots active on the global clock, shrinks it by variable fixing, solves
 it (or skips the solver when fixing decided everything), repairs the decoded
 occupancy, and stitches the accepted sub-path onto the plan so global times
 advance by exactly one per step. Failed windows are retried with fresh solver
-seeds; the final retry widens the window once before giving up.
+seeds; the final retry widens the window once before giving up. A window
+whose outcome no seed can change is widened at once instead, and given up
+when the widened one fails too.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +36,8 @@ from .solvers import SolverConfig, solve
 STATUS_REACHED = "reached_goal"
 STATUS_EXHAUSTED = "max_windows_exhausted"
 STATUS_INFEASIBLE = "infeasible"
+# Tries per window; the last one widens the window before giving up.
+ATTEMPTS_PER_WINDOW = 5
 
 
 class StitchError(RuntimeError):
@@ -43,17 +46,16 @@ class StitchError(RuntimeError):
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Window length and retry budget of the sequential decomposition."""
+    """Window length and window budget of the sequential decomposition."""
 
     window_len: int = 6
     max_windows: int = 20
-    max_retries_per_window: int = 5
 
     def __post_init__(self):
         if self.window_len < 2:
             raise ValueError("window_len must be >= 2")
-        if self.max_windows < 1 or self.max_retries_per_window < 1:
-            raise ValueError("window and retry budgets must be >= 1")
+        if self.max_windows < 1:
+            raise ValueError("max_windows must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,20 +84,13 @@ class PathDiagnosis:
 
 def validate_path(grid: GridMap, path, goal: Cell | None = None,
                   allow_wait: bool = False) -> PathDiagnosis:
-    """Soundness gate for a decoded path.
+    """Soundness gate for a path given as one cell per step.
 
-    Accepts a sequence of cells or of per-step cell sets. Checks one cell per
-    step, then reports the earliest step onto a blocked cell or off the
-    adjacency rule (see `detect_invalid_move`), then that the goal is not
-    claimed before the move lower bound from the path's first cell allows.
+    Reports the earliest step onto a blocked cell or off the adjacency rule
+    (see `detect_invalid_move`), then checks that the goal is not claimed
+    before the move lower bound from the path's first cell allows.
     """
-    cells: list[Cell] = []
-    for t, entry in enumerate(path):
-        if isinstance(entry, (set, frozenset)):
-            if len(entry) != 1:
-                return PathDiagnosis(False, "one_hot", t)
-            entry = next(iter(entry))
-        cells.append(entry)
+    cells = list(path)
     if not cells:
         return PathDiagnosis(False, "empty", 0)
     bad = detect_invalid_move(cells, grid, allow_wait=allow_wait)
@@ -105,35 +100,6 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
         first = cells.index(goal)
         if first < min_moves(grid, cells[0], goal):
             return PathDiagnosis(False, "early_goal", first)
-    return PathDiagnosis(True)
-
-
-def _validate_by_window(cells, stitched, maps, goal: Cell,
-                        allow_wait: bool) -> PathDiagnosis:
-    """Validate a finished path window by window, each on its own map.
-
-    `stitched` is the path as the windows stitched it, and `maps` holds one
-    (stitched cells up to the window's end, map it was planned on) pair per
-    window. Clash repair only repeats cells as waits, so each cell of
-    `cells` belongs to the window of the stitched cell it matches or
-    repeats. Each window's run of cells, with the cell it starts from, is
-    checked on that window's map; steps are reported along `cells`.
-    """
-    ends = [end for end, _ in maps]
-    owner, p = [], 0
-    for i, c in enumerate(cells):
-        if i and p + 1 < len(stitched) and c == stitched[p + 1]:
-            p += 1
-        owner.append(bisect_right(ends, p))
-    lo = 0
-    for hi in range(1, len(cells) + 1):
-        if hi < len(cells) and owner[hi] == owner[lo]:
-            continue
-        first = max(lo - 1, 0)
-        diagnosis = validate_path(maps[owner[lo]][1], cells[first:hi], goal, allow_wait)
-        if not diagnosis:
-            return PathDiagnosis(False, diagnosis.kind, first + diagnosis.step)
-        lo = hi
     return PathDiagnosis(True)
 
 
@@ -267,7 +233,7 @@ class PlanningResult:
 
 
 class _Agent:
-    __slots__ = ("spec", "current", "visited", "steps", "status", "done", "log", "maps")
+    __slots__ = ("spec", "current", "visited", "steps", "status", "done", "log")
 
     def __init__(self, spec: RobotSpec):
         self.spec = spec
@@ -277,8 +243,6 @@ class _Agent:
         self.status: str | None = None
         self.done = False
         self.log: list[WindowRecord] = []
-        # (stitched steps so far, map planned on) after each window
-        self.maps: list[tuple[int, GridMap]] = []
 
     def finish(self, status: str):
         self.status = status
@@ -415,18 +379,15 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi) -> 
 
 def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                window_cfg: WindowConfig | None = None,
-               solver_cfg: SolverConfig | None = None,
-               map_hook=None) -> PlanningResult:
+               solver_cfg: SolverConfig | None = None) -> PlanningResult:
     """Plan every robot on a shared global clock.
 
     Windows advance in lockstep; all robots active in a window share one
     QUBO with vertex-collision coupling. Robots that reach their goals park
     there and become static obstacles for later windows; robots released
     mid-window join at the next window boundary, waiting on their start
-    cell. `map_hook(window_index, grid) -> GridMap | None` may swap the map
-    between windows for dynamic scenes. Every finished plan is validated
-    window by window on the map each window was planned on, clash-repair
-    waits included.
+    cell. Every finished plan, clash-repair waits included, is validated
+    once more on the input map.
     """
     robots = list(robots)
     if len({r.id for r in robots}) != len(robots):
@@ -445,7 +406,6 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             agent.finish(STATUS_INFEASIBLE)
 
     windows: list[WindowRecord] = []
-    current_grid = grid
     pending = [a for a in agents if not a.done]
     clock = min((a.spec.release for a in pending), default=0)
     window_index = 0
@@ -458,10 +418,6 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         if not active:
             clock = min(a.spec.release for a in pending)
             continue
-        if map_hook is not None:
-            swapped = map_hook(window_index, current_grid)
-            if swapped is not None:
-                current_grid = swapped
         for agent in active:
             if not agent.steps:
                 agent.steps = [
@@ -478,7 +434,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             elif not agent.done and clock < agent.spec.release < clock + wcfg.window_len:
                 blocked.add(agent.spec.start)
         blocked -= {a.current for a in active}
-        eff_grid = current_grid.with_obstacles(blocked)
+        eff_grid = grid.with_obstacles(blocked)
 
         stuck = [a for a in active if not eff_grid.is_free(a.current)]
         if stuck:
@@ -488,8 +444,8 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
 
         horizon = wcfg.window_len
         escalated = False
-        for retries in range(wcfg.max_retries_per_window):
-            if retries > 0 and retries == wcfg.max_retries_per_window - 1:
+        for retries in range(ATTEMPTS_PER_WINDOW):
+            if retries == ATTEMPTS_PER_WINDOW - 1:
                 # Last chance: widen the window once before giving up.
                 horizon = 2 * wcfg.window_len
                 escalated = True
@@ -497,8 +453,11 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             attempt = _attempt_window(eff_grid, active, weights, scfg, horizon, seed, multi)
             if attempt.paths is not None:
                 break
-            if attempt.deterministic and not escalated:
-                # Retrying an identical deterministic window cannot help.
+            if attempt.deterministic:
+                # Retrying an identical deterministic window cannot help;
+                # widen it once, and give up when the wide one fails too.
+                if escalated:
+                    break
                 horizon = 2 * wcfg.window_len
                 escalated = True
 
@@ -533,7 +492,6 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         for agent, (path, reached) in zip(active, attempt.paths):
             agent.log.append(record)
             agent.steps = stitch(agent.steps, path, start_time=clock)
-            agent.maps.append((len(agent.steps), current_grid))
             agent.visited |= set(path)
             agent.current = path[-1]
             if reached:
@@ -568,9 +526,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     for plan, agent in zip(plans, agents):
         if plan.status != STATUS_REACHED:
             continue
-        diagnosis = _validate_by_window(plan.cells, [c for _, c in agent.steps],
-                                        agent.maps or [(len(agent.steps), grid)],
-                                        agent.spec.goal, multi)
+        diagnosis = validate_path(grid, plan.cells, agent.spec.goal, multi)
         if not diagnosis:
             plan.status = STATUS_EXHAUSTED
             plan.notes.append(
@@ -583,12 +539,10 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
 def plan_single(grid: GridMap, start: Cell, goal: Cell,
                 weights: PenaltyWeights | None = None,
                 window_cfg: WindowConfig | None = None,
-                solver_cfg: SolverConfig | None = None,
-                map_hook=None) -> Plan:
+                solver_cfg: SolverConfig | None = None) -> Plan:
     """Plan one robot: the degenerate single-agent case of `plan_paths`."""
     result = plan_paths(
         grid, [RobotSpec(0, start, goal)],
         weights=weights, window_cfg=window_cfg, solver_cfg=solver_cfg,
-        map_hook=map_hook,
     )
     return result.plans[0]

@@ -110,18 +110,16 @@ def find_vertex_conflicts(step_lists: list[Steps]):
     return conflicts
 
 
-def resolve_clash_wait(step_lists: list[Steps], grid: GridMap,
-                       budget: int | None = None):
+def resolve_clash_wait(step_lists: list[Steps], grid: GridMap):
     """Clear vertex clashes by delaying the lower-priority robot.
 
     The robot with the higher index waits one extra step on the cell it holds
     just before the clash, and the scan repeats until no conflicts remain or
-    the budget runs out. Cell sequences are never altered, only timing.
+    a budget of 2 * robots * (rows + cols) waits runs out. Cell sequences are never altered, only timing.
     Returns (adjusted step lists, event strings, unresolved conflicts).
     """
     lists = [list(s) for s in step_lists]
-    if budget is None:
-        budget = 2 * max(1, len(lists)) * (grid.rows + grid.cols)
+    budget = 2 * max(1, len(lists)) * (grid.rows + grid.cols)
     events: list[str] = []
     while budget > 0:
         conflicts = find_vertex_conflicts(lists)

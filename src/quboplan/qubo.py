@@ -110,22 +110,6 @@ class QuboModel:
             lines.append(f"{a} {b} {w!r}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "QuboModel":
-        rows = [line for line in text.splitlines() if line.strip()]
-        if not rows:
-            raise ValueError("empty model text")
-        head = rows[0].split()
-        if len(head) != 2:
-            raise ValueError(f"bad header line: {rows[0]!r}")
-        model = cls(int(head[0]), float(head[1]))
-        for line in rows[1:]:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"bad coefficient line: {line!r}")
-            model.add(int(parts[0]), int(parts[1]), float(parts[2]))
-        return model
-
     def __repr__(self) -> str:
         return (
             f"QuboModel(num_vars={self.num_vars}, nnz={len(self.coeffs)}, "

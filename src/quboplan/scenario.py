@@ -7,7 +7,6 @@ sections. Unknown sections or keys are rejected with the offending line
 number.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .grid import GridMap
@@ -65,7 +64,7 @@ _WEIGHT_KEYS = {
     "k_hot", "k_adj", "k_start", "k_goal", "k_lock", "k_bt", "k_tel",
     "k_approx", "k_coll", "goal_ramp_max", "bt_soft_factor", "potential_radius",
 }
-_WINDOW_KEYS = {"window_len", "max_windows", "max_retries"}
+_WINDOW_KEYS = {"window_len", "max_windows"}
 _SOLVER_KEYS = {"backend", "reads", "sweeps", "beta0", "beta1", "seed"}
 _BENCH_KEYS = {"repeats"}
 _SECTIONS = ("map", "robots", "weights", "window", "solver", "bench")
@@ -157,8 +156,6 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
         window_cfg = WindowConfig(
             window_len=int(wd.get("window_len", WindowConfig.window_len)),
             max_windows=int(wd.get("max_windows", WindowConfig.max_windows)),
-            max_retries_per_window=int(
-                wd.get("max_retries", WindowConfig.max_retries_per_window)),
         )
 
         sd = section_dict("solver", _SOLVER_KEYS)
@@ -188,61 +185,6 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     return ScenarioSpec(grid, robots, weights, window_cfg, solver_cfg, repeats, name)
-
-
-def serialize_scenario(spec: ScenarioSpec) -> str:
-    """Scenario back to text; parse(serialize(spec)) reproduces spec."""
-    rows = []
-    for i in range(spec.grid.rows):
-        rows.append("".join(
-            "#" if (i, j) in spec.grid.obstacles else "."
-            for j in range(spec.grid.cols)
-        ))
-    lines = ["[map]"] + rows + ["", "[robots]"]
-    for r in spec.robots:
-        lines.append(f"{r.start[0]} {r.start[1]} {r.goal[0]} {r.goal[1]} {r.release}")
-
-    defaults = PenaltyWeights()
-    weight_lines = []
-    for f in dataclasses.fields(PenaltyWeights):
-        value = getattr(spec.weights, f.name)
-        if value != getattr(defaults, f.name):
-            weight_lines.append(f"{f.name} = {value}")
-    if weight_lines:
-        lines += ["", "[weights]"] + weight_lines
-
-    wd = spec.window_cfg
-    wdef = WindowConfig()
-    window_lines = []
-    if wd.window_len != wdef.window_len:
-        window_lines.append(f"window_len = {wd.window_len}")
-    if wd.max_windows != wdef.max_windows:
-        window_lines.append(f"max_windows = {wd.max_windows}")
-    if wd.max_retries_per_window != wdef.max_retries_per_window:
-        window_lines.append(f"max_retries = {wd.max_retries_per_window}")
-    if window_lines:
-        lines += ["", "[window]"] + window_lines
-
-    sc = spec.solver_cfg
-    sdef = SolverConfig()
-    solver_lines = []
-    if sc.backend != sdef.backend:
-        solver_lines.append(f"backend = {sc.backend}")
-    if sc.num_reads != sdef.num_reads:
-        solver_lines.append(f"reads = {sc.num_reads}")
-    if sc.sweeps != sdef.sweeps:
-        solver_lines.append(f"sweeps = {sc.sweeps}")
-    if sc.beta_range != sdef.beta_range:
-        solver_lines.append(f"beta0 = {sc.beta_range[0]}")
-        solver_lines.append(f"beta1 = {sc.beta_range[1]}")
-    if sc.seed != sdef.seed:
-        solver_lines.append(f"seed = {sc.seed}")
-    if solver_lines:
-        lines += ["", "[solver]"] + solver_lines
-
-    if spec.repeats != 1:
-        lines += ["", "[bench]", f"repeats = {spec.repeats}"]
-    return "\n".join(lines) + "\n"
 
 
 def load_scenario(path: str) -> ScenarioSpec:

@@ -26,6 +26,10 @@ _RANDOM_BUDGET = 8_000_000  # floats held at once while annealing
 SMALL_MODEL_VARS = 80
 
 
+class ModelTooLargeError(ValueError):
+    """The model has more variables than the exhaustive backend enumerates."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Backend choice and sampling parameters. Same seed, same samples.
@@ -101,7 +105,7 @@ def solve_exhaustive(model) -> SampleSet:
     """Global minimum by complete enumeration; every tied optimum is kept."""
     n = model.num_vars
     if n > EXHAUSTIVE_VAR_CAP:
-        raise ValueError(
+        raise ModelTooLargeError(
             f"exhaustive backend handles at most {EXHAUSTIVE_VAR_CAP} variables, got {n}"
         )
     if n == 0:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -119,13 +120,26 @@ def test_oracle_check_small_run(capsys):
     (["bench", "--repeats", "0"], ""),
     (["bench", "--repeats", "-1"], ""),
     (["plan"], "\n[weights]\npotential_radius = 0\n"),
-], ids=["reads-5", "reads0", "sweeps0", "repeats0", "repeats-1", "potential_radius0"])
+    (["plan"], "\n[weights]\nbt_soft_factor = -3\n"),
+], ids=["reads-5", "reads0", "sweeps0", "repeats0", "repeats-1", "potential_radius0",
+        "bt_soft_factor-3"])
 def test_out_of_range_inputs_exit_two(argv, weights, tmp_path, capsys):
     scn = tmp_path / "demo3.scn"
     scn.write_text((SCENARIOS / "demo3.scn").read_text() + weights)
     assert main([argv[0], str(scn)] + argv[1:]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "must be >= 1" in err
+    assert re.fullmatch(r"error: \w+ must be >= [01]\n", err), err
+
+
+@pytest.mark.parametrize("command", [["plan"], ["bench"], ["render", "-o", "out.svg"]],
+                         ids=["plan", "bench", "render"])
+def test_exhaustive_backend_on_a_large_window_exits_two(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], str(SCENARIOS / "multi10_2.scn"), "--backend", "exhaustive"]
+    assert main(argv + command[1:]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: exhaustive backend handles at most 24 variables, got 124\n"
+    assert out.out == "" and not (tmp_path / "out.svg").exists()
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--runs"])

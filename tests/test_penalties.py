@@ -306,3 +306,6 @@ def test_weights_validation():
         PenaltyWeights(goal_ramp_max=0.5)
     with pytest.raises(ValueError):
         PenaltyWeights(potential_radius=0)
+    with pytest.raises(ValueError):
+        PenaltyWeights(bt_soft_factor=-3.0)
+    assert PenaltyWeights(bt_soft_factor=0.0).bt_soft_factor == 0.0

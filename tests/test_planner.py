@@ -35,12 +35,6 @@ def test_validate_rejects_jump():
     assert not out and out.kind == "adjacency" and out.step == 1
 
 
-def test_validate_rejects_multi_cell_step():
-    g = GridMap(3, 3)
-    out = validate_path(g, [{(0, 0)}, {(0, 1), (1, 0)}])
-    assert out.kind == "one_hot" and out.step == 1
-
-
 def test_validate_rejects_obstacle_and_early_goal():
     g = GridMap(3, 3, frozenset({(1, 1)}))
     assert validate_path(g, [(0, 0), (1, 1)]).kind == "obstacle"
@@ -167,63 +161,41 @@ def test_plan_window_budget_respected():
     assert len(plan.window_log) <= 2
 
 
-def test_plan_dynamic_map_swap_between_windows():
-    g = GridMap(3, 5)
-
-    def swap(window_index, grid):
-        if window_index == 1:
-            return grid.with_obstacles({(0, 3)})
-        return None
-
-    plan = plan_single(g, (0, 0), (0, 4),
-                       window_cfg=WindowConfig(window_len=2),
-                       solver_cfg=EXHAUSTIVE, map_hook=swap)
-    assert plan.status == STATUS_REACHED
-    assert (0, 3) not in [c for t, c in plan.steps if t >= 2]
-
-
 def test_plan_validates_each_window_on_its_own_map(monkeypatch):
-    # (0, 1) closes behind the robot in window 1; window 0 was planned with
-    # it open, so the finished plan is valid.
-    def close_behind(window_index, grid):
-        return grid.with_obstacles({(0, 1)}) if window_index == 1 else None
-
-    plan = plan_single(GridMap(1, 6), (0, 0), (0, 5),
-                       window_cfg=WindowConfig(window_len=2),
-                       solver_cfg=EXHAUSTIVE, map_hook=close_behind)
-    assert plan.status == STATUS_REACHED and not plan.notes
-
-    # A window-1 segment routed through the cell closed in window 1 is caught.
-    def close_ahead(window_index, grid):
-        return grid.with_obstacles({(0, 3)}) if window_index == 1 else None
-
-    def stitch_through_closed_cell(steps, window_path, start_time=0):
+    # The final check runs on the stitched plan, so a segment that the
+    # window check never saw is still caught on the input map.
+    def stitch_through_obstacle(steps, window_path, start_time=0):
         window_path = list(window_path)
-        if window_path[:3] == [(0, 2), (1, 2), (1, 3)]:
-            window_path[1] = (0, 3)
+        if window_path == [(0, 0), (1, 0), (1, 1)]:
+            window_path[1] = (0, 1)
         return stitch(steps, window_path, start_time)
 
-    monkeypatch.setattr(planner, "stitch", stitch_through_closed_cell)
-    plan = plan_single(GridMap(3, 5), (0, 0), (0, 4),
-                       window_cfg=WindowConfig(window_len=2),
-                       solver_cfg=EXHAUSTIVE, map_hook=close_ahead)
-    assert plan.cells[3] == (0, 3)
+    grid = GridMap(2, 2, frozenset({(0, 1)}))
+    assert plan_single(grid, (0, 0), (1, 1), solver_cfg=EXHAUSTIVE).cells == [
+        (0, 0), (1, 0), (1, 1)]
+    monkeypatch.setattr(planner, "stitch", stitch_through_obstacle)
+    plan = plan_single(grid, (0, 0), (1, 1), solver_cfg=EXHAUSTIVE)
+    assert plan.cells == [(0, 0), (0, 1), (1, 1)]
     assert plan.status == STATUS_EXHAUSTED
-    assert plan.notes == ["validation failed: obstacle at step 3"]
+    assert plan.notes == ["validation failed: obstacle at step 1"]
 
 
-def test_window_validation_follows_clash_waits():
-    open_map = GridMap(2, 3)
-    closed = open_map.with_obstacles({(0, 0)})
-    stitched = [(0, 0), (0, 1), (0, 2), (1, 2)]
-    maps = [(2, open_map), (4, closed)]  # window 1 starts from (0, 1)
-    waited = [(0, 0), (0, 0), (0, 1), (0, 2), (0, 2), (1, 2)]
-    assert planner._validate_by_window(waited, stitched, maps, (1, 2), True)
-    out = planner._validate_by_window(waited, stitched, maps, (1, 2), False)
-    assert (out.kind, out.step) == ("adjacency", 1)
-    # judged on window 1's map, the wait on (0, 0) would be an obstacle
-    assert not planner._validate_by_window(waited, stitched, [(4, closed)], (1, 2), True)
+def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch):
+    calls = []
+    attempt_window = planner._attempt_window
 
+    def counting_attempt(grid, agents, weights, solver_cfg, horizon, seed, multi):
+        attempt = attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi)
+        calls.append((horizon, attempt.failure))
+        return attempt
+
+    monkeypatch.setattr(planner, "_attempt_window", counting_attempt)
+    result = plan_paths(GridMap(1, 3), [RobotSpec(0, (0, 0), (0, 2)),
+                                        RobotSpec(1, (0, 1), (0, 1))])
+    assert calls == [(6, "robot 0 cannot move"), (12, "robot 0 cannot move")]
+    (window,) = result.windows
+    assert (window.retries, window.escalated, window.horizon) == (1, True, 12)
+    assert result.plans[0].status == STATUS_EXHAUSTED
 
 def test_plan_single_eight_connected_reaches_goal_diagonally():
     plan = plan_single(GridMap(5, 5, connectivity=8), (0, 0), (3, 3),

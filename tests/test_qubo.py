@@ -100,12 +100,13 @@ def test_energy_matches_symmetric_matrix_form():
 
 
 def test_text_roundtrip():
-    m = four_var_fixture()
-    m.constant = 1.25
-    again = QuboModel.from_text(m.to_text())
-    assert again.num_vars == m.num_vars
-    assert again.constant == m.constant
-    assert again.coeffs == m.coeffs
+    # Header "num_vars constant", then one "a b w" line per coefficient in
+    # sorted key order, each float written back exactly by repr.
+    m = QuboModel(3, constant=1.25)
+    m.add(2, 1, 0.5).add(0, 0, -3.0).add(0, 2, 0.1).add(1, 1, 1 / 3)
+    assert m.to_text() == (
+        "3 1.25\n0 0 -3.0\n0 2 0.1\n1 1 0.3333333333333333\n1 2 0.5\n"
+    )
 
 
 def test_no_stored_zeros_after_random_churn():

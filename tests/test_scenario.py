@@ -1,15 +1,18 @@
+import pathlib
+
 import pytest
 
 from quboplan.penalties import PenaltyWeights
-from quboplan.planner import WindowConfig
+from quboplan.planner import RobotSpec, WindowConfig
 from quboplan.scenario import (
     ScenarioError,
     load_scenario,
     parse_map_text,
     parse_scenario,
-    serialize_scenario,
 )
 from quboplan.solvers import SolverConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MINIMAL = """
 [map]
@@ -54,7 +57,6 @@ k_approx = 2.0
 [window]
 window_len = 8
 max_windows = 12
-max_retries = 3
 
 [solver]
 backend = annealer
@@ -67,14 +69,26 @@ seed = 99
 [bench]
 repeats = 4
 """
-    spec = parse_scenario(text, name="roundtrip")
-    again = parse_scenario(serialize_scenario(spec), name="roundtrip")
-    assert again.grid == spec.grid
-    assert again.robots == spec.robots
-    assert again.weights == spec.weights
-    assert again.window_cfg == spec.window_cfg
-    assert again.solver_cfg == spec.solver_cfg
-    assert again.repeats == spec.repeats
+    spec = parse_scenario(text, name="full")
+    assert spec.name == "full"
+    assert (spec.grid.rows, spec.grid.cols) == (3, 4)
+    assert spec.grid.obstacles == frozenset({(1, 1), (1, 2)})
+    assert spec.robots == [RobotSpec(0, (0, 0), (2, 3), 0), RobotSpec(1, (2, 0), (0, 3), 2)]
+    assert spec.weights == PenaltyWeights(k_hot=5.0, k_approx=2.0)
+    assert spec.window_cfg == WindowConfig(window_len=8, max_windows=12)
+    assert spec.solver_cfg == SolverConfig(backend="annealer", num_reads=64, sweeps=256,
+                                           beta_range=(0.2, 8.0), seed=99)
+    assert spec.repeats == 4
+
+
+def test_readme_scenario_example_parses():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    example = section.split("```\n", 2)[1]
+    spec = parse_scenario(example, name="readme")
+    sections = {line.strip("[]") for line in example.splitlines() if line.startswith("[")}
+    assert sections == {"map", "robots", "weights", "window", "solver", "bench"}
+    assert spec.robots and spec.grid.obstacles
 
 
 def test_robot_on_obstacle_rejected_with_line():
@@ -110,7 +124,8 @@ def test_shared_goal_rejected():
 def test_unknown_section_and_key_rejected():
     with pytest.raises(ScenarioError, match="unknown section"):
         parse_scenario("[maps]\n...\n")
-    for section, line in (("solver", "threads = 4"), ("weights", "norm_scale = 1.0")):
+    for section, line in (("solver", "threads = 4"), ("weights", "norm_scale = 1.0"),
+                          ("window", "max_retries = 5")):
         text = MINIMAL + f"\n[{section}]\n{line}\n"
         with pytest.raises(ScenarioError, match=f"unknown \\[{section}\\] key"):
             parse_scenario(text)
@@ -135,9 +150,7 @@ def test_parse_map_text_direct():
 
 
 def test_shipped_scenarios_parse(tmp_path):
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    root = ROOT / "scenarios"
     names = sorted(p.name for p in root.glob("*.scn"))
     assert names, "shipped scenario files are missing"
     for name in names:
