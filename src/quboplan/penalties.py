@@ -88,11 +88,13 @@ class RobotWindow:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Everything needed to build one window's QUBO: map, robots, weights."""
+    """Everything needed to build one window's QUBO: map, robots, weights,
+    and whether a robot may wait (stay on its cell for a step)."""
 
     grid: GridMap
     robots: tuple[RobotWindow, ...]
     weights: PenaltyWeights = field(default_factory=PenaltyWeights)
+    allow_wait: bool = False
 
     def __post_init__(self):
         if not self.robots:
@@ -150,7 +152,7 @@ def apply_one_hot(model: QuboModel, spec: WindowSpec, robot: int,
 
 
 def apply_adjacency(model: QuboModel, spec: WindowSpec, robot: int,
-                    admissible: Admissible, allow_wait: bool = False) -> QuboModel:
+                    admissible: Admissible) -> QuboModel:
     """Continuity: K * x_t * (1 - sum of neighbor x at t+1).
 
     Obstacles never appear among the admissible cells, so avoiding them is
@@ -161,7 +163,7 @@ def apply_adjacency(model: QuboModel, spec: WindowSpec, robot: int,
         nxt = admissible[robot][t + 1]
         for c, a in _vars_at(spec, robot, t, admissible):
             model.add(a, a, k)
-            for n in sorted(spec.grid.neighbors(c, allow_wait=allow_wait) & nxt):
+            for n in sorted(spec.grid.neighbors(c, allow_wait=spec.allow_wait) & nxt):
                 model.add(a, var_index(spec.dims, robot, t + 1, n), -k)
     return model
 
@@ -285,8 +287,7 @@ def apply_vertex_collision(model: QuboModel, spec: WindowSpec,
     return model
 
 
-def build_window_model(spec: WindowSpec, admissible: Admissible | None = None,
-                       allow_wait: bool = False) -> QuboModel:
+def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -> QuboModel:
     """Emit every penalty for every robot into one QUBO.
 
     Without an explicit admissible structure the model spans the full dense
@@ -298,7 +299,7 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None,
     model = QuboModel(len(spec.robots) * block_size(spec.dims))
     for robot, rec in enumerate(spec.robots):
         apply_one_hot(model, spec, robot, admissible)
-        apply_adjacency(model, spec, robot, admissible, allow_wait=allow_wait)
+        apply_adjacency(model, spec, robot, admissible)
         apply_start(model, spec, robot, admissible)
         if rec.goal_mode == GOAL_MODE_APPROX:
             apply_approximation(model, spec, robot, admissible)
@@ -307,6 +308,5 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None,
         apply_goal_lock(model, spec, robot, admissible)
         apply_backtracking(model, spec, robot, admissible)
         apply_teleportation(model, spec, robot, admissible)
-    if len(spec.robots) >= 2:
-        apply_vertex_collision(model, spec, admissible)
+    apply_vertex_collision(model, spec, admissible)
     return model

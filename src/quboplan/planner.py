@@ -124,23 +124,29 @@ def stitch(steps, window_path, start_time: int = 0):
 
 @dataclass
 class WindowRecord:
-    """Joint per-window diagnostics shared by every robot active in it."""
+    """Joint per-window diagnostics shared by every robot active in it.
 
-    index: int
-    global_start: int
+    A try at the window fills in what it found; model sizes left at their
+    defaults mean it built no model, and `backend` stays "presolve" unless a
+    sampler ran. The retry loop then sets `index`, `global_start`, `retries`
+    and `escalated`.
+    """
+
     horizon: int
-    original: int
-    reduced: int
-    reduction_pct: float
-    solved_by_preprocess: bool
-    numeric_fixed: int
-    retries: int
-    escalated: bool
-    backend: str
-    best_energy: float | None
-    modes: dict[int, str]
+    modes: dict[int, str] = field(default_factory=dict)
+    original: int = 0
+    reduced: int = 0
+    reduction_pct: float = 0.0
+    solved_by_preprocess: bool = False
+    numeric_fixed: int = 0
+    backend: str = "presolve"
+    best_energy: float | None = None
     repairs: list[str] = field(default_factory=list)
     histogram: list[tuple[float, int]] = field(default_factory=list)
+    index: int = 0
+    global_start: int = 0
+    retries: int = 0
+    escalated: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -287,55 +293,45 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
             mode = GOAL_MODE_APPROX
         records.append(RobotWindow(start, goal, horizon, mode, visited, excluded))
         tables.append(table)
-    spec = WindowSpec(grid, tuple(records), weights)
+    spec = WindowSpec(grid, tuple(records), weights, allow_wait)
     report, admissible = fix_logical(spec, tables)
-    model = build_window_model(spec, admissible, allow_wait=allow_wait)
+    model = build_window_model(spec, admissible)
     folded = fix_numeric_diagonal(fold(model, report), report)
     return spec, report, folded
 
 
-@dataclass
-class _Attempt:
-    """One try at a window.
+def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi
+                    ) -> tuple[WindowRecord, list[tuple[list[Cell], bool]] | None]:
+    """Build, presolve, solve, and repair one window.
 
-    `paths` holds every robot's (path, reached goal) when the try was
-    accepted, and `report` is None when no model was built.
+    Returns the try's record with every robot's (path, reached goal) when
+    the try is accepted, or with None when it fails; the record's last
+    repair entry then gives the reason.
     """
-
-    report: FixReport | None
-    modes: dict[int, str] = field(default_factory=dict)
-    paths: list[tuple[list[Cell], bool]] | None = None
-    failure: str | None = None
-    backend: str = "presolve"
-    best_energy: float | None = None
-    histogram: list[tuple[float, int]] = field(default_factory=list)
-    repairs: list[str] = field(default_factory=list)
-
-    @property
-    def deterministic(self) -> bool:
-        """Retrying the same window cannot change the outcome."""
-        return self.report is None or self.report.solved_by_preprocess
-
-
-def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi) -> _Attempt:
-    """Build, presolve, solve, and repair one window."""
     for agent in agents:
         if not grid.neighbors(agent.current):
-            return _Attempt(None, failure=f"robot {agent.spec.id} cannot move")
+            return WindowRecord(horizon, repairs=[f"robot {agent.spec.id} cannot move"]), None
     spec, report, folded = build_window(
         grid, [(a.current, a.spec.goal, a.visited) for a in agents], horizon, weights,
         allow_wait=multi)
     modes = [rec.goal_mode for rec in spec.robots]
-    attempt = _Attempt(report, {a.spec.id: m for a, m in zip(agents, modes)})
+    record = WindowRecord(
+        horizon, {a.spec.id: m for a, m in zip(agents, modes)},
+        original=report.original_count,
+        reduced=report.reduced_count,
+        reduction_pct=report.reduction_pct,
+        solved_by_preprocess=report.solved_by_preprocess,
+        numeric_fixed=report.numeric_fixed,
+    )
     if report.solved_by_preprocess:
         ones = set(folded.fixed_one)
     else:
         cfg = replace(solver_cfg, seed=seed)
         sampleset = solve(folded.model, cfg)
         ones = folded.expand(sampleset.best.bits)
-        attempt.backend = cfg.backend
-        attempt.best_energy = sampleset.best.energy
-        attempt.histogram = [(s.energy, s.occurrences) for s in sampleset.samples[:8]]
+        record.backend = cfg.backend
+        record.best_energy = sampleset.best.energy
+        record.histogram = [(s.energy, s.occurrences) for s in sampleset.samples[:8]]
 
     occupancy = decode(ones, spec.dims, len(agents))
     paths = []
@@ -344,7 +340,7 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi) -> 
         repair = fix_one_hot_continuity(per_step, agent.current, grid,
                                         allow_wait=multi)
         if repair.dropped:
-            attempt.repairs.append(
+            record.repairs.append(
                 f"robot {agent.spec.id}: dropped {repair.dropped} extra cell(s)"
             )
         goal = agent.spec.goal
@@ -359,22 +355,18 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi) -> 
             # Trapped short of the horizon (another robot blocks the way):
             # hold position for the remaining steps and try again next window.
             path = repair.path + [repair.path[-1]] * (horizon + 1 - len(repair.path))
-            attempt.repairs.append(
+            record.repairs.append(
                 f"robot {agent.spec.id}: waits from t={repair.failed_at}"
             )
         else:
-            attempt.failure = f"robot {agent.spec.id}: {repair.reason or 'goal_missed'}"
-            return attempt
+            record.repairs.append(f"robot {agent.spec.id}: {repair.reason or 'goal_missed'}")
+            return record, None
         bad = detect_invalid_move(path, grid, allow_wait=multi)
         if bad is not None:
-            attempt.failure = f"robot {agent.spec.id}: {bad[1]} at t={bad[0]}"
-            return attempt
-        if len(path) < 2 and not reached and not multi:
-            attempt.failure = f"robot {agent.spec.id}: no progress"
-            return attempt
+            record.repairs.append(f"robot {agent.spec.id}: {bad[1]} at t={bad[0]}")
+            return record, None
         paths.append((path, reached))
-    attempt.paths = paths
-    return attempt
+    return record, paths
 
 
 def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
@@ -445,51 +437,31 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         horizon = wcfg.window_len
         escalated = False
         for retries in range(ATTEMPTS_PER_WINDOW):
-            if retries == ATTEMPTS_PER_WINDOW - 1:
-                # Last chance: widen the window once before giving up.
-                horizon = 2 * wcfg.window_len
-                escalated = True
             seed = derive_seed(scfg.seed, window_index, retries, int(escalated))
-            attempt = _attempt_window(eff_grid, active, weights, scfg, horizon, seed, multi)
-            if attempt.paths is not None:
+            record, paths = _attempt_window(eff_grid, active, weights, scfg, horizon, seed,
+                                            multi)
+            # Without a sampler run, no other seed can change the outcome.
+            retry_cannot_help = record.backend == "presolve"
+            if paths is not None or (escalated and retry_cannot_help):
                 break
-            if attempt.deterministic:
-                # Retrying an identical deterministic window cannot help;
-                # widen it once, and give up when the wide one fails too.
-                if escalated:
-                    break
+            if retry_cannot_help or retries == ATTEMPTS_PER_WINDOW - 2:
+                # Widen the window once: at once when retrying cannot help,
+                # otherwise for the last try.
                 horizon = 2 * wcfg.window_len
                 escalated = True
 
-        report = attempt.report or FixReport()
-        record = WindowRecord(
-            index=window_index,
-            global_start=clock,
-            horizon=horizon,
-            original=report.original_count,
-            reduced=report.reduced_count,
-            reduction_pct=report.reduction_pct,
-            solved_by_preprocess=attempt.report is not None and report.solved_by_preprocess,
-            numeric_fixed=report.numeric_fixed,
-            retries=retries,
-            escalated=escalated,
-            backend=attempt.backend,
-            best_energy=attempt.best_energy,
-            modes=attempt.modes,
-            repairs=attempt.repairs,
-            histogram=attempt.histogram,
-        )
-        if attempt.failure is not None:
-            record.repairs.append(f"window abandoned: {attempt.failure}")
+        record.index, record.global_start = window_index, clock
+        record.retries, record.escalated = retries, escalated
         windows.append(record)
 
-        if attempt.paths is None:
+        if paths is None:
+            record.repairs[-1] = f"window abandoned: {record.repairs[-1]}"
             for agent in active:
                 agent.log.append(record)
                 agent.finish(STATUS_EXHAUSTED)
             break
 
-        for agent, (path, reached) in zip(active, attempt.paths):
+        for agent, (path, reached) in zip(active, paths):
             agent.log.append(record)
             agent.steps = stitch(agent.steps, path, start_time=clock)
             agent.visited |= set(path)

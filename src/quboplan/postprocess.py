@@ -115,7 +115,10 @@ def resolve_clash_wait(step_lists: list[Steps], grid: GridMap):
 
     The robot with the higher index waits one extra step on the cell it holds
     just before the clash, and the scan repeats until no conflicts remain or
-    a budget of 2 * robots * (rows + cols) waits runs out. Cell sequences are never altered, only timing.
+    a budget of 2 * robots * (rows + cols) waits runs out. It stops at once
+    when the earliest clash is on the waiting robot's start, or when either
+    robot is already parked on its final cell, since no wait can clear those.
+    Cell sequences are never altered, only timing.
     Returns (adjusted step lists, event strings, unresolved conflicts).
     """
     lists = [list(s) for s in step_lists]
@@ -125,11 +128,9 @@ def resolve_clash_wait(step_lists: list[Steps], grid: GridMap):
         conflicts = find_vertex_conflicts(lists)
         if not conflicts:
             return lists, events, []
-        t, cell, _, victim = conflicts[0]
+        t, cell, other, victim = conflicts[0]
         steps = lists[victim]
-        if t <= steps[0][0] or t >= steps[-1][0]:
-            # Clash on the start cell or against a parked robot: waiting
-            # cannot clear it.
+        if t <= steps[0][0] or t >= min(steps[-1][0], lists[other][-1][0]):
             return lists, events, conflicts
         k = t - steps[0][0]
         hold = steps[k - 1][1]

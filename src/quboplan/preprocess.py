@@ -57,9 +57,13 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable] | None = None
 
     `tables` holds each robot's reachability layers from its start over its
     horizon, minus its `excluded` cells; they are searched here when not
-    given. Raises `InfeasibleWindowError` when a goal-seeking robot cannot
-    reach its goal within the window; the caller reacts by switching that
-    robot to the approximation objective or widening the window.
+    given. When the spec allows waits, a reached goal stays admissible after
+    first arrival, so the robot can park on it.
+
+    Raises `InfeasibleWindowError` when a goal-seeking robot cannot reach its
+    goal within the window. This guards an invariant: `build_window` gives
+    the late-time mode only to a robot whose goal lies in the table it
+    passes, so the pipeline never raises it.
     """
     dims = spec.dims
     report = FixReport(original_count=len(spec.robots) * block_size(dims))
@@ -68,7 +72,6 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable] | None = None
     if tables is None:
         tables = [bfs_layers(spec.grid, rec.start, rec.horizon, exclude_visited=rec.excluded)
                   for rec in spec.robots]
-    multi = len(spec.robots) >= 2
     joint_depth = max(t.max_depth() for t in tables)
 
     for robot, (rec, table) in enumerate(zip(spec.robots, tables)):
@@ -83,9 +86,10 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable] | None = None
                 robot,
                 f"robot {robot}: goal {rec.goal} unreachable within {rec.horizon} steps",
             )
-        if multi and goal_time is not None:
-            # Keep the goal available after first arrival so an early
-            # finisher stays visible to the other robots' collision terms.
+        if spec.allow_wait and goal_time is not None:
+            # Keep the goal available after first arrival so the robot can
+            # park on it, and an early finisher stays visible to the other
+            # robots' collision terms.
             for t in range(goal_time + 1, min(joint_depth, rec.horizon) + 1):
                 layers[t].add(rec.goal)
         elif goal_time is not None and goal_time < rec.horizon:

@@ -7,7 +7,7 @@ sections. Unknown sections or keys are rejected with the offending line
 number.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .grid import GridMap
 from .multi import validate_robots
@@ -60,11 +60,8 @@ def parse_map_text(rows: list[str], first_line: int = 1) -> GridMap:
     return GridMap(len(rows), width, frozenset(obstacles))
 
 
-_WEIGHT_KEYS = {
-    "k_hot", "k_adj", "k_start", "k_goal", "k_lock", "k_bt", "k_tel",
-    "k_approx", "k_coll", "goal_ramp_max", "bt_soft_factor", "potential_radius",
-}
-_WINDOW_KEYS = {"window_len", "max_windows"}
+_WEIGHT_KEYS = {f.name for f in fields(PenaltyWeights)}
+_WINDOW_KEYS = {f.name for f in fields(WindowConfig)}
 _SOLVER_KEYS = {"backend", "reads", "sweeps", "beta0", "beta1", "seed"}
 _BENCH_KEYS = {"repeats"}
 _SECTIONS = ("map", "robots", "weights", "window", "solver", "bench")
@@ -75,6 +72,12 @@ def _parse_kv(line: str, lineno: int) -> tuple[str, str]:
         raise ScenarioError(f"line {lineno}: expected 'key = value', got {line!r}")
     key, _, value = line.partition("=")
     return key.strip(), value.strip()
+
+
+def _typed(cls, values: dict[str, str]):
+    """Dataclass `cls` with each given field parsed by its annotated type."""
+    types = {f.name: f.type for f in fields(cls)}
+    return cls(**{key: types[key](value) for key, value in values.items()})
 
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
@@ -146,17 +149,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
         return out
 
     try:
-        w = section_dict("weights", _WEIGHT_KEYS)
-        kwargs = {}
-        for key, value in w.items():
-            kwargs[key] = int(value) if key == "potential_radius" else float(value)
-        weights = PenaltyWeights(**kwargs)
-
-        wd = section_dict("window", _WINDOW_KEYS)
-        window_cfg = WindowConfig(
-            window_len=int(wd.get("window_len", WindowConfig.window_len)),
-            max_windows=int(wd.get("max_windows", WindowConfig.max_windows)),
-        )
+        weights = _typed(PenaltyWeights, section_dict("weights", _WEIGHT_KEYS))
+        window_cfg = _typed(WindowConfig, section_dict("window", _WINDOW_KEYS))
 
         sd = section_dict("solver", _SOLVER_KEYS)
         defaults = SolverConfig()

@@ -142,7 +142,7 @@ def test_criterion_6_closed_form_equivalence():
         spec = _random_window(rng)
         adm = dense_admissible(spec)
         allow_wait = len(spec.robots) > 1
-        model = build_window_model(spec, adm, allow_wait=allow_wait)
+        model = build_window_model(spec, adm)
         for _ in range(4):
             occupancy = []
             ones = set()

@@ -56,9 +56,9 @@ def test_collision_terms_only_on_shared_admissible_cells():
         RobotWindow(start=(2, 0), goal=(2, 4), horizon=4),
     )
     grid = GridMap(3, 5, frozenset({(1, j) for j in range(5)}))
-    spec = WindowSpec(grid, recs, PenaltyWeights())
+    spec = WindowSpec(grid, recs, PenaltyWeights(), allow_wait=True)
     report, adm = fix_logical(spec)
-    model = build_window_model(spec, adm, allow_wait=True)
+    model = build_window_model(spec, adm)
     block = block_size(spec.dims)
     cross = [(a, b) for a, b in model.coeffs if a < block <= b]
     assert cross == []

@@ -245,7 +245,8 @@ def _random_window(rng):
             k_approx=float(rng.integers(1, 3)),
             k_coll=float(rng.integers(1, 6)),
         )
-        return WindowSpec(GridMap(rows, cols, obstacles), tuple(recs), weights)
+        return WindowSpec(GridMap(rows, cols, obstacles), tuple(recs), weights,
+                          allow_wait=n_robots > 1)
 
 
 def test_model_energy_matches_direct_formulas():
@@ -253,8 +254,7 @@ def test_model_energy_matches_direct_formulas():
     for _ in range(120):
         spec = _random_window(rng)
         adm = dense_admissible(spec)
-        allow_wait = len(spec.robots) > 1
-        model = build_window_model(spec, adm, allow_wait=allow_wait)
+        model = build_window_model(spec, adm)
         dims = spec.dims
         for _ in range(4):
             occupancy = []
@@ -267,7 +267,7 @@ def test_model_energy_matches_direct_formulas():
                         per_t[t] = chosen
                         ones |= {var_index(dims, r, t, c) for c in chosen}
                 occupancy.append(per_t)
-            direct = penalty_energy(spec, adm, occupancy, allow_wait=allow_wait)
+            direct = penalty_energy(spec, adm, occupancy, allow_wait=spec.allow_wait)
             assert model.energy(ones) == pytest.approx(direct, abs=1e-9)
 
 

@@ -185,16 +185,17 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
     attempt_window = planner._attempt_window
 
     def counting_attempt(grid, agents, weights, solver_cfg, horizon, seed, multi):
-        attempt = attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi)
-        calls.append((horizon, attempt.failure))
-        return attempt
+        record, paths = attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi)
+        calls.append((horizon, paths, list(record.repairs)))
+        return record, paths
 
     monkeypatch.setattr(planner, "_attempt_window", counting_attempt)
     result = plan_paths(GridMap(1, 3), [RobotSpec(0, (0, 0), (0, 2)),
                                         RobotSpec(1, (0, 1), (0, 1))])
-    assert calls == [(6, "robot 0 cannot move"), (12, "robot 0 cannot move")]
+    assert calls == [(6, None, ["robot 0 cannot move"]), (12, None, ["robot 0 cannot move"])]
     (window,) = result.windows
     assert (window.retries, window.escalated, window.horizon) == (1, True, 12)
+    assert window.repairs == ["window abandoned: robot 0 cannot move"]
     assert result.plans[0].status == STATUS_EXHAUSTED
 
 def test_plan_single_eight_connected_reaches_goal_diagonally():

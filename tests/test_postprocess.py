@@ -138,6 +138,18 @@ def test_resolve_clash_parked_blocker_reported_unresolved():
     assert unresolved, "waiting can never clear a parked robot off the corridor"
 
 
+def test_resolve_clash_stops_at_once_against_a_parked_robot():
+    # Robot 1 crosses robot 0's final cell after robot 0 has parked there:
+    # no wait of robot 1 can clear that, so none is spent.
+    g = GridMap(3, 3)
+    parked = [(0, (0, 0)), (1, (0, 1))]
+    mover = [(0, (2, 1)), (1, (1, 1)), (2, (0, 1)), (3, (0, 2))]
+    lists, events, unresolved = resolve_clash_wait([parked, mover], g)
+    assert events == []
+    assert unresolved == [(2, (0, 1), 0, 1)]
+    assert lists == [parked, mover]
+
+
 def test_resolve_clash_never_changes_cell_sequences():
     g = GridMap(3, 3)
     p0 = [(0, (0, 0)), (1, (1, 0)), (2, (1, 1)), (3, (1, 2))]

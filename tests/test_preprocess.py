@@ -94,6 +94,17 @@ def test_fix_logical_no_shortest_path_is_pruned():
                 assert c in adm[0][t], (path, t, c)
 
 
+@pytest.mark.parametrize("allow_wait, steps", [(True, [1, 2, 3, 4]), (False, [1])])
+def test_reached_goal_stays_admissible_when_the_window_allows_waits(allow_wait, steps):
+    # A robot planning alone in a window with waits must be able to park on
+    # its goal; the goal then stays live through the last non-empty layer.
+    spec, _, folded = build_window(GridMap(5, 5), [((2, 2), (2, 3), {(2, 2)})], 8,
+                                   PenaltyWeights(), allow_wait=allow_wait)
+    live = set(folded.free_vars) | folded.fixed_one
+    assert [t for t in range(spec.horizon + 1)
+            if var_index(spec.dims, 0, t, (2, 3)) in live] == steps
+
+
 def test_fold_substitutes_one():
     model = four_var_fixture()
     report = FixReport(fixed_one={0}, fixed_zero=set(),
@@ -241,10 +252,9 @@ def _first_windows():
 
 @pytest.mark.parametrize("grid, robots, horizon, weights", _first_windows())
 def test_fold_drops_exactly_the_non_admissible_variables(grid, robots, horizon, weights):
-    allow_wait = len(robots) > 1
-    spec, _, _ = build_window(grid, robots, horizon, weights, allow_wait=allow_wait)
+    spec, _, _ = build_window(grid, robots, horizon, weights, allow_wait=len(robots) > 1)
     report, admissible = fix_logical(spec)
-    model = build_window_model(spec, admissible, allow_wait=allow_wait)
+    model = build_window_model(spec, admissible)
     cells = [(i, j) for i in range(grid.rows) for j in range(grid.cols)]
     outside = {
         var_index(spec.dims, r, t, c)

@@ -1,4 +1,5 @@
 import pathlib
+from dataclasses import fields
 
 import pytest
 
@@ -79,6 +80,17 @@ repeats = 4
     assert spec.solver_cfg == SolverConfig(backend="annealer", num_reads=64, sweeps=256,
                                            beta_range=(0.2, 8.0), seed=99)
     assert spec.repeats == 4
+
+
+def test_every_weight_parses_with_its_type():
+    defaults = PenaltyWeights()
+    values = {f.name: 2 * getattr(defaults, f.name) + 1 for f in fields(PenaltyWeights)}
+    lines = "\n".join(f"{key} = {value}" for key, value in values.items())
+    spec = parse_scenario(f"{MINIMAL}\n[weights]\n{lines}\n")
+    assert spec.weights == PenaltyWeights(**values)
+    for f in fields(PenaltyWeights):
+        assert type(getattr(spec.weights, f.name)) is type(getattr(defaults, f.name)), f.name
+    assert type(spec.weights.potential_radius) is int
 
 
 def test_readme_scenario_example_parses():
