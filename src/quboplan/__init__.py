@@ -33,7 +33,6 @@ from .solvers import (
     SampleSet,
     SolverConfig,
     solve,
-    solve_annealing,
     solve_exhaustive,
 )
 from .planner import (

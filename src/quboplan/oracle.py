@@ -10,12 +10,14 @@ import numpy as np
 from .grid import GridMap, bfs_distances
 from .penalties import PenaltyWeights
 from .planner import build_window, derive_seed
+from .qubo import var_group
 from .solvers import SolverConfig, solve, solve_exhaustive
 
 
 def random_instances(samples: int, seed: int):
     """Folded first-window models of random solvable scenarios, as the
-    planner builds them, with 1 to 20 free variables."""
+    planner builds them, with 1 to 20 free variables, each with the
+    (robot, step) group of every free variable."""
     rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE)))
     produced = 0
     while produced < samples:
@@ -32,13 +34,13 @@ def random_instances(samples: int, seed: int):
         if goal not in bfs_distances(grid, start):
             continue
         horizon = int(rng.integers(3, 6))
-        _, _, folded = build_window(grid, [(start, goal, {start})], horizon,
-                                    PenaltyWeights())
+        spec, _, folded = build_window(grid, [(start, goal, {start})], horizon,
+                                       PenaltyWeights())
         n = folded.model.num_vars
         if n < 1 or n > 20:
             continue
         produced += 1
-        yield folded.model
+        yield folded.model, [var_group(spec.dims, v) for v in folded.free_vars]
 
 
 def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7) -> dict:
@@ -46,12 +48,12 @@ def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7) -> 
     total = 0
     agreed = 0
     details = []
-    for model in random_instances(samples, seed):
+    for model, groups in random_instances(samples, seed):
         ground = solve_exhaustive(model).best.energy
         hits = 0
         for run in range(runs_per_sample):
             sub = derive_seed(seed, total + run)
-            best = solve(model, SolverConfig(seed=sub)).best.energy
+            best = solve(model, SolverConfig(seed=sub), groups=groups).best.energy
             if abs(best - ground) <= 1e-9:
                 hits += 1
         total += runs_per_sample

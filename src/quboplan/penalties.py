@@ -26,8 +26,8 @@ class PenaltyWeights:
     weights must stay strictly positive, `bt_soft_factor` non-negative (a
     negative one would reward revisits) and `potential_radius` at least 1.
     Only the weights' ratios matter: the annealer reads its β range per unit
-    of the model's peak coefficient (`solvers.solve`), so no overall scale is
-    set here.
+    of the model's largest coupling between (robot, step) groups
+    (`solvers.solve`), so no overall scale is set here.
     """
 
     k_hot: float = 4.0

@@ -30,7 +30,7 @@ from .postprocess import (
     resolve_clash_wait,
 )
 from .preprocess import FixReport, FoldedModel, fix_logical, fix_numeric_diagonal, fold
-from .qubo import decode
+from .qubo import decode, var_group
 from .solvers import SolverConfig, solve
 
 STATUS_REACHED = "reached_goal"
@@ -327,7 +327,8 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi
         ones = set(folded.fixed_one)
     else:
         cfg = replace(solver_cfg, seed=seed)
-        sampleset = solve(folded.model, cfg)
+        sampleset = solve(folded.model, cfg,
+                          groups=[var_group(spec.dims, v) for v in folded.free_vars])
         ones = folded.expand(sampleset.best.bits)
         record.backend = cfg.backend
         record.best_energy = sampleset.best.energy
@@ -366,6 +367,15 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi
             record.repairs.append(f"robot {agent.spec.id}: {bad[1]} at t={bad[0]}")
             return record, None
         paths.append((path, reached))
+    # The collision terms make a clash costly, not impossible, so a sample
+    # can still put two robots on one cell; a robot that reached its goal
+    # holds it for the rest of the window.
+    clashes = find_vertex_conflicts([list(enumerate(path)) for path, _ in paths])
+    if clashes:
+        t, _, i, j = clashes[0]
+        record.repairs.append(
+            f"robots {agents[i].spec.id} and {agents[j].spec.id}: vertex conflict at t={t}")
+        return record, None
     return record, paths
 
 

@@ -31,6 +31,16 @@ def var_index(dims: Dims, robot: int, t: int, c: Cell) -> int:
     return i * cols + j + rows * cols * t + robot * block_size(dims)
 
 
+def var_group(dims: Dims, index: int) -> int:
+    """The (robot, step) group of variable `index`: robot * (horizon + 1) + t.
+
+    A robot occupies exactly one cell per step, so a feasible assignment
+    sets exactly one variable of each group.
+    """
+    rows, cols, _ = dims
+    return index // (rows * cols)
+
+
 def decode(ones: Collection[int], dims: Dims, num_robots: int) -> list[dict[int, set[Cell]]]:
     """Inverse of `var_index` applied to every set bit.
 

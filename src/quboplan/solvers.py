@@ -1,17 +1,28 @@
-"""QUBO solving backends: exact enumeration and simulated annealing.
+"""QUBO solving backends: exact enumeration and one-hot simulated annealing.
 
 Both backends consume a frozen model over dense free variables and return a
-`SampleSet`. The exhaustive backend is the ground-truth oracle for small
-instances; the annealer is the production sampler. A future hardware or
-circuit backend would slot in behind the same interface.
+`SampleSet`. The exhaustive backend enumerates every assignment and is the
+ground-truth oracle for small instances. The annealer is the production
+sampler; a future hardware or circuit backend would slot in behind the same
+interface.
 
-`solve` reads the annealing β range per unit of the model's peak |coefficient|
-and never rescales the model: scaling Q by s is the same as scaling β by s, so
-sample energies stay in the model's own units.
+The annealer visits one-hot states only: the caller labels each variable
+with its group (in a window model, its (robot, step)), a state sets exactly
+one variable per group, and a move sends a group's bit to another member,
+so every move preserves the constraint (Hen and Spedalieri, Phys. Rev.
+Applied 5, 034007, 2016). Intra-group pair terms never fire on such states,
+so a move costs the difference of two local fields over the diagonal and
+the couplings between groups. The fields are updated after each accepted
+move over sparse neighbour lists, and groups that share no coupling move
+together (Isakov et al., Comput. Phys. Commun. 192, 265, 2015).
+
+`solve` reads the annealing β range per unit of the largest |coupling
+between groups| and never rescales the model: scaling Q by s is the same as
+scaling β by s, so sample energies stay in the model's own units.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +31,7 @@ BACKEND_ANNEALER = "annealer"
 
 EXHAUSTIVE_VAR_CAP = 24
 _ENUM_CHUNK = 1 << 16
-_RANDOM_BUDGET = 8_000_000  # floats held at once while annealing
-# Free-variable count below which `solve` anneals twice as cold per unit of
-# the peak coefficient.
-SMALL_MODEL_VARS = 80
+_RANDOM_BUDGET = 8_000_000  # 8-byte values held per block of reads while annealing
 
 
 class ModelTooLargeError(ValueError):
@@ -34,14 +42,14 @@ class ModelTooLargeError(ValueError):
 class SolverConfig:
     """Backend choice and sampling parameters. Same seed, same samples.
 
-    Through `solve`, `beta_range` is read per unit of the model's peak
-    |coefficient|; `solve_annealing` takes it as absolute inverse temperatures.
+    `beta_range` is the annealer's first and last inverse temperature per
+    unit of the model's largest |coupling between groups| (see `solve`).
     """
 
     backend: str = BACKEND_ANNEALER
     num_reads: int = 100
     sweeps: int = 1000
-    beta_range: tuple[float, float] = (0.1, 10.0)
+    beta_range: tuple[float, float] = (0.4, 40.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -149,97 +157,175 @@ def _geometric_betas(beta_range: tuple[float, float], sweeps: int) -> np.ndarray
     return np.geomspace(lo, hi, sweeps)
 
 
-def metropolis_accept(delta, beta: float, u):
-    """Acceptance rule: always take non-increasing flips, otherwise exp(-beta*dE)."""
-    return u < np.exp(-beta * np.maximum(delta, 0.0))
+@dataclass(frozen=True)
+class _OneHotLayout:
+    """A model regrouped for one-hot moves.
 
-
-def _color_classes(model) -> list[np.ndarray]:
-    """Greedy coloring of the interaction graph.
-
-    Variables in one class share no coefficient, so flipping them together
-    within a sweep equals flipping them one by one: each flip cost depends
-    only on variables outside the class.
+    Internal variables run group by group, so a group's members are the
+    contiguous range `first[g]` .. `first[g] + size[g] - 1`; `order` maps
+    them back to model variables. Groups run class by class: the groups of
+    one `classes` range share no coupling, so their moves are independent.
+    Each variable's couplings to other groups sit in `offset`/`weight` rows,
+    padded to one width: `offset` is the neighbour's index minus the
+    variable's own, and padding points at the sink column `n` with weight 0.
     """
+
+    order: np.ndarray
+    first: np.ndarray
+    size: np.ndarray
+    classes: list[tuple[int, int]]
+    diag: np.ndarray
+    offset: np.ndarray
+    weight: np.ndarray
+    peak: float
+
+
+def _one_hot_layout(model, groups) -> _OneHotLayout:
+    """Group the model's variables by label and colour the groups greedily."""
     n = model.num_vars
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for (a, b) in model.coeffs:
-        if a != b:
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-    order = sorted(range(n), key=lambda v: (-len(neighbors[v]), v))
-    color = [-1] * n
-    for v in order:
-        taken = {color[u] for u in neighbors[v] if color[u] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        color[v] = c
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(color):
-        classes.setdefault(c, []).append(v)
-    return [np.array(classes[c], dtype=np.intp) for c in sorted(classes)]
+    labels = np.asarray(groups)
+    if labels.shape != (n,):
+        raise ValueError(f"groups must label each of the {n} variables once")
+    gid = np.unique(labels, return_inverse=True)[1].reshape(n)
+    num_groups = int(gid.max()) + 1
+    keys = np.array(list(model.coeffs), dtype=np.intp).reshape(-1, 2)
+    values = np.fromiter(model.coeffs.values(), dtype=np.float64, count=len(keys))
+    a, b = keys[:, 0], keys[:, 1]
+    linear = a == b
+    cross = gid[a] != gid[b]
+    a, b, w = a[cross], b[cross], values[cross]
+    peak = float(np.abs(w).max()) if len(w) else model.max_abs_coefficient()
+
+    # Greedy colouring of the groups that can move, most constrained first.
+    size = np.bincount(gid, minlength=num_groups)
+    touching: list[set[int]] = [set() for _ in range(num_groups)]
+    for ga, gb in set(zip(gid[a].tolist(), gid[b].tolist())):
+        touching[ga].add(gb)
+        touching[gb].add(ga)
+    colour = np.full(num_groups, -1)
+    for g in sorted(range(num_groups), key=lambda g: (-len(touching[g]), g)):
+        if size[g] > 1:
+            taken = {colour[h] for h in touching[g]}
+            colour[g] = next(c for c in range(num_groups) if c not in taken)
+
+    # Groups in class order (the ones that never move first), then variables
+    # in group order.
+    rank = np.empty(num_groups, dtype=np.intp)
+    rank[np.lexsort((np.arange(num_groups), colour))] = np.arange(num_groups)
+    order = np.lexsort((np.arange(n), rank[gid]))
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    size = size[np.argsort(rank)]
+    first = np.concatenate(([0], np.cumsum(size)[:-1]))
+    ranked = np.sort(colour)
+    classes = [(int(np.searchsorted(ranked, c)), int(np.searchsorted(ranked, c, "right")))
+               for c in range(int(colour.max()) + 1)]
+
+    diag = np.zeros(n)
+    diag[position[keys[linear, 0]]] = values[linear]
+    src = position[np.concatenate((a, b))]
+    dst = position[np.concatenate((b, a))]
+    both = np.concatenate((w, w))
+    by_src = np.argsort(src, kind="stable")
+    src, dst, both = src[by_src], dst[by_src], both[by_src]
+    degree = np.bincount(src, minlength=n)
+    slot = np.arange(len(src)) - np.repeat(np.cumsum(degree) - degree, degree)
+    offset = np.repeat((n - np.arange(n))[:, None], int(degree.max()), axis=1)
+    weight = np.zeros(offset.shape)
+    offset[src, slot] = dst - src
+    weight[src, slot] = both
+    return _OneHotLayout(order, first, size, classes, diag, offset, weight, peak)
 
 
-def solve_annealing(model, cfg: SolverConfig) -> SampleSet:
-    """Restart-based single-bit-flip Metropolis sampling.
+def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np.ndarray:
+    """Each read's final state: one chosen internal variable per group.
 
-    Each read starts from its own random assignment and performs `sweeps`
-    passes over all variables under a geometric inverse-temperature schedule.
-    Flip costs come incrementally from incident coefficients; within a sweep,
-    variables update class by class over a fixed coloring of the interaction
-    graph, which vectorizes cleanly without changing single-flip semantics.
-    Every read derives its randomness from (seed, read index), so results are
-    reproducible regardless of batching.
+    The fields of a block of reads live in one flat array, a row of `stride`
+    entries per read, and a state is the flat index of each group's set bit.
     """
-    n = model.num_vars
-    if n == 0:
-        return SampleSet([Sample((), model.constant, cfg.num_reads)])
-    diag, upper = _dense_arrays(model)
-    coupling = upper + upper.T  # symmetric off-diagonal weights
-    classes = _color_classes(model)
-    betas = _geometric_betas(cfg.beta_range, cfg.sweeps)
-
-    per_read = cfg.sweeps * n + n
+    n, num_groups = len(layout.order), len(layout.size)
+    stride = 1 << n.bit_length()  # > n, so column n is the padding sink
+    betas = _geometric_betas(cfg.beta_range, cfg.sweeps) * scale
+    span = (layout.size - 1).astype(np.float64)
+    # Every per-read array counts against the budget, in 8-byte units.
+    per_read = num_groups * (cfg.sweeps + 2) + stride
     block = max(1, min(cfg.num_reads, _RANDOM_BUDGET // per_read))
-    counts: dict[tuple[int, ...], int] = {}
     seed_base = cfg.seed & 0xFFFFFFFFFFFFFFFF
+    states = np.empty((cfg.num_reads, num_groups), dtype=np.intp)
+    offset, weight = layout.offset, layout.weight
+    draws = np.empty((cfg.sweeps, num_groups), dtype=np.float32)
 
-    for first in range(0, cfg.num_reads, block):
-        reads = range(first, min(first + block, cfg.num_reads))
-        inits = []
-        accepts = []
-        for r in reads:
-            rng = np.random.default_rng(np.random.SeedSequence((seed_base, r)))
-            inits.append(rng.random(n))
-            accepts.append(rng.random((cfg.sweeps, n)))
-        x = (np.stack(inits) < 0.5).astype(np.float64)
-        u = np.stack(accepts)
+    def shift(field, ends, count):
+        # The bits at `ends[:count]` were set and the rest cleared: add and
+        # remove their couplings to the fields of the other groups.
+        local = ends & (stride - 1)
+        change = weight.take(local, axis=0)
+        change[count:] *= -1.0
+        targets = ends[:, None] + offset.take(local, axis=0)
+        np.add.at(field, targets.ravel(), change.ravel())
+
+    for lo in range(0, cfg.num_reads, block):
+        reads = min(block, cfg.num_reads - lo)
+        base = (np.arange(reads) * stride)[:, None] + layout.first
+        start = np.empty((reads, num_groups), dtype=np.float32)
+        picks = np.empty((reads, cfg.sweeps, num_groups), dtype=np.int32)
+        limits = np.empty((reads, cfg.sweeps, num_groups), dtype=np.float32)
+        for i in range(reads):
+            rng = np.random.default_rng(np.random.SeedSequence((seed_base, lo + i)))
+            rng.random(dtype=np.float32, out=start[i])
+            # A proposal picks one of the group's other members, uniformly:
+            # the k-th of them is member k, or k + 1 from the held member on.
+            rng.random(dtype=np.float32, out=draws)
+            picks[i] = draws * span + base[i]
+            rng.random(dtype=np.float32, out=limits[i])
+        # Metropolis: accept when delta <= -ln(u) / beta (always when u = 0).
+        with np.errstate(divide="ignore"):
+            np.log(limits, out=limits)
+        limits *= (-1.0 / betas)[:, None]
+
+        cur = (base + start * layout.size).astype(np.int32)
+        field = np.zeros((reads, stride))
+        field[:, :n] = layout.diag
+        field = field.ravel()
+        shift(field, cur.ravel(), cur.size)
+
+        passes = [(cur[:, a:b], a, b) for a, b in layout.classes]
         for s in range(cfg.sweeps):
-            beta = betas[s]
-            for cls in classes:
-                field = diag[cls] + x @ coupling[:, cls]
-                delta = (1.0 - 2.0 * x[:, cls]) * field
-                flip = metropolis_accept(delta, beta, u[:, s, cls])
-                x[:, cls] = np.where(flip, 1.0 - x[:, cls], x[:, cls])
-        for row in x.astype(np.int64):
-            bits = tuple(int(b) for b in row)
-            counts[bits] = counts.get(bits, 0) + 1
-    return _collect(model, counts)
+            for held, a, b in passes:
+                pick = picks[:, s, a:b]
+                proposed = pick + (pick >= held)
+                accept = field.take(proposed) - field.take(held) <= limits[:, s, a:b]
+                moved = proposed[accept]
+                if moved.size:
+                    ends = np.concatenate((moved, held[accept]))
+                    held[accept] = moved
+                    shift(field, ends, moved.size)
+        states[lo:lo + reads] = cur - base + layout.first
+    return states
 
 
-def solve(model, cfg: SolverConfig) -> SampleSet:
+def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     """Dispatch to the configured backend.
 
-    The annealer reads `cfg.beta_range` per unit of the peak |coefficient|,
-    doubled under `SMALL_MODEL_VARS` free variables, so scaling the model by
-    a positive factor leaves its samples unchanged up to the rounding of β.
+    The annealer needs `groups`, one label per variable. It samples states
+    with exactly one set bit per group, and reads `cfg.beta_range` per unit
+    of the largest |coupling between groups| (the peak |coefficient| when
+    groups share none), so scaling the model by a positive factor leaves
+    its samples unchanged up to the rounding of β.
     """
     if cfg.backend == BACKEND_EXHAUSTIVE:
         return solve_exhaustive(model)
-    peak = model.max_abs_coefficient()
-    if peak > 0:
-        scale = (2.0 if model.num_vars < SMALL_MODEL_VARS else 1.0) / peak
-        lo, hi = cfg.beta_range
-        cfg = replace(cfg, beta_range=(lo * scale, hi * scale))
-    return solve_annealing(model, cfg)
+    if groups is None:
+        raise ValueError("the annealer needs each variable's group")
+    n = model.num_vars
+    if n == 0:
+        return SampleSet([Sample((), model.constant, cfg.num_reads)])
+    layout = _one_hot_layout(model, groups)
+    states = _anneal_one_hot(layout, cfg, 1.0 / layout.peak if layout.peak > 0 else 1.0)
+    bits = np.zeros((cfg.num_reads, n), dtype=np.int8)
+    bits[np.arange(cfg.num_reads)[:, None], layout.order[states]] = 1
+    counts: dict[tuple[int, ...], int] = {}
+    for row in bits.tolist():
+        key = tuple(row)
+        counts[key] = counts.get(key, 0) + 1
+    return _collect(model, counts)

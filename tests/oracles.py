@@ -129,8 +129,9 @@ def brute_force_minima(model: QuboModel):
 
 
 def peak_rescaled(model: QuboModel, scale: float) -> QuboModel:
-    """The model with its largest |coefficient| scaled to `scale`, constant
-    included: the rescale that `solvers.solve` folds into β instead."""
+    """The model with every coefficient, constant included, scaled so that its
+    largest |coefficient| is `scale`: a positive rescale, which `solvers.solve`
+    absorbs into β."""
     factor = scale / max(abs(w) for w in model.coeffs.values())
     out = QuboModel(model.num_vars, model.constant * factor)
     out.coeffs = {key: w * factor for key, w in model.coeffs.items()}

@@ -198,6 +198,30 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
     assert window.repairs == ["window abandoned: robot 0 cannot move"]
     assert result.plans[0].status == STATUS_EXHAUSTED
 
+def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
+    # Both robots cross the centre of a 3x3 map at t=1. With a token collision
+    # weight, that clash is the model's minimum, so every try decodes it.
+    calls = []
+    attempt_window = planner._attempt_window
+
+    def counting_attempt(*args):
+        record, paths = attempt_window(*args)
+        calls.append((paths, record.repairs[-1]))
+        return record, paths
+
+    monkeypatch.setattr(planner, "_attempt_window", counting_attempt)
+    result = plan_paths(GridMap(3, 3), [RobotSpec(0, (1, 0), (1, 2)),
+                                        RobotSpec(1, (0, 1), (2, 1))],
+                        weights=PenaltyWeights(k_coll=0.01),
+                        window_cfg=WindowConfig(window_len=3),
+                        solver_cfg=SolverConfig(seed=1, num_reads=20, sweeps=100))
+    clash = "robots 0 and 1: vertex conflict at t=1"
+    assert calls == [(None, clash)] * planner.ATTEMPTS_PER_WINDOW
+    (window,) = result.windows
+    assert window.repairs[-1] == f"window abandoned: {clash}"
+    assert not result.succeeded
+
+
 def test_plan_single_eight_connected_reaches_goal_diagonally():
     plan = plan_single(GridMap(5, 5, connectivity=8), (0, 0), (3, 3),
                        window_cfg=WindowConfig(window_len=6))
@@ -249,8 +273,8 @@ def test_best_energy_is_the_folded_models_energy_of_the_chosen_sample(monkeypatc
         folded_models.append(folded.model)
         return folded
 
-    def recording_solve(model, cfg):
-        sampleset = solve(model, cfg)
+    def recording_solve(model, cfg, *, groups):
+        sampleset = solve(model, cfg, groups=groups)
         ones = {i for i, b in enumerate(sampleset.best.bits) if b}
         chosen.append(folded_models[-1].energy(ones))
         return sampleset

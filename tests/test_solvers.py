@@ -5,20 +5,16 @@ import numpy as np
 import pytest
 
 from quboplan.planner import build_window, derive_seed
-from quboplan.qubo import QuboModel
+import quboplan.solvers as solvers
+from quboplan.qubo import QuboModel, var_group
 from quboplan.scenario import load_scenario
-from quboplan.solvers import (
-    SMALL_MODEL_VARS,
-    SolverConfig,
-    metropolis_accept,
-    solve,
-    solve_annealing,
-    solve_exhaustive,
-)
+from quboplan.solvers import SolverConfig, solve, solve_exhaustive
 
 from oracles import brute_force_minima, four_var_fixture, peak_rescaled, random_grid_model
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+# The fixture's unique minimum (1, 0, 0, 1) sets one variable of each pair.
+PAIRS = (0, 0, 1, 1)
 
 
 def test_solver_config_validation():
@@ -84,25 +80,33 @@ def test_exhaustive_rejects_oversized_models():
 
 
 def test_annealer_finds_known_minimum():
-    result = solve_annealing(four_var_fixture(), SolverConfig(seed=3, num_reads=50))
+    result = solve(four_var_fixture(), SolverConfig(seed=3, num_reads=50), groups=PAIRS)
     assert result.best.energy == -11.0
     assert result.best.bits == (1, 0, 0, 1)
 
 
 def test_annealer_zero_variables():
-    result = solve_annealing(QuboModel(0, constant=1.5), SolverConfig(num_reads=7))
+    result = solve(QuboModel(0, constant=1.5), SolverConfig(num_reads=7), groups=())
     assert result.best.energy == 1.5
     assert result.best.occurrences == 7
 
 
+def test_annealer_needs_groups():
+    with pytest.raises(ValueError):
+        solve(four_var_fixture(), SolverConfig())
+    with pytest.raises(ValueError):
+        solve(four_var_fixture(), SolverConfig(), groups=(0, 1))
+
+
 def test_annealer_deterministic_for_fixed_seed():
+    # Hot enough that the reads do not all settle in the minimum.
     m = four_var_fixture()
-    cfg = SolverConfig(seed=99, num_reads=20, sweeps=100)
-    first = solve_annealing(m, cfg)
-    second = solve_annealing(m, cfg)
+    cfg = SolverConfig(seed=99, num_reads=20, sweeps=100, beta_range=(0.01, 0.02))
+    first = solve(m, cfg, groups=PAIRS)
+    second = solve(m, cfg, groups=PAIRS)
     assert [(s.bits, s.energy, s.occurrences) for s in first] == \
            [(s.bits, s.energy, s.occurrences) for s in second]
-    different = solve_annealing(m, SolverConfig(seed=100, num_reads=20, sweeps=100))
+    different = solve(m, replace(cfg, seed=100), groups=PAIRS)
     assert [(s.bits, s.occurrences) for s in first] != \
            [(s.bits, s.occurrences) for s in different]
 
@@ -110,7 +114,7 @@ def test_annealer_deterministic_for_fixed_seed():
 def test_sampleset_energies_reverify_and_occurrences_sum():
     m = four_var_fixture()
     cfg = SolverConfig(seed=5, num_reads=64, sweeps=200)
-    result = solve_annealing(m, cfg)
+    result = solve(m, cfg, groups=PAIRS)
     assert sum(s.occurrences for s in result) == 64
     for s in result:
         assert s.energy == m.energy({i for i, b in enumerate(s.bits) if b})
@@ -118,33 +122,28 @@ def test_sampleset_energies_reverify_and_occurrences_sum():
     assert energies == sorted(energies)
 
 
-def test_metropolis_acceptance_rule():
-    u = np.array([0.0, 0.5, 0.999])
-    assert metropolis_accept(np.array([-1.0, -1.0, -1.0]), 2.0, u).all()
-    assert metropolis_accept(np.array([0.0, 0.0, 0.0]), 2.0, u).all()
-    # an uphill move passes only when u < exp(-beta * dE)
-    p = float(np.exp(-2.0 * 0.7))
-    got = metropolis_accept(np.array([0.7, 0.7]), 2.0, np.array([p * 0.9, p * 1.1]))
-    assert got.tolist() == [True, False]
-
-
 def test_metropolis_equilibrium_statistics():
-    # single uphill bit at fixed temperature: occupancy of state 1 converges
-    # to exp(-beta*d) / (1 + exp(-beta*d))
-    d, beta = 1.0, 1.25
-    m = QuboModel(1)
-    m.add(0, 0, d)
+    # One group of three members at energies 0, 0.5 and 1 under a fixed
+    # temperature: uniform proposals are symmetric, so member occupancy
+    # converges to the Boltzmann weights. Without couplings between groups β
+    # is read per unit of the peak |coefficient|, here 1.
+    beta = 1.25
+    m = QuboModel(3)
+    m.add(1, 1, 0.5)
+    m.add(2, 2, 1.0)
     cfg = SolverConfig(seed=8, num_reads=4000, sweeps=60, beta_range=(beta, beta + 1e-9))
-    result = solve_annealing(m, cfg)
-    occupancy = sum(s.occurrences for s in result if s.bits == (1,)) / 4000
-    expected = np.exp(-beta * d) / (1 + np.exp(-beta * d))
-    assert occupancy == pytest.approx(expected, abs=0.03)
+    result = solve(m, cfg, groups=(0, 0, 0))
+    weights = np.exp(-beta * np.array([0.0, 0.5, 1.0]))
+    for member, expected in enumerate(weights / weights.sum()):
+        bits = tuple(int(k == member) for k in range(3))
+        hits = sum(s.occurrences for s in result if s.bits == bits)
+        assert hits / 4000 == pytest.approx(expected, abs=0.03)
 
 
 def test_solve_dispatch():
     m = four_var_fixture()
     assert solve(m, SolverConfig(backend="exhaustive")).best.energy == -11.0
-    assert solve(m, SolverConfig(seed=1, num_reads=30)).best.energy == -11.0
+    assert solve(m, SolverConfig(seed=1, num_reads=30), groups=PAIRS).best.energy == -11.0
 
 
 def test_annealer_agrees_with_exhaustive_on_pipeline_instances():
@@ -156,32 +155,76 @@ def test_annealer_agrees_with_exhaustive_on_pipeline_instances():
 
 
 def _first_window(name):
-    """The folded model and annealer settings of a shipped scenario's first
-    window attempt, as the planner builds and seeds them."""
+    """The folded model, annealer settings and variable groups of a shipped
+    scenario's first window attempt, as the planner builds and seeds them."""
     spec = load_scenario(str(SCENARIOS / f"{name}.scn"))
     robots = [(r.start, r.goal, {r.start}) for r in spec.robots]
-    _, _, folded = build_window(spec.grid, robots, spec.window_cfg.window_len, spec.weights,
-                                allow_wait=len(robots) > 1)
+    window, _, folded = build_window(spec.grid, robots, spec.window_cfg.window_len,
+                                     spec.weights, allow_wait=len(robots) > 1)
     cfg = replace(spec.solver_cfg, backend="annealer", seed=derive_seed(spec.seed, 0, 0, 0))
-    return folded.model, cfg
+    groups = [var_group(window.dims, v) for v in folded.free_vars]
+    return folded.model, cfg, groups
 
 
 def _draws(sampleset):
     return [(s.bits, s.occurrences) for s in sampleset]
 
 
-@pytest.mark.parametrize("name", ["single5", "multi5", "multi10_2", "multi10_4", "demo3"])
-def test_solve_matches_annealing_the_peak_rescaled_model(name):
-    # solve folds the peak |coefficient| into β: it must draw what the
-    # absolute-β annealer draws on the model rescaled to a peak of 2.0 (under
-    # SMALL_MODEL_VARS free variables) or 1.0.
-    model, cfg = _first_window(name)
-    peak = 2.0 if model.num_vars < SMALL_MODEL_VARS else 1.0
-    assert _draws(solve(model, cfg)) == _draws(solve_annealing(peak_rescaled(model, peak), cfg))
+def _members(groups):
+    out: dict[int, list[int]] = {}
+    for v, g in enumerate(groups):
+        out.setdefault(g, []).append(v)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("name", ["single5", "multi5", "multi10_4"])
+def test_every_sample_sets_one_bit_per_group(name):
+    model, cfg, groups = _first_window(name)
+    result = solve(model, replace(cfg, num_reads=40, sweeps=50), groups=groups)
+    assert sum(s.occurrences for s in result) == 40
+    for s in result:
+        assert all(sum(s.bits[v] for v in members) == 1 for members in _members(groups))
+
+
+def test_one_bit_per_group_under_shuffled_labels():
+    # Labels need not be contiguous, sorted or dense.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        model = random_grid_model(rng, n)
+        groups = [int(label) * 7 - 3 for label in rng.integers(0, 4, n)]
+        result = solve(model, SolverConfig(seed=int(rng.integers(1 << 30)), num_reads=16,
+                                           sweeps=30), groups=groups)
+        for s in result:
+            assert all(sum(s.bits[v] for v in members) == 1 for members in _members(groups))
+            assert s.energy == model.energy({i for i, b in enumerate(s.bits) if b})
+
+
+def test_samples_do_not_depend_on_the_read_block(monkeypatch):
+    model, cfg, groups = _first_window("multi5")
+    cfg = replace(cfg, num_reads=12, sweeps=80)
+    whole = _draws(solve(model, cfg, groups=groups))
+    monkeypatch.setattr(solvers, "_RANDOM_BUDGET", 1)  # one read per block
+    assert _draws(solve(model, cfg, groups=groups)) == whole
+
+
+@pytest.mark.parametrize("name", ["multi5", "multi10_2"])
+def test_cold_samples_are_local_minima_under_one_group_moves(name):
+    # Incremental fields that drifted from the model would leave a final
+    # state from which some relocation still lowers the energy.
+    model, cfg, groups = _first_window(name)
+    cfg = replace(cfg, num_reads=20, sweeps=400, beta_range=(1.0, 200.0))
+    for s in solve(model, cfg, groups=groups):
+        ones = {v for v, b in enumerate(s.bits) if b}
+        for members in _members(groups):
+            held = next(v for v in members if v in ones)
+            for other in members:
+                moved = (ones - {held}) | {other}
+                assert model.energy(moved) >= s.energy - 1e-9
 
 
 @pytest.mark.parametrize("k", [-3, 1, 4])
 def test_solve_is_invariant_to_scaling_the_model(k):
-    model, cfg = _first_window("multi5")
+    model, cfg, groups = _first_window("multi5")
     scaled = peak_rescaled(model, 2.0 ** k * model.max_abs_coefficient())
-    assert _draws(solve(scaled, cfg)) == _draws(solve(model, cfg))
+    assert _draws(solve(scaled, cfg, groups=groups)) == _draws(solve(model, cfg, groups=groups))
