@@ -94,9 +94,9 @@ def _cmd_export_qubo(args) -> int:
     if len(spec.robots) != 1:
         raise ScenarioError("export-qubo handles single-robot scenarios")
     robot = spec.robots[0]
-    wspec, _, folded = build_window(spec.grid, [(robot.start, robot.goal, {robot.start})],
-                                    spec.window_cfg.window_len, spec.weights)
-    model = build_window_model(wspec) if args.raw else folded.model
+    window = build_window(spec.grid, [(robot.start, robot.goal, {robot.start})],
+                          spec.window_cfg.window_len, spec.weights)
+    model = build_window_model(window.spec) if args.raw else window.folded.model
     _emit(model.to_text(), args.output)
     return 0
 

@@ -34,13 +34,13 @@ def random_instances(samples: int, seed: int):
         if goal not in bfs_distances(grid, start):
             continue
         horizon = int(rng.integers(3, 6))
-        spec, _, folded = build_window(grid, [(start, goal, {start})], horizon,
-                                       PenaltyWeights())
+        window = build_window(grid, [(start, goal, {start})], horizon, PenaltyWeights())
+        folded = window.folded
         n = folded.model.num_vars
         if n < 1 or n > 20:
             continue
         produced += 1
-        yield folded.model, [var_group(spec.dims, v) for v in folded.free_vars]
+        yield folded.model, [var_group(window.spec.dims, v) for v in folded.free_vars]
 
 
 def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7) -> dict:

@@ -1,21 +1,23 @@
 """Sequential window planning: presolve, solve, repair, validate, stitch.
 
-A plan is assembled window by window. Each window builds a fresh QUBO over
-the robots active on the global clock, shrinks it by variable fixing, solves
-it (or skips the solver when fixing decided everything), repairs the decoded
-occupancy, and stitches the accepted sub-path onto the plan so global times
-advance by exactly one per step. Failed windows are retried with fresh solver
-seeds; the final retry widens the window once before giving up. A window
-whose outcome no seed can change is widened at once instead, and given up
-when the widened one fails too.
+A plan is assembled window by window. Each window fixes what reachability
+decides for the robots active on the global clock; when variables remain
+free, it builds their QUBO, folds the fixed values in and solves it. The
+decoded occupancy is repaired, and the accepted sub-path is stitched onto
+the plan so global times advance by exactly one per step. Failed windows
+are retried with fresh solver seeds; the final retry widens the window once
+before giving up. A window whose outcome no seed can change is widened at
+once instead, and given up when the widened one fails too.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .grid import Cell, GridMap, bfs_distances, bfs_layers, min_moves
 from .penalties import (
+    Admissible,
     GOAL_MODE_APPROX,
     GOAL_MODE_LATE,
     PenaltyWeights,
@@ -262,32 +264,56 @@ def derive_seed(base: int, *parts: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+@dataclass
+class Window:
+    """One window as `build_window` makes it: the spec, the presolve report
+    and the cells logical fixing left admissible.
+
+    The folded model is built when `folded` is first read. A window that
+    logical fixing decided never needs it: `report.fixed_one` is then its
+    whole assignment.
+    """
+
+    spec: WindowSpec
+    report: FixReport
+    admissible: Admissible
+
+    @cached_property
+    def folded(self) -> FoldedModel:
+        """The window's QUBO over the admissible cells, folded onto the free
+        variables and cleared of hopeless diagonals. The numeric pass
+        updates `report` in place."""
+        model = build_window_model(self.spec, self.admissible)
+        return fix_numeric_diagonal(fold(model, self.report), self.report)
+
+
 def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
-                 allow_wait: bool = False) -> tuple[WindowSpec, FixReport, FoldedModel]:
-    """One window's spec, presolve report and folded model.
+                 allow_wait: bool = False) -> Window:
+    """One window's spec and presolve report, with its model built on demand.
 
     `robots` holds one (current cell, goal, visited cells) triple per robot.
     Cells visited in earlier windows are left out of a robot's reachability
     search; when that walls off the goal, or ends the search short of the
     horizon where the full search reaches further, the exclusion is dropped
-    and the softened revisit penalties take over instead. A robot whose goal
-    is reachable and strictly closer than the horizon (`min_moves`) seeks it
+    and the softened revisit penalties take over instead. The full search is
+    skipped when it can change neither: the goal lies beyond the horizon
+    (`min_moves`) and the search with exclusions already reaches it. A robot
+    whose goal is reachable and strictly closer than the horizon seeks it
     with the late-time reward, any other with the window-final approximation
-    reward.
-    Logical fixing reuses these searches; the model is then built, folded,
-    and cleared of hopeless diagonals.
+    reward. Logical fixing reuses these searches.
     """
     records, tables = [], []
     for start, goal, visited in robots:
         excluded = frozenset(visited) - {start}
         table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
         reachable = table.contains(goal)
-        if not reachable and excluded:
+        lower = min_moves(grid, start, goal)
+        if not reachable and excluded and (lower <= horizon or table.max_depth() < horizon):
             full = bfs_layers(grid, start, horizon)
             reachable = full.contains(goal)
             if reachable or table.max_depth() < min(horizon, full.max_depth()):
                 table, excluded = full, frozenset()
-        if reachable and min_moves(grid, start, goal) < horizon:
+        if reachable and lower < horizon:
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
@@ -295,25 +321,28 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
         tables.append(table)
     spec = WindowSpec(grid, tuple(records), weights, allow_wait)
     report, admissible = fix_logical(spec, tables)
-    model = build_window_model(spec, admissible)
-    folded = fix_numeric_diagonal(fold(model, report), report)
-    return spec, report, folded
+    return Window(spec, report, admissible)
 
 
-def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi
+def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, multi
                     ) -> tuple[WindowRecord, list[tuple[list[Cell], bool]] | None]:
     """Build, presolve, solve, and repair one window.
 
-    Returns the try's record with every robot's (path, reached goal) when
-    the try is accepted, or with None when it fails; the record's last
-    repair entry then gives the reason.
+    The sampler's seed is derived from the run's seed and `seed_parts` only
+    when the sampler runs. Returns the try's record with every robot's
+    (path, reached goal) when the try is accepted, or with None when it
+    fails; the record's last repair entry then gives the reason.
     """
     for agent in agents:
         if not grid.neighbors(agent.current):
             return WindowRecord(horizon, repairs=[f"robot {agent.spec.id} cannot move"]), None
-    spec, report, folded = build_window(
+    window = build_window(
         grid, [(a.current, a.spec.goal, a.visited) for a in agents], horizon, weights,
         allow_wait=multi)
+    spec, report = window.spec, window.report
+    # A window that logical fixing decided needs no model. Building one runs
+    # the numeric pass, which updates the report read below.
+    folded = None if report.solved_by_preprocess else window.folded
     modes = [rec.goal_mode for rec in spec.robots]
     record = WindowRecord(
         horizon, {a.spec.id: m for a, m in zip(agents, modes)},
@@ -324,9 +353,9 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi
         numeric_fixed=report.numeric_fixed,
     )
     if report.solved_by_preprocess:
-        ones = set(folded.fixed_one)
+        ones = report.fixed_one
     else:
-        cfg = replace(solver_cfg, seed=seed)
+        cfg = replace(solver_cfg, seed=derive_seed(solver_cfg.seed, *seed_parts))
         sampleset = solve(folded.model, cfg,
                           groups=[var_group(spec.dims, v) for v in folded.free_vars])
         ones = folded.expand(sampleset.best.bits)
@@ -447,9 +476,8 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         horizon = wcfg.window_len
         escalated = False
         for retries in range(ATTEMPTS_PER_WINDOW):
-            seed = derive_seed(scfg.seed, window_index, retries, int(escalated))
-            record, paths = _attempt_window(eff_grid, active, weights, scfg, horizon, seed,
-                                            multi)
+            record, paths = _attempt_window(eff_grid, active, weights, scfg, horizon,
+                                            (window_index, retries, int(escalated)), multi)
             # Without a sampler run, no other seed can change the outcome.
             retry_cannot_help = record.backend == "presolve"
             if paths is not None or (escalated and retry_cannot_help):

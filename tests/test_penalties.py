@@ -293,10 +293,10 @@ def test_built_models_store_no_zero_coefficients():
     from quboplan.planner import build_window
 
     g = GridMap(5, 5, frozenset({(2, 2)}))
-    spec, _, folded = build_window(g, [((0, 0), (4, 4), {(0, 0)})], 10, W)
-    dense = build_window_model(spec)
+    built = build_window(g, [((0, 0), (4, 4), {(0, 0)})], 10, W)
+    dense = build_window_model(built.spec)
     assert all(w != 0.0 for w in dense.coeffs.values())
-    assert all(w != 0.0 for w in folded.model.coeffs.values())
+    assert all(w != 0.0 for w in built.folded.model.coeffs.values())
 
 
 def test_weights_validation():

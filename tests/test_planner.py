@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from perfbench.corpus import serpentine
+from quboplan.classical import astar, path_moves
 from quboplan.grid import GridMap, manhattan
 from quboplan.penalties import PenaltyWeights
 from quboplan import planner
@@ -288,3 +290,31 @@ def test_best_energy_is_the_folded_models_energy_of_the_chosen_sample(monkeypatc
     annealed = [w for w in result.windows if w.backend == "annealer"]
     assert len(annealed) >= 2 and all(w.retries == 0 for w in annealed)
     assert [w.best_energy for w in annealed] == chosen
+
+
+@pytest.mark.parametrize("side", range(8, 15))
+def test_decided_corridor_windows_build_no_model(side, monkeypatch):
+    # Reachability fixing decides every window of a one-cell corridor, so
+    # the plan needs no model, no sampler and no sampler seed.
+    def unused(*args, **kwargs):
+        raise AssertionError("a decided window built, seeded or sampled a model")
+
+    for name in ("build_window_model", "solve", "derive_seed"):
+        monkeypatch.setattr(planner, name, unused)
+    grid, start, goal = serpentine(side, side % 8, side % 2 == 1)
+    plan = plan_single(grid, start, goal,
+                       window_cfg=WindowConfig(max_windows=side * side))
+    assert plan.status == STATUS_REACHED
+    assert plan.moves == path_moves(astar(grid, start, goal))
+    assert plan.window_log and all(w.solved_by_preprocess for w in plan.window_log)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="every try of window 0 fails with 'robot 0: adjacency at t=2'"
+                          " (ROADMAP item 2)")
+@pytest.mark.parametrize("backend", ["annealer", "exhaustive"])
+def test_two_robots_cross_the_centre_of_an_empty_3x3_map(backend):
+    result = plan_paths(GridMap(3, 3), [RobotSpec(0, (1, 0), (1, 2)),
+                                        RobotSpec(1, (0, 1), (2, 1))],
+                        solver_cfg=SolverConfig(backend=backend))
+    assert result.succeeded, result.windows[-1].repairs

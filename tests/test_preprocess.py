@@ -5,7 +5,7 @@ import pytest
 
 from perfbench.corpus import city, serpentine
 from quboplan import preprocess
-from quboplan.grid import GridMap
+from quboplan.grid import GridMap, bfs_layers, min_moves
 from quboplan.penalties import (
     GOAL_MODE_APPROX,
     GOAL_MODE_LATE,
@@ -98,8 +98,9 @@ def test_fix_logical_no_shortest_path_is_pruned():
 def test_reached_goal_stays_admissible_when_the_window_allows_waits(allow_wait, steps):
     # A robot planning alone in a window with waits must be able to park on
     # its goal; the goal then stays live through the last non-empty layer.
-    spec, _, folded = build_window(GridMap(5, 5), [((2, 2), (2, 3), {(2, 2)})], 8,
-                                   PenaltyWeights(), allow_wait=allow_wait)
+    built = build_window(GridMap(5, 5), [((2, 2), (2, 3), {(2, 2)})], 8,
+                         PenaltyWeights(), allow_wait=allow_wait)
+    spec, folded = built.spec, built.folded
     live = set(folded.free_vars) | folded.fixed_one
     assert [t for t in range(spec.horizon + 1)
             if var_index(spec.dims, 0, t, (2, 3)) in live] == steps
@@ -228,7 +229,8 @@ def test_numeric_fix_preserves_minimum_on_random_instances():
 
 def test_preprocess_window_end_to_end_energy_identity():
     grid = GridMap(3, 3, frozenset({(1, 1)}))
-    spec, _, folded = build_window(grid, [((0, 0), (2, 2), {(0, 0)})], 4, PenaltyWeights())
+    built = build_window(grid, [((0, 0), (2, 2), {(0, 0)})], 4, PenaltyWeights())
+    spec, folded = built.spec, built.folded
     model = build_window_model(spec, fix_logical(spec)[1])
     rng = np.random.default_rng(12)
     for _ in range(30):
@@ -252,7 +254,7 @@ def _first_windows():
 
 @pytest.mark.parametrize("grid, robots, horizon, weights", _first_windows())
 def test_fold_drops_exactly_the_non_admissible_variables(grid, robots, horizon, weights):
-    spec, _, _ = build_window(grid, robots, horizon, weights, allow_wait=len(robots) > 1)
+    spec = build_window(grid, robots, horizon, weights, allow_wait=len(robots) > 1).spec
     report, admissible = fix_logical(spec)
     model = build_window_model(spec, admissible)
     cells = [(i, j) for i in range(grid.rows) for j in range(grid.cols)]
@@ -285,3 +287,61 @@ def test_fix_logical_work_follows_the_admissible_variables(monkeypatch):
     entries = sum(len(cells) for layers in admissible for cells in layers)
     assert report.original_count == 40 * 40 * 7
     assert calls <= entries
+
+
+def _window_searching_the_full_map_whenever_exclusions_hide_the_goal(
+        grid, robots, horizon, weights, allow_wait):
+    """`build_window`'s spec, report and admissible cells under its earlier
+    rule, which searched the whole map again whenever the search with
+    exclusions missed the goal; also counts the searches the current rule
+    skips (goal beyond the horizon, table already at full depth)."""
+    records, tables, skippable = [], [], 0
+    for start, goal, visited in robots:
+        excluded = frozenset(visited) - {start}
+        table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
+        reachable = table.contains(goal)
+        if not reachable and excluded:
+            skippable += (min_moves(grid, start, goal) > horizon
+                          and table.max_depth() == horizon)
+            full = bfs_layers(grid, start, horizon)
+            reachable = full.contains(goal)
+            if reachable or table.max_depth() < min(horizon, full.max_depth()):
+                table, excluded = full, frozenset()
+        if reachable and min_moves(grid, start, goal) < horizon:
+            mode = GOAL_MODE_LATE
+        else:
+            mode = GOAL_MODE_APPROX
+        records.append(RobotWindow(start, goal, horizon, mode, visited, excluded))
+        tables.append(table)
+    spec = WindowSpec(grid, tuple(records), weights, allow_wait)
+    report, admissible = fix_logical(spec, tables)
+    return spec, report, admissible, skippable
+
+
+def test_skipped_full_searches_change_no_window():
+    rng = np.random.default_rng(808)
+    skipped = 0
+    for _ in range(400):
+        rows, cols = (int(n) for n in rng.integers(2, 9, size=2))
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        obstacles = frozenset(c for c in cells if rng.random() < 0.2)
+        free = [c for c in cells if c not in obstacles]
+        n_robots = int(rng.integers(1, 3))
+        if len(free) < 2 * n_robots:
+            continue
+        grid = GridMap(rows, cols, obstacles, 8 if rng.random() < 0.25 else 4)
+        picks = [free[int(k)] for k in rng.choice(len(free), 2 * n_robots, replace=False)]
+        density = rng.random()
+        robots = [(start, goal, {start} | {c for c in free if rng.random() < density})
+                  for start, goal in zip(picks[:n_robots], picks[n_robots:])]
+        horizon = int(rng.integers(1, 9))
+        weights, allow_wait = PenaltyWeights(), n_robots > 1
+        built = build_window(grid, robots, horizon, weights, allow_wait=allow_wait)
+        spec, report, admissible, skippable = (
+            _window_searching_the_full_map_whenever_exclusions_hide_the_goal(
+                grid, robots, horizon, weights, allow_wait))
+        assert built.spec == spec
+        assert built.report == report
+        assert built.admissible == admissible
+        skipped += skippable
+    assert skipped >= 20

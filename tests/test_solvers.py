@@ -159,10 +159,11 @@ def _first_window(name):
     scenario's first window attempt, as the planner builds and seeds them."""
     spec = load_scenario(str(SCENARIOS / f"{name}.scn"))
     robots = [(r.start, r.goal, {r.start}) for r in spec.robots]
-    window, _, folded = build_window(spec.grid, robots, spec.window_cfg.window_len,
-                                     spec.weights, allow_wait=len(robots) > 1)
+    window = build_window(spec.grid, robots, spec.window_cfg.window_len,
+                          spec.weights, allow_wait=len(robots) > 1)
+    folded = window.folded
     cfg = replace(spec.solver_cfg, backend="annealer", seed=derive_seed(spec.seed, 0, 0, 0))
-    groups = [var_group(window.dims, v) for v in folded.free_vars]
+    groups = [var_group(window.spec.dims, v) for v in folded.free_vars]
     return folded.model, cfg, groups
 
 
