@@ -8,7 +8,7 @@ validators of the QUBO side, so comparisons cannot diverge on map details.
 
 import heapq
 
-from .grid import Cell, GridMap, min_moves
+from .grid import Cell, GridMap, manhattan
 
 
 def _cell_order(grid: GridMap, c: Cell) -> int:
@@ -48,7 +48,7 @@ def _search(grid: GridMap, start: Cell, goal: Cell, heuristic) -> list[Cell] | N
 
 def astar(grid: GridMap, start: Cell, goal: Cell) -> list[Cell] | None:
     """Optimal path under unit step cost, or None if disconnected."""
-    return _search(grid, start, goal, lambda c: min_moves(grid, c, goal))
+    return _search(grid, start, goal, lambda c: manhattan(c, goal))
 
 
 def dijkstra(grid: GridMap, start: Cell, goal: Cell) -> list[Cell] | None:
@@ -95,7 +95,7 @@ def _space_time_astar(grid: GridMap, start: Cell, goal: Cell, release: int,
     if reservations.blocked(start, release):
         return None
     start_state = (start, release)
-    open_heap = [(min_moves(grid, start, goal), _cell_order(grid, start), release, start_state)]
+    open_heap = [(manhattan(start, goal), _cell_order(grid, start), release, start_state)]
     parent: dict[tuple[Cell, int], tuple[Cell, int]] = {}
     seen = {start_state}
     while open_heap:
@@ -116,7 +116,7 @@ def _space_time_astar(grid: GridMap, start: Cell, goal: Cell, release: int,
             parent[nxt] = state
             heapq.heappush(
                 open_heap,
-                (t + 1 - release + min_moves(grid, n, goal), _cell_order(grid, n), t + 1, nxt),
+                (t + 1 - release + manhattan(n, goal), _cell_order(grid, n), t + 1, nxt),
             )
     return None
 

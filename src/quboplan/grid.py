@@ -4,15 +4,15 @@ from dataclasses import dataclass
 
 Cell = tuple[int, int]
 
-_STEPS_4 = ((-1, 0), (0, -1), (0, 1), (1, 0))
-_STEPS_8 = _STEPS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+_STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
 class GridMap:
-    """Rectangular grid with static obstacles.
+    """Rectangular 4-connected grid with static obstacles.
 
-    Cells are (row, col) tuples indexed from the top-left corner. Maps are
+    Cells are (row, col) tuples indexed from the top-left corner. A move
+    steps to one of the four edge neighbours. Maps are
     immutable after construction; callers that need extra blocked cells build
     a derived map with :meth:`with_obstacles`.
     """
@@ -20,13 +20,10 @@ class GridMap:
     rows: int
     cols: int
     obstacles: frozenset[Cell] = frozenset()
-    connectivity: int = 4
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one row and one column")
-        if self.connectivity not in (4, 8):
-            raise ValueError(f"connectivity must be 4 or 8, got {self.connectivity}")
         object.__setattr__(self, "obstacles", frozenset(self.obstacles))
         for c in self.obstacles:
             if not self.in_bounds(c):
@@ -57,9 +54,8 @@ class GridMap:
             raise ValueError(f"cell {c} outside {self.rows}x{self.cols} grid")
         if c in self.obstacles:
             raise ValueError(f"cell {c} is an obstacle")
-        steps = _STEPS_4 if self.connectivity == 4 else _STEPS_8
         out = set()
-        for di, dj in steps:
+        for di, dj in _STEPS:
             n = (c[0] + di, c[1] + dj)
             if self.is_free(n):
                 out.add(n)
@@ -72,20 +68,13 @@ class GridMap:
         extra = frozenset(extra)
         if not extra:
             return self
-        return GridMap(self.rows, self.cols, self.obstacles | extra, self.connectivity)
+        return GridMap(self.rows, self.cols, self.obstacles | extra)
 
 
 def manhattan(a: Cell, b: Cell) -> int:
-    """L1 distance: the minimum number of 4-connected moves on an empty map."""
+    """L1 distance: the fewest moves from a to b on the map without its
+    obstacles. No path on the map is shorter."""
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def min_moves(grid: GridMap, a: Cell, b: Cell) -> int:
-    """Fewest moves from a to b on the map without its obstacles: the L1
-    distance on a 4-connected map, the Chebyshev distance on an 8-connected
-    one. No path on the map is shorter."""
-    di, dj = abs(a[0] - b[0]), abs(a[1] - b[1])
-    return max(di, dj) if grid.connectivity == 8 else di + dj
 
 
 def max_manhattan(grid: GridMap) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Cell, GridMap, bfs_distances, bfs_layers, min_moves
+from .grid import Cell, GridMap, bfs_distances, bfs_layers, manhattan
 from .penalties import (
     Admissible,
     GOAL_MODE_APPROX,
@@ -90,7 +90,7 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
 
     Reports the earliest step onto a blocked cell or off the adjacency rule
     (see `detect_invalid_move`), then checks that the goal is not claimed
-    before the move lower bound from the path's first cell allows.
+    before its L1 distance from the path's first cell.
     """
     cells = list(path)
     if not cells:
@@ -100,7 +100,7 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
         return PathDiagnosis(False, bad[1], bad[0])
     if goal is not None and goal in cells:
         first = cells.index(goal)
-        if first < min_moves(grid, cells[0], goal):
+        if first < manhattan(cells[0], goal):
             return PathDiagnosis(False, "early_goal", first)
     return PathDiagnosis(True)
 
@@ -296,8 +296,8 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
     search; when that walls off the goal, or ends the search short of the
     horizon where the full search reaches further, the exclusion is dropped
     and the softened revisit penalties take over instead. The full search is
-    skipped when it can change neither: the goal lies beyond the horizon
-    (`min_moves`) and the search with exclusions already reaches it. A robot
+    skipped when it can change neither: the goal's L1 distance exceeds the
+    horizon and the search with exclusions already reaches the horizon. A robot
     whose goal is reachable and strictly closer than the horizon seeks it
     with the late-time reward, any other with the window-final approximation
     reward. Logical fixing reuses these searches.
@@ -307,7 +307,7 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
         excluded = frozenset(visited) - {start}
         table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
         reachable = table.contains(goal)
-        lower = min_moves(grid, start, goal)
+        lower = manhattan(start, goal)
         if not reachable and excluded and (lower <= horizon or table.max_depth() < horizon):
             full = bfs_layers(grid, start, horizon)
             reachable = full.contains(goal)
@@ -417,8 +417,9 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     QUBO with vertex-collision coupling. Robots that reach their goals park
     there and become static obstacles for later windows; robots released
     mid-window join at the next window boundary, waiting on their start
-    cell. Every finished plan, clash-repair waits included, is validated
-    once more on the input map.
+    cell, and every window that reaches a robot's release keeps the others
+    off its start. Every finished plan, clash-repair waits included, is
+    validated once more on the input map.
     """
     robots = list(robots)
     if len({r.id for r in robots}) != len(robots):
@@ -456,26 +457,16 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                     for t in range(agent.spec.release, clock + 1)
                 ]
 
-        blocked = set()
-        for agent in agents:
-            if agent.done and agent.status == STATUS_REACHED and agent.steps:
-                blocked.add(agent.steps[-1][1])
-            elif agent.done and agent.status == STATUS_EXHAUSTED:
-                blocked.add(agent.current)
-            elif not agent.done and clock < agent.spec.release < clock + wcfg.window_len:
-                blocked.add(agent.spec.start)
-        blocked -= {a.current for a in active}
-        eff_grid = grid.with_obstacles(blocked)
-
-        stuck = [a for a in active if not eff_grid.is_free(a.current)]
-        if stuck:
-            for agent in stuck:
-                agent.finish(STATUS_EXHAUSTED)
-            continue
-
+        parked = {a.steps[-1][1] for a in agents if a.status == STATUS_REACHED}
+        occupied = {a.current for a in active}
         horizon = wcfg.window_len
         escalated = False
         for retries in range(ATTEMPTS_PER_WINDOW):
+            # A robot released within this try's horizon keeps the others
+            # off its start for the whole try.
+            releasing = {a.spec.start for a in pending
+                         if clock < a.spec.release <= clock + horizon}
+            eff_grid = grid.with_obstacles((parked | releasing) - occupied)
             record, paths = _attempt_window(eff_grid, active, weights, scfg, horizon,
                                             (window_index, retries, int(escalated)), multi)
             # Without a sampler run, no other seed can change the outcome.

@@ -1,9 +1,9 @@
 """Variable fixing: shrink a window's QUBO before any solver sees it.
 
 Logical fixing derives forced assignments from reachability alone: a step
-admits only its BFS layer (the start alone at step 0), a singleton layer
-forces its variable on, and the goal cannot be claimed before the move lower
-bound. Cells outside a layer never enter the model, so no work is spent on
+admits only its BFS layer (the start alone at step 0), so no goal is
+claimed before its BFS distance, and a singleton layer forces its variable
+on. Cells outside a layer never enter the model, so no work is spent on
 them. Folding substitutes the fixed values into the coefficients and
 reindexes the survivors densely. A conservative numeric pass then clears
 outlier diagonals that no incident negative mass could ever compensate.
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cell, ReachabilityTable, bfs_layers, min_moves
+from .grid import Cell, ReachabilityTable, bfs_layers
 from .penalties import Admissible, GOAL_MODE_LATE, WindowSpec
 from .qubo import QuboModel, block_size, var_index
 
@@ -76,9 +76,6 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable] | None = None
 
     for robot, (rec, table) in enumerate(zip(spec.robots, tables)):
         layers = [set(table.layers[t]) for t in range(rec.horizon + 1)]
-        # Early goal claims are impossible, so drop those variables outright.
-        for t in range(min(min_moves(spec.grid, rec.start, rec.goal), rec.horizon + 1)):
-            layers[t].discard(rec.goal)
         goal_time = next(
             (t for t, cells in enumerate(layers) if rec.goal in cells), None)
         if goal_time is None and rec.goal_mode == GOAL_MODE_LATE:

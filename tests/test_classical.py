@@ -50,15 +50,14 @@ def test_astar_dijkstra_lengths_agree_and_match_bfs():
         if len(free) < 2:
             continue
         start, goal = free[0], free[-1]
-        for connectivity in (4, 8):
-            g = GridMap(rows, cols, obstacles, connectivity=connectivity)
-            reference = bfs_distances(g, start).get(goal)
-            a = astar(g, start, goal)
-            d = dijkstra(g, start, goal)
-            if reference is None:
-                assert a is None and d is None
-            else:
-                assert path_moves(a) == path_moves(d) == reference, connectivity
+        g = GridMap(rows, cols, obstacles)
+        reference = bfs_distances(g, start).get(goal)
+        a = astar(g, start, goal)
+        d = dijkstra(g, start, goal)
+        if reference is None:
+            assert a is None and d is None
+        else:
+            assert path_moves(a) == path_moves(d) == reference
 
 
 def test_prioritized_disjoint_corridors_match_solo():

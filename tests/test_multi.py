@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from perfbench.checker import check_plans
+from perfbench.corpus import city
 from quboplan.grid import GridMap
 from quboplan.multi import plan_multi, validate_robots
 from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
@@ -114,6 +116,20 @@ def test_staggered_release_waits_at_start():
     assert times == list(range(3, 3 + len(times)))
 
 
+def test_robot_released_at_a_window_end_is_kept_off_its_start():
+    # robot 1 appears on (0, 5) at t=6, the last step of the second window,
+    # which robot 0 would otherwise cross on its way to (0, 6)
+    grid = GridMap(2, 7)
+    robots = [RobotSpec(0, (1, 0), (0, 6)),
+              RobotSpec(1, (0, 5), (1, 5), release=6)]
+    for seed in range(3):
+        result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=3),
+                            solver_cfg=SolverConfig(seed=seed))
+        assert result.succeeded, [w.repairs for w in result.windows]
+        assert [p.moves for p in result.plans] == [7, 1]
+        assert find_vertex_conflicts([p.steps for p in result.plans]) == []
+
+
 def test_release_robot_parked_on_another_goal_degrades_gracefully():
     # the late robot sits on the first robot's goal until released; the first
     # robot makes partial progress, waits, and finishes once the cell clears
@@ -137,3 +153,36 @@ def test_vertex_free_across_corpus():
                             solver_cfg=SolverConfig(seed=seed, num_reads=120, sweeps=500))
         reached = [p for p in result.plans if p.status == STATUS_REACHED]
         assert find_vertex_conflicts([p.steps for p in reached]) == []
+
+
+def _released_pairs(count):
+    """Two robots on small maps with 15 % obstacles; the second robot is
+    released at a random step in [0, 2 * window_len]."""
+    rng = np.random.default_rng(909)
+    for k in range(count):
+        rows, cols = (int(n) for n in rng.integers(3, 7, size=2))
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        grid = GridMap(rows, cols, frozenset(c for c in cells if rng.random() < 0.15))
+        free = grid.free_cells()
+        window_len = int(rng.integers(2, 5))
+        release = int(rng.integers(0, 2 * window_len + 1))
+        if len(free) < 4:
+            continue
+        a, b, c, d = (free[int(i)] for i in rng.choice(len(free), 4, replace=False))
+        yield (grid, (RobotSpec(0, a, b), RobotSpec(1, c, d, release)),
+               WindowConfig(window_len=window_len),
+               SolverConfig(num_reads=20, sweeps=200, seed=k))
+
+
+def test_every_accepted_generated_plan_passes_the_independent_checker():
+    instances = [(i.grid, i.robots, i.window_cfg, i.solver_cfg) for i in city(0)]
+    instances += _released_pairs(30)
+    accepted = 0
+    for grid, robots, window_cfg, solver_cfg in instances:
+        result = plan_multi(grid, robots, window_cfg=window_cfg, solver_cfg=solver_cfg)
+        if result.succeeded:
+            accepted += 1
+            steps = {p.robot: p.steps for p in result.plans}
+            assert check_plans(grid, robots, steps) == [], (grid, robots)
+    # the check must not pass by accepting nothing
+    assert accepted > len(instances) // 2

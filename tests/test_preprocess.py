@@ -5,7 +5,7 @@ import pytest
 
 from perfbench.corpus import city, serpentine
 from quboplan import preprocess
-from quboplan.grid import GridMap, bfs_layers, min_moves
+from quboplan.grid import GridMap, bfs_layers, manhattan
 from quboplan.penalties import (
     GOAL_MODE_APPROX,
     GOAL_MODE_LATE,
@@ -301,13 +301,13 @@ def _window_searching_the_full_map_whenever_exclusions_hide_the_goal(
         table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
         reachable = table.contains(goal)
         if not reachable and excluded:
-            skippable += (min_moves(grid, start, goal) > horizon
+            skippable += (manhattan(start, goal) > horizon
                           and table.max_depth() == horizon)
             full = bfs_layers(grid, start, horizon)
             reachable = full.contains(goal)
             if reachable or table.max_depth() < min(horizon, full.max_depth()):
                 table, excluded = full, frozenset()
-        if reachable and min_moves(grid, start, goal) < horizon:
+        if reachable and manhattan(start, goal) < horizon:
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
@@ -329,7 +329,8 @@ def test_skipped_full_searches_change_no_window():
         n_robots = int(rng.integers(1, 3))
         if len(free) < 2 * n_robots:
             continue
-        grid = GridMap(rows, cols, obstacles, 8 if rng.random() < 0.25 else 4)
+        rng.random()  # unused draw; keeps the rest of the random instances fixed
+        grid = GridMap(rows, cols, obstacles)
         picks = [free[int(k)] for k in rng.choice(len(free), 2 * n_robots, replace=False)]
         density = rng.random()
         robots = [(start, goal, {start} | {c for c in free if rng.random() < density})
