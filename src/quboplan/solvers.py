@@ -16,6 +16,13 @@ the couplings between groups. The fields are updated after each accepted
 move over sparse neighbour lists, and groups that share no coupling move
 together (Isakov et al., Comput. Phys. Commun. 192, 265, 2015).
 
+Window models are small, tens to a few hundred free variables in two to
+five colour classes, so the annealer's time goes to numpy calls, not to
+arithmetic. Each colour class therefore keeps its state, its proposals and
+its draws for each sweep in contiguous arrays of its own, and a pass over
+it makes about a dozen numpy calls. Sample energies are scored in one
+vectorised sum that adds the terms in `QuboModel.energy`'s order.
+
 `solve` reads the annealing β range per unit of the largest |coupling
 between groups| and never rescales the model: scaling Q by s is the same as
 scaling β by s, so sample energies stay in the model's own units.
@@ -88,11 +95,30 @@ class SampleSet:
         return len(self.samples)
 
 
+def _terms(model) -> tuple[np.ndarray, np.ndarray]:
+    """The model's (a, b) index pairs and their weights, in `coeffs` order."""
+    pairs = np.array(list(model.coeffs), dtype=np.intp).reshape(-1, 2)
+    return pairs, np.fromiter(model.coeffs.values(), dtype=np.float64, count=len(pairs))
+
+
+def _energies(model, on: np.ndarray) -> np.ndarray:
+    """`model.energy` of each row of a boolean matrix, bit for bit.
+
+    Each row sums the constant, then every term in `coeffs` order, one
+    addition at a time, as `model.energy` does. An inactive term adds -0.0,
+    which leaves any sum unchanged.
+    """
+    pairs, weights = _terms(model)
+    terms = np.full((len(on), len(pairs) + 1), -0.0)
+    terms[:, 0] = model.constant
+    np.copyto(terms[:, 1:], weights, where=on[:, pairs[:, 0]] & on[:, pairs[:, 1]])
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
 def _collect(model, counts: dict[tuple[int, ...], int]) -> SampleSet:
-    samples = [
-        Sample(bits, model.energy({i for i, b in enumerate(bits) if b}), hits)
-        for bits, hits in counts.items()
-    ]
+    energies = _energies(model, np.array(list(counts), dtype=bool))
+    samples = [Sample(bits, energy, hits)
+               for (bits, hits), energy in zip(counts.items(), energies.tolist())]
     samples.sort(key=lambda s: (s.energy, s.bits))
     return SampleSet(samples)
 
@@ -188,8 +214,7 @@ def _one_hot_layout(model, groups) -> _OneHotLayout:
         raise ValueError(f"groups must label each of the {n} variables once")
     gid = np.unique(labels, return_inverse=True)[1].reshape(n)
     num_groups = int(gid.max()) + 1
-    keys = np.array(list(model.coeffs), dtype=np.intp).reshape(-1, 2)
-    values = np.fromiter(model.coeffs.values(), dtype=np.float64, count=len(keys))
+    keys, values = _terms(model)
     a, b = keys[:, 0], keys[:, 1]
     linear = a == b
     cross = gid[a] != gid[b]
@@ -240,68 +265,119 @@ def _one_hot_layout(model, groups) -> _OneHotLayout:
 def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np.ndarray:
     """Each read's final state: one chosen internal variable per group.
 
-    The fields of a block of reads live in one flat array, a row of `stride`
-    entries per read, and a state is the flat index of each group's set bit.
+    Reads run in blocks that fit `_RANDOM_BUDGET`, each in its own call so
+    that its arrays are freed before the next block allocates. A read's
+    draws come from `SeedSequence((seed, read))` alone, so its final state
+    does not depend on its block.
     """
     n, num_groups = len(layout.order), len(layout.size)
     stride = 1 << n.bit_length()  # > n, so column n is the padding sink
-    betas = _geometric_betas(cfg.beta_range, cfg.sweeps) * scale
-    span = (layout.size - 1).astype(np.float64)
     # Every per-read array counts against the budget, in 8-byte units.
     per_read = num_groups * (cfg.sweeps + 2) + stride
     block = max(1, min(cfg.num_reads, _RANDOM_BUDGET // per_read))
-    seed_base = cfg.seed & 0xFFFFFFFFFFFFFFFF
+    betas = _geometric_betas(cfg.beta_range, cfg.sweeps) * scale
     states = np.empty((cfg.num_reads, num_groups), dtype=np.intp)
-    offset, weight = layout.offset, layout.weight
-    draws = np.empty((cfg.sweeps, num_groups), dtype=np.float32)
+    for lo in range(0, cfg.num_reads, block):
+        reads = range(lo, min(lo + block, cfg.num_reads))
+        states[lo:reads.stop] = _anneal_block(layout, cfg, betas, reads, stride)
+    return states
+
+
+def _items(columns: np.ndarray, width: int) -> np.ndarray:
+    """A view of 4-byte values in which each run of `width` values along a
+    row is one opaque item; numpy copies such an item much faster than the
+    values one by one."""
+    return columns.view(f"V{4 * width}")
+
+
+def _anneal_block(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray,
+                  reads: range, stride: int) -> np.ndarray:
+    """The final states of one block of reads.
+
+    The fields of the block live in one flat array, a row of `stride`
+    entries per read, and a state is the flat index of each group's set bit.
+    Each colour class keeps its own contiguous arrays, read by read in group
+    order: `pair[1]` holds the class's state and `pair[0]` its proposals, and
+    its picks and thresholds for sweep s are row s of its columns of `picks`
+    and `limits`. So a pass over a class reads and writes contiguous arrays
+    only, and it compacts the accepted moves once.
+    """
+    n, num_groups = len(layout.order), len(layout.size)
+    count = len(reads)
+    base = (np.arange(count) * stride)[:, None] + layout.first
+    # Groups before `moving` have one member and never move.
+    moving = layout.classes[0][0] if layout.classes else num_groups
+    cuts = [(a, b, slice(count * (a - moving), count * (b - moving)))
+            for a, b in layout.classes]
 
     def shift(field, ends, count):
         # The bits at `ends[:count]` were set and the rest cleared: add and
         # remove their couplings to the fields of the other groups.
         local = ends & (stride - 1)
-        change = weight.take(local, axis=0)
+        change = layout.weight.take(local, axis=0)
         change[count:] *= -1.0
-        targets = ends[:, None] + offset.take(local, axis=0)
+        targets = ends[:, None] + layout.offset.take(local, axis=0)
         np.add.at(field, targets.ravel(), change.ravel())
 
-    for lo in range(0, cfg.num_reads, block):
-        reads = min(block, cfg.num_reads - lo)
-        base = (np.arange(reads) * stride)[:, None] + layout.first
-        start = np.empty((reads, num_groups), dtype=np.float32)
-        picks = np.empty((reads, cfg.sweeps, num_groups), dtype=np.int32)
-        limits = np.empty((reads, cfg.sweeps, num_groups), dtype=np.float32)
-        for i in range(reads):
-            rng = np.random.default_rng(np.random.SeedSequence((seed_base, lo + i)))
-            rng.random(dtype=np.float32, out=start[i])
-            # A proposal picks one of the group's other members, uniformly:
-            # the k-th of them is member k, or k + 1 from the held member on.
-            rng.random(dtype=np.float32, out=draws)
-            picks[i] = draws * span + base[i]
-            rng.random(dtype=np.float32, out=limits[i])
-        # Metropolis: accept when delta <= -ln(u) / beta (always when u = 0).
-        with np.errstate(divide="ignore"):
-            np.log(limits, out=limits)
-        limits *= (-1.0 / betas)[:, None]
+    # Each read draws its G starting values, then sweeps x G proposals, then
+    # sweeps x G acceptance values, and its columns are filled from them.
+    span = (layout.size - 1).astype(np.float64)
+    seed_base = cfg.seed & 0xFFFFFFFFFFFFFFFF
+    start = np.empty((count, num_groups), dtype=np.float32)
+    picks = np.empty((cfg.sweeps, count * (num_groups - moving)), dtype=np.int32)
+    limits = np.empty(picks.shape, dtype=np.float32)
+    draws = np.empty((cfg.sweeps, num_groups), dtype=np.float32)
+    chosen = np.empty(draws.shape, dtype=np.int32)
+    columns = [(_items(picks[:, cut], b - a), _items(chosen[:, a:b], b - a)[:, 0],
+                _items(limits[:, cut], b - a), _items(draws[:, a:b], b - a)[:, 0])
+               for a, b, cut in cuts]
+    for i, read in enumerate(reads):
+        rng = np.random.default_rng(np.random.SeedSequence((seed_base, read)))
+        rng.random(dtype=np.float32, out=start[i])
+        # A proposal picks one of the group's other members, uniformly:
+        # the k-th of them is member k, or k + 1 from the held member on.
+        rng.random(dtype=np.float32, out=draws)
+        np.add(draws * span, base[i], out=chosen, casting="unsafe")
+        for to, column, _, _ in columns:
+            to[:, i] = column
+        rng.random(dtype=np.float32, out=draws)
+        for _, _, to, column in columns:
+            to[:, i] = column
+    # Metropolis: accept when delta <= -ln(u) / beta (always when u = 0).
+    with np.errstate(divide="ignore"):
+        np.log(limits, out=limits)
+    limits *= (-1.0 / betas)[:, None]
 
-        cur = (base + start * layout.size).astype(np.int32)
-        field = np.zeros((reads, stride))
-        field[:, :n] = layout.diag
-        field = field.ravel()
-        shift(field, cur.ravel(), cur.size)
+    cur = (base + start * layout.size).astype(np.int32)
+    field = np.zeros((count, stride))
+    field[:, :n] = layout.diag
+    field = field.ravel()
+    shift(field, cur.ravel(), cur.size)
 
-        passes = [(cur[:, a:b], a, b) for a, b in layout.classes]
-        for s in range(cfg.sweeps):
-            for held, a, b in passes:
-                pick = picks[:, s, a:b]
-                proposed = pick + (pick >= held)
-                accept = field.take(proposed) - field.take(held) <= limits[:, s, a:b]
-                moved = proposed[accept]
-                if moved.size:
-                    ends = np.concatenate((moved, held[accept]))
-                    held[accept] = moved
-                    shift(field, ends, moved.size)
-        states[lo:lo + reads] = cur - base + layout.first
-    return states
+    passes = []
+    for a, b, cut in cuts:
+        pair = np.empty((2, count * (b - a)), dtype=np.intp)
+        pair[1] = cur[:, a:b].ravel()
+        energy = np.empty(pair.shape)
+        passes.append((picks[:, cut], limits[:, cut], pair, pair[0], pair[1],
+                       energy, energy[0], energy[1], np.empty(pair.shape[1], dtype=bool)))
+    for s in range(cfg.sweeps):
+        for pick, limit, pair, proposed, held, energy, new, old, accept in passes:
+            pick = pick[s]
+            np.greater_equal(pick, held, accept)
+            np.add(pick, accept, proposed)
+            field.take(pair, out=energy, mode="clip")
+            np.subtract(new, old, new)
+            np.less_equal(new, limit[s], accept)
+            ends = pair.compress(accept, axis=1)
+            if ends.size:
+                np.putmask(held, accept, proposed)
+                # The set bits first, then the cleared ones, each read by
+                # read in group order.
+                shift(field, ends.ravel(), ends.shape[1])
+    for (a, b, _), (_, _, pair, *_) in zip(cuts, passes):
+        cur[:, a:b] = pair[1].reshape(count, b - a)
+    return cur - base + layout.first
 
 
 def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:

@@ -3,14 +3,24 @@
 These evaluate the closed-form penalty sums directly on occupancies, count
 shortest paths by brute force, and compute exact minima by plain enumeration.
 They deliberately avoid the library's coefficient-accumulation and solver
-code paths so agreement between the two is meaningful.
+code paths so agreement between the two is meaningful. The first one-hot
+annealing kernel is kept here too, as the reference its faster rewrite must
+reproduce state for state.
 """
 
 import itertools
 
+import numpy as np
+
 from quboplan.grid import GridMap, bfs_distances, manhattan, max_manhattan, obstacle_potential
 from quboplan.penalties import GOAL_MODE_APPROX, WindowSpec
 from quboplan.qubo import QuboModel
+from quboplan.solvers import (
+    _RANDOM_BUDGET,
+    SolverConfig,
+    _geometric_betas,
+    _OneHotLayout,
+)
 
 
 def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) -> float:
@@ -164,3 +174,73 @@ def four_var_fixture() -> QuboModel:
     model.add(1, 2, 2.0)
     model.add(2, 3, 10.0)
     return model
+
+
+# The one-hot annealing kernel as first written: each class reads its state
+# as a strided column slice of `cur`, and accepted moves are masked out and
+# concatenated. `solvers._anneal_one_hot` must return exactly its states.
+def anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np.ndarray:
+    """Each read's final state: one chosen internal variable per group.
+
+    The fields of a block of reads live in one flat array, a row of `stride`
+    entries per read, and a state is the flat index of each group's set bit.
+    """
+    n, num_groups = len(layout.order), len(layout.size)
+    stride = 1 << n.bit_length()  # > n, so column n is the padding sink
+    betas = _geometric_betas(cfg.beta_range, cfg.sweeps) * scale
+    span = (layout.size - 1).astype(np.float64)
+    # Every per-read array counts against the budget, in 8-byte units.
+    per_read = num_groups * (cfg.sweeps + 2) + stride
+    block = max(1, min(cfg.num_reads, _RANDOM_BUDGET // per_read))
+    seed_base = cfg.seed & 0xFFFFFFFFFFFFFFFF
+    states = np.empty((cfg.num_reads, num_groups), dtype=np.intp)
+    offset, weight = layout.offset, layout.weight
+    draws = np.empty((cfg.sweeps, num_groups), dtype=np.float32)
+
+    def shift(field, ends, count):
+        # The bits at `ends[:count]` were set and the rest cleared: add and
+        # remove their couplings to the fields of the other groups.
+        local = ends & (stride - 1)
+        change = weight.take(local, axis=0)
+        change[count:] *= -1.0
+        targets = ends[:, None] + offset.take(local, axis=0)
+        np.add.at(field, targets.ravel(), change.ravel())
+
+    for lo in range(0, cfg.num_reads, block):
+        reads = min(block, cfg.num_reads - lo)
+        base = (np.arange(reads) * stride)[:, None] + layout.first
+        start = np.empty((reads, num_groups), dtype=np.float32)
+        picks = np.empty((reads, cfg.sweeps, num_groups), dtype=np.int32)
+        limits = np.empty((reads, cfg.sweeps, num_groups), dtype=np.float32)
+        for i in range(reads):
+            rng = np.random.default_rng(np.random.SeedSequence((seed_base, lo + i)))
+            rng.random(dtype=np.float32, out=start[i])
+            # A proposal picks one of the group's other members, uniformly:
+            # the k-th of them is member k, or k + 1 from the held member on.
+            rng.random(dtype=np.float32, out=draws)
+            picks[i] = draws * span + base[i]
+            rng.random(dtype=np.float32, out=limits[i])
+        # Metropolis: accept when delta <= -ln(u) / beta (always when u = 0).
+        with np.errstate(divide="ignore"):
+            np.log(limits, out=limits)
+        limits *= (-1.0 / betas)[:, None]
+
+        cur = (base + start * layout.size).astype(np.int32)
+        field = np.zeros((reads, stride))
+        field[:, :n] = layout.diag
+        field = field.ravel()
+        shift(field, cur.ravel(), cur.size)
+
+        passes = [(cur[:, a:b], a, b) for a, b in layout.classes]
+        for s in range(cfg.sweeps):
+            for held, a, b in passes:
+                pick = picks[:, s, a:b]
+                proposed = pick + (pick >= held)
+                accept = field.take(proposed) - field.take(held) <= limits[:, s, a:b]
+                moved = proposed[accept]
+                if moved.size:
+                    ends = np.concatenate((moved, held[accept]))
+                    held[accept] = moved
+                    shift(field, ends, moved.size)
+        states[lo:lo + reads] = cur - base + layout.first
+    return states

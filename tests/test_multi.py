@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,12 @@ from quboplan.qubo import block_size
 from quboplan.solvers import SolverConfig
 
 EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
+# sha256 of the `to_json()` of every plan of `city(0)`, in corpus order, each
+# dumped with sorted keys. Its windows reach 235 free variables in up to five
+# colour classes, beyond the golden files. A change that means to alter these
+# plans runs this module's independent-checker test, reads the new value from
+# the failed assertion and commits it.
+CITY0_PLANS_SHA256 = "d7037e6a1b131214759348cc8d6f4a0ddf1d6809d12bdbf710d45a4d414fcef4"
 
 
 def test_validate_robots_rejects_shared_goal():
@@ -175,14 +184,18 @@ def _released_pairs(count):
 
 
 def test_every_accepted_generated_plan_passes_the_independent_checker():
-    instances = [(i.grid, i.robots, i.window_cfg, i.solver_cfg) for i in city(0)]
-    instances += _released_pairs(30)
+    corpus = [(i.grid, i.robots, i.window_cfg, i.solver_cfg) for i in city(0)]
+    instances = corpus + list(_released_pairs(30))
     accepted = 0
-    for grid, robots, window_cfg, solver_cfg in instances:
+    city_plans = hashlib.sha256()
+    for k, (grid, robots, window_cfg, solver_cfg) in enumerate(instances):
         result = plan_multi(grid, robots, window_cfg=window_cfg, solver_cfg=solver_cfg)
+        if k < len(corpus):
+            city_plans.update(json.dumps(result.to_json(), sort_keys=True).encode())
         if result.succeeded:
             accepted += 1
             steps = {p.robot: p.steps for p in result.plans}
             assert check_plans(grid, robots, steps) == [], (grid, robots)
     # the check must not pass by accepting nothing
     assert accepted > len(instances) // 2
+    assert city_plans.hexdigest() == CITY0_PLANS_SHA256

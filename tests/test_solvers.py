@@ -1,4 +1,6 @@
+import math
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,13 @@ from quboplan.qubo import QuboModel, var_group
 from quboplan.scenario import load_scenario
 from quboplan.solvers import SolverConfig, solve, solve_exhaustive
 
-from oracles import brute_force_minima, four_var_fixture, peak_rescaled, random_grid_model
+from oracles import (
+    anneal_one_hot,
+    brute_force_minima,
+    four_var_fixture,
+    peak_rescaled,
+    random_grid_model,
+)
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 # The fixture's unique minimum (1, 0, 0, 1) sets one variable of each pair.
@@ -229,3 +237,73 @@ def test_solve_is_invariant_to_scaling_the_model(k):
     model, cfg, groups = _first_window("multi5")
     scaled = peak_rescaled(model, 2.0 ** k * model.max_abs_coefficient())
     assert _draws(solve(scaled, cfg, groups=groups)) == _draws(solve(model, cfg, groups=groups))
+
+
+def test_sample_energies_repeat_model_energy_bit_for_bit():
+    # Steps of 0.1 are inexact, so a different order of additions shows; a
+    # constant of -0.0 keeps its sign when no term is active.
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        model = random_grid_model(rng, n, step=0.1)
+        model.constant = float(rng.choice([-0.0, 0.0, 0.3]))
+        counts = {tuple(int(b) for b in rng.integers(0, 2, n)): 1 for _ in range(6)}
+        counts[(0,) * n] = 1
+        for s in solvers._collect(model, counts):
+            expected = model.energy({i for i, b in enumerate(s.bits) if b})
+            assert (s.energy, math.copysign(1.0, s.energy)) == \
+                   (expected, math.copysign(1.0, expected))
+
+
+def _assert_kernels_agree(model, groups, cfg):
+    """Check that the kernel and the reference kernel end every read in the
+    same state; return the layout they ran on."""
+    layout = solvers._one_hot_layout(model, groups)
+    scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
+    assert np.array_equal(solvers._anneal_one_hot(layout, cfg, scale),
+                          anneal_one_hot(layout, cfg, scale))
+    return layout
+
+
+@pytest.mark.parametrize("name", ["single5", "multi5", "multi10_4", "multi10_2"])
+def test_kernel_matches_the_reference_on_shipped_first_windows(name):
+    model, cfg, groups = _first_window(name)
+    _assert_kernels_agree(model, groups, cfg)
+
+
+@pytest.mark.parametrize("budget", [1, 700, solvers._RANDOM_BUDGET])
+def test_kernel_matches_the_reference_on_random_grouped_models(budget, monkeypatch):
+    # A budget of 1 runs each read alone and 700 a few reads per block; the
+    # reference always runs every read in one block.
+    monkeypatch.setattr(solvers, "_RANDOM_BUDGET", budget)
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(80):
+        sizes = rng.integers(1, 5, int(rng.integers(1, 9)))
+        groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).tolist()
+        model = random_grid_model(rng, len(groups), density=float(rng.choice([0.0, 0.15, 0.5])))
+        cfg = SolverConfig(seed=int(rng.integers(1 << 62)), num_reads=int(rng.integers(1, 12)),
+                           sweeps=int(rng.integers(1, 40)),
+                           beta_range=(0.1, float(rng.choice([1.0, 50.0]))))
+        layout = _assert_kernels_agree(model, groups, cfg)
+        seen.add(f"{min(len(layout.classes), 3)} classes")
+        if layout.classes and layout.classes[0][0] > 0:
+            seen.add("singleton groups")
+        if (layout.weight == 0).any():
+            seen.add("padded neighbour rows")
+    assert seen == {"0 classes", "1 classes", "2 classes", "3 classes",
+                    "singleton groups", "padded neighbour rows"}
+
+
+def test_annealing_memory_stays_within_the_random_budget():
+    # Every array the kernel holds per read counts against `_RANDOM_BUDGET`
+    # (8-byte units). multi10_2's first window fills it, so a per-read table
+    # left out of the count fails here.
+    model, cfg, groups = _first_window("multi10_2")
+    tracemalloc.start()
+    try:
+        solve(model, cfg, groups=groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 8 * solvers._RANDOM_BUDGET
