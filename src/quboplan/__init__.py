@@ -57,7 +57,7 @@ from .postprocess import (
     resolve_clash_wait,
 )
 from .multi import plan_multi, validate_robots
-from .classical import astar, dijkstra, path_moves, prioritized_plan
+from .classical import astar, path_moves, prioritized_plan
 from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario
 from .render import render_svg
 from .bench import run_benchmark, run_pipeline

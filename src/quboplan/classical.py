@@ -1,9 +1,9 @@
 """Classical reference planners the benchmarks compare against.
 
-A* and Dijkstra provide optimal single-robot path lengths; prioritized
-planning runs space-time A* robot by robot, treating earlier robots'
-timed cells as reservations. All planners share the grid semantics and the
-validators of the QUBO side, so comparisons cannot diverge on map details.
+A* provides optimal single-robot path lengths; prioritized planning runs
+space-time A* robot by robot, treating earlier robots' timed cells as
+reservations. All planners share the grid semantics and the validators of
+the QUBO side, so comparisons cannot diverge on map details.
 """
 
 import heapq
@@ -15,14 +15,15 @@ def _cell_order(grid: GridMap, c: Cell) -> int:
     return c[0] * grid.cols + c[1]
 
 
-def _search(grid: GridMap, start: Cell, goal: Cell, heuristic) -> list[Cell] | None:
+def astar(grid: GridMap, start: Cell, goal: Cell) -> list[Cell] | None:
+    """Optimal path under unit step cost, or None if disconnected."""
     if not grid.is_free(start) or not grid.is_free(goal):
         raise ValueError("start and goal must be free cells")
     if start == goal:
         return [start]
     # Heap keys: (f, cell order, g). Ties break on the smaller linear cell
     # index, which makes expansion order deterministic.
-    open_heap = [(heuristic(start), _cell_order(grid, start), 0, start)]
+    open_heap = [(manhattan(start, goal), _cell_order(grid, start), 0, start)]
     parent: dict[Cell, Cell] = {}
     best_g = {start: 0}
     closed: set[Cell] = set()
@@ -42,18 +43,8 @@ def _search(grid: GridMap, start: Cell, goal: Cell, heuristic) -> list[Cell] | N
                 continue
             best_g[n] = ng
             parent[n] = cell
-            heapq.heappush(open_heap, (ng + heuristic(n), _cell_order(grid, n), ng, n))
+            heapq.heappush(open_heap, (ng + manhattan(n, goal), _cell_order(grid, n), ng, n))
     return None
-
-
-def astar(grid: GridMap, start: Cell, goal: Cell) -> list[Cell] | None:
-    """Optimal path under unit step cost, or None if disconnected."""
-    return _search(grid, start, goal, lambda c: manhattan(c, goal))
-
-
-def dijkstra(grid: GridMap, start: Cell, goal: Cell) -> list[Cell] | None:
-    """A* with a zero heuristic; always matches astar's path length."""
-    return _search(grid, start, goal, lambda c: 0)
 
 
 def path_moves(path) -> int:

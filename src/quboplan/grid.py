@@ -144,23 +144,18 @@ def bfs_distances(grid: GridMap, start: Cell) -> dict[Cell, int]:
     return dist
 
 
-def obstacle_potential(grid: GridMap, c: Cell, radius: int = 1) -> float:
-    """Fraction of the Chebyshev neighborhood blocked by obstacles or borders.
+def obstacle_potential(grid: GridMap, c: Cell) -> float:
+    """Fraction of the eight surrounding cells blocked by obstacles or borders.
 
     Out-of-grid cells count as blocked, so map borders repel like walls.
     Result lies in [0, 1].
     """
     if not grid.is_free(c):
         raise ValueError(f"cell {c} is not a free cell")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    total = 0
-    blocked = 0
-    for di in range(-radius, radius + 1):
-        for dj in range(-radius, radius + 1):
-            if di == 0 and dj == 0:
-                continue
-            total += 1
-            if not grid.is_free((c[0] + di, c[1] + dj)):
-                blocked += 1
-    return blocked / total
+    blocked = sum(
+        not grid.is_free((c[0] + di, c[1] + dj))
+        for di in (-1, 0, 1)
+        for dj in (-1, 0, 1)
+        if di or dj
+    )
+    return blocked / 8

@@ -9,7 +9,7 @@ model energy always equals the sum of the formulas evaluated on the decoded
 occupancy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .grid import Cell, GridMap, manhattan, max_manhattan, obstacle_potential
 from .qubo import Dims, QuboModel, block_size, var_index
@@ -17,17 +17,27 @@ from .qubo import Dims, QuboModel, block_size, var_index
 GOAL_MODE_LATE = "late_time"
 GOAL_MODE_APPROX = "approximation"
 
+# The goal reward's time multiplier at a window's last step (it starts at 1).
+GOAL_RAMP_MAX = 2.0
+# Share of `k_bt` charged for each step on a cell visited in an earlier window.
+BT_SOFT_FACTOR = 0.5
+
+
+def goal_factor(t: int, horizon: int) -> float:
+    """Time multiplier of the goal reward at step t of a window, rising
+    linearly from 1 to `GOAL_RAMP_MAX`."""
+    return 1.0 + (GOAL_RAMP_MAX - 1.0) * t / horizon
+
 
 @dataclass(frozen=True)
 class PenaltyWeights:
     """Relative importance of each constraint.
 
     The defaults were tuned empirically on the benchmark scenarios; all
-    weights must stay strictly positive, `bt_soft_factor` non-negative (a
-    negative one would reward revisits) and `potential_radius` at least 1.
-    Only the weights' ratios matter: the annealer reads its β range per unit
-    of the model's largest coupling between (robot, step) groups
-    (`solvers.solve`), so no overall scale is set here.
+    weights must stay strictly positive. Only the weights' ratios matter:
+    the annealer reads its β range per unit of the model's largest coupling
+    between (robot, step) groups (`solvers.solve`), so no overall scale is
+    set here.
     """
 
     k_hot: float = 4.0
@@ -39,26 +49,11 @@ class PenaltyWeights:
     k_tel: float = 3.0
     k_approx: float = 1.0
     k_coll: float = 4.0
-    goal_ramp_max: float = 2.0
-    bt_soft_factor: float = 0.5
-    potential_radius: int = 1
 
     def __post_init__(self):
-        for name in ("k_hot", "k_adj", "k_start", "k_goal", "k_lock",
-                     "k_bt", "k_tel", "k_approx", "k_coll"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.goal_ramp_max < 1:
-            raise ValueError("goal_ramp_max must be >= 1")
-        if self.bt_soft_factor < 0:
-            raise ValueError("bt_soft_factor must be >= 0")
-        if self.potential_radius < 1:
-            raise ValueError("potential_radius must be >= 1")
-
-    def goal_factor(self, t: int, horizon: int) -> float:
-        """Time multiplier of the goal reward at step t of a window, rising
-        linearly from 1 to `goal_ramp_max`."""
-        return 1.0 + ((self.goal_ramp_max - 1.0) * t / horizon if horizon else 0.0)
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,11 @@ class RobotWindow:
 
     start: Cell
     goal: Cell
-    horizon: int
     goal_mode: str = GOAL_MODE_LATE
     visited: frozenset[Cell] = frozenset()
     excluded: frozenset[Cell] = frozenset()
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("window horizon must be >= 1")
         if self.goal_mode not in (GOAL_MODE_LATE, GOAL_MODE_APPROX):
             raise ValueError(f"unknown goal mode {self.goal_mode!r}")
         object.__setattr__(self, "visited", frozenset(self.visited))
@@ -88,17 +80,21 @@ class RobotWindow:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Everything needed to build one window's QUBO: map, robots, weights,
-    and whether a robot may wait (stay on its cell for a step)."""
+    """Everything needed to build one window's QUBO: map, robots, the
+    window's horizon (every robot plans steps 0..horizon), weights, and
+    whether a robot may wait (stay on its cell for a step)."""
 
     grid: GridMap
     robots: tuple[RobotWindow, ...]
+    horizon: int
     weights: PenaltyWeights = field(default_factory=PenaltyWeights)
     allow_wait: bool = False
 
     def __post_init__(self):
         if not self.robots:
             raise ValueError("window needs at least one robot")
+        if self.horizon < 1:
+            raise ValueError("window horizon must be >= 1")
         object.__setattr__(self, "robots", tuple(self.robots))
         for r in self.robots:
             if not self.grid.is_free(r.start):
@@ -107,10 +103,6 @@ class WindowSpec:
             # it); the goal-seeking terms are then vacuous for this window.
             if not self.grid.in_bounds(r.goal):
                 raise ValueError(f"robot goal {r.goal} outside the grid")
-
-    @property
-    def horizon(self) -> int:
-        return max(r.horizon for r in self.robots)
 
     @property
     def dims(self) -> Dims:
@@ -141,7 +133,7 @@ def apply_one_hot(model: QuboModel, spec: WindowSpec, robot: int,
                   admissible: Admissible) -> QuboModel:
     """Exactly-one-cell-per-step: K * (1 - sum x)^2 for every time step."""
     k = spec.weights.k_hot
-    for t in range(spec.robots[robot].horizon + 1):
+    for t in range(spec.horizon + 1):
         entries = _vars_at(spec, robot, t, admissible)
         model.constant += k
         for i, (_, a) in enumerate(entries):
@@ -159,7 +151,7 @@ def apply_adjacency(model: QuboModel, spec: WindowSpec, robot: int,
     structural rather than penalized.
     """
     k = spec.weights.k_adj
-    for t in range(spec.robots[robot].horizon):
+    for t in range(spec.horizon):
         nxt = admissible[robot][t + 1]
         for c, a in _vars_at(spec, robot, t, admissible):
             model.add(a, a, k)
@@ -183,10 +175,10 @@ def apply_goal_late_time(model: QuboModel, spec: WindowSpec, robot: int,
     """Goal reward growing along the window; never applied at step 0."""
     rec = spec.robots[robot]
     k = spec.weights.k_goal
-    for t in range(1, rec.horizon + 1):
+    for t in range(1, spec.horizon + 1):
         if rec.goal in admissible[robot][t]:
             a = var_index(spec.dims, robot, t, rec.goal)
-            model.add(a, a, -k * spec.weights.goal_factor(t, rec.horizon))
+            model.add(a, a, -k * goal_factor(t, spec.horizon))
     return model
 
 
@@ -195,7 +187,7 @@ def apply_goal_lock(model: QuboModel, spec: WindowSpec, robot: int,
     """Penalize leaving the goal: K * x_{g,t} * (1 - x_{g,t+1})."""
     rec = spec.robots[robot]
     k = spec.weights.k_lock
-    for t in range(rec.horizon):
+    for t in range(spec.horizon):
         if rec.goal not in admissible[robot][t]:
             continue
         a = var_index(spec.dims, robot, t, rec.goal)
@@ -216,7 +208,7 @@ def apply_backtracking(model: QuboModel, spec: WindowSpec, robot: int,
     rec = spec.robots[robot]
     k = spec.weights.k_bt
     occurrences: dict[Cell, list[int]] = {}
-    for t in range(rec.horizon + 1):
+    for t in range(spec.horizon + 1):
         for c in admissible[robot][t]:
             occurrences.setdefault(c, []).append(t)
     for c in sorted(occurrences):
@@ -227,7 +219,7 @@ def apply_backtracking(model: QuboModel, spec: WindowSpec, robot: int,
                 for t2 in times[i + 1:]:
                     model.add(a, var_index(spec.dims, robot, t2, c), k)
         if c in rec.visited:
-            soft = k * spec.weights.bt_soft_factor
+            soft = k * BT_SOFT_FACTOR
             for t in times:
                 a = var_index(spec.dims, robot, t, c)
                 model.add(a, a, soft)
@@ -239,7 +231,7 @@ def apply_teleportation(model: QuboModel, spec: WindowSpec, robot: int,
     """Penalize claiming the goal before its L1 distance from the start."""
     rec = spec.robots[robot]
     k = spec.weights.k_tel
-    bound = min(manhattan(rec.start, rec.goal), rec.horizon + 1)
+    bound = min(manhattan(rec.start, rec.goal), spec.horizon + 1)
     for t in range(bound):
         if rec.goal in admissible[robot][t]:
             a = var_index(spec.dims, robot, t, rec.goal)
@@ -258,11 +250,10 @@ def apply_approximation(model: QuboModel, spec: WindowSpec, robot: int,
     rec = spec.robots[robot]
     k = spec.weights.k_approx
     d_max = max_manhattan(spec.grid)
-    radius = spec.weights.potential_radius
-    t = rec.horizon
+    t = spec.horizon
     for c in sorted(admissible[robot][t]):
         closeness = 1.0 - (manhattan(c, rec.goal) / d_max if d_max else 0.0)
-        openness = 1.0 - obstacle_potential(spec.grid, c, radius)
+        openness = 1.0 - obstacle_potential(spec.grid, c)
         w = -k * closeness * openness
         if w != 0.0:
             a = var_index(spec.dims, robot, t, c)
@@ -276,8 +267,7 @@ def apply_vertex_collision(model: QuboModel, spec: WindowSpec,
     k = spec.weights.k_coll
     for r1 in range(len(spec.robots)):
         for r2 in range(r1 + 1, len(spec.robots)):
-            steps = min(spec.robots[r1].horizon, spec.robots[r2].horizon)
-            for t in range(steps + 1):
+            for t in range(spec.horizon + 1):
                 for c in sorted(admissible[r1][t] & admissible[r2][t]):
                     model.add(
                         var_index(spec.dims, r1, t, c),

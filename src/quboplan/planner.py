@@ -89,8 +89,8 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
     """Soundness gate for a path given as one cell per step.
 
     Reports the earliest step onto a blocked cell or off the adjacency rule
-    (see `detect_invalid_move`), then checks that the goal is not claimed
-    before its L1 distance from the path's first cell.
+    (see `detect_invalid_move`), then, when a goal is given, checks that the
+    path ends on it.
     """
     cells = list(path)
     if not cells:
@@ -98,24 +98,18 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
     bad = detect_invalid_move(cells, grid, allow_wait=allow_wait)
     if bad is not None:
         return PathDiagnosis(False, bad[1], bad[0])
-    if goal is not None and goal in cells:
-        first = cells.index(goal)
-        if first < manhattan(cells[0], goal):
-            return PathDiagnosis(False, "early_goal", first)
+    if goal is not None and cells[-1] != goal:
+        return PathDiagnosis(False, "goal_missed", len(cells) - 1)
     return PathDiagnosis(True)
 
 
-def stitch(steps, window_path, start_time: int = 0):
+def stitch(steps, window_path):
     """Append a window path, dropping the duplicated boundary cell.
 
-    An empty plan is re-based at `start_time`; otherwise the window must
-    begin on the plan's last cell, and global times continue by exactly one.
+    The window must begin on the plan's last cell, and global times continue
+    by exactly one.
     """
     window_path = list(window_path)
-    if not steps:
-        return [(start_time + k, c) for k, c in enumerate(window_path)]
-    if not window_path:
-        return list(steps)
     if window_path[0] != steps[-1][1]:
         raise StitchError(
             f"window starts at {window_path[0]} but plan ends at {steps[-1][1]}"
@@ -317,9 +311,9 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
-        records.append(RobotWindow(start, goal, horizon, mode, visited, excluded))
+        records.append(RobotWindow(start, goal, mode, visited, excluded))
         tables.append(table)
-    spec = WindowSpec(grid, tuple(records), weights, allow_wait)
+    spec = WindowSpec(grid, tuple(records), horizon, weights, allow_wait)
     report, admissible = fix_logical(spec, tables)
     return Window(spec, report, admissible)
 
@@ -492,7 +486,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
 
         for agent, (path, reached) in zip(active, paths):
             agent.log.append(record)
-            agent.steps = stitch(agent.steps, path, start_time=clock)
+            agent.steps = stitch(agent.steps, path)
             agent.visited |= set(path)
             agent.current = path[-1]
             if reached:

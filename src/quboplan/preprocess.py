@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cell, ReachabilityTable, bfs_layers
+from .grid import ReachabilityTable
 from .penalties import Admissible, GOAL_MODE_LATE, WindowSpec
 from .qubo import QuboModel, block_size, var_index
 
@@ -51,14 +51,14 @@ class FixReport:
         return self.reduced_count == 0
 
 
-def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable] | None = None
+def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable]
                 ) -> tuple[FixReport, Admissible]:
     """Forced assignments for one window, plus the admissible variable sets.
 
-    `tables` holds each robot's reachability layers from its start over its
-    horizon, minus its `excluded` cells; they are searched here when not
-    given. When the spec allows waits, a reached goal stays admissible after
-    first arrival, so the robot can park on it.
+    `tables` holds each robot's reachability layers from its start over the
+    window's horizon, as `planner.build_window` searched them. When the
+    spec allows waits, a reached goal stays admissible after first arrival,
+    so the robot can park on it.
 
     Raises `InfeasibleWindowError` when a goal-seeking robot cannot reach its
     goal within the window. This guards an invariant: `build_window` gives
@@ -66,39 +66,34 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable] | None = None
     passes, so the pipeline never raises it.
     """
     dims = spec.dims
+    horizon = spec.horizon
     report = FixReport(original_count=len(spec.robots) * block_size(dims))
     admissible: Admissible = []
-
-    if tables is None:
-        tables = [bfs_layers(spec.grid, rec.start, rec.horizon, exclude_visited=rec.excluded)
-                  for rec in spec.robots]
     joint_depth = max(t.max_depth() for t in tables)
 
     for robot, (rec, table) in enumerate(zip(spec.robots, tables)):
-        layers = [set(table.layers[t]) for t in range(rec.horizon + 1)]
+        layers = [set(table.layers[t]) for t in range(horizon + 1)]
         goal_time = next(
             (t for t, cells in enumerate(layers) if rec.goal in cells), None)
         if goal_time is None and rec.goal_mode == GOAL_MODE_LATE:
             raise InfeasibleWindowError(
                 robot,
-                f"robot {robot}: goal {rec.goal} unreachable within {rec.horizon} steps",
+                f"robot {robot}: goal {rec.goal} unreachable within {horizon} steps",
             )
         if spec.allow_wait and goal_time is not None:
             # Keep the goal available after first arrival so the robot can
             # park on it, and an early finisher stays visible to the other
             # robots' collision terms.
-            for t in range(goal_time + 1, min(joint_depth, rec.horizon) + 1):
+            for t in range(goal_time + 1, min(joint_depth, horizon) + 1):
                 layers[t].add(rec.goal)
-        elif goal_time is not None and goal_time < rec.horizon:
+        elif goal_time is not None and goal_time < horizon:
             # A goal the search wavefront cannot be continued from would
             # otherwise lose to wandering: parking must stay expressible, and
             # the growing goal rewards then make it the cheapest choice.
             onward = spec.grid.neighbors(rec.goal) & layers[goal_time + 1]
             if not onward:
-                for t in range(goal_time + 1, rec.horizon + 1):
+                for t in range(goal_time + 1, horizon + 1):
                     layers[t].add(rec.goal)
-        while len(layers) <= spec.horizon:
-            layers.append(set())
         admissible.append(layers)
 
     reduced = 0

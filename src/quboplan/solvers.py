@@ -178,8 +178,6 @@ def solve_exhaustive(model) -> SampleSet:
 
 def _geometric_betas(beta_range: tuple[float, float], sweeps: int) -> np.ndarray:
     lo, hi = beta_range
-    if sweeps == 1:
-        return np.array([lo])
     return np.geomspace(lo, hi, sweeps)
 
 

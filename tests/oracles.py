@@ -12,8 +12,15 @@ import itertools
 
 import numpy as np
 
-from quboplan.grid import GridMap, bfs_distances, manhattan, max_manhattan, obstacle_potential
-from quboplan.penalties import GOAL_MODE_APPROX, WindowSpec
+from quboplan.grid import (
+    GridMap,
+    bfs_distances,
+    bfs_layers,
+    manhattan,
+    max_manhattan,
+    obstacle_potential,
+)
+from quboplan.penalties import BT_SOFT_FACTOR, GOAL_MODE_APPROX, WindowSpec, goal_factor
 from quboplan.qubo import QuboModel
 from quboplan.solvers import (
     _RANDOM_BUDGET,
@@ -36,8 +43,8 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
         return 1 if c in occupancy[r].get(t, set()) else 0
 
     total = 0.0
+    horizon = spec.horizon
     for r, rec in enumerate(spec.robots):
-        horizon = rec.horizon
         for t in range(horizon + 1):
             filled = sum(occ(r, t, c) for c in admissible[r][t])
             total += w.k_hot * (1 - filled) ** 2
@@ -57,12 +64,12 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
             for c in admissible[r][horizon]:
                 if occ(r, horizon, c):
                     closeness = 1.0 - (manhattan(c, rec.goal) / d_max if d_max else 0.0)
-                    openness = 1.0 - obstacle_potential(spec.grid, c, w.potential_radius)
+                    openness = 1.0 - obstacle_potential(spec.grid, c)
                     total -= w.k_approx * closeness * openness
         else:
             for t in range(1, horizon + 1):
                 if rec.goal in admissible[r][t]:
-                    total -= w.k_goal * w.goal_factor(t, horizon) * occ(r, t, rec.goal)
+                    total -= w.k_goal * goal_factor(t, horizon) * occ(r, t, rec.goal)
         for t in range(horizon):
             if rec.goal in admissible[r][t]:
                 here = occ(r, t, rec.goal)
@@ -79,18 +86,25 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
                         total += w.k_bt * occ(r, t1, c) * occ(r, t2, c)
             if c in rec.visited:
                 for t in times:
-                    total += w.k_bt * w.bt_soft_factor * occ(r, t, c)
+                    total += w.k_bt * BT_SOFT_FACTOR * occ(r, t, c)
         for t in range(min(manhattan(rec.start, rec.goal), horizon + 1)):
             if rec.goal in admissible[r][t]:
                 total += w.k_tel * occ(r, t, rec.goal)
 
     for r1 in range(len(spec.robots)):
         for r2 in range(r1 + 1, len(spec.robots)):
-            shared_horizon = min(spec.robots[r1].horizon, spec.robots[r2].horizon)
-            for t in range(shared_horizon + 1):
+            for t in range(horizon + 1):
                 for c in admissible[r1][t] & admissible[r2][t]:
                     total += w.k_coll * occ(r1, t, c) * occ(r2, t, c)
     return total
+
+
+def reachability_tables(spec: WindowSpec):
+    """Each robot's BFS layers from its start over the window's horizon,
+    minus its excluded cells: the tables `fix_logical` reads, for a spec
+    built by hand rather than by `planner.build_window`."""
+    return [bfs_layers(spec.grid, rec.start, spec.horizon, exclude_visited=rec.excluded)
+            for rec in spec.robots]
 
 
 def all_shortest_paths(grid: GridMap, start, goal, limit: int = 10000):

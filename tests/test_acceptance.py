@@ -148,7 +148,7 @@ def test_criterion_6_closed_form_equivalence():
             ones = set()
             for r, rec in enumerate(spec.robots):
                 per_t = {}
-                for t in range(rec.horizon + 1):
+                for t in range(spec.horizon + 1):
                     chosen = {c for c in adm[r][t] if rng.random() < 0.3}
                     if chosen:
                         per_t[t] = chosen

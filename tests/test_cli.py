@@ -113,19 +113,18 @@ def test_oracle_check_small_run(capsys):
     assert json.loads(out)["runs"] == 8
 
 
-@pytest.mark.parametrize("argv, weights", [
+@pytest.mark.parametrize("argv, window", [
     (["plan", "--reads", "-5"], ""),
     (["plan", "--reads", "0"], ""),
     (["plan", "--sweeps", "0"], ""),
     (["bench", "--repeats", "0"], ""),
     (["bench", "--repeats", "-1"], ""),
-    (["plan"], "\n[weights]\npotential_radius = 0\n"),
-    (["plan"], "\n[weights]\nbt_soft_factor = -3\n"),
-], ids=["reads-5", "reads0", "sweeps0", "repeats0", "repeats-1", "potential_radius0",
-        "bt_soft_factor-3"])
-def test_out_of_range_inputs_exit_two(argv, weights, tmp_path, capsys):
+    (["plan"], "max_windows = 0\n"),
+], ids=["reads-5", "reads0", "sweeps0", "repeats0", "repeats-1", "max_windows0"])
+def test_out_of_range_inputs_exit_two(argv, window, tmp_path, capsys):
     scn = tmp_path / "demo3.scn"
-    scn.write_text((SCENARIOS / "demo3.scn").read_text() + weights)
+    text = (SCENARIOS / "demo3.scn").read_text()
+    scn.write_text(text.replace("[window]\n", "[window]\n" + window))
     assert main([argv[0], str(scn)] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: \w+ must be >= [01]\n", err), err

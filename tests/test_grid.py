@@ -108,23 +108,23 @@ def test_bfs_layers_rejects_bad_start():
 
 def test_obstacle_potential_empty_interior():
     g = GridMap(5, 5)
-    assert obstacle_potential(g, (2, 2), 1) == 0.0
+    assert obstacle_potential(g, (2, 2)) == 0.0
 
 
 def test_obstacle_potential_fully_enclosed():
     ring = {(i, j) for i in range(3) for j in range(3)} - {(1, 1)}
     g = GridMap(3, 3, frozenset(ring))
-    assert obstacle_potential(g, (1, 1), 1) == 1.0
+    assert obstacle_potential(g, (1, 1)) == 1.0
 
 
 def test_obstacle_potential_single_neighbor():
     g = GridMap(5, 5, frozenset({(2, 3)}))
-    assert obstacle_potential(g, (2, 2), 1) == pytest.approx(1 / 8)
+    assert obstacle_potential(g, (2, 2)) == pytest.approx(1 / 8)
 
 
 def test_obstacle_potential_borders_count():
     g = GridMap(5, 5)
-    assert obstacle_potential(g, (0, 0), 1) == pytest.approx(5 / 8)
+    assert obstacle_potential(g, (0, 0)) == pytest.approx(5 / 8)
 
 
 def test_max_manhattan():

@@ -21,6 +21,8 @@ from quboplan.preprocess import fix_logical
 from quboplan.qubo import block_size
 from quboplan.solvers import SolverConfig
 
+from oracles import reachability_tables
+
 EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 # sha256 of the `to_json()` of every plan of `city(0)`, in corpus order, each
 # dumped with sorted keys. Its windows reach 235 free variables in up to five
@@ -50,11 +52,11 @@ def test_validate_robots_rejects_shared_start_same_release():
 def test_joint_variable_count_scales_linearly():
     g = GridMap(3, 3)
     weights = PenaltyWeights()
-    single = WindowSpec(g, (RobotWindow(start=(0, 0), goal=(2, 2), horizon=3),), weights)
+    single = WindowSpec(g, (RobotWindow(start=(0, 0), goal=(2, 2)),), 3, weights)
     double = WindowSpec(g, (
-        RobotWindow(start=(0, 0), goal=(2, 2), horizon=3),
-        RobotWindow(start=(2, 0), goal=(0, 2), horizon=3),
-    ), weights)
+        RobotWindow(start=(0, 0), goal=(2, 2)),
+        RobotWindow(start=(2, 0), goal=(0, 2)),
+    ), 3, weights)
     assert build_window_model(double).num_vars == 2 * build_window_model(single).num_vars
     assert block_size(double.dims) * 2 == build_window_model(double).num_vars
 
@@ -63,12 +65,12 @@ def test_collision_terms_only_on_shared_admissible_cells():
     g = GridMap(3, 5)
     # disjoint corridors: rows 0 and 2 never meet
     recs = (
-        RobotWindow(start=(0, 0), goal=(0, 4), horizon=4),
-        RobotWindow(start=(2, 0), goal=(2, 4), horizon=4),
+        RobotWindow(start=(0, 0), goal=(0, 4)),
+        RobotWindow(start=(2, 0), goal=(2, 4)),
     )
     grid = GridMap(3, 5, frozenset({(1, j) for j in range(5)}))
-    spec = WindowSpec(grid, recs, PenaltyWeights(), allow_wait=True)
-    report, adm = fix_logical(spec)
+    spec = WindowSpec(grid, recs, 4, PenaltyWeights(), allow_wait=True)
+    report, adm = fix_logical(spec, reachability_tables(spec))
     model = build_window_model(spec, adm)
     block = block_size(spec.dims)
     cross = [(a, b) for a, b in model.coeffs if a < block <= b]

@@ -3,6 +3,7 @@ import pytest
 
 from quboplan.grid import GridMap
 from quboplan.penalties import (
+    BT_SOFT_FACTOR,
     GOAL_MODE_APPROX,
     GOAL_MODE_LATE,
     PenaltyWeights,
@@ -19,10 +20,11 @@ from quboplan.penalties import (
     apply_vertex_collision,
     build_window_model,
     dense_admissible,
+    goal_factor,
 )
 from quboplan.qubo import QuboModel, block_size, var_index
 
-from oracles import penalty_energy
+from oracles import penalty_energy, reachability_tables
 
 
 W = PenaltyWeights()
@@ -30,8 +32,8 @@ W = PenaltyWeights()
 
 def spec_1x2(horizon=1, mode=GOAL_MODE_LATE):
     g = GridMap(1, 2)
-    rec = RobotWindow(start=(0, 0), goal=(0, 1), horizon=horizon, goal_mode=mode)
-    return WindowSpec(g, (rec,), W)
+    rec = RobotWindow(start=(0, 0), goal=(0, 1), goal_mode=mode)
+    return WindowSpec(g, (rec,), horizon, W)
 
 
 def fresh_model(spec):
@@ -63,8 +65,8 @@ def test_adjacency_contributions():
 
 def test_adjacency_diagonal_jump_penalized():
     g = GridMap(2, 2)
-    rec = RobotWindow(start=(0, 0), goal=(1, 1), horizon=1)
-    spec = WindowSpec(g, (rec,), W)
+    rec = RobotWindow(start=(0, 0), goal=(1, 1))
+    spec = WindowSpec(g, (rec,), 1, W)
     adm = dense_admissible(spec)
     model = apply_adjacency(fresh_model(spec), spec, 0, adm)
     a = var_index(spec.dims, 0, 0, (0, 0))
@@ -84,8 +86,8 @@ def test_start_reward():
 
 def test_goal_late_time_ramp():
     g = GridMap(1, 5)
-    rec = RobotWindow(start=(0, 0), goal=(0, 4), horizon=4)
-    spec = WindowSpec(g, (rec,), PenaltyWeights(k_goal=1.0))
+    rec = RobotWindow(start=(0, 0), goal=(0, 4))
+    spec = WindowSpec(g, (rec,), 4, PenaltyWeights(k_goal=1.0))
     adm = dense_admissible(spec)
     model = apply_goal_late_time(fresh_model(spec), spec, 0, adm)
     goal_var = lambda t: var_index(spec.dims, 0, t, (0, 4))
@@ -107,8 +109,8 @@ def test_goal_lock_contributions():
 
 def test_backtracking_pairs_and_goal_exemption():
     g = GridMap(1, 4)
-    rec = RobotWindow(start=(0, 0), goal=(0, 3), horizon=3)
-    spec = WindowSpec(g, (rec,), W)
+    rec = RobotWindow(start=(0, 0), goal=(0, 3))
+    spec = WindowSpec(g, (rec,), 3, W)
     adm = dense_admissible(spec)
     model = apply_backtracking(fresh_model(spec), spec, 0, adm)
     c1 = var_index(spec.dims, 0, 1, (0, 1))
@@ -121,19 +123,18 @@ def test_backtracking_pairs_and_goal_exemption():
 
 def test_backtracking_visited_softening():
     g = GridMap(1, 4)
-    rec = RobotWindow(start=(0, 0), goal=(0, 3), horizon=2,
-                      visited=frozenset({(0, 1)}))
-    spec = WindowSpec(g, (rec,), W)
+    rec = RobotWindow(start=(0, 0), goal=(0, 3), visited=frozenset({(0, 1)}))
+    spec = WindowSpec(g, (rec,), 2, W)
     adm = dense_admissible(spec)
     model = apply_backtracking(fresh_model(spec), spec, 0, adm)
     v = var_index(spec.dims, 0, 2, (0, 1))
-    assert model.get(v, v) == pytest.approx(W.k_bt * W.bt_soft_factor)
+    assert model.get(v, v) == pytest.approx(W.k_bt * BT_SOFT_FACTOR)
 
 
 def test_teleportation_before_bound_only():
     g = GridMap(5, 5)
-    rec = RobotWindow(start=(0, 0), goal=(2, 2), horizon=6)
-    spec = WindowSpec(g, (rec,), W)
+    rec = RobotWindow(start=(0, 0), goal=(2, 2))
+    spec = WindowSpec(g, (rec,), 6, W)
     adm = dense_admissible(spec)
     model = apply_teleportation(fresh_model(spec), spec, 0, adm)
     early = var_index(spec.dims, 0, 2, (2, 2))
@@ -144,17 +145,16 @@ def test_teleportation_before_bound_only():
 
 def test_teleportation_degenerate_start_is_goal():
     g = GridMap(3, 3)
-    rec = RobotWindow(start=(1, 1), goal=(1, 1), horizon=2)
-    spec = WindowSpec(g, (rec,), W)
+    rec = RobotWindow(start=(1, 1), goal=(1, 1))
+    spec = WindowSpec(g, (rec,), 2, W)
     model = apply_teleportation(fresh_model(spec), spec, 0, dense_admissible(spec))
     assert len(model) == 0
 
 
 def test_approximation_rewards():
     g = GridMap(5, 5)
-    rec = RobotWindow(start=(0, 0), goal=(4, 4), horizon=3,
-                      goal_mode=GOAL_MODE_APPROX)
-    spec = WindowSpec(g, (rec,), PenaltyWeights(k_approx=1.0))
+    rec = RobotWindow(start=(0, 0), goal=(4, 4), goal_mode=GOAL_MODE_APPROX)
+    spec = WindowSpec(g, (rec,), 3, PenaltyWeights(k_approx=1.0))
     adm = dense_admissible(spec)
     model = apply_approximation(fresh_model(spec), spec, 0, adm)
     center = var_index(spec.dims, 0, 3, (2, 2))
@@ -168,10 +168,10 @@ def test_approximation_rewards():
 def test_vertex_collision_pairs():
     g = GridMap(3, 3)
     recs = (
-        RobotWindow(start=(0, 0), goal=(2, 2), horizon=2),
-        RobotWindow(start=(2, 0), goal=(0, 2), horizon=2),
+        RobotWindow(start=(0, 0), goal=(2, 2)),
+        RobotWindow(start=(2, 0), goal=(0, 2)),
     )
-    spec = WindowSpec(g, recs, W)
+    spec = WindowSpec(g, recs, 2, W)
     adm = dense_admissible(spec)
     model = apply_vertex_collision(fresh_model(spec), spec, adm)
     a = var_index(spec.dims, 0, 1, (1, 1))
@@ -185,11 +185,11 @@ def test_vertex_collision_pairs():
 def test_vertex_collision_symmetric_in_robot_order():
     g = GridMap(2, 2)
     recs = (
-        RobotWindow(start=(0, 0), goal=(1, 1), horizon=2),
-        RobotWindow(start=(1, 1), goal=(0, 0), horizon=2),
+        RobotWindow(start=(0, 0), goal=(1, 1)),
+        RobotWindow(start=(1, 1), goal=(0, 0)),
     )
-    spec_ab = WindowSpec(g, recs, W)
-    spec_ba = WindowSpec(g, recs[::-1], W)
+    spec_ab = WindowSpec(g, recs, 2, W)
+    spec_ba = WindowSpec(g, recs[::-1], 2, W)
     m_ab = apply_vertex_collision(fresh_model(spec_ab), spec_ab, dense_admissible(spec_ab))
     m_ba = apply_vertex_collision(fresh_model(spec_ba), spec_ba, dense_admissible(spec_ba))
     # robot blocks swap, but the coupled (cell, step) pairs are the same
@@ -204,13 +204,13 @@ def test_vertex_collision_symmetric_in_robot_order():
 
 def test_valid_path_scores_only_goal_rewards():
     g = GridMap(1, 3)
-    rec = RobotWindow(start=(0, 0), goal=(0, 2), horizon=2)
-    spec = WindowSpec(g, (rec,), W)
+    rec = RobotWindow(start=(0, 0), goal=(0, 2))
+    spec = WindowSpec(g, (rec,), 2, W)
     adm = dense_admissible(spec)
     model = build_window_model(spec, adm)
     path = [(0, 0), (0, 1), (0, 2)]
     ones = {var_index(spec.dims, 0, t, c) for t, c in enumerate(path)}
-    expected = -W.k_start - W.k_goal * W.goal_factor(2, 2)
+    expected = -W.k_start - W.k_goal * goal_factor(2, 2)
     assert model.energy(ones) == pytest.approx(expected)
 
 
@@ -225,15 +225,15 @@ def _random_window(rng):
             continue
         picks = rng.choice(len(free), size=min(4, len(free)), replace=False)
         n_robots = 2 if len(free) >= 4 and rng.random() < 0.5 else 1
+        horizon = int(rng.integers(1, 5))
         recs = []
         for r in range(n_robots):
             start = free[int(picks[2 * r])]
             goal = free[int(picks[2 * r + 1])]
             mode = GOAL_MODE_APPROX if rng.random() < 0.4 else GOAL_MODE_LATE
             visited = frozenset(c for c in free if rng.random() < 0.2)
-            recs.append(RobotWindow(start=start, goal=goal,
-                                    horizon=int(rng.integers(1, 5)),
-                                    goal_mode=mode, visited=visited))
+            recs.append(RobotWindow(start=start, goal=goal, goal_mode=mode,
+                                    visited=visited))
         weights = PenaltyWeights(
             k_hot=float(rng.integers(1, 6)),
             k_adj=float(rng.integers(1, 5)),
@@ -245,7 +245,7 @@ def _random_window(rng):
             k_approx=float(rng.integers(1, 3)),
             k_coll=float(rng.integers(1, 6)),
         )
-        return WindowSpec(GridMap(rows, cols, obstacles), tuple(recs), weights,
+        return WindowSpec(GridMap(rows, cols, obstacles), tuple(recs), horizon, weights,
                           allow_wait=n_robots > 1)
 
 
@@ -259,9 +259,9 @@ def test_model_energy_matches_direct_formulas():
         for _ in range(4):
             occupancy = []
             ones = set()
-            for r, rec in enumerate(spec.robots):
+            for r in range(len(spec.robots)):
                 per_t = {}
-                for t in range(rec.horizon + 1):
+                for t in range(spec.horizon + 1):
                     chosen = {c for c in adm[r][t] if rng.random() < 0.25}
                     if chosen:
                         per_t[t] = chosen
@@ -273,17 +273,16 @@ def test_model_energy_matches_direct_formulas():
 
 def test_obstacle_cells_never_receive_variables():
     from quboplan.preprocess import fix_logical
-    from quboplan.qubo import block_size
 
     g = GridMap(4, 4, frozenset({(1, 1), (2, 3), (3, 0)}))
-    rec = RobotWindow(start=(0, 0), goal=(3, 3), horizon=6)
-    spec = WindowSpec(g, (rec,), W)
+    rec = RobotWindow(start=(0, 0), goal=(3, 3))
+    spec = WindowSpec(g, (rec,), 6, W)
     obstacle_vars = {
         var_index(spec.dims, 0, t, c)
         for t in range(spec.horizon + 1)
         for c in g.obstacles
     }
-    for adm in (dense_admissible(spec), fix_logical(spec)[1]):
+    for adm in (dense_admissible(spec), fix_logical(spec, reachability_tables(spec))[1]):
         model = build_window_model(spec, adm)
         used = {a for key in model.coeffs for a in key}
         assert not (used & obstacle_vars)
@@ -302,10 +301,10 @@ def test_built_models_store_no_zero_coefficients():
 def test_weights_validation():
     with pytest.raises(ValueError):
         PenaltyWeights(k_hot=0.0)
-    with pytest.raises(ValueError):
-        PenaltyWeights(goal_ramp_max=0.5)
-    with pytest.raises(ValueError):
-        PenaltyWeights(potential_radius=0)
-    with pytest.raises(ValueError):
-        PenaltyWeights(bt_soft_factor=-3.0)
-    assert PenaltyWeights(bt_soft_factor=0.0).bt_soft_factor == 0.0
+
+
+def test_window_spec_rejects_horizon_below_one():
+    rec = RobotWindow(start=(0, 0), goal=(0, 1))
+    assert WindowSpec(GridMap(1, 2), (rec,), 1, W).horizon == 1
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        WindowSpec(GridMap(1, 2), (rec,), 0, W)

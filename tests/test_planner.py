@@ -44,7 +44,10 @@ def test_validate_rejects_obstacle_and_early_goal():
     assert (out.kind, out.step) == ("adjacency", 1)
     sneaky = [(0, 0), (2, 2), (2, 1)]  # claims a distance-4 goal at step 1
     out = validate_path(GridMap(3, 3), sneaky, goal=(2, 2))
-    assert out.kind in ("adjacency", "early_goal")
+    assert (out.kind, out.step) == ("adjacency", 1)
+    short = [(0, 0), (0, 1), (0, 2)]  # sound moves that stop short of the goal
+    out = validate_path(g, short, goal=(2, 2))
+    assert (out.ok, out.kind, out.step) == (False, "goal_missed", 2)
 
 
 def test_validate_accepts_diagonal_on_eight_connected_map():
@@ -65,19 +68,14 @@ def test_stitch_drops_boundary_duplicate():
     assert merged == [(0, (0, 0)), (1, (0, 1)), (2, (0, 2)), (3, (1, 2))]
 
 
-def test_stitch_rebases_empty_plan():
-    assert stitch([], [(1, 1), (1, 2)], start_time=4) == [(4, (1, 1)), (5, (1, 2))]
-
-
 def test_stitch_contract_violation():
     with pytest.raises(StitchError):
         stitch([(0, (0, 0))], [(2, 2), (2, 1)])
 
 
 def test_stitch_three_windows_contiguous():
-    steps = []
     cells = [(0, j) for j in range(10)]
-    steps = stitch(steps, cells[:4], start_time=0)
+    steps = stitch([(0, cells[0])], cells[:4])
     steps = stitch(steps, cells[3:7])
     steps = stitch(steps, cells[6:10])
     assert [t for t, _ in steps] == list(range(10))
@@ -165,11 +163,11 @@ def test_plan_window_budget_respected():
 def test_plan_validates_each_window_on_its_own_map(monkeypatch):
     # The final check runs on the stitched plan, so a segment that the
     # window check never saw is still caught on the input map.
-    def stitch_through_obstacle(steps, window_path, start_time=0):
+    def stitch_through_obstacle(steps, window_path):
         window_path = list(window_path)
         if window_path == [(0, 0), (1, 0), (1, 1)]:
             window_path[1] = (0, 1)
-        return stitch(steps, window_path, start_time)
+        return stitch(steps, window_path)
 
     grid = GridMap(2, 2, frozenset({(0, 1)}))
     assert plan_single(grid, (0, 0), (1, 1), solver_cfg=EXHAUSTIVE).cells == [

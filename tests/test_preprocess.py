@@ -25,17 +25,23 @@ from quboplan.planner import build_window
 from quboplan.qubo import QuboModel, var_index
 from quboplan.scenario import load_scenario
 
-from oracles import all_shortest_paths, brute_force_minima, four_var_fixture, random_grid_model
+from oracles import (
+    all_shortest_paths,
+    brute_force_minima,
+    four_var_fixture,
+    random_grid_model,
+    reachability_tables,
+)
 
 
 def window(grid, start, goal, horizon, mode=GOAL_MODE_LATE, **kw):
-    rec = RobotWindow(start=start, goal=goal, horizon=horizon, goal_mode=mode, **kw)
-    return WindowSpec(grid, (rec,), PenaltyWeights())
+    rec = RobotWindow(start=start, goal=goal, goal_mode=mode, **kw)
+    return WindowSpec(grid, (rec,), horizon, PenaltyWeights())
 
 
 def test_fix_logical_2x2_leaves_two_free():
     spec = window(GridMap(2, 2), (0, 0), (1, 1), 2)
-    report, adm = fix_logical(spec)
+    report, adm = fix_logical(spec, reachability_tables(spec))
     assert report.original_count == 12
     assert report.reduced_count == 2
     assert adm[0][0] == {(0, 0)}
@@ -49,14 +55,14 @@ def test_fix_logical_2x2_leaves_two_free():
 def test_fix_logical_benchmark_reduction():
     grid = GridMap(5, 5, frozenset({(2, 2)}))
     spec = window(grid, (0, 0), (4, 4), 19)
-    report, _ = fix_logical(spec)
+    report, _ = fix_logical(spec, reachability_tables(spec))
     assert report.original_count == 500
     assert report.reduction_pct >= 95.0
 
 
 def test_fix_logical_forced_corridor_is_fully_solved():
     spec = window(GridMap(1, 2), (0, 0), (0, 1), 1)
-    report, _ = fix_logical(spec)
+    report, _ = fix_logical(spec, reachability_tables(spec))
     assert report.solved_by_preprocess
     assert report.reduced_count == 0
     assert len(report.fixed_one) == 2
@@ -64,10 +70,12 @@ def test_fix_logical_forced_corridor_is_fully_solved():
 
 def test_fix_logical_rejects_unreachable_goal_in_goal_seeking_mode():
     grid = GridMap(3, 3, frozenset({(0, 1), (1, 1), (1, 0)}))
+    spec = window(grid, (0, 0), (2, 2), 4)
     with pytest.raises(InfeasibleWindowError):
-        fix_logical(window(grid, (0, 0), (2, 2), 4))
+        fix_logical(spec, reachability_tables(spec))
     # the approximation objective tolerates it
-    report, _ = fix_logical(window(grid, (0, 0), (2, 2), 4, mode=GOAL_MODE_APPROX))
+    spec = window(grid, (0, 0), (2, 2), 4, mode=GOAL_MODE_APPROX)
+    report, _ = fix_logical(spec, reachability_tables(spec))
     assert report.reduced_count == 0  # the start is a sealed pocket
 
 
@@ -88,7 +96,7 @@ def test_fix_logical_no_shortest_path_is_pruned():
         if not paths or len(paths[0]) - 1 > 4:
             continue
         spec = window(GridMap(rows, cols, obstacles), start, goal, 4)
-        _, adm = fix_logical(spec)
+        _, adm = fix_logical(spec, reachability_tables(spec))
         for path in paths:
             for t, c in enumerate(path):
                 assert c in adm[0][t], (path, t, c)
@@ -231,7 +239,7 @@ def test_preprocess_window_end_to_end_energy_identity():
     grid = GridMap(3, 3, frozenset({(1, 1)}))
     built = build_window(grid, [((0, 0), (2, 2), {(0, 0)})], 4, PenaltyWeights())
     spec, folded = built.spec, built.folded
-    model = build_window_model(spec, fix_logical(spec)[1])
+    model = build_window_model(spec, built.admissible)
     rng = np.random.default_rng(12)
     for _ in range(30):
         bits = [int(rng.integers(2)) for _ in folded.free_vars]
@@ -254,8 +262,8 @@ def _first_windows():
 
 @pytest.mark.parametrize("grid, robots, horizon, weights", _first_windows())
 def test_fold_drops_exactly_the_non_admissible_variables(grid, robots, horizon, weights):
-    spec = build_window(grid, robots, horizon, weights, allow_wait=len(robots) > 1).spec
-    report, admissible = fix_logical(spec)
+    built = build_window(grid, robots, horizon, weights, allow_wait=len(robots) > 1)
+    spec, report, admissible = built.spec, built.report, built.admissible
     model = build_window_model(spec, admissible)
     cells = [(i, j) for i in range(grid.rows) for j in range(grid.cols)]
     outside = {
@@ -283,7 +291,7 @@ def test_fix_logical_work_follows_the_admissible_variables(monkeypatch):
 
     monkeypatch.setattr(preprocess, "var_index", counted)
     spec = window(GridMap(40, 40), (0, 0), (39, 39), 6, mode=GOAL_MODE_APPROX)
-    report, admissible = fix_logical(spec)
+    report, admissible = fix_logical(spec, reachability_tables(spec))
     entries = sum(len(cells) for layers in admissible for cells in layers)
     assert report.original_count == 40 * 40 * 7
     assert calls <= entries
@@ -311,9 +319,9 @@ def _window_searching_the_full_map_whenever_exclusions_hide_the_goal(
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
-        records.append(RobotWindow(start, goal, horizon, mode, visited, excluded))
+        records.append(RobotWindow(start, goal, mode, visited, excluded))
         tables.append(table)
-    spec = WindowSpec(grid, tuple(records), weights, allow_wait)
+    spec = WindowSpec(grid, tuple(records), horizon, weights, allow_wait)
     report, admissible = fix_logical(spec, tables)
     return spec, report, admissible, skippable
 

@@ -90,7 +90,6 @@ def test_every_weight_parses_with_its_type():
     assert spec.weights == PenaltyWeights(**values)
     for f in fields(PenaltyWeights):
         assert type(getattr(spec.weights, f.name)) is type(getattr(defaults, f.name)), f.name
-    assert type(spec.weights.potential_radius) is int
 
 
 def test_readme_scenario_example_parses():
@@ -137,7 +136,8 @@ def test_unknown_section_and_key_rejected():
     with pytest.raises(ScenarioError, match="unknown section"):
         parse_scenario("[maps]\n...\n")
     for section, line in (("solver", "threads = 4"), ("weights", "norm_scale = 1.0"),
-                          ("window", "max_retries = 5")):
+                          ("window", "max_retries = 5"), ("weights", "goal_ramp_max = 2.0"),
+                          ("weights", "bt_soft_factor = 0.5"), ("weights", "potential_radius = 1")):
         text = MINIMAL + f"\n[{section}]\n{line}\n"
         with pytest.raises(ScenarioError, match=f"unknown \\[{section}\\] key"):
             parse_scenario(text)
