@@ -4,8 +4,6 @@ from dataclasses import dataclass
 
 Cell = tuple[int, int]
 
-_STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))
-
 
 @dataclass(frozen=True)
 class GridMap:
@@ -50,15 +48,23 @@ class GridMap:
         Includes `c` itself when `allow_wait` is set. Querying an obstacle or
         out-of-grid cell is a contract violation.
         """
-        if not self.in_bounds(c):
-            raise ValueError(f"cell {c} outside {self.rows}x{self.cols} grid")
-        if c in self.obstacles:
+        i, j = c
+        rows, cols, obstacles = self.rows, self.cols, self.obstacles
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"cell {c} outside {rows}x{cols} grid")
+        if c in obstacles:
             raise ValueError(f"cell {c} is an obstacle")
+        # Up, left, right, down: one bounds test and one obstacle test each.
+        # This is the innermost call of every reachability search.
         out = set()
-        for di, dj in _STEPS:
-            n = (c[0] + di, c[1] + dj)
-            if self.is_free(n):
-                out.add(n)
+        if i > 0 and (i - 1, j) not in obstacles:
+            out.add((i - 1, j))
+        if j > 0 and (i, j - 1) not in obstacles:
+            out.add((i, j - 1))
+        if j + 1 < cols and (i, j + 1) not in obstacles:
+            out.add((i, j + 1))
+        if i + 1 < rows and (i + 1, j) not in obstacles:
+            out.add((i + 1, j))
         if allow_wait:
             out.add(c)
         return out
@@ -105,20 +111,21 @@ def bfs_layers(grid: GridMap, start: Cell, horizon: int,
     """Breadth-first reachability layers from `start` up to `horizon` steps.
 
     A cell appears only in the layer of its first reach, and cells in
-    `exclude_visited` never appear at all.
+    `exclude_visited` never appear at all. The search only asks
+    `exclude_visited` whether it holds a cell, so its work follows the cells
+    it reaches, not the size of that collection.
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
-    excluded = frozenset(exclude_visited)
-    if start in excluded:
+    if start in exclude_visited:
         raise ValueError(f"start {start} is in the excluded set")
     layers: dict[int, set[Cell]] = {0: {start}}
-    seen = {start} | excluded
+    seen = {start}
     for t in range(1, horizon + 1):
         fresh = set()
         for c in layers[t - 1]:
             for n in grid.neighbors(c):
-                if n not in seen:
+                if n not in seen and n not in exclude_visited:
                     seen.add(n)
                     fresh.add(n)
         layers[t] = fresh

@@ -9,6 +9,7 @@ model energy always equals the sum of the formulas evaluated on the decoded
 occupancy.
 """
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, fields
 
 from .grid import Cell, GridMap, manhattan, max_manhattan, obstacle_potential
@@ -62,20 +63,20 @@ class RobotWindow:
 
     `visited` carries cells from earlier windows that should be softly
     discouraged, and `excluded` carries cells structurally removed from this
-    robot's reachability.
+    robot's reachability. Both are held as given, not copied, and are only
+    asked whether they hold a cell, so a caller must not change them while
+    the window is in use.
     """
 
     start: Cell
     goal: Cell
     goal_mode: str = GOAL_MODE_LATE
-    visited: frozenset[Cell] = frozenset()
-    excluded: frozenset[Cell] = frozenset()
+    visited: AbstractSet[Cell] = frozenset()
+    excluded: AbstractSet[Cell] = frozenset()
 
     def __post_init__(self):
         if self.goal_mode not in (GOAL_MODE_LATE, GOAL_MODE_APPROX):
             raise ValueError(f"unknown goal mode {self.goal_mode!r}")
-        object.__setattr__(self, "visited", frozenset(self.visited))
-        object.__setattr__(self, "excluded", frozenset(self.excluded))
 
 
 @dataclass(frozen=True)

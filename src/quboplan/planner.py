@@ -2,14 +2,16 @@
 
 A plan is assembled window by window. Each window fixes what reachability
 decides for the robots active on the global clock; when variables remain
-free, it builds their QUBO, folds the fixed values in and solves it. The
-decoded occupancy is repaired, and the accepted sub-path is stitched onto
-the plan so global times advance by exactly one per step. Failed windows
+free, it builds their QUBO, folds the fixed values in and solves it, and
+the best sample is decoded. A decided window's layers are its occupancy.
+The occupancy is repaired, and the accepted sub-path is stitched onto the
+plan so global times advance by exactly one per step. Failed windows
 are retried with fresh solver seeds; the final retry widens the window once
 before giving up. A window whose outcome no seed can change is widened at
 once instead, and given up when the widened one fails too.
 """
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -104,10 +106,11 @@ def validate_path(grid: GridMap, path, goal: Cell | None = None,
 
 
 def stitch(steps, window_path):
-    """Append a window path, dropping the duplicated boundary cell.
+    """Append a window path to `steps` in place, dropping the duplicated
+    boundary cell, and return `steps`.
 
     The window must begin on the plan's last cell, and global times continue
-    by exactly one.
+    by exactly one. A window that does not fit leaves `steps` unchanged.
     """
     window_path = list(window_path)
     if window_path[0] != steps[-1][1]:
@@ -115,7 +118,8 @@ def stitch(steps, window_path):
             f"window starts at {window_path[0]} but plan ends at {steps[-1][1]}"
         )
     base = steps[-1][0]
-    return list(steps) + [(base + k, c) for k, c in enumerate(window_path[1:], 1)]
+    steps.extend((base + k, c) for k, c in enumerate(window_path[1:], 1))
+    return steps
 
 
 @dataclass
@@ -235,7 +239,7 @@ class PlanningResult:
 
 
 class _Agent:
-    __slots__ = ("spec", "current", "visited", "steps", "status", "done", "log")
+    __slots__ = ("spec", "current", "visited", "steps", "status", "done", "log", "notes")
 
     def __init__(self, spec: RobotSpec):
         self.spec = spec
@@ -245,6 +249,7 @@ class _Agent:
         self.status: str | None = None
         self.done = False
         self.log: list[WindowRecord] = []
+        self.notes: list[str] = []
 
     def finish(self, status: str):
         self.status = status
@@ -258,14 +263,32 @@ def derive_seed(base: int, *parts: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+class _Without(AbstractSet):
+    """The cells of `cells` other than `cell`, read through without a copy."""
+
+    __slots__ = ("cells", "cell")
+
+    def __init__(self, cells, cell: Cell):
+        self.cells, self.cell = cells, cell
+
+    def __contains__(self, c) -> bool:
+        return c != self.cell and c in self.cells
+
+    def __len__(self) -> int:
+        return len(self.cells) - (self.cell in self.cells)
+
+    def __iter__(self):
+        return (c for c in self.cells if c != self.cell)
+
+
 @dataclass
 class Window:
     """One window as `build_window` makes it: the spec, the presolve report
     and the cells logical fixing left admissible.
 
     The folded model is built when `folded` is first read. A window that
-    logical fixing decided never needs it: `report.fixed_one` is then its
-    whole assignment.
+    logical fixing decided never needs it: each of its layers then holds
+    one cell, or none where the search ended early.
     """
 
     spec: WindowSpec
@@ -286,19 +309,21 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
     """One window's spec and presolve report, with its model built on demand.
 
     `robots` holds one (current cell, goal, visited cells) triple per robot.
-    Cells visited in earlier windows are left out of a robot's reachability
-    search; when that walls off the goal, or ends the search short of the
-    horizon where the full search reaches further, the exclusion is dropped
-    and the softened revisit penalties take over instead. The full search is
-    skipped when it can change neither: the goal's L1 distance exceeds the
-    horizon and the search with exclusions already reaches the horizon. A robot
+    The visited cells are only asked whether they hold a cell, never copied,
+    so a window's work does not grow with the plan so far. Cells visited in
+    earlier windows are left out of a robot's reachability search; when that
+    walls off the goal, or ends the search short of the horizon where the
+    full search reaches further, the exclusion is dropped and the softened
+    revisit penalties take over instead. The full search is skipped when it
+    can change neither: the goal's L1 distance exceeds the horizon and the
+    search with exclusions already reaches the horizon. A robot
     whose goal is reachable and strictly closer than the horizon seeks it
     with the late-time reward, any other with the window-final approximation
     reward. Logical fixing reuses these searches.
     """
     records, tables = [], []
     for start, goal, visited in robots:
-        excluded = frozenset(visited) - {start}
+        excluded = _Without(visited, start)
         table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
         reachable = table.contains(goal)
         lower = manhattan(start, goal)
@@ -347,21 +372,21 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
         numeric_fixed=report.numeric_fixed,
     )
     if report.solved_by_preprocess:
-        ones = report.fixed_one
+        # Every layer holds one cell or none: the layers are the occupancy.
+        occupancy = window.admissible
     else:
         cfg = replace(solver_cfg, seed=derive_seed(solver_cfg.seed, *seed_parts))
         sampleset = solve(folded.model, cfg,
                           groups=[var_group(spec.dims, v) for v in folded.free_vars])
-        ones = folded.expand(sampleset.best.bits)
+        decoded = decode(folded.expand(sampleset.best.bits), spec.dims, len(agents))
+        occupancy = [[cells.get(t, set()) for t in range(horizon + 1)] for cells in decoded]
         record.backend = cfg.backend
         record.best_energy = sampleset.best.energy
         record.histogram = [(s.energy, s.occurrences) for s in sampleset.samples[:8]]
 
-    occupancy = decode(ones, spec.dims, len(agents))
     paths = []
     for r, agent in enumerate(agents):
-        per_step = [occupancy[r].get(t, set()) for t in range(horizon + 1)]
-        repair = fix_one_hot_continuity(per_step, agent.current, grid,
+        repair = fix_one_hot_continuity(occupancy[r], agent.current, grid,
                                         allow_wait=multi)
         if repair.dropped:
             record.repairs.append(
@@ -412,7 +437,8 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     there and become static obstacles for later windows; robots released
     mid-window join at the next window boundary, waiting on their start
     cell, and every window that reaches a robot's release keeps the others
-    off its start. Every finished plan, clash-repair waits included, is
+    off its start. A robot whose goal the parked robots wall off ends as
+    infeasible at once. Every finished plan, clash-repair waits included, is
     validated once more on the input map.
     """
     robots = list(robots)
@@ -435,11 +461,27 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     pending = [a for a in agents if not a.done]
     clock = min((a.spec.release for a in pending), default=0)
     window_index = 0
+    walls: set[Cell] = set()  # the parked cells the goals were last checked on
 
     while window_index < wcfg.max_windows:
         pending = [a for a in agents if not a.done]
         if not pending:
             break
+        parked = {a.steps[-1][1] for a in agents if a.status == STATUS_REACHED}
+        if parked != walls:
+            # Parked robots never move again, so a goal they wall off stays
+            # out of reach. The starts of robots yet to be released are only
+            # blocked for a while and stay open here.
+            walls = parked
+            for agent in pending:
+                open_map = grid.with_obstacles(parked - {agent.current})
+                if agent.spec.goal not in bfs_distances(open_map, agent.current):
+                    blockers = ", ".join(str(a.spec.id) for a in agents
+                                         if a.status == STATUS_REACHED)
+                    agent.notes.append(
+                        f"goal {agent.spec.goal} walled off by parked robot(s) {blockers}")
+                    agent.finish(STATUS_INFEASIBLE)
+            continue
         active = [a for a in pending if a.spec.release <= clock]
         if not active:
             clock = min(a.spec.release for a in pending)
@@ -451,7 +493,6 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                     for t in range(agent.spec.release, clock + 1)
                 ]
 
-        parked = {a.steps[-1][1] for a in agents if a.status == STATUS_REACHED}
         occupied = {a.current for a in active}
         horizon = wcfg.window_len
         escalated = False
@@ -487,7 +528,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         for agent, (path, reached) in zip(active, paths):
             agent.log.append(record)
             agent.steps = stitch(agent.steps, path)
-            agent.visited |= set(path)
+            agent.visited.update(path)
             agent.current = path[-1]
             if reached:
                 agent.finish(STATUS_REACHED)
@@ -499,7 +540,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             agent.finish(STATUS_EXHAUSTED)
 
     plans = [
-        Plan(a.spec.id, a.steps, a.status or STATUS_EXHAUSTED, a.log)
+        Plan(a.spec.id, a.steps, a.status or STATUS_EXHAUSTED, a.log, a.notes)
         for a in agents
     ]
 

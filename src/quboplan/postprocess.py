@@ -8,7 +8,7 @@ All transformations are pure; every function returns new data.
 
 from dataclasses import dataclass
 
-from .grid import Cell, GridMap
+from .grid import Cell, GridMap, manhattan
 
 Steps = list[tuple[int, Cell]]  # (global time, cell), times contiguous
 
@@ -60,7 +60,9 @@ def detect_invalid_move(path, grid: GridMap, allow_wait: bool = False):
     """Earliest step breaking adjacency or stepping onto a blocked cell.
 
     Returns (step, kind) or None. The obstacle branch is unreachable while
-    obstacles are pruned structurally, but stays as defense in depth.
+    obstacles are pruned structurally, but stays as defense in depth. Both
+    cells of a move are free by then, so they are neighbours exactly when
+    they lie one step apart.
     """
     for t, c in enumerate(path):
         if not grid.is_free(c):
@@ -70,7 +72,7 @@ def detect_invalid_move(path, grid: GridMap, allow_wait: bool = False):
             if c == prev:
                 if not allow_wait:
                     return (t, "adjacency")
-            elif c not in grid.neighbors(prev):
+            elif manhattan(prev, c) != 1:
                 return (t, "adjacency")
     return None
 

@@ -38,7 +38,9 @@ BACKEND_ANNEALER = "annealer"
 
 EXHAUSTIVE_VAR_CAP = 24
 _ENUM_CHUNK = 1 << 16
-_RANDOM_BUDGET = 8_000_000  # 8-byte values held per block of reads while annealing
+# 8-byte values held per block of reads while annealing: 64 MiB, enough for
+# multi10_2's 400 reads (20,596 values each) to share one block.
+_RANDOM_BUDGET = 1 << 23
 
 
 class ModelTooLargeError(ValueError):

@@ -5,7 +5,7 @@ shortest paths by brute force, and compute exact minima by plain enumeration.
 They deliberately avoid the library's coefficient-accumulation and solver
 code paths so agreement between the two is meaningful. The first one-hot
 annealing kernel is kept here too, as the reference its faster rewrite must
-reproduce state for state.
+reproduce state for state, and so is the first neighbour rule of the grid.
 """
 
 import itertools
@@ -97,6 +97,23 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
                 for c in admissible[r1][t] & admissible[r2][t]:
                     total += w.k_coll * occ(r1, t, c) * occ(r2, t, c)
     return total
+
+
+def neighbors(grid: GridMap, c, allow_wait=False) -> set:
+    """`GridMap.neighbors` as it was first written: the four edge steps,
+    each kept when `GridMap.is_free` admits it."""
+    if not grid.in_bounds(c):
+        raise ValueError(f"cell {c} outside {grid.rows}x{grid.cols} grid")
+    if c in grid.obstacles:
+        raise ValueError(f"cell {c} is an obstacle")
+    out = set()
+    for di, dj in ((-1, 0), (0, -1), (0, 1), (1, 0)):
+        n = (c[0] + di, c[1] + dj)
+        if grid.is_free(n):
+            out.add(n)
+    if allow_wait:
+        out.add(c)
+    return out
 
 
 def reachability_tables(spec: WindowSpec):

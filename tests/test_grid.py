@@ -10,6 +10,8 @@ from quboplan.grid import (
     obstacle_potential,
 )
 
+import oracles
+
 
 def test_neighbors_interior_four_connected():
     g = GridMap(3, 3)
@@ -41,6 +43,30 @@ def test_neighbors_symmetric():
     for a in free:
         for b in g.neighbors(a):
             assert a in g.neighbors(b)
+
+
+def test_neighbors_match_the_first_rule_on_random_maps():
+    # The inline candidate tests must give the same sets, built in the same
+    # order, as the rule through `is_free`, and refuse the same cells.
+    rng = np.random.default_rng(31)
+    refused = set()
+    for _ in range(60):
+        rows, cols = (int(n) for n in rng.integers(1, 8, size=2))
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        g = GridMap(rows, cols, frozenset(c for c in cells if rng.random() < 0.3))
+        outside = [(-1, 0), (0, -1), (rows, 0), (0, cols), (rows, cols), (-1, cols)]
+        for c in cells + outside:
+            for allow_wait in (False, True):
+                try:
+                    expected = oracles.neighbors(g, c, allow_wait)
+                except ValueError as err:
+                    with pytest.raises(ValueError) as got:
+                        g.neighbors(c, allow_wait=allow_wait)
+                    assert str(got.value) == str(err)
+                    refused.add("obstacle" if g.in_bounds(c) else "outside")
+                    continue
+                assert list(g.neighbors(c, allow_wait=allow_wait)) == list(expected)
+    assert refused == {"obstacle", "outside"}
 
 
 def test_obstacle_outside_grid_rejected():

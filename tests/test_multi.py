@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from perfbench.checker import check_plans
-from perfbench.corpus import city
+from perfbench.corpus import city, corridor
 from quboplan.grid import GridMap
 from quboplan.multi import plan_multi, validate_robots
 from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
@@ -30,6 +30,9 @@ EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 # plans runs this module's independent-checker test, reads the new value from
 # the failed assertion and commits it.
 CITY0_PLANS_SHA256 = "d7037e6a1b131214759348cc8d6f4a0ddf1d6809d12bdbf710d45a4d414fcef4"
+# The same digest for `corridor(1)`: serpentine corridors that reachability
+# fixing decides window by window, so it pins the presolve path.
+CORRIDOR1_PLANS_SHA256 = "dfc6980d37867691e55a38246467a882010ade8ff59b2dc327527aa78a2e48ff"
 
 
 def test_validate_robots_rejects_shared_goal():
@@ -201,3 +204,14 @@ def test_every_accepted_generated_plan_passes_the_independent_checker():
     # the check must not pass by accepting nothing
     assert accepted > len(instances) // 2
     assert city_plans.hexdigest() == CITY0_PLANS_SHA256
+
+
+def test_corridor_plans_are_decided_by_presolve_and_unchanged():
+    corridor_plans = hashlib.sha256()
+    for inst in corridor(1):
+        result = plan_multi(inst.grid, inst.robots, weights=inst.weights,
+                            window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
+        assert result.succeeded
+        assert {w.backend for w in result.windows} == {"presolve"}
+        corridor_plans.update(json.dumps(result.to_json(), sort_keys=True).encode())
+    assert corridor_plans.hexdigest() == CORRIDOR1_PLANS_SHA256

@@ -3,7 +3,7 @@ import pytest
 
 from perfbench.corpus import serpentine
 from quboplan.classical import astar, path_moves
-from quboplan.grid import GridMap, manhattan
+from quboplan.grid import GridMap, bfs_layers, manhattan
 from quboplan.penalties import PenaltyWeights
 from quboplan import planner
 from quboplan.planner import (
@@ -14,6 +14,7 @@ from quboplan.planner import (
     STATUS_REACHED,
     StitchError,
     WindowConfig,
+    build_window,
     plan_paths,
     plan_single,
     stitch,
@@ -189,8 +190,11 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
         return record, paths
 
     monkeypatch.setattr(planner, "_attempt_window", counting_attempt)
+    # Robot 1's start, blocked while it waits for release, is robot 0's only
+    # exit; a robot parked there instead would wall off robot 0's goal, which
+    # ends robot 0 before any window is tried.
     result = plan_paths(GridMap(1, 3), [RobotSpec(0, (0, 0), (0, 2)),
-                                        RobotSpec(1, (0, 1), (0, 1))])
+                                        RobotSpec(1, (0, 1), (0, 0), release=1)])
     assert calls == [(6, None, ["robot 0 cannot move"]), (12, None, ["robot 0 cannot move"])]
     (window,) = result.windows
     assert (window.retries, window.escalated, window.horizon) == (1, True, 12)
@@ -219,6 +223,84 @@ def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
     (window,) = result.windows
     assert window.repairs[-1] == f"window abandoned: {clash}"
     assert not result.succeeded
+
+
+def test_a_goal_walled_off_by_a_parked_robot_ends_infeasible_at_once():
+    # Robot 1 parks on (1, 1), the only way into robot 0's goal (1, 0).
+    grid = GridMap(3, 6, frozenset({(0, 0), (0, 3), (1, 4), (2, 1)}))
+    result = plan_paths(grid, [RobotSpec(0, (2, 3), (1, 0)),
+                               RobotSpec(1, (0, 1), (1, 1), release=2)],
+                        window_cfg=WindowConfig(window_len=2))
+    walled, parked = result.plans
+    assert parked.status == STATUS_REACHED
+    assert walled.status == STATUS_INFEASIBLE
+    assert walled.notes == ["goal (1, 0) walled off by parked robot(s) 1"]
+    # No window runs after robot 1 parks at the end of window 1.
+    assert [w.index for w in walled.window_log] == [0, 1]
+    assert len(result.windows) == 2
+
+
+def test_a_robot_parked_from_the_start_can_wall_off_a_goal():
+    result = plan_paths(GridMap(1, 3), [RobotSpec(0, (0, 0), (0, 2)),
+                                        RobotSpec(1, (0, 1), (0, 1))])
+    assert result.windows == []
+    assert result.plans[0].status == STATUS_INFEASIBLE
+    assert result.plans[0].notes == ["goal (0, 2) walled off by parked robot(s) 1"]
+
+
+def test_a_start_awaiting_release_walls_off_no_goal():
+    # Robot 2 is parked from the start, so the goals are checked at once,
+    # while robot 1's start still cuts robot 0 off from its goal. That start
+    # is free again by the time robot 0 gets there.
+    grid = GridMap(2, 4, frozenset({(1, 0), (1, 1), (1, 2)}))
+    robots = [RobotSpec(0, (0, 0), (0, 2)), RobotSpec(1, (0, 1), (0, 0), release=5),
+              RobotSpec(2, (1, 3), (1, 3))]
+    result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=2),
+                        solver_cfg=EXHAUSTIVE)
+    assert result.succeeded
+    assert [p.status for p in result.plans] == [STATUS_REACHED] * 3
+
+
+class _CellsWithoutIteration:
+    """Cells that answer membership and size but cannot be listed, so a
+    search that iterates or copies them fails."""
+
+    def __init__(self, cells):
+        self.cells = frozenset(cells)
+
+    def __contains__(self, c):
+        return c in self.cells
+
+    def __len__(self):
+        return len(self.cells)
+
+    def __iter__(self):
+        raise AssertionError("the visited cells were iterated")
+
+
+@pytest.mark.parametrize("grid, start, goal, visited, horizon", [
+    # Exclusions keep: the search runs on past the cells behind the robot.
+    (GridMap(1, 9), (0, 4), (0, 8), {(0, k) for k in range(5)}, 3),
+    # Exclusions hide the goal: the full search replaces them.
+    (GridMap(3, 3), (1, 1), (0, 0), {(1, 1), (0, 1), (1, 0)}, 4),
+    # Exclusions end the search short of a horizon the goal lies beyond.
+    (GridMap(2, 6), (0, 1), (0, 5), {(0, 1), (0, 2), (1, 2)}, 3),
+])
+def test_windows_read_the_visited_cells_without_copying_them(grid, start, goal, visited,
+                                                             horizon):
+    listed = build_window(grid, [(start, goal, set(visited))], horizon, PenaltyWeights())
+    opaque = _CellsWithoutIteration(visited)
+    built = build_window(grid, [(start, goal, opaque)], horizon, PenaltyWeights())
+    assert built.spec.robots[0].goal_mode == listed.spec.robots[0].goal_mode
+    assert built.report == listed.report
+    assert built.admissible == listed.admissible
+    # The revisit penalties ask the visited cells about each admissible cell.
+    assert built.folded.model.coeffs == listed.folded.model.coeffs
+    excluded = _CellsWithoutIteration(visited - {start})
+    assert (bfs_layers(grid, start, horizon, exclude_visited=excluded).layers
+            == bfs_layers(grid, start, horizon, exclude_visited=visited - {start}).layers)
+    with pytest.raises(ValueError):
+        bfs_layers(grid, start, horizon, exclude_visited=opaque)
 
 
 def test_plan_release_offsets_single_robot():
