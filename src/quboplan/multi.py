@@ -14,33 +14,10 @@ from .planner import (
     SolverConfig,
     WindowConfig,
     plan_paths,
+    validate_robots,
 )
 
 __all__ = ["RobotSpec", "plan_multi", "validate_robots"]
-
-
-def validate_robots(grid: GridMap, robots) -> None:
-    """Reject robot sets that can never produce conflict-free plans."""
-    robots = list(robots)
-    ids = [r.id for r in robots]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate robot ids")
-    for r in robots:
-        if not grid.is_free(r.start):
-            raise ValueError(f"robot {r.id}: start {r.start} is not a free cell")
-        if not grid.is_free(r.goal):
-            raise ValueError(f"robot {r.id}: goal {r.goal} is not a free cell")
-    goals = [r.goal for r in robots]
-    if len(set(goals)) != len(goals):
-        raise ValueError("two robots share a goal cell; both could never park")
-    seen: dict[tuple, int] = {}
-    for r in robots:
-        key = (r.start, r.release)
-        if key in seen:
-            raise ValueError(
-                f"robots {seen[key]} and {r.id} share start {r.start} at release {r.release}"
-            )
-        seen[key] = r.id
 
 
 def plan_multi(grid: GridMap, robots,
@@ -53,9 +30,7 @@ def plan_multi(grid: GridMap, robots,
     `robots`, and that order is their priority: when residual clashes must
     be cleared by waiting, the robot with the larger id yields.
     """
-    robots = sorted(robots, key=lambda r: r.id)
-    validate_robots(grid, robots)
     return plan_paths(
-        grid, robots,
+        grid, sorted(robots, key=lambda r: r.id),
         weights=weights, window_cfg=window_cfg, solver_cfg=solver_cfg,
     )

@@ -62,17 +62,15 @@ class RobotWindow:
     """One robot's slice of a planning window.
 
     `visited` carries cells from earlier windows that should be softly
-    discouraged, and `excluded` carries cells structurally removed from this
-    robot's reachability. Both are held as given, not copied, and are only
-    asked whether they hold a cell, so a caller must not change them while
-    the window is in use.
+    discouraged. It is held as given, not copied, and is only asked whether
+    it holds a cell, so a caller must not change it while the window is in
+    use.
     """
 
     start: Cell
     goal: Cell
     goal_mode: str = GOAL_MODE_LATE
     visited: AbstractSet[Cell] = frozenset()
-    excluded: AbstractSet[Cell] = frozenset()
 
     def __post_init__(self):
         if self.goal_mode not in (GOAL_MODE_LATE, GOAL_MODE_APPROX):

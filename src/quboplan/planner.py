@@ -33,7 +33,14 @@ from .postprocess import (
     fix_one_hot_continuity,
     resolve_clash_wait,
 )
-from .preprocess import FixReport, FoldedModel, fix_logical, fix_numeric_diagonal, fold
+from .preprocess import (
+    FixReport,
+    FoldedModel,
+    fix_logical,
+    fix_numeric_diagonal,
+    fold,
+    forced_ones,
+)
 from .qubo import decode, var_group
 from .solvers import SolverConfig, solve
 
@@ -126,10 +133,9 @@ def stitch(steps, window_path):
 class WindowRecord:
     """Joint per-window diagnostics shared by every robot active in it.
 
-    A try at the window fills in what it found; model sizes left at their
-    defaults mean it built no model, and `backend` stays "presolve" unless a
-    sampler ran. The retry loop then sets `index`, `global_start`, `retries`
-    and `escalated`.
+    A try at the window fills in what it found; `backend` stays "presolve"
+    unless a sampler ran. The retry loop then sets `index`, `global_start`,
+    `retries` and `escalated`.
     """
 
     horizon: int
@@ -239,7 +245,9 @@ class PlanningResult:
 
 
 class _Agent:
-    __slots__ = ("spec", "current", "visited", "steps", "status", "done", "log", "notes")
+    """A robot's planning state; `status` stays None while it is still to plan."""
+
+    __slots__ = ("spec", "current", "visited", "steps", "status", "log", "notes")
 
     def __init__(self, spec: RobotSpec):
         self.spec = spec
@@ -247,13 +255,8 @@ class _Agent:
         self.visited = {spec.start}
         self.steps: list[tuple[int, Cell]] = []
         self.status: str | None = None
-        self.done = False
         self.log: list[WindowRecord] = []
         self.notes: list[str] = []
-
-    def finish(self, status: str):
-        self.status = status
-        self.done = True
 
 
 def derive_seed(base: int, *parts: int) -> int:
@@ -298,8 +301,10 @@ class Window:
     @cached_property
     def folded(self) -> FoldedModel:
         """The window's QUBO over the admissible cells, folded onto the free
-        variables and cleared of hopeless diagonals. The numeric pass
-        updates `report` in place."""
+        variables and cleared of hopeless diagonals. The variables forced on
+        by singleton layers and the numeric pass's clearings are recorded in
+        `report` in place."""
+        self.report.fixed_one |= forced_ones(self.spec.dims, self.admissible)
         model = build_window_model(self.spec, self.admissible)
         return fix_numeric_diagonal(fold(model, self.report), self.report)
 
@@ -331,12 +336,12 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
             full = bfs_layers(grid, start, horizon)
             reachable = full.contains(goal)
             if reachable or table.max_depth() < min(horizon, full.max_depth()):
-                table, excluded = full, frozenset()
+                table = full
         if reachable and lower < horizon:
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
-        records.append(RobotWindow(start, goal, mode, visited, excluded))
+        records.append(RobotWindow(start, goal, mode, visited))
         tables.append(table)
     spec = WindowSpec(grid, tuple(records), horizon, weights, allow_wait)
     report, admissible = fix_logical(spec, tables)
@@ -352,9 +357,6 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
     (path, reached goal) when the try is accepted, or with None when it
     fails; the record's last repair entry then gives the reason.
     """
-    for agent in agents:
-        if not grid.neighbors(agent.current):
-            return WindowRecord(horizon, repairs=[f"robot {agent.spec.id} cannot move"]), None
     window = build_window(
         grid, [(a.current, a.spec.goal, a.visited) for a in agents], horizon, weights,
         allow_wait=multi)
@@ -397,15 +399,16 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
         if goal in repair.path:
             path = repair.path[: repair.path.index(goal) + 1]
             reached = True
-        elif repair.complete and modes[r] == GOAL_MODE_APPROX:
+        elif repair.reason is None and modes[r] == GOAL_MODE_APPROX:
             path = repair.path
         elif (multi and repair.path and repair.reason == "empty_step"
               and modes[r] == GOAL_MODE_APPROX):
-            # Trapped short of the horizon (another robot blocks the way):
-            # hold position for the remaining steps and try again next window.
+            # Trapped short of the horizon (another robot blocks the way, or
+            # the robot has no free move at all): hold position for the
+            # remaining steps and try again next window.
             path = repair.path + [repair.path[-1]] * (horizon + 1 - len(repair.path))
             record.repairs.append(
-                f"robot {agent.spec.id}: waits from t={repair.failed_at}"
+                f"robot {agent.spec.id}: waits from t={len(repair.path)}"
             )
         else:
             record.repairs.append(f"robot {agent.spec.id}: {repair.reason or 'goal_missed'}")
@@ -427,6 +430,30 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
     return record, paths
 
 
+def validate_robots(grid: GridMap, robots) -> None:
+    """Reject robot sets that can never produce conflict-free plans."""
+    robots = list(robots)
+    ids = [r.id for r in robots]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate robot ids")
+    for r in robots:
+        if not grid.is_free(r.start):
+            raise ValueError(f"robot {r.id}: start {r.start} is not a free cell")
+        if not grid.is_free(r.goal):
+            raise ValueError(f"robot {r.id}: goal {r.goal} is not a free cell")
+    goals = [r.goal for r in robots]
+    if len(set(goals)) != len(goals):
+        raise ValueError("two robots share a goal cell; both could never park")
+    seen: dict[tuple, int] = {}
+    for r in robots:
+        key = (r.start, r.release)
+        if key in seen:
+            raise ValueError(
+                f"robots {seen[key]} and {r.id} share start {r.start} at release {r.release}"
+            )
+        seen[key] = r.id
+
+
 def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                window_cfg: WindowConfig | None = None,
                solver_cfg: SolverConfig | None = None) -> PlanningResult:
@@ -439,11 +466,11 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     cell, and every window that reaches a robot's release keeps the others
     off its start. A robot whose goal the parked robots wall off ends as
     infeasible at once. Every finished plan, clash-repair waits included, is
-    validated once more on the input map.
+    validated once more on the input map. Raises `ValueError` for a robot set
+    that `validate_robots` rejects.
     """
     robots = list(robots)
-    if len({r.id for r in robots}) != len(robots):
-        raise ValueError("robot ids must be unique")
+    validate_robots(grid, robots)
     weights = weights or PenaltyWeights()
     wcfg = window_cfg or WindowConfig()
     scfg = solver_cfg or SolverConfig()
@@ -453,18 +480,16 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     for agent in agents:
         if agent.spec.start == agent.spec.goal:
             agent.steps = [(agent.spec.release, agent.spec.start)]
-            agent.finish(STATUS_REACHED)
+            agent.status = STATUS_REACHED
         elif agent.spec.goal not in bfs_distances(grid, agent.spec.start):
-            agent.finish(STATUS_INFEASIBLE)
+            agent.status = STATUS_INFEASIBLE
 
     windows: list[WindowRecord] = []
-    pending = [a for a in agents if not a.done]
-    clock = min((a.spec.release for a in pending), default=0)
-    window_index = 0
+    clock = 0
     walls: set[Cell] = set()  # the parked cells the goals were last checked on
 
-    while window_index < wcfg.max_windows:
-        pending = [a for a in agents if not a.done]
+    while len(windows) < wcfg.max_windows:
+        pending = [a for a in agents if a.status is None]
         if not pending:
             break
         parked = {a.steps[-1][1] for a in agents if a.status == STATUS_REACHED}
@@ -480,7 +505,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                                          if a.status == STATUS_REACHED)
                     agent.notes.append(
                         f"goal {agent.spec.goal} walled off by parked robot(s) {blockers}")
-                    agent.finish(STATUS_INFEASIBLE)
+                    agent.status = STATUS_INFEASIBLE
             continue
         active = [a for a in pending if a.spec.release <= clock]
         if not active:
@@ -503,7 +528,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                          if clock < a.spec.release <= clock + horizon}
             eff_grid = grid.with_obstacles((parked | releasing) - occupied)
             record, paths = _attempt_window(eff_grid, active, weights, scfg, horizon,
-                                            (window_index, retries, int(escalated)), multi)
+                                            (len(windows), retries, int(escalated)), multi)
             # Without a sampler run, no other seed can change the outcome.
             retry_cannot_help = record.backend == "presolve"
             if paths is not None or (escalated and retry_cannot_help):
@@ -514,30 +539,23 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                 horizon = 2 * wcfg.window_len
                 escalated = True
 
-        record.index, record.global_start = window_index, clock
+        record.index, record.global_start = len(windows), clock
         record.retries, record.escalated = retries, escalated
         windows.append(record)
+        for agent in active:
+            agent.log.append(record)
 
         if paths is None:
             record.repairs[-1] = f"window abandoned: {record.repairs[-1]}"
-            for agent in active:
-                agent.log.append(record)
-                agent.finish(STATUS_EXHAUSTED)
             break
 
         for agent, (path, reached) in zip(active, paths):
-            agent.log.append(record)
             agent.steps = stitch(agent.steps, path)
             agent.visited.update(path)
             agent.current = path[-1]
             if reached:
-                agent.finish(STATUS_REACHED)
+                agent.status = STATUS_REACHED
         clock += horizon
-        window_index += 1
-
-    for agent in agents:
-        if not agent.done:
-            agent.finish(STATUS_EXHAUSTED)
 
     plans = [
         Plan(a.spec.id, a.steps, a.status or STATUS_EXHAUSTED, a.log, a.notes)
@@ -547,9 +565,9 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     clash_events: list[str] = []
     unresolved: list = []
     if multi:
-        reached = [p for p in plans if p.status == STATUS_REACHED and p.steps]
+        reached = [p for p in plans if p.status == STATUS_REACHED]
         lists = [p.steps for p in reached]
-        if len(lists) >= 2 and find_vertex_conflicts(lists):
+        if find_vertex_conflicts(lists):
             lists, clash_events, unresolved = resolve_clash_wait(lists, grid)
             for p, new_steps in zip(reached, lists):
                 p.steps = new_steps

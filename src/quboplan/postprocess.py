@@ -15,12 +15,12 @@ Steps = list[tuple[int, Cell]]  # (global time, cell), times contiguous
 
 @dataclass
 class RepairOutcome:
-    """Result of continuity repair: the kept prefix and why it stopped."""
+    """Result of continuity repair: the kept prefix, why it stopped (None
+    when it kept every step) and how many extra cells it dropped. The step
+    it stopped at is `len(path)`."""
 
     path: list[Cell]
-    complete: bool
     reason: str | None = None
-    failed_at: int | None = None
     dropped: int = 0
 
 
@@ -38,10 +38,10 @@ def fix_one_hot_continuity(occupancy, prev_cell: Cell, grid: GridMap,
     dropped = 0
     for t, cells in enumerate(occupancy):
         if not cells:
-            return RepairOutcome(kept, False, "empty_step", t, dropped)
+            return RepairOutcome(kept, "empty_step", dropped)
         if t == 0:
             if prev_cell not in cells:
-                return RepairOutcome([], False, "start_mismatch", 0, dropped)
+                return RepairOutcome([], "start_mismatch", dropped)
             dropped += len(cells) - 1
             kept.append(prev_cell)
         elif len(cells) == 1:
@@ -50,10 +50,10 @@ def fix_one_hot_continuity(occupancy, prev_cell: Cell, grid: GridMap,
             candidates = sorted(cells & grid.neighbors(kept[-1], allow_wait=allow_wait))
             if len(candidates) != 1:
                 reason = "ambiguous" if len(candidates) > 1 else "disconnected"
-                return RepairOutcome(kept, False, reason, t, dropped)
+                return RepairOutcome(kept, reason, dropped)
             dropped += len(cells) - 1
             kept.append(candidates[0])
-    return RepairOutcome(kept, True, None, None, dropped)
+    return RepairOutcome(kept, None, dropped)
 
 
 def detect_invalid_move(path, grid: GridMap, allow_wait: bool = False):

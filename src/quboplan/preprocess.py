@@ -3,10 +3,11 @@
 Logical fixing derives forced assignments from reachability alone: a step
 admits only its BFS layer (the start alone at step 0), so no goal is
 claimed before its BFS distance, and a singleton layer forces its variable
-on. Cells outside a layer never enter the model, so no work is spent on
-them. Folding substitutes the fixed values into the coefficients and
-reindexes the survivors densely. A conservative numeric pass then clears
-outlier diagonals that no incident negative mass could ever compensate.
+on (`forced_ones`, computed only when a model is folded). Cells outside a
+layer never enter the model, so no work is spent on them. Folding
+substitutes the fixed values into the coefficients and reindexes the
+survivors densely. A conservative numeric pass then clears outlier
+diagonals that no incident negative mass could ever compensate.
 """
 
 from dataclasses import dataclass, field
@@ -30,8 +31,10 @@ class InfeasibleWindowError(Exception):
 class FixReport:
     """What preprocessing decided: forced bits and the resulting model size.
 
-    `fixed_zero` holds only explicitly cleared variables (the numeric pass);
-    logical fixing leaves the non-admissible ones for `fold` to drop.
+    `fixed_one` is filled from `forced_ones` when the window is folded, so
+    a window that logical fixing decides never computes it. `fixed_zero`
+    holds only explicitly cleared variables (the numeric pass); logical
+    fixing leaves the non-admissible ones for `fold` to drop.
     """
 
     fixed_one: set[int] = field(default_factory=set)
@@ -65,9 +68,8 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable]
     the late-time mode only to a robot whose goal lies in the table it
     passes, so the pipeline never raises it.
     """
-    dims = spec.dims
     horizon = spec.horizon
-    report = FixReport(original_count=len(spec.robots) * block_size(dims))
+    report = FixReport(original_count=len(spec.robots) * block_size(spec.dims))
     admissible: Admissible = []
     joint_depth = max(t.max_depth() for t in tables)
 
@@ -96,15 +98,17 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable]
                     layers[t].add(rec.goal)
         admissible.append(layers)
 
-    reduced = 0
-    for robot, layers in enumerate(admissible):
-        for t, cells in enumerate(layers):
-            if len(cells) == 1:
-                report.fixed_one.add(var_index(dims, robot, t, next(iter(cells))))
-            else:
-                reduced += len(cells)
-    report.reduced_count = reduced
+    report.reduced_count = sum(len(cells) for layers in admissible
+                               for cells in layers if len(cells) != 1)
     return report, admissible
+
+
+def forced_ones(dims, admissible: Admissible) -> set[int]:
+    """The variables of the layers that admit one cell: logical fixing
+    forces each of them on."""
+    return {var_index(dims, robot, t, next(iter(cells)))
+            for robot, layers in enumerate(admissible)
+            for t, cells in enumerate(layers) if len(cells) == 1}
 
 
 @dataclass

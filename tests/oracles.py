@@ -117,11 +117,10 @@ def neighbors(grid: GridMap, c, allow_wait=False) -> set:
 
 
 def reachability_tables(spec: WindowSpec):
-    """Each robot's BFS layers from its start over the window's horizon,
-    minus its excluded cells: the tables `fix_logical` reads, for a spec
-    built by hand rather than by `planner.build_window`."""
-    return [bfs_layers(spec.grid, rec.start, spec.horizon, exclude_visited=rec.excluded)
-            for rec in spec.robots]
+    """Each robot's BFS layers from its start over the window's horizon: the
+    tables `fix_logical` reads, for a spec built by hand rather than by
+    `planner.build_window`."""
+    return [bfs_layers(spec.grid, rec.start, spec.horizon) for rec in spec.robots]
 
 
 def all_shortest_paths(grid: GridMap, start, goal, limit: int = 10000):

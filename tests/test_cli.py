@@ -56,6 +56,29 @@ def test_bench_deterministic_without_timings(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_plan_verbose_prints_one_line_per_robot(tmp_path, capsys):
+    code = main(["plan", str(SCENARIOS / "demo3.scn"), "--verbose",
+                 "-o", str(tmp_path / "plan.json")])
+    assert code == 0
+    assert capsys.readouterr().err == "robot 0: reached_goal, 4 moves\n"
+
+
+def test_bench_table_prints_its_header_row(tmp_path, capsys):
+    code = main(["bench", str(SCENARIOS / "demo3.scn"), "--repeats", "1", "--table",
+                 "-o", str(tmp_path / "bench.json")])
+    assert code == 0
+    header, rule, row = capsys.readouterr().err.splitlines()
+    assert header.split() == ["Scenario", "Grid", "Robots", "Path", "(C/Q)", "Vars",
+                              "(orig/red)", "Reduction", "%", "Success"]
+    assert set(rule) <= {"-", " "}
+    assert row.split()[0] == "demo3"
+
+
+def test_export_qubo_rejects_a_multi_robot_scenario(capsys):
+    assert main(["export-qubo", str(SCENARIOS / "multi5.scn")]) == 2
+    assert capsys.readouterr().err == "error: export-qubo handles single-robot scenarios\n"
+
+
 def test_render_writes_svg(tmp_path, capsys):
     out = tmp_path / "demo.svg"
     code = main(["render", str(SCENARIOS / "demo3.scn"), "-o", str(out)])

@@ -1,11 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
-from perfbench.corpus import serpentine
+from perfbench.checker import check_plans
+from perfbench.corpus import corridor, serpentine
 from quboplan.classical import astar, path_moves
 from quboplan.grid import GridMap, bfs_layers, manhattan
 from quboplan.penalties import PenaltyWeights
-from quboplan import planner
+from quboplan import planner, qubo
 from quboplan.planner import (
     Plan,
     RobotSpec,
@@ -190,16 +193,42 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
         return record, paths
 
     monkeypatch.setattr(planner, "_attempt_window", counting_attempt)
-    # Robot 1's start, blocked while it waits for release, is robot 0's only
-    # exit; a robot parked there instead would wall off robot 0's goal, which
-    # ends robot 0 before any window is tried.
+    # Head-on in a one-cell corridor: each robot has one path, fixing decides
+    # the window, and the two paths meet at t=1 whatever the horizon.
     result = plan_paths(GridMap(1, 3), [RobotSpec(0, (0, 0), (0, 2)),
-                                        RobotSpec(1, (0, 1), (0, 0), release=1)])
-    assert calls == [(6, None, ["robot 0 cannot move"]), (12, None, ["robot 0 cannot move"])]
+                                        RobotSpec(1, (0, 2), (0, 0))])
+    clash = "robots 0 and 1: vertex conflict at t=1"
+    assert calls == [(6, None, [clash]), (12, None, [clash])]
     (window,) = result.windows
     assert (window.retries, window.escalated, window.horizon) == (1, True, 12)
-    assert window.repairs == ["window abandoned: robot 0 cannot move"]
-    assert result.plans[0].status == STATUS_EXHAUSTED
+    assert window.repairs == [f"window abandoned: {clash}"]
+    assert [p.status for p in result.plans] == [STATUS_EXHAUSTED, STATUS_EXHAUSTED]
+
+
+def test_a_robot_with_no_free_move_waits_in_a_multi_robot_window():
+    # Robot 1's start, blocked while it awaits release, is robot 0's only
+    # exit, so robot 0 holds its cell until robot 1 has left that start.
+    grid = GridMap(5, 3, frozenset({(1, 2), (3, 1), (4, 2)}))
+    robots = [RobotSpec(0, (0, 2), (1, 0)), RobotSpec(1, (0, 1), (2, 0), release=1)]
+    for seed in range(3):
+        result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=2),
+                            solver_cfg=SolverConfig(seed=seed))
+        assert result.succeeded, result.windows[-1].repairs
+        assert result.windows[0].repairs == ["robot 0: waits from t=1"]
+        assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
+
+
+def test_a_clash_left_in_the_finished_plans_fails_the_plan():
+    # Robot 0 parks on robot 1's start before robot 1 is released there; no
+    # wait can clear a clash with a parked robot, so the final check reports it.
+    result = plan_paths(GridMap(1, 5), [RobotSpec(0, (0, 0), (0, 3)),
+                                        RobotSpec(1, (0, 3), (0, 4), release=10)],
+                        window_cfg=WindowConfig(window_len=6))
+    assert not result.succeeded
+    assert result.plans[1].status == STATUS_EXHAUSTED
+    assert result.plans[1].notes == ["unresolved vertex conflict at t=10"]
+    assert result.unresolved_conflicts == [(10, (0, 3), 0, 1)]
+    assert result.clash_events == []
 
 def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
     # Both robots cross the centre of a 3x3 map at t=1. With a token collision
@@ -379,6 +408,27 @@ def test_decided_corridor_windows_build_no_model(side, monkeypatch):
     assert plan.status == STATUS_REACHED
     assert plan.moves == path_moves(astar(grid, start, goal))
     assert plan.window_log and all(w.solved_by_preprocess for w in plan.window_log)
+
+
+def test_decided_windows_compute_no_variable_index(monkeypatch):
+    # Every window of `corridor(1)` is decided by presolve, so none of its
+    # variables is ever indexed: no model, no fold, no decode.
+    calls = 0
+    real = qubo.var_index
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quboplan") and hasattr(module, "var_index"):
+            monkeypatch.setattr(module, "var_index", counted)
+    for inst in corridor(1):
+        result = plan_paths(inst.grid, inst.robots, weights=inst.weights,
+                            window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
+        assert result.succeeded
+    assert calls == 0
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -14,7 +14,7 @@ def test_continuity_keeps_unique_adjacent_candidate():
     g = GridMap(4, 4)
     occupancy = [{(1, 0)}, {(1, 1), (3, 3)}, {(1, 2)}]
     out = fix_one_hot_continuity(occupancy, (1, 0), g)
-    assert out.complete
+    assert out.reason is None
     assert out.path == [(1, 0), (1, 1), (1, 2)]
     assert out.dropped == 1
 
@@ -23,7 +23,7 @@ def test_continuity_leaves_singletons_untouched():
     g = GridMap(4, 4)
     occupancy = [{(0, 0)}, {(3, 3)}]  # discontinuous but already one-hot
     out = fix_one_hot_continuity(occupancy, (0, 0), g)
-    assert out.complete
+    assert out.reason is None
     assert out.path == [(0, 0), (3, 3)]
 
 
@@ -31,9 +31,9 @@ def test_continuity_ambiguous_tie_fails():
     g = GridMap(2, 3)
     occupancy = [{(0, 0)}, {(0, 1), (1, 0)}]  # both adjacent to the seed
     out = fix_one_hot_continuity(occupancy, (0, 0), g)
-    assert not out.complete
+    assert out.reason is not None
     assert out.reason == "ambiguous"
-    assert out.failed_at == 1
+    assert len(out.path) == 1
 
 
 def test_continuity_no_candidate_fails():
@@ -47,9 +47,9 @@ def test_continuity_empty_step_reports_prefix():
     g = GridMap(3, 3)
     occupancy = [{(0, 0)}, {(0, 1)}, set(), {(0, 2)}]
     out = fix_one_hot_continuity(occupancy, (0, 0), g)
-    assert not out.complete
+    assert out.reason is not None
     assert out.reason == "empty_step"
-    assert out.failed_at == 2
+    assert len(out.path) == 2
     assert out.path == [(0, 0), (0, 1)]
 
 
@@ -63,7 +63,7 @@ def test_continuity_wait_counts_as_adjacent_in_wait_mode():
     g = GridMap(3, 3)
     occupancy = [{(0, 0)}, {(0, 0), (2, 2)}]
     out = fix_one_hot_continuity(occupancy, (0, 0), g, allow_wait=True)
-    assert out.complete
+    assert out.reason is None
     assert out.path == [(0, 0), (0, 0)]
 
 
@@ -71,7 +71,7 @@ def test_continuity_idempotent_on_valid_paths():
     g = GridMap(3, 3)
     path = [(0, 0), (0, 1), (1, 1), (2, 1)]
     out = fix_one_hot_continuity([{c} for c in path], (0, 0), g)
-    assert out.complete and out.path == path and out.dropped == 0
+    assert out.reason is None and out.path == path and out.dropped == 0
 
 
 def test_detect_invalid_move():

@@ -20,6 +20,7 @@ from quboplan.preprocess import (
     fix_logical,
     fix_numeric_diagonal,
     fold,
+    forced_ones,
 )
 from quboplan.planner import build_window
 from quboplan.qubo import QuboModel, var_index
@@ -48,8 +49,9 @@ def test_fix_logical_2x2_leaves_two_free():
     assert adm[0][1] == {(0, 1), (1, 0)}
     assert adm[0][2] == {(1, 1)}
     # start and the forced final singleton are fixed on
-    assert var_index(spec.dims, 0, 0, (0, 0)) in report.fixed_one
-    assert var_index(spec.dims, 0, 2, (1, 1)) in report.fixed_one
+    ones = forced_ones(spec.dims, adm)
+    assert var_index(spec.dims, 0, 0, (0, 0)) in ones
+    assert var_index(spec.dims, 0, 2, (1, 1)) in ones
 
 
 def test_fix_logical_benchmark_reduction():
@@ -62,10 +64,10 @@ def test_fix_logical_benchmark_reduction():
 
 def test_fix_logical_forced_corridor_is_fully_solved():
     spec = window(GridMap(1, 2), (0, 0), (0, 1), 1)
-    report, _ = fix_logical(spec, reachability_tables(spec))
+    report, adm = fix_logical(spec, reachability_tables(spec))
     assert report.solved_by_preprocess
     assert report.reduced_count == 0
-    assert len(report.fixed_one) == 2
+    assert len(forced_ones(spec.dims, adm)) == 2
 
 
 def test_fix_logical_rejects_unreachable_goal_in_goal_seeking_mode():
@@ -272,6 +274,7 @@ def test_fold_drops_exactly_the_non_admissible_variables(grid, robots, horizon, 
         for t, allowed in enumerate(layers)
         for c in cells if c not in allowed
     }
+    report.fixed_one |= forced_ones(spec.dims, admissible)
     explicit = fold(model, FixReport(fixed_one=set(report.fixed_one), fixed_zero=outside))
     implicit = fold(model, report)
     assert implicit.model.coeffs == explicit.model.coeffs
@@ -314,12 +317,12 @@ def _window_searching_the_full_map_whenever_exclusions_hide_the_goal(
             full = bfs_layers(grid, start, horizon)
             reachable = full.contains(goal)
             if reachable or table.max_depth() < min(horizon, full.max_depth()):
-                table, excluded = full, frozenset()
+                table = full
         if reachable and manhattan(start, goal) < horizon:
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
-        records.append(RobotWindow(start, goal, mode, visited, excluded))
+        records.append(RobotWindow(start, goal, mode, visited))
         tables.append(table)
     spec = WindowSpec(grid, tuple(records), horizon, weights, allow_wait)
     report, admissible = fix_logical(spec, tables)
