@@ -3,7 +3,6 @@
 from .grid import (
     Cell,
     GridMap,
-    ReachabilityTable,
     bfs_distances,
     bfs_layers,
     manhattan,

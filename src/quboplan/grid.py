@@ -88,48 +88,32 @@ def max_manhattan(grid: GridMap) -> int:
     return (grid.rows - 1) + (grid.cols - 1)
 
 
-@dataclass
-class ReachabilityTable:
-    """Per-time-step sets of cells a robot could occupy, produced by BFS."""
-
-    layers: dict[int, set[Cell]]
-
-    def max_depth(self) -> int:
-        """Latest time step with a non-empty layer."""
-        depth = 0
-        for t, cells in self.layers.items():
-            if cells:
-                depth = max(depth, t)
-        return depth
-
-    def contains(self, c: Cell) -> bool:
-        return any(c in cells for cells in self.layers.values())
-
-
 def bfs_layers(grid: GridMap, start: Cell, horizon: int,
-               exclude_visited=()) -> ReachabilityTable:
+               exclude_visited=()) -> list[set[Cell]]:
     """Breadth-first reachability layers from `start` up to `horizon` steps.
 
-    A cell appears only in the layer of its first reach, and cells in
-    `exclude_visited` never appear at all. The search only asks
+    Entry t holds the cells first reached at step t, so a cell appears in one
+    layer only, and cells in `exclude_visited` other than the start never
+    appear at all. The list ends at the last step that reaches a new cell, so
+    it holds at most `horizon + 1` layers. The search only asks
     `exclude_visited` whether it holds a cell, so its work follows the cells
     it reaches, not the size of that collection.
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
-    if start in exclude_visited:
-        raise ValueError(f"start {start} is in the excluded set")
-    layers: dict[int, set[Cell]] = {0: {start}}
+    layers = [{start}]
     seen = {start}
-    for t in range(1, horizon + 1):
+    while len(layers) <= horizon:
         fresh = set()
-        for c in layers[t - 1]:
+        for c in layers[-1]:
             for n in grid.neighbors(c):
                 if n not in seen and n not in exclude_visited:
                     seen.add(n)
                     fresh.add(n)
-        layers[t] = fresh
-    return ReachabilityTable(layers)
+        if not fresh:
+            break
+        layers.append(fresh)
+    return layers
 
 
 def bfs_distances(grid: GridMap, start: Cell) -> dict[Cell, int]:

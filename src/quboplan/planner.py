@@ -11,7 +11,6 @@ before giving up. A window whose outcome no seed can change is widened at
 once instead, and given up when the widened one fails too.
 """
 
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -40,6 +39,7 @@ from .preprocess import (
     fix_numeric_diagonal,
     fold,
     forced_ones,
+    reduction_pct,
 )
 from .qubo import decode, var_group
 from .solvers import SolverConfig, solve
@@ -142,8 +142,6 @@ class WindowRecord:
     modes: dict[int, str] = field(default_factory=dict)
     original: int = 0
     reduced: int = 0
-    reduction_pct: float = 0.0
-    solved_by_preprocess: bool = False
     numeric_fixed: int = 0
     backend: str = "presolve"
     best_energy: float | None = None
@@ -153,6 +151,14 @@ class WindowRecord:
     global_start: int = 0
     retries: int = 0
     escalated: bool = False
+
+    @property
+    def reduction_pct(self) -> float:
+        return reduction_pct(self.original, self.reduced)
+
+    @property
+    def solved_by_preprocess(self) -> bool:
+        return self.reduced == 0
 
     def as_dict(self) -> dict:
         return {
@@ -222,11 +228,10 @@ class PlanningResult:
     def preprocess_totals(self) -> dict:
         original = sum(w.original for w in self.windows)
         reduced = sum(w.reduced for w in self.windows)
-        pct = 100.0 * (original - reduced) / original if original else 0.0
         return {
             "original": original,
             "reduced": reduced,
-            "reduction_pct": round(pct, 4),
+            "reduction_pct": round(reduction_pct(original, reduced), 4),
             "solved_by_preprocess": bool(self.windows)
             and all(w.solved_by_preprocess for w in self.windows),
         }
@@ -264,24 +269,6 @@ def derive_seed(base: int, *parts: int) -> int:
     from the run's base seed; each part is taken modulo 2**32."""
     entropy = (base & 0xFFFFFFFFFFFFFFFF,) + tuple(p & 0xFFFFFFFF for p in parts)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-class _Without(AbstractSet):
-    """The cells of `cells` other than `cell`, read through without a copy."""
-
-    __slots__ = ("cells", "cell")
-
-    def __init__(self, cells, cell: Cell):
-        self.cells, self.cell = cells, cell
-
-    def __contains__(self, c) -> bool:
-        return c != self.cell and c in self.cells
-
-    def __len__(self) -> int:
-        return len(self.cells) - (self.cell in self.cells)
-
-    def __iter__(self):
-        return (c for c in self.cells if c != self.cell)
 
 
 @dataclass
@@ -328,21 +315,22 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
     """
     records, tables = [], []
     for start, goal, visited in robots:
-        excluded = _Without(visited, start)
-        table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
-        reachable = table.contains(goal)
+        layers = bfs_layers(grid, start, horizon, exclude_visited=visited)
+        reachable = any(goal in cells for cells in layers)
         lower = manhattan(start, goal)
-        if not reachable and excluded and (lower <= horizon or table.max_depth() < horizon):
+        # Only a visited cell other than the start is left out of the search.
+        if (not reachable and len(visited) > (start in visited)
+                and (lower <= horizon or len(layers) <= horizon)):
             full = bfs_layers(grid, start, horizon)
-            reachable = full.contains(goal)
-            if reachable or table.max_depth() < min(horizon, full.max_depth()):
-                table = full
+            reachable = any(goal in cells for cells in full)
+            if reachable or len(layers) < len(full):
+                layers = full
         if reachable and lower < horizon:
             mode = GOAL_MODE_LATE
         else:
             mode = GOAL_MODE_APPROX
         records.append(RobotWindow(start, goal, mode, visited))
-        tables.append(table)
+        tables.append(layers)
     spec = WindowSpec(grid, tuple(records), horizon, weights, allow_wait)
     report, admissible = fix_logical(spec, tables)
     return Window(spec, report, admissible)
@@ -369,8 +357,6 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
         horizon, {a.spec.id: m for a, m in zip(agents, modes)},
         original=report.original_count,
         reduced=report.reduced_count,
-        reduction_pct=report.reduction_pct,
-        solved_by_preprocess=report.solved_by_preprocess,
         numeric_fixed=report.numeric_fixed,
     )
     if report.solved_by_preprocess:
@@ -380,8 +366,7 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
         cfg = replace(solver_cfg, seed=derive_seed(solver_cfg.seed, *seed_parts))
         sampleset = solve(folded.model, cfg,
                           groups=[var_group(spec.dims, v) for v in folded.free_vars])
-        decoded = decode(folded.expand(sampleset.best.bits), spec.dims, len(agents))
-        occupancy = [[cells.get(t, set()) for t in range(horizon + 1)] for cells in decoded]
+        occupancy = decode(folded.expand(sampleset.best.bits), spec.dims, len(agents))
         record.backend = cfg.backend
         record.best_energy = sampleset.best.energy
         record.histogram = [(s.energy, s.occurrences) for s in sampleset.samples[:8]]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ReachabilityTable
 from .penalties import Admissible, GOAL_MODE_LATE, WindowSpec
 from .qubo import QuboModel, block_size, var_index
 
@@ -25,6 +24,11 @@ class InfeasibleWindowError(Exception):
     def __init__(self, robot: int, message: str):
         super().__init__(message)
         self.robot = robot
+
+
+def reduction_pct(original: int, reduced: int) -> float:
+    """Share of `original` variables that fixing removed, in percent."""
+    return 100.0 * (original - reduced) / original if original else 0.0
 
 
 @dataclass
@@ -45,21 +49,21 @@ class FixReport:
 
     @property
     def reduction_pct(self) -> float:
-        if self.original_count == 0:
-            return 0.0
-        return 100.0 * (self.original_count - self.reduced_count) / self.original_count
+        return reduction_pct(self.original_count, self.reduced_count)
 
     @property
     def solved_by_preprocess(self) -> bool:
         return self.reduced_count == 0
 
 
-def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable]
+def fix_logical(spec: WindowSpec, tables: Admissible
                 ) -> tuple[FixReport, Admissible]:
     """Forced assignments for one window, plus the admissible variable sets.
 
     `tables` holds each robot's reachability layers from its start over the
-    window's horizon, as `planner.build_window` searched them. When the
+    window's horizon, as `planner.build_window` searched them; each robot's
+    admissible sets are its layers, padded with empty sets to
+    `spec.horizon + 1` steps. The inputs are left unchanged. When the
     spec allows waits, a reached goal stays admissible after first arrival,
     so the robot can park on it.
 
@@ -71,10 +75,11 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable]
     horizon = spec.horizon
     report = FixReport(original_count=len(spec.robots) * block_size(spec.dims))
     admissible: Admissible = []
-    joint_depth = max(t.max_depth() for t in tables)
+    joint_depth = max(len(table) for table in tables) - 1
 
     for robot, (rec, table) in enumerate(zip(spec.robots, tables)):
-        layers = [set(table.layers[t]) for t in range(horizon + 1)]
+        layers = [set(cells) for cells in table]
+        layers += [set() for _ in range(horizon + 1 - len(layers))]
         goal_time = next(
             (t for t, cells in enumerate(layers) if rec.goal in cells), None)
         if goal_time is None and rec.goal_mode == GOAL_MODE_LATE:
@@ -86,7 +91,7 @@ def fix_logical(spec: WindowSpec, tables: list[ReachabilityTable]
             # Keep the goal available after first arrival so the robot can
             # park on it, and an early finisher stays visible to the other
             # robots' collision terms.
-            for t in range(goal_time + 1, min(joint_depth, horizon) + 1):
+            for t in range(goal_time + 1, joint_depth + 1):
                 layers[t].add(rec.goal)
         elif goal_time is not None and goal_time < horizon:
             # A goal the search wavefront cannot be continued from would

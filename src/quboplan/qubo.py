@@ -41,23 +41,24 @@ def var_group(dims: Dims, index: int) -> int:
     return index // (rows * cols)
 
 
-def decode(ones: Collection[int], dims: Dims, num_robots: int) -> list[dict[int, set[Cell]]]:
+def decode(ones: Collection[int], dims: Dims, num_robots: int) -> list[list[set[Cell]]]:
     """Inverse of `var_index` applied to every set bit.
 
-    Returns one time-to-cells map per robot. Empty sets at a step signal a
-    one-hot violation that post-processing deals with downstream.
+    Returns one cell set per step 0..horizon for each robot. An empty set at
+    a step signals a one-hot violation that post-processing deals with
+    downstream.
     """
     rows, cols, horizon = dims
     block = block_size(dims)
     per_cell = rows * cols
-    out: list[dict[int, set[Cell]]] = [{} for _ in range(num_robots)]
+    out = [[set() for _ in range(horizon + 1)] for _ in range(num_robots)]
     for n in ones:
         if not 0 <= n < block * num_robots:
             raise ValueError(f"variable index {n} out of range")
         robot, rem = divmod(n, block)
         t, lin = divmod(rem, per_cell)
         i, j = divmod(lin, cols)
-        out[robot].setdefault(t, set()).add((i, j))
+        out[robot][t].add((i, j))
     return out
 
 

@@ -178,11 +178,6 @@ def solve_exhaustive(model) -> SampleSet:
     return _collect(model, counts)
 
 
-def _geometric_betas(beta_range: tuple[float, float], sweeps: int) -> np.ndarray:
-    lo, hi = beta_range
-    return np.geomspace(lo, hi, sweeps)
-
-
 @dataclass(frozen=True)
 class _OneHotLayout:
     """A model regrouped for one-hot moves.
@@ -275,7 +270,7 @@ def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> n
     # Every per-read array counts against the budget, in 8-byte units.
     per_read = num_groups * (cfg.sweeps + 2) + stride
     block = max(1, min(cfg.num_reads, _RANDOM_BUDGET // per_read))
-    betas = _geometric_betas(cfg.beta_range, cfg.sweeps) * scale
+    betas = np.geomspace(*cfg.beta_range, cfg.sweeps) * scale
     states = np.empty((cfg.num_reads, num_groups), dtype=np.intp)
     for lo in range(0, cfg.num_reads, block):
         reads = range(lo, min(lo + block, cfg.num_reads))

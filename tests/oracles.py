@@ -25,7 +25,6 @@ from quboplan.qubo import QuboModel
 from quboplan.solvers import (
     _RANDOM_BUDGET,
     SolverConfig,
-    _geometric_betas,
     _OneHotLayout,
 )
 
@@ -217,7 +216,7 @@ def anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np
     """
     n, num_groups = len(layout.order), len(layout.size)
     stride = 1 << n.bit_length()  # > n, so column n is the padding sink
-    betas = _geometric_betas(cfg.beta_range, cfg.sweeps) * scale
+    betas = np.geomspace(*cfg.beta_range, cfg.sweeps) * scale
     span = (layout.size - 1).astype(np.float64)
     # Every per-read array counts against the budget, in 8-byte units.
     per_read = num_groups * (cfg.sweeps + 2) + stride

@@ -92,44 +92,47 @@ def test_manhattan_lower_bounds_grid_distance():
 
 def test_bfs_layers_first_reach_3x3():
     g = GridMap(3, 3)
-    table = bfs_layers(g, (0, 0), 2)
-    assert table.layers == {
-        0: {(0, 0)},
-        1: {(0, 1), (1, 0)},
-        2: {(0, 2), (1, 1), (2, 0)},
-    }
+    assert bfs_layers(g, (0, 0), 2) == [
+        {(0, 0)},
+        {(0, 1), (1, 0)},
+        {(0, 2), (1, 1), (2, 0)},
+    ]
 
 
 def test_bfs_layers_2x2_shape():
     g = GridMap(2, 2)
-    table = bfs_layers(g, (0, 0), 2)
-    assert table.layers == {0: {(0, 0)}, 1: {(0, 1), (1, 0)}, 2: {(1, 1)}}
+    assert bfs_layers(g, (0, 0), 2) == [{(0, 0)}, {(0, 1), (1, 0)}, {(1, 1)}]
+
+
+def test_bfs_layers_end_at_the_last_new_cell():
+    g = GridMap(2, 2)
+    layers = bfs_layers(g, (0, 0), 5)
+    assert layers == [{(0, 0)}, {(0, 1), (1, 0)}, {(1, 1)}]
+    # The start is seen from step 0, so excluding it changes nothing.
+    assert bfs_layers(g, (0, 0), 5, exclude_visited={(0, 0)}) == layers
 
 
 def test_bfs_layers_horizon_zero():
     g = GridMap(3, 3)
-    assert bfs_layers(g, (1, 1), 0).layers == {0: {(1, 1)}}
+    assert bfs_layers(g, (1, 1), 0) == [{(1, 1)}]
 
 
 def test_bfs_layers_never_contain_obstacles():
     g = GridMap(4, 4, frozenset({(0, 1), (2, 2), (3, 0)}))
-    table = bfs_layers(g, (0, 0), 8)
-    for cells in table.layers.values():
+    for cells in bfs_layers(g, (0, 0), 8):
         assert not (cells & g.obstacles)
 
 
 def test_bfs_layers_excluded_cells_omitted():
     g = GridMap(3, 3)
-    table = bfs_layers(g, (0, 0), 4, exclude_visited={(0, 1)})
-    assert not any((0, 1) in cells for cells in table.layers.values())
+    layers = bfs_layers(g, (0, 0), 4, exclude_visited={(0, 1)})
+    assert not any((0, 1) in cells for cells in layers)
 
 
 def test_bfs_layers_rejects_bad_start():
     g = GridMap(3, 3, frozenset({(1, 1)}))
     with pytest.raises(ValueError):
         bfs_layers(g, (1, 1), 2)
-    with pytest.raises(ValueError):
-        bfs_layers(g, (0, 0), 2, exclude_visited={(0, 0)})
 
 
 def test_obstacle_potential_empty_interior():

@@ -310,13 +310,13 @@ def _window_searching_the_full_map_whenever_exclusions_hide_the_goal(
     for start, goal, visited in robots:
         excluded = frozenset(visited) - {start}
         table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
-        reachable = table.contains(goal)
+        reachable = any(goal in cells for cells in table)
         if not reachable and excluded:
             skippable += (manhattan(start, goal) > horizon
-                          and table.max_depth() == horizon)
+                          and len(table) == horizon + 1)
             full = bfs_layers(grid, start, horizon)
-            reachable = full.contains(goal)
-            if reachable or table.max_depth() < min(horizon, full.max_depth()):
+            reachable = any(goal in cells for cells in full)
+            if reachable or len(table) < len(full):
                 table = full
         if reachable and manhattan(start, goal) < horizon:
             mode = GOAL_MODE_LATE

@@ -45,16 +45,16 @@ def test_decode_roundtrip():
     rebuilt = {
         (r, t, c)
         for r, per_t in enumerate(decoded)
-        for t, cells in per_t.items()
+        for t, cells in enumerate(per_t)
         for c in cells
     }
     assert rebuilt == triples
 
 
 def test_decode_examples():
-    assert decode({0}, (5, 5, 2), 1) == [{0: {(0, 0)}}]
-    assert decode({0, 31}, (5, 5, 2), 1) == [{0: {(0, 0)}, 1: {(1, 1)}}]
-    assert decode(set(), (5, 5, 2), 1) == [{}]
+    assert decode({0}, (5, 5, 2), 1) == [[{(0, 0)}, set(), set()]]
+    assert decode({0, 31}, (5, 5, 2), 1) == [[{(0, 0)}, {(1, 1)}, set()]]
+    assert decode(set(), (5, 5, 2), 1) == [[set(), set(), set()]]
 
 
 def test_add_canonicalizes_and_cancels():
