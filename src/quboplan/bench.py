@@ -11,7 +11,7 @@ import time
 from dataclasses import replace
 from statistics import median
 
-from .classical import astar, path_moves, prioritized_plan
+from .classical import prioritized_plan
 from .multi import plan_multi
 from .planner import derive_seed
 from .scenario import ScenarioError, ScenarioSpec
@@ -20,17 +20,14 @@ SCHEMA_VERSION = 2  # of the `plan` and `bench` JSON
 
 
 def classical_lengths(spec: ScenarioSpec) -> dict:
-    """Optimal per-robot lengths from the classical side, plus the total."""
-    if len(spec.robots) == 1:
-        r = spec.robots[0]
-        path = astar(spec.grid, r.start, r.goal)
-        lengths = {r.id: None if path is None else path_moves(path)}
-    else:
-        steps = prioritized_plan(spec.grid, spec.robots)
-        lengths = {
-            rid: None if s is None else s[-1][0] - s[0][0]
-            for rid, s in steps.items()
-        }
+    """Per-robot lengths from prioritized space-time A*, plus the total.
+
+    For one robot the search has nothing to avoid, so its length is the
+    optimal (A*) length.
+    """
+    steps = prioritized_plan(spec.grid, spec.robots)
+    lengths = {rid: None if s is None else s[-1][0] - s[0][0]
+               for rid, s in steps.items()}
     values = list(lengths.values())
     total = None if any(v is None for v in values) else sum(values)
     return {"per_robot": lengths, "total": total}

@@ -79,7 +79,7 @@ def _cmd_oracle_check(args) -> int:
     if args.samples < 1 or args.runs < 1:
         raise ScenarioError("samples and runs must be >= 1")
     report = oracle_check(samples=args.samples, runs_per_sample=args.runs,
-                          seed=args.seed if args.seed is not None else 7)
+                          seed=args.seed)
     summary = {k: v for k, v in report.items() if k != "instances"}
     print(json.dumps(summary, sort_keys=True, indent=2))
     ok = report["agreement"] >= args.threshold
@@ -90,7 +90,7 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_export_qubo(args) -> int:
-    spec = _apply_solver_overrides(load_scenario(args.scenario), args)
+    spec = load_scenario(args.scenario)
     if len(spec.robots) != 1:
         raise ScenarioError("export-qubo handles single-robot scenarios")
     robot = spec.robots[0]
@@ -118,6 +118,7 @@ def main(argv=None) -> int:
 
     for p in (plan_p, bench_p, render_p, export_p):
         p.add_argument("scenario", help="path to a .scn scenario file")
+    for p in (plan_p, bench_p, render_p):
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--backend", choices=("annealer", "exhaustive"), default=None)
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
 
     oracle_p.add_argument("--samples", type=int, default=25)
     oracle_p.add_argument("--runs", type=int, default=4)
-    oracle_p.add_argument("--seed", type=int, default=None)
+    oracle_p.add_argument("--seed", type=int, default=7)
     oracle_p.add_argument("--threshold", type=float, default=0.95)
     oracle_p.set_defaults(func=_cmd_oracle_check)
 

@@ -118,21 +118,8 @@ def bfs_layers(grid: GridMap, start: Cell, horizon: int,
 
 def bfs_distances(grid: GridMap, start: Cell) -> dict[Cell, int]:
     """Shortest move counts from `start` to every reachable cell."""
-    if not grid.is_free(start):
-        raise ValueError(f"start {start} is not a free cell")
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        fresh = []
-        for c in frontier:
-            for n in grid.neighbors(c):
-                if n not in dist:
-                    dist[n] = d
-                    fresh.append(n)
-        frontier = fresh
-    return dist
+    layers = bfs_layers(grid, start, grid.rows * grid.cols)
+    return {c: t for t, layer in enumerate(layers) for c in layer}
 
 
 def obstacle_potential(grid: GridMap, c: Cell) -> float:

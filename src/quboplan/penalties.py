@@ -9,6 +9,7 @@ model energy always equals the sum of the formulas evaluated on the decoded
 occupancy.
 """
 
+import math
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, fields
 
@@ -35,10 +36,10 @@ class PenaltyWeights:
     """Relative importance of each constraint.
 
     The defaults were tuned empirically on the benchmark scenarios; all
-    weights must stay strictly positive. Only the weights' ratios matter:
-    the annealer reads its β range per unit of the model's largest coupling
-    between (robot, step) groups (`solvers.solve`), so no overall scale is
-    set here.
+    weights must be finite and strictly positive. Only the weights' ratios
+    matter: the annealer reads its β range per unit of the model's largest
+    coupling between (robot, step) groups (`solvers.solve`), so no overall
+    scale is set here.
     """
 
     k_hot: float = 4.0
@@ -53,8 +54,8 @@ class PenaltyWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be strictly positive")
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)

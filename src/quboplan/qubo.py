@@ -111,9 +111,6 @@ class QuboModel:
                 total += w
         return total
 
-    def max_abs_coefficient(self) -> float:
-        return max((abs(w) for w in self.coeffs.values()), default=0.0)
-
     def to_text(self) -> str:
         """Plain-text triple list: header "num_vars constant", then "a b w" lines."""
         lines = [f"{self.num_vars} {self.constant!r}"]

@@ -22,9 +22,9 @@ def _center(c) -> tuple[int, int]:
 def render_svg(grid: GridMap, plans=(), out_path: str | None = None) -> str:
     """Draw the grid, obstacles, and one polyline per plan.
 
-    `plans` is any iterable of objects with `.steps` (list of (t, cell)) or
-    raw step lists. Starts are marked with circles, goals with squares, and
-    each step carries its global time as a small label.
+    `plans` is any iterable of `Plan`s. Starts are marked with circles,
+    goals with squares, and each step carries its global time as a small
+    label.
     """
     width = 2 * MARGIN + grid.cols * CELL
     height = 2 * MARGIN + grid.rows * CELL
@@ -51,7 +51,7 @@ def render_svg(grid: GridMap, plans=(), out_path: str | None = None) -> str:
         )
 
     for index, plan in enumerate(plans):
-        steps = plan.steps if hasattr(plan, "steps") else list(plan)
+        steps = plan.steps
         if not steps:
             continue
         color = PALETTE[index % len(PALETTE)]

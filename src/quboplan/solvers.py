@@ -69,8 +69,8 @@ class SolverConfig:
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
         lo, hi = self.beta_range
-        if not (0 < lo < hi):
-            raise ValueError("beta_range must satisfy 0 < initial < final")
+        if not 0 < lo < hi < math.inf:
+            raise ValueError("beta_range must satisfy 0 < initial < final < inf")
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,13 @@ def _collect(model, counts: dict[tuple[int, ...], int]) -> SampleSet:
 
 
 def _dense_arrays(model):
-    n = model.num_vars
-    diag = np.zeros(n)
-    upper = np.zeros((n, n))
-    for (a, b), w in model.coeffs.items():
-        if a == b:
-            diag[a] = w
-        else:
-            upper[a, b] = w
+    pairs, weights = _terms(model)
+    a, b = pairs[:, 0], pairs[:, 1]
+    linear = a == b
+    diag = np.zeros(model.num_vars)
+    diag[a[linear]] = weights[linear]
+    upper = np.zeros((model.num_vars, model.num_vars))
+    upper[a[~linear], b[~linear]] = weights[~linear]
     return diag, upper
 
 
@@ -160,22 +159,17 @@ def solve_exhaustive(model) -> SampleSet:
         e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
         best = min(best, float(e.min()))
 
-    # Re-evaluate near-minimal candidates exactly so ties are exact ties.
+    # Score the near-minimal codes exactly, so that ties are exact ties.
     tolerance = 1e-9 * max(1.0, abs(best))
-    counts: dict[tuple[int, ...], int] = {}
-    exact_best = math.inf
+    near = []
     for lo in range(0, total, _ENUM_CHUNK):
         e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
-        for offset in np.nonzero(e <= best + tolerance)[0]:
-            code = lo + int(offset)
-            bits = tuple((code >> k) & 1 for k in range(n))
-            exact = model.energy({i for i, b in enumerate(bits) if b})
-            if exact < exact_best:
-                exact_best = exact
-                counts = {bits: 1}
-            elif exact == exact_best:
-                counts[bits] = 1
-    return _collect(model, counts)
+        near.append(lo + np.nonzero(e <= best + tolerance)[0])
+    codes = np.concatenate(near)
+    on = ((codes[:, None] >> shifts) & 1).astype(bool)
+    exact = _energies(model, on)
+    ties = on[exact == exact.min()].astype(int)
+    return _collect(model, {tuple(bits): 1 for bits in ties.tolist()})
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,9 @@ def _one_hot_layout(model, groups) -> _OneHotLayout:
     linear = a == b
     cross = gid[a] != gid[b]
     a, b, w = a[cross], b[cross], values[cross]
-    peak = float(np.abs(w).max()) if len(w) else model.max_abs_coefficient()
+    # The peak |coupling between groups|, or the peak |coefficient| when the
+    # groups share no coupling.
+    peak = float(np.abs(w if len(w) else values).max(initial=0.0))
 
     # Greedy colouring of the groups that can move, most constrained first.
     size = np.bincount(gid, minlength=num_groups)

@@ -5,7 +5,8 @@ shortest paths by brute force, and compute exact minima by plain enumeration.
 They deliberately avoid the library's coefficient-accumulation and solver
 code paths so agreement between the two is meaningful. The first one-hot
 annealing kernel is kept here too, as the reference its faster rewrite must
-reproduce state for state, and so is the first neighbour rule of the grid.
+reproduce state for state, and so are the grid's first neighbour rule and
+its first distance search.
 """
 
 import itertools
@@ -14,7 +15,6 @@ import numpy as np
 
 from quboplan.grid import (
     GridMap,
-    bfs_distances,
     bfs_layers,
     manhattan,
     max_manhattan,
@@ -113,6 +113,26 @@ def neighbors(grid: GridMap, c, allow_wait=False) -> set:
     if allow_wait:
         out.add(c)
     return out
+
+
+def bfs_distances(grid: GridMap, start) -> dict:
+    """`grid.bfs_distances` as it was first written: a frontier loop of its
+    own, apart from `grid.bfs_layers`."""
+    if not grid.is_free(start):
+        raise ValueError(f"start {start} is not a free cell")
+    dist = {start: 0}
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        fresh = []
+        for c in frontier:
+            for n in grid.neighbors(c):
+                if n not in dist:
+                    dist[n] = d
+                    fresh.append(n)
+        frontier = fresh
+    return dist
 
 
 def reachability_tables(spec: WindowSpec):

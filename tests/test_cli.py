@@ -79,6 +79,26 @@ def test_export_qubo_rejects_a_multi_robot_scenario(capsys):
     assert capsys.readouterr().err == "error: export-qubo handles single-robot scenarios\n"
 
 
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--backend", "exhaustive"],
+                                  ["--reads", "0"], ["--sweeps", "5"]],
+                         ids=["seed", "backend", "reads", "sweeps"])
+def test_export_qubo_rejects_the_solver_flags(flag, capsys):
+    # export-qubo builds no solver, so it takes none of its settings.
+    with pytest.raises(SystemExit) as exited:
+        main(["export-qubo", str(SCENARIOS / "single5.scn")] + flag)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_plan_rejects_a_nan_weight_with_exit_two(tmp_path, capsys):
+    scn = tmp_path / "demo3.scn"
+    scn.write_text((SCENARIOS / "demo3.scn").read_text() + "\n[weights]\nk_adj = nan\n")
+    assert main(["plan", str(scn)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: k_adj must be finite and strictly positive\n"
+    assert out.out == ""
+
+
 def test_render_writes_svg(tmp_path, capsys):
     out = tmp_path / "demo.svg"
     code = main(["render", str(SCENARIOS / "demo3.scn"), "-o", str(out)])

@@ -135,6 +135,35 @@ def test_bfs_layers_rejects_bad_start():
         bfs_layers(g, (1, 1), 2)
 
 
+def test_bfs_distances_match_the_first_search_on_random_maps():
+    # Distances flattened from `bfs_layers` must equal those of the frontier
+    # loop `bfs_distances` once had, from every start, small components too.
+    rng = np.random.default_rng(37)
+    maps = small = 0
+    for _ in range(240):
+        rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
+        density = rng.uniform(0.0, 0.4)
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        g = GridMap(rows, cols, frozenset(c for c in cells if rng.random() < density))
+        free = g.free_cells()
+        maps += bool(free)
+        for start in free:
+            expected = oracles.bfs_distances(g, start)
+            assert bfs_distances(g, start) == expected
+            small += len(expected) <= min(3, len(free) - 1)
+    assert maps >= 200 and small >= 100
+
+
+def test_bfs_distances_reject_a_blocked_or_outside_start():
+    g = GridMap(3, 3, frozenset({(1, 1)}))
+    for start in ((1, 1), (3, 0), (0, -1)):
+        with pytest.raises(ValueError) as expected:
+            oracles.bfs_distances(g, start)
+        with pytest.raises(ValueError) as got:
+            bfs_distances(g, start)
+        assert str(got.value) == str(expected.value) == f"start {start} is not a free cell"
+
+
 def test_obstacle_potential_empty_interior():
     g = GridMap(5, 5)
     assert obstacle_potential(g, (2, 2)) == 0.0

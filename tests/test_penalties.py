@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,9 @@ def test_built_models_store_no_zero_coefficients():
 def test_weights_validation():
     with pytest.raises(ValueError):
         PenaltyWeights(k_hot=0.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="k_adj must be finite and strictly positive"):
+            PenaltyWeights(k_adj=value)
 
 
 def test_window_spec_rejects_horizon_below_one():

@@ -143,6 +143,15 @@ def test_unknown_section_and_key_rejected():
             parse_scenario(text)
 
 
+@pytest.mark.parametrize("section, line, message", [
+    ("weights", "k_hot = inf", "k_hot must be finite and strictly positive"),
+    ("solver", "beta1 = inf", "beta_range must satisfy"),
+])
+def test_non_finite_values_rejected(section, line, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(MINIMAL + f"\n[{section}]\n{line}\n")
+
+
 def test_out_of_grid_robot_rejected():
     text = "[map]\n..\n..\n\n[robots]\n0 0 5 5\n"
     with pytest.raises(ScenarioError, match="outside the map"):

@@ -34,6 +34,8 @@ def test_solver_config_validation():
         SolverConfig(beta_range=(2.0, 1.0))
     with pytest.raises(ValueError):
         SolverConfig(beta_range=(0.0, 1.0))
+    with pytest.raises(ValueError, match="beta_range must satisfy"):
+        SolverConfig(beta_range=(0.4, math.inf))
 
 
 def test_exhaustive_finds_known_minimum():
@@ -235,7 +237,7 @@ def test_cold_samples_are_local_minima_under_one_group_moves(name):
 @pytest.mark.parametrize("k", [-3, 1, 4])
 def test_solve_is_invariant_to_scaling_the_model(k):
     model, cfg, groups = _first_window("multi5")
-    scaled = peak_rescaled(model, 2.0 ** k * model.max_abs_coefficient())
+    scaled = peak_rescaled(model, 2.0 ** k * max(abs(w) for w in model.coeffs.values()))
     assert _draws(solve(scaled, cfg, groups=groups)) == _draws(solve(model, cfg, groups=groups))
 
 
