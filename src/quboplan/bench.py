@@ -114,8 +114,6 @@ def run_benchmark(spec: ScenarioSpec, repeats: int | None = None,
 
 def _reduction_summary(runs) -> dict:
     pre = [r["preprocess"] for r in runs]
-    if not pre:
-        return {}
     return {
         "original": pre[0]["original"],
         "reduced_best": min(p["reduced"] for p in pre),

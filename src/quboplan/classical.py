@@ -128,6 +128,8 @@ def prioritized_plan(grid: GridMap, robots) -> dict[int, list | None]:
     for r in robots:
         if r.start == r.goal:
             steps = [(r.release, r.start)]
+        elif astar(grid, r.start, r.goal) is None:
+            steps = None  # the static map walls the goal off
         else:
             steps = _space_time_astar(grid, r.start, r.goal, r.release,
                                       reservations, horizon)

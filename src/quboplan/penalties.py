@@ -23,6 +23,15 @@ GOAL_MODE_APPROX = "approximation"
 GOAL_RAMP_MAX = 2.0
 # Share of `k_bt` charged for each step on a cell visited in an earlier window.
 BT_SOFT_FACTOR = 0.5
+# The start reward and the early-goal penalty cannot change a plan, so they
+# are constants. Layer 0 of `bfs_layers` is {start}, so the start variable is
+# forced on and `fold` moves its reward into the constant, on either backend.
+# The goal enters a layer at its BFS distance, never below its L1 distance
+# (left-out visited cells and added obstacles only lengthen it), and
+# `fix_logical` pads the goal only after that step: `apply_teleportation`
+# emits nothing in a planner window. Both still shape the dense model.
+START_REWARD = 4.0
+EARLY_GOAL_PENALTY = 3.0
 
 
 def goal_factor(t: int, horizon: int) -> float:
@@ -44,11 +53,9 @@ class PenaltyWeights:
 
     k_hot: float = 4.0
     k_adj: float = 2.0
-    k_start: float = 4.0
     k_goal: float = 2.0
     k_lock: float = 1.0
     k_bt: float = 1.5
-    k_tel: float = 3.0
     k_approx: float = 1.0
     k_coll: float = 4.0
 
@@ -166,7 +173,7 @@ def apply_start(model: QuboModel, spec: WindowSpec, robot: int,
     rec = spec.robots[robot]
     if rec.start in admissible[robot][0]:
         a = var_index(spec.dims, robot, 0, rec.start)
-        model.add(a, a, -spec.weights.k_start)
+        model.add(a, a, -START_REWARD)
     return model
 
 
@@ -230,12 +237,11 @@ def apply_teleportation(model: QuboModel, spec: WindowSpec, robot: int,
                         admissible: Admissible) -> QuboModel:
     """Penalize claiming the goal before its L1 distance from the start."""
     rec = spec.robots[robot]
-    k = spec.weights.k_tel
     bound = min(manhattan(rec.start, rec.goal), spec.horizon + 1)
     for t in range(bound):
         if rec.goal in admissible[robot][t]:
             a = var_index(spec.dims, robot, t, rec.goal)
-            model.add(a, a, k)
+            model.add(a, a, EARLY_GOAL_PENALTY)
     return model
 
 

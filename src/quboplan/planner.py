@@ -549,18 +549,17 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
 
     clash_events: list[str] = []
     unresolved: list = []
-    if multi:
-        reached = [p for p in plans if p.status == STATUS_REACHED]
-        lists = [p.steps for p in reached]
-        if find_vertex_conflicts(lists):
-            lists, clash_events, unresolved = resolve_clash_wait(lists, grid)
-            for p, new_steps in zip(reached, lists):
-                p.steps = new_steps
-        for conflict in unresolved:
-            plan = reached[conflict[3]]
-            if plan.status == STATUS_REACHED:
-                plan.status = STATUS_EXHAUSTED
-                plan.notes.append(f"unresolved vertex conflict at t={conflict[0]}")
+    reached = [p for p in plans if p.status == STATUS_REACHED]
+    lists = [p.steps for p in reached]
+    if find_vertex_conflicts(lists):
+        lists, clash_events, unresolved = resolve_clash_wait(lists, grid)
+        for p, new_steps in zip(reached, lists):
+            p.steps = new_steps
+    for conflict in unresolved:
+        plan = reached[conflict[3]]
+        if plan.status == STATUS_REACHED:
+            plan.status = STATUS_EXHAUSTED
+            plan.notes.append(f"unresolved vertex conflict at t={conflict[0]}")
 
     for plan, agent in zip(plans, agents):
         if plan.status != STATUS_REACHED:

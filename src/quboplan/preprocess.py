@@ -48,10 +48,6 @@ class FixReport:
     numeric_fixed: int = 0
 
     @property
-    def reduction_pct(self) -> float:
-        return reduction_pct(self.original_count, self.reduced_count)
-
-    @property
     def solved_by_preprocess(self) -> bool:
         return self.reduced_count == 0
 

@@ -143,8 +143,6 @@ def solve_exhaustive(model) -> SampleSet:
         raise ModelTooLargeError(
             f"exhaustive backend handles at most {EXHAUSTIVE_VAR_CAP} variables, got {n}"
         )
-    if n == 0:
-        return SampleSet([Sample((), model.constant, 1)])
     diag, upper = _dense_arrays(model)
     shifts = np.arange(n, dtype=np.uint32)
     total = 1 << n
@@ -154,18 +152,19 @@ def solve_exhaustive(model) -> SampleSet:
         bits = ((codes[:, None] >> shifts) & 1).astype(np.float64)
         return bits @ diag + np.einsum("ij,ij->i", bits @ upper, bits)
 
+    # One pass: each chunk keeps its codes near the running minimum. That
+    # cut only falls, so every code near the final minimum is kept.
     best = math.inf
+    kept, screened = [], []
     for lo in range(0, total, _ENUM_CHUNK):
         e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
         best = min(best, float(e.min()))
-
-    # Score the near-minimal codes exactly, so that ties are exact ties.
+        near = np.nonzero(e <= best + 1e-9 * max(1.0, abs(best)))[0]
+        kept.append(lo + near)
+        screened.append(e[near])
     tolerance = 1e-9 * max(1.0, abs(best))
-    near = []
-    for lo in range(0, total, _ENUM_CHUNK):
-        e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
-        near.append(lo + np.nonzero(e <= best + tolerance)[0])
-    codes = np.concatenate(near)
+    codes = np.concatenate(kept)[np.concatenate(screened) <= best + tolerance]
+    # Score the near-minimal codes exactly, so that ties are exact ties.
     on = ((codes[:, None] >> shifts) & 1).astype(bool)
     exact = _energies(model, on)
     ties = on[exact == exact.min()].astype(int)

@@ -5,11 +5,12 @@ shortest paths by brute force, and compute exact minima by plain enumeration.
 They deliberately avoid the library's coefficient-accumulation and solver
 code paths so agreement between the two is meaningful. The first one-hot
 annealing kernel is kept here too, as the reference its faster rewrite must
-reproduce state for state, and so are the grid's first neighbour rule and
-its first distance search.
+reproduce state for state, and so are the grid's first neighbour rule, its
+first distance search and the exhaustive backend's first, two-pass screen.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -20,11 +21,23 @@ from quboplan.grid import (
     max_manhattan,
     obstacle_potential,
 )
-from quboplan.penalties import BT_SOFT_FACTOR, GOAL_MODE_APPROX, WindowSpec, goal_factor
+from quboplan.penalties import (
+    BT_SOFT_FACTOR,
+    EARLY_GOAL_PENALTY,
+    GOAL_MODE_APPROX,
+    START_REWARD,
+    WindowSpec,
+    goal_factor,
+)
 from quboplan.qubo import QuboModel
 from quboplan.solvers import (
+    _ENUM_CHUNK,
     _RANDOM_BUDGET,
+    SampleSet,
     SolverConfig,
+    _collect,
+    _dense_arrays,
+    _energies,
     _OneHotLayout,
 )
 
@@ -57,7 +70,7 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
                     )
                     total += w.k_adj * (1 - linked)
         if rec.start in admissible[r][0]:
-            total -= w.k_start * occ(r, 0, rec.start)
+            total -= START_REWARD * occ(r, 0, rec.start)
         if rec.goal_mode == GOAL_MODE_APPROX:
             d_max = max_manhattan(spec.grid)
             for c in admissible[r][horizon]:
@@ -88,7 +101,7 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
                     total += w.k_bt * BT_SOFT_FACTOR * occ(r, t, c)
         for t in range(min(manhattan(rec.start, rec.goal), horizon + 1)):
             if rec.goal in admissible[r][t]:
-                total += w.k_tel * occ(r, t, rec.goal)
+                total += EARLY_GOAL_PENALTY * occ(r, t, rec.goal)
 
     for r1 in range(len(spec.robots)):
         for r2 in range(r1 + 1, len(spec.robots)):
@@ -183,6 +196,36 @@ def brute_force_minima(model: QuboModel):
         elif e == best:
             argmins.append(bits)
     return best, argmins
+
+
+def solve_exhaustive_two_pass(model) -> SampleSet:
+    """`solvers.solve_exhaustive` as it screened first: one pass over every
+    chunk for the minimum, a second for the codes within tolerance of it."""
+    n = model.num_vars
+    diag, upper = _dense_arrays(model)
+    shifts = np.arange(n, dtype=np.uint32)
+    total = 1 << n
+
+    def chunk_energies(lo, hi):
+        codes = np.arange(lo, hi, dtype=np.uint32)
+        bits = ((codes[:, None] >> shifts) & 1).astype(np.float64)
+        return bits @ diag + np.einsum("ij,ij->i", bits @ upper, bits)
+
+    best = math.inf
+    for lo in range(0, total, _ENUM_CHUNK):
+        e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
+        best = min(best, float(e.min()))
+
+    tolerance = 1e-9 * max(1.0, abs(best))
+    near = []
+    for lo in range(0, total, _ENUM_CHUNK):
+        e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
+        near.append(lo + np.nonzero(e <= best + tolerance)[0])
+    codes = np.concatenate(near)
+    on = ((codes[:, None] >> shifts) & 1).astype(bool)
+    exact = _energies(model, on)
+    ties = on[exact == exact.min()].astype(int)
+    return _collect(model, {tuple(bits): 1 for bits in ties.tolist()})
 
 
 def peak_rescaled(model: QuboModel, scale: float) -> QuboModel:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quboplan import classical
 from quboplan.classical import astar, path_moves, prioritized_plan
 from quboplan.grid import GridMap, bfs_distances
 from quboplan.planner import RobotSpec, validate_path
@@ -22,6 +23,17 @@ def test_astar_start_equals_goal():
 def test_astar_walled_goal_infeasible():
     g = GridMap(3, 3, frozenset({(1, 2), (2, 1)}))
     assert astar(g, (0, 0), (2, 2)) is None
+
+
+def test_prioritized_gives_up_at_once_on_a_goal_the_map_walls_off(monkeypatch):
+    # Space-time A* would expand (cell, t) states up to a horizon of
+    # 2 * rows * cols before giving up, so it must not run at all.
+    def never(*args):
+        raise AssertionError("space-time search ran for a walled-off goal")
+
+    monkeypatch.setattr(classical, "_space_time_astar", never)
+    g = GridMap(30, 30, frozenset({(28, 29), (29, 28)}))
+    assert prioritized_plan(g, [RobotSpec(0, (0, 0), (29, 29))]) == {0: None}
 
 
 def test_astar_rejects_bad_endpoints():

@@ -99,6 +99,18 @@ def test_plan_rejects_a_nan_weight_with_exit_two(tmp_path, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("key", ["k_start", "k_tel"])
+def test_plan_rejects_a_weight_that_is_now_a_constant(key, tmp_path, capsys):
+    # The start reward and the early-goal penalty are constants in
+    # `penalties`: no planner window can feel them, so no file may set them.
+    scn = tmp_path / "demo3.scn"
+    scn.write_text((SCENARIOS / "demo3.scn").read_text() + f"\n[weights]\n{key} = 4.0\n")
+    assert main(["plan", str(scn)]) == 2
+    out = capsys.readouterr()
+    assert f"unknown [weights] key '{key}'" in out.err
+    assert out.out == ""
+
+
 def test_render_writes_svg(tmp_path, capsys):
     out = tmp_path / "demo.svg"
     code = main(["render", str(SCENARIOS / "demo3.scn"), "-o", str(out)])

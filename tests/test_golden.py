@@ -2,11 +2,14 @@
 
 `golden/` holds the `plan` JSON of every shipped scenario and of one test
 scenario under `scenarios/` here, a two-repeat `bench` of demo3 and an
-`oracle-check` summary. A change that claims to keep the planner's
-behaviour must reproduce each file exactly; a change that means to alter it
-regenerates the files with the commands below and says so.
+`oracle-check` summary. `export-qubo` output, folded and raw, is pinned by
+its sha256 digest instead, since the raw exports run to hundreds of
+kilobytes. A change that claims to keep the planner's behaviour must
+reproduce each file and digest exactly; a change that means to alter it
+regenerates them with the commands below and says so.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -25,6 +28,16 @@ COMMANDS = {
     "plan_multi10_4_window4.json": ["plan", str(TESTS / "scenarios" / "multi10_4_window4.scn")],
     "bench_demo3.json": ["bench", str(SCENARIOS / "demo3.scn"), "--repeats", "2"],
     "oracle_check.json": ["oracle-check", "--samples", "4", "--runs", "2", "--seed", "3"],
+}
+
+# (scenario, --raw) -> sha256 of the `export-qubo` output.
+EXPORT_SHA256 = {
+    ("corridor10", False): "489a5d342686f0e721725c92c8fbf5d3a35dc9652f35aa5fd317e497427f72d8",
+    ("corridor10", True): "efa429e9b7ef667643a1f9a0d084d4efa4a9e54288edc718419aff742baffd93",
+    ("demo3", False): "94005bfc7e705664a7ea5e5ccee71d14bc156c07b740681d41619b62d1a8a69b",
+    ("demo3", True): "fb923ffcf1cda511178d4f674e7d57bf7c97da69c87daf70dbc826db8e7f8d9a",
+    ("single5", False): "0d1bf4cedbdc667c2cc46b9e2da0fd2286c894a9b0ecd3cb8215dad0cbd7463d",
+    ("single5", True): "747a104651d2e5f9a729847cf58988a5cedf6d94c13ee92fce660e5c0d941fdf",
 }
 
 
@@ -46,3 +59,11 @@ def test_a_golden_plan_mixes_decided_and_sampled_windows():
     # this plan takes both branches, so its golden file guards both.
     golden = json.loads((GOLDEN / "plan_multi10_4_window4.json").read_text())
     assert [w["backend"] for w in golden["windows"]] == ["annealer", "presolve", "annealer"]
+
+
+@pytest.mark.parametrize("name, raw", sorted(EXPORT_SHA256))
+def test_export_qubo_output_matches_its_digest(name, raw, tmp_path):
+    out = tmp_path / "export.txt"
+    argv = ["export-qubo", str(SCENARIOS / f"{name}.scn"), "-o", str(out)]
+    assert main(argv + (["--raw"] if raw else [])) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[name, raw]

@@ -1,15 +1,20 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from quboplan.grid import GridMap
+from perfbench.corpus import city
+from quboplan import planner
+from quboplan.grid import GridMap, manhattan
 from quboplan.penalties import (
     BT_SOFT_FACTOR,
+    EARLY_GOAL_PENALTY,
     GOAL_MODE_APPROX,
     GOAL_MODE_LATE,
     PenaltyWeights,
     RobotWindow,
+    START_REWARD,
     WindowSpec,
     apply_adjacency,
     apply_approximation,
@@ -25,11 +30,13 @@ from quboplan.penalties import (
     goal_factor,
 )
 from quboplan.qubo import QuboModel, block_size, var_index
+from quboplan.scenario import load_scenario
 
 from oracles import penalty_energy, reachability_tables
 
 
 W = PenaltyWeights()
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def spec_1x2(horizon=1, mode=GOAL_MODE_LATE):
@@ -82,7 +89,7 @@ def test_start_reward():
     adm = dense_admissible(spec)
     model = apply_start(fresh_model(spec), spec, 0, adm)
     a = var_index(spec.dims, 0, 0, (0, 0))
-    assert model.get(a, a) == -W.k_start
+    assert model.get(a, a) == -START_REWARD
     assert model.energy(set()) == 0.0
 
 
@@ -141,7 +148,7 @@ def test_teleportation_before_bound_only():
     model = apply_teleportation(fresh_model(spec), spec, 0, adm)
     early = var_index(spec.dims, 0, 2, (2, 2))
     late = var_index(spec.dims, 0, 4, (2, 2))
-    assert model.get(early, early) == W.k_tel
+    assert model.get(early, early) == EARLY_GOAL_PENALTY
     assert model.get(late, late) == 0.0
 
 
@@ -212,7 +219,7 @@ def test_valid_path_scores_only_goal_rewards():
     model = build_window_model(spec, adm)
     path = [(0, 0), (0, 1), (0, 2)]
     ones = {var_index(spec.dims, 0, t, c) for t, c in enumerate(path)}
-    expected = -W.k_start - W.k_goal * goal_factor(2, 2)
+    expected = -START_REWARD - W.k_goal * goal_factor(2, 2)
     assert model.energy(ones) == pytest.approx(expected)
 
 
@@ -239,11 +246,9 @@ def _random_window(rng):
         weights = PenaltyWeights(
             k_hot=float(rng.integers(1, 6)),
             k_adj=float(rng.integers(1, 5)),
-            k_start=float(rng.integers(1, 6)),
             k_goal=float(rng.integers(1, 4)),
             k_lock=float(rng.integers(1, 3)),
             k_bt=0.5 * float(rng.integers(1, 5)),
-            k_tel=float(rng.integers(1, 5)),
             k_approx=float(rng.integers(1, 3)),
             k_coll=float(rng.integers(1, 6)),
         )
@@ -313,3 +318,71 @@ def test_window_spec_rejects_horizon_below_one():
     assert WindowSpec(GridMap(1, 2), (rec,), 1, W).horizon == 1
     with pytest.raises(ValueError, match="horizon must be >= 1"):
         WindowSpec(GridMap(1, 2), (rec,), 0, W)
+
+
+# `START_REWARD` and `EARLY_GOAL_PENALTY` are constants because no planner
+# window can feel them: its layer 0 is the start alone, and its goal is
+# admitted no earlier than its L1 distance. The tests below check that
+# premise on every window the planner builds, so a change to the admissible
+# sets that breaks it fails here.
+
+
+def _assert_start_forced_and_goal_not_early(spec, admissible):
+    for robot, rec in enumerate(spec.robots):
+        layers = admissible[robot]
+        assert layers[0] == {rec.start}
+        early = min(manhattan(rec.start, rec.goal), len(layers))
+        assert not any(rec.goal in layers[t] for t in range(early))
+        assert len(apply_teleportation(fresh_model(spec), spec, robot, admissible)) == 0
+
+
+@pytest.fixture
+def planner_windows(monkeypatch):
+    """Every (spec, admissible sets) pair that `fix_logical` returns to the
+    planner while the test runs."""
+    seen = []
+    fix_logical = planner.fix_logical
+
+    def recording(spec, tables):
+        report, admissible = fix_logical(spec, tables)
+        seen.append((spec, admissible))
+        return report, admissible
+
+    monkeypatch.setattr(planner, "fix_logical", recording)
+    return seen
+
+
+def test_planner_windows_force_the_start_and_admit_no_early_goal(planner_windows):
+    runs = [load_scenario(str(path)) for path in sorted(SCENARIOS.glob("*.scn"))]
+    runs += city(0)
+    assert len(runs) == 18
+    for run in runs:
+        planner.plan_paths(run.grid, run.robots, weights=run.weights,
+                           window_cfg=run.window_cfg, solver_cfg=run.solver_cfg)
+    assert len(planner_windows) >= len(runs)
+    for spec, admissible in planner_windows:
+        _assert_start_forced_and_goal_not_early(spec, admissible)
+
+
+def test_windows_with_left_out_and_blocked_cells_admit_no_early_goal(planner_windows):
+    # Random maps whose robots have visited cells to leave out and whose
+    # parked robots block cells: both can only lengthen the way to a goal.
+    rng = np.random.default_rng(16)
+    while len(planner_windows) < 300:
+        rows, cols = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        grid = GridMap(rows, cols, frozenset(c for c in cells if rng.random() < 0.15))
+        free = [c for c in cells if grid.is_free(c)]
+        if len(free) < 8:
+            continue
+        picks = [free[k] for k in rng.permutation(len(free))]
+        count = int(rng.integers(1, 4))
+        ends, parked = picks[:2 * count], picks[2 * count:2 * count + 3]
+        robots = []
+        for start, goal in zip(ends[::2], ends[1::2]):
+            visited = {start} | {c for c in free if rng.random() < 0.3}
+            robots.append((start, goal, visited))
+        planner.build_window(grid.with_obstacles(parked), robots, int(rng.integers(1, 9)),
+                             W, allow_wait=count > 1)
+    for spec, admissible in planner_windows:
+        _assert_start_forced_and_goal_not_early(spec, admissible)

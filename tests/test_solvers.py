@@ -18,6 +18,7 @@ from oracles import (
     four_var_fixture,
     peak_rescaled,
     random_grid_model,
+    solve_exhaustive_two_pass,
 )
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -87,6 +88,39 @@ def test_exhaustive_matches_brute_force_on_random_models():
 def test_exhaustive_rejects_oversized_models():
     with pytest.raises(ValueError):
         solve_exhaustive(QuboModel(25))
+
+
+def _chunk_spanning_model(kind, n, rng):
+    """A random model over n variables, 2 to 8 enumeration chunks for n of
+    17 to 19, shaped so the running minimum moves across chunks."""
+    if kind == "late":
+        # Every minimum sets the top bit, so it lies only in the later
+        # chunks, after the earlier ones have kept codes near their own.
+        model = random_grid_model(rng, n, density=0.2)
+        model.add(n - 1, n - 1, -100.0)
+    elif kind == "ties":
+        # The top variable has no coefficient: each minimum ties with its
+        # copy in a chunk that sets the top bit.
+        model = QuboModel(n)
+        model.coeffs = dict(random_grid_model(rng, n - 1, density=0.2).coeffs)
+    else:
+        model = random_grid_model(rng, n, density=0.2, span=2)
+    model.constant = float(rng.integers(-3, 4))
+    return model
+
+
+@pytest.mark.parametrize("kind, n", [("random", 17), ("random", 19), ("late", 18),
+                                     ("late", 19), ("ties", 17), ("ties", 19)])
+def test_one_pass_enumeration_matches_the_two_pass_screen(kind, n):
+    assert 2 <= (1 << n) // solvers._ENUM_CHUNK <= 8
+    model = _chunk_spanning_model(kind, n, np.random.default_rng(n))
+    result, reference = solve_exhaustive(model), solve_exhaustive_two_pass(model)
+    assert [(s.bits, s.energy.hex(), s.occurrences) for s in result] == \
+        [(s.bits, s.energy.hex(), s.occurrences) for s in reference]
+    if kind == "late":
+        assert {s.bits[-1] for s in result} == {1}
+    if kind == "ties":
+        assert {s.bits[-1] for s in result} == {0, 1}
 
 
 def test_annealer_finds_known_minimum():
