@@ -10,8 +10,6 @@ from .grid import (
 )
 from .qubo import QuboModel, block_size, decode, var_index
 from .penalties import (
-    GOAL_MODE_APPROX,
-    GOAL_MODE_LATE,
     PenaltyWeights,
     RobotWindow,
     WindowSpec,
@@ -20,7 +18,6 @@ from .penalties import (
 from .preprocess import (
     FixReport,
     FoldedModel,
-    InfeasibleWindowError,
     fix_logical,
     fix_numeric_diagonal,
     fold,

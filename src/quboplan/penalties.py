@@ -16,9 +16,6 @@ from dataclasses import dataclass, field, fields
 from .grid import Cell, GridMap, manhattan, max_manhattan, obstacle_potential
 from .qubo import Dims, QuboModel, block_size, var_index
 
-GOAL_MODE_LATE = "late_time"
-GOAL_MODE_APPROX = "approximation"
-
 # The goal reward's time multiplier at a window's last step (it starts at 1).
 GOAL_RAMP_MAX = 2.0
 # Share of `k_bt` charged for each step on a cell visited in an earlier window.
@@ -77,12 +74,7 @@ class RobotWindow:
 
     start: Cell
     goal: Cell
-    goal_mode: str = GOAL_MODE_LATE
     visited: AbstractSet[Cell] = frozenset()
-
-    def __post_init__(self):
-        if self.goal_mode not in (GOAL_MODE_LATE, GOAL_MODE_APPROX):
-            raise ValueError(f"unknown goal mode {self.goal_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -249,8 +241,8 @@ def apply_approximation(model: QuboModel, spec: WindowSpec, robot: int,
                         admissible: Admissible) -> QuboModel:
     """Window-final reward for ending close to the goal and in open space.
 
-    Used instead of the goal reward when the goal cannot be reached inside
-    this window. Each candidate final cell earns
+    Used instead of the late-time goal reward when `build_window_model`
+    finds the goal out of reach. Each candidate final cell earns
     -K * (1 - d(c, goal)/d_max) * (1 - potential(c)).
     """
     rec = spec.robots[robot]
@@ -286,9 +278,12 @@ def apply_vertex_collision(model: QuboModel, spec: WindowSpec,
 def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -> QuboModel:
     """Emit every penalty for every robot into one QUBO.
 
-    Without an explicit admissible structure the model spans the full dense
-    variable space, which keeps the builder self-contained for exhaustive
-    ground-truth checks.
+    A robot whose goal is admissible at some step and strictly closer than
+    the horizon seeks it with the late-time reward, any other with the
+    window-final approximation reward. Without an explicit admissible
+    structure the model spans the full dense variable space, where a free
+    goal counts as reachable; this keeps the builder self-contained for
+    exhaustive ground-truth checks.
     """
     if admissible is None:
         admissible = dense_admissible(spec)
@@ -297,10 +292,11 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -
         apply_one_hot(model, spec, robot, admissible)
         apply_adjacency(model, spec, robot, admissible)
         apply_start(model, spec, robot, admissible)
-        if rec.goal_mode == GOAL_MODE_APPROX:
-            apply_approximation(model, spec, robot, admissible)
-        else:
+        if (manhattan(rec.start, rec.goal) < spec.horizon
+                and any(rec.goal in cells for cells in admissible[robot])):
             apply_goal_late_time(model, spec, robot, admissible)
+        else:
+            apply_approximation(model, spec, robot, admissible)
         apply_goal_lock(model, spec, robot, admissible)
         apply_backtracking(model, spec, robot, admissible)
         apply_teleportation(model, spec, robot, admissible)

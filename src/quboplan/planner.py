@@ -19,8 +19,6 @@ import numpy as np
 from .grid import Cell, GridMap, bfs_distances, bfs_layers, manhattan
 from .penalties import (
     Admissible,
-    GOAL_MODE_APPROX,
-    GOAL_MODE_LATE,
     PenaltyWeights,
     RobotWindow,
     WindowSpec,
@@ -139,7 +137,6 @@ class WindowRecord:
     """
 
     horizon: int
-    modes: dict[int, str] = field(default_factory=dict)
     original: int = 0
     reduced: int = 0
     numeric_fixed: int = 0
@@ -175,7 +172,6 @@ class WindowRecord:
             "backend": self.backend,
             "best_energy": self.best_energy,
             "histogram": [[e, n] for e, n in self.histogram],
-            "modes": {str(k): v for k, v in sorted(self.modes.items())},
             "repairs": list(self.repairs),
         }
 
@@ -308,10 +304,8 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
     full search reaches further, the exclusion is dropped and the softened
     revisit penalties take over instead. The full search is skipped when it
     can change neither: the goal's L1 distance exceeds the horizon and the
-    search with exclusions already reaches the horizon. A robot
-    whose goal is reachable and strictly closer than the horizon seeks it
-    with the late-time reward, any other with the window-final approximation
-    reward. Logical fixing reuses these searches.
+    search with exclusions already reaches the horizon. Logical fixing
+    reuses these searches.
     """
     records, tables = [], []
     for start, goal, visited in robots:
@@ -325,11 +319,7 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
             reachable = any(goal in cells for cells in full)
             if reachable or len(layers) < len(full):
                 layers = full
-        if reachable and lower < horizon:
-            mode = GOAL_MODE_LATE
-        else:
-            mode = GOAL_MODE_APPROX
-        records.append(RobotWindow(start, goal, mode, visited))
+        records.append(RobotWindow(start, goal, visited))
         tables.append(layers)
     spec = WindowSpec(grid, tuple(records), horizon, weights, allow_wait)
     report, admissible = fix_logical(spec, tables)
@@ -341,9 +331,12 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
     """Build, presolve, solve, and repair one window.
 
     The sampler's seed is derived from the run's seed and `seed_parts` only
-    when the sampler runs. Returns the try's record with every robot's
-    (path, reached goal) when the try is accepted, or with None when it
-    fails; the record's last repair entry then gives the reason.
+    when the sampler runs. A robot's repaired path is valid when it reaches
+    the goal, runs to the horizon or, in a multi-robot window, stops at an
+    empty step and then waits. Returns the try's record with every robot's
+    (path, reached goal) when every path is valid and no two robots clash,
+    or with None when it fails; the record's last repair entry then gives
+    the reason.
     """
     window = build_window(
         grid, [(a.current, a.spec.goal, a.visited) for a in agents], horizon, weights,
@@ -352,9 +345,8 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
     # A window that logical fixing decided needs no model. Building one runs
     # the numeric pass, which updates the report read below.
     folded = None if report.solved_by_preprocess else window.folded
-    modes = [rec.goal_mode for rec in spec.robots]
     record = WindowRecord(
-        horizon, {a.spec.id: m for a, m in zip(agents, modes)},
+        horizon,
         original=report.original_count,
         reduced=report.reduced_count,
         numeric_fixed=report.numeric_fixed,
@@ -384,10 +376,9 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
         if goal in repair.path:
             path = repair.path[: repair.path.index(goal) + 1]
             reached = True
-        elif repair.reason is None and modes[r] == GOAL_MODE_APPROX:
+        elif repair.reason is None:
             path = repair.path
-        elif (multi and repair.path and repair.reason == "empty_step"
-              and modes[r] == GOAL_MODE_APPROX):
+        elif multi and repair.path and repair.reason == "empty_step":
             # Trapped short of the horizon (another robot blocks the way, or
             # the robot has no free move at all): hold position for the
             # remaining steps and try again next window.
@@ -396,7 +387,7 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
                 f"robot {agent.spec.id}: waits from t={len(repair.path)}"
             )
         else:
-            record.repairs.append(f"robot {agent.spec.id}: {repair.reason or 'goal_missed'}")
+            record.repairs.append(f"robot {agent.spec.id}: {repair.reason}")
             return record, None
         bad = detect_invalid_move(path, grid, allow_wait=multi)
         if bad is not None:

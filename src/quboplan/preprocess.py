@@ -14,16 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .penalties import Admissible, GOAL_MODE_LATE, WindowSpec
+from .penalties import Admissible, WindowSpec
 from .qubo import QuboModel, block_size, var_index
-
-
-class InfeasibleWindowError(Exception):
-    """The goal is outside every reachability layer of a goal-seeking window."""
-
-    def __init__(self, robot: int, message: str):
-        super().__init__(message)
-        self.robot = robot
 
 
 def reduction_pct(original: int, reduced: int) -> float:
@@ -62,27 +54,17 @@ def fix_logical(spec: WindowSpec, tables: Admissible
     `spec.horizon + 1` steps. The inputs are left unchanged. When the
     spec allows waits, a reached goal stays admissible after first arrival,
     so the robot can park on it.
-
-    Raises `InfeasibleWindowError` when a goal-seeking robot cannot reach its
-    goal within the window. This guards an invariant: `build_window` gives
-    the late-time mode only to a robot whose goal lies in the table it
-    passes, so the pipeline never raises it.
     """
     horizon = spec.horizon
     report = FixReport(original_count=len(spec.robots) * block_size(spec.dims))
     admissible: Admissible = []
     joint_depth = max(len(table) for table in tables) - 1
 
-    for robot, (rec, table) in enumerate(zip(spec.robots, tables)):
+    for rec, table in zip(spec.robots, tables):
         layers = [set(cells) for cells in table]
         layers += [set() for _ in range(horizon + 1 - len(layers))]
         goal_time = next(
             (t for t, cells in enumerate(layers) if rec.goal in cells), None)
-        if goal_time is None and rec.goal_mode == GOAL_MODE_LATE:
-            raise InfeasibleWindowError(
-                robot,
-                f"robot {robot}: goal {rec.goal} unreachable within {horizon} steps",
-            )
         if spec.allow_wait and goal_time is not None:
             # Keep the goal available after first arrival so the robot can
             # park on it, and an early finisher stays visible to the other

@@ -103,9 +103,9 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
             raise ScenarioError(f"line {lineno}: content before any section")
         sections[current].append((lineno, stripped))
 
-    if "map" not in sections:
-        raise ScenarioError("missing [map] section")
-    if "robots" not in sections or not sections["robots"]:
+    if not sections.get("map"):
+        raise ScenarioError("missing or empty [map] section")
+    if not sections.get("robots"):
         raise ScenarioError("missing or empty [robots] section")
 
     map_lines = sections["map"]

@@ -24,7 +24,6 @@ from quboplan.grid import (
 from quboplan.penalties import (
     BT_SOFT_FACTOR,
     EARLY_GOAL_PENALTY,
-    GOAL_MODE_APPROX,
     START_REWARD,
     WindowSpec,
     goal_factor,
@@ -47,7 +46,9 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
 
     `occupancy[r]` maps time step to the set of cells robot r holds. Only
     variables present in `admissible` contribute, mirroring the variable
-    space of the built model.
+    space of the built model. A robot whose goal is admissible at some step
+    and strictly closer than the horizon earns the late-time goal reward,
+    any other the window-final approximation reward.
     """
     w = spec.weights
 
@@ -71,7 +72,9 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
                     total += w.k_adj * (1 - linked)
         if rec.start in admissible[r][0]:
             total -= START_REWARD * occ(r, 0, rec.start)
-        if rec.goal_mode == GOAL_MODE_APPROX:
+        seeks_goal = (manhattan(rec.start, rec.goal) < horizon
+                      and any(rec.goal in cells for cells in admissible[r]))
+        if not seeks_goal:
             d_max = max_manhattan(spec.grid)
             for c in admissible[r][horizon]:
                 if occ(r, horizon, c):

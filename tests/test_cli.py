@@ -14,7 +14,7 @@ def test_plan_writes_json_and_exits_zero(tmp_path, capsys):
     code = main(["plan", str(SCENARIOS / "demo3.scn"), "-o", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["status"] == "ok"
     assert payload["robots"][0]["moves"] == 4
     assert payload["preprocess"]["original"] == 45
@@ -30,6 +30,13 @@ def test_plan_rejects_bad_scenario(tmp_path, capsys):
     bad.write_text("[map]\n..\n.\n\n[robots]\n0 0 1 1\n")
     assert main(["plan", str(bad)]) == 2
     assert "inconsistent row length" in capsys.readouterr().err
+
+
+def test_plan_rejects_an_empty_map_section_with_exit_two(tmp_path, capsys):
+    scn = tmp_path / "nomap.scn"
+    scn.write_text("[map]\n[robots]\n0 0 1 1\n")
+    assert main(["plan", str(scn)]) == 2
+    assert capsys.readouterr().err == "error: missing or empty [map] section\n"
 
 
 def test_plan_infeasible_exits_one(tmp_path, capsys):

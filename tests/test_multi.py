@@ -29,10 +29,18 @@ EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 # colour classes, beyond the golden files. A change that means to alter these
 # plans runs this module's independent-checker test, reads the new value from
 # the failed assertion and commits it.
-CITY0_PLANS_SHA256 = "d7037e6a1b131214759348cc8d6f4a0ddf1d6809d12bdbf710d45a4d414fcef4"
+CITY0_PLANS_SHA256 = "daa359fa3ebf6d6464f28d9c2b501cc2ef461a331c791dbe2a689a96e41b3c59"
 # The same digest for `corridor(1)`: serpentine corridors that reachability
 # fixing decides window by window, so it pins the presolve path.
-CORRIDOR1_PLANS_SHA256 = "dfc6980d37867691e55a38246467a882010ade8ff59b2dc327527aa78a2e48ff"
+CORRIDOR1_PLANS_SHA256 = "96f7005f4ca92ddec8cdb2cca7d3b4208310fbcc9a4518ea070897e86572b08d"
+# The same two corpora digested over each plan's steps only, so a change to
+# the JSON around the paths moves the pins above but not these.
+CITY0_STEPS_SHA256 = "91ffb07b95be8cd2168ac87a84353bed8d90dd1a4a5e34a0b313c6caebf1d671"
+CORRIDOR1_STEPS_SHA256 = "ec040e48a8442fd4d6660ab60c0805dad52d50b97fd502cd3522cadcf640dee4"
+
+
+def _steps_json(result) -> bytes:
+    return json.dumps([p.steps for p in result.plans]).encode()
 
 
 def test_validate_robots_rejects_shared_goal():
@@ -192,26 +200,30 @@ def test_every_accepted_generated_plan_passes_the_independent_checker():
     corpus = [(i.grid, i.robots, i.window_cfg, i.solver_cfg) for i in city(0)]
     instances = corpus + list(_released_pairs(30))
     accepted = 0
-    city_plans = hashlib.sha256()
+    city_plans, city_steps = hashlib.sha256(), hashlib.sha256()
     for k, (grid, robots, window_cfg, solver_cfg) in enumerate(instances):
         result = plan_multi(grid, robots, window_cfg=window_cfg, solver_cfg=solver_cfg)
         if k < len(corpus):
             city_plans.update(json.dumps(result.to_json(), sort_keys=True).encode())
+            city_steps.update(_steps_json(result))
         if result.succeeded:
             accepted += 1
             steps = {p.robot: p.steps for p in result.plans}
             assert check_plans(grid, robots, steps) == [], (grid, robots)
     # the check must not pass by accepting nothing
     assert accepted > len(instances) // 2
+    assert city_steps.hexdigest() == CITY0_STEPS_SHA256
     assert city_plans.hexdigest() == CITY0_PLANS_SHA256
 
 
 def test_corridor_plans_are_decided_by_presolve_and_unchanged():
-    corridor_plans = hashlib.sha256()
+    corridor_plans, corridor_steps = hashlib.sha256(), hashlib.sha256()
     for inst in corridor(1):
         result = plan_multi(inst.grid, inst.robots, weights=inst.weights,
                             window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
         assert result.succeeded
         assert {w.backend for w in result.windows} == {"presolve"}
         corridor_plans.update(json.dumps(result.to_json(), sort_keys=True).encode())
+        corridor_steps.update(_steps_json(result))
+    assert corridor_steps.hexdigest() == CORRIDOR1_STEPS_SHA256
     assert corridor_plans.hexdigest() == CORRIDOR1_PLANS_SHA256

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from perfbench.corpus import city
-from quboplan import planner
+from quboplan import penalties, planner
 from quboplan.grid import GridMap, manhattan
 from quboplan.penalties import (
     BT_SOFT_FACTOR,
     EARLY_GOAL_PENALTY,
-    GOAL_MODE_APPROX,
-    GOAL_MODE_LATE,
     PenaltyWeights,
     RobotWindow,
     START_REWARD,
@@ -39,9 +37,9 @@ W = PenaltyWeights()
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def spec_1x2(horizon=1, mode=GOAL_MODE_LATE):
+def spec_1x2(horizon=1):
     g = GridMap(1, 2)
-    rec = RobotWindow(start=(0, 0), goal=(0, 1), goal_mode=mode)
+    rec = RobotWindow(start=(0, 0), goal=(0, 1))
     return WindowSpec(g, (rec,), horizon, W)
 
 
@@ -162,7 +160,7 @@ def test_teleportation_degenerate_start_is_goal():
 
 def test_approximation_rewards():
     g = GridMap(5, 5)
-    rec = RobotWindow(start=(0, 0), goal=(4, 4), goal_mode=GOAL_MODE_APPROX)
+    rec = RobotWindow(start=(0, 0), goal=(4, 4))
     spec = WindowSpec(g, (rec,), 3, PenaltyWeights(k_approx=1.0))
     adm = dense_admissible(spec)
     model = apply_approximation(fresh_model(spec), spec, 0, adm)
@@ -214,12 +212,14 @@ def test_vertex_collision_symmetric_in_robot_order():
 def test_valid_path_scores_only_goal_rewards():
     g = GridMap(1, 3)
     rec = RobotWindow(start=(0, 0), goal=(0, 2))
-    spec = WindowSpec(g, (rec,), 2, W)
+    # The goal is closer than the horizon, so it earns the late-time reward
+    # at each step the robot parks on it.
+    spec = WindowSpec(g, (rec,), 3, W, allow_wait=True)
     adm = dense_admissible(spec)
     model = build_window_model(spec, adm)
-    path = [(0, 0), (0, 1), (0, 2)]
+    path = [(0, 0), (0, 1), (0, 2), (0, 2)]
     ones = {var_index(spec.dims, 0, t, c) for t, c in enumerate(path)}
-    expected = -START_REWARD - W.k_goal * goal_factor(2, 2)
+    expected = -START_REWARD - W.k_goal * (goal_factor(2, 3) + goal_factor(3, 3))
     assert model.energy(ones) == pytest.approx(expected)
 
 
@@ -239,10 +239,8 @@ def _random_window(rng):
         for r in range(n_robots):
             start = free[int(picks[2 * r])]
             goal = free[int(picks[2 * r + 1])]
-            mode = GOAL_MODE_APPROX if rng.random() < 0.4 else GOAL_MODE_LATE
             visited = frozenset(c for c in free if rng.random() < 0.2)
-            recs.append(RobotWindow(start=start, goal=goal, goal_mode=mode,
-                                    visited=visited))
+            recs.append(RobotWindow(start=start, goal=goal, visited=visited))
         weights = PenaltyWeights(
             k_hot=float(rng.integers(1, 6)),
             k_adj=float(rng.integers(1, 5)),
@@ -276,6 +274,32 @@ def test_model_energy_matches_direct_formulas():
                 occupancy.append(per_t)
             direct = penalty_energy(spec, adm, occupancy, allow_wait=spec.allow_wait)
             assert model.energy(ones) == pytest.approx(direct, abs=1e-9)
+
+
+def test_criterion_6_draws_both_goal_rewards_many_times(monkeypatch):
+    # Replays the windows that acceptance criterion 6 draws from its seed:
+    # 1000 occupancies, four per window, each taking one draw per variable.
+    # The dense model admits a free goal at every step, so the goal's L1
+    # distance alone picks the reward; both branches must stay under test.
+    calls = {"late": 0, "approx": 0}
+
+    def counting(name, emit):
+        def counted(*args):
+            calls[name] += 1
+            return emit(*args)
+        return counted
+
+    monkeypatch.setattr(penalties, "apply_goal_late_time",
+                        counting("late", penalties.apply_goal_late_time))
+    monkeypatch.setattr(penalties, "apply_approximation",
+                        counting("approx", penalties.apply_approximation))
+    rng = np.random.default_rng(2024)
+    for _ in range(1000 // 4):
+        spec = _random_window(rng)
+        build_window_model(spec)
+        variables = len(spec.robots) * (spec.horizon + 1) * len(spec.grid.free_cells())
+        rng.random(4 * variables)
+    assert min(calls.values()) >= 100, calls
 
 
 def test_obstacle_cells_never_receive_variables():

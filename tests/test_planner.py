@@ -1,10 +1,11 @@
+import pathlib
 import sys
 
 import numpy as np
 import pytest
 
 from perfbench.checker import check_plans
-from perfbench.corpus import corridor, serpentine
+from perfbench.corpus import city, corridor, serpentine
 from quboplan.classical import astar, path_moves
 from quboplan.grid import GridMap, bfs_layers, manhattan
 from quboplan.penalties import PenaltyWeights
@@ -23,11 +24,13 @@ from quboplan.planner import (
     stitch,
     validate_path,
 )
-from quboplan.solvers import SolverConfig
+from quboplan.scenario import load_scenario
+from quboplan.solvers import Sample, SampleSet, SolverConfig
 
 from oracles import all_shortest_paths
 
 EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_validate_accepts_straight_line():
@@ -218,6 +221,61 @@ def test_a_robot_with_no_free_move_waits_in_a_multi_robot_window():
         assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
 
 
+def _first_sample_takes(monkeypatch, paths):
+    """Make the first solve of a plan return the one-hot sample that puts
+    robot r on `paths[r]` at each step; later solves run as usual."""
+    windows, solved = [], []
+    build, solve = planner.build_window, planner.solve
+
+    def recording_build(*args, **kwargs):
+        windows.append(build(*args, **kwargs))
+        return windows[-1]
+
+    def scripted_solve(model, cfg, *, groups):
+        if solved:
+            return solve(model, cfg, groups=groups)
+        dims, free_vars = windows[-1].spec.dims, windows[-1].folded.free_vars
+        chosen = {qubo.var_index(dims, r, t, c)
+                  for r, path in enumerate(paths) for t, c in enumerate(path)}
+        bits = tuple(int(v in chosen) for v in free_vars)
+        ones = {i for i, bit in enumerate(bits) if bit}
+        solved.append(Sample(bits, model.energy(ones), cfg.num_reads))
+        return SampleSet(solved)
+
+    monkeypatch.setattr(planner, "build_window", recording_build)
+    monkeypatch.setattr(planner, "solve", scripted_solve)
+
+
+def test_a_path_that_runs_to_the_horizon_past_a_reachable_goal_is_kept(monkeypatch):
+    # The goal (0, 1) is admissible at t=1, well before the horizon 3; the
+    # first sample steers around it, and the next window starts where it ends.
+    path = [(0, 0), (1, 0), (2, 0), (2, 1)]
+    _first_sample_takes(monkeypatch, [path])
+    result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (0, 1))],
+                        window_cfg=WindowConfig(window_len=3), solver_cfg=EXHAUSTIVE)
+    first, second = result.windows
+    assert (first.retries, first.repairs) == (0, [])
+    assert second.global_start == 3
+    assert result.plans[0].steps[:4] == list(enumerate(path))
+    assert result.succeeded
+
+
+def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch):
+    # Two walled-off rooms: the search ends at t=2 in both, so t=3 admits no
+    # cell. Robot 0 could have stepped onto its goal at t=1 but stops beside
+    # it, and waits there for the rest of the window.
+    path = [(0, 0), (1, 0), (1, 1)]
+    _first_sample_takes(monkeypatch, [path, [(0, 3), (0, 4), (1, 4)]])
+    result = plan_paths(GridMap(2, 5, frozenset({(0, 2), (1, 2)})),
+                        [RobotSpec(0, (0, 0), (0, 1)), RobotSpec(1, (0, 3), (1, 4))],
+                        window_cfg=WindowConfig(window_len=3), solver_cfg=EXHAUSTIVE)
+    first = result.windows[0]
+    assert (first.retries, first.repairs) == (0, ["robot 0: waits from t=3"])
+    assert result.plans[0].steps[:4] == list(enumerate(path + [(1, 1)]))
+    assert result.plans[1].status == STATUS_REACHED
+    assert result.succeeded
+
+
 def test_a_clash_left_in_the_finished_plans_fails_the_plan():
     # Robot 0 parks on robot 1's start before robot 1 is released there; no
     # wait can clear a clash with a parked robot, so the final check reports it.
@@ -320,7 +378,6 @@ def test_windows_read_the_visited_cells_without_copying_them(grid, start, goal, 
     listed = build_window(grid, [(start, goal, set(visited))], horizon, PenaltyWeights())
     opaque = _CellsWithoutIteration(visited)
     built = build_window(grid, [(start, goal, opaque)], horizon, PenaltyWeights())
-    assert built.spec.robots[0].goal_mode == listed.spec.robots[0].goal_mode
     assert built.report == listed.report
     assert built.admissible == listed.admissible
     # The revisit penalties ask the visited cells about each admissible cell.
@@ -428,6 +485,40 @@ def test_decided_windows_compute_no_variable_index(monkeypatch):
     assert calls == 0
 
 
+def test_annealer_samples_decode_one_cell_per_step(monkeypatch):
+    # The annealer sets one bit per (robot, step) group, so the repair never
+    # meets a step with several cells, and neither its collapse branches nor
+    # its start check ever fire in the pipeline.
+    repairs, sampled = [], [False]
+    build, solve, repair = planner.build_window, planner.solve, planner.fix_one_hot_continuity
+
+    def recording_build(*args, **kwargs):
+        sampled[0] = False
+        return build(*args, **kwargs)
+
+    def recording_solve(*args, **kwargs):
+        sampled[0] = True
+        return solve(*args, **kwargs)
+
+    def recording_repair(occupancy, *args, **kwargs):
+        outcome = repair(occupancy, *args, **kwargs)
+        if sampled[0]:
+            repairs.append((max(len(cells) for cells in occupancy), outcome))
+        return outcome
+
+    monkeypatch.setattr(planner, "build_window", recording_build)
+    monkeypatch.setattr(planner, "solve", recording_solve)
+    monkeypatch.setattr(planner, "fix_one_hot_continuity", recording_repair)
+    runs = [load_scenario(str(path)) for path in sorted(SCENARIOS.glob("*.scn"))]
+    for run in runs + city(0):
+        plan_paths(run.grid, run.robots, weights=run.weights,
+                   window_cfg=run.window_cfg, solver_cfg=run.solver_cfg)
+    assert len(repairs) >= 50
+    for widest, outcome in repairs:
+        assert widest == 1
+        assert outcome.dropped == 0 and outcome.reason in (None, "empty_step")
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="each robot's one goal-reaching path through its first-reach"
                           " BFS layers crosses (1, 1) at t=1, so window 0 has no"
@@ -444,8 +535,8 @@ def test_two_robots_cross_the_centre_of_an_empty_3x3_map(backend):
     pytest.param(2, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="at t=2 robot 0 stands on (1, 4), two moves from its corner goal (0, 5);"
-               " that is not closer than the horizon, so it seeks the goal in"
-               " approximation mode, where the openness factor scores the goal 0.375"
+               " that is not closer than the horizon, so it gets the approximation"
+               " reward, where the openness factor scores the goal 0.375"
                " against 0.486 for (0, 3), and the robot cycles until max_windows runs"
                " out (ROADMAP item 2)")),
     4,

@@ -7,8 +7,6 @@ from perfbench.corpus import city, serpentine
 from quboplan import preprocess
 from quboplan.grid import GridMap, bfs_layers, manhattan
 from quboplan.penalties import (
-    GOAL_MODE_APPROX,
-    GOAL_MODE_LATE,
     PenaltyWeights,
     RobotWindow,
     WindowSpec,
@@ -16,7 +14,6 @@ from quboplan.penalties import (
 )
 from quboplan.preprocess import (
     FixReport,
-    InfeasibleWindowError,
     fix_logical,
     fix_numeric_diagonal,
     fold,
@@ -36,8 +33,8 @@ from oracles import (
 )
 
 
-def window(grid, start, goal, horizon, mode=GOAL_MODE_LATE, **kw):
-    rec = RobotWindow(start=start, goal=goal, goal_mode=mode, **kw)
+def window(grid, start, goal, horizon, **kw):
+    rec = RobotWindow(start=start, goal=goal, **kw)
     return WindowSpec(grid, (rec,), horizon, PenaltyWeights())
 
 
@@ -71,13 +68,9 @@ def test_fix_logical_forced_corridor_is_fully_solved():
     assert len(forced_ones(spec.dims, adm)) == 2
 
 
-def test_fix_logical_rejects_unreachable_goal_in_goal_seeking_mode():
+def test_fix_logical_leaves_a_sealed_start_nothing_free():
     grid = GridMap(3, 3, frozenset({(0, 1), (1, 1), (1, 0)}))
     spec = window(grid, (0, 0), (2, 2), 4)
-    with pytest.raises(InfeasibleWindowError):
-        fix_logical(spec, reachability_tables(spec))
-    # the approximation objective tolerates it
-    spec = window(grid, (0, 0), (2, 2), 4, mode=GOAL_MODE_APPROX)
     report, _ = fix_logical(spec, reachability_tables(spec))
     assert report.reduced_count == 0  # the start is a sealed pocket
 
@@ -294,7 +287,7 @@ def test_fix_logical_work_follows_the_admissible_variables(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(preprocess, "var_index", counted)
-    spec = window(GridMap(40, 40), (0, 0), (39, 39), 6, mode=GOAL_MODE_APPROX)
+    spec = window(GridMap(40, 40), (0, 0), (39, 39), 6)
     report, admissible = fix_logical(spec, reachability_tables(spec))
     entries = sum(len(cells) for layers in admissible for cells in layers)
     assert report.original_count == 40 * 40 * 7
@@ -319,11 +312,7 @@ def _window_searching_the_full_map_whenever_exclusions_hide_the_goal(
             reachable = any(goal in cells for cells in full)
             if reachable or len(table) < len(full):
                 table = full
-        if reachable and manhattan(start, goal) < horizon:
-            mode = GOAL_MODE_LATE
-        else:
-            mode = GOAL_MODE_APPROX
-        records.append(RobotWindow(start, goal, mode, visited))
+        records.append(RobotWindow(start, goal, visited))
         tables.append(table)
     spec = WindowSpec(grid, tuple(records), horizon, weights, allow_wait)
     report, admissible = fix_logical(spec, tables)

@@ -164,6 +164,13 @@ def test_malformed_robot_line_rejected():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("text", ["[map]\n[robots]\n0 0 1 1\n", "[robots]\n0 0 1 1\n"],
+                         ids=["empty", "missing"])
+def test_empty_or_missing_map_rejected(text):
+    with pytest.raises(ScenarioError, match=r"missing or empty \[map\] section"):
+        parse_scenario(text)
+
+
 def test_parse_map_text_direct():
     grid = parse_map_text(["..#", "#.."])
     assert grid.rows == 2 and grid.cols == 3
