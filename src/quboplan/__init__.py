@@ -45,6 +45,7 @@ from .planner import (
     plan_single,
     stitch,
     validate_path,
+    validate_robots,
 )
 from .postprocess import (
     detect_invalid_move,
@@ -52,7 +53,7 @@ from .postprocess import (
     fix_one_hot_continuity,
     resolve_clash_wait,
 )
-from .multi import plan_multi, validate_robots
+from .multi import plan_multi
 from .classical import astar, path_moves, prioritized_plan
 from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario
 from .render import render_svg

@@ -14,10 +14,9 @@ from .planner import (
     SolverConfig,
     WindowConfig,
     plan_paths,
-    validate_robots,
 )
 
-__all__ = ["RobotSpec", "plan_multi", "validate_robots"]
+__all__ = ["RobotSpec", "plan_multi"]
 
 
 def plan_multi(grid: GridMap, robots,

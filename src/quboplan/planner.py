@@ -327,16 +327,16 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
 
 
 def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, multi
-                    ) -> tuple[WindowRecord, list[tuple[list[Cell], bool]] | None]:
+                    ) -> tuple[WindowRecord, list[list[Cell]] | None]:
     """Build, presolve, solve, and repair one window.
 
     The sampler's seed is derived from the run's seed and `seed_parts` only
-    when the sampler runs. A robot's repaired path is valid when it reaches
-    the goal, runs to the horizon or, in a multi-robot window, stops at an
-    empty step and then waits. Returns the try's record with every robot's
-    (path, reached goal) when every path is valid and no two robots clash,
-    or with None when it fails; the record's last repair entry then gives
-    the reason.
+    when the sampler runs. The repair decides each robot's path: it is valid
+    when it reaches the goal, runs to the horizon or, in a multi-robot
+    window, stops at an empty step and then waits. Returns the try's record
+    with every robot's path when every path is valid and no two robots
+    clash, or with None when it fails; the record's last repair entry then
+    gives the reason and the step.
     """
     window = build_window(
         grid, [(a.current, a.spec.goal, a.visited) for a in agents], horizon, weights,
@@ -365,39 +365,27 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
 
     paths = []
     for r, agent in enumerate(agents):
-        repair = fix_one_hot_continuity(occupancy[r], agent.current, grid,
+        repair = fix_one_hot_continuity(occupancy[r], agent.current, agent.spec.goal,
                                         allow_wait=multi)
         if repair.dropped:
             record.repairs.append(
                 f"robot {agent.spec.id}: dropped {repair.dropped} extra cell(s)"
             )
-        goal = agent.spec.goal
-        reached = False
-        if goal in repair.path:
-            path = repair.path[: repair.path.index(goal) + 1]
-            reached = True
-        elif repair.reason is None:
-            path = repair.path
-        elif multi and repair.path and repair.reason == "empty_step":
+        path = repair.path
+        if multi and path and repair.reason == "empty_step":
             # Trapped short of the horizon (another robot blocks the way, or
             # the robot has no free move at all): hold position for the
             # remaining steps and try again next window.
-            path = repair.path + [repair.path[-1]] * (horizon + 1 - len(repair.path))
-            record.repairs.append(
-                f"robot {agent.spec.id}: waits from t={len(repair.path)}"
-            )
-        else:
-            record.repairs.append(f"robot {agent.spec.id}: {repair.reason}")
+            path = path + [path[-1]] * (horizon + 1 - len(path))
+            record.repairs.append(f"robot {agent.spec.id}: waits from t={len(repair.path)}")
+        elif repair.reason is not None:
+            record.repairs.append(f"robot {agent.spec.id}: {repair.reason} at t={len(path)}")
             return record, None
-        bad = detect_invalid_move(path, grid, allow_wait=multi)
-        if bad is not None:
-            record.repairs.append(f"robot {agent.spec.id}: {bad[1]} at t={bad[0]}")
-            return record, None
-        paths.append((path, reached))
+        paths.append(path)
     # The collision terms make a clash costly, not impossible, so a sample
     # can still put two robots on one cell; a robot that reached its goal
     # holds it for the rest of the window.
-    clashes = find_vertex_conflicts([list(enumerate(path)) for path, _ in paths])
+    clashes = find_vertex_conflicts([list(enumerate(path)) for path in paths])
     if clashes:
         t, _, i, j = clashes[0]
         record.repairs.append(
@@ -437,7 +425,8 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
 
     Windows advance in lockstep; all robots active in a window share one
     QUBO with vertex-collision coupling. Robots that reach their goals park
-    there and become static obstacles for later windows; robots released
+    there and become static obstacles for later windows, a robot whose start
+    is its goal from its release on; robots released
     mid-window join at the next window boundary, waiting on their start
     cell, and every window that reaches a robot's release keeps the others
     off its start. A robot whose goal the parked robots wall off ends as
@@ -468,7 +457,10 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         pending = [a for a in agents if a.status is None]
         if not pending:
             break
-        parked = {a.steps[-1][1] for a in agents if a.status == STATUS_REACHED}
+        # A robot whose start is its goal parks there only once released.
+        parkers = [a for a in agents
+                   if a.status == STATUS_REACHED and a.steps[-1][0] <= clock]
+        parked = {a.steps[-1][1] for a in parkers}
         if parked != walls:
             # Parked robots never move again, so a goal they wall off stays
             # out of reach. The starts of robots yet to be released are only
@@ -477,8 +469,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             for agent in pending:
                 open_map = grid.with_obstacles(parked - {agent.current})
                 if agent.spec.goal not in bfs_distances(open_map, agent.current):
-                    blockers = ", ".join(str(a.spec.id) for a in agents
-                                         if a.status == STATUS_REACHED)
+                    blockers = ", ".join(str(a.spec.id) for a in parkers)
                     agent.notes.append(
                         f"goal {agent.spec.goal} walled off by parked robot(s) {blockers}")
                     agent.status = STATUS_INFEASIBLE
@@ -500,8 +491,8 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         for retries in range(ATTEMPTS_PER_WINDOW):
             # A robot released within this try's horizon keeps the others
             # off its start for the whole try.
-            releasing = {a.spec.start for a in pending
-                         if clock < a.spec.release <= clock + horizon}
+            releasing = {a.spec.start for a in agents if a.status != STATUS_INFEASIBLE
+                         and clock < a.spec.release <= clock + horizon}
             eff_grid = grid.with_obstacles((parked | releasing) - occupied)
             record, paths = _attempt_window(eff_grid, active, weights, scfg, horizon,
                                             (len(windows), retries, int(escalated)), multi)
@@ -525,11 +516,11 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             record.repairs[-1] = f"window abandoned: {record.repairs[-1]}"
             break
 
-        for agent, (path, reached) in zip(active, paths):
+        for agent, path in zip(active, paths):
             agent.steps = stitch(agent.steps, path)
             agent.visited.update(path)
             agent.current = path[-1]
-            if reached:
+            if agent.current == agent.spec.goal:
                 agent.status = STATUS_REACHED
         clock += horizon
 

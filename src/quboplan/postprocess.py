@@ -1,8 +1,9 @@
 """Repairs that turn near-valid solver output into usable window paths.
 
-Three stages, applied in order: continuity repair collapses steps where the
-sampler kept several cells, invalid-move detection triggers a window restart,
-and wait insertion clears vertex clashes between finished per-robot plans.
+Two stages, applied in order: continuity repair follows each robot's path
+through a window up to its goal, keeping at each step the one cell that
+continues it, and wait insertion clears vertex clashes between finished
+per-robot plans. `detect_invalid_move` is the final plan check's move rule.
 All transformations are pure; every function returns new data.
 """
 
@@ -16,23 +17,25 @@ Steps = list[tuple[int, Cell]]  # (global time, cell), times contiguous
 @dataclass
 class RepairOutcome:
     """Result of continuity repair: the kept prefix, why it stopped (None
-    when it kept every step) and how many extra cells it dropped. The step
-    it stopped at is `len(path)`."""
+    when it reached the goal or kept every step) and how many extra cells it
+    dropped. The step it stopped at is `len(path)`."""
 
     path: list[Cell]
     reason: str | None = None
     dropped: int = 0
 
 
-def fix_one_hot_continuity(occupancy, prev_cell: Cell, grid: GridMap,
+def fix_one_hot_continuity(occupancy, prev_cell: Cell, goal: Cell,
                            allow_wait: bool = False) -> RepairOutcome:
-    """Collapse multi-cell steps by keeping the one cell that stays connected.
+    """Follow a robot's path step by step up to its goal.
 
-    `occupancy` is one cell set per local step; `prev_cell` seeds continuity
-    and must be the decoded cell at step 0. Singleton steps pass through
-    untouched (invalid moves are a later check). The repair stops at the
-    first empty step, or fails when several candidates or none maintain
-    continuity.
+    `occupancy` is one cell set per local step, and step 0 must hold
+    `prev_cell`, the robot's current cell. Every later step keeps the one
+    cell that is a move, or with `allow_wait` a wait, from the cell kept
+    before it, and the path ends at its first arrival on `goal`. The cells
+    are admissible, hence free, so a move is one L1 step. The repair stops
+    at an empty step, or where no cell (`adjacency`) or several cells
+    (`ambiguous`) continue the path.
     """
     kept: list[Cell] = []
     dropped = 0
@@ -41,18 +44,20 @@ def fix_one_hot_continuity(occupancy, prev_cell: Cell, grid: GridMap,
             return RepairOutcome(kept, "empty_step", dropped)
         if t == 0:
             if prev_cell not in cells:
-                return RepairOutcome([], "start_mismatch", dropped)
-            dropped += len(cells) - 1
-            kept.append(prev_cell)
-        elif len(cells) == 1:
-            kept.append(next(iter(cells)))
+                return RepairOutcome([], "start_mismatch")
+            cell = prev_cell
         else:
-            candidates = sorted(cells & grid.neighbors(kept[-1], allow_wait=allow_wait))
+            prev = kept[-1]
+            candidates = [c for c in cells
+                          if manhattan(prev, c) == 1 or (allow_wait and c == prev)]
             if len(candidates) != 1:
-                reason = "ambiguous" if len(candidates) > 1 else "disconnected"
+                reason = "ambiguous" if candidates else "adjacency"
                 return RepairOutcome(kept, reason, dropped)
-            dropped += len(cells) - 1
-            kept.append(candidates[0])
+            cell = candidates[0]
+        dropped += len(cells) - 1
+        kept.append(cell)
+        if cell == goal:
+            break
     return RepairOutcome(kept, None, dropped)
 
 

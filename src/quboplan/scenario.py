@@ -10,9 +10,8 @@ number.
 from dataclasses import dataclass, field, fields
 
 from .grid import GridMap
-from .multi import validate_robots
 from .penalties import PenaltyWeights
-from .planner import RobotSpec, WindowConfig
+from .planner import RobotSpec, WindowConfig, validate_robots
 from .solvers import SolverConfig
 
 

@@ -7,7 +7,7 @@ import pytest
 from perfbench.checker import check_plans
 from perfbench.corpus import city, corridor
 from quboplan.grid import GridMap
-from quboplan.multi import plan_multi, validate_robots
+from quboplan.multi import plan_multi
 from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
 from quboplan.planner import (
     RobotSpec,
@@ -15,6 +15,7 @@ from quboplan.planner import (
     WindowConfig,
     plan_single,
     validate_path,
+    validate_robots,
 )
 from quboplan.postprocess import find_vertex_conflicts
 from quboplan.preprocess import fix_logical
@@ -163,6 +164,19 @@ def test_release_robot_parked_on_another_goal_degrades_gracefully():
     reached = [p for p in result.plans if p.status == STATUS_REACHED]
     assert find_vertex_conflicts([p.steps for p in reached]) == []
     assert result.plans[0].status == STATUS_REACHED
+
+
+@pytest.mark.parametrize("parker", [0, 1])
+def test_a_robot_whose_start_is_its_goal_parks_only_once_released(parker):
+    # The parker appears on (0, 2) at t=10; the other robot passes that cell
+    # long before, instead of finding its goal walled off from t=0.
+    grid = GridMap(1, 5)
+    robots = [RobotSpec(parker, (0, 2), (0, 2), release=10),
+              RobotSpec(1 - parker, (0, 0), (0, 4))]
+    result = plan_multi(grid, robots)
+    assert result.succeeded, [p.notes for p in result.plans]
+    assert result.plans[parker].steps == [(10, (0, 2))]
+    assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
 
 
 def test_vertex_free_across_corpus():

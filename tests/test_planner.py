@@ -221,9 +221,9 @@ def test_a_robot_with_no_free_move_waits_in_a_multi_robot_window():
         assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
 
 
-def _first_sample_takes(monkeypatch, paths):
-    """Make the first solve of a plan return the one-hot sample that puts
-    robot r on `paths[r]` at each step; later solves run as usual."""
+def _samples_take(monkeypatch, paths, solves=1):
+    """Make the first `solves` solves of a plan return the one-hot sample
+    that puts robot r on `paths[r]` at each step; later solves run as usual."""
     windows, solved = [], []
     build, solve = planner.build_window, planner.solve
 
@@ -232,7 +232,7 @@ def _first_sample_takes(monkeypatch, paths):
         return windows[-1]
 
     def scripted_solve(model, cfg, *, groups):
-        if solved:
+        if len(solved) == solves:
             return solve(model, cfg, groups=groups)
         dims, free_vars = windows[-1].spec.dims, windows[-1].folded.free_vars
         chosen = {qubo.var_index(dims, r, t, c)
@@ -240,7 +240,7 @@ def _first_sample_takes(monkeypatch, paths):
         bits = tuple(int(v in chosen) for v in free_vars)
         ones = {i for i, bit in enumerate(bits) if bit}
         solved.append(Sample(bits, model.energy(ones), cfg.num_reads))
-        return SampleSet(solved)
+        return SampleSet([solved[-1]])
 
     monkeypatch.setattr(planner, "build_window", recording_build)
     monkeypatch.setattr(planner, "solve", scripted_solve)
@@ -250,7 +250,7 @@ def test_a_path_that_runs_to_the_horizon_past_a_reachable_goal_is_kept(monkeypat
     # The goal (0, 1) is admissible at t=1, well before the horizon 3; the
     # first sample steers around it, and the next window starts where it ends.
     path = [(0, 0), (1, 0), (2, 0), (2, 1)]
-    _first_sample_takes(monkeypatch, [path])
+    _samples_take(monkeypatch, [path])
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (0, 1))],
                         window_cfg=WindowConfig(window_len=3), solver_cfg=EXHAUSTIVE)
     first, second = result.windows
@@ -265,7 +265,7 @@ def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch):
     # cell. Robot 0 could have stepped onto its goal at t=1 but stops beside
     # it, and waits there for the rest of the window.
     path = [(0, 0), (1, 0), (1, 1)]
-    _first_sample_takes(monkeypatch, [path, [(0, 3), (0, 4), (1, 4)]])
+    _samples_take(monkeypatch, [path, [(0, 3), (0, 4), (1, 4)]])
     result = plan_paths(GridMap(2, 5, frozenset({(0, 2), (1, 2)})),
                         [RobotSpec(0, (0, 0), (0, 1)), RobotSpec(1, (0, 3), (1, 4))],
                         window_cfg=WindowConfig(window_len=3), solver_cfg=EXHAUSTIVE)
@@ -274,6 +274,19 @@ def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch):
     assert result.plans[0].steps[:4] == list(enumerate(path + [(1, 1)]))
     assert result.plans[1].status == STATUS_REACHED
     assert result.succeeded
+
+
+def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch):
+    # Each step holds one cell, but (2, 0) at t=2 is no move from (0, 1).
+    path = [(0, 0), (0, 1), (2, 0), (2, 1)]
+    _samples_take(monkeypatch, [path], solves=planner.ATTEMPTS_PER_WINDOW)
+    result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (2, 2))],
+                        window_cfg=WindowConfig(window_len=3), solver_cfg=EXHAUSTIVE)
+    (window,) = result.windows
+    assert (window.retries, window.escalated) == (planner.ATTEMPTS_PER_WINDOW - 1, True)
+    assert window.repairs == ["window abandoned: robot 0: adjacency at t=2"]
+    assert result.plans[0].steps == [(0, (0, 0))]
+    assert result.plans[0].status == STATUS_EXHAUSTED
 
 
 def test_a_clash_left_in_the_finished_plans_fails_the_plan():

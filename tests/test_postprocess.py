@@ -9,68 +9,78 @@ from quboplan.postprocess import (
     resolve_clash_wait,
 )
 
+FAR_GOAL = (9, 9)  # a goal that none of the continuity paths below reaches
+
 
 def test_continuity_keeps_unique_adjacent_candidate():
-    g = GridMap(4, 4)
     occupancy = [{(1, 0)}, {(1, 1), (3, 3)}, {(1, 2)}]
-    out = fix_one_hot_continuity(occupancy, (1, 0), g)
+    out = fix_one_hot_continuity(occupancy, (1, 0), FAR_GOAL)
     assert out.reason is None
     assert out.path == [(1, 0), (1, 1), (1, 2)]
     assert out.dropped == 1
 
 
-def test_continuity_leaves_singletons_untouched():
-    g = GridMap(4, 4)
-    occupancy = [{(0, 0)}, {(3, 3)}]  # discontinuous but already one-hot
-    out = fix_one_hot_continuity(occupancy, (0, 0), g)
-    assert out.reason is None
-    assert out.path == [(0, 0), (3, 3)]
+def test_continuity_stops_at_a_jump_between_single_cells():
+    occupancy = [{(0, 0)}, {(3, 3)}]  # already one-hot, but not a move
+    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL)
+    assert out.reason == "adjacency"
+    assert out.path == [(0, 0)]
 
 
 def test_continuity_ambiguous_tie_fails():
-    g = GridMap(2, 3)
     occupancy = [{(0, 0)}, {(0, 1), (1, 0)}]  # both adjacent to the seed
-    out = fix_one_hot_continuity(occupancy, (0, 0), g)
-    assert out.reason is not None
+    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL)
     assert out.reason == "ambiguous"
     assert len(out.path) == 1
 
 
 def test_continuity_no_candidate_fails():
-    g = GridMap(3, 3)
     occupancy = [{(0, 0)}, {(2, 2), (2, 0)}]
-    out = fix_one_hot_continuity(occupancy, (0, 0), g)
-    assert out.reason == "disconnected"
+    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL)
+    assert out.reason == "adjacency"
+    assert len(out.path) == 1
 
 
 def test_continuity_empty_step_reports_prefix():
-    g = GridMap(3, 3)
     occupancy = [{(0, 0)}, {(0, 1)}, set(), {(0, 2)}]
-    out = fix_one_hot_continuity(occupancy, (0, 0), g)
-    assert out.reason is not None
+    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL)
     assert out.reason == "empty_step"
-    assert len(out.path) == 2
     assert out.path == [(0, 0), (0, 1)]
 
 
 def test_continuity_start_mismatch():
-    g = GridMap(3, 3)
-    out = fix_one_hot_continuity([{(1, 1)}], (0, 0), g)
+    out = fix_one_hot_continuity([{(1, 1)}], (0, 0), FAR_GOAL)
     assert out.reason == "start_mismatch"
+    assert out.path == []
 
 
 def test_continuity_wait_counts_as_adjacent_in_wait_mode():
-    g = GridMap(3, 3)
     occupancy = [{(0, 0)}, {(0, 0), (2, 2)}]
-    out = fix_one_hot_continuity(occupancy, (0, 0), g, allow_wait=True)
+    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL, allow_wait=True)
     assert out.reason is None
     assert out.path == [(0, 0), (0, 0)]
 
 
+def test_continuity_wait_is_a_broken_move_without_wait_mode():
+    out = fix_one_hot_continuity([{(0, 0)}, {(0, 0)}], (0, 0), FAR_GOAL)
+    assert out.reason == "adjacency"
+    assert out.path == [(0, 0)]
+
+
+def test_continuity_ends_at_the_first_arrival_on_the_goal():
+    # After the goal come the goal padded onto the later layers, a jump and
+    # an empty step; the repair never looks at them.
+    occupancy = [{(0, 0)}, {(0, 1)}, {(0, 2)}, {(0, 2)}, {(2, 2)}, set()]
+    out = fix_one_hot_continuity(occupancy, (0, 0), (0, 2))
+    assert out.reason is None
+    assert out.path == [(0, 0), (0, 1), (0, 2)]
+
+
 def test_continuity_idempotent_on_valid_paths():
-    g = GridMap(3, 3)
     path = [(0, 0), (0, 1), (1, 1), (2, 1)]
-    out = fix_one_hot_continuity([{c} for c in path], (0, 0), g)
+    out = fix_one_hot_continuity([{c} for c in path], (0, 0), FAR_GOAL)
+    assert out.reason is None and out.path == path and out.dropped == 0
+    out = fix_one_hot_continuity([{c} for c in path], (0, 0), path[-1])
     assert out.reason is None and out.path == path and out.dropped == 0
 
 
