@@ -26,6 +26,15 @@ vectorised sum that adds the terms in `QuboModel.energy`'s order.
 `solve` reads the annealing β range per unit of the largest |coupling
 between groups| and never rescales the model: scaling Q by s is the same as
 scaling β by s, so sample energies stay in the model's own units.
+
+`num_reads` caps the annealer's reads. It first anneals a probe of
+`PROBE_READS` reads and stops there when at least `PROBE_AGREE` of them end
+at the probe's lowest energy; otherwise it runs the remaining reads too.
+If a share p of reads ends in a state, ln(0.01) / ln(1 - p) reads find it
+with 99 % probability (Rønnow et al., Science 345, 420, 2014): 7 reads for
+p = 1/2, fewer than the probe holds. Read r draws from
+`SeedSequence((seed, r))` alone, so the reads returned are always the first
+reads of a run of `num_reads`.
 """
 
 import math
@@ -39,8 +48,13 @@ BACKEND_ANNEALER = "annealer"
 EXHAUSTIVE_VAR_CAP = 24
 _ENUM_CHUNK = 1 << 16
 # 8-byte values held per block of reads while annealing: 64 MiB, enough for
-# multi10_2's 400 reads (20,596 values each) to share one block.
+# the 384 reads that follow multi10_2's probe (20,596 values each) to share
+# one block.
 _RANDOM_BUDGET = 1 << 23
+# The annealer's probe: its size, and how many of its reads must end at its
+# lowest energy for the remaining reads to be skipped.
+PROBE_READS = 16
+PROBE_AGREE = 8
 
 
 class ModelTooLargeError(ValueError):
@@ -51,6 +65,8 @@ class ModelTooLargeError(ValueError):
 class SolverConfig:
     """Backend choice and sampling parameters. Same seed, same samples.
 
+    `num_reads` is the annealer's cap on reads: it stops after its probe
+    when the probe agrees on its best energy (see `solve`).
     `beta_range` is the annealer's first and last inverse temperature per
     unit of the model's largest |coupling between groups| (see `solve`).
     """
@@ -136,6 +152,11 @@ def _dense_arrays(model):
     return diag, upper
 
 
+def _cut(best: float) -> float:
+    """The highest energy that counts as tied with `best`."""
+    return best + 1e-9 * max(1.0, abs(best))
+
+
 def solve_exhaustive(model) -> SampleSet:
     """Global minimum by complete enumeration; every tied optimum is kept."""
     n = model.num_vars
@@ -159,11 +180,10 @@ def solve_exhaustive(model) -> SampleSet:
     for lo in range(0, total, _ENUM_CHUNK):
         e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
         best = min(best, float(e.min()))
-        near = np.nonzero(e <= best + 1e-9 * max(1.0, abs(best)))[0]
+        near = np.nonzero(e <= _cut(best))[0]
         kept.append(lo + near)
         screened.append(e[near])
-    tolerance = 1e-9 * max(1.0, abs(best))
-    codes = np.concatenate(kept)[np.concatenate(screened) <= best + tolerance]
+    codes = np.concatenate(kept)[np.concatenate(screened) <= _cut(best)]
     # Score the near-minimal codes exactly, so that ties are exact ties.
     on = ((codes[:, None] >> shifts) & 1).astype(bool)
     exact = _energies(model, on)
@@ -252,24 +272,26 @@ def _one_hot_layout(model, groups) -> _OneHotLayout:
     return _OneHotLayout(order, first, size, classes, diag, offset, weight, peak)
 
 
-def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np.ndarray:
-    """Each read's final state: one chosen internal variable per group.
+def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float,
+                    reads: range) -> np.ndarray:
+    """The final state of each read in `reads`: one chosen internal variable
+    per group.
 
     Reads run in blocks that fit `_RANDOM_BUDGET`, each in its own call so
     that its arrays are freed before the next block allocates. A read's
     draws come from `SeedSequence((seed, read))` alone, so its final state
-    does not depend on its block.
+    does not depend on its block or on the other reads run.
     """
     n, num_groups = len(layout.order), len(layout.size)
     stride = 1 << n.bit_length()  # > n, so column n is the padding sink
     # Every per-read array counts against the budget, in 8-byte units.
     per_read = num_groups * (cfg.sweeps + 2) + stride
-    block = max(1, min(cfg.num_reads, _RANDOM_BUDGET // per_read))
+    block = max(1, min(len(reads), _RANDOM_BUDGET // per_read))
     betas = np.geomspace(*cfg.beta_range, cfg.sweeps) * scale
-    states = np.empty((cfg.num_reads, num_groups), dtype=np.intp)
-    for lo in range(0, cfg.num_reads, block):
-        reads = range(lo, min(lo + block, cfg.num_reads))
-        states[lo:reads.stop] = _anneal_block(layout, cfg, betas, reads, stride)
+    states = np.empty((len(reads), num_groups), dtype=np.intp)
+    for lo in range(0, len(reads), block):
+        part = reads[lo:lo + block]
+        states[lo:lo + len(part)] = _anneal_block(layout, cfg, betas, part, stride)
     return states
 
 
@@ -377,7 +399,10 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     with exactly one set bit per group, and reads `cfg.beta_range` per unit
     of the largest |coupling between groups| (the peak |coefficient| when
     groups share none), so scaling the model by a positive factor leaves
-    its samples unchanged up to the rounding of β.
+    its samples unchanged up to the rounding of β. Its occurrences count
+    the reads run: the first `PROBE_READS` when at least `PROBE_AGREE` of
+    them tie with their lowest energy (within `_cut`, the exhaustive
+    backend's tolerance), and all `cfg.num_reads` otherwise.
     """
     if cfg.backend == BACKEND_EXHAUSTIVE:
         return solve_exhaustive(model)
@@ -387,11 +412,28 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     if n == 0:
         return SampleSet([Sample((), model.constant, cfg.num_reads)])
     layout = _one_hot_layout(model, groups)
-    states = _anneal_one_hot(layout, cfg, 1.0 / layout.peak if layout.peak > 0 else 1.0)
-    bits = np.zeros((cfg.num_reads, n), dtype=np.int8)
-    bits[np.arange(cfg.num_reads)[:, None], layout.order[states]] = 1
+    scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
+    probe = min(cfg.num_reads, PROBE_READS)
+    states = _anneal_one_hot(layout, cfg, scale, range(probe))
+    result = _collect(model, _tally(layout, states))
+    if probe < cfg.num_reads and not _agrees(result):
+        rest = _anneal_one_hot(layout, cfg, scale, range(probe, cfg.num_reads))
+        result = _collect(model, _tally(layout, np.concatenate((states, rest))))
+    return result
+
+
+def _tally(layout: _OneHotLayout, states: np.ndarray) -> dict[tuple[int, ...], int]:
+    """How many reads ended in each assignment of the model's variables."""
+    bits = np.zeros((len(states), len(layout.order)), dtype=np.int8)
+    bits[np.arange(len(states))[:, None], layout.order[states]] = 1
     counts: dict[tuple[int, ...], int] = {}
     for row in bits.tolist():
         key = tuple(row)
         counts[key] = counts.get(key, 0) + 1
-    return _collect(model, counts)
+    return counts
+
+
+def _agrees(result: SampleSet) -> bool:
+    """Whether at least `PROBE_AGREE` reads tie with the lowest energy."""
+    cut = _cut(result.best.energy)
+    return sum(s.occurrences for s in result if s.energy <= cut) >= PROBE_AGREE

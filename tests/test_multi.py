@@ -1,11 +1,12 @@
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from perfbench.checker import check_plans
-from perfbench.corpus import city, corridor
+from perfbench.corpus import city, corridor, shipped
 from quboplan.grid import GridMap
 from quboplan.multi import plan_multi
 from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
@@ -30,14 +31,19 @@ EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 # colour classes, beyond the golden files. A change that means to alter these
 # plans runs this module's independent-checker test, reads the new value from
 # the failed assertion and commits it.
-CITY0_PLANS_SHA256 = "daa359fa3ebf6d6464f28d9c2b501cc2ef461a331c791dbe2a689a96e41b3c59"
+CITY0_PLANS_SHA256 = "622ccd7b72ba4f98ea477a046d2612ecf5beee704162e3021d3faebea308bf19"
 # The same digest for `corridor(1)`: serpentine corridors that reachability
 # fixing decides window by window, so it pins the presolve path.
 CORRIDOR1_PLANS_SHA256 = "96f7005f4ca92ddec8cdb2cca7d3b4208310fbcc9a4518ea070897e86572b08d"
 # The same two corpora digested over each plan's steps only, so a change to
 # the JSON around the paths moves the pins above but not these.
-CITY0_STEPS_SHA256 = "91ffb07b95be8cd2168ac87a84353bed8d90dd1a4a5e34a0b313c6caebf1d671"
+CITY0_STEPS_SHA256 = "31ab8bc48a3cf32ee4f8ff37099b6a05950cb11d5df20ef2e0eea4d55bafc9bd"
 CORRIDOR1_STEPS_SHA256 = "ec040e48a8442fd4d6660ab60c0805dad52d50b97fd502cd3522cadcf640dee4"
+# Plans and total moves of `shipped(scenarios, 0)`, the traffic the acceptance
+# tests were tuned on. This pins its lengths, not its paths: equal-energy
+# optima may trade one shortest path for another.
+SHIPPED0_PLANS = 54
+SHIPPED0_MOVES = 1003
 
 
 def _steps_json(result) -> bytes:
@@ -228,6 +234,19 @@ def test_every_accepted_generated_plan_passes_the_independent_checker():
     assert accepted > len(instances) // 2
     assert city_steps.hexdigest() == CITY0_STEPS_SHA256
     assert city_plans.hexdigest() == CITY0_PLANS_SHA256
+
+
+def test_shipped_corpus_plans_stay_valid_at_their_length():
+    scenarios = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    valid = moves = 0
+    for inst in shipped(scenarios, 0):
+        result = plan_multi(inst.grid, inst.robots, weights=inst.weights,
+                            window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
+        steps = {p.robot: p.steps for p in result.plans}
+        if result.succeeded and check_plans(inst.grid, inst.robots, steps) == []:
+            valid += 1
+            moves += sum(p.moves for p in result.plans)
+    assert (valid, moves) == (SHIPPED0_PLANS, SHIPPED0_MOVES)
 
 
 def test_corridor_plans_are_decided_by_presolve_and_unchanged():

@@ -155,11 +155,25 @@ def test_annealer_deterministic_for_fixed_seed():
            [(s.bits, s.occurrences) for s in different]
 
 
+def _reads_used(result, num_reads):
+    """The reads an annealer sample set counts, checked against the stop
+    rule: all `num_reads`, or the probe's `PROBE_READS` of which at least
+    `PROBE_AGREE` end within the exhaustive tolerance of the best energy."""
+    used = sum(s.occurrences for s in result)
+    if used != num_reads:
+        best = result.best.energy
+        at_best = sum(s.occurrences for s in result
+                      if s.energy <= best + 1e-9 * max(1.0, abs(best)))
+        assert used == solvers.PROBE_READS < num_reads
+        assert at_best >= solvers.PROBE_AGREE
+    return used
+
+
 def test_sampleset_energies_reverify_and_occurrences_sum():
     m = four_var_fixture()
     cfg = SolverConfig(seed=5, num_reads=64, sweeps=200)
     result = solve(m, cfg, groups=PAIRS)
-    assert sum(s.occurrences for s in result) == 64
+    _reads_used(result, 64)
     for s in result:
         assert s.energy == m.energy({i for i, b in enumerate(s.bits) if b})
     energies = [s.energy for s in result]
@@ -170,17 +184,18 @@ def test_metropolis_equilibrium_statistics():
     # One group of three members at energies 0, 0.5 and 1 under a fixed
     # temperature: uniform proposals are symmetric, so member occupancy
     # converges to the Boltzmann weights. Without couplings between groups β
-    # is read per unit of the peak |coefficient|, here 1.
+    # is read per unit of the peak |coefficient|, here 1. The kernel runs
+    # all 4,000 reads; `solve` would stop at its probe.
     beta = 1.25
     m = QuboModel(3)
     m.add(1, 1, 0.5)
     m.add(2, 2, 1.0)
     cfg = SolverConfig(seed=8, num_reads=4000, sweeps=60, beta_range=(beta, beta + 1e-9))
-    result = solve(m, cfg, groups=(0, 0, 0))
+    layout = solvers._one_hot_layout(m, (0, 0, 0))
+    held = layout.order[solvers._anneal_one_hot(layout, cfg, 1.0, range(4000))[:, 0]]
     weights = np.exp(-beta * np.array([0.0, 0.5, 1.0]))
     for member, expected in enumerate(weights / weights.sum()):
-        bits = tuple(int(k == member) for k in range(3))
-        hits = sum(s.occurrences for s in result if s.bits == bits)
+        hits = int((held == member).sum())
         assert hits / 4000 == pytest.approx(expected, abs=0.03)
 
 
@@ -226,9 +241,83 @@ def _members(groups):
 def test_every_sample_sets_one_bit_per_group(name):
     model, cfg, groups = _first_window(name)
     result = solve(model, replace(cfg, num_reads=40, sweeps=50), groups=groups)
-    assert sum(s.occurrences for s in result) == 40
+    _reads_used(result, 40)
     for s in result:
         assert all(sum(s.bits[v] for v in members) == 1 for members in _members(groups))
+
+
+def _record_runs(monkeypatch):
+    """The read ranges `solve` hands the kernel, in call order."""
+    runs = []
+    kernel = solvers._anneal_one_hot
+
+    def recorded(layout, cfg, scale, reads):
+        runs.append(reads)
+        return kernel(layout, cfg, scale, reads)
+
+    monkeypatch.setattr(solvers, "_anneal_one_hot", recorded)
+    return runs
+
+
+def _full_run(model, groups, cfg):
+    layout = solvers._one_hot_layout(model, groups)
+    scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
+    return layout, solvers._anneal_one_hot(layout, cfg, scale, range(cfg.num_reads))
+
+
+# corridor10's first window is decided by variable fixing and builds no model.
+@pytest.mark.parametrize("name, stops", [("demo3", True), ("multi10_2", True),
+                                         ("multi10_4", False), ("multi5", True),
+                                         ("single5", True)])
+def test_solve_returns_the_first_reads_of_a_full_run(name, stops):
+    model, cfg, groups = _first_window(name)
+    result = solve(model, cfg, groups=groups)
+    used = _reads_used(result, cfg.num_reads)
+    assert (used < cfg.num_reads) == stops
+    layout, states = _full_run(model, groups, cfg)
+    prefix = solvers._collect(model, solvers._tally(layout, states[:used]))
+    assert _draws(result) == _draws(prefix)
+
+
+def test_solve_follows_the_stop_rule_on_random_models():
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for _ in range(40):
+        sizes = rng.integers(1, 5, int(rng.integers(1, 9)))
+        groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).tolist()
+        model = random_grid_model(rng, len(groups))
+        num_reads = int(rng.integers(1, 60))
+        cfg = SolverConfig(seed=int(rng.integers(1 << 30)), num_reads=num_reads, sweeps=30,
+                           beta_range=(0.01, float(rng.choice([0.05, 50.0]))))
+        used = _reads_used(solve(model, cfg, groups=groups), num_reads)
+        outcomes.add("probe" if used < num_reads else "cap")
+    assert outcomes == {"probe", "cap"}
+
+
+def test_a_probe_that_disagrees_runs_every_read(monkeypatch):
+    # Eight groups of three at a high temperature: the probe's reads spread
+    # over many of the 6,561 states, so few share the lowest energy.
+    rng = np.random.default_rng(4)
+    groups = np.repeat(np.arange(8), 3).tolist()
+    model = QuboModel(len(groups))
+    for v in range(len(groups)):
+        model.add(v, v, float(rng.integers(-8, 9)))
+    cfg = SolverConfig(seed=6, num_reads=40, sweeps=20, beta_range=(0.01, 0.02))
+    layout, states = _full_run(model, groups, cfg)
+    probe = solvers._collect(model, solvers._tally(layout, states[:solvers.PROBE_READS]))
+    assert not solvers._agrees(probe)
+    runs = _record_runs(monkeypatch)
+    result = solve(model, cfg, groups=groups)
+    assert runs == [range(solvers.PROBE_READS), range(solvers.PROBE_READS, 40)]
+    assert _draws(result) == _draws(solvers._collect(model, solvers._tally(layout, states)))
+
+
+def test_fewer_reads_than_the_probe_run_once(monkeypatch):
+    runs = _record_runs(monkeypatch)
+    cfg = SolverConfig(seed=2, num_reads=solvers.PROBE_READS - 11, sweeps=50)
+    result = solve(four_var_fixture(), cfg, groups=PAIRS)
+    assert runs == [range(cfg.num_reads)]
+    assert sum(s.occurrences for s in result) == cfg.num_reads
 
 
 def test_one_bit_per_group_under_shuffled_labels():
@@ -296,7 +385,7 @@ def _assert_kernels_agree(model, groups, cfg):
     same state; return the layout they ran on."""
     layout = solvers._one_hot_layout(model, groups)
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
-    assert np.array_equal(solvers._anneal_one_hot(layout, cfg, scale),
+    assert np.array_equal(solvers._anneal_one_hot(layout, cfg, scale, range(cfg.num_reads)),
                           anneal_one_hot(layout, cfg, scale))
     return layout
 
