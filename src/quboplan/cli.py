@@ -78,6 +78,8 @@ def _cmd_render(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.samples < 1 or args.runs < 1:
         raise ScenarioError("samples and runs must be >= 1")
+    if not 0 <= args.threshold <= 1:
+        raise ScenarioError("threshold must be a number in [0, 1]")
     report = oracle_check(samples=args.samples, runs_per_sample=args.runs,
                           seed=args.seed)
     summary = {k: v for k, v in report.items() if k != "instances"}

@@ -66,10 +66,10 @@ class PenaltyWeights:
 class RobotWindow:
     """One robot's slice of a planning window.
 
-    `visited` carries cells from earlier windows that should be softly
-    discouraged. It is held as given, not copied, and is only asked whether
-    it holds a cell, so a caller must not change it while the window is in
-    use.
+    `visited` carries cells from earlier windows: `preprocess.fix_logical`
+    leaves them out of the robot's reachability search, and the revisit
+    penalties softly discourage them. Held as given and only asked whether
+    it holds a cell, it must not change while the window is in use.
     """
 
     start: Cell

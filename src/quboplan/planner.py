@@ -1,14 +1,15 @@
 """Sequential window planning: presolve, solve, repair, validate, stitch.
 
 A plan is assembled window by window. Each window fixes what reachability
-decides for the robots active on the global clock; when variables remain
-free, it builds their QUBO, folds the fixed values in and solves it, and
-the best sample is decoded. A decided window's layers are its occupancy.
-The occupancy is repaired, and the accepted sub-path is stitched onto the
-plan so global times advance by exactly one per step. Failed windows
-are retried with fresh solver seeds; the final retry widens the window once
-before giving up. A window whose outcome no seed can change is widened at
-once instead, and given up when the widened one fails too.
+(searched in `preprocess.fix_logical`) decides for the robots active on the
+global clock; when variables remain free, it builds their QUBO, folds the
+fixed values in and solves it, and the best sample is decoded. A decided
+window's layers are its occupancy. The occupancy is repaired, and the
+accepted sub-path is stitched onto the plan so global times advance by
+exactly one per step. Failed windows are retried with fresh solver seeds;
+the final retry widens the window once before giving up. A window whose
+outcome no seed can change is widened at once instead, and given up when
+the widened one fails too.
 """
 
 from dataclasses import dataclass, field, replace
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Cell, GridMap, bfs_distances, bfs_layers, manhattan
+from .grid import Cell, GridMap, bfs_distances
 from .penalties import (
     Admissible,
     PenaltyWeights,
@@ -296,33 +297,13 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
                  allow_wait: bool = False) -> Window:
     """One window's spec and presolve report, with its model built on demand.
 
-    `robots` holds one (current cell, goal, visited cells) triple per robot.
-    The visited cells are only asked whether they hold a cell, never copied,
-    so a window's work does not grow with the plan so far. Cells visited in
-    earlier windows are left out of a robot's reachability search; when that
-    walls off the goal, or ends the search short of the horizon where the
-    full search reaches further, the exclusion is dropped and the softened
-    revisit penalties take over instead. The full search is skipped when it
-    can change neither: the goal's L1 distance exceeds the horizon and the
-    search with exclusions already reaches the horizon. Logical fixing
-    reuses these searches.
+    `robots` holds one (current cell, goal, visited cells) triple per robot;
+    the visited cells are held, not copied. `preprocess.fix_logical` runs
+    each robot's reachability search and decides the admissible cells.
     """
-    records, tables = [], []
-    for start, goal, visited in robots:
-        layers = bfs_layers(grid, start, horizon, exclude_visited=visited)
-        reachable = any(goal in cells for cells in layers)
-        lower = manhattan(start, goal)
-        # Only a visited cell other than the start is left out of the search.
-        if (not reachable and len(visited) > (start in visited)
-                and (lower <= horizon or len(layers) <= horizon)):
-            full = bfs_layers(grid, start, horizon)
-            reachable = any(goal in cells for cells in full)
-            if reachable or len(layers) < len(full):
-                layers = full
-        records.append(RobotWindow(start, goal, visited))
-        tables.append(layers)
-    spec = WindowSpec(grid, tuple(records), horizon, weights, allow_wait)
-    report, admissible = fix_logical(spec, tables)
+    records = tuple(RobotWindow(start, goal, visited) for start, goal, visited in robots)
+    spec = WindowSpec(grid, records, horizon, weights, allow_wait)
+    report, admissible = fix_logical(spec)
     return Window(spec, report, admissible)
 
 

@@ -1,10 +1,11 @@
 """Variable fixing: shrink a window's QUBO before any solver sees it.
 
-Logical fixing derives forced assignments from reachability alone: a step
-admits only its BFS layer (the start alone at step 0), so no goal is
-claimed before its BFS distance, and a singleton layer forces its variable
-on (`forced_ones`, computed only when a model is folded). Cells outside a
-layer never enter the model, so no work is spent on them. Folding
+Logical fixing derives forced assignments from reachability alone, and
+`fix_logical` alone decides a window's admissible cells: it runs each
+robot's BFS, and a step admits only its layer (the start alone at step 0),
+so no goal is claimed before its BFS distance, and a singleton layer
+forces its variable on (`forced_ones`, computed only when a model is
+folded). Cells outside a layer never enter the model. Folding
 substitutes the fixed values into the coefficients and reindexes the
 survivors densely. A conservative numeric pass then clears outlier
 diagonals that no incident negative mass could ever compensate.
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import bfs_layers, manhattan
 from .penalties import Admissible, WindowSpec
 from .qubo import QuboModel, block_size, var_index
 
@@ -44,24 +46,37 @@ class FixReport:
         return self.reduced_count == 0
 
 
-def fix_logical(spec: WindowSpec, tables: Admissible
-                ) -> tuple[FixReport, Admissible]:
+def fix_logical(spec: WindowSpec) -> tuple[FixReport, Admissible]:
     """Forced assignments for one window, plus the admissible variable sets.
 
-    `tables` holds each robot's reachability layers from its start over the
-    window's horizon, as `planner.build_window` searched them; each robot's
-    admissible sets are its layers, padded with empty sets to
-    `spec.horizon + 1` steps. The inputs are left unchanged. When the
-    spec allows waits, a reached goal stays admissible after first arrival,
-    so the robot can park on it.
+    Each robot's admissible sets are its BFS layers from its start over the
+    window's horizon, padded with empty sets to `spec.horizon + 1` steps.
+    The search leaves out the visited cells, only asking them whether they
+    hold a cell; where that walls off the goal, or ends short of the horizon
+    where the full search reaches further, the full search is kept and the
+    softened revisit penalties take over. The full search is skipped when
+    it can change neither: the goal lies beyond the horizon in L1 distance
+    and the search with exclusions reaches the horizon. With waits allowed,
+    a reached goal stays admissible after first arrival, for parking.
     """
     horizon = spec.horizon
     report = FixReport(original_count=len(spec.robots) * block_size(spec.dims))
     admissible: Admissible = []
-    joint_depth = max(len(table) for table in tables) - 1
-
-    for rec, table in zip(spec.robots, tables):
-        layers = [set(cells) for cells in table]
+    for rec in spec.robots:
+        start, goal, visited = rec.start, rec.goal, rec.visited
+        layers = bfs_layers(spec.grid, start, horizon, exclude_visited=visited)
+        reachable = any(goal in cells for cells in layers)
+        lower = manhattan(start, goal)
+        # Only a visited cell other than the start is left out of the search.
+        if (not reachable and len(visited) > (start in visited)
+                and (lower <= horizon or len(layers) <= horizon)):
+            full = bfs_layers(spec.grid, start, horizon)
+            reachable = any(goal in cells for cells in full)
+            if reachable or len(layers) < len(full):
+                layers = full
+        admissible.append(layers)
+    joint_depth = max(len(layers) for layers in admissible) - 1
+    for rec, layers in zip(spec.robots, admissible):
         layers += [set() for _ in range(horizon + 1 - len(layers))]
         goal_time = next(
             (t for t, cells in enumerate(layers) if rec.goal in cells), None)
@@ -79,7 +94,6 @@ def fix_logical(spec: WindowSpec, tables: Admissible
             if not onward:
                 for t in range(goal_time + 1, horizon + 1):
                     layers[t].add(rec.goal)
-        admissible.append(layers)
 
     report.reduced_count = sum(len(cells) for layers in admissible
                                for cells in layers if len(cells) != 1)

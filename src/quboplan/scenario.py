@@ -100,7 +100,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
             continue  # comment; '#' would be an obstacle inside [map]
         if current is None:
             raise ScenarioError(f"line {lineno}: content before any section")
-        sections[current].append((lineno, stripped))
+        # A map row keeps its leading whitespace, so the map check rejects it.
+        sections[current].append((lineno, line if current == "map" else stripped))
 
     if not sections.get("map"):
         raise ScenarioError("missing or empty [map] section")
@@ -181,7 +182,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
 
 
 def load_scenario(path: str) -> ScenarioSpec:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".scn"):

@@ -16,7 +16,6 @@ import numpy as np
 
 from quboplan.grid import (
     GridMap,
-    bfs_layers,
     manhattan,
     max_manhattan,
     obstacle_potential,
@@ -149,13 +148,6 @@ def bfs_distances(grid: GridMap, start) -> dict:
                     fresh.append(n)
         frontier = fresh
     return dist
-
-
-def reachability_tables(spec: WindowSpec):
-    """Each robot's BFS layers from its start over the window's horizon: the
-    tables `fix_logical` reads, for a spec built by hand rather than by
-    `planner.build_window`."""
-    return [bfs_layers(spec.grid, rec.start, spec.horizon) for rec in spec.robots]
 
 
 def all_shortest_paths(grid: GridMap, start, goal, limit: int = 10000):

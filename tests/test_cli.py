@@ -207,3 +207,11 @@ def test_exhaustive_backend_on_a_large_window_exits_two(command, tmp_path, monke
 def test_oracle_check_rejects_zero_counts(flag, capsys):
     assert main(["oracle-check", flag, "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan", "inf"])
+def test_oracle_check_rejects_a_threshold_outside_zero_to_one(threshold, capsys):
+    assert main(["oracle-check", "--threshold", threshold]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: threshold must be a number in [0, 1]\n"
+    assert out.out == ""

@@ -23,7 +23,6 @@ from quboplan.preprocess import fix_logical
 from quboplan.qubo import block_size
 from quboplan.solvers import SolverConfig
 
-from oracles import reachability_tables
 
 EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 # sha256 of the `to_json()` of every plan of `city(0)`, in corpus order, each
@@ -88,7 +87,7 @@ def test_collision_terms_only_on_shared_admissible_cells():
     )
     grid = GridMap(3, 5, frozenset({(1, j) for j in range(5)}))
     spec = WindowSpec(grid, recs, 4, PenaltyWeights(), allow_wait=True)
-    report, adm = fix_logical(spec, reachability_tables(spec))
+    report, adm = fix_logical(spec)
     model = build_window_model(spec, adm)
     block = block_size(spec.dims)
     cross = [(a, b) for a, b in model.coeffs if a < block <= b]

@@ -30,7 +30,7 @@ from quboplan.penalties import (
 from quboplan.qubo import QuboModel, block_size, var_index
 from quboplan.scenario import load_scenario
 
-from oracles import penalty_energy, reachability_tables
+from oracles import penalty_energy
 
 
 W = PenaltyWeights()
@@ -313,7 +313,7 @@ def test_obstacle_cells_never_receive_variables():
         for t in range(spec.horizon + 1)
         for c in g.obstacles
     }
-    for adm in (dense_admissible(spec), fix_logical(spec, reachability_tables(spec))[1]):
+    for adm in (dense_admissible(spec), fix_logical(spec)[1]):
         model = build_window_model(spec, adm)
         used = {a for key in model.coeffs for a in key}
         assert not (used & obstacle_vars)
@@ -367,8 +367,8 @@ def planner_windows(monkeypatch):
     seen = []
     fix_logical = planner.fix_logical
 
-    def recording(spec, tables):
-        report, admissible = fix_logical(spec, tables)
+    def recording(spec):
+        report, admissible = fix_logical(spec)
         seen.append((spec, admissible))
         return report, admissible
 

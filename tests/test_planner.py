@@ -8,7 +8,7 @@ from perfbench.checker import check_plans
 from perfbench.corpus import city, corridor, serpentine
 from quboplan.classical import astar, path_moves
 from quboplan.grid import GridMap, bfs_layers, manhattan
-from quboplan.penalties import PenaltyWeights
+from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
 from quboplan import planner, qubo
 from quboplan.planner import (
     Plan,
@@ -24,6 +24,7 @@ from quboplan.planner import (
     stitch,
     validate_path,
 )
+from quboplan.preprocess import fix_logical
 from quboplan.scenario import load_scenario
 from quboplan.solvers import Sample, SampleSet, SolverConfig
 
@@ -388,14 +389,18 @@ class _CellsWithoutIteration:
 ])
 def test_windows_read_the_visited_cells_without_copying_them(grid, start, goal, visited,
                                                              horizon):
-    listed = build_window(grid, [(start, goal, set(visited))], horizon, PenaltyWeights())
-    opaque = _CellsWithoutIteration(visited)
-    built = build_window(grid, [(start, goal, opaque)], horizon, PenaltyWeights())
-    assert built.report == listed.report
-    assert built.admissible == listed.admissible
+    def spec(cells):
+        return WindowSpec(grid, (RobotWindow(start, goal, cells),), horizon, PenaltyWeights())
+
+    listed, opaque = spec(set(visited)), spec(_CellsWithoutIteration(visited))
+    listed_report, listed_admissible = fix_logical(listed)
+    report, admissible = fix_logical(opaque)
+    assert report == listed_report
+    assert admissible == listed_admissible
     # The revisit penalties ask the visited cells about each admissible cell.
-    assert built.folded.model.coeffs == listed.folded.model.coeffs
-    assert (bfs_layers(grid, start, horizon, exclude_visited=opaque)
+    assert (build_window_model(opaque, admissible).coeffs
+            == build_window_model(listed, listed_admissible).coeffs)
+    assert (bfs_layers(grid, start, horizon, exclude_visited=opaque.robots[0].visited)
             == bfs_layers(grid, start, horizon, exclude_visited=visited - {start}))
 
 

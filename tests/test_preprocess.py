@@ -29,7 +29,6 @@ from oracles import (
     brute_force_minima,
     four_var_fixture,
     random_grid_model,
-    reachability_tables,
 )
 
 
@@ -40,7 +39,7 @@ def window(grid, start, goal, horizon, **kw):
 
 def test_fix_logical_2x2_leaves_two_free():
     spec = window(GridMap(2, 2), (0, 0), (1, 1), 2)
-    report, adm = fix_logical(spec, reachability_tables(spec))
+    report, adm = fix_logical(spec)
     assert report.original_count == 12
     assert report.reduced_count == 2
     assert adm[0][0] == {(0, 0)}
@@ -55,14 +54,14 @@ def test_fix_logical_2x2_leaves_two_free():
 def test_fix_logical_benchmark_reduction():
     grid = GridMap(5, 5, frozenset({(2, 2)}))
     spec = window(grid, (0, 0), (4, 4), 19)
-    report, _ = fix_logical(spec, reachability_tables(spec))
+    report, _ = fix_logical(spec)
     assert report.original_count == 500
     assert reduction_pct(report.original_count, report.reduced_count) >= 95.0
 
 
 def test_fix_logical_forced_corridor_is_fully_solved():
     spec = window(GridMap(1, 2), (0, 0), (0, 1), 1)
-    report, adm = fix_logical(spec, reachability_tables(spec))
+    report, adm = fix_logical(spec)
     assert report.solved_by_preprocess
     assert report.reduced_count == 0
     assert len(forced_ones(spec.dims, adm)) == 2
@@ -71,7 +70,7 @@ def test_fix_logical_forced_corridor_is_fully_solved():
 def test_fix_logical_leaves_a_sealed_start_nothing_free():
     grid = GridMap(3, 3, frozenset({(0, 1), (1, 1), (1, 0)}))
     spec = window(grid, (0, 0), (2, 2), 4)
-    report, _ = fix_logical(spec, reachability_tables(spec))
+    report, _ = fix_logical(spec)
     assert report.reduced_count == 0  # the start is a sealed pocket
 
 
@@ -92,7 +91,7 @@ def test_fix_logical_no_shortest_path_is_pruned():
         if not paths or len(paths[0]) - 1 > 4:
             continue
         spec = window(GridMap(rows, cols, obstacles), start, goal, 4)
-        _, adm = fix_logical(spec, reachability_tables(spec))
+        _, adm = fix_logical(spec)
         for path in paths:
             for t, c in enumerate(path):
                 assert c in adm[0][t], (path, t, c)
@@ -288,7 +287,7 @@ def test_fix_logical_work_follows_the_admissible_variables(monkeypatch):
 
     monkeypatch.setattr(preprocess, "var_index", counted)
     spec = window(GridMap(40, 40), (0, 0), (39, 39), 6)
-    report, admissible = fix_logical(spec, reachability_tables(spec))
+    report, admissible = fix_logical(spec)
     entries = sum(len(cells) for layers in admissible for cells in layers)
     assert report.original_count == 40 * 40 * 7
     assert calls <= entries
@@ -296,27 +295,31 @@ def test_fix_logical_work_follows_the_admissible_variables(monkeypatch):
 
 def _window_searching_the_full_map_whenever_exclusions_hide_the_goal(
         grid, robots, horizon, weights, allow_wait):
-    """`build_window`'s spec, report and admissible cells under its earlier
-    rule, which searched the whole map again whenever the search with
-    exclusions missed the goal; also counts the searches the current rule
-    skips (goal beyond the horizon, table already at full depth)."""
-    records, tables, skippable = [], [], 0
+    """`build_window`'s report and admissible cells under its earlier rule,
+    which searched the whole map again whenever the search with exclusions
+    missed the goal, and each robot's left-out cells under that rule; also
+    counts the searches the current rule skips (goal beyond the horizon,
+    layers already at full depth). A robot whose full search the rule keeps
+    is given no visited cells, so `fix_logical` searches the whole map for
+    it; the others keep theirs, and no cell they leave out may be
+    admissible."""
+    records, left_out, skippable = [], [], 0
     for start, goal, visited in robots:
         excluded = frozenset(visited) - {start}
-        table = bfs_layers(grid, start, horizon, exclude_visited=excluded)
-        reachable = any(goal in cells for cells in table)
+        layers = bfs_layers(grid, start, horizon, exclude_visited=excluded)
+        reachable = any(goal in cells for cells in layers)
         if not reachable and excluded:
             skippable += (manhattan(start, goal) > horizon
-                          and len(table) == horizon + 1)
+                          and len(layers) == horizon + 1)
             full = bfs_layers(grid, start, horizon)
             reachable = any(goal in cells for cells in full)
-            if reachable or len(table) < len(full):
-                table = full
+            if reachable or len(layers) < len(full):
+                visited, excluded = frozenset(), frozenset()
         records.append(RobotWindow(start, goal, visited))
-        tables.append(table)
+        left_out.append(excluded)
     spec = WindowSpec(grid, tuple(records), horizon, weights, allow_wait)
-    report, admissible = fix_logical(spec, tables)
-    return spec, report, admissible, skippable
+    report, admissible = fix_logical(spec)
+    return report, admissible, left_out, skippable
 
 
 def test_skipped_full_searches_change_no_window():
@@ -339,11 +342,12 @@ def test_skipped_full_searches_change_no_window():
         horizon = int(rng.integers(1, 9))
         weights, allow_wait = PenaltyWeights(), n_robots > 1
         built = build_window(grid, robots, horizon, weights, allow_wait=allow_wait)
-        spec, report, admissible, skippable = (
+        report, admissible, left_out, skippable = (
             _window_searching_the_full_map_whenever_exclusions_hide_the_goal(
                 grid, robots, horizon, weights, allow_wait))
-        assert built.spec == spec
         assert built.report == report
         assert built.admissible == admissible
+        for layers, excluded in zip(built.admissible, left_out):
+            assert not any(cells & excluded for cells in layers)
         skipped += skippable
     assert skipped >= 20

@@ -120,6 +120,24 @@ def test_bad_map_character_rejected():
         parse_scenario(text)
 
 
+def test_indented_map_row_rejected_at_its_first_column():
+    text = "[map]\n  ..#\n...\n...\n\n[robots]\n0 0 2 2\n"
+    with pytest.raises(ScenarioError,
+                       match=r"^line 2: column 1: unexpected map character ' '$"):
+        parse_scenario(text)
+
+
+def test_crlf_line_ends_parse_like_lf():
+    assert parse_scenario(MINIMAL.replace("\n", "\r\n")) == parse_scenario(MINIMAL)
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "bom.scn"
+    path.write_text(MINIMAL.lstrip(), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf[map]")
+    assert load_scenario(str(path)) == parse_scenario(MINIMAL, name="bom")
+
+
 def test_duplicate_robot_rejected():
     text = "[map]\n...\n...\n...\n\n[robots]\n0 0 2 2\n0 0 2 2\n"
     with pytest.raises(ScenarioError, match="duplicate robot"):
