@@ -6,10 +6,9 @@ global clock; when variables remain free, it builds their QUBO, folds the
 fixed values in and solves it, and the best sample is decoded. A decided
 window's layers are its occupancy. The occupancy is repaired, and the
 accepted sub-path is stitched onto the plan so global times advance by
-exactly one per step. Failed windows are retried with fresh solver seeds;
-the final retry widens the window once before giving up. A window whose
-outcome no seed can change is widened at once instead, and given up when
-the widened one fails too.
+exactly one per step. Every window gets two tries, the second widened, no
+reseeding: a window whose first try fails is tried once more at twice the
+window length, whatever its backend, and given up when that try fails too.
 """
 
 from dataclasses import dataclass, field, replace
@@ -46,8 +45,6 @@ from .solvers import SolverConfig, solve
 STATUS_REACHED = "reached_goal"
 STATUS_EXHAUSTED = "max_windows_exhausted"
 STATUS_INFEASIBLE = "infeasible"
-# Tries per window; the last one widens the window before giving up.
-ATTEMPTS_PER_WINDOW = 5
 
 
 class StitchError(RuntimeError):
@@ -133,8 +130,9 @@ class WindowRecord:
     """Joint per-window diagnostics shared by every robot active in it.
 
     A try at the window fills in what it found; `backend` stays "presolve"
-    unless a sampler ran. The retry loop then sets `index`, `global_start`,
-    `retries` and `escalated`.
+    unless a sampler ran. The window loop then sets `index`, `global_start`
+    and `escalated`. A window gets two tries, the second widened, no
+    reseeding, so `retries` is 1 exactly when the window was widened.
     """
 
     horizon: int
@@ -147,8 +145,11 @@ class WindowRecord:
     histogram: list[tuple[float, int]] = field(default_factory=list)
     index: int = 0
     global_start: int = 0
-    retries: int = 0
     escalated: bool = False
+
+    @property
+    def retries(self) -> int:
+        return int(self.escalated)
 
     @property
     def reduction_pct(self) -> float:
@@ -411,7 +412,11 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     mid-window join at the next window boundary, waiting on their start
     cell, and every window that reaches a robot's release keeps the others
     off its start. A robot whose goal the parked robots wall off ends as
-    infeasible at once. Every finished plan, clash-repair waits included, is
+    infeasible at once. Each window gets two tries, the second widened, no
+    reseeding: the first runs at `window_len`, the second at twice that, and
+    a window whose second try fails too is abandoned, ending the run. The
+    first try's seed parts are (window index, 0, 0), the second's (window
+    index, 1, 1). Every finished plan, clash-repair waits included, is
     validated once more on the input map. Raises `ValueError` for a robot set
     that `validate_robots` rejects.
     """
@@ -467,28 +472,21 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                 ]
 
         occupied = {a.current for a in active}
-        horizon = wcfg.window_len
-        escalated = False
-        for retries in range(ATTEMPTS_PER_WINDOW):
+        for escalated in (False, True):
+            horizon = 2 * wcfg.window_len if escalated else wcfg.window_len
             # A robot released within this try's horizon keeps the others
             # off its start for the whole try.
             releasing = {a.spec.start for a in agents if a.status != STATUS_INFEASIBLE
                          and clock < a.spec.release <= clock + horizon}
             eff_grid = grid.with_obstacles((parked | releasing) - occupied)
             record, paths = _attempt_window(eff_grid, active, weights, scfg, horizon,
-                                            (len(windows), retries, int(escalated)), multi)
-            # Without a sampler run, no other seed can change the outcome.
-            retry_cannot_help = record.backend == "presolve"
-            if paths is not None or (escalated and retry_cannot_help):
+                                            (len(windows), int(escalated), int(escalated)),
+                                            multi)
+            if paths is not None:
                 break
-            if retry_cannot_help or retries == ATTEMPTS_PER_WINDOW - 2:
-                # Widen the window once: at once when retrying cannot help,
-                # otherwise for the last try.
-                horizon = 2 * wcfg.window_len
-                escalated = True
 
         record.index, record.global_start = len(windows), clock
-        record.retries, record.escalated = retries, escalated
+        record.escalated = escalated
         windows.append(record)
         for agent in active:
             agent.log.append(record)

@@ -96,21 +96,22 @@ def find_vertex_conflicts(step_lists: list[Steps]):
 
     Finished robots keep occupying their final cell, and robots are absent
     before their first timestamp. Sorted by time, then cell, then robots.
+    Between two step times no robot changes cell, so only step times are
+    checked; a clash found at one is listed at every tick up to the next.
     """
     populated = [(r, s) for r, s in enumerate(step_lists) if s]
     if len(populated) < 2:
         return []
-    lo = min(s[0][0] for _, s in populated)
-    hi = max(s[-1][0] for _, s in populated)
+    times = sorted({t for _, s in populated for t, _ in s})
     conflicts = []
-    for t in range(lo, hi + 1):
+    for t, end in zip(times, times[1:] + [times[-1] + 1]):
         spots: dict[Cell, int] = {}
         for r, s in populated:
             c = occupied_at(s, t)
             if c is None:
                 continue
             if c in spots:
-                conflicts.append((t, c, spots[c], r))
+                conflicts.extend((tick, c, spots[c], r) for tick in range(t, end))
             else:
                 spots[c] = r
     conflicts.sort()

@@ -6,7 +6,8 @@ They deliberately avoid the library's coefficient-accumulation and solver
 code paths so agreement between the two is meaningful. The first one-hot
 annealing kernel is kept here too, as the reference its faster rewrite must
 reproduce state for state, and so are the grid's first neighbour rule, its
-first distance search and the exhaustive backend's first, two-pass screen.
+first distance search, the exhaustive backend's first, two-pass screen and
+the first, tick-by-tick vertex clash scan.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from quboplan.penalties import (
     WindowSpec,
     goal_factor,
 )
+from quboplan.postprocess import occupied_at
 from quboplan.qubo import QuboModel
 from quboplan.solvers import (
     _ENUM_CHUNK,
@@ -175,6 +177,30 @@ def all_shortest_paths(grid: GridMap, start, goal, limit: int = 10000):
     extend([start])
     assert all(len(p) == total + 1 for p in paths)
     return paths
+
+
+def vertex_conflicts(step_lists):
+    """Every (t, cell, r1, r2) clash, found by checking every tick from the
+    first step time to the last; `postprocess.find_vertex_conflicts` must
+    return the same list."""
+    populated = [(r, s) for r, s in enumerate(step_lists) if s]
+    if len(populated) < 2:
+        return []
+    lo = min(s[0][0] for _, s in populated)
+    hi = max(s[-1][0] for _, s in populated)
+    conflicts = []
+    for t in range(lo, hi + 1):
+        spots = {}
+        for r, s in populated:
+            c = occupied_at(s, t)
+            if c is None:
+                continue
+            if c in spots:
+                conflicts.append((t, c, spots[c], r))
+            else:
+                spots[c] = r
+    conflicts.sort()
+    return conflicts
 
 
 def brute_force_minima(model: QuboModel):

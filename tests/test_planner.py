@@ -209,6 +209,30 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
     assert [p.status for p in result.plans] == [STATUS_EXHAUSTED, STATUS_EXHAUSTED]
 
 
+def test_a_window_whose_first_try_fails_is_rescued_by_the_widened_try(monkeypatch):
+    calls = []
+    attempt_window = planner._attempt_window
+
+    def counting_attempt(grid, agents, weights, solver_cfg, horizon, seed, multi):
+        record, paths = attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi)
+        calls.append((seed[0], horizon, paths is not None, list(record.repairs)))
+        return record, paths
+
+    monkeypatch.setattr(planner, "_attempt_window", counting_attempt)
+    grid = GridMap(5, 4, frozenset({(0, 3), (4, 1)}))
+    robots = [RobotSpec(0, (1, 1), (0, 0), release=7), RobotSpec(1, (1, 2), (1, 0)),
+              RobotSpec(2, (0, 1), (3, 1))]
+    result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=4),
+                        solver_cfg=SolverConfig(num_reads=100, sweeps=300, seed=366))
+    window_0 = [call[1:3] for call in calls if call[0] == 0]
+    assert window_0 == [(4, False), (8, True)]
+    assert calls[0][3] == ["robot 1: adjacency at t=2"]
+    assert (result.windows[0].escalated, result.windows[0].retries) == (True, 1)
+    assert result.succeeded
+    assert [p.moves for p in result.plans] == [3, 4, 5]
+    assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
+
+
 def test_a_robot_with_no_free_move_waits_in_a_multi_robot_window():
     # Robot 1's start, blocked while it awaits release, is robot 0's only
     # exit, so robot 0 holds its cell until robot 1 has left that start.
@@ -280,11 +304,11 @@ def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch):
 def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch):
     # Each step holds one cell, but (2, 0) at t=2 is no move from (0, 1).
     path = [(0, 0), (0, 1), (2, 0), (2, 1)]
-    _samples_take(monkeypatch, [path], solves=planner.ATTEMPTS_PER_WINDOW)
+    _samples_take(monkeypatch, [path], solves=2)
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (2, 2))],
                         window_cfg=WindowConfig(window_len=3), solver_cfg=EXHAUSTIVE)
     (window,) = result.windows
-    assert (window.retries, window.escalated) == (planner.ATTEMPTS_PER_WINDOW - 1, True)
+    assert (window.retries, window.escalated) == (1, True)
     assert window.repairs == ["window abandoned: robot 0: adjacency at t=2"]
     assert result.plans[0].steps == [(0, (0, 0))]
     assert result.plans[0].status == STATUS_EXHAUSTED
@@ -320,7 +344,7 @@ def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
                         window_cfg=WindowConfig(window_len=3),
                         solver_cfg=SolverConfig(seed=1, num_reads=20, sweeps=100))
     clash = "robots 0 and 1: vertex conflict at t=1"
-    assert calls == [(None, clash)] * planner.ATTEMPTS_PER_WINDOW
+    assert calls == [(None, clash)] * 2
     (window,) = result.windows
     assert window.repairs[-1] == f"window abandoned: {clash}"
     assert not result.succeeded
@@ -430,6 +454,21 @@ def test_duplicate_robot_ids_rejected():
     g = GridMap(2, 2)
     with pytest.raises(ValueError):
         plan_paths(g, [RobotSpec(0, (0, 0), (1, 1)), RobotSpec(0, (1, 0), (0, 1))])
+
+
+@pytest.mark.parametrize("start, goal, message", [
+    ((1, 1), (0, 0), "robot 0: start (1, 1) is not a free cell"),
+    ((0, 0), (1, 1), "robot 0: goal (1, 1) is not a free cell"),
+])
+def test_a_robot_off_the_free_cells_is_rejected(start, goal, message):
+    with pytest.raises(ValueError) as excinfo:
+        plan_paths(GridMap(2, 2, frozenset({(1, 1)})), [RobotSpec(0, start, goal)])
+    assert str(excinfo.value) == message
+
+
+def test_a_negative_release_is_rejected():
+    with pytest.raises(ValueError, match="^release time must be >= 0$"):
+        RobotSpec(0, (0, 0), (1, 1), release=-1)
 
 
 def test_window_config_validation():

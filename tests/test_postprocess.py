@@ -1,5 +1,9 @@
+import random
+import time
+
 import pytest
 
+import oracles
 from quboplan.grid import GridMap
 from quboplan.postprocess import (
     detect_invalid_move,
@@ -107,6 +111,31 @@ def test_find_vertex_conflicts_orders_and_parks():
     assert conflicts[0] == (1, (0, 1), 0, 1)
     # b stays parked on (0,1), so the conflict persists at later times too
     assert all(c[1] == (0, 1) for c in conflicts)
+
+
+def test_find_vertex_conflicts_matches_the_tick_by_tick_scan():
+    # Small maps and spread start times give gaps in which every robot is
+    # absent or parked, and clashes that persist across those gaps.
+    rng = random.Random(7)
+    clashing = 0
+    for _ in range(400):
+        lists = []
+        for _ in range(rng.randint(1, 4)):
+            first = rng.choice([0, rng.randint(0, 12), rng.randint(20, 40)])
+            lists.append([(first + k, (rng.randrange(2), rng.randrange(3)))
+                          for k in range(rng.randint(0, 6))])
+        expected = oracles.vertex_conflicts(lists)
+        assert find_vertex_conflicts(lists) == expected
+        clashing += bool(expected)
+    assert clashing > 100
+
+
+def test_find_vertex_conflicts_skips_the_ticks_between_far_apart_steps():
+    a = [(0, (0, 0)), (1, (0, 1))]
+    b = [(10**7, (1, 1)), (10**7 + 1, (1, 2))]
+    start = time.perf_counter()
+    assert find_vertex_conflicts([a, b]) == []
+    assert time.perf_counter() - start < 0.5
 
 
 def test_resolve_clash_single_wait():

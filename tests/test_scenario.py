@@ -189,6 +189,30 @@ def test_empty_or_missing_map_rejected(text):
         parse_scenario(text)
 
 
+SMALL = "[map]\n..\n..\n[robots]\n"  # the robot lines start at line 5
+
+
+@pytest.mark.parametrize("text, message", [
+    (SMALL + "0 0 1 1\n\n[map]\n", "line 7: duplicate section [map]"),
+    ("0 0 1 1\n" + SMALL, "line 1: content before any section"),
+    (SMALL, "missing or empty [robots] section"),
+    ("[map]\n..\n..\n", "missing or empty [robots] section"),
+    (SMALL + "0 0 1 x\n", "line 5: robot fields must be integers"),
+    (SMALL + "0 0 1 1 -1\n", "line 5: release must be >= 0"),
+    (SMALL + "0 0 1 1\n\n[window]\nwindow_len = 4\nwindow_len = 4\n",
+     "line 9: duplicate [window] key 'window_len'"),
+    (SMALL + "0 0 1 1\n\n[window]\nwindow_len 4\n",
+     "line 8: expected 'key = value', got 'window_len 4'"),
+    (SMALL + "0 0 1 1\n[bench]\nrepeats = 0\n", "repeats must be >= 1"),
+], ids=["duplicate-section", "before-section", "empty-robots", "missing-robots",
+        "non-integer-robot", "negative-release", "duplicate-key", "not-key-value",
+        "zero-repeats"])
+def test_scenario_rejections_name_their_line(text, message):
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(text)
+    assert str(excinfo.value) == message
+
+
 def test_parse_map_text_direct():
     grid = parse_map_text(["..#", "#.."])
     assert grid.rows == 2 and grid.cols == 3
