@@ -209,7 +209,11 @@ class Plan:
 
 @dataclass
 class PlanningResult:
-    """Plans for every robot plus run-level window and clash diagnostics."""
+    """Plans for every robot plus run-level window and clash diagnostics.
+
+    Clash events and unresolved conflicts, each a (t, cell, robot, robot)
+    tuple with the waiting robot last, name robots by their ids.
+    """
 
     plans: list[Plan]
     windows: list[WindowRecord]
@@ -271,7 +275,7 @@ def derive_seed(base: int, *parts: int) -> int:
 
 @dataclass
 class Window:
-    """One window as `build_window` makes it: the spec, the presolve report
+    """One window as `build_window` makes it: the spec, the presolve counts
     and the cells logical fixing left admissible.
 
     The folded model is built when `folded` is first read. A window that
@@ -286,12 +290,12 @@ class Window:
     @cached_property
     def folded(self) -> FoldedModel:
         """The window's QUBO over the admissible cells, folded onto the free
-        variables and cleared of hopeless diagonals. The variables forced on
-        by singleton layers and the numeric pass's clearings are recorded in
-        `report` in place."""
-        self.report.fixed_one |= forced_ones(self.spec.dims, self.admissible)
+        variables with the singleton layers' variables fixed on, and cleared
+        of hopeless diagonals. Only the numeric pass writes into `report`:
+        it lowers the counts by what it clears."""
         model = build_window_model(self.spec, self.admissible)
-        return fix_numeric_diagonal(fold(model, self.report), self.report)
+        ones = forced_ones(self.spec.dims, self.admissible)
+        return fix_numeric_diagonal(fold(model, ones), self.report)
 
 
 def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
@@ -312,8 +316,11 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
                     ) -> tuple[WindowRecord, list[list[Cell]] | None]:
     """Build, presolve, solve, and repair one window.
 
-    The sampler's seed is derived from the run's seed and `seed_parts` only
-    when the sampler runs. The repair decides each robot's path: it is valid
+    Logical fixing settles the window when it leaves no variable free; its
+    layers are then the occupancy. Otherwise the window's model is folded
+    and sampled, and the sampler's seed is derived from the run's seed and
+    `seed_parts`. The record takes its counts from the window's report once
+    it is final. The repair decides each robot's path: it is valid
     when it reaches the goal, runs to the horizon or, in a multi-robot
     window, stops at an empty step and then waits. Returns the try's record
     with every robot's path when every path is valid and no two robots
@@ -324,26 +331,19 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
         grid, [(a.current, a.spec.goal, a.visited) for a in agents], horizon, weights,
         allow_wait=multi)
     spec, report = window.spec, window.report
-    # A window that logical fixing decided needs no model. Building one runs
-    # the numeric pass, which updates the report read below.
-    folded = None if report.solved_by_preprocess else window.folded
-    record = WindowRecord(
-        horizon,
-        original=report.original_count,
-        reduced=report.reduced_count,
-        numeric_fixed=report.numeric_fixed,
-    )
-    if report.solved_by_preprocess:
+    if report.reduced_count == 0:
         # Every layer holds one cell or none: the layers are the occupancy.
-        occupancy = window.admissible
+        occupancy, sampled = window.admissible, {}
     else:
+        folded = window.folded
         cfg = replace(solver_cfg, seed=derive_seed(solver_cfg.seed, *seed_parts))
         sampleset = solve(folded.model, cfg,
                           groups=[var_group(spec.dims, v) for v in folded.free_vars])
         occupancy = decode(folded.expand(sampleset.best.bits), spec.dims, len(agents))
-        record.backend = cfg.backend
-        record.best_energy = sampleset.best.energy
-        record.histogram = [(s.energy, s.occurrences) for s in sampleset.samples[:8]]
+        sampled = {"backend": cfg.backend, "best_energy": sampleset.best.energy,
+                   "histogram": [(s.energy, s.occurrences) for s in sampleset.samples[:8]]}
+    record = WindowRecord(horizon, report.original_count, report.reduced_count,
+                          report.numeric_fixed, **sampled)
 
     paths = []
     for r, agent in enumerate(agents):
@@ -513,14 +513,17 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     reached = [p for p in plans if p.status == STATUS_REACHED]
     lists = [p.steps for p in reached]
     if find_vertex_conflicts(lists):
-        lists, clash_events, unresolved = resolve_clash_wait(lists, grid)
+        lists, waits, conflicts = resolve_clash_wait(lists, grid)
         for p, new_steps in zip(reached, lists):
             p.steps = new_steps
-    for conflict in unresolved:
-        plan = reached[conflict[3]]
-        if plan.status == STATUS_REACHED:
-            plan.status = STATUS_EXHAUSTED
-            plan.notes.append(f"unresolved vertex conflict at t={conflict[0]}")
+        clash_events = [
+            f"robot {reached[r].robot} waits at {hold} before t={t} to avoid {cell}"
+            for r, hold, t, cell in waits]
+        for t, cell, i, j in conflicts:
+            unresolved.append((t, cell, reached[i].robot, reached[j].robot))
+            if reached[j].status == STATUS_REACHED:
+                reached[j].status = STATUS_EXHAUSTED
+                reached[j].notes.append(f"unresolved vertex conflict at t={t}")
 
     for plan, agent in zip(plans, agents):
         if plan.status != STATUS_REACHED:

@@ -126,20 +126,21 @@ def resolve_clash_wait(step_lists: list[Steps], grid: GridMap):
     a budget of 2 * robots * (rows + cols) waits runs out. It stops at once
     when the earliest clash is on the waiting robot's start, or when either
     robot is already parked on its final cell, since no wait can clear those.
-    Cell sequences are never altered, only timing.
-    Returns (adjusted step lists, event strings, unresolved conflicts).
+    Cell sequences are never altered, only timing. Robots are named by their
+    index in `step_lists`. Returns (adjusted step lists, the waits as
+    (robot, held cell, t, clash cell), unresolved conflicts).
     """
     lists = [list(s) for s in step_lists]
     budget = 2 * max(1, len(lists)) * (grid.rows + grid.cols)
-    events: list[str] = []
+    waits: list[tuple[int, Cell, int, Cell]] = []
     while budget > 0:
         conflicts = find_vertex_conflicts(lists)
         if not conflicts:
-            return lists, events, []
+            return lists, waits, []
         t, cell, other, victim = conflicts[0]
         steps = lists[victim]
         if t <= steps[0][0] or t >= min(steps[-1][0], lists[other][-1][0]):
-            return lists, events, conflicts
+            return lists, waits, conflicts
         k = t - steps[0][0]
         hold = steps[k - 1][1]
         lists[victim] = (
@@ -147,6 +148,6 @@ def resolve_clash_wait(step_lists: list[Steps], grid: GridMap):
             + [(t, hold)]
             + [(tt + 1, c) for tt, c in steps[k:]]
         )
-        events.append(f"robot {victim} waits at {hold} before t={t} to avoid {cell}")
+        waits.append((victim, hold, t, cell))
         budget -= 1
-    return lists, events, find_vertex_conflicts(lists)
+    return lists, waits, find_vertex_conflicts(lists)

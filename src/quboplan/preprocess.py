@@ -5,13 +5,14 @@ Logical fixing derives forced assignments from reachability alone, and
 robot's BFS, and a step admits only its layer (the start alone at step 0),
 so no goal is claimed before its BFS distance, and a singleton layer
 forces its variable on (`forced_ones`, computed only when a model is
-folded). Cells outside a layer never enter the model. Folding
-substitutes the fixed values into the coefficients and reindexes the
-survivors densely. A conservative numeric pass then clears outlier
-diagonals that no incident negative mass could ever compensate.
+folded). Cells outside a layer never enter the model. Folding takes the
+fixed sets as arguments, substitutes their values into the coefficients
+and reindexes the survivors densely. A conservative numeric pass then
+clears outlier diagonals that no incident negative mass could ever
+compensate. A `FixReport` only counts a window's variables.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,27 +28,20 @@ def reduction_pct(original: int, reduced: int) -> float:
 
 @dataclass
 class FixReport:
-    """What preprocessing decided: forced bits and the resulting model size.
+    """A window's variable counts before and after fixing.
 
-    `fixed_one` is filled from `forced_ones` when the window is folded, so
-    a window that logical fixing decides never computes it. `fixed_zero`
-    holds only explicitly cleared variables (the numeric pass); logical
-    fixing leaves the non-admissible ones for `fold` to drop.
+    `fix_logical` sets both counts. The numeric pass, run when the window's
+    model is folded, lowers `reduced_count` by the variables it clears and
+    adds the ones it clears by rule to `numeric_fixed`.
     """
 
-    fixed_one: set[int] = field(default_factory=set)
-    fixed_zero: set[int] = field(default_factory=set)
-    original_count: int = 0
-    reduced_count: int = 0
+    original_count: int
+    reduced_count: int
     numeric_fixed: int = 0
-
-    @property
-    def solved_by_preprocess(self) -> bool:
-        return self.reduced_count == 0
 
 
 def fix_logical(spec: WindowSpec) -> tuple[FixReport, Admissible]:
-    """Forced assignments for one window, plus the admissible variable sets.
+    """One window's variable counts, plus its admissible variable sets.
 
     Each robot's admissible sets are its BFS layers from its start over the
     window's horizon, padded with empty sets to `spec.horizon + 1` steps.
@@ -60,7 +54,6 @@ def fix_logical(spec: WindowSpec) -> tuple[FixReport, Admissible]:
     a reached goal stays admissible after first arrival, for parking.
     """
     horizon = spec.horizon
-    report = FixReport(original_count=len(spec.robots) * block_size(spec.dims))
     admissible: Admissible = []
     for rec in spec.robots:
         start, goal, visited = rec.start, rec.goal, rec.visited
@@ -95,9 +88,9 @@ def fix_logical(spec: WindowSpec) -> tuple[FixReport, Admissible]:
                 for t in range(goal_time + 1, horizon + 1):
                     layers[t].add(rec.goal)
 
-    report.reduced_count = sum(len(cells) for layers in admissible
-                               for cells in layers if len(cells) != 1)
-    return report, admissible
+    reduced = sum(len(cells) for layers in admissible
+                  for cells in layers if len(cells) != 1)
+    return FixReport(len(spec.robots) * block_size(spec.dims), reduced), admissible
 
 
 def forced_ones(dims, admissible: Admissible) -> set[int]:
@@ -125,8 +118,9 @@ class FoldedModel:
         return ones
 
 
-def fold(model: QuboModel, report: FixReport) -> FoldedModel:
-    """Substitute fixed values into the model and reindex the free variables.
+def fold(model: QuboModel, ones, zeros=()) -> FoldedModel:
+    """Fix the variables in `ones` to one and those in `zeros` to zero, and
+    reindex the free variables.
 
     Free variables are those some coefficient touches, minus the fixed ones,
     in ascending order: an untouched variable changes no energy and is
@@ -134,10 +128,9 @@ def fold(model: QuboModel, report: FixReport) -> FoldedModel:
     Variables fixed to zero drop every incident entry; variables fixed to one
     move their diagonal into the constant and project their pair terms onto
     the partner's diagonal. Energies are preserved exactly for any
-    assignment extending the fixed values.
+    assignment setting `ones` to one and `zeros` to zero.
     """
-    ones = report.fixed_one
-    zeros = report.fixed_zero
+    ones, zeros = frozenset(ones), frozenset(zeros)
     overlap = ones & zeros
     if overlap:
         raise ValueError(f"fix sets overlap on {sorted(overlap)[:4]}")
@@ -163,7 +156,7 @@ def fold(model: QuboModel, report: FixReport) -> FoldedModel:
             out.add(position[a], position[a], w)
         else:
             out.add(position[a], position[b], w)
-    return FoldedModel(out, free, frozenset(ones))
+    return FoldedModel(out, free, ones)
 
 
 def fix_numeric_diagonal(folded: FoldedModel, report: FixReport,
@@ -175,7 +168,8 @@ def fix_numeric_diagonal(folded: FoldedModel, report: FixReport,
     every negative incident pair term fired. Setting such a bit strictly
     raises the energy of any assignment, so the minimum set is untouched.
     Each round refolds and re-examines until nothing more can be cleared;
-    fixing to one is never attempted. `report` is updated in place.
+    fixing to one is never attempted. `report`'s counts are updated in
+    place.
     """
     while True:
         model = folded.model
@@ -197,12 +191,10 @@ def fix_numeric_diagonal(folded: FoldedModel, report: FixReport,
         ]
         if not doomed:
             break
-        refolded = fold(model, FixReport(fixed_zero=set(doomed)))
+        refolded = fold(model, (), doomed)
         kept = [folded.free_vars[d] for d in refolded.free_vars]
         # Refolding also drops any survivor left without a coefficient.
-        newly_fixed = set(folded.free_vars) - set(kept)
-        report.fixed_zero |= newly_fixed
         report.numeric_fixed += len(doomed)
-        report.reduced_count -= len(newly_fixed)
+        report.reduced_count -= len(folded.free_vars) - len(kept)
         folded = FoldedModel(refolded.model, kept, folded.fixed_one)
     return folded

@@ -59,10 +59,15 @@ def parse_map_text(rows: list[str], first_line: int = 1) -> GridMap:
     return GridMap(len(rows), width, frozenset(obstacles))
 
 
-_WEIGHT_KEYS = {f.name for f in fields(PenaltyWeights)}
-_WINDOW_KEYS = {f.name for f in fields(WindowConfig)}
-_SOLVER_KEYS = {"backend", "reads", "sweeps", "beta0", "beta1", "seed"}
-_BENCH_KEYS = {"repeats"}
+# The keys of each key/value section and the type each value parses as.
+_KEY_TYPES = {
+    "weights": {f.name: f.type for f in fields(PenaltyWeights)},
+    "window": {f.name: f.type for f in fields(WindowConfig)},
+    "solver": {"backend": str, "reads": int, "sweeps": int,
+               "beta0": float, "beta1": float, "seed": int},
+    "bench": {"repeats": int},
+}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 _SECTIONS = ("map", "robots", "weights", "window", "solver", "bench")
 
 
@@ -71,12 +76,6 @@ def _parse_kv(line: str, lineno: int) -> tuple[str, str]:
         raise ScenarioError(f"line {lineno}: expected 'key = value', got {line!r}")
     key, _, value = line.partition("=")
     return key.strip(), value.strip()
-
-
-def _typed(cls, values: dict[str, str]):
-    """Dataclass `cls` with each given field parsed by its annotated type."""
-    types = {f.name: f.type for f in fields(cls)}
-    return cls(**{key: types[key](value) for key, value in values.items()})
 
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
@@ -137,38 +136,39 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
                 raise ScenarioError(f"line {lineno}: duplicate robot definition")
         robots.append(RobotSpec(len(robots), start, goal, release))
 
-    def section_dict(section: str, allowed: set[str]) -> dict[str, str]:
+    def section_dict(section: str) -> dict:
+        types = _KEY_TYPES[section]
         out = {}
         for lineno, line in sections.get(section, []):
             key, value = _parse_kv(line, lineno)
-            if key not in allowed:
+            if key not in types:
                 raise ScenarioError(f"line {lineno}: unknown [{section}] key {key!r}")
             if key in out:
                 raise ScenarioError(f"line {lineno}: duplicate [{section}] key {key!r}")
-            out[key] = value
+            try:
+                out[key] = types[key](value)
+            except ValueError:
+                raise ScenarioError(f"line {lineno}: {key} must be "
+                                    f"{_TYPE_NAMES[types[key]]}, got {value!r}") from None
+            if key == "repeats" and out[key] < 1:
+                raise ScenarioError(f"line {lineno}: repeats must be >= 1")
         return out
 
     try:
-        weights = _typed(PenaltyWeights, section_dict("weights", _WEIGHT_KEYS))
-        window_cfg = _typed(WindowConfig, section_dict("window", _WINDOW_KEYS))
+        weights = PenaltyWeights(**section_dict("weights"))
+        window_cfg = WindowConfig(**section_dict("window"))
 
-        sd = section_dict("solver", _SOLVER_KEYS)
+        sd = section_dict("solver")
         defaults = SolverConfig()
         solver_cfg = SolverConfig(
             backend=sd.get("backend", defaults.backend),
-            num_reads=int(sd.get("reads", defaults.num_reads)),
-            sweeps=int(sd.get("sweeps", defaults.sweeps)),
-            beta_range=(
-                float(sd.get("beta0", defaults.beta_range[0])),
-                float(sd.get("beta1", defaults.beta_range[1])),
-            ),
-            seed=int(sd.get("seed", defaults.seed)),
+            num_reads=sd.get("reads", defaults.num_reads),
+            sweeps=sd.get("sweeps", defaults.sweeps),
+            beta_range=(sd.get("beta0", defaults.beta_range[0]),
+                        sd.get("beta1", defaults.beta_range[1])),
+            seed=sd.get("seed", defaults.seed),
         )
-
-        bd = section_dict("bench", _BENCH_KEYS)
-        repeats = int(bd.get("repeats", 1))
-        if repeats < 1:
-            raise ScenarioError("repeats must be >= 1")
+        repeats = section_dict("bench").get("repeats", 1)
     except ScenarioError:
         raise
     except ValueError as exc:

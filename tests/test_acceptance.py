@@ -24,7 +24,7 @@ from quboplan.planner import (
     validate_path,
 )
 from quboplan.postprocess import find_vertex_conflicts
-from quboplan.preprocess import FixReport, fold
+from quboplan.preprocess import fold
 from quboplan.qubo import var_index
 from quboplan.scenario import load_scenario
 from quboplan.solvers import SolverConfig, solve_exhaustive
@@ -200,9 +200,7 @@ def test_criterion_8_fold_soundness():
         labels = rng.integers(0, 3, size=n)
         ones = {i for i in range(n) if labels[i] == 1}
         zeros = {i for i in range(n) if labels[i] == 2}
-        folded = fold(model, FixReport(
-            fixed_one=set(ones), fixed_zero=set(zeros),
-            original_count=n, reduced_count=n - len(ones) - len(zeros)))
+        folded = fold(model, ones, zeros)
         models += 1
         for _ in range(4):
             bits = [int(rng.integers(2)) for _ in folded.free_vars]

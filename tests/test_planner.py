@@ -326,6 +326,30 @@ def test_a_clash_left_in_the_finished_plans_fails_the_plan():
     assert result.unresolved_conflicts == [(10, (0, 3), 0, 1)]
     assert result.clash_events == []
 
+
+def test_conflict_reports_name_robots_by_id():
+    # The clash above, with ids that are not the robots' positions.
+    result = plan_paths(GridMap(1, 5), [RobotSpec(5, (0, 0), (0, 3)),
+                                        RobotSpec(9, (0, 3), (0, 4), release=10)],
+                        window_cfg=WindowConfig(window_len=6))
+    assert result.unresolved_conflicts == [(10, (0, 3), 5, 9)]
+    assert result.to_json()["unresolved_conflicts"] == [[10, [0, 3], 5, 9]]
+    assert result.plans[1].notes == ["unresolved vertex conflict at t=10"]
+
+
+def test_clash_repair_waits_name_robots_by_id():
+    # Two-step windows leave the third robot on (1, 2) at t=3 and t=4, where
+    # the second robot, released at t=3, stands; it waits twice to clear it.
+    grid = GridMap(3, 4, frozenset({(0, 1), (2, 3)}))
+    result = plan_paths(grid, [RobotSpec(4, (2, 1), (0, 2)),
+                               RobotSpec(7, (1, 2), (0, 0), release=3),
+                               RobotSpec(6, (2, 0), (2, 2))],
+                        window_cfg=WindowConfig(window_len=2), solver_cfg=EXHAUSTIVE)
+    assert result.succeeded
+    assert result.clash_events == ["robot 6 waits at (1, 1) before t=3 to avoid (1, 2)",
+                                   "robot 6 waits at (1, 1) before t=4 to avoid (1, 2)"]
+
+
 def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
     # Both robots cross the centre of a 3x3 map at t=1. With a token collision
     # weight, that clash is the model's minimum, so every try decodes it.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from perfbench.corpus import city, serpentine
-from quboplan import preprocess
+from quboplan import planner, preprocess
 from quboplan.grid import GridMap, bfs_layers, manhattan
 from quboplan.penalties import (
     PenaltyWeights,
@@ -30,6 +30,8 @@ from oracles import (
     four_var_fixture,
     random_grid_model,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def window(grid, start, goal, horizon, **kw):
@@ -62,7 +64,6 @@ def test_fix_logical_benchmark_reduction():
 def test_fix_logical_forced_corridor_is_fully_solved():
     spec = window(GridMap(1, 2), (0, 0), (0, 1), 1)
     report, adm = fix_logical(spec)
-    assert report.solved_by_preprocess
     assert report.reduced_count == 0
     assert len(forced_ones(spec.dims, adm)) == 2
 
@@ -111,9 +112,7 @@ def test_reached_goal_stays_admissible_when_the_window_allows_waits(allow_wait, 
 
 def test_fold_substitutes_one():
     model = four_var_fixture()
-    report = FixReport(fixed_one={0}, fixed_zero=set(),
-                       original_count=4, reduced_count=3)
-    folded = fold(model, report)
+    folded = fold(model, {0})
     assert folded.model.constant == -5.0
     # dense indices: 1->0, 2->1, 3->2
     assert folded.model.get(0, 0) == pytest.approx(-3.0 + 4.0)
@@ -125,9 +124,7 @@ def test_fold_substitutes_one():
 
 def test_fold_deletes_zeroed_entries():
     model = four_var_fixture()
-    report = FixReport(fixed_one=set(), fixed_zero={2},
-                       original_count=4, reduced_count=3)
-    folded = fold(model, report)
+    folded = fold(model, (), {2})
     assert folded.model.constant == 0.0
     assert set(folded.model.coeffs) == {(0, 0), (1, 1), (2, 2), (0, 1)}
     assert folded.model.get(0, 1) == 4.0
@@ -135,14 +132,14 @@ def test_fold_deletes_zeroed_entries():
 
 def test_fold_identity_when_nothing_fixed():
     model = four_var_fixture()
-    folded = fold(model, FixReport(original_count=4, reduced_count=4))
+    folded = fold(model, ())
     assert folded.model.coeffs == model.coeffs
     assert folded.free_vars == [0, 1, 2, 3]
 
 
 def test_fold_rejects_overlapping_fix_sets():
     with pytest.raises(ValueError):
-        fold(four_var_fixture(), FixReport(fixed_one={1}, fixed_zero={1}))
+        fold(four_var_fixture(), {1}, {1})
 
 
 def test_fold_preserves_energy_on_random_models():
@@ -154,9 +151,7 @@ def test_fold_preserves_energy_on_random_models():
         labels = rng.integers(0, 3, size=n)  # 0 free, 1 one, 2 zero
         ones = {i for i in range(n) if labels[i] == 1}
         zeros = {i for i in range(n) if labels[i] == 2}
-        folded = fold(model, FixReport(fixed_one=set(ones), fixed_zero=set(zeros),
-                                       original_count=n,
-                                       reduced_count=n - len(ones) - len(zeros)))
+        folded = fold(model, ones, zeros)
         for _ in range(5):
             free_bits = [int(rng.integers(2)) for _ in folded.free_vars]
             reduced_energy = folded.model.energy(
@@ -176,10 +171,10 @@ def test_numeric_fix_clears_hopeless_outlier():
         if a != b:
             model.add(int(a), int(b), float(rng.uniform(-2, 2)))
     report = FixReport(original_count=12, reduced_count=12)
-    folded = fold(model, report)
-    folded = fix_numeric_diagonal(folded, report)
-    assert 0 in report.fixed_zero
+    folded = fix_numeric_diagonal(fold(model, ()), report)
+    assert 0 not in folded.free_vars
     assert report.numeric_fixed >= 1
+    assert report.reduced_count == len(folded.free_vars)
 
 
 def test_numeric_fix_leaves_negative_diagonals_alone():
@@ -187,8 +182,7 @@ def test_numeric_fix_leaves_negative_diagonals_alone():
     for v in range(6):
         model.add(v, v, -1.0 - v)
     report = FixReport(original_count=6, reduced_count=6)
-    folded = fold(model, report)
-    folded = fix_numeric_diagonal(folded, report)
+    folded = fix_numeric_diagonal(fold(model, ()), report)
     assert report.numeric_fixed == 0
     assert folded.model.num_vars == 6
 
@@ -203,7 +197,7 @@ def test_numeric_fix_cascades():
     for v in range(2, 12):
         model.add(v, v, -1.0)
     report = FixReport(original_count=12, reduced_count=12)
-    folded = fold(model, report)
+    folded = fold(model, ())
     exact_before, argmins_before = brute_force_minima(model)
     folded = fix_numeric_diagonal(folded, report, aggressiveness=1.0)
     assert report.numeric_fixed == 2
@@ -219,8 +213,7 @@ def test_numeric_fix_preserves_minimum_on_random_instances():
         n = int(rng.integers(4, 13))
         model = random_grid_model(rng, n, density=0.5)
         report = FixReport(original_count=n, reduced_count=n)
-        folded = fold(model, report)
-        folded = fix_numeric_diagonal(folded, report, aggressiveness=1.5)
+        folded = fix_numeric_diagonal(fold(model, ()), report, aggressiveness=1.5)
         if report.numeric_fixed == 0:
             continue
         checked += 1
@@ -244,7 +237,7 @@ def test_preprocess_window_end_to_end_energy_identity():
 
 def _first_windows():
     """(grid, per-robot window state, horizon, weights) of first windows."""
-    for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.scn")):
+    for path in sorted(SCENARIOS.glob("*.scn")):
         scn = load_scenario(str(path))
         yield pytest.param(scn.grid, [(r.start, r.goal, {r.start}) for r in scn.robots],
                            scn.window_cfg.window_len, scn.weights, id=scn.name)
@@ -267,13 +260,49 @@ def test_fold_drops_exactly_the_non_admissible_variables(grid, robots, horizon, 
         for t, allowed in enumerate(layers)
         for c in cells if c not in allowed
     }
-    report.fixed_one |= forced_ones(spec.dims, admissible)
-    explicit = fold(model, FixReport(fixed_one=set(report.fixed_one), fixed_zero=outside))
-    implicit = fold(model, report)
+    ones = forced_ones(spec.dims, admissible)
+    explicit = fold(model, ones, outside)
+    implicit = fold(model, ones)
     assert implicit.model.coeffs == explicit.model.coeffs
     assert implicit.model.constant == explicit.model.constant
     assert implicit.free_vars == explicit.free_vars
     assert len(implicit.free_vars) == report.reduced_count
+
+
+@pytest.mark.parametrize("grid, robots, horizon, weights", _first_windows())
+def test_reading_the_folded_model_leaves_the_report_as_fix_logical_made_it(
+        grid, robots, horizon, weights):
+    built = build_window(grid, robots, horizon, weights, allow_wait=len(robots) > 1)
+    built.folded
+    assert built.report == fix_logical(built.spec)[0]
+
+
+def test_the_numeric_pass_clears_nothing_in_planner_windows(monkeypatch):
+    # Every free variable of every planner window has a diagonal that its
+    # negative couplings outweigh, so the pass's rule never clears one.
+    margins = []
+    numeric = planner.fix_numeric_diagonal
+
+    def recording(folded, report):
+        model = folded.model
+        margin = np.zeros(model.num_vars)
+        for (a, b), w in model.coeffs.items():
+            if a == b:
+                margin[a] += w
+            elif w < 0:
+                margin[a] += w
+                margin[b] += w
+        margins.append(margin.max())
+        return numeric(folded, report)
+
+    monkeypatch.setattr(planner, "fix_numeric_diagonal", recording)
+    runs = [load_scenario(str(path)) for path in sorted(SCENARIOS.glob("*.scn"))]
+    for run in runs + city(0):
+        result = planner.plan_paths(run.grid, run.robots, weights=run.weights,
+                                    window_cfg=run.window_cfg, solver_cfg=run.solver_cfg)
+        assert all(w.numeric_fixed == 0 for w in result.windows)
+    assert len(margins) >= 25
+    assert max(margins) < 0
 
 
 def test_fix_logical_work_follows_the_admissible_variables(monkeypatch):

@@ -203,10 +203,18 @@ SMALL = "[map]\n..\n..\n[robots]\n"  # the robot lines start at line 5
      "line 9: duplicate [window] key 'window_len'"),
     (SMALL + "0 0 1 1\n\n[window]\nwindow_len 4\n",
      "line 8: expected 'key = value', got 'window_len 4'"),
-    (SMALL + "0 0 1 1\n[bench]\nrepeats = 0\n", "repeats must be >= 1"),
+    (SMALL + "0 0 1 1\n[bench]\nrepeats = 0\n", "line 7: repeats must be >= 1"),
+    (SMALL + "0 0 1 1\n[window]\nwindow_len = 3.0\n",
+     "line 7: window_len must be an integer, got '3.0'"),
+    (SMALL + "0 0 1 1\n[solver]\nseed = 1e3\n", "line 7: seed must be an integer, got '1e3'"),
+    (SMALL + "0 0 1 1\n[bench]\nrepeats = 2.5\n",
+     "line 7: repeats must be an integer, got '2.5'"),
+    (SMALL + "0 0 1 1\n[weights]\nk_hot = 4,0\n", "line 7: k_hot must be a number, got '4,0'"),
+    (SMALL + "0 0 1 1\n[solver]\nbeta0 = low\n", "line 7: beta0 must be a number, got 'low'"),
 ], ids=["duplicate-section", "before-section", "empty-robots", "missing-robots",
         "non-integer-robot", "negative-release", "duplicate-key", "not-key-value",
-        "zero-repeats"])
+        "zero-repeats", "fractional-window-len", "exponent-seed", "fractional-repeats",
+        "comma-weight", "word-beta"])
 def test_scenario_rejections_name_their_line(text, message):
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario(text)
