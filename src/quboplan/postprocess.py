@@ -124,8 +124,9 @@ def resolve_clash_wait(step_lists: list[Steps], grid: GridMap):
     The robot with the higher index waits one extra step on the cell it holds
     just before the clash, and the scan repeats until no conflicts remain or
     a budget of 2 * robots * (rows + cols) waits runs out. It stops at once
-    when the earliest clash is on the waiting robot's start, or when either
-    robot is already parked on its final cell, since no wait can clear those.
+    when the earliest clash is on the waiting robot's start or on the cell
+    it already holds, or when either robot is already parked on its final
+    cell, since no wait can clear those.
     Cell sequences are never altered, only timing. Robots are named by their
     index in `step_lists`. Returns (adjusted step lists, the waits as
     (robot, held cell, t, clash cell), unresolved conflicts).
@@ -143,6 +144,8 @@ def resolve_clash_wait(step_lists: list[Steps], grid: GridMap):
             return lists, waits, conflicts
         k = t - steps[0][0]
         hold = steps[k - 1][1]
+        if hold == cell:
+            return lists, waits, conflicts
         lists[victim] = (
             steps[:k]
             + [(t, hold)]

@@ -29,14 +29,21 @@ scaling β by s, so sample energies stay in the model's own units.
 
 `num_reads` caps the annealer's reads. It first anneals a probe of
 `PROBE_READS` reads and stops there when at least `PROBE_AGREE` of them end
-at the probe's lowest energy; otherwise it runs the remaining reads too.
-If a share p of reads ends in a state, ln(0.01) / ln(1 - p) reads find it
-with 99 % probability (Rønnow et al., Science 345, 420, 2014): 7 reads for
-p = 1/2, fewer than the probe holds. Read r draws from
+at the probe's lowest energy. If a share p of reads ends in a state,
+ln(0.01) / ln(1 - p) reads find it with 99 % probability (Rønnow et al.,
+Science 345, 420, 2014): 7 reads for p = 1/2, fewer than the probe holds.
+A probe that disagrees still stops when its best state is the certified
+unique minimum: min-sum elimination over the groups, exact on one-hot
+states, finds their lowest and second-lowest energies, and the best state
+is within the tie tolerance of the lowest while the second is not. Every
+other one-hot state then lies above the best, so a full run would return
+the same best state. Otherwise, or when an elimination table would exceed
+`_EXACT_TABLE_CAP` entries, the remaining reads run too. Read r draws from
 `SeedSequence((seed, r))` alone, so the reads returned are always the first
 reads of a run of `num_reads`.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -55,6 +62,8 @@ _RANDOM_BUDGET = 1 << 23
 # lowest energy for the remaining reads to be skipped.
 PROBE_READS = 16
 PROBE_AGREE = 8
+# Entries in the largest table exact elimination builds before it gives up.
+_EXACT_TABLE_CAP = 1 << 16
 
 
 class ModelTooLargeError(ValueError):
@@ -66,7 +75,8 @@ class SolverConfig:
     """Backend choice and sampling parameters. Same seed, same samples.
 
     `num_reads` is the annealer's cap on reads: it stops after its probe
-    when the probe agrees on its best energy (see `solve`).
+    when the probe agrees on its best energy, or when its best state is the
+    certified unique one-hot minimum (see `solve`).
     `beta_range` is the annealer's first and last inverse temperature per
     unit of the model's largest |coupling between groups| (see `solve`).
     """
@@ -199,9 +209,11 @@ class _OneHotLayout:
     contiguous range `first[g]` .. `first[g] + size[g] - 1`; `order` maps
     them back to model variables. Groups run class by class: the groups of
     one `classes` range share no coupling, so their moves are independent.
-    Each variable's couplings to other groups sit in `offset`/`weight` rows,
-    padded to one width: `offset` is the neighbour's index minus the
-    variable's own, and padding points at the sink column `n` with weight 0.
+    Each coupling between groups is one row of `pairs` (internal indices),
+    with its `pair_weight`. Each variable's couplings to other groups sit in
+    `offset`/`weight` rows, padded to one width: `offset` is the neighbour's
+    index minus the variable's own, and padding points at the sink column
+    `n` with weight 0.
     """
 
     order: np.ndarray
@@ -209,6 +221,8 @@ class _OneHotLayout:
     size: np.ndarray
     classes: list[tuple[int, int]]
     diag: np.ndarray
+    pairs: np.ndarray
+    pair_weight: np.ndarray
     offset: np.ndarray
     weight: np.ndarray
     peak: float
@@ -258,8 +272,9 @@ def _one_hot_layout(model, groups) -> _OneHotLayout:
 
     diag = np.zeros(n)
     diag[position[keys[linear, 0]]] = values[linear]
-    src = position[np.concatenate((a, b))]
-    dst = position[np.concatenate((b, a))]
+    pairs = np.stack((position[a], position[b]), axis=1)
+    src = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
     both = np.concatenate((w, w))
     by_src = np.argsort(src, kind="stable")
     src, dst, both = src[by_src], dst[by_src], both[by_src]
@@ -269,7 +284,7 @@ def _one_hot_layout(model, groups) -> _OneHotLayout:
     weight = np.zeros(offset.shape)
     offset[src, slot] = dst - src
     weight[src, slot] = both
-    return _OneHotLayout(order, first, size, classes, diag, offset, weight, peak)
+    return _OneHotLayout(order, first, size, classes, diag, pairs, w, offset, weight, peak)
 
 
 def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float,
@@ -402,7 +417,9 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     its samples unchanged up to the rounding of β. Its occurrences count
     the reads run: the first `PROBE_READS` when at least `PROBE_AGREE` of
     them tie with their lowest energy (within `_cut`, the exhaustive
-    backend's tolerance), and all `cfg.num_reads` otherwise.
+    backend's tolerance) or when `_two_lowest` certifies their best state
+    as the only one-hot state tied with the minimum, and all
+    `cfg.num_reads` otherwise.
     """
     if cfg.backend == BACKEND_EXHAUSTIVE:
         return solve_exhaustive(model)
@@ -416,7 +433,7 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     probe = min(cfg.num_reads, PROBE_READS)
     states = _anneal_one_hot(layout, cfg, scale, range(probe))
     result = _collect(model, _tally(layout, states))
-    if probe < cfg.num_reads and not _agrees(result):
+    if probe < cfg.num_reads and not _agrees(result) and not _certified(model, layout, result):
         rest = _anneal_one_hot(layout, cfg, scale, range(probe, cfg.num_reads))
         result = _collect(model, _tally(layout, np.concatenate((states, rest))))
     return result
@@ -437,3 +454,109 @@ def _agrees(result: SampleSet) -> bool:
     """Whether at least `PROBE_AGREE` reads tie with the lowest energy."""
     cut = _cut(result.best.energy)
     return sum(s.occurrences for s in result if s.energy <= cut) >= PROBE_AGREE
+
+
+def _certified(model, layout: _OneHotLayout, result: SampleSet) -> bool:
+    """Whether exact elimination proves the best sample the model's only
+    one-hot state within `_cut` of its minimum."""
+    bounds = _two_lowest(model, layout)
+    return bounds is not None and result.best.energy <= _cut(bounds[0]) < bounds[1]
+
+
+def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float] | None:
+    """The lowest and second-lowest energy over distinct one-hot states, or
+    None when an elimination table would exceed `_EXACT_TABLE_CAP` entries.
+
+    This is min-sum bucket elimination over the groups (Dechter, Artif.
+    Intell. 113, 41, 1999). A one-hot state's energy is the constant, one
+    diagonal entry per group and one coupling per pair of groups, so each
+    group's diagonal is a table over its members and each coupled pair of
+    groups a table over both. Every table entry holds the lowest sum over
+    the groups already eliminated into it and the rise to the second-lowest
+    sum over their distinct assignments (inf when there is only one).
+    """
+    size, first = layout.size, layout.first
+    num_groups = len(size)
+    group = np.repeat(np.arange(num_groups), size)
+    member = np.arange(len(group)) - first[group]
+    a, b = layout.pairs[:, 0], layout.pairs[:, 1]
+    ga, gb = group[a], group[b]
+    edges, edge_of = np.unique(np.minimum(ga, gb) * num_groups + np.maximum(ga, gb),
+                               return_inverse=True)
+    sizes = size.tolist()
+    plan = _elimination_plan(sizes, (edges // num_groups).tolist(),
+                             (edges % num_groups).tolist())
+    if plan is None:
+        return None
+    rank = np.empty(num_groups, dtype=np.intp)
+    rank[[g for g, _ in plan]] = np.arange(num_groups)
+
+    # Every pair table in one flat array, rows for the group eliminated first.
+    head = np.where(rank[ga] < rank[gb], a, b)
+    tail = a + b - head
+    heads = np.empty(len(edges), dtype=np.intp)
+    tails = np.empty(len(edges), dtype=np.intp)
+    heads[edge_of], tails[edge_of] = group[head], group[tail]
+    spans = size[heads] * size[tails]
+    starts = np.cumsum(spans) - spans
+    flat = np.bincount(starts[edge_of] + member[head] * size[group[tail]] + member[tail],
+                       layout.pair_weight, int(spans.sum()))
+    buckets: list[list] = [[((g,), layout.diag[lo:lo + sizes[g]], None)]
+                           for g, lo in enumerate(first.tolist())]
+    for g, h, lo, span in zip(heads.tolist(), tails.tolist(), starts.tolist(), spans.tolist()):
+        buckets[g].append(((g, h), flat[lo:lo + span].reshape(sizes[g], sizes[h]), None))
+
+    rank = rank.tolist()
+    lowest, gap = model.constant, math.inf
+    for g, near in plan:
+        scope = [g, *sorted(near, key=rank.__getitem__)]
+        low = rise = None
+        for part, part_low, part_rise in buckets[g]:
+            if len(part) < len(scope):
+                shape = [sizes[u] if u in part else 1 for u in scope]
+                part_low = part_low.reshape(shape)
+                part_rise = None if part_rise is None else part_rise.reshape(shape)
+            low = part_low if low is None else low + part_low
+            if part_rise is not None:
+                rise = part_rise if rise is None else np.minimum(rise, part_rise)
+        # Each member of g offers its lowest sum and its second-lowest; the
+        # new table keeps the two lowest of them.
+        options = low if rise is None else np.concatenate((low, low + rise))
+        if len(options) > 1:
+            two = np.partition(options, 1, axis=0)
+            low, rise = two[0], two[1] - two[0]
+        else:
+            low, rise = options[0], np.full(options.shape[1:], math.inf)
+        if len(scope) > 1:
+            buckets[scope[1]].append((tuple(scope[1:]), low, rise))
+        else:
+            lowest, gap = lowest + float(low), min(gap, float(rise))
+    return lowest, lowest + gap
+
+
+def _elimination_plan(size: list[int], heads: list[int], tails: list[int]):
+    """Each group in min-degree elimination order on the group graph, with
+    its neighbours when eliminated; None when eliminating a group would
+    build a table of more than `_EXACT_TABLE_CAP` entries."""
+    near: list[set[int]] = [set() for _ in size]
+    for g, h in zip(heads, tails):
+        near[g].add(h)
+        near[h].add(g)
+    queue = [(len(n), g) for g, n in enumerate(near)]
+    heapq.heapify(queue)
+    done = [False] * len(size)
+    plan = []
+    while queue:
+        degree, g = heapq.heappop(queue)
+        if done[g] or degree != len(near[g]):
+            continue  # a stale entry
+        if size[g] * math.prod(size[h] for h in near[g]) > _EXACT_TABLE_CAP:
+            return None
+        done[g] = True
+        for h in near[g]:
+            near[h] |= near[g]
+            near[h].discard(h)
+            near[h].discard(g)
+            heapq.heappush(queue, (len(near[h]), h))
+        plan.append((g, near[g]))
+    return plan

@@ -1,13 +1,14 @@
 """Independent reference implementations used only by the tests.
 
 These evaluate the closed-form penalty sums directly on occupancies, count
-shortest paths by brute force, and compute exact minima by plain enumeration.
-They deliberately avoid the library's coefficient-accumulation and solver
-code paths so agreement between the two is meaningful. The first one-hot
-annealing kernel is kept here too, as the reference its faster rewrite must
-reproduce state for state, and so are the grid's first neighbour rule, its
-first distance search, the exhaustive backend's first, two-pass screen and
-the first, tick-by-tick vertex clash scan.
+shortest paths by brute force, and compute exact minima and the two lowest
+one-hot energies by plain enumeration. They deliberately avoid the
+library's coefficient-accumulation and solver code paths so agreement
+between the two is meaningful. The first one-hot annealing kernel is kept
+here too, as the reference its faster rewrite must reproduce state for
+state, and so are the grid's first neighbour rule, its first distance
+search, the exhaustive backend's first, two-pass screen and the first,
+tick-by-tick vertex clash scan.
 """
 
 import itertools
@@ -217,6 +218,16 @@ def brute_force_minima(model: QuboModel):
         elif e == best:
             argmins.append(bits)
     return best, argmins
+
+
+def one_hot_two_lowest(model: QuboModel, groups) -> tuple[float, float]:
+    """The lowest and second-lowest energy over the states that set exactly
+    one variable per group, by enumeration (second is inf with one state)."""
+    members: dict = {}
+    for v, g in enumerate(groups):
+        members.setdefault(g, []).append(v)
+    energies = sorted(model.energy(set(ones)) for ones in itertools.product(*members.values()))
+    return energies[0], energies[1] if len(energies) > 1 else math.inf
 
 
 def solve_exhaustive_two_pass(model) -> SampleSet:

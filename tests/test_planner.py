@@ -350,6 +350,21 @@ def test_clash_repair_waits_name_robots_by_id():
                                    "robot 6 waits at (1, 1) before t=4 to avoid (1, 2)"]
 
 
+def test_a_clash_on_the_waiting_robots_own_cell_is_reported_at_once():
+    # Robot 2's one wait keeps it on (0, 2) at t=3, where robot 1 then
+    # arrives. Another wait there cannot clear that, so the repair reports
+    # the clash instead of spending its budget of waits on it (41 of them).
+    result = plan_paths(GridMap(1, 6), [RobotSpec(0, (0, 3), (0, 2), release=3),
+                                        RobotSpec(1, (0, 5), (0, 1)),
+                                        RobotSpec(2, (0, 0), (0, 4))],
+                        window_cfg=WindowConfig(window_len=2, max_windows=8),
+                        solver_cfg=SolverConfig(num_reads=8, sweeps=50, seed=8260))
+    assert result.clash_events == ["robot 2 waits at (0, 2) before t=3 to avoid (0, 3)"]
+    assert result.unresolved_conflicts[0] == (3, (0, 2), 1, 2)
+    assert not result.succeeded
+    assert result.plans[2].notes == ["unresolved vertex conflict at t=3"]
+
+
 def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
     # Both robots cross the centre of a 3x3 map at t=1. With a token collision
     # weight, that clash is the model's minimum, so every try decodes it.

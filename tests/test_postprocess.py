@@ -189,6 +189,18 @@ def test_resolve_clash_stops_at_once_against_a_parked_robot():
     assert lists == [parked, mover]
 
 
+def test_resolve_clash_stops_at_once_when_the_waiting_robot_holds_the_cell():
+    # Robot 0 steps onto (0, 1), where robot 1 already stands: a wait keeps
+    # robot 1 there, so no wait can clear the clash and none is spent.
+    g = GridMap(1, 3)
+    mover = [(0, (0, 0)), (1, (0, 1)), (2, (0, 0))]
+    holder = [(0, (0, 1)), (1, (0, 1)), (2, (0, 2))]
+    lists, events, unresolved = resolve_clash_wait([mover, holder], g)
+    assert events == []
+    assert unresolved == [(1, (0, 1), 0, 1)]
+    assert lists == [mover, holder]
+
+
 def test_resolve_clash_never_changes_cell_sequences():
     g = GridMap(3, 3)
     p0 = [(0, (0, 0)), (1, (1, 0)), (2, (1, 1)), (3, (1, 2))]

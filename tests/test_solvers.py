@@ -16,6 +16,7 @@ from oracles import (
     anneal_one_hot,
     brute_force_minima,
     four_var_fixture,
+    one_hot_two_lowest,
     peak_rescaled,
     random_grid_model,
     solve_exhaustive_two_pass,
@@ -155,25 +156,32 @@ def test_annealer_deterministic_for_fixed_seed():
            [(s.bits, s.occurrences) for s in different]
 
 
-def _reads_used(result, num_reads):
+def _reads_used(result, num_reads, model, groups):
     """The reads an annealer sample set counts, checked against the stop
-    rule: all `num_reads`, or the probe's `PROBE_READS` of which at least
-    `PROBE_AGREE` end within the exhaustive tolerance of the best energy."""
+    rule: all `num_reads`, or the probe's `PROBE_READS` when at least
+    `PROBE_AGREE` of them end within the exhaustive tolerance of the best
+    energy, or when the two lowest one-hot energies, recomputed here, put
+    the best state alone within that tolerance of the minimum."""
     used = sum(s.occurrences for s in result)
     if used != num_reads:
         best = result.best.energy
-        at_best = sum(s.occurrences for s in result
-                      if s.energy <= best + 1e-9 * max(1.0, abs(best)))
+        at_best = sum(s.occurrences for s in result if s.energy <= _tied_with(best))
         assert used == solvers.PROBE_READS < num_reads
-        assert at_best >= solvers.PROBE_AGREE
+        if at_best < solvers.PROBE_AGREE:
+            lowest, second = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
+            assert best <= _tied_with(lowest) < second
     return used
+
+
+def _tied_with(energy):
+    return energy + 1e-9 * max(1.0, abs(energy))
 
 
 def test_sampleset_energies_reverify_and_occurrences_sum():
     m = four_var_fixture()
     cfg = SolverConfig(seed=5, num_reads=64, sweeps=200)
     result = solve(m, cfg, groups=PAIRS)
-    _reads_used(result, 64)
+    _reads_used(result, 64, m, PAIRS)
     for s in result:
         assert s.energy == m.energy({i for i, b in enumerate(s.bits) if b})
     energies = [s.energy for s in result]
@@ -241,7 +249,7 @@ def _members(groups):
 def test_every_sample_sets_one_bit_per_group(name):
     model, cfg, groups = _first_window(name)
     result = solve(model, replace(cfg, num_reads=40, sweeps=50), groups=groups)
-    _reads_used(result, 40)
+    _reads_used(result, 40, model, groups)
     for s in result:
         assert all(sum(s.bits[v] for v in members) == 1 for members in _members(groups))
 
@@ -267,12 +275,12 @@ def _full_run(model, groups, cfg):
 
 # corridor10's first window is decided by variable fixing and builds no model.
 @pytest.mark.parametrize("name, stops", [("demo3", True), ("multi10_2", True),
-                                         ("multi10_4", False), ("multi5", True),
+                                         ("multi10_4", True), ("multi5", True),
                                          ("single5", True)])
 def test_solve_returns_the_first_reads_of_a_full_run(name, stops):
     model, cfg, groups = _first_window(name)
     result = solve(model, cfg, groups=groups)
-    used = _reads_used(result, cfg.num_reads)
+    used = _reads_used(result, cfg.num_reads, model, groups)
     assert (used < cfg.num_reads) == stops
     layout, states = _full_run(model, groups, cfg)
     prefix = solvers._collect(model, solvers._tally(layout, states[:used]))
@@ -289,7 +297,7 @@ def test_solve_follows_the_stop_rule_on_random_models():
         num_reads = int(rng.integers(1, 60))
         cfg = SolverConfig(seed=int(rng.integers(1 << 30)), num_reads=num_reads, sweeps=30,
                            beta_range=(0.01, float(rng.choice([0.05, 50.0]))))
-        used = _reads_used(solve(model, cfg, groups=groups), num_reads)
+        used = _reads_used(solve(model, cfg, groups=groups), num_reads, model, groups)
         outcomes.add("probe" if used < num_reads else "cap")
     assert outcomes == {"probe", "cap"}
 
@@ -310,6 +318,106 @@ def test_a_probe_that_disagrees_runs_every_read(monkeypatch):
     result = solve(model, cfg, groups=groups)
     assert runs == [range(solvers.PROBE_READS), range(solvers.PROBE_READS, 40)]
     assert _draws(result) == _draws(solvers._collect(model, solvers._tally(layout, states)))
+
+
+def test_a_certified_probe_stops_although_it_disagrees(monkeypatch):
+    # multi10_4's first window: 3 of 16 reads reach the minimum, and no
+    # other one-hot state ties with it.
+    model, cfg, groups = _first_window("multi10_4")
+    layout, states = _full_run(model, groups, replace(cfg, num_reads=solvers.PROBE_READS))
+    probe = solvers._collect(model, solvers._tally(layout, states))
+    lowest, second = solvers._two_lowest(model, layout)
+    assert not solvers._agrees(probe)
+    assert probe.best.energy <= _tied_with(lowest) < second
+    runs = _record_runs(monkeypatch)
+    result = solve(model, cfg, groups=groups)
+    assert runs == [range(solvers.PROBE_READS)]
+    assert _draws(result) == _draws(probe)
+
+
+def test_a_probe_at_a_tied_minimum_runs_every_read(monkeypatch):
+    # Two groups of three, hot: the reads spread over the nine states, and
+    # members 0 and 1 of the first group tie, so the minimum is not unique.
+    groups = [0, 0, 0, 1, 1, 1]
+    model = QuboModel(6)
+    for v, w in enumerate([-2.0, -2.0, 1.0, -1.0, 0.5, 2.0]):
+        model.add(v, v, w)
+    cfg = SolverConfig(seed=3, num_reads=40, sweeps=20, beta_range=(0.01, 0.02))
+    layout, states = _full_run(model, groups, cfg)
+    probe = solvers._collect(model, solvers._tally(layout, states[:solvers.PROBE_READS]))
+    assert solvers._two_lowest(model, layout) == (-3.0, -3.0)
+    assert probe.best.energy == -3.0 and not solvers._agrees(probe)
+    runs = _record_runs(monkeypatch)
+    result = solve(model, cfg, groups=groups)
+    assert runs == [range(solvers.PROBE_READS), range(solvers.PROBE_READS, 40)]
+    assert _draws(result) == _draws(solvers._collect(model, solvers._tally(layout, states)))
+
+
+def test_two_lowest_matches_one_hot_enumeration_on_random_models():
+    rng = np.random.default_rng(47)
+    seen = set()
+    for _ in range(300):
+        sizes = rng.integers(1, 5, int(rng.integers(1, 8)))
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        groups = [int(label) * 5 - 7 for label in labels]  # shuffled, sparse labels
+        model = random_grid_model(rng, len(groups), density=float(rng.choice([0.1, 0.4, 0.9])),
+                                  span=int(rng.choice([2, 16])))
+        model.constant = float(rng.integers(-3, 4))
+        lowest, second = one_hot_two_lowest(model, groups)
+        got = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
+        assert got == (pytest.approx(lowest, abs=1e-9), pytest.approx(second, abs=1e-9))
+        seen.add("tie" if second == lowest else "gap")
+        if 1 in sizes:
+            seen.add("singleton group")
+        if math.prod(sizes) == 1:
+            seen.add("one state")
+    assert seen == {"tie", "gap", "singleton group", "one state"}
+
+
+def test_two_lowest_matches_exhaustive_on_pipeline_windows():
+    from quboplan.oracle import random_instances
+
+    for model, groups in random_instances(40, 7):
+        lowest, _ = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
+        assert lowest == pytest.approx(solve_exhaustive(model).best.energy, abs=1e-9)
+
+
+def _clique(sizes):
+    """Groups of the given sizes, each group's first member coupled with
+    every other group's first member."""
+    groups = np.repeat(np.arange(len(sizes)), sizes).tolist()
+    firsts = np.cumsum(sizes) - sizes
+    model = QuboModel(len(groups))
+    for u in range(len(groups)):
+        model.add(u, u, -1.0)
+    for i, u in enumerate(firsts.tolist()):
+        for v in firsts[i + 1:].tolist():
+            model.add(u, v, 0.5)
+    return model, groups
+
+
+@pytest.mark.parametrize("sizes, fits", [((256, 256), True), ((257, 256), False)],
+                         ids=["at_the_cap", "above_the_cap"])
+def test_two_lowest_gives_up_above_the_table_cap(sizes, fits):
+    # Eliminating either group builds a table over both.
+    assert math.prod(sizes) - solvers._EXACT_TABLE_CAP in (0, 256)
+    model, groups = _clique(sizes)
+    got = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
+    assert (got == (-2.0, -2.0)) if fits else got is None
+
+
+def test_two_lowest_gives_up_before_building_a_table():
+    # Five groups of 40: the first elimination needs 40^5 entries, and the
+    # ten pair tables alone would take 10 x 1,600 x 8 bytes.
+    model, groups = _clique([40] * 5)
+    layout = solvers._one_hot_layout(model, groups)
+    tracemalloc.start()
+    try:
+        assert solvers._two_lowest(model, layout) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1600 * 8 // 4
 
 
 def test_fewer_reads_than_the_probe_run_once(monkeypatch):
