@@ -27,18 +27,18 @@ vectorised sum that adds the terms in `QuboModel.energy`'s order.
 between groups| and never rescales the model: scaling Q by s is the same as
 scaling β by s, so sample energies stay in the model's own units.
 
-`num_reads` caps the annealer's reads. It first anneals a probe of
-`PROBE_READS` reads and stops there when at least `PROBE_AGREE` of them end
-at the probe's lowest energy. If a share p of reads ends in a state,
-ln(0.01) / ln(1 - p) reads find it with 99 % probability (Rønnow et al.,
-Science 345, 420, 2014): 7 reads for p = 1/2, fewer than the probe holds.
-A probe that disagrees still stops when its best state is the certified
-unique minimum: min-sum elimination over the groups, exact on one-hot
-states, finds their lowest and second-lowest energies, and the best state
-is within the tie tolerance of the lowest while the second is not. Every
-other one-hot state then lies above the best, so a full run would return
-the same best state. Otherwise, or when an elimination table would exceed
-`_EXACT_TABLE_CAP` entries, the remaining reads run too. Read r draws from
+`solve` first runs min-sum elimination over the groups, exact on one-hot
+states: it finds their lowest and second-lowest energies and a state at the
+lowest. When no other one-hot state lies within the tie tolerance of the
+lowest, that state is the window's unique minimum, which any number of reads
+could at best find; `solve` returns it with 0 occurrences and runs no read.
+Otherwise, or when an elimination table would exceed `_EXACT_TABLE_CAP`
+entries, the annealer runs. `num_reads` caps its reads. It first anneals a
+probe of `PROBE_READS` reads and stops there when at least `PROBE_AGREE` of
+them end at the probe's lowest energy. If a share p of reads ends in a
+state, ln(0.01) / ln(1 - p) reads find it with 99 % probability (Rønnow et
+al., Science 345, 420, 2014): 7 reads for p = 1/2, fewer than the probe
+holds. Otherwise the remaining reads run too. Read r draws from
 `SeedSequence((seed, r))` alone, so the reads returned are always the first
 reads of a run of `num_reads`.
 """
@@ -74,9 +74,9 @@ class ModelTooLargeError(ValueError):
 class SolverConfig:
     """Backend choice and sampling parameters. Same seed, same samples.
 
-    `num_reads` is the annealer's cap on reads: it stops after its probe
-    when the probe agrees on its best energy, or when its best state is the
-    certified unique one-hot minimum (see `solve`).
+    `num_reads` is the annealer's cap on reads: it runs none when exact
+    elimination finds a unique one-hot minimum, and it stops after its probe
+    when the probe agrees on its best energy (see `solve`).
     `beta_range` is the annealer's first and last inverse temperature per
     unit of the model's largest |coupling between groups| (see `solve`).
     """
@@ -415,11 +415,11 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     of the largest |coupling between groups| (the peak |coefficient| when
     groups share none), so scaling the model by a positive factor leaves
     its samples unchanged up to the rounding of β. Its occurrences count
-    the reads run: the first `PROBE_READS` when at least `PROBE_AGREE` of
-    them tie with their lowest energy (within `_cut`, the exhaustive
-    backend's tolerance) or when `_two_lowest` certifies their best state
-    as the only one-hot state tied with the minimum, and all
-    `cfg.num_reads` otherwise.
+    the reads run: none when `_two_lowest` finds one one-hot state alone
+    within `_cut` (the exhaustive backend's tolerance) of the minimum, which
+    is then the only sample; the first `PROBE_READS` when at least
+    `PROBE_AGREE` of them tie with their lowest energy; and all
+    `cfg.num_reads` otherwise. A model with no variables runs no read.
     """
     if cfg.backend == BACKEND_EXHAUSTIVE:
         return solve_exhaustive(model)
@@ -427,13 +427,17 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
         raise ValueError("the annealer needs each variable's group")
     n = model.num_vars
     if n == 0:
-        return SampleSet([Sample((), model.constant, cfg.num_reads)])
+        return SampleSet([Sample((), model.constant, 0)])
     layout = _one_hot_layout(model, groups)
+    exact = _two_lowest(model, layout)
+    if exact is not None and _cut(exact[0]) < exact[1]:
+        # The unique minimum: no read could end lower, so none runs.
+        return _collect(model, dict.fromkeys(_tally(layout, exact[2][None]), 0))
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
     probe = min(cfg.num_reads, PROBE_READS)
     states = _anneal_one_hot(layout, cfg, scale, range(probe))
     result = _collect(model, _tally(layout, states))
-    if probe < cfg.num_reads and not _agrees(result) and not _certified(model, layout, result):
+    if probe < cfg.num_reads and not _agrees(result):
         rest = _anneal_one_hot(layout, cfg, scale, range(probe, cfg.num_reads))
         result = _collect(model, _tally(layout, np.concatenate((states, rest))))
     return result
@@ -456,16 +460,11 @@ def _agrees(result: SampleSet) -> bool:
     return sum(s.occurrences for s in result if s.energy <= cut) >= PROBE_AGREE
 
 
-def _certified(model, layout: _OneHotLayout, result: SampleSet) -> bool:
-    """Whether exact elimination proves the best sample the model's only
-    one-hot state within `_cut` of its minimum."""
-    bounds = _two_lowest(model, layout)
-    return bounds is not None and result.best.energy <= _cut(bounds[0]) < bounds[1]
-
-
-def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float] | None:
-    """The lowest and second-lowest energy over distinct one-hot states, or
-    None when an elimination table would exceed `_EXACT_TABLE_CAP` entries.
+def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float, np.ndarray] | None:
+    """The lowest and second-lowest energy over distinct one-hot states and
+    a state at the lowest, or None when an elimination table would exceed
+    `_EXACT_TABLE_CAP` entries. The state holds one chosen internal variable
+    per group, as the annealer's states do.
 
     This is min-sum bucket elimination over the groups (Dechter, Artif.
     Intell. 113, 41, 1999). A one-hot state's energy is the constant, one
@@ -473,7 +472,9 @@ def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float] | None:
     group's diagonal is a table over its members and each coupled pair of
     groups a table over both. Every table entry holds the lowest sum over
     the groups already eliminated into it and the rise to the second-lowest
-    sum over their distinct assignments (inf when there is only one).
+    sum over their distinct assignments (inf when there is only one). Each
+    group also keeps its lowest member for every assignment of the groups
+    eliminated after it; read back in reverse order, they give the state.
     """
     size, first = layout.size, layout.first
     num_groups = len(size)
@@ -508,6 +509,7 @@ def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float] | None:
 
     rank = rank.tolist()
     lowest, gap = model.constant, math.inf
+    argmins = []
     for g, near in plan:
         scope = [g, *sorted(near, key=rank.__getitem__)]
         low = rise = None
@@ -519,6 +521,7 @@ def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float] | None:
             low = part_low if low is None else low + part_low
             if part_rise is not None:
                 rise = part_rise if rise is None else np.minimum(rise, part_rise)
+        argmins.append((scope, low.argmin(axis=0)))
         # Each member of g offers its lowest sum and its second-lowest; the
         # new table keeps the two lowest of them.
         options = low if rise is None else np.concatenate((low, low + rise))
@@ -531,7 +534,10 @@ def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float] | None:
             buckets[scope[1]].append((tuple(scope[1:]), low, rise))
         else:
             lowest, gap = lowest + float(low), min(gap, float(rise))
-    return lowest, lowest + gap
+    chosen = np.empty(num_groups, dtype=np.intp)
+    for scope, argmin in reversed(argmins):
+        chosen[scope[0]] = argmin[tuple(chosen[scope[1:]])]
+    return lowest, lowest + gap, first + chosen
 
 
 def _elimination_plan(size: list[int], heads: list[int], tails: list[int]):

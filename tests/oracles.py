@@ -220,14 +220,18 @@ def brute_force_minima(model: QuboModel):
     return best, argmins
 
 
-def one_hot_two_lowest(model: QuboModel, groups) -> tuple[float, float]:
+def one_hot_two_lowest(model: QuboModel, groups) -> tuple[float, float, tuple[int, ...]]:
     """The lowest and second-lowest energy over the states that set exactly
-    one variable per group, by enumeration (second is inf with one state)."""
+    one variable per group, by enumeration (second is inf with one state),
+    and the bits of a state at the lowest."""
     members: dict = {}
     for v, g in enumerate(groups):
         members.setdefault(g, []).append(v)
-    energies = sorted(model.energy(set(ones)) for ones in itertools.product(*members.values()))
-    return energies[0], energies[1] if len(energies) > 1 else math.inf
+    scored = sorted((model.energy(set(ones)), ones)
+                    for ones in itertools.product(*members.values()))
+    lowest, argmin = scored[0]
+    bits = tuple(int(v in argmin) for v in range(model.num_vars))
+    return lowest, scored[1][0] if len(scored) > 1 else math.inf, bits
 
 
 def solve_exhaustive_two_pass(model) -> SampleSet:

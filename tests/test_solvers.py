@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from quboplan.bench import run_pipeline
+import quboplan.planner as planner
 from quboplan.planner import build_window, derive_seed
 import quboplan.solvers as solvers
 from quboplan.qubo import QuboModel, var_group
@@ -25,6 +27,15 @@ from oracles import (
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 # The fixture's unique minimum (1, 0, 0, 1) sets one variable of each pair.
 PAIRS = (0, 0, 1, 1)
+
+
+def _tied_pair():
+    """Two groups of three whose minimum -3.0 is not unique: members 0 and 1
+    of the first group tie, so `solve` anneals it."""
+    model = QuboModel(6)
+    for v, w in enumerate([-2.0, -2.0, 1.0, -1.0, 0.5, 2.0]):
+        model.add(v, v, w)
+    return model, [0, 0, 0, 1, 1, 1]
 
 
 def test_solver_config_validation():
@@ -131,9 +142,10 @@ def test_annealer_finds_known_minimum():
 
 
 def test_annealer_zero_variables():
+    # No read runs, so none is counted.
     result = solve(QuboModel(0, constant=1.5), SolverConfig(num_reads=7), groups=())
     assert result.best.energy == 1.5
-    assert result.best.occurrences == 7
+    assert result.best.occurrences == 0
 
 
 def test_annealer_needs_groups():
@@ -144,32 +156,37 @@ def test_annealer_needs_groups():
 
 
 def test_annealer_deterministic_for_fixed_seed():
-    # Hot enough that the reads do not all settle in the minimum.
-    m = four_var_fixture()
+    # Hot enough that the reads do not all settle in the minimum, which is
+    # tied, so elimination does not answer it.
+    m, groups = _tied_pair()
     cfg = SolverConfig(seed=99, num_reads=20, sweeps=100, beta_range=(0.01, 0.02))
-    first = solve(m, cfg, groups=PAIRS)
-    second = solve(m, cfg, groups=PAIRS)
+    first = solve(m, cfg, groups=groups)
+    second = solve(m, cfg, groups=groups)
     assert [(s.bits, s.energy, s.occurrences) for s in first] == \
            [(s.bits, s.energy, s.occurrences) for s in second]
-    different = solve(m, replace(cfg, seed=100), groups=PAIRS)
+    different = solve(m, replace(cfg, seed=100), groups=groups)
     assert [(s.bits, s.occurrences) for s in first] != \
            [(s.bits, s.occurrences) for s in different]
 
 
 def _reads_used(result, num_reads, model, groups):
     """The reads an annealer sample set counts, checked against the stop
-    rule: all `num_reads`, or the probe's `PROBE_READS` when at least
-    `PROBE_AGREE` of them end within the exhaustive tolerance of the best
-    energy, or when the two lowest one-hot energies, recomputed here, put
-    the best state alone within that tolerance of the minimum."""
+    rule: none exactly when the two lowest one-hot energies, recomputed
+    here, put one state alone within the exhaustive tolerance of the
+    minimum, and then that state is the only sample; otherwise all
+    `num_reads`, or the probe's `PROBE_READS` when at least `PROBE_AGREE`
+    of them end within that tolerance of the best energy."""
     used = sum(s.occurrences for s in result)
-    if used != num_reads:
+    exact = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
+    unique = exact is not None and _tied_with(exact[0]) < exact[1]
+    assert (used == 0) == unique
+    if unique:
+        assert len(result) == 1 and result.best.energy <= _tied_with(exact[0])
+    elif used != num_reads:
         best = result.best.energy
         at_best = sum(s.occurrences for s in result if s.energy <= _tied_with(best))
         assert used == solvers.PROBE_READS < num_reads
-        if at_best < solvers.PROBE_AGREE:
-            lowest, second = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
-            assert best <= _tied_with(lowest) < second
+        assert at_best >= solvers.PROBE_AGREE
     return used
 
 
@@ -177,11 +194,17 @@ def _tied_with(energy):
     return energy + 1e-9 * max(1.0, abs(energy))
 
 
+def _state_bits(layout, state):
+    """The model bits of one state of internal variables, one per group."""
+    (bits, _), = solvers._tally(layout, state[None]).items()
+    return bits
+
+
 def test_sampleset_energies_reverify_and_occurrences_sum():
-    m = four_var_fixture()
+    m, groups = _tied_pair()
     cfg = SolverConfig(seed=5, num_reads=64, sweeps=200)
-    result = solve(m, cfg, groups=PAIRS)
-    _reads_used(result, 64, m, PAIRS)
+    result = solve(m, cfg, groups=groups)
+    _reads_used(result, 64, m, groups)
     for s in result:
         assert s.energy == m.energy({i for i, b in enumerate(s.bits) if b})
     energies = [s.energy for s in result]
@@ -282,6 +305,8 @@ def test_solve_returns_the_first_reads_of_a_full_run(name, stops):
     result = solve(model, cfg, groups=groups)
     used = _reads_used(result, cfg.num_reads, model, groups)
     assert (used < cfg.num_reads) == stops
+    if used == 0:
+        return  # answered by elimination; `_reads_used` checked its state
     layout, states = _full_run(model, groups, cfg)
     prefix = solvers._collect(model, solvers._tally(layout, states[:used]))
     assert _draws(result) == _draws(prefix)
@@ -293,22 +318,26 @@ def test_solve_follows_the_stop_rule_on_random_models():
     for _ in range(40):
         sizes = rng.integers(1, 5, int(rng.integers(1, 9)))
         groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).tolist()
-        model = random_grid_model(rng, len(groups))
+        # Few distinct weights make tied minima, which elimination leaves to
+        # the annealer.
+        model = random_grid_model(rng, len(groups), span=int(rng.choice([1, 16])))
         num_reads = int(rng.integers(1, 60))
         cfg = SolverConfig(seed=int(rng.integers(1 << 30)), num_reads=num_reads, sweeps=30,
                            beta_range=(0.01, float(rng.choice([0.05, 50.0]))))
         used = _reads_used(solve(model, cfg, groups=groups), num_reads, model, groups)
-        outcomes.add("probe" if used < num_reads else "cap")
-    assert outcomes == {"probe", "cap"}
+        outcomes.add("none" if used == 0 else "probe" if used < num_reads else "cap")
+    assert outcomes == {"none", "probe", "cap"}
 
 
 def test_a_probe_that_disagrees_runs_every_read(monkeypatch):
     # Eight groups of three at a high temperature: the probe's reads spread
-    # over many of the 6,561 states, so few share the lowest energy.
+    # over many of the 6,561 states, so few share the lowest energy. A ninth
+    # group of two members without terms ties each state with a twin, so
+    # elimination finds no unique minimum.
     rng = np.random.default_rng(4)
-    groups = np.repeat(np.arange(8), 3).tolist()
+    groups = np.repeat(np.arange(8), 3).tolist() + [8, 8]
     model = QuboModel(len(groups))
-    for v in range(len(groups)):
+    for v in range(24):
         model.add(v, v, float(rng.integers(-8, 9)))
     cfg = SolverConfig(seed=6, num_reads=40, sweeps=20, beta_range=(0.01, 0.02))
     layout, states = _full_run(model, groups, cfg)
@@ -320,32 +349,30 @@ def test_a_probe_that_disagrees_runs_every_read(monkeypatch):
     assert _draws(result) == _draws(solvers._collect(model, solvers._tally(layout, states)))
 
 
-def test_a_certified_probe_stops_although_it_disagrees(monkeypatch):
-    # multi10_4's first window: 3 of 16 reads reach the minimum, and no
-    # other one-hot state ties with it.
+def test_a_unique_minimum_runs_no_read(monkeypatch):
+    # multi10_4's first window: no other one-hot state ties with the
+    # minimum, which only 3 of the probe's 16 reads reach. Elimination names
+    # that state before any read runs.
     model, cfg, groups = _first_window("multi10_4")
     layout, states = _full_run(model, groups, replace(cfg, num_reads=solvers.PROBE_READS))
     probe = solvers._collect(model, solvers._tally(layout, states))
-    lowest, second = solvers._two_lowest(model, layout)
+    lowest, second, _ = solvers._two_lowest(model, layout)
     assert not solvers._agrees(probe)
     assert probe.best.energy <= _tied_with(lowest) < second
     runs = _record_runs(monkeypatch)
     result = solve(model, cfg, groups=groups)
-    assert runs == [range(solvers.PROBE_READS)]
-    assert _draws(result) == _draws(probe)
+    assert runs == []
+    assert _draws(result) == [(probe.best.bits, 0)]
+    assert result.best.energy == model.energy({v for v, b in enumerate(result.best.bits) if b})
 
 
 def test_a_probe_at_a_tied_minimum_runs_every_read(monkeypatch):
-    # Two groups of three, hot: the reads spread over the nine states, and
-    # members 0 and 1 of the first group tie, so the minimum is not unique.
-    groups = [0, 0, 0, 1, 1, 1]
-    model = QuboModel(6)
-    for v, w in enumerate([-2.0, -2.0, 1.0, -1.0, 0.5, 2.0]):
-        model.add(v, v, w)
+    # Hot: the reads spread over the nine states, and the minimum is tied.
+    model, groups = _tied_pair()
     cfg = SolverConfig(seed=3, num_reads=40, sweeps=20, beta_range=(0.01, 0.02))
     layout, states = _full_run(model, groups, cfg)
     probe = solvers._collect(model, solvers._tally(layout, states[:solvers.PROBE_READS]))
-    assert solvers._two_lowest(model, layout) == (-3.0, -3.0)
+    assert solvers._two_lowest(model, layout)[:2] == (-3.0, -3.0)
     assert probe.best.energy == -3.0 and not solvers._agrees(probe)
     runs = _record_runs(monkeypatch)
     result = solve(model, cfg, groups=groups)
@@ -363,9 +390,14 @@ def test_two_lowest_matches_one_hot_enumeration_on_random_models():
         model = random_grid_model(rng, len(groups), density=float(rng.choice([0.1, 0.4, 0.9])),
                                   span=int(rng.choice([2, 16])))
         model.constant = float(rng.integers(-3, 4))
-        lowest, second = one_hot_two_lowest(model, groups)
-        got = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
-        assert got == (pytest.approx(lowest, abs=1e-9), pytest.approx(second, abs=1e-9))
+        lowest, second, argmin = one_hot_two_lowest(model, groups)
+        layout = solvers._one_hot_layout(model, groups)
+        *got, state = solvers._two_lowest(model, layout)
+        assert got == [pytest.approx(lowest, abs=1e-9), pytest.approx(second, abs=1e-9)]
+        bits = _state_bits(layout, state)
+        assert model.energy({v for v, b in enumerate(bits) if b}) <= _tied_with(lowest)
+        if _tied_with(lowest) < second:
+            assert bits == argmin
         seen.add("tie" if second == lowest else "gap")
         if 1 in sizes:
             seen.add("singleton group")
@@ -377,9 +409,44 @@ def test_two_lowest_matches_one_hot_enumeration_on_random_models():
 def test_two_lowest_matches_exhaustive_on_pipeline_windows():
     from quboplan.oracle import random_instances
 
+    unique = 0
     for model, groups in random_instances(40, 7):
-        lowest, _ = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
-        assert lowest == pytest.approx(solve_exhaustive(model).best.energy, abs=1e-9)
+        layout = solvers._one_hot_layout(model, groups)
+        lowest, second, state = solvers._two_lowest(model, layout)
+        exact = solve_exhaustive(model).best
+        assert lowest == pytest.approx(exact.energy, abs=1e-9)
+        if _tied_with(lowest) < second:
+            unique += 1
+            assert _state_bits(layout, state) == exact.bits
+    assert unique > 0
+
+
+def test_shipped_windows_reach_the_exact_minimum(monkeypatch):
+    # ROADMAP item 11 on the first bench seed of every shipped scenario:
+    # each window the annealer samples ends within the tie tolerance of
+    # elimination's lowest energy, and each window answered with no read
+    # has a unique minimum.
+    calls = []
+
+    def recorded(model, cfg, *, groups=None):
+        result = solve(model, cfg, groups=groups)
+        calls.append((model, groups, result))
+        return result
+
+    monkeypatch.setattr(planner, "solve", recorded)
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        spec = load_scenario(str(path))
+        run_pipeline(spec, derive_seed(spec.seed, 0))
+    seen = set()
+    for model, groups, result in calls:
+        lowest, second, _ = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
+        if sum(s.occurrences for s in result) == 0:
+            assert _tied_with(lowest) < second
+            seen.add("eliminated")
+        else:
+            assert result.best.energy <= _tied_with(lowest)
+            seen.add("annealed")
+    assert seen == {"eliminated", "annealed"}
 
 
 def _clique(sizes):
@@ -403,7 +470,7 @@ def test_two_lowest_gives_up_above_the_table_cap(sizes, fits):
     assert math.prod(sizes) - solvers._EXACT_TABLE_CAP in (0, 256)
     model, groups = _clique(sizes)
     got = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
-    assert (got == (-2.0, -2.0)) if fits else got is None
+    assert (got[:2] == (-2.0, -2.0)) if fits else got is None
 
 
 def test_two_lowest_gives_up_before_building_a_table():
@@ -423,7 +490,8 @@ def test_two_lowest_gives_up_before_building_a_table():
 def test_fewer_reads_than_the_probe_run_once(monkeypatch):
     runs = _record_runs(monkeypatch)
     cfg = SolverConfig(seed=2, num_reads=solvers.PROBE_READS - 11, sweeps=50)
-    result = solve(four_var_fixture(), cfg, groups=PAIRS)
+    model, groups = _tied_pair()
+    result = solve(model, cfg, groups=groups)
     assert runs == [range(cfg.num_reads)]
     assert sum(s.occurrences for s in result) == cfg.num_reads
 
