@@ -3,8 +3,11 @@
 Random small scenarios are built into their first window by the planner's
 own window builder, and the best energy of the default annealer backend is
 compared against the enumerated ground state on every instance small enough
-to enumerate. That backend answers a window with a unique one-hot minimum by
-exact elimination and runs no read, so only the other runs test annealing.
+to enumerate. That backend answers by exact elimination, and runs no read,
+a window whose one-hot minimum is unique or whose (robot, step) groups form
+a forest. These single-robot windows are chains of steps, so nearly every
+run is answered that way (`eliminated`) and checks elimination, not the
+annealer.
 """
 
 import numpy as np

@@ -40,7 +40,7 @@ from .preprocess import (
     reduction_pct,
 )
 from .qubo import decode, var_group
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, _require_ints, solve
 
 STATUS_REACHED = "reached_goal"
 STATUS_EXHAUSTED = "max_windows_exhausted"
@@ -59,6 +59,7 @@ class WindowConfig:
     max_windows: int = 20
 
     def __post_init__(self):
+        _require_ints(self, "window_len", "max_windows")
         if self.window_len < 2:
             raise ValueError("window_len must be >= 2")
         if self.max_windows < 1:

@@ -29,23 +29,27 @@ scaling β by s, so sample energies stay in the model's own units.
 
 `solve` first runs min-sum elimination over the groups, exact on one-hot
 states: it finds their lowest and second-lowest energies and a state at the
-lowest. When no other one-hot state lies within the tie tolerance of the
-lowest, that state is the window's unique minimum, which any number of reads
-could at best find; `solve` returns it with 0 occurrences and runs no read.
-Otherwise, or when an elimination table would exceed `_EXACT_TABLE_CAP`
-entries, the annealer runs. `num_reads` caps its reads. It first anneals a
-probe of `PROBE_READS` reads and stops there when at least `PROBE_AGREE` of
-them end at the probe's lowest energy. If a share p of reads ends in a
-state, ln(0.01) / ln(1 - p) reads find it with 99 % probability (Rønnow et
-al., Science 345, 420, 2014): 7 reads for p = 1/2, fewer than the probe
-holds. Otherwise the remaining reads run too. Read r draws from
-`SeedSequence((seed, r))` alone, so the reads returned are always the first
-reads of a run of `num_reads`.
+lowest. When the groups' coupling graph is a forest, as in a single-robot
+window's chain of steps, elimination is exact and linear and that state is
+as low as any read could end, tied or not; when no other one-hot state lies
+within the tie tolerance of the lowest, that state is the window's unique
+minimum, which any number of reads could at best find. In either case
+`solve` returns it with 0 occurrences and runs no read. Otherwise (a cycle
+of groups with a tied minimum), or when an elimination table would exceed
+`_EXACT_TABLE_CAP` entries, the annealer runs. `num_reads` caps its reads.
+It first anneals a probe of `PROBE_READS` reads and stops there when at
+least `PROBE_AGREE` of them end at the probe's lowest energy. If a share p
+of reads ends in a state, ln(0.01) / ln(1 - p) reads find it with 99 %
+probability (Rønnow et al., Science 345, 420, 2014): 7 reads for p = 1/2,
+fewer than the probe holds. Otherwise the remaining reads run too. Read r
+draws from `SeedSequence((seed, r))` alone, so the reads returned are
+always the first reads of a run of `num_reads`.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,9 +58,9 @@ BACKEND_ANNEALER = "annealer"
 
 EXHAUSTIVE_VAR_CAP = 24
 _ENUM_CHUNK = 1 << 16
-# 8-byte values held per block of reads while annealing: 64 MiB, enough for
-# the 384 reads that follow multi10_2's probe (20,596 values each) to share
-# one block.
+# 8-byte values held per block of reads while annealing: 64 MiB. The 84
+# reads that follow a `city` window's probe need at most 9,920 values each
+# (235 variables in 32 groups at 300 sweeps), so they share one block.
 _RANDOM_BUDGET = 1 << 23
 # The annealer's probe: its size, and how many of its reads must end at its
 # lowest energy for the remaining reads to be skipped.
@@ -70,13 +74,22 @@ class ModelTooLargeError(ValueError):
     """The model has more variables than the exhaustive backend enumerates."""
 
 
+def _require_ints(config, *names: str) -> None:
+    """Reject a setting that is not an `int`, `bool` included, by name."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Backend choice and sampling parameters. Same seed, same samples.
 
     `num_reads` is the annealer's cap on reads: it runs none when exact
-    elimination finds a unique one-hot minimum, and it stops after its probe
-    when the probe agrees on its best energy (see `solve`).
+    elimination finds a unique one-hot minimum or the groups form a forest,
+    and it stops after its probe when the probe agrees on its best energy
+    (see `solve`).
     `beta_range` is the annealer's first and last inverse temperature per
     unit of the model's largest |coupling between groups| (see `solve`).
     """
@@ -90,6 +103,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.backend not in (BACKEND_EXHAUSTIVE, BACKEND_ANNEALER):
             raise ValueError(f"unknown backend {self.backend!r}")
+        _require_ints(self, "num_reads", "sweeps")
         if self.num_reads < 1:
             raise ValueError("num_reads must be >= 1")
         if self.sweeps < 1:
@@ -415,9 +429,10 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     of the largest |coupling between groups| (the peak |coefficient| when
     groups share none), so scaling the model by a positive factor leaves
     its samples unchanged up to the rounding of β. Its occurrences count
-    the reads run: none when `_two_lowest` finds one one-hot state alone
-    within `_cut` (the exhaustive backend's tolerance) of the minimum, which
-    is then the only sample; the first `PROBE_READS` when at least
+    the reads run: none when `_two_lowest` finds the groups' coupling graph
+    a forest or one one-hot state alone within `_cut` (the exhaustive
+    backend's tolerance) of the minimum, and its state at the minimum is
+    then the only sample; the first `PROBE_READS` when at least
     `PROBE_AGREE` of them tie with their lowest energy; and all
     `cfg.num_reads` otherwise. A model with no variables runs no read.
     """
@@ -430,9 +445,9 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
         return SampleSet([Sample((), model.constant, 0)])
     layout = _one_hot_layout(model, groups)
     exact = _two_lowest(model, layout)
-    if exact is not None and _cut(exact[0]) < exact[1]:
-        # The unique minimum: no read could end lower, so none runs.
-        return _collect(model, dict.fromkeys(_tally(layout, exact[2][None]), 0))
+    if exact is not None and (exact.forest or _cut(exact.lowest) < exact.second):
+        # A minimum no read could end below, so none runs.
+        return _collect(model, dict.fromkeys(_tally(layout, exact.state[None]), 0))
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
     probe = min(cfg.num_reads, PROBE_READS)
     states = _anneal_one_hot(layout, cfg, scale, range(probe))
@@ -460,11 +475,21 @@ def _agrees(result: SampleSet) -> bool:
     return sum(s.occurrences for s in result if s.energy <= cut) >= PROBE_AGREE
 
 
-def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float, np.ndarray] | None:
-    """The lowest and second-lowest energy over distinct one-hot states and
-    a state at the lowest, or None when an elimination table would exceed
-    `_EXACT_TABLE_CAP` entries. The state holds one chosen internal variable
-    per group, as the annealer's states do.
+class _Exact(NamedTuple):
+    """What elimination finds: the lowest and second-lowest energy over
+    distinct one-hot states, a state at the lowest (one chosen internal
+    variable per group, as the annealer's states hold) and whether the
+    groups' coupling graph is a forest."""
+
+    lowest: float
+    second: float
+    state: np.ndarray
+    forest: bool
+
+
+def _two_lowest(model, layout: _OneHotLayout) -> _Exact | None:
+    """Exact elimination's `_Exact`, or None when an elimination table would
+    exceed `_EXACT_TABLE_CAP` entries.
 
     This is min-sum bucket elimination over the groups (Dechter, Artif.
     Intell. 113, 41, 1999). A one-hot state's energy is the constant, one
@@ -473,8 +498,12 @@ def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float, np.ndarray]
     groups a table over both. Every table entry holds the lowest sum over
     the groups already eliminated into it and the rise to the second-lowest
     sum over their distinct assignments (inf when there is only one). Each
-    group also keeps its lowest member for every assignment of the groups
-    eliminated after it; read back in reverse order, they give the state.
+    group also keeps a member at its lowest sum for every assignment of the
+    groups eliminated after it, the highest-indexed one among ties, as the
+    annealer's tied samples sort (`_collect` ranks them by bits, and a set
+    bit later in a group sorts first); read back in reverse order, they give
+    the state. The graph is a forest exactly when min-degree order never
+    eliminates a group with two or more remaining neighbours.
     """
     size, first = layout.size, layout.first
     num_groups = len(size)
@@ -521,7 +550,7 @@ def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float, np.ndarray]
             low = part_low if low is None else low + part_low
             if part_rise is not None:
                 rise = part_rise if rise is None else np.minimum(rise, part_rise)
-        argmins.append((scope, low.argmin(axis=0)))
+        argmins.append((scope, len(low) - 1 - low[::-1].argmin(axis=0)))
         # Each member of g offers its lowest sum and its second-lowest; the
         # new table keeps the two lowest of them.
         options = low if rise is None else np.concatenate((low, low + rise))
@@ -537,7 +566,8 @@ def _two_lowest(model, layout: _OneHotLayout) -> tuple[float, float, np.ndarray]
     chosen = np.empty(num_groups, dtype=np.intp)
     for scope, argmin in reversed(argmins):
         chosen[scope[0]] = argmin[tuple(chosen[scope[1:]])]
-    return lowest, lowest + gap, first + chosen
+    forest = all(len(near) < 2 for _, near in plan)
+    return _Exact(lowest, lowest + gap, first + chosen, forest)
 
 
 def _elimination_plan(size: list[int], heads: list[int], tails: list[int]):

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These evaluate the closed-form penalty sums directly on occupancies, count
-shortest paths by brute force, and compute exact minima and the two lowest
-one-hot energies by plain enumeration. They deliberately avoid the
+shortest paths by brute force, compute exact minima and the two lowest
+one-hot energies by plain enumeration, and tell a forest of groups from a
+graph with a cycle by union-find. They deliberately avoid the
 library's coefficient-accumulation and solver code paths so agreement
 between the two is meaningful. The first one-hot annealing kernel is kept
 here too, as the reference its faster rewrite must reproduce state for
@@ -232,6 +233,27 @@ def one_hot_two_lowest(model: QuboModel, groups) -> tuple[float, float, tuple[in
     lowest, argmin = scored[0]
     bits = tuple(int(v in argmin) for v in range(model.num_vars))
     return lowest, scored[1][0] if len(scored) > 1 else math.inf, bits
+
+
+def group_graph_is_forest(model: QuboModel, groups) -> bool:
+    """Whether the graph whose nodes are the groups, with an edge wherever a
+    coefficient couples two groups, has no cycle: union-find over its edges,
+    a cycle being an edge whose ends are already joined."""
+    root = {g: g for g in groups}
+
+    def find(g):
+        while root[g] != g:
+            g = root[g]
+        return g
+
+    edges = {frozenset((groups[a], groups[b])) for a, b in model.coeffs}
+    for edge in edges:
+        if len(edge) == 2:
+            ga, gb = (find(g) for g in edge)
+            if ga == gb:
+                return False
+            root[ga] = gb
+    return True
 
 
 def solve_exhaustive_two_pass(model) -> SampleSet:

@@ -30,13 +30,13 @@ EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 # colour classes, beyond the golden files. A change that means to alter these
 # plans runs this module's independent-checker test, reads the new value from
 # the failed assertion and commits it.
-CITY0_PLANS_SHA256 = "07522b30d265bc5231bee01240b50532113476c62661f1a841f62ba8af57aa04"
+CITY0_PLANS_SHA256 = "38363a4bd95b26747d0d168c1e36d211a86b1952083299e3fc5e6a2e908f51dd"
 # The same digest for `corridor(1)`: serpentine corridors that reachability
 # fixing decides window by window, so it pins the presolve path.
 CORRIDOR1_PLANS_SHA256 = "96f7005f4ca92ddec8cdb2cca7d3b4208310fbcc9a4518ea070897e86572b08d"
 # The same two corpora digested over each plan's steps only, so a change to
 # the JSON around the paths moves the pins above but not these.
-CITY0_STEPS_SHA256 = "31ab8bc48a3cf32ee4f8ff37099b6a05950cb11d5df20ef2e0eea4d55bafc9bd"
+CITY0_STEPS_SHA256 = "2c29cdafa46b3878b4df11ba4ead802ab103d96258bfadcafe4e06c9e6edc38e"
 CORRIDOR1_STEPS_SHA256 = "ec040e48a8442fd4d6660ab60c0805dad52d50b97fd502cd3522cadcf640dee4"
 # Plans and total moves of `shipped(scenarios, 0)`, the traffic the acceptance
 # tests were tuned on. This pins its lengths, not its paths: equal-energy

@@ -517,6 +517,13 @@ def test_window_config_validation():
         WindowConfig(max_windows=0)
 
 
+@pytest.mark.parametrize("field", ["window_len", "max_windows"])
+@pytest.mark.parametrize("value", [3.5, True])
+def test_window_config_rejects_a_count_that_is_not_an_int(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        WindowConfig(**{field: value})
+
+
 def test_best_energy_is_the_folded_models_energy_of_the_chosen_sample(monkeypatch):
     folded_models, chosen = [], []
     numeric_pass, solve = planner.fix_numeric_diagonal, planner.solve
