@@ -114,9 +114,8 @@ def main(argv=None) -> int:
     bench_p = sub.add_parser("bench", help="compare against the classical baseline")
     render_p = sub.add_parser("render", help="plan a scenario and write an SVG")
     oracle_p = sub.add_parser("oracle-check",
-                              help="default solver vs exhaustive agreement suite on "
-                                   "single-robot windows, nearly all answered by "
-                                   "exact elimination")
+                              help="annealer vs exact elimination agreement suite on "
+                                   "loopy two-robot windows")
     export_p = sub.add_parser("export-qubo",
                               help="dump the first window's model as text triples")
 

@@ -5,10 +5,10 @@ A plan is assembled window by window. Each window fixes what reachability
 global clock; when variables remain free, it builds their QUBO, folds the
 fixed values in and solves it, and the best sample is decoded. A decided
 window's layers are its occupancy. The occupancy is repaired, and the
-accepted sub-path is stitched onto the plan so global times advance by
-exactly one per step. Every window gets two tries, the second widened, no
-reseeding: a window whose first try fails is tried once more at twice the
-window length, whatever its backend, and given up when that try fails too.
+accepted sub-path, or in a multi-robot plan its first steps, is stitched
+onto the plan so global times advance by exactly one per step. A failed
+solve is repeated with raised penalty weights, then the window is widened
+once; `plan_paths` states the rule.
 """
 
 from dataclasses import dataclass, field, replace
@@ -45,6 +45,9 @@ from .solvers import SolverConfig, _require_ints, solve
 STATUS_REACHED = "reached_goal"
 STATUS_EXHAUSTED = "max_windows_exhausted"
 STATUS_INFEASIBLE = "infeasible"
+# How many times a failed solve is repeated at the same horizon, each time
+# with `k_adj` and `k_coll` doubled.
+RESOLVES = 5
 
 
 class StitchError(RuntimeError):
@@ -131,9 +134,9 @@ class WindowRecord:
     """Joint per-window diagnostics shared by every robot active in it.
 
     A try at the window fills in what it found; `backend` stays "presolve"
-    unless a sampler ran. The window loop then sets `index`, `global_start`
-    and `escalated`. A window gets two tries, the second widened, no
-    reseeding, so `retries` is 1 exactly when the window was widened.
+    unless a sampler ran. The window loop then sets `index`, `global_start`,
+    `escalated` (the window was widened) and `retries`, the number of tries
+    that failed before the last one (see `plan_paths`).
     """
 
     horizon: int
@@ -147,10 +150,7 @@ class WindowRecord:
     index: int = 0
     global_start: int = 0
     escalated: bool = False
-
-    @property
-    def retries(self) -> int:
-        return int(self.escalated)
+    retries: int = 0
 
     @property
     def reduction_pct(self) -> float:
@@ -413,13 +413,22 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     mid-window join at the next window boundary, waiting on their start
     cell, and every window that reaches a robot's release keeps the others
     off its start. A robot whose goal the parked robots wall off ends as
-    infeasible at once. Each window gets two tries, the second widened, no
-    reseeding: the first runs at `window_len`, the second at twice that, and
-    a window whose second try fails too is abandoned, ending the run. The
-    first try's seed parts are (window index, 0, 0), the second's (window
-    index, 1, 1). Every finished plan, clash-repair waits included, is
-    validated once more on the input map. Raises `ValueError` for a robot set
-    that `validate_robots` rejects.
+    infeasible at once.
+
+    The try rule: a window is first tried at `window_len` with seed parts
+    (window index, 0, 0). When a try that ran a solve fails, `k_adj` and
+    `k_coll` are doubled and the same horizon is solved again with the same
+    seed parts, at most `RESOLVES` times (32x); a try decided by logical
+    fixing is not repeated. When the last of them fails too, the window is
+    widened to twice `window_len` with seed parts (window index, 1, 1) and
+    `weights` as given, under the same rule, and a window whose widened
+    tries all fail is abandoned, ending the run. In a plan of two or more
+    robots only the first max(1, horizon - 2) steps of an accepted window
+    are committed (stitched, added to `visited` and passed by the clock),
+    so every committed step was planned with look-ahead; a single robot
+    commits the whole window. Every finished plan, clash-repair waits
+    included, is validated once more on the input map. Raises `ValueError`
+    for a robot set that `validate_robots` rejects.
     """
     robots = list(robots)
     validate_robots(grid, robots)
@@ -473,6 +482,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                 ]
 
         occupied = {a.current for a in active}
+        tries = 0
         for escalated in (False, True):
             horizon = 2 * wcfg.window_len if escalated else wcfg.window_len
             # A robot released within this try's horizon keeps the others
@@ -480,14 +490,21 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             releasing = {a.spec.start for a in agents if a.status != STATUS_INFEASIBLE
                          and clock < a.spec.release <= clock + horizon}
             eff_grid = grid.with_obstacles((parked | releasing) - occupied)
-            record, paths = _attempt_window(eff_grid, active, weights, scfg, horizon,
-                                            (len(windows), int(escalated), int(escalated)),
-                                            multi)
+            tried = weights
+            for resolve in range(RESOLVES + 1):
+                if resolve:
+                    tried = replace(tried, k_adj=2 * tried.k_adj, k_coll=2 * tried.k_coll)
+                record, paths = _attempt_window(eff_grid, active, tried, scfg, horizon,
+                                                (len(windows), int(escalated), int(escalated)),
+                                                multi)
+                tries += 1
+                if paths is not None or record.backend == "presolve":
+                    break
             if paths is not None:
                 break
 
         record.index, record.global_start = len(windows), clock
-        record.escalated = escalated
+        record.escalated, record.retries = escalated, tries - 1
         windows.append(record)
         for agent in active:
             agent.log.append(record)
@@ -496,13 +513,15 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             record.repairs[-1] = f"window abandoned: {record.repairs[-1]}"
             break
 
+        commit = max(1, horizon - 2) if multi else horizon
         for agent, path in zip(active, paths):
+            del path[commit + 1:]
             agent.steps = stitch(agent.steps, path)
             agent.visited.update(path)
             agent.current = path[-1]
             if agent.current == agent.spec.goal:
                 agent.status = STATUS_REACHED
-        clock += horizon
+        clock += commit
 
     plans = [
         Plan(a.spec.id, a.steps, a.status or STATUS_EXHAUSTED, a.log, a.notes)

@@ -28,28 +28,22 @@ between groups| and never rescales the model: scaling Q by s is the same as
 scaling β by s, so sample energies stay in the model's own units.
 
 `solve` first runs min-sum elimination over the groups, exact on one-hot
-states: it finds their lowest and second-lowest energies and a state at the
-lowest. When the groups' coupling graph is a forest, as in a single-robot
-window's chain of steps, elimination is exact and linear and that state is
-as low as any read could end, tied or not; when no other one-hot state lies
-within the tie tolerance of the lowest, that state is the window's unique
-minimum, which any number of reads could at best find. In either case
-`solve` returns it with 0 occurrences and runs no read. Otherwise (a cycle
-of groups with a tied minimum), or when an elimination table would exceed
-`_EXACT_TABLE_CAP` entries, the annealer runs. `num_reads` caps its reads.
-It first anneals a probe of `PROBE_READS` reads and stops there when at
-least `PROBE_AGREE` of them end at the probe's lowest energy. If a share p
-of reads ends in a state, ln(0.01) / ln(1 - p) reads find it with 99 %
-probability (Rønnow et al., Science 345, 420, 2014): 7 reads for p = 1/2,
-fewer than the probe holds. Otherwise the remaining reads run too. Read r
-draws from `SeedSequence((seed, r))` alone, so the reads returned are
-always the first reads of a run of `num_reads`.
+states (Dechter, Artif. Intell. 113, 41, 1999), and returns its state at
+the lowest energy, tied or not, with 0 occurrences: no read runs. Only
+when an elimination table would exceed `_EXACT_TABLE_CAP` entries does the
+annealer run. `num_reads` caps its reads. It first anneals a probe of
+`PROBE_READS` reads and stops there when at least `PROBE_AGREE` of them
+end at the probe's lowest energy. If a share p of reads ends in a state,
+ln(0.01) / ln(1 - p) reads find it with 99 % probability (Rønnow et al.,
+Science 345, 420, 2014): 7 reads for p = 1/2, fewer than the probe holds.
+Otherwise the remaining reads run too. Read r draws from
+`SeedSequence((seed, r))` alone, so the reads returned are always the
+first reads of a run of `num_reads`.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -87,9 +81,8 @@ class SolverConfig:
     """Backend choice and sampling parameters. Same seed, same samples.
 
     `num_reads` is the annealer's cap on reads: it runs none when exact
-    elimination finds a unique one-hot minimum or the groups form a forest,
-    and it stops after its probe when the probe agrees on its best energy
-    (see `solve`).
+    elimination fits its table cap, and it stops after its probe when the
+    probe agrees on its best energy (see `solve`).
     `beta_range` is the annealer's first and last inverse temperature per
     unit of the model's largest |coupling between groups| (see `solve`).
     """
@@ -103,7 +96,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.backend not in (BACKEND_EXHAUSTIVE, BACKEND_ANNEALER):
             raise ValueError(f"unknown backend {self.backend!r}")
-        _require_ints(self, "num_reads", "sweeps")
+        _require_ints(self, "num_reads", "sweeps", "seed")
         if self.num_reads < 1:
             raise ValueError("num_reads must be >= 1")
         if self.sweeps < 1:
@@ -424,30 +417,34 @@ def _anneal_block(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray,
 def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     """Dispatch to the configured backend.
 
-    The annealer needs `groups`, one label per variable. It samples states
-    with exactly one set bit per group, and reads `cfg.beta_range` per unit
-    of the largest |coupling between groups| (the peak |coefficient| when
-    groups share none), so scaling the model by a positive factor leaves
-    its samples unchanged up to the rounding of β. Its occurrences count
-    the reads run: none when `_two_lowest` finds the groups' coupling graph
-    a forest or one one-hot state alone within `_cut` (the exhaustive
-    backend's tolerance) of the minimum, and its state at the minimum is
-    then the only sample; the first `PROBE_READS` when at least
-    `PROBE_AGREE` of them tie with their lowest energy; and all
+    The annealer needs `groups`, one label per variable. It returns states
+    with exactly one set bit per group. When `_eliminate` fits its table
+    cap, its state at the one-hot minimum is the only sample, with 0
+    occurrences: no read runs. Otherwise it anneals, reading
+    `cfg.beta_range` per unit of the largest |coupling between groups| (the
+    peak |coefficient| when groups share none), so scaling the model by a
+    positive factor leaves its samples unchanged up to the rounding of β.
+    Its occurrences then count the reads run: the first `PROBE_READS` when
+    at least `PROBE_AGREE` of them tie with their lowest energy, and all
     `cfg.num_reads` otherwise. A model with no variables runs no read.
     """
     if cfg.backend == BACKEND_EXHAUSTIVE:
         return solve_exhaustive(model)
     if groups is None:
         raise ValueError("the annealer needs each variable's group")
-    n = model.num_vars
-    if n == 0:
+    if model.num_vars == 0:
         return SampleSet([Sample((), model.constant, 0)])
     layout = _one_hot_layout(model, groups)
-    exact = _two_lowest(model, layout)
-    if exact is not None and (exact.forest or _cut(exact.lowest) < exact.second):
-        # A minimum no read could end below, so none runs.
-        return _collect(model, dict.fromkeys(_tally(layout, exact.state[None]), 0))
+    state = _eliminate(layout)
+    if state is not None:
+        # The one-hot minimum: no read could end below it, so none runs.
+        return _collect(model, dict.fromkeys(_tally(layout, state[None]), 0))
+    return _anneal(model, layout, cfg)
+
+
+def _anneal(model, layout: _OneHotLayout, cfg: SolverConfig) -> SampleSet:
+    """The annealer's sample set: the probe, then the remaining reads
+    unless the probe agrees."""
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
     probe = min(cfg.num_reads, PROBE_READS)
     states = _anneal_one_hot(layout, cfg, scale, range(probe))
@@ -475,20 +472,10 @@ def _agrees(result: SampleSet) -> bool:
     return sum(s.occurrences for s in result if s.energy <= cut) >= PROBE_AGREE
 
 
-class _Exact(NamedTuple):
-    """What elimination finds: the lowest and second-lowest energy over
-    distinct one-hot states, a state at the lowest (one chosen internal
-    variable per group, as the annealer's states hold) and whether the
-    groups' coupling graph is a forest."""
-
-    lowest: float
-    second: float
-    state: np.ndarray
-    forest: bool
-
-
-def _two_lowest(model, layout: _OneHotLayout) -> _Exact | None:
-    """Exact elimination's `_Exact`, or None when an elimination table would
+def _eliminate(layout: _OneHotLayout) -> np.ndarray | None:
+    """A one-hot state at the lowest one-hot energy of the model that
+    `layout` regroups (one chosen internal variable per group, as the
+    annealer's states hold), or None when an elimination table would
     exceed `_EXACT_TABLE_CAP` entries.
 
     This is min-sum bucket elimination over the groups (Dechter, Artif.
@@ -496,14 +483,11 @@ def _two_lowest(model, layout: _OneHotLayout) -> _Exact | None:
     diagonal entry per group and one coupling per pair of groups, so each
     group's diagonal is a table over its members and each coupled pair of
     groups a table over both. Every table entry holds the lowest sum over
-    the groups already eliminated into it and the rise to the second-lowest
-    sum over their distinct assignments (inf when there is only one). Each
-    group also keeps a member at its lowest sum for every assignment of the
-    groups eliminated after it, the highest-indexed one among ties, as the
-    annealer's tied samples sort (`_collect` ranks them by bits, and a set
-    bit later in a group sorts first); read back in reverse order, they give
-    the state. The graph is a forest exactly when min-degree order never
-    eliminates a group with two or more remaining neighbours.
+    the groups already eliminated into it. Each group also keeps a member
+    at its lowest sum for every assignment of the groups eliminated after
+    it, the highest-indexed one among ties, as the annealer's tied samples
+    sort (`_collect` ranks them by bits, and a set bit later in a group
+    sorts first); read back in reverse order, they give the state.
     """
     size, first = layout.size, layout.first
     num_groups = len(size)
@@ -531,43 +515,27 @@ def _two_lowest(model, layout: _OneHotLayout) -> _Exact | None:
     starts = np.cumsum(spans) - spans
     flat = np.bincount(starts[edge_of] + member[head] * size[group[tail]] + member[tail],
                        layout.pair_weight, int(spans.sum()))
-    buckets: list[list] = [[((g,), layout.diag[lo:lo + sizes[g]], None)]
+    buckets: list[list] = [[((g,), layout.diag[lo:lo + sizes[g]])]
                            for g, lo in enumerate(first.tolist())]
     for g, h, lo, span in zip(heads.tolist(), tails.tolist(), starts.tolist(), spans.tolist()):
-        buckets[g].append(((g, h), flat[lo:lo + span].reshape(sizes[g], sizes[h]), None))
+        buckets[g].append(((g, h), flat[lo:lo + span].reshape(sizes[g], sizes[h])))
 
     rank = rank.tolist()
-    lowest, gap = model.constant, math.inf
     argmins = []
     for g, near in plan:
         scope = [g, *sorted(near, key=rank.__getitem__)]
-        low = rise = None
-        for part, part_low, part_rise in buckets[g]:
+        low = None
+        for part, table in buckets[g]:
             if len(part) < len(scope):
-                shape = [sizes[u] if u in part else 1 for u in scope]
-                part_low = part_low.reshape(shape)
-                part_rise = None if part_rise is None else part_rise.reshape(shape)
-            low = part_low if low is None else low + part_low
-            if part_rise is not None:
-                rise = part_rise if rise is None else np.minimum(rise, part_rise)
+                table = table.reshape([sizes[u] if u in part else 1 for u in scope])
+            low = table if low is None else low + table
         argmins.append((scope, len(low) - 1 - low[::-1].argmin(axis=0)))
-        # Each member of g offers its lowest sum and its second-lowest; the
-        # new table keeps the two lowest of them.
-        options = low if rise is None else np.concatenate((low, low + rise))
-        if len(options) > 1:
-            two = np.partition(options, 1, axis=0)
-            low, rise = two[0], two[1] - two[0]
-        else:
-            low, rise = options[0], np.full(options.shape[1:], math.inf)
         if len(scope) > 1:
-            buckets[scope[1]].append((tuple(scope[1:]), low, rise))
-        else:
-            lowest, gap = lowest + float(low), min(gap, float(rise))
+            buckets[scope[1]].append((tuple(scope[1:]), low.min(axis=0)))
     chosen = np.empty(num_groups, dtype=np.intp)
     for scope, argmin in reversed(argmins):
         chosen[scope[0]] = argmin[tuple(chosen[scope[1:]])]
-    forest = all(len(near) < 2 for _, near in plan)
-    return _Exact(lowest, lowest + gap, first + chosen, forest)
+    return first + chosen
 
 
 def _elimination_plan(size: list[int], heads: list[int], tails: list[int]):

@@ -30,13 +30,13 @@ EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 # colour classes, beyond the golden files. A change that means to alter these
 # plans runs this module's independent-checker test, reads the new value from
 # the failed assertion and commits it.
-CITY0_PLANS_SHA256 = "38363a4bd95b26747d0d168c1e36d211a86b1952083299e3fc5e6a2e908f51dd"
+CITY0_PLANS_SHA256 = "d1e256c5be6d14c6f9063f360eeb64df067a6d7bdf66d2f0f60a4cc2a93fd7ee"
 # The same digest for `corridor(1)`: serpentine corridors that reachability
 # fixing decides window by window, so it pins the presolve path.
 CORRIDOR1_PLANS_SHA256 = "96f7005f4ca92ddec8cdb2cca7d3b4208310fbcc9a4518ea070897e86572b08d"
 # The same two corpora digested over each plan's steps only, so a change to
 # the JSON around the paths moves the pins above but not these.
-CITY0_STEPS_SHA256 = "2c29cdafa46b3878b4df11ba4ead802ab103d96258bfadcafe4e06c9e6edc38e"
+CITY0_STEPS_SHA256 = "1d43439b8d6e17e50fed8ea3cc45172a6ee41fd5cb1eb07aae02f1cb350a0f8d"
 CORRIDOR1_STEPS_SHA256 = "ec040e48a8442fd4d6660ab60c0805dad52d50b97fd502cd3522cadcf640dee4"
 # Plans and total moves of `shipped(scenarios, 0)`, the traffic the acceptance
 # tests were tuned on. This pins its lengths, not its paths: equal-energy
@@ -138,15 +138,22 @@ def test_staggered_release_waits_at_start():
     late = result.plans[1]
     assert late.status == STATUS_REACHED
     assert late.steps[0] == (3, (1, 5))
-    # waits at its start until the next window boundary, then moves
-    assert [c for _, c in late.steps[:4]] == [(1, 5)] * 4
+    # waits at its start until the next window boundary, then moves; each
+    # window of 6 steps commits 4, so that boundary is t=4
+    assert result.windows[1].global_start == 4
+    assert [c for _, c in late.steps[:3]] == [(1, 5), (1, 5), (1, 4)]
     times = [t for t, _ in late.steps]
     assert times == list(range(3, 3 + len(times)))
 
 
 def test_robot_released_at_a_window_end_is_kept_off_its_start():
-    # robot 1 appears on (0, 5) at t=6, the last step of the second window,
-    # which robot 0 would otherwise cross on its way to (0, 6)
+    # robot 1 appears on (0, 5) at t=6, which robot 0 would otherwise cross
+    # on its way to (0, 6). Three-step windows commit one step each, so
+    # robot 0 re-plans from (1, 4) at t=4 with (0, 5) blocked for the
+    # release: its goal is then exactly the horizon away, and the
+    # window-final reward's openness factor scores that corner goal below
+    # (0, 2) (ROADMAP item 2), so it backs off to (0, 1) and returns: 13
+    # moves where 7 suffice.
     grid = GridMap(2, 7)
     robots = [RobotSpec(0, (1, 0), (0, 6)),
               RobotSpec(1, (0, 5), (1, 5), release=6)]
@@ -154,7 +161,7 @@ def test_robot_released_at_a_window_end_is_kept_off_its_start():
         result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=3),
                             solver_cfg=SolverConfig(seed=seed))
         assert result.succeeded, [w.repairs for w in result.windows]
-        assert [p.moves for p in result.plans] == [7, 1]
+        assert [p.moves for p in result.plans] == [13, 1]
         assert find_vertex_conflicts([p.steps for p in result.plans]) == []
 
 

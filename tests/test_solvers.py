@@ -36,7 +36,7 @@ PAIRS = (0, 0, 1, 1)
 def _tied_triangle():
     """Three groups of three, each coupled with the other two, whose minimum
     -4.0 is not unique: members 0 and 1 of the first group tie. The groups
-    form a cycle, so `solve` anneals it."""
+    form a cycle; `solve` answers it by elimination all the same."""
     model = QuboModel(9)
     for v, w in enumerate([-2.0, -2.0, 1.0, -1.0, 0.5, 2.0, -1.0, 0.0, 1.0]):
         model.add(v, v, w)
@@ -63,6 +63,14 @@ def test_solver_config_validation():
 def test_solver_config_rejects_a_count_that_is_not_an_int(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+def test_solver_config_rejects_a_seed_that_is_not_an_int(value):
+    # A float seed used to construct and then fail mid-plan with a bare
+    # TypeError, and True planned as seed 1.
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {value!r}$"):
+        SolverConfig(seed=value)
 
 
 def test_exhaustive_finds_known_minimum():
@@ -150,7 +158,7 @@ def test_one_pass_enumeration_matches_the_two_pass_screen(kind, n):
 
 
 def test_annealer_finds_known_minimum():
-    result = solve(four_var_fixture(), SolverConfig(seed=3, num_reads=50), groups=PAIRS)
+    result = _anneal(four_var_fixture(), PAIRS, SolverConfig(seed=3, num_reads=50))
     assert result.best.energy == -11.0
     assert result.best.bits == (1, 0, 0, 1)
 
@@ -169,42 +177,45 @@ def test_annealer_needs_groups():
         solve(four_var_fixture(), SolverConfig(), groups=(0, 1))
 
 
+def _anneal(model, groups, cfg):
+    """The annealer itself, probe and stop rule included, as `solve` runs
+    it on a model above the table cap."""
+    return solvers._anneal(model, solvers._one_hot_layout(model, groups), cfg)
+
+
 def test_annealer_deterministic_for_fixed_seed():
-    # Hot enough that the reads do not all settle in the minimum, which is
-    # tied on a cycle of groups, so elimination does not answer it.
+    # Hot enough that the reads do not all settle in the minimum.
     m, groups = _tied_triangle()
     cfg = SolverConfig(seed=99, num_reads=20, sweeps=100, beta_range=(0.01, 0.02))
-    first = solve(m, cfg, groups=groups)
-    second = solve(m, cfg, groups=groups)
+    first = _anneal(m, groups, cfg)
+    second = _anneal(m, groups, cfg)
     assert [(s.bits, s.energy, s.occurrences) for s in first] == \
            [(s.bits, s.energy, s.occurrences) for s in second]
-    different = solve(m, replace(cfg, seed=100), groups=groups)
+    different = _anneal(m, groups, replace(cfg, seed=100))
     assert [(s.bits, s.occurrences) for s in first] != \
            [(s.bits, s.occurrences) for s in different]
 
 
-def _reads_used(result, num_reads, model, groups):
-    """The reads an annealer sample set counts, checked against the stop
-    rule: none exactly when the group graph, checked here by
-    `oracles.group_graph_is_forest`, is a forest or the two lowest one-hot
-    energies, recomputed here, put one state alone within the exhaustive
-    tolerance of the minimum, and then a state at the minimum is the only
-    sample; otherwise all `num_reads`, or the probe's `PROBE_READS` when at
-    least `PROBE_AGREE` of them end within that tolerance of the best
+def _reads_used(result, num_reads):
+    """The reads an annealed sample set counts, checked against the stop
+    rule: all `num_reads`, or the probe's `PROBE_READS` when at least
+    `PROBE_AGREE` of them end within the exhaustive tolerance of the best
     energy."""
     used = sum(s.occurrences for s in result)
-    exact = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
-    answered = exact is not None and (group_graph_is_forest(model, groups)
-                                      or _tied_with(exact.lowest) < exact.second)
-    assert (used == 0) == answered
-    if answered:
-        assert len(result) == 1 and result.best.energy <= _tied_with(exact.lowest)
-    elif used != num_reads:
+    if used != num_reads:
         best = result.best.energy
         at_best = sum(s.occurrences for s in result if s.energy <= _tied_with(best))
         assert used == solvers.PROBE_READS < num_reads
         assert at_best >= solvers.PROBE_AGREE
     return used
+
+
+def _assert_eliminated(result, model, groups):
+    """Check that `solve` answered a model within the table cap by
+    elimination: one sample, no read, at the lowest one-hot energy."""
+    lowest, _, _ = one_hot_two_lowest(model, groups)
+    assert [s.occurrences for s in result] == [0]
+    assert result.best.energy == pytest.approx(lowest, abs=1e-9)
 
 
 def _tied_with(energy):
@@ -217,11 +228,15 @@ def _state_bits(layout, state):
     return bits
 
 
+def _state_energy(model, layout, state):
+    return model.energy({v for v, b in enumerate(_state_bits(layout, state)) if b})
+
+
 def test_sampleset_energies_reverify_and_occurrences_sum():
     m, groups = _tied_triangle()
     cfg = SolverConfig(seed=5, num_reads=64, sweeps=200)
-    result = solve(m, cfg, groups=groups)
-    _reads_used(result, 64, m, groups)
+    result = _anneal(m, groups, cfg)
+    _reads_used(result, 64)
     for s in result:
         assert s.energy == m.energy({i for i, b in enumerate(s.bits) if b})
     energies = [s.energy for s in result]
@@ -296,10 +311,14 @@ def _members(groups):
 
 @pytest.mark.parametrize("name", ["single5", "multi5", "multi10_4", "triangle"])
 def test_every_sample_sets_one_bit_per_group(name):
+    # Both the state elimination returns and every annealed read.
     model, cfg, groups = _window(name)
-    result = solve(model, replace(cfg, num_reads=40, sweeps=50), groups=groups)
-    _reads_used(result, 40, model, groups)
-    for s in result:
+    cfg = replace(cfg, num_reads=40, sweeps=50)
+    eliminated = solve(model, cfg, groups=groups)
+    assert [s.occurrences for s in eliminated] == [0]
+    annealed = _anneal(model, groups, cfg)
+    _reads_used(annealed, 40)
+    for s in [*eliminated, *annealed]:
         assert all(sum(s.bits[v] for v in members) == 1 for members in _members(groups))
 
 
@@ -323,49 +342,55 @@ def _full_run(model, groups, cfg):
 
 
 # corridor10's first window is decided by variable fixing and builds no model.
-# The first windows of demo3, single5 (chains), multi10_2 (a forest) and
-# multi10_4 (a unique minimum) run no read; multi5's and the triangle's
-# groups form a cycle, so they anneal.
+# Every other first window fits the table cap, so `solve` answers it by
+# elimination and runs no read. The triangle is solved under a test-only cap
+# below its 9-entry pair tables, so `solve` anneals it, and its hot probe
+# does not agree.
 @pytest.mark.parametrize("name, stops", [("demo3", True), ("multi10_2", True),
                                          ("multi10_4", True), ("multi5", True),
                                          ("single5", True), ("triangle", False)])
-def test_solve_returns_the_first_reads_of_a_full_run(name, stops):
+def test_solve_returns_the_first_reads_of_a_full_run(name, stops, monkeypatch):
     model, cfg, groups = _window(name)
+    if name == "triangle":
+        monkeypatch.setattr(solvers, "_EXACT_TABLE_CAP", 8)
     result = solve(model, cfg, groups=groups)
-    used = _reads_used(result, cfg.num_reads, model, groups)
+    used = sum(s.occurrences for s in result)
     assert (used < cfg.num_reads) == stops
-    assert (used > 0) == (name in ("multi5", "triangle"))
+    assert (used > 0) == (name == "triangle")
     if used == 0:
-        return  # answered by elimination; `_reads_used` checked its state
+        assert len(result) == 1
+        return
+    _reads_used(result, cfg.num_reads)
     layout, states = _full_run(model, groups, cfg)
     prefix = solvers._collect(model, solvers._tally(layout, states[:used]))
     assert _draws(result) == _draws(prefix)
 
 
 def test_solve_follows_the_stop_rule_on_random_models():
+    # `solve` answers every model within the table cap by elimination; the
+    # annealer it would run above the cap follows the probe's stop rule.
     rng = np.random.default_rng(41)
     outcomes = set()
     for _ in range(40):
         sizes = rng.integers(1, 5, int(rng.integers(1, 9)))
         groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).tolist()
-        # Few distinct weights make tied minima, which elimination leaves to
-        # the annealer.
+        # Few distinct weights make tied minima.
         model = random_grid_model(rng, len(groups), span=int(rng.choice([1, 16])))
         num_reads = int(rng.integers(1, 60))
         cfg = SolverConfig(seed=int(rng.integers(1 << 30)), num_reads=num_reads, sweeps=30,
                            beta_range=(0.01, float(rng.choice([0.05, 50.0]))))
-        used = _reads_used(solve(model, cfg, groups=groups), num_reads, model, groups)
-        outcomes.add("none" if used == 0 else "probe" if used < num_reads else "cap")
+        _assert_eliminated(solve(model, cfg, groups=groups), model, groups)
+        used = _reads_used(_anneal(model, groups, cfg), num_reads)
+        outcomes.add("probe" if used < num_reads else "cap")
         outcomes.add("forest" if group_graph_is_forest(model, groups) else "cycle")
-    assert outcomes == {"none", "probe", "cap", "forest", "cycle"}
+    assert outcomes == {"probe", "cap", "forest", "cycle"}
 
 
 def test_a_probe_that_disagrees_runs_every_read(monkeypatch):
     # Eight groups of three in a ring at a high temperature: the probe's
     # reads spread over many of the 6,561 states, so few share the lowest
     # energy. A ninth group of two members without terms ties each state
-    # with a twin, so elimination finds no unique minimum, and the ring is
-    # a cycle, so it does not answer the tie either.
+    # with a twin.
     rng = np.random.default_rng(4)
     groups = np.repeat(np.arange(8), 3).tolist() + [8, 8]
     model = QuboModel(len(groups))
@@ -378,21 +403,19 @@ def test_a_probe_that_disagrees_runs_every_read(monkeypatch):
     probe = solvers._collect(model, solvers._tally(layout, states[:solvers.PROBE_READS]))
     assert not solvers._agrees(probe)
     runs = _record_runs(monkeypatch)
-    result = solve(model, cfg, groups=groups)
+    result = _anneal(model, groups, cfg)
     assert runs == [range(solvers.PROBE_READS), range(solvers.PROBE_READS, 40)]
     assert _draws(result) == _draws(solvers._collect(model, solvers._tally(layout, states)))
 
 
 def test_a_unique_minimum_runs_no_read(monkeypatch):
-    # multi10_4's first window: no other one-hot state ties with the
-    # minimum, which only 3 of the probe's 16 reads reach. Elimination names
-    # that state before any read runs.
+    # multi10_4's first window has a unique minimum, which only 3 of the
+    # probe's 16 reads reach. Elimination names that state before any read
+    # runs.
     model, cfg, groups = _first_window("multi10_4")
     layout, states = _full_run(model, groups, replace(cfg, num_reads=solvers.PROBE_READS))
     probe = solvers._collect(model, solvers._tally(layout, states))
-    exact = solvers._two_lowest(model, layout)
     assert not solvers._agrees(probe)
-    assert probe.best.energy <= _tied_with(exact.lowest) < exact.second
     runs = _record_runs(monkeypatch)
     result = solve(model, cfg, groups=groups)
     assert runs == []
@@ -406,11 +429,11 @@ def test_a_probe_at_a_tied_minimum_runs_every_read(monkeypatch):
     model, cfg, groups = _window("triangle")
     layout, states = _full_run(model, groups, cfg)
     probe = solvers._collect(model, solvers._tally(layout, states[:solvers.PROBE_READS]))
-    exact = solvers._two_lowest(model, layout)
-    assert (exact.lowest, exact.second, exact.forest) == (-4.0, -4.0, False)
+    assert one_hot_two_lowest(model, groups)[:2] == (-4.0, -4.0)
+    assert not group_graph_is_forest(model, groups)
     assert probe.best.energy == -4.0 and not solvers._agrees(probe)
     runs = _record_runs(monkeypatch)
-    result = solve(model, cfg, groups=groups)
+    result = _anneal(model, groups, cfg)
     assert runs == [range(solvers.PROBE_READS), range(solvers.PROBE_READS, 40)]
     assert _draws(result) == _draws(solvers._collect(model, solvers._tally(layout, states)))
 
@@ -464,26 +487,36 @@ def test_a_tied_chain_takes_the_highest_member_of_each_group():
             for v in range(3 * g + 3, 3 * g + 6):
                 model.add(u, v, -0.5)
     layout = solvers._one_hot_layout(model, groups)
-    exact = solvers._two_lowest(model, layout)
-    assert (exact.lowest, exact.second, exact.forest) == (-1.0, -1.0, True)
+    state = solvers._eliminate(layout)
+    assert one_hot_two_lowest(model, groups)[:2] == (-1.0, -1.0)
     last = (0, 0, 1) * 3
-    assert _state_bits(layout, exact.state) == last
+    assert _state_bits(layout, state) == last
     every_state = np.array(list(np.ndindex(3, 3, 3))) + layout.first
     assert solvers._collect(model, solvers._tally(layout, every_state)).best.bits == last
     assert _draws(solve(model, SolverConfig(), groups=groups)) == [(last, 0)]
 
 
-def test_a_tied_triangle_still_anneals(monkeypatch):
+def test_a_tied_triangle_is_answered_with_no_read(monkeypatch):
+    # A cycle of groups whose minimum is tied: elimination's state is the
+    # one sample, and no read runs.
     model, groups = _tied_triangle()
-    exact = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
-    assert exact.lowest == exact.second and not exact.forest
+    assert one_hot_two_lowest(model, groups)[:2] == (-4.0, -4.0)
+    assert not group_graph_is_forest(model, groups)
     runs = _record_runs(monkeypatch)
     result = solve(model, SolverConfig(seed=4, num_reads=40, sweeps=50), groups=groups)
-    assert runs == [range(solvers.PROBE_READS)]
-    assert result.best.energy == -4.0 and solvers._agrees(result)
+    assert runs == []
+    _assert_eliminated(result, model, groups)
+    # So is multi5's one window, whose groups form a cycle and whose minimum
+    # is tied: its record counts no read.
+    spec = load_scenario(str(SCENARIOS / "multi5.scn"))
+    (window,) = run_pipeline(spec, spec.seed).windows
+    assert runs == []
+    assert window.histogram == [(window.best_energy, 0)]
 
 
 def test_two_lowest_matches_one_hot_enumeration_on_random_models():
+    # `_eliminate`'s state lies at the lowest one-hot energy, and it is the
+    # enumerated state whenever that minimum is unique.
     rng = np.random.default_rng(47)
     seen = set()
     for _ in range(300):
@@ -495,16 +528,12 @@ def test_two_lowest_matches_one_hot_enumeration_on_random_models():
         model.constant = float(rng.integers(-3, 4))
         lowest, second, argmin = one_hot_two_lowest(model, groups)
         layout = solvers._one_hot_layout(model, groups)
-        exact = solvers._two_lowest(model, layout)
-        assert exact.lowest == pytest.approx(lowest, abs=1e-9)
-        assert exact.second == pytest.approx(second, abs=1e-9)
-        assert exact.forest == group_graph_is_forest(model, groups)
-        bits = _state_bits(layout, exact.state)
-        assert model.energy({v for v, b in enumerate(bits) if b}) <= _tied_with(lowest)
+        state = solvers._eliminate(layout)
+        assert _state_energy(model, layout, state) == pytest.approx(lowest, abs=1e-9)
         if _tied_with(lowest) < second:
-            assert bits == argmin
+            assert _state_bits(layout, state) == argmin
         seen.add("tie" if second == lowest else "gap")
-        seen.add("forest" if exact.forest else "cycle")
+        seen.add("forest" if group_graph_is_forest(model, groups) else "cycle")
         if 1 in sizes:
             seen.add("singleton group")
         if math.prod(sizes) == 1:
@@ -518,79 +547,90 @@ def test_two_lowest_matches_exhaustive_on_pipeline_windows():
     unique = 0
     for model, groups in random_instances(40, 7):
         layout = solvers._one_hot_layout(model, groups)
-        lowest, second, state, _ = solvers._two_lowest(model, layout)
-        exact = solve_exhaustive(model).best
-        assert lowest == pytest.approx(exact.energy, abs=1e-9)
-        if _tied_with(lowest) < second:
+        state = solvers._eliminate(layout)
+        exact = solve_exhaustive(model)
+        assert _state_energy(model, layout, state) == pytest.approx(exact.best.energy, abs=1e-9)
+        if len(exact) == 1:
             unique += 1
-            assert _state_bits(layout, state) == exact.bits
+            assert _state_bits(layout, state) == exact.best.bits
     assert unique > 0
 
 
 def _window_outcomes(monkeypatch, plan_all):
-    """How each window `solve` answered during `plan_all()` ended against
-    elimination's minimum, counted: "eliminated" when it ran no read (then
-    the group graph is a forest or the minimum unique, and the one sample
-    is at the minimum), "at the minimum" or "above the minimum" for an
-    annealed window by its best energy, and "above the cap" when
-    elimination gives up (then the annealer runs). A window annealed above
-    its minimum is listed by its model's size, with both energies."""
+    """How the annealer does on each window that `solve` answered during
+    `plan_all()`, counted. A window within the table cap is answered by
+    elimination with no read; when its groups form a cycle, `_anneal`
+    then runs on it with the window's own settings and ends "at the
+    minimum" or "above the minimum" by its best energy. A forest window is
+    counted as "forest" and not annealed. A window above the cap is counted
+    as "above the cap", and `solve` has annealed it. A window the
+    exhaustive backend solved is counted as "exhaustive", once checked to
+    end at the minimum. A window annealed above its minimum is listed by
+    its model's size, with both energies."""
     calls = []
 
     def recorded(model, cfg, *, groups=None):
         result = solve(model, cfg, groups=groups)
-        calls.append((model, groups, result))
+        calls.append((model, cfg, groups, result))
         return result
 
     monkeypatch.setattr(planner, "solve", recorded)
     plan_all()
     outcomes, misses = Counter(), []
-    for model, groups, result in calls:
-        exact = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
-        used = sum(s.occurrences for s in result)
-        if exact is None:
-            assert used > 0
+    for model, cfg, groups, result in calls:
+        layout = solvers._one_hot_layout(model, groups)
+        state = solvers._eliminate(layout)
+        if state is None:
+            assert sum(s.occurrences for s in result) > 0
             outcomes["above the cap"] += 1
-        elif used == 0:
-            assert group_graph_is_forest(model, groups) or _tied_with(exact.lowest) < exact.second
-            assert len(result) == 1 and result.best.energy <= _tied_with(exact.lowest)
-            outcomes["eliminated"] += 1
-        elif result.best.energy <= _tied_with(exact.lowest):
+            continue
+        lowest = _state_energy(model, layout, state)
+        if cfg.backend == "exhaustive":
+            assert result.best.energy <= _tied_with(lowest)
+            outcomes["exhaustive"] += 1
+            continue
+        assert [s.occurrences for s in result] == [0]
+        assert result.best.energy == lowest
+        if group_graph_is_forest(model, groups):
+            outcomes["forest"] += 1
+        elif solvers._anneal(model, layout, cfg).best.energy <= _tied_with(lowest):
             outcomes["at the minimum"] += 1
         else:
             outcomes["above the minimum"] += 1
-            misses.append((model.num_vars, round(result.best.energy, 3), round(exact.lowest, 3)))
+            misses.append((model.num_vars, round(solvers._anneal(model, layout, cfg).best.energy, 3),
+                           round(lowest, 3)))
     return outcomes, misses
 
 
 def test_shipped_windows_reach_the_exact_minimum(monkeypatch):
     # ROADMAP item 11 on the first bench seed of every shipped scenario:
-    # each window the annealer samples ends within the tie tolerance of
-    # elimination's lowest energy, and each window answered with no read
-    # has a unique minimum or a forest of groups.
+    # every window fits the table cap, and the annealer, run on each window
+    # whose groups form a cycle (multi5's), ends within the tie tolerance of
+    # elimination's lowest energy. demo3 runs the exhaustive backend.
     def plan_all():
         for path in sorted(SCENARIOS.glob("*.scn")):
             spec = load_scenario(str(path))
             run_pipeline(spec, derive_seed(spec.seed, 0))
 
     outcomes, misses = _window_outcomes(monkeypatch, plan_all)
-    assert set(outcomes) == {"eliminated", "at the minimum"} and misses == []
+    assert set(outcomes) == {"forest", "at the minimum", "exhaustive"} and misses == []
 
 
 def test_city_windows_reach_the_exact_minimum_as_counted(monkeypatch):
-    # ROADMAP item 11 on `city(0)`'s 23 windows: 13 are answered by
-    # elimination, 8 annealed to the minimum, one 4-robot window lies above
-    # the table cap, and block16x2#9's first window is annealed to -7.400
-    # against its minimum of -7.433.
+    # ROADMAP item 11 on `city(0)`'s 31 windows: 15 are forests, one
+    # 4-robot window (block12x4#6's first) lies above the table cap, and of
+    # the 15 whose groups form a cycle the annealer ends 13 at the minimum.
+    # It ends block14x2#7's 84-variable window at -7.769 against -7.827 and
+    # block16x2#9's 143-variable first window at -7.400 against -7.433.
     def plan_all():
         for inst in city(0):
             plan_multi(inst.grid, inst.robots, weights=inst.weights,
                        window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
 
     outcomes, misses = _window_outcomes(monkeypatch, plan_all)
-    assert outcomes == {"eliminated": 13, "at the minimum": 8, "above the cap": 1,
-                        "above the minimum": 1}
-    assert misses == [(143, -7.4, -7.433)]
+    assert outcomes == {"forest": 15, "at the minimum": 13, "above the cap": 1,
+                        "above the minimum": 2}
+    assert misses == [(84, -7.769, -7.827), (143, -7.4, -7.433)]
 
 
 def _clique(sizes):
@@ -613,8 +653,9 @@ def test_two_lowest_gives_up_above_the_table_cap(sizes, fits):
     # Eliminating either group builds a table over both.
     assert math.prod(sizes) - solvers._EXACT_TABLE_CAP in (0, 256)
     model, groups = _clique(sizes)
-    got = solvers._two_lowest(model, solvers._one_hot_layout(model, groups))
-    assert (got[:2] == (-2.0, -2.0)) if fits else got is None
+    layout = solvers._one_hot_layout(model, groups)
+    state = solvers._eliminate(layout)
+    assert (_state_energy(model, layout, state) == -2.0) if fits else state is None
 
 
 def test_two_lowest_gives_up_before_building_a_table():
@@ -624,7 +665,7 @@ def test_two_lowest_gives_up_before_building_a_table():
     layout = solvers._one_hot_layout(model, groups)
     tracemalloc.start()
     try:
-        assert solvers._two_lowest(model, layout) is None
+        assert solvers._eliminate(layout) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -635,7 +676,7 @@ def test_fewer_reads_than_the_probe_run_once(monkeypatch):
     runs = _record_runs(monkeypatch)
     cfg = SolverConfig(seed=2, num_reads=solvers.PROBE_READS - 11, sweeps=50)
     model, groups = _tied_triangle()
-    result = solve(model, cfg, groups=groups)
+    result = _anneal(model, groups, cfg)
     assert runs == [range(cfg.num_reads)]
     assert sum(s.occurrences for s in result) == cfg.num_reads
 
@@ -647,9 +688,8 @@ def test_one_bit_per_group_under_shuffled_labels():
         n = int(rng.integers(2, 12))
         model = random_grid_model(rng, n)
         groups = [int(label) * 7 - 3 for label in rng.integers(0, 4, n)]
-        result = solve(model, SolverConfig(seed=int(rng.integers(1 << 30)), num_reads=16,
-                                           sweeps=30), groups=groups)
-        for s in result:
+        cfg = SolverConfig(seed=int(rng.integers(1 << 30)), num_reads=16, sweeps=30)
+        for s in [*solve(model, cfg, groups=groups), *_anneal(model, groups, cfg)]:
             assert all(sum(s.bits[v] for v in members) == 1 for members in _members(groups))
             assert s.energy == model.energy({i for i, b in enumerate(s.bits) if b})
 
@@ -657,9 +697,9 @@ def test_one_bit_per_group_under_shuffled_labels():
 def test_samples_do_not_depend_on_the_read_block(monkeypatch):
     model, cfg, groups = _first_window("multi5")
     cfg = replace(cfg, num_reads=12, sweeps=80)
-    whole = _draws(solve(model, cfg, groups=groups))
+    whole = _draws(_anneal(model, groups, cfg))
     monkeypatch.setattr(solvers, "_RANDOM_BUDGET", 1)  # one read per block
-    assert _draws(solve(model, cfg, groups=groups)) == whole
+    assert _draws(_anneal(model, groups, cfg)) == whole
 
 
 @pytest.mark.parametrize("name", ["multi5", "multi10_2"])
@@ -668,7 +708,7 @@ def test_cold_samples_are_local_minima_under_one_group_moves(name):
     # state from which some relocation still lowers the energy.
     model, cfg, groups = _first_window(name)
     cfg = replace(cfg, num_reads=20, sweeps=400, beta_range=(1.0, 200.0))
-    for s in solve(model, cfg, groups=groups):
+    for s in _anneal(model, groups, cfg):
         ones = {v for v, b in enumerate(s.bits) if b}
         for members in _members(groups):
             held = next(v for v in members if v in ones)
@@ -681,7 +721,7 @@ def test_cold_samples_are_local_minima_under_one_group_moves(name):
 def test_solve_is_invariant_to_scaling_the_model(k):
     model, cfg, groups = _first_window("multi5")
     scaled = peak_rescaled(model, 2.0 ** k * max(abs(w) for w in model.coeffs.values()))
-    assert _draws(solve(scaled, cfg, groups=groups)) == _draws(solve(model, cfg, groups=groups))
+    assert _draws(_anneal(scaled, groups, cfg)) == _draws(_anneal(model, groups, cfg))
 
 
 def test_sample_energies_repeat_model_energy_bit_for_bit():
