@@ -5,6 +5,14 @@ from dataclasses import dataclass
 Cell = tuple[int, int]
 
 
+def _require_ints(config, *names: str) -> None:
+    """Reject a setting that is not an `int`, `bool` included, by name."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridMap:
     """Rectangular 4-connected grid with static obstacles.
@@ -20,6 +28,7 @@ class GridMap:
     obstacles: frozenset[Cell] = frozenset()
 
     def __post_init__(self):
+        _require_ints(self, "rows", "cols")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one row and one column")
         object.__setattr__(self, "obstacles", frozenset(self.obstacles))

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Cell, GridMap, bfs_distances
+from .grid import Cell, GridMap, _require_ints, bfs_distances
 from .penalties import (
     Admissible,
     PenaltyWeights,
@@ -40,7 +40,7 @@ from .preprocess import (
     reduction_pct,
 )
 from .qubo import decode, var_group
-from .solvers import SolverConfig, _require_ints, solve
+from .solvers import SolverConfig, solve
 
 STATUS_REACHED = "reached_goal"
 STATUS_EXHAUSTED = "max_windows_exhausted"
@@ -79,6 +79,7 @@ class RobotSpec:
     release: int = 0
 
     def __post_init__(self):
+        _require_ints(self, "release")
         if self.release < 0:
             raise ValueError("release time must be >= 0")
 

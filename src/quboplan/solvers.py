@@ -31,14 +31,9 @@ scaling β by s, so sample energies stay in the model's own units.
 states (Dechter, Artif. Intell. 113, 41, 1999), and returns its state at
 the lowest energy, tied or not, with 0 occurrences: no read runs. Only
 when an elimination table would exceed `_EXACT_TABLE_CAP` entries does the
-annealer run. `num_reads` caps its reads. It first anneals a probe of
-`PROBE_READS` reads and stops there when at least `PROBE_AGREE` of them
-end at the probe's lowest energy. If a share p of reads ends in a state,
-ln(0.01) / ln(1 - p) reads find it with 99 % probability (Rønnow et al.,
-Science 345, 420, 2014): 7 reads for p = 1/2, fewer than the probe holds.
-Otherwise the remaining reads run too. Read r draws from
-`SeedSequence((seed, r))` alone, so the reads returned are always the
-first reads of a run of `num_reads`.
+annealer run, and then it runs all `num_reads` reads. Read r draws from
+`SeedSequence((seed, r))` alone, so its final state does not depend on the
+block of reads it runs in.
 """
 
 import heapq
@@ -47,19 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _require_ints
+
 BACKEND_EXHAUSTIVE = "exhaustive"
 BACKEND_ANNEALER = "annealer"
 
 EXHAUSTIVE_VAR_CAP = 24
 _ENUM_CHUNK = 1 << 16
-# 8-byte values held per block of reads while annealing: 64 MiB. The 84
-# reads that follow a `city` window's probe need at most 9,920 values each
-# (235 variables in 32 groups at 300 sweeps), so they share one block.
+# 8-byte values held per block of reads while annealing: 64 MiB. The 100
+# reads of a `city` window above the table cap need at most 9,920 values
+# each (235 variables in 32 groups at 300 sweeps), so they share one block.
 _RANDOM_BUDGET = 1 << 23
-# The annealer's probe: its size, and how many of its reads must end at its
-# lowest energy for the remaining reads to be skipped.
-PROBE_READS = 16
-PROBE_AGREE = 8
 # Entries in the largest table exact elimination builds before it gives up.
 _EXACT_TABLE_CAP = 1 << 16
 
@@ -68,21 +61,12 @@ class ModelTooLargeError(ValueError):
     """The model has more variables than the exhaustive backend enumerates."""
 
 
-def _require_ints(config, *names: str) -> None:
-    """Reject a setting that is not an `int`, `bool` included, by name."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Backend choice and sampling parameters. Same seed, same samples.
 
-    `num_reads` is the annealer's cap on reads: it runs none when exact
-    elimination fits its table cap, and it stops after its probe when the
-    probe agrees on its best energy (see `solve`).
+    `num_reads` is the annealer's read count: it runs none when exact
+    elimination fits its table cap (see `solve`).
     `beta_range` is the annealer's first and last inverse temperature per
     unit of the model's largest |coupling between groups| (see `solve`).
     """
@@ -294,16 +278,16 @@ def _one_hot_layout(model, groups) -> _OneHotLayout:
     return _OneHotLayout(order, first, size, classes, diag, pairs, w, offset, weight, peak)
 
 
-def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float,
-                    reads: range) -> np.ndarray:
-    """The final state of each read in `reads`: one chosen internal variable
-    per group.
+def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np.ndarray:
+    """The final state of each of the `cfg.num_reads` reads: one chosen
+    internal variable per group.
 
     Reads run in blocks that fit `_RANDOM_BUDGET`, each in its own call so
     that its arrays are freed before the next block allocates. A read's
     draws come from `SeedSequence((seed, read))` alone, so its final state
-    does not depend on its block or on the other reads run.
+    does not depend on its block.
     """
+    reads = range(cfg.num_reads)
     n, num_groups = len(layout.order), len(layout.size)
     stride = 1 << n.bit_length()  # > n, so column n is the padding sink
     # Every per-read array counts against the budget, in 8-byte units.
@@ -315,13 +299,6 @@ def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float,
         part = reads[lo:lo + block]
         states[lo:lo + len(part)] = _anneal_block(layout, cfg, betas, part, stride)
     return states
-
-
-def _items(columns: np.ndarray, width: int) -> np.ndarray:
-    """A view of 4-byte values in which each run of `width` values along a
-    row is one opaque item; numpy copies such an item much faster than the
-    values one by one."""
-    return columns.view(f"V{4 * width}")
 
 
 def _anneal_block(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray,
@@ -362,8 +339,9 @@ def _anneal_block(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray,
     limits = np.empty(picks.shape, dtype=np.float32)
     draws = np.empty((cfg.sweeps, num_groups), dtype=np.float32)
     chosen = np.empty(draws.shape, dtype=np.int32)
-    columns = [(_items(picks[:, cut], b - a), _items(chosen[:, a:b], b - a)[:, 0],
-                _items(limits[:, cut], b - a), _items(draws[:, a:b], b - a)[:, 0])
+    # Each class's columns of `picks` and `limits`, read by read.
+    columns = [(picks[:, cut].reshape(cfg.sweeps, count, b - a), chosen[:, a:b],
+                limits[:, cut].reshape(cfg.sweeps, count, b - a), draws[:, a:b])
                for a, b, cut in cuts]
     for i, read in enumerate(reads):
         rng = np.random.default_rng(np.random.SeedSequence((seed_base, read)))
@@ -424,9 +402,8 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     `cfg.beta_range` per unit of the largest |coupling between groups| (the
     peak |coefficient| when groups share none), so scaling the model by a
     positive factor leaves its samples unchanged up to the rounding of β.
-    Its occurrences then count the reads run: the first `PROBE_READS` when
-    at least `PROBE_AGREE` of them tie with their lowest energy, and all
-    `cfg.num_reads` otherwise. A model with no variables runs no read.
+    Its occurrences then count all `cfg.num_reads` reads. A model with no
+    variables runs no read.
     """
     if cfg.backend == BACKEND_EXHAUSTIVE:
         return solve_exhaustive(model)
@@ -443,16 +420,9 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
 
 
 def _anneal(model, layout: _OneHotLayout, cfg: SolverConfig) -> SampleSet:
-    """The annealer's sample set: the probe, then the remaining reads
-    unless the probe agrees."""
+    """The annealer's sample set over all `cfg.num_reads` reads."""
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
-    probe = min(cfg.num_reads, PROBE_READS)
-    states = _anneal_one_hot(layout, cfg, scale, range(probe))
-    result = _collect(model, _tally(layout, states))
-    if probe < cfg.num_reads and not _agrees(result):
-        rest = _anneal_one_hot(layout, cfg, scale, range(probe, cfg.num_reads))
-        result = _collect(model, _tally(layout, np.concatenate((states, rest))))
-    return result
+    return _collect(model, _tally(layout, _anneal_one_hot(layout, cfg, scale)))
 
 
 def _tally(layout: _OneHotLayout, states: np.ndarray) -> dict[tuple[int, ...], int]:
@@ -464,12 +434,6 @@ def _tally(layout: _OneHotLayout, states: np.ndarray) -> dict[tuple[int, ...], i
         key = tuple(row)
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def _agrees(result: SampleSet) -> bool:
-    """Whether at least `PROBE_AGREE` reads tie with the lowest energy."""
-    cut = _cut(result.best.energy)
-    return sum(s.occurrences for s in result if s.energy <= cut) >= PROBE_AGREE
 
 
 def _eliminate(layout: _OneHotLayout) -> np.ndarray | None:

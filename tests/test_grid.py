@@ -36,6 +36,15 @@ def test_neighbors_rejects_obstacle_and_outside():
         g.neighbors((3, 0))
 
 
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("value", [1.5, True])
+def test_a_grid_size_that_is_not_an_int_is_rejected(field, value):
+    # A float size used to construct a map that planning then failed on
+    # with a bare TypeError.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        GridMap(**{"rows": 3, "cols": 3, field: value})
+
+
 def test_neighbors_symmetric():
     rng = np.random.default_rng(4)
     g = GridMap(5, 6, frozenset({(1, 1), (2, 4), (3, 3)}))

@@ -58,7 +58,7 @@ def test_validate_rejects_obstacle_and_early_goal():
     assert (out.ok, out.kind, out.step) == (False, "goal_missed", 2)
 
 
-def test_validate_accepts_diagonal_on_eight_connected_map():
+def test_validate_rejects_a_diagonal_move():
     diagonal = [(0, 0), (1, 1), (2, 2)]
     assert validate_path(GridMap(3, 3), diagonal, goal=(2, 2)).kind == "adjacency"
 
@@ -253,9 +253,9 @@ def test_an_invalid_exact_minimum_is_solved_again_at_the_same_horizon(monkeypatc
     runs = []
     kernel = solvers._anneal_one_hot
 
-    def recorded_kernel(layout, cfg, scale, reads):
-        runs.append(reads)
-        return kernel(layout, cfg, scale, reads)
+    def recorded_kernel(layout, cfg, scale):
+        runs.append(cfg.num_reads)
+        return kernel(layout, cfg, scale)
 
     monkeypatch.setattr(solvers, "_anneal_one_hot", recorded_kernel)
     grid = GridMap(5, 4, frozenset({(0, 3), (4, 1)}))
@@ -583,6 +583,14 @@ def test_a_robot_off_the_free_cells_is_rejected(start, goal, message):
 def test_a_negative_release_is_rejected():
     with pytest.raises(ValueError, match="^release time must be >= 0$"):
         RobotSpec(0, (0, 0), (1, 1), release=-1)
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+def test_a_release_that_is_not_an_int_is_rejected(value):
+    # A float release used to fail mid-plan with a bare TypeError, and True
+    # planned as release 1.
+    with pytest.raises(ValueError, match=f"^release must be an integer, got {value!r}$"):
+        RobotSpec(0, (0, 0), (2, 2), release=value)
 
 
 def test_window_config_validation():

@@ -178,8 +178,8 @@ def test_annealer_needs_groups():
 
 
 def _anneal(model, groups, cfg):
-    """The annealer itself, probe and stop rule included, as `solve` runs
-    it on a model above the table cap."""
+    """The annealer itself, all `cfg.num_reads` reads, as `solve` runs it
+    on a model above the table cap."""
     return solvers._anneal(model, solvers._one_hot_layout(model, groups), cfg)
 
 
@@ -196,18 +196,9 @@ def test_annealer_deterministic_for_fixed_seed():
            [(s.bits, s.occurrences) for s in different]
 
 
-def _reads_used(result, num_reads):
-    """The reads an annealed sample set counts, checked against the stop
-    rule: all `num_reads`, or the probe's `PROBE_READS` when at least
-    `PROBE_AGREE` of them end within the exhaustive tolerance of the best
-    energy."""
-    used = sum(s.occurrences for s in result)
-    if used != num_reads:
-        best = result.best.energy
-        at_best = sum(s.occurrences for s in result if s.energy <= _tied_with(best))
-        assert used == solvers.PROBE_READS < num_reads
-        assert at_best >= solvers.PROBE_AGREE
-    return used
+def _reads_used(result):
+    """The reads an annealed sample set counts."""
+    return sum(s.occurrences for s in result)
 
 
 def _assert_eliminated(result, model, groups):
@@ -236,7 +227,7 @@ def test_sampleset_energies_reverify_and_occurrences_sum():
     m, groups = _tied_triangle()
     cfg = SolverConfig(seed=5, num_reads=64, sweeps=200)
     result = _anneal(m, groups, cfg)
-    _reads_used(result, 64)
+    assert _reads_used(result) == 64
     for s in result:
         assert s.energy == m.energy({i for i, b in enumerate(s.bits) if b})
     energies = [s.energy for s in result]
@@ -248,14 +239,14 @@ def test_metropolis_equilibrium_statistics():
     # temperature: uniform proposals are symmetric, so member occupancy
     # converges to the Boltzmann weights. Without couplings between groups β
     # is read per unit of the peak |coefficient|, here 1. The kernel runs
-    # all 4,000 reads; `solve` would stop at its probe.
+    # all 4,000 reads; `solve` would answer the model by elimination.
     beta = 1.25
     m = QuboModel(3)
     m.add(1, 1, 0.5)
     m.add(2, 2, 1.0)
     cfg = SolverConfig(seed=8, num_reads=4000, sweeps=60, beta_range=(beta, beta + 1e-9))
     layout = solvers._one_hot_layout(m, (0, 0, 0))
-    held = layout.order[solvers._anneal_one_hot(layout, cfg, 1.0, range(4000))[:, 0]]
+    held = layout.order[solvers._anneal_one_hot(layout, cfg, 1.0)[:, 0]]
     weights = np.exp(-beta * np.array([0.0, 0.5, 1.0]))
     for member, expected in enumerate(weights / weights.sum()):
         hits = int((held == member).sum())
@@ -291,7 +282,7 @@ def _first_window(name):
 
 def _window(name):
     """`_first_window(name)`, or for "triangle" `_tied_triangle` at a
-    temperature so high that its probe does not agree."""
+    temperature so high that its reads spread over many states."""
     if name != "triangle":
         return _first_window(name)
     model, groups = _tied_triangle()
@@ -317,19 +308,19 @@ def test_every_sample_sets_one_bit_per_group(name):
     eliminated = solve(model, cfg, groups=groups)
     assert [s.occurrences for s in eliminated] == [0]
     annealed = _anneal(model, groups, cfg)
-    _reads_used(annealed, 40)
+    assert _reads_used(annealed) == 40
     for s in [*eliminated, *annealed]:
         assert all(sum(s.bits[v] for v in members) == 1 for members in _members(groups))
 
 
 def _record_runs(monkeypatch):
-    """The read ranges `solve` hands the kernel, in call order."""
+    """The read count of each kernel call `solve` makes, in call order."""
     runs = []
     kernel = solvers._anneal_one_hot
 
-    def recorded(layout, cfg, scale, reads):
-        runs.append(reads)
-        return kernel(layout, cfg, scale, reads)
+    def recorded(layout, cfg, scale):
+        runs.append(cfg.num_reads)
+        return kernel(layout, cfg, scale)
 
     monkeypatch.setattr(solvers, "_anneal_one_hot", recorded)
     return runs
@@ -338,14 +329,13 @@ def _record_runs(monkeypatch):
 def _full_run(model, groups, cfg):
     layout = solvers._one_hot_layout(model, groups)
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
-    return layout, solvers._anneal_one_hot(layout, cfg, scale, range(cfg.num_reads))
+    return layout, solvers._anneal_one_hot(layout, cfg, scale)
 
 
 # corridor10's first window is decided by variable fixing and builds no model.
 # Every other first window fits the table cap, so `solve` answers it by
 # elimination and runs no read. The triangle is solved under a test-only cap
-# below its 9-entry pair tables, so `solve` anneals it, and its hot probe
-# does not agree.
+# below its 9-entry pair tables, so `solve` anneals it, all its reads.
 @pytest.mark.parametrize("name, stops", [("demo3", True), ("multi10_2", True),
                                          ("multi10_4", True), ("multi5", True),
                                          ("single5", True), ("triangle", False)])
@@ -360,15 +350,17 @@ def test_solve_returns_the_first_reads_of_a_full_run(name, stops, monkeypatch):
     if used == 0:
         assert len(result) == 1
         return
-    _reads_used(result, cfg.num_reads)
+    assert used == cfg.num_reads
     layout, states = _full_run(model, groups, cfg)
     prefix = solvers._collect(model, solvers._tally(layout, states[:used]))
     assert _draws(result) == _draws(prefix)
 
 
-def test_solve_follows_the_stop_rule_on_random_models():
-    # `solve` answers every model within the table cap by elimination; the
-    # annealer it would run above the cap follows the probe's stop rule.
+def test_solve_follows_the_stop_rule_on_random_models(monkeypatch):
+    # `solve` answers every model within the table cap by elimination and
+    # runs no read. Above a test-only cap it anneals all `num_reads` reads,
+    # in one kernel call.
+    runs = _record_runs(monkeypatch)
     rng = np.random.default_rng(41)
     outcomes = set()
     for _ in range(40):
@@ -380,62 +372,45 @@ def test_solve_follows_the_stop_rule_on_random_models():
         cfg = SolverConfig(seed=int(rng.integers(1 << 30)), num_reads=num_reads, sweeps=30,
                            beta_range=(0.01, float(rng.choice([0.05, 50.0]))))
         _assert_eliminated(solve(model, cfg, groups=groups), model, groups)
-        used = _reads_used(_anneal(model, groups, cfg), num_reads)
-        outcomes.add("probe" if used < num_reads else "cap")
+        assert runs == []
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_EXACT_TABLE_CAP", 0)
+            result = solve(model, cfg, groups=groups)
+        assert runs == [num_reads]
+        layout, states = _full_run(model, groups, cfg)
+        assert _draws(result) == _draws(solvers._collect(model, solvers._tally(layout, states)))
+        runs.clear()
         outcomes.add("forest" if group_graph_is_forest(model, groups) else "cycle")
-    assert outcomes == {"probe", "cap", "forest", "cycle"}
+    assert outcomes == {"forest", "cycle"}
 
 
-def test_a_probe_that_disagrees_runs_every_read(monkeypatch):
-    # Eight groups of three in a ring at a high temperature: the probe's
-    # reads spread over many of the 6,561 states, so few share the lowest
-    # energy. A ninth group of two members without terms ties each state
-    # with a twin.
-    rng = np.random.default_rng(4)
-    groups = np.repeat(np.arange(8), 3).tolist() + [8, 8]
-    model = QuboModel(len(groups))
-    for v in range(24):
-        model.add(v, v, float(rng.integers(-8, 9)))
-    for g in range(8):
-        model.add(3 * g, 3 * ((g + 1) % 8), 1.0)
-    cfg = SolverConfig(seed=6, num_reads=40, sweeps=20, beta_range=(0.01, 0.02))
-    layout, states = _full_run(model, groups, cfg)
-    probe = solvers._collect(model, solvers._tally(layout, states[:solvers.PROBE_READS]))
-    assert not solvers._agrees(probe)
+def test_reads_that_agree_early_do_not_stop_the_annealer(monkeypatch):
+    # Above a test-only cap, the fixture's first 16 reads all end at its
+    # unique minimum. The annealer still runs every read, in one call.
+    model = four_var_fixture()
+    cfg = SolverConfig(seed=3, num_reads=50)
+    layout, states = _full_run(model, PAIRS, replace(cfg, num_reads=16))
+    first = solvers._collect(model, solvers._tally(layout, states))
+    assert _draws(first) == [((1, 0, 0, 1), 16)]
     runs = _record_runs(monkeypatch)
-    result = _anneal(model, groups, cfg)
-    assert runs == [range(solvers.PROBE_READS), range(solvers.PROBE_READS, 40)]
-    assert _draws(result) == _draws(solvers._collect(model, solvers._tally(layout, states)))
+    monkeypatch.setattr(solvers, "_EXACT_TABLE_CAP", 0)
+    result = solve(model, cfg, groups=PAIRS)
+    assert runs == [50]
+    assert _reads_used(result) == 50
 
 
 def test_a_unique_minimum_runs_no_read(monkeypatch):
-    # multi10_4's first window has a unique minimum, which only 3 of the
-    # probe's 16 reads reach. Elimination names that state before any read
-    # runs.
+    # multi10_4's first window has a unique minimum, which only 3 of 16
+    # reads reach. Elimination names that state before any read runs.
     model, cfg, groups = _first_window("multi10_4")
-    layout, states = _full_run(model, groups, replace(cfg, num_reads=solvers.PROBE_READS))
-    probe = solvers._collect(model, solvers._tally(layout, states))
-    assert not solvers._agrees(probe)
+    layout, states = _full_run(model, groups, replace(cfg, num_reads=16))
+    reads = solvers._collect(model, solvers._tally(layout, states))
+    assert sum(s.occurrences for s in reads if s.energy <= _tied_with(reads.best.energy)) == 3
     runs = _record_runs(monkeypatch)
     result = solve(model, cfg, groups=groups)
     assert runs == []
-    assert _draws(result) == [(probe.best.bits, 0)]
+    assert _draws(result) == [(reads.best.bits, 0)]
     assert result.best.energy == model.energy({v for v, b in enumerate(result.best.bits) if b})
-
-
-def test_a_probe_at_a_tied_minimum_runs_every_read(monkeypatch):
-    # Hot: the reads spread over the 27 states, and the minimum is tied on
-    # a cycle of groups.
-    model, cfg, groups = _window("triangle")
-    layout, states = _full_run(model, groups, cfg)
-    probe = solvers._collect(model, solvers._tally(layout, states[:solvers.PROBE_READS]))
-    assert one_hot_two_lowest(model, groups)[:2] == (-4.0, -4.0)
-    assert not group_graph_is_forest(model, groups)
-    assert probe.best.energy == -4.0 and not solvers._agrees(probe)
-    runs = _record_runs(monkeypatch)
-    result = _anneal(model, groups, cfg)
-    assert runs == [range(solvers.PROBE_READS), range(solvers.PROBE_READS, 40)]
-    assert _draws(result) == _draws(solvers._collect(model, solvers._tally(layout, states)))
 
 
 def _random_forest(rng):
@@ -514,7 +489,7 @@ def test_a_tied_triangle_is_answered_with_no_read(monkeypatch):
     assert window.histogram == [(window.best_energy, 0)]
 
 
-def test_two_lowest_matches_one_hot_enumeration_on_random_models():
+def test_elimination_matches_one_hot_enumeration_on_random_models():
     # `_eliminate`'s state lies at the lowest one-hot energy, and it is the
     # enumerated state whenever that minimum is unique.
     rng = np.random.default_rng(47)
@@ -541,7 +516,7 @@ def test_two_lowest_matches_one_hot_enumeration_on_random_models():
     assert seen == {"tie", "gap", "singleton group", "one state", "forest", "cycle"}
 
 
-def test_two_lowest_matches_exhaustive_on_pipeline_windows():
+def test_elimination_matches_exhaustive_on_pipeline_windows():
     from quboplan.oracle import random_instances
 
     unique = 0
@@ -649,7 +624,7 @@ def _clique(sizes):
 
 @pytest.mark.parametrize("sizes, fits", [((256, 256), True), ((257, 256), False)],
                          ids=["at_the_cap", "above_the_cap"])
-def test_two_lowest_gives_up_above_the_table_cap(sizes, fits):
+def test_elimination_gives_up_above_the_table_cap(sizes, fits):
     # Eliminating either group builds a table over both.
     assert math.prod(sizes) - solvers._EXACT_TABLE_CAP in (0, 256)
     model, groups = _clique(sizes)
@@ -658,7 +633,7 @@ def test_two_lowest_gives_up_above_the_table_cap(sizes, fits):
     assert (_state_energy(model, layout, state) == -2.0) if fits else state is None
 
 
-def test_two_lowest_gives_up_before_building_a_table():
+def test_elimination_gives_up_before_building_a_table():
     # Five groups of 40: the first elimination needs 40^5 entries, and the
     # ten pair tables alone would take 10 x 1,600 x 8 bytes.
     model, groups = _clique([40] * 5)
@@ -670,15 +645,6 @@ def test_two_lowest_gives_up_before_building_a_table():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 1600 * 8 // 4
-
-
-def test_fewer_reads_than_the_probe_run_once(monkeypatch):
-    runs = _record_runs(monkeypatch)
-    cfg = SolverConfig(seed=2, num_reads=solvers.PROBE_READS - 11, sweeps=50)
-    model, groups = _tied_triangle()
-    result = _anneal(model, groups, cfg)
-    assert runs == [range(cfg.num_reads)]
-    assert sum(s.occurrences for s in result) == cfg.num_reads
 
 
 def test_one_bit_per_group_under_shuffled_labels():
@@ -745,7 +711,7 @@ def _assert_kernels_agree(model, groups, cfg):
     same state; return the layout they ran on."""
     layout = solvers._one_hot_layout(model, groups)
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
-    assert np.array_equal(solvers._anneal_one_hot(layout, cfg, scale, range(cfg.num_reads)),
+    assert np.array_equal(solvers._anneal_one_hot(layout, cfg, scale),
                           anneal_one_hot(layout, cfg, scale))
     return layout
 
@@ -789,7 +755,7 @@ def test_annealing_memory_stays_within_the_random_budget():
     layout = solvers._one_hot_layout(model, groups)
     tracemalloc.start()
     try:
-        solvers._anneal_one_hot(layout, cfg, 1.0 / layout.peak, range(cfg.num_reads))
+        solvers._anneal_one_hot(layout, cfg, 1.0 / layout.peak)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
