@@ -42,9 +42,7 @@ from .planner import (
     WindowConfig,
     build_window,
     plan_paths,
-    plan_single,
     stitch,
-    validate_path,
     validate_robots,
 )
 from .postprocess import (
@@ -54,7 +52,7 @@ from .postprocess import (
     resolve_clash_wait,
 )
 from .multi import plan_multi
-from .classical import astar, path_moves, prioritized_plan
+from .classical import astar, prioritized_plan
 from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario
 from .render import render_svg
 from .bench import run_benchmark, run_pipeline

@@ -2,13 +2,13 @@
 
 A* provides optimal single-robot path lengths; prioritized planning runs
 space-time A* robot by robot, treating earlier robots' timed cells as
-reservations. All planners share the grid semantics and the validators of
-the QUBO side, so comparisons cannot diverge on map details.
+reservations. Both planners move on `GridMap.neighbors`, the grid semantics
+of the QUBO side, so comparisons cannot diverge on map details.
 """
 
 import heapq
 
-from .grid import Cell, GridMap, manhattan
+from .grid import Cell, GridMap, bfs_distances, manhattan
 
 
 def _cell_order(grid: GridMap, c: Cell) -> int:
@@ -47,11 +47,6 @@ def astar(grid: GridMap, start: Cell, goal: Cell) -> list[Cell] | None:
     return None
 
 
-def path_moves(path) -> int:
-    """Length convention used throughout: moves, i.e. cells minus one."""
-    return max(0, len(path) - 1)
-
-
 class _Reservations:
     """Space-time occupancy of already-planned robots."""
 
@@ -82,9 +77,17 @@ class _Reservations:
 
 def _space_time_astar(grid: GridMap, start: Cell, goal: Cell, release: int,
                       reservations: _Reservations, horizon: int):
-    """Timed A* with waiting; earlier robots' reservations are hard blocks."""
+    """Timed A* with waiting; earlier robots' reservations are hard blocks.
+
+    From the last timed reservation on (`settled`) only parked cells block,
+    so a state from then on whose cell cannot reach the goal around them is
+    skipped: every state it leads to is cut off the same way. This also ends
+    the search at once on a goal that the map or the parked robots wall off.
+    """
     if reservations.blocked(start, release):
         return None
+    settled = max((t for _, t in reservations.timed), default=release)
+    reach = None  # cells that reach the goal around the parked cells
     start_state = (start, release)
     open_heap = [(manhattan(start, goal), _cell_order(grid, start), release, start_state)]
     parent: dict[tuple[Cell, int], tuple[Cell, int]] = {}
@@ -92,6 +95,12 @@ def _space_time_astar(grid: GridMap, start: Cell, goal: Cell, release: int,
     while open_heap:
         _, _, g, state = heapq.heappop(open_heap)
         cell, t = state
+        if t >= settled:
+            if reach is None:
+                reach = set() if goal in reservations.parked else bfs_distances(
+                    grid.with_obstacles(reservations.parked), goal)
+            if cell not in reach:
+                continue
         if cell == goal and not reservations.blocked_ever_after(cell, t):
             steps = [state]
             while steps[-1] in parent:
@@ -128,8 +137,8 @@ def prioritized_plan(grid: GridMap, robots) -> dict[int, list | None]:
     for r in robots:
         if r.start == r.goal:
             steps = [(r.release, r.start)]
-        elif astar(grid, r.start, r.goal) is None:
-            steps = None  # the static map walls the goal off
+        elif not (grid.is_free(r.start) and grid.is_free(r.goal)):
+            raise ValueError("start and goal must be free cells")
         else:
             steps = _space_time_astar(grid, r.start, r.goal, r.release,
                                       reservations, horizon)

@@ -84,35 +84,6 @@ class RobotSpec:
             raise ValueError("release time must be >= 0")
 
 
-@dataclass
-class PathDiagnosis:
-    ok: bool
-    kind: str | None = None
-    step: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_path(grid: GridMap, path, goal: Cell | None = None,
-                  allow_wait: bool = False) -> PathDiagnosis:
-    """Soundness gate for a path given as one cell per step.
-
-    Reports the earliest step onto a blocked cell or off the adjacency rule
-    (see `detect_invalid_move`), then, when a goal is given, checks that the
-    path ends on it.
-    """
-    cells = list(path)
-    if not cells:
-        return PathDiagnosis(False, "empty", 0)
-    bad = detect_invalid_move(cells, grid, allow_wait=allow_wait)
-    if bad is not None:
-        return PathDiagnosis(False, bad[1], bad[0])
-    if goal is not None and cells[-1] != goal:
-        return PathDiagnosis(False, "goal_missed", len(cells) - 1)
-    return PathDiagnosis(True)
-
-
 def stitch(steps, window_path):
     """Append a window path to `steps` in place, dropping the duplicated
     boundary cell, and return `steps`.
@@ -428,8 +399,9 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     are committed (stitched, added to `visited` and passed by the clock),
     so every committed step was planned with look-ahead; a single robot
     commits the whole window. Every finished plan, clash-repair waits
-    included, is validated once more on the input map. Raises `ValueError`
-    for a robot set that `validate_robots` rejects.
+    included, is validated once more on the input map by
+    `detect_invalid_move`. Raises `ValueError` for a robot set that
+    `validate_robots` rejects.
     """
     robots = list(robots)
     validate_robots(grid, robots)
@@ -546,26 +518,13 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                 reached[j].status = STATUS_EXHAUSTED
                 reached[j].notes.append(f"unresolved vertex conflict at t={t}")
 
-    for plan, agent in zip(plans, agents):
+    for plan in plans:
         if plan.status != STATUS_REACHED:
             continue
-        diagnosis = validate_path(grid, plan.cells, agent.spec.goal, multi)
-        if not diagnosis:
+        bad = detect_invalid_move(plan.cells, grid, allow_wait=multi)
+        if bad is not None:
             plan.status = STATUS_EXHAUSTED
-            plan.notes.append(
-                f"validation failed: {diagnosis.kind} at step {diagnosis.step}"
-            )
+            plan.notes.append(f"validation failed: {bad[1]} at step {bad[0]}")
 
     return PlanningResult(plans, windows, clash_events, unresolved)
 
-
-def plan_single(grid: GridMap, start: Cell, goal: Cell,
-                weights: PenaltyWeights | None = None,
-                window_cfg: WindowConfig | None = None,
-                solver_cfg: SolverConfig | None = None) -> Plan:
-    """Plan one robot: the degenerate single-agent case of `plan_paths`."""
-    result = plan_paths(
-        grid, [RobotSpec(0, start, goal)],
-        weights=weights, window_cfg=window_cfg, solver_cfg=solver_cfg,
-    )
-    return result.plans[0]

@@ -3,7 +3,7 @@
 Two stages, applied in order: continuity repair follows each robot's path
 through a window up to its goal, keeping at each step the one cell that
 continues it, and wait insertion clears vertex clashes between finished
-per-robot plans. `detect_invalid_move` is the final plan check's move rule.
+per-robot plans. `detect_invalid_move` is the final check of every plan.
 All transformations are pure; every function returns new data.
 """
 

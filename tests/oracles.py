@@ -205,9 +205,20 @@ def vertex_conflicts(step_lists):
     return conflicts
 
 
+def _require_enumerable(states: int) -> None:
+    """Refuse an enumeration of more than 2^16 states before it starts.
+
+    The largest one a test asks for has 4,096 states; multi10_4's first
+    window has 2^24 one-hot states, whose sorted list takes gigabytes.
+    """
+    if states > 1 << 16:
+        raise ValueError(f"{states} states to enumerate; the oracles stop at {1 << 16}")
+
+
 def brute_force_minima(model: QuboModel):
     """Exact minimum energy and every minimizing assignment, by enumeration."""
     n = model.num_vars
+    _require_enumerable(2 ** n)
     best = None
     argmins = []
     for bits in itertools.product((0, 1), repeat=n):
@@ -228,6 +239,7 @@ def one_hot_two_lowest(model: QuboModel, groups) -> tuple[float, float, tuple[in
     members: dict = {}
     for v, g in enumerate(groups):
         members.setdefault(g, []).append(v)
+    _require_enumerable(math.prod(len(m) for m in members.values()))
     scored = sorted((model.energy(set(ones)), ones)
                     for ones in itertools.product(*members.values()))
     lowest, argmin = scored[0]

@@ -12,18 +12,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from perfbench.checker import check_plans
 from quboplan.bench import run_benchmark, run_pipeline
-from quboplan.classical import astar, path_moves
+from quboplan.classical import astar
 from quboplan.cli import main as cli_main
 from quboplan.grid import GridMap
 from quboplan.penalties import build_window_model, dense_admissible
-from quboplan.planner import (
-    STATUS_REACHED,
-    WindowConfig,
-    plan_single,
-    validate_path,
-)
-from quboplan.postprocess import find_vertex_conflicts
+from quboplan.planner import RobotSpec, STATUS_REACHED, WindowConfig, plan_paths
 from quboplan.preprocess import fold
 from quboplan.qubo import var_index
 from quboplan.scenario import load_scenario
@@ -62,16 +57,17 @@ def test_criterion_1_exhaustive_ground_truth_matches_astar():
             reference = astar(grid, start, goal)
             if reference is None:
                 continue
-            optimum = path_moves(reference)
+            optimum = len(reference) - 1
             window = max(2, min(4, optimum + 1))
-            plan = plan_single(
-                grid, start, goal,
+            robots = [RobotSpec(0, start, goal)]
+            plan = plan_paths(
+                grid, robots,
                 window_cfg=WindowConfig(window_len=window),
                 solver_cfg=SolverConfig(backend="exhaustive", seed=1),
-            )
+            ).plans[0]
             checked += 1
             assert plan.status == STATUS_REACHED, (start, goal, plan.status)
-            assert validate_path(grid, plan.cells, goal=goal), (start, goal)
+            assert check_plans(grid, robots, {0: plan.steps}) == [], (start, goal)
             assert plan.moves == optimum, (start, goal, plan.moves, optimum)
             assert all(w.reduced <= 20 for w in plan.window_log)
     elapsed = time.perf_counter() - started
@@ -128,7 +124,7 @@ def test_criterion_5_fully_preprocessed_windowed_scenario():
     assert all(w.solved_by_preprocess for w in result.windows)
     plan = result.plans[0]
     assert plan.status == STATUS_REACHED
-    assert validate_path(spec.grid, plan.cells, goal=spec.robots[0].goal)
+    assert check_plans(spec.grid, spec.robots, {plan.robot: plan.steps}) == []
     print(f"ACCEPTANCE 5 PASS - corridor scenario: {len(result.windows)} windows, "
           f"all decided by preprocessing, plan valid at {plan.moves} moves")
 
@@ -211,23 +207,21 @@ def test_criterion_8_fold_soundness():
 
 def test_criterion_9_validator_completeness_over_corpus():
     from quboplan.multi import plan_multi
-    from quboplan.planner import RobotSpec
+
+    def reached_errors(grid, robots, result):
+        # The independent checker over the plans that reached their goal;
+        # where only one did, it also rejects that plan's waits.
+        steps = {p.robot: p.steps for p in result.plans if p.status == STATUS_REACHED}
+        return check_plans(grid, [r for r in robots if r.id in steps], steps)
 
     failures = []
     # shipped scenarios, one seed each
     for name in ("single5", "multi5", "corridor10", "multi10_2", "multi10_4", "demo3"):
         spec = _spec(name)
         result = run_pipeline(spec, spec.seed)
-        reached = [p for p in result.plans if p.status == STATUS_REACHED]
-        by_id = {r.id: r for r in spec.robots}
-        for plan in reached:
-            diag = validate_path(spec.grid, plan.cells,
-                                 goal=by_id[plan.robot].goal,
-                                 allow_wait=len(spec.robots) > 1)
-            if not diag:
-                failures.append((name, plan.robot, diag.kind, diag.step))
-        if find_vertex_conflicts([p.steps for p in reached]):
-            failures.append((name, "vertex-conflict"))
+        errors = reached_errors(spec.grid, spec.robots, result)
+        if errors:
+            failures.append((name, errors))
     # random small scenarios across seeds
     rng = np.random.default_rng(909)
     for trial in range(30):
@@ -243,14 +237,9 @@ def test_criterion_9_validator_completeness_over_corpus():
         result = plan_multi(grid, robots,
                             window_cfg=WindowConfig(window_len=6),
                             solver_cfg=SolverConfig(seed=trial, num_reads=100, sweeps=400))
-        reached = [p for p in result.plans if p.status == STATUS_REACHED]
-        for plan in reached:
-            goal = robots[0].goal if plan.robot == 0 else robots[1].goal
-            diag = validate_path(grid, plan.cells, goal=goal, allow_wait=True)
-            if not diag:
-                failures.append((trial, plan.robot, diag.kind, diag.step))
-        if find_vertex_conflicts([p.steps for p in reached]):
-            failures.append((trial, "vertex-conflict"))
+        errors = reached_errors(grid, robots, result)
+        if errors:
+            failures.append((trial, errors))
     assert failures == [], failures
     print("ACCEPTANCE 9 PASS - every goal-reaching plan in the corpus passes "
           "one-hot/adjacency/obstacle/vertex checks")

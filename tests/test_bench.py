@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quboplan.bench import classical_lengths, format_table, report_json, run_benchmark
-from quboplan.classical import astar, path_moves
+from quboplan.classical import astar
 from quboplan.grid import GridMap
 from quboplan.planner import RobotSpec
 from quboplan.scenario import ScenarioSpec, load_scenario, parse_scenario
@@ -72,7 +72,7 @@ def test_classical_lengths_of_one_robot_are_the_astar_lengths():
         start, goal = (free[int(k)] for k in rng.integers(0, len(free), size=2))
         release = int(rng.integers(0, 4))
         path = astar(grid, start, goal)
-        moves = None if path is None else path_moves(path)
+        moves = None if path is None else len(path) - 1
         spec = ScenarioSpec(grid, [RobotSpec(0, start, goal, release)])
         assert classical_lengths(spec) == {"per_robot": {0: moves}, "total": moves}
         walled += path is None

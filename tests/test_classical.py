@@ -1,18 +1,20 @@
+import time
+
 import numpy as np
 import pytest
 
-from quboplan import classical
-from quboplan.classical import astar, path_moves, prioritized_plan
+from perfbench.checker import check_plans
+from quboplan.classical import astar, prioritized_plan
 from quboplan.grid import GridMap, bfs_distances
-from quboplan.planner import RobotSpec, validate_path
+from quboplan.planner import RobotSpec
 from quboplan.postprocess import find_vertex_conflicts
 
 
 def test_astar_empty_map_diagonal():
     g = GridMap(5, 5)
     path = astar(g, (0, 0), (4, 4))
-    assert path_moves(path) == 8
-    assert validate_path(g, path, goal=(4, 4))
+    assert len(path) - 1 == 8
+    assert check_plans(g, [RobotSpec(0, (0, 0), (4, 4))], {0: list(enumerate(path))}) == []
 
 
 def test_astar_start_equals_goal():
@@ -25,21 +27,41 @@ def test_astar_walled_goal_infeasible():
     assert astar(g, (0, 0), (2, 2)) is None
 
 
-def test_prioritized_gives_up_at_once_on_a_goal_the_map_walls_off(monkeypatch):
-    # Space-time A* would expand (cell, t) states up to a horizon of
-    # 2 * rows * cols before giving up, so it must not run at all.
-    def never(*args):
-        raise AssertionError("space-time search ran for a walled-off goal")
+def _gives_up_at_once(grid, robots, walled):
+    started = time.perf_counter()
+    plans = prioritized_plan(grid, robots)
+    assert time.perf_counter() - started < 0.5
+    assert plans[walled] is None
 
-    monkeypatch.setattr(classical, "_space_time_astar", never)
+
+def test_prioritized_gives_up_at_once_on_a_goal_the_map_walls_off():
+    # A full space-time search expands (cell, t) states up to a horizon of
+    # 2 * rows * cols, about 15 s at this size, so the bound shows it skips
+    # every state that cannot reach the goal.
     g = GridMap(30, 30, frozenset({(28, 29), (29, 28)}))
-    assert prioritized_plan(g, [RobotSpec(0, (0, 0), (29, 29))]) == {0: None}
+    _gives_up_at_once(g, [RobotSpec(0, (0, 0), (29, 29))], 0)
+
+
+def test_prioritized_gives_up_at_once_on_a_goal_parked_robots_wall_off():
+    # Robots 0 and 1 park on both neighbours of robot 2's goal: after their
+    # last timed cell no state of robot 2 can reach it. A full search takes
+    # about 4 s here.
+    robots = [RobotSpec(0, (0, 2), (0, 1)), RobotSpec(1, (2, 0), (1, 0)),
+              RobotSpec(2, (23, 23), (0, 0))]
+    _gives_up_at_once(GridMap(24, 24), robots, 2)
 
 
 def test_astar_rejects_bad_endpoints():
     g = GridMap(3, 3, frozenset({(1, 1)}))
     with pytest.raises(ValueError):
         astar(g, (1, 1), (0, 0))
+
+
+@pytest.mark.parametrize("start, goal", [((1, 1), (0, 0)), ((0, 0), (1, 1))])
+def test_prioritized_rejects_bad_endpoints(start, goal):
+    g = GridMap(3, 3, frozenset({(1, 1)}))
+    with pytest.raises(ValueError, match="start and goal must be free cells"):
+        prioritized_plan(g, [RobotSpec(0, (0, 2), (2, 2)), RobotSpec(1, start, goal)])
 
 
 def test_astar_deterministic():
@@ -63,7 +85,7 @@ def test_astar_dijkstra_lengths_agree_and_match_bfs():
         if reference is None:
             assert a is None
         else:
-            assert path_moves(a) == reference
+            assert len(a) - 1 == reference
 
 
 def test_prioritized_disjoint_corridors_match_solo():
@@ -71,7 +93,7 @@ def test_prioritized_disjoint_corridors_match_solo():
     robots = [RobotSpec(0, (0, 0), (0, 4)), RobotSpec(1, (2, 0), (2, 4))]
     plans = prioritized_plan(g, robots)
     for r in robots:
-        solo = path_moves(astar(g, r.start, r.goal))
+        solo = len(astar(g, r.start, r.goal)) - 1
         steps = plans[r.id]
         assert steps[-1][0] - steps[0][0] == solo
 
@@ -93,8 +115,8 @@ def test_prioritized_bottleneck_second_robot_waits():
     plans = prioritized_plan(g, robots)
     first = plans[0][-1][0] - plans[0][0][0]
     second = plans[1][-1][0] - plans[1][0][0]
-    assert first == path_moves(astar(g, (0, 1), (2, 1)))
-    assert second == path_moves(astar(g, (1, 0), (1, 2))) + 1
+    assert first == len(astar(g, (0, 1), (2, 1))) - 1
+    assert second == len(astar(g, (1, 0), (1, 2)))
     assert find_vertex_conflicts([plans[0], plans[1]]) == []
 
 
@@ -114,6 +136,4 @@ def test_prioritized_conflicts_validator_shared_with_pipeline():
     lists = [plans[r.id] for r in robots if plans[r.id] is not None]
     assert len(lists) == 3
     assert find_vertex_conflicts(lists) == []
-    for r in robots:
-        cells = [c for _, c in plans[r.id]]
-        assert validate_path(g, cells, goal=r.goal, allow_wait=True)
+    assert check_plans(g, robots, plans) == []

@@ -14,8 +14,7 @@ from quboplan.planner import (
     RobotSpec,
     STATUS_REACHED,
     WindowConfig,
-    plan_single,
-    validate_path,
+    plan_paths,
     validate_robots,
 )
 from quboplan.postprocess import find_vertex_conflicts
@@ -94,12 +93,12 @@ def test_collision_terms_only_on_shared_admissible_cells():
     assert cross == []
 
 
-def test_single_robot_multi_equals_plan_single():
+def test_single_robot_multi_equals_plan_paths():
     g = GridMap(4, 4, frozenset({(1, 1), (2, 2)}))
     cfg = WindowConfig(window_len=8)
-    solo = plan_single(g, (0, 0), (3, 3), window_cfg=cfg, solver_cfg=EXHAUSTIVE)
-    result = plan_multi(g, [RobotSpec(0, (0, 0), (3, 3))],
-                        window_cfg=cfg, solver_cfg=EXHAUSTIVE)
+    robots = [RobotSpec(0, (0, 0), (3, 3))]
+    solo = plan_paths(g, robots, window_cfg=cfg, solver_cfg=EXHAUSTIVE).plans[0]
+    result = plan_multi(g, robots, window_cfg=cfg, solver_cfg=EXHAUSTIVE)
     assert result.plans[0].steps == solo.steps
     assert result.plans[0].status == solo.status
 
@@ -111,9 +110,7 @@ def test_two_robot_benchmark_reaches_joint_optimum():
                         solver_cfg=SolverConfig(seed=5, num_reads=150, sweeps=600))
     assert result.succeeded
     assert sum(p.moves for p in result.plans) == 16
-    assert find_vertex_conflicts([p.steps for p in result.plans]) == []
-    for plan, robot in zip(result.plans, robots):
-        assert validate_path(g, plan.cells, goal=robot.goal, allow_wait=True)
+    assert check_plans(g, robots, {p.robot: p.steps for p in result.plans}) == []
 
 
 def test_disjoint_corridor_robots_match_solo_plans():
@@ -123,9 +120,9 @@ def test_disjoint_corridor_robots_match_solo_plans():
                         solver_cfg=EXHAUSTIVE)
     assert result.succeeded
     for plan, robot in zip(result.plans, robots):
-        solo = plan_single(grid, robot.start, robot.goal,
-                           window_cfg=WindowConfig(window_len=6),
-                           solver_cfg=EXHAUSTIVE)
+        solo = plan_paths(grid, [RobotSpec(0, robot.start, robot.goal)],
+                          window_cfg=WindowConfig(window_len=6),
+                          solver_cfg=EXHAUSTIVE).plans[0]
         assert plan.moves == solo.moves == 4
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from perfbench.checker import check_plans
 from perfbench.corpus import city, corridor, serpentine
-from quboplan.classical import astar, path_moves, prioritized_plan
+from quboplan.classical import astar, prioritized_plan
 from quboplan.grid import GridMap, bfs_layers, manhattan
 from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
 from quboplan import planner, qubo, solvers
@@ -20,9 +20,7 @@ from quboplan.planner import (
     WindowConfig,
     build_window,
     plan_paths,
-    plan_single,
     stitch,
-    validate_path,
 )
 from quboplan.preprocess import fix_logical
 from quboplan.scenario import load_scenario
@@ -32,42 +30,6 @@ from oracles import all_shortest_paths
 
 EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def test_validate_accepts_straight_line():
-    g = GridMap(3, 3)
-    assert validate_path(g, [(0, 0), (0, 1), (0, 2)], goal=(0, 2))
-
-
-def test_validate_rejects_jump():
-    g = GridMap(3, 3)
-    out = validate_path(g, [(0, 0), (2, 2)])
-    assert not out and out.kind == "adjacency" and out.step == 1
-
-
-def test_validate_rejects_obstacle_and_early_goal():
-    g = GridMap(3, 3, frozenset({(1, 1)}))
-    assert validate_path(g, [(0, 0), (1, 1)]).kind == "obstacle"
-    out = validate_path(g, [(0, 0), (0, 2), (1, 1)])  # jump, then obstacle
-    assert (out.kind, out.step) == ("adjacency", 1)
-    sneaky = [(0, 0), (2, 2), (2, 1)]  # claims a distance-4 goal at step 1
-    out = validate_path(GridMap(3, 3), sneaky, goal=(2, 2))
-    assert (out.kind, out.step) == ("adjacency", 1)
-    short = [(0, 0), (0, 1), (0, 2)]  # sound moves that stop short of the goal
-    out = validate_path(g, short, goal=(2, 2))
-    assert (out.ok, out.kind, out.step) == (False, "goal_missed", 2)
-
-
-def test_validate_rejects_a_diagonal_move():
-    diagonal = [(0, 0), (1, 1), (2, 2)]
-    assert validate_path(GridMap(3, 3), diagonal, goal=(2, 2)).kind == "adjacency"
-
-
-def test_validate_wait_flag():
-    g = GridMap(2, 2)
-    waiting = [(0, 0), (0, 0), (0, 1)]
-    assert not validate_path(g, waiting)
-    assert validate_path(g, waiting, allow_wait=True)
 
 
 def test_stitch_drops_boundary_duplicate():
@@ -92,18 +54,18 @@ def test_stitch_three_windows_contiguous():
 
 def test_plan_single_empty_map_single_window():
     g = GridMap(5, 5)
-    plan = plan_single(g, (0, 0), (4, 4),
-                       window_cfg=WindowConfig(window_len=10),
-                       solver_cfg=SolverConfig(seed=2, num_reads=60, sweeps=400))
+    robots = [RobotSpec(0, (0, 0), (4, 4))]
+    plan = plan_paths(g, robots, window_cfg=WindowConfig(window_len=10),
+                      solver_cfg=SolverConfig(seed=2, num_reads=60, sweeps=400)).plans[0]
     assert plan.status == STATUS_REACHED
     assert plan.moves == 8
     assert len(plan.window_log) == 1
-    assert validate_path(g, plan.cells, goal=(4, 4))
+    assert check_plans(g, robots, {0: plan.steps}) == []
 
 
 def test_plan_single_start_equals_goal():
     g = GridMap(3, 3)
-    plan = plan_single(g, (1, 1), (1, 1), solver_cfg=EXHAUSTIVE)
+    plan = plan_paths(g, [RobotSpec(0, (1, 1), (1, 1))], solver_cfg=EXHAUSTIVE).plans[0]
     assert plan.status == STATUS_REACHED
     assert plan.moves == 0
     assert plan.window_log == []
@@ -111,7 +73,7 @@ def test_plan_single_start_equals_goal():
 
 def test_plan_single_walled_goal_is_infeasible_without_solving():
     g = GridMap(3, 3, frozenset({(1, 2), (2, 1)}))
-    plan = plan_single(g, (0, 0), (2, 2), solver_cfg=EXHAUSTIVE)
+    plan = plan_paths(g, [RobotSpec(0, (0, 0), (2, 2))], solver_cfg=EXHAUSTIVE).plans[0]
     assert plan.status == STATUS_INFEASIBLE
     assert plan.window_log == []  # detected before any window was attempted
 
@@ -120,9 +82,9 @@ def test_plan_single_exhaustive_matches_shortest_distance():
     rng = np.random.default_rng(5)
     g = GridMap(3, 3, frozenset({(1, 1)}))
     for start, goal in (((0, 0), (2, 2)), ((0, 2), (2, 0)), ((1, 0), (1, 2))):
-        plan = plan_single(g, start, goal,
-                           window_cfg=WindowConfig(window_len=4),
-                           solver_cfg=EXHAUSTIVE)
+        plan = plan_paths(g, [RobotSpec(0, start, goal)],
+                          window_cfg=WindowConfig(window_len=4),
+                          solver_cfg=EXHAUSTIVE).plans[0]
         assert plan.status == STATUS_REACHED
         shortest = len(all_shortest_paths(g, start, goal)[0]) - 1
         assert plan.moves == shortest
@@ -130,9 +92,9 @@ def test_plan_single_exhaustive_matches_shortest_distance():
 
 def test_plan_single_ground_state_is_optimal_when_window_covers_distance():
     g = GridMap(4, 4)
-    plan = plan_single(g, (0, 0), (3, 3),
-                       window_cfg=WindowConfig(window_len=7),
-                       solver_cfg=EXHAUSTIVE)
+    plan = plan_paths(g, [RobotSpec(0, (0, 0), (3, 3))],
+                      window_cfg=WindowConfig(window_len=7),
+                      solver_cfg=EXHAUSTIVE).plans[0]
     assert plan.status == STATUS_REACHED
     assert plan.moves == manhattan((0, 0), (3, 3))
 
@@ -140,9 +102,9 @@ def test_plan_single_ground_state_is_optimal_when_window_covers_distance():
 def test_plan_multi_window_progression():
     # corridor longer than one window forces several fully-preprocessed hops
     g = GridMap(1, 9)
-    plan = plan_single(g, (0, 0), (0, 8),
-                       window_cfg=WindowConfig(window_len=3),
-                       solver_cfg=EXHAUSTIVE)
+    plan = plan_paths(g, [RobotSpec(0, (0, 0), (0, 8))],
+                      window_cfg=WindowConfig(window_len=3),
+                      solver_cfg=EXHAUSTIVE).plans[0]
     assert plan.status == STATUS_REACHED
     assert plan.moves == 8
     assert len(plan.window_log) == 3
@@ -152,18 +114,19 @@ def test_plan_multi_window_progression():
 
 def test_plan_windowed_open_map_reaches_goal_validly():
     g = GridMap(4, 4)
-    plan = plan_single(g, (0, 0), (3, 3),
-                       window_cfg=WindowConfig(window_len=3),
-                       solver_cfg=EXHAUSTIVE)
+    robots = [RobotSpec(0, (0, 0), (3, 3))]
+    plan = plan_paths(g, robots, window_cfg=WindowConfig(window_len=3),
+                      solver_cfg=EXHAUSTIVE).plans[0]
     assert plan.status == STATUS_REACHED
-    assert validate_path(g, plan.cells, goal=(3, 3))
+    assert check_plans(g, robots, {0: plan.steps}) == []
     assert 6 <= plan.moves <= 12  # at least the L1 bound, bounded wandering
 
 
 def test_plan_window_budget_respected():
     g = GridMap(1, 9)
     cfg = WindowConfig(window_len=2, max_windows=2)
-    plan = plan_single(g, (0, 0), (0, 8), window_cfg=cfg, solver_cfg=EXHAUSTIVE)
+    plan = plan_paths(g, [RobotSpec(0, (0, 0), (0, 8))], window_cfg=cfg,
+                      solver_cfg=EXHAUSTIVE).plans[0]
     assert plan.status == "max_windows_exhausted"
     assert len(plan.window_log) <= 2
 
@@ -178,10 +141,11 @@ def test_plan_validates_each_window_on_its_own_map(monkeypatch):
         return stitch(steps, window_path)
 
     grid = GridMap(2, 2, frozenset({(0, 1)}))
-    assert plan_single(grid, (0, 0), (1, 1), solver_cfg=EXHAUSTIVE).cells == [
+    robots = [RobotSpec(0, (0, 0), (1, 1))]
+    assert plan_paths(grid, robots, solver_cfg=EXHAUSTIVE).plans[0].cells == [
         (0, 0), (1, 0), (1, 1)]
     monkeypatch.setattr(planner, "stitch", stitch_through_obstacle)
-    plan = plan_single(grid, (0, 0), (1, 1), solver_cfg=EXHAUSTIVE)
+    plan = plan_paths(grid, robots, solver_cfg=EXHAUSTIVE).plans[0]
     assert plan.cells == [(0, 0), (0, 1), (1, 1)]
     assert plan.status == STATUS_EXHAUSTED
     assert plan.notes == ["validation failed: obstacle at step 1"]
@@ -555,9 +519,9 @@ def test_plan_release_offsets_single_robot():
 
 def test_plan_json_shape():
     g = GridMap(2, 2)
-    plan = plan_single(g, (0, 0), (1, 1),
-                       window_cfg=WindowConfig(window_len=2),
-                       solver_cfg=EXHAUSTIVE)
+    plan = plan_paths(g, [RobotSpec(0, (0, 0), (1, 1))],
+                      window_cfg=WindowConfig(window_len=2),
+                      solver_cfg=EXHAUSTIVE).plans[0]
     payload = plan.to_json()
     assert payload["status"] == STATUS_REACHED
     assert payload["path"][0] == [0, 0, 0]
@@ -643,10 +607,10 @@ def test_decided_corridor_windows_build_no_model(side, monkeypatch):
     for name in ("build_window_model", "solve", "derive_seed"):
         monkeypatch.setattr(planner, name, unused)
     grid, start, goal = serpentine(side, side % 8, side % 2 == 1)
-    plan = plan_single(grid, start, goal,
-                       window_cfg=WindowConfig(max_windows=side * side))
+    plan = plan_paths(grid, [RobotSpec(0, start, goal)],
+                      window_cfg=WindowConfig(max_windows=side * side)).plans[0]
     assert plan.status == STATUS_REACHED
-    assert plan.moves == path_moves(astar(grid, start, goal))
+    assert plan.moves == len(astar(grid, start, goal)) - 1
     assert plan.window_log and all(w.solved_by_preprocess for w in plan.window_log)
 
 

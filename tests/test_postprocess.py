@@ -95,6 +95,12 @@ def test_detect_invalid_move():
     assert detect_invalid_move([(0, 0), (1, 1)], g) == (1, "obstacle")
     assert detect_invalid_move([(0, 0), (0, 0)], g) == (1, "adjacency")
     assert detect_invalid_move([(0, 0), (0, 0)], g, allow_wait=True) is None
+    open_map = GridMap(3, 3)
+    assert detect_invalid_move([(0, 0), (1, 1), (2, 2)], open_map) == (1, "adjacency")
+    # A jump that lands on the goal is reported, not the goal it claims.
+    assert detect_invalid_move([(0, 0), (2, 2), (2, 1)], open_map) == (1, "adjacency")
+    # A jump before an obstacle is reported at the earlier step.
+    assert detect_invalid_move([(0, 0), (0, 2), (1, 1)], g) == (1, "adjacency")
 
 
 def test_occupied_at_parking_semantics():

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -487,6 +488,18 @@ def test_a_tied_triangle_is_answered_with_no_read(monkeypatch):
     (window,) = run_pipeline(spec, spec.seed).windows
     assert runs == []
     assert window.histogram == [(window.best_energy, 0)]
+
+
+def test_the_enumeration_oracles_refuse_a_large_window_at_once():
+    # multi10_4's first window has 48 variables in 24 groups of two: 2^24
+    # one-hot states and 2^48 assignments, far beyond what the oracles hold.
+    model, _, groups = _first_window("multi10_4")
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="states to enumerate"):
+        one_hot_two_lowest(model, groups)
+    with pytest.raises(ValueError, match="states to enumerate"):
+        brute_force_minima(model)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_elimination_matches_one_hot_enumeration_on_random_models():
