@@ -80,27 +80,39 @@ def _space_time_astar(grid: GridMap, start: Cell, goal: Cell, release: int,
     """Timed A* with waiting; earlier robots' reservations are hard blocks.
 
     From the last timed reservation on (`settled`) only parked cells block,
-    so a state from then on whose cell cannot reach the goal around them is
-    skipped: every state it leads to is cut off the same way. This also ends
-    the search at once on a goal that the map or the parked robots wall off.
+    so a state from then on is bounded by its cell's BFS distance to the
+    goal around them, and one whose cell cannot reach the goal is dropped:
+    every state it leads to is cut off the same way. This also ends the
+    search at once on a goal that the map or the parked robots wall off.
+    Before `settled` the bound is the Manhattan distance, which never
+    exceeds a BFS distance one move on, so the bound stays consistent.
     """
     if reservations.blocked(start, release):
         return None
     settled = max((t for _, t in reservations.timed), default=release)
-    reach = None  # cells that reach the goal around the parked cells
+    dist = None  # moves to the goal around the parked cells
+
+    def bound(cell: Cell, t: int) -> int | None:
+        """Fewest moves left from (cell, t), at least; None when the goal
+        is out of reach from there."""
+        nonlocal dist
+        if t < settled:
+            return manhattan(cell, goal)
+        if dist is None:
+            dist = {} if goal in reservations.parked else bfs_distances(
+                grid.with_obstacles(reservations.parked), goal)
+        return dist.get(cell)
+
+    h = bound(start, release)
+    if h is None:
+        return None
     start_state = (start, release)
-    open_heap = [(manhattan(start, goal), _cell_order(grid, start), release, start_state)]
+    open_heap = [(h, _cell_order(grid, start), release, start_state)]
     parent: dict[tuple[Cell, int], tuple[Cell, int]] = {}
     seen = {start_state}
     while open_heap:
         _, _, g, state = heapq.heappop(open_heap)
         cell, t = state
-        if t >= settled:
-            if reach is None:
-                reach = set() if goal in reservations.parked else bfs_distances(
-                    grid.with_obstacles(reservations.parked), goal)
-            if cell not in reach:
-                continue
         if cell == goal and not reservations.blocked_ever_after(cell, t):
             steps = [state]
             while steps[-1] in parent:
@@ -112,12 +124,12 @@ def _space_time_astar(grid: GridMap, start: Cell, goal: Cell, release: int,
             nxt = (n, t + 1)
             if nxt in seen or reservations.blocked(n, t + 1):
                 continue
+            h = bound(n, t + 1)
+            if h is None:
+                continue
             seen.add(nxt)
             parent[nxt] = state
-            heapq.heappush(
-                open_heap,
-                (t + 1 - release + manhattan(n, goal), _cell_order(grid, n), t + 1, nxt),
-            )
+            heapq.heappush(open_heap, (t + 1 - release + h, _cell_order(grid, n), t + 1, nxt))
     return None
 
 

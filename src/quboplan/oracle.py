@@ -14,7 +14,6 @@ import numpy as np
 from .grid import GridMap, bfs_distances
 from .penalties import PenaltyWeights
 from .planner import build_window, derive_seed
-from .qubo import var_group
 from .solvers import (
     SolverConfig,
     _anneal,
@@ -55,7 +54,7 @@ def random_instances(samples: int, seed: int, robots: int = 1, max_vars: int = 2
         n = folded.model.num_vars
         if n < 1 or n > max_vars:
             continue
-        groups = [var_group(window.spec.dims, v) for v in folded.free_vars]
+        groups = window.groups
         if loopy and not _has_cycle(groups, folded.model.coeffs):
             continue
         produced += 1

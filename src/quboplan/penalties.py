@@ -6,15 +6,18 @@ start/goal conditions, goal locking, revisit discouragement, early-arrival
 discouragement, the window-final approximation reward, and inter-robot
 vertex-collision coupling. Each emitter mirrors one closed-form penalty, so
 model energy always equals the sum of the formulas evaluated on the decoded
-occupancy.
+occupancy. The emitters append their terms to one flat list per window,
+indexed through a table built once, and the list is merged into the model
+once.
 """
 
 import math
+from itertools import repeat
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, fields
 
 from .grid import Cell, GridMap, manhattan, max_manhattan, obstacle_potential
-from .qubo import Dims, QuboModel, block_size, var_index
+from .qubo import Dims, QuboModel, block_size
 
 # The goal reward's time multiplier at a window's last step (it starts at 1).
 GOAL_RAMP_MAX = 2.0
@@ -121,83 +124,141 @@ def dense_admissible(spec: WindowSpec) -> Admissible:
     ]
 
 
-def _vars_at(spec: WindowSpec, robot: int, t: int, admissible: Admissible):
-    return [
-        (c, var_index(spec.dims, robot, t, c))
-        for c in sorted(admissible[robot][t])
-    ]
+class WindowTerms:
+    """A window's penalty terms in emission order, over its index table.
+
+    `layers[robot][t]` maps each cell admissible to the robot at step t to
+    its variable (`qubo.var_index`), in sorted cell order, and
+    `targets[robot][t]` is the same map without obstacle cells, the cells a
+    move may enter. The table is built once, and it checks each cell as
+    `var_index` and `GridMap.neighbors` would on every term: a cell outside
+    the grid, or an obstacle at a step that a move leaves, raises
+    `ValueError`. Each `apply_*` appends its (a, b) keys, a <= b, and their
+    weights to `keys` and `weights`; `model` merges them.
+    """
+
+    __slots__ = ("num_vars", "layers", "targets", "keys", "weights", "constant")
+
+    def __init__(self, spec: WindowSpec, admissible: Admissible):
+        grid, horizon = spec.grid, spec.horizon
+        rows, cols, obstacles = grid.rows, grid.cols, grid.obstacles
+        per_cell = rows * cols
+        self.num_vars = len(spec.robots) * block_size(spec.dims)
+        self.layers: list[list[dict[Cell, int]]] = []
+        self.targets: list[list[dict[Cell, int]]] = []
+        for robot in range(len(spec.robots)):
+            layers, targets = [], []
+            for t in range(horizon + 1):
+                base = (robot * (horizon + 1) + t) * per_cell
+                layer = {}
+                for c in sorted(admissible[robot][t]):
+                    i, j = c
+                    if not (0 <= i < rows and 0 <= j < cols):
+                        raise ValueError(f"cell {c} outside {rows}x{cols} grid")
+                    layer[c] = base + i * cols + j
+                blocked = obstacles.intersection(layer) if obstacles else ()
+                if blocked and t < horizon:
+                    raise ValueError(f"cell {min(blocked)} is an obstacle")
+                layers.append(layer)
+                targets.append({c: v for c, v in layer.items() if c not in blocked}
+                               if blocked else layer)
+            self.layers.append(layers)
+            self.targets.append(targets)
+        self.keys: list[tuple[int, int]] = []
+        self.weights: list[float] = []
+        self.constant = 0.0
+
+    def add(self, a: int, b: int, w: float) -> None:
+        self.keys.append((a, b))
+        self.weights.append(w)
+
+    def model(self) -> QuboModel:
+        """The terms merged into a `QuboModel`, term by term under
+        `QuboModel.add`'s rule."""
+        model = QuboModel(self.num_vars, self.constant)
+        coeffs = model.coeffs
+        get = coeffs.get
+        for key, w in zip(self.keys, self.weights):
+            value = get(key, 0.0) + w
+            if value == 0.0:
+                coeffs.pop(key, None)
+            else:
+                coeffs[key] = value
+        return model
 
 
-def apply_one_hot(model: QuboModel, spec: WindowSpec, robot: int,
-                  admissible: Admissible) -> QuboModel:
+def apply_one_hot(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
     """Exactly-one-cell-per-step: K * (1 - sum x)^2 for every time step."""
     k = spec.weights.k_hot
-    for t in range(spec.horizon + 1):
-        entries = _vars_at(spec, robot, t, admissible)
-        model.constant += k
-        for i, (_, a) in enumerate(entries):
-            model.add(a, a, -k)
-            for _, b in entries[i + 1:]:
-                model.add(a, b, 2.0 * k)
-    return model
+    keys, weights = terms.keys, terms.weights
+    for layer in terms.layers[robot]:
+        terms.constant += k
+        entries = list(layer.values())
+        for i, a in enumerate(entries, 1):
+            keys.append((a, a))
+            weights.append(-k)
+            if i < len(entries):
+                keys.extend(zip(repeat(a), entries[i:]))
+                weights.extend(repeat(2.0 * k, len(entries) - i))
 
 
-def apply_adjacency(model: QuboModel, spec: WindowSpec, robot: int,
-                    admissible: Admissible) -> QuboModel:
+def apply_adjacency(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
     """Continuity: K * x_t * (1 - sum of neighbor x at t+1).
 
     Obstacles never appear among the admissible cells, so avoiding them is
-    structural rather than penalized.
+    structural rather than penalized. A cell's moves are scanned up, left,
+    (wait,) right, down: sorted order.
     """
     k = spec.weights.k_adj
+    wait = spec.allow_wait
+    keys, weights = terms.keys, terms.weights
+    layers, targets = terms.layers[robot], terms.targets[robot]
     for t in range(spec.horizon):
-        nxt = admissible[robot][t + 1]
-        for c, a in _vars_at(spec, robot, t, admissible):
-            model.add(a, a, k)
-            for n in sorted(spec.grid.neighbors(c, allow_wait=spec.allow_wait) & nxt):
-                model.add(a, var_index(spec.dims, robot, t + 1, n), -k)
-    return model
+        nxt = targets[t + 1].get
+        for (i, j), a in layers[t].items():
+            keys.append((a, a))
+            weights.append(k)
+            moves = ((i - 1, j), (i, j - 1), (i, j), (i, j + 1), (i + 1, j)) if wait else \
+                ((i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j))
+            for n in moves:
+                b = nxt(n)
+                if b is not None:
+                    keys.append((a, b))
+                    weights.append(-k)
 
 
-def apply_start(model: QuboModel, spec: WindowSpec, robot: int,
-                admissible: Admissible) -> QuboModel:
+def apply_start(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
     """Reward occupying the start cell at local step 0."""
-    rec = spec.robots[robot]
-    if rec.start in admissible[robot][0]:
-        a = var_index(spec.dims, robot, 0, rec.start)
-        model.add(a, a, -START_REWARD)
-    return model
+    a = terms.layers[robot][0].get(spec.robots[robot].start)
+    if a is not None:
+        terms.add(a, a, -START_REWARD)
 
 
-def apply_goal_late_time(model: QuboModel, spec: WindowSpec, robot: int,
-                         admissible: Admissible) -> QuboModel:
+def apply_goal_late_time(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
     """Goal reward growing along the window; never applied at step 0."""
-    rec = spec.robots[robot]
+    goal = spec.robots[robot].goal
     k = spec.weights.k_goal
-    for t in range(1, spec.horizon + 1):
-        if rec.goal in admissible[robot][t]:
-            a = var_index(spec.dims, robot, t, rec.goal)
-            model.add(a, a, -k * goal_factor(t, spec.horizon))
-    return model
+    for t, layer in enumerate(terms.layers[robot][1:], 1):
+        a = layer.get(goal)
+        if a is not None:
+            terms.add(a, a, -k * goal_factor(t, spec.horizon))
 
 
-def apply_goal_lock(model: QuboModel, spec: WindowSpec, robot: int,
-                    admissible: Admissible) -> QuboModel:
+def apply_goal_lock(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
     """Penalize leaving the goal: K * x_{g,t} * (1 - x_{g,t+1})."""
-    rec = spec.robots[robot]
+    goal = spec.robots[robot].goal
     k = spec.weights.k_lock
+    layers = terms.layers[robot]
     for t in range(spec.horizon):
-        if rec.goal not in admissible[robot][t]:
+        if goal not in layers[t]:
             continue
-        a = var_index(spec.dims, robot, t, rec.goal)
-        model.add(a, a, k)
-        if rec.goal in admissible[robot][t + 1]:
-            model.add(a, var_index(spec.dims, robot, t + 1, rec.goal), -k)
-    return model
+        a = layers[t][goal]
+        terms.add(a, a, k)
+        if goal in layers[t + 1]:
+            terms.add(a, layers[t + 1][goal], -k)
 
 
-def apply_backtracking(model: QuboModel, spec: WindowSpec, robot: int,
-                       admissible: Admissible) -> QuboModel:
+def apply_backtracking(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
     """Discourage occupying any non-goal cell at two different steps.
 
     Cells inherited from earlier windows additionally get a softened linear
@@ -206,73 +267,63 @@ def apply_backtracking(model: QuboModel, spec: WindowSpec, robot: int,
     """
     rec = spec.robots[robot]
     k = spec.weights.k_bt
-    occurrences: dict[Cell, list[int]] = {}
-    for t in range(spec.horizon + 1):
-        for c in admissible[robot][t]:
-            occurrences.setdefault(c, []).append(t)
+    keys, weights = terms.keys, terms.weights
+    occurrences: dict[Cell, list[int]] = {}  # cell -> its variables, step by step
+    for layer in terms.layers[robot]:
+        for c, a in layer.items():
+            if c in occurrences:
+                occurrences[c].append(a)
+            else:
+                occurrences[c] = [a]
+    goal, visited = rec.goal, rec.visited
     for c in sorted(occurrences):
-        times = sorted(occurrences[c])
-        if c != rec.goal:
-            for i, t1 in enumerate(times):
-                a = var_index(spec.dims, robot, t1, c)
-                for t2 in times[i + 1:]:
-                    model.add(a, var_index(spec.dims, robot, t2, c), k)
-        if c in rec.visited:
-            soft = k * BT_SOFT_FACTOR
-            for t in times:
-                a = var_index(spec.dims, robot, t, c)
-                model.add(a, a, soft)
-    return model
+        entries = occurrences[c]
+        if len(entries) > 1 and c != goal:
+            for i, a in enumerate(entries, 1):
+                keys.extend(zip(repeat(a), entries[i:]))
+                weights.extend(repeat(k, len(entries) - i))
+        if c in visited:
+            keys.extend(zip(entries, entries))
+            weights.extend(repeat(k * BT_SOFT_FACTOR, len(entries)))
 
 
-def apply_teleportation(model: QuboModel, spec: WindowSpec, robot: int,
-                        admissible: Admissible) -> QuboModel:
+def apply_teleportation(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
     """Penalize claiming the goal before its L1 distance from the start."""
     rec = spec.robots[robot]
-    bound = min(manhattan(rec.start, rec.goal), spec.horizon + 1)
-    for t in range(bound):
-        if rec.goal in admissible[robot][t]:
-            a = var_index(spec.dims, robot, t, rec.goal)
-            model.add(a, a, EARLY_GOAL_PENALTY)
-    return model
+    for layer in terms.layers[robot][:manhattan(rec.start, rec.goal)]:
+        a = layer.get(rec.goal)
+        if a is not None:
+            terms.add(a, a, EARLY_GOAL_PENALTY)
 
 
-def apply_approximation(model: QuboModel, spec: WindowSpec, robot: int,
-                        admissible: Admissible) -> QuboModel:
+def apply_approximation(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
     """Window-final reward for ending close to the goal and in open space.
 
     Used instead of the late-time goal reward when `build_window_model`
     finds the goal out of reach. Each candidate final cell earns
     -K * (1 - d(c, goal)/d_max) * (1 - potential(c)).
     """
-    rec = spec.robots[robot]
+    goal = spec.robots[robot].goal
     k = spec.weights.k_approx
     d_max = max_manhattan(spec.grid)
-    t = spec.horizon
-    for c in sorted(admissible[robot][t]):
-        closeness = 1.0 - (manhattan(c, rec.goal) / d_max if d_max else 0.0)
+    for c, a in terms.layers[robot][spec.horizon].items():
+        closeness = 1.0 - (manhattan(c, goal) / d_max if d_max else 0.0)
         openness = 1.0 - obstacle_potential(spec.grid, c)
         w = -k * closeness * openness
         if w != 0.0:
-            a = var_index(spec.dims, robot, t, c)
-            model.add(a, a, w)
-    return model
+            terms.add(a, a, w)
 
 
-def apply_vertex_collision(model: QuboModel, spec: WindowSpec,
-                           admissible: Admissible) -> QuboModel:
+def apply_vertex_collision(terms: WindowTerms, spec: WindowSpec) -> None:
     """Couple every (cell, step) admissible to two robots at once."""
     k = spec.weights.k_coll
-    for r1 in range(len(spec.robots)):
-        for r2 in range(r1 + 1, len(spec.robots)):
-            for t in range(spec.horizon + 1):
-                for c in sorted(admissible[r1][t] & admissible[r2][t]):
-                    model.add(
-                        var_index(spec.dims, r1, t, c),
-                        var_index(spec.dims, r2, t, c),
-                        k,
-                    )
-    return model
+    for r1, layers1 in enumerate(terms.layers):
+        for layers2 in terms.layers[r1 + 1:]:
+            for first, second in zip(layers1, layers2):
+                for c, a in first.items():
+                    b = second.get(c)
+                    if b is not None:
+                        terms.add(a, b, k)
 
 
 def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -> QuboModel:
@@ -287,18 +338,18 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -
     """
     if admissible is None:
         admissible = dense_admissible(spec)
-    model = QuboModel(len(spec.robots) * block_size(spec.dims))
+    terms = WindowTerms(spec, admissible)
     for robot, rec in enumerate(spec.robots):
-        apply_one_hot(model, spec, robot, admissible)
-        apply_adjacency(model, spec, robot, admissible)
-        apply_start(model, spec, robot, admissible)
+        apply_one_hot(terms, spec, robot)
+        apply_adjacency(terms, spec, robot)
+        apply_start(terms, spec, robot)
         if (manhattan(rec.start, rec.goal) < spec.horizon
                 and any(rec.goal in cells for cells in admissible[robot])):
-            apply_goal_late_time(model, spec, robot, admissible)
+            apply_goal_late_time(terms, spec, robot)
         else:
-            apply_approximation(model, spec, robot, admissible)
-        apply_goal_lock(model, spec, robot, admissible)
-        apply_backtracking(model, spec, robot, admissible)
-        apply_teleportation(model, spec, robot, admissible)
-    apply_vertex_collision(model, spec, admissible)
-    return model
+            apply_approximation(terms, spec, robot)
+        apply_goal_lock(terms, spec, robot)
+        apply_backtracking(terms, spec, robot)
+        apply_teleportation(terms, spec, robot)
+    apply_vertex_collision(terms, spec)
+    return terms.model()

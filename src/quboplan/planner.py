@@ -39,7 +39,7 @@ from .preprocess import (
     forced_ones,
     reduction_pct,
 )
-from .qubo import decode, var_group
+from .qubo import decode
 from .solvers import SolverConfig, solve
 
 STATUS_REACHED = "reached_goal"
@@ -270,6 +270,14 @@ class Window:
         ones = forced_ones(self.spec.dims, self.admissible)
         return fix_numeric_diagonal(fold(model, ones), self.report)
 
+    @property
+    def groups(self) -> np.ndarray:
+        """The (robot, step) group of each free variable, robot * (horizon
+        + 1) + t: a robot occupies exactly one cell per step, so a feasible
+        assignment sets exactly one variable of each group."""
+        free = np.array(self.folded.free_vars, dtype=np.intp)
+        return free // (self.spec.grid.rows * self.spec.grid.cols)
+
 
 def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
                  allow_wait: bool = False) -> Window:
@@ -310,8 +318,7 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
     else:
         folded = window.folded
         cfg = replace(solver_cfg, seed=derive_seed(solver_cfg.seed, *seed_parts))
-        sampleset = solve(folded.model, cfg,
-                          groups=[var_group(spec.dims, v) for v in folded.free_vars])
+        sampleset = solve(folded.model, cfg, groups=window.groups)
         occupancy = decode(folded.expand(sampleset.best.bits), spec.dims, len(agents))
         sampled = {"backend": cfg.backend, "best_energy": sampleset.best.energy,
                    "histogram": [(s.energy, s.occurrences) for s in sampleset.samples[:8]]}

@@ -137,25 +137,28 @@ def fold(model: QuboModel, ones, zeros=()) -> FoldedModel:
     touched = {v for key in model.coeffs for v in key}
     free = sorted(touched - ones - zeros)
     position = {orig: dense for dense, orig in enumerate(free)}
-    out = QuboModel(len(free), model.constant)
+    out = QuboModel(len(free))
+    coeffs = out.coeffs
+    constant = float(model.constant)
     for (a, b), w in model.coeffs.items():
         if a in zeros or b in zeros:
             continue
-        a_one = a in ones
-        b_one = b in ones
-        if a == b:
-            if a_one:
-                out.constant += w
-            else:
-                out.add(position[a], position[a], w)
-        elif a_one and b_one:
-            out.constant += w
-        elif a_one:
-            out.add(position[b], position[b], w)
-        elif b_one:
-            out.add(position[a], position[a], w)
+        if a in ones:
+            if a == b or b in ones:
+                constant += w
+                continue
+            key = (position[b], position[b])
+        elif b in ones:
+            key = (position[a], position[a])
         else:
-            out.add(position[a], position[b], w)
+            key = (position[a], position[b])
+        # `QuboModel.add`'s rule: a sum that cancels to 0.0 drops its key.
+        value = coeffs.get(key, 0.0) + w
+        if value == 0.0:
+            coeffs.pop(key, None)
+        else:
+            coeffs[key] = value
+    out.constant = constant
     return FoldedModel(out, free, ones)
 
 

@@ -31,16 +31,6 @@ def var_index(dims: Dims, robot: int, t: int, c: Cell) -> int:
     return i * cols + j + rows * cols * t + robot * block_size(dims)
 
 
-def var_group(dims: Dims, index: int) -> int:
-    """The (robot, step) group of variable `index`: robot * (horizon + 1) + t.
-
-    A robot occupies exactly one cell per step, so a feasible assignment
-    sets exactly one variable of each group.
-    """
-    rows, cols, _ = dims
-    return index // (rows * cols)
-
-
 def decode(ones: Collection[int], dims: Dims, num_robots: int) -> list[list[set[Cell]]]:
     """Inverse of `var_index` applied to every set bit.
 
@@ -69,6 +59,12 @@ class QuboModel:
     a < b. Coefficients that cancel to exactly zero are dropped, so the map
     never stores explicit zeros. `constant` carries the assignment-independent
     offset picked up by squared penalty expansions.
+
+    The map's order is part of the model: a key takes its place at its first
+    non-zero accumulation, and a cancel drops it, so a later term adds it
+    again at the end. `solvers._energies` sums terms in this order, and so
+    does a window's `best_energy`; `penalties.WindowTerms.model` and
+    `preprocess.fold` merge terms by `add`'s rule inline.
     """
 
     __slots__ = ("num_vars", "constant", "coeffs")

@@ -39,6 +39,7 @@ block of reads it runs in.
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -116,26 +117,29 @@ class SampleSet:
 
 def _terms(model) -> tuple[np.ndarray, np.ndarray]:
     """The model's (a, b) index pairs and their weights, in `coeffs` order."""
-    pairs = np.array(list(model.coeffs), dtype=np.intp).reshape(-1, 2)
-    return pairs, np.fromiter(model.coeffs.values(), dtype=np.float64, count=len(pairs))
+    count = len(model.coeffs)
+    pairs = np.fromiter(chain.from_iterable(model.coeffs), dtype=np.intp, count=2 * count)
+    return pairs.reshape(count, 2), np.fromiter(model.coeffs.values(), dtype=np.float64,
+                                                count=count)
 
 
-def _energies(model, on: np.ndarray) -> np.ndarray:
+def _energies(model, on: np.ndarray, terms=None) -> np.ndarray:
     """`model.energy` of each row of a boolean matrix, bit for bit.
 
     Each row sums the constant, then every term in `coeffs` order, one
     addition at a time, as `model.energy` does. An inactive term adds -0.0,
-    which leaves any sum unchanged.
+    which leaves any sum unchanged. `terms` is `_terms(model)` when the
+    caller has it.
     """
-    pairs, weights = _terms(model)
-    terms = np.full((len(on), len(pairs) + 1), -0.0)
-    terms[:, 0] = model.constant
-    np.copyto(terms[:, 1:], weights, where=on[:, pairs[:, 0]] & on[:, pairs[:, 1]])
-    return np.add.accumulate(terms, axis=1)[:, -1]
+    pairs, weights = terms or _terms(model)
+    summands = np.full((len(on), len(pairs) + 1), -0.0)
+    summands[:, 0] = model.constant
+    np.copyto(summands[:, 1:], weights, where=on[:, pairs[:, 0]] & on[:, pairs[:, 1]])
+    return np.add.accumulate(summands, axis=1)[:, -1]
 
 
-def _collect(model, counts: dict[tuple[int, ...], int]) -> SampleSet:
-    energies = _energies(model, np.array(list(counts), dtype=bool))
+def _collect(model, counts: dict[tuple[int, ...], int], terms=None) -> SampleSet:
+    energies = _energies(model, np.array(list(counts), dtype=bool), terms)
     samples = [Sample(bits, energy, hits)
                for (bits, hits), energy in zip(counts.items(), energies.tolist())]
     samples.sort(key=lambda s: (s.energy, s.bits))
@@ -201,10 +205,8 @@ class _OneHotLayout:
     them back to model variables. Groups run class by class: the groups of
     one `classes` range share no coupling, so their moves are independent.
     Each coupling between groups is one row of `pairs` (internal indices),
-    with its `pair_weight`. Each variable's couplings to other groups sit in
-    `offset`/`weight` rows, padded to one width: `offset` is the neighbour's
-    index minus the variable's own, and padding points at the sink column
-    `n` with weight 0.
+    with its `pair_weight`; `_neighbour_rows` lays them out for the
+    annealer.
     """
 
     order: np.ndarray
@@ -214,20 +216,19 @@ class _OneHotLayout:
     diag: np.ndarray
     pairs: np.ndarray
     pair_weight: np.ndarray
-    offset: np.ndarray
-    weight: np.ndarray
     peak: float
 
 
-def _one_hot_layout(model, groups) -> _OneHotLayout:
-    """Group the model's variables by label and colour the groups greedily."""
+def _one_hot_layout(model, groups, terms=None) -> _OneHotLayout:
+    """Group the model's variables by label and colour the groups greedily.
+    `terms` is `_terms(model)` when the caller has it."""
     n = model.num_vars
     labels = np.asarray(groups)
     if labels.shape != (n,):
         raise ValueError(f"groups must label each of the {n} variables once")
     gid = np.unique(labels, return_inverse=True)[1].reshape(n)
     num_groups = int(gid.max()) + 1
-    keys, values = _terms(model)
+    keys, values = terms or _terms(model)
     a, b = keys[:, 0], keys[:, 1]
     linear = a == b
     cross = gid[a] != gid[b]
@@ -264,6 +265,15 @@ def _one_hot_layout(model, groups) -> _OneHotLayout:
     diag = np.zeros(n)
     diag[position[keys[linear, 0]]] = values[linear]
     pairs = np.stack((position[a], position[b]), axis=1)
+    return _OneHotLayout(order, first, size, classes, diag, pairs, w, peak)
+
+
+def _neighbour_rows(layout: _OneHotLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Each variable's couplings to other groups as `offset`/`weight` rows,
+    padded to one width: `offset` is the neighbour's index minus the
+    variable's own, and padding points at the sink column `n` with weight
+    0."""
+    n, pairs, w = len(layout.order), layout.pairs, layout.pair_weight
     src = np.concatenate((pairs[:, 0], pairs[:, 1]))
     dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
     both = np.concatenate((w, w))
@@ -275,7 +285,7 @@ def _one_hot_layout(model, groups) -> _OneHotLayout:
     weight = np.zeros(offset.shape)
     offset[src, slot] = dst - src
     weight[src, slot] = both
-    return _OneHotLayout(order, first, size, classes, diag, pairs, w, offset, weight, peak)
+    return offset, weight
 
 
 def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np.ndarray:
@@ -294,15 +304,17 @@ def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> n
     per_read = num_groups * (cfg.sweeps + 2) + stride
     block = max(1, min(len(reads), _RANDOM_BUDGET // per_read))
     betas = np.geomspace(*cfg.beta_range, cfg.sweeps) * scale
+    rows = _neighbour_rows(layout)
     states = np.empty((len(reads), num_groups), dtype=np.intp)
     for lo in range(0, len(reads), block):
         part = reads[lo:lo + block]
-        states[lo:lo + len(part)] = _anneal_block(layout, cfg, betas, part, stride)
+        states[lo:lo + len(part)] = _anneal_block(layout, rows, cfg, betas, part, stride)
     return states
 
 
-def _anneal_block(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray,
-                  reads: range, stride: int) -> np.ndarray:
+def _anneal_block(layout: _OneHotLayout, rows: tuple[np.ndarray, np.ndarray],
+                  cfg: SolverConfig, betas: np.ndarray, reads: range, stride: int
+                  ) -> np.ndarray:
     """The final states of one block of reads.
 
     The fields of the block live in one flat array, a row of `stride`
@@ -314,6 +326,7 @@ def _anneal_block(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray,
     only, and it compacts the accepted moves once.
     """
     n, num_groups = len(layout.order), len(layout.size)
+    offset, weight = rows
     count = len(reads)
     base = (np.arange(count) * stride)[:, None] + layout.first
     # Groups before `moving` have one member and never move.
@@ -325,9 +338,9 @@ def _anneal_block(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray,
         # The bits at `ends[:count]` were set and the rest cleared: add and
         # remove their couplings to the fields of the other groups.
         local = ends & (stride - 1)
-        change = layout.weight.take(local, axis=0)
+        change = weight.take(local, axis=0)
         change[count:] *= -1.0
-        targets = ends[:, None] + layout.offset.take(local, axis=0)
+        targets = ends[:, None] + offset.take(local, axis=0)
         np.add.at(field, targets.ravel(), change.ravel())
 
     # Each read draws its G starting values, then sweeps x G proposals, then
@@ -411,11 +424,12 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
         raise ValueError("the annealer needs each variable's group")
     if model.num_vars == 0:
         return SampleSet([Sample((), model.constant, 0)])
-    layout = _one_hot_layout(model, groups)
+    terms = _terms(model)
+    layout = _one_hot_layout(model, groups, terms)
     state = _eliminate(layout)
     if state is not None:
         # The one-hot minimum: no read could end below it, so none runs.
-        return _collect(model, dict.fromkeys(_tally(layout, state[None]), 0))
+        return _collect(model, dict.fromkeys(_tally(layout, state[None]), 0), terms)
     return _anneal(model, layout, cfg)
 
 

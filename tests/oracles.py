@@ -8,8 +8,9 @@ library's coefficient-accumulation and solver code paths so agreement
 between the two is meaningful. The first one-hot annealing kernel is kept
 here too, as the reference its faster rewrite must reproduce state for
 state, and so are the grid's first neighbour rule, its first distance
-search, the exhaustive backend's first, two-pass screen and the first,
-tick-by-tick vertex clash scan.
+search, the exhaustive backend's first, two-pass screen, the first,
+tick-by-tick vertex clash scan, and the window builder and fold as first
+written, every term through `QuboModel.add`.
 """
 
 import itertools
@@ -28,10 +29,11 @@ from quboplan.penalties import (
     EARLY_GOAL_PENALTY,
     START_REWARD,
     WindowSpec,
+    dense_admissible,
     goal_factor,
 )
 from quboplan.postprocess import occupied_at
-from quboplan.qubo import QuboModel
+from quboplan.qubo import QuboModel, block_size, var_index
 from quboplan.solvers import (
     _ENUM_CHUNK,
     _RANDOM_BUDGET,
@@ -40,6 +42,7 @@ from quboplan.solvers import (
     _collect,
     _dense_arrays,
     _energies,
+    _neighbour_rows,
     _OneHotLayout,
 )
 
@@ -115,6 +118,106 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
                 for c in admissible[r1][t] & admissible[r2][t]:
                     total += w.k_coll * occ(r1, t, c) * occ(r2, t, c)
     return total
+
+
+def build_window_model_by_terms(spec: WindowSpec, admissible=None) -> QuboModel:
+    """`penalties.build_window_model` as it was first written: every term
+    through one `var_index` and one `QuboModel.add` call, in emission order,
+    moves from `GridMap.neighbors`.
+
+    The merge rule makes the order matter: a key sits where its sum first
+    turns non-zero, and a sum that cancels to 0.0 drops it, so a later term
+    adds it again at the end."""
+    dims, horizon, w = spec.dims, spec.horizon, spec.weights
+    if admissible is None:
+        admissible = dense_admissible(spec)
+    model = QuboModel(len(spec.robots) * block_size(dims))
+
+    def entries(robot, t):
+        return [(c, var_index(dims, robot, t, c)) for c in sorted(admissible[robot][t])]
+
+    for robot, rec in enumerate(spec.robots):
+        for t in range(horizon + 1):
+            row = entries(robot, t)
+            model.constant += w.k_hot
+            for i, (_, a) in enumerate(row):
+                model.add(a, a, -w.k_hot)
+                for _, b in row[i + 1:]:
+                    model.add(a, b, 2.0 * w.k_hot)
+        for t in range(horizon):
+            nxt = admissible[robot][t + 1]
+            for c, a in entries(robot, t):
+                model.add(a, a, w.k_adj)
+                for n in sorted(neighbors(spec.grid, c, allow_wait=spec.allow_wait) & nxt):
+                    model.add(a, var_index(dims, robot, t + 1, n), -w.k_adj)
+        if rec.start in admissible[robot][0]:
+            a = var_index(dims, robot, 0, rec.start)
+            model.add(a, a, -START_REWARD)
+        if (manhattan(rec.start, rec.goal) < horizon
+                and any(rec.goal in cells for cells in admissible[robot])):
+            for t in range(1, horizon + 1):
+                if rec.goal in admissible[robot][t]:
+                    a = var_index(dims, robot, t, rec.goal)
+                    model.add(a, a, -w.k_goal * goal_factor(t, horizon))
+        else:
+            d_max = max_manhattan(spec.grid)
+            for c, a in entries(robot, horizon):
+                closeness = 1.0 - (manhattan(c, rec.goal) / d_max if d_max else 0.0)
+                openness = 1.0 - obstacle_potential(spec.grid, c)
+                weight = -w.k_approx * closeness * openness
+                if weight != 0.0:
+                    model.add(a, a, weight)
+        for t in range(horizon):
+            if rec.goal not in admissible[robot][t]:
+                continue
+            a = var_index(dims, robot, t, rec.goal)
+            model.add(a, a, w.k_lock)
+            if rec.goal in admissible[robot][t + 1]:
+                model.add(a, var_index(dims, robot, t + 1, rec.goal), -w.k_lock)
+        occurrences = {}
+        for t in range(horizon + 1):
+            for c in admissible[robot][t]:
+                occurrences.setdefault(c, []).append(t)
+        for c in sorted(occurrences):
+            times = sorted(occurrences[c])
+            if c != rec.goal:
+                for i, t1 in enumerate(times):
+                    a = var_index(dims, robot, t1, c)
+                    for t2 in times[i + 1:]:
+                        model.add(a, var_index(dims, robot, t2, c), w.k_bt)
+            if c in rec.visited:
+                for t in times:
+                    a = var_index(dims, robot, t, c)
+                    model.add(a, a, w.k_bt * BT_SOFT_FACTOR)
+        for t in range(min(manhattan(rec.start, rec.goal), horizon + 1)):
+            if rec.goal in admissible[robot][t]:
+                a = var_index(dims, robot, t, rec.goal)
+                model.add(a, a, EARLY_GOAL_PENALTY)
+    for r1 in range(len(spec.robots)):
+        for r2 in range(r1 + 1, len(spec.robots)):
+            for t in range(horizon + 1):
+                for c in sorted(admissible[r1][t] & admissible[r2][t]):
+                    model.add(var_index(dims, r1, t, c), var_index(dims, r2, t, c), w.k_coll)
+    return model
+
+
+def fold_by_terms(model: QuboModel, ones) -> tuple[QuboModel, list[int]]:
+    """`preprocess.fold` with no zeros, as it was first written: every
+    surviving term through `QuboModel.add`. Returns the folded model and
+    its free variables."""
+    free = sorted({v for key in model.coeffs for v in key} - set(ones))
+    position = {orig: dense for dense, orig in enumerate(free)}
+    out = QuboModel(len(free), model.constant)
+    for (a, b), w in model.coeffs.items():
+        if a in ones and (a == b or b in ones):
+            out.constant += w
+        elif a in ones:
+            out.add(position[b], position[b], w)
+        elif b in ones:
+            out.add(position[a], position[a], w)
+        else:
+            out.add(position[a], position[b], w)
+    return out, free
 
 
 def neighbors(grid: GridMap, c, allow_wait=False) -> set:
@@ -356,7 +459,7 @@ def anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np
     block = max(1, min(cfg.num_reads, _RANDOM_BUDGET // per_read))
     seed_base = cfg.seed & 0xFFFFFFFFFFFFFFFF
     states = np.empty((cfg.num_reads, num_groups), dtype=np.intp)
-    offset, weight = layout.offset, layout.weight
+    offset, weight = _neighbour_rows(layout)
     draws = np.empty((cfg.sweeps, num_groups), dtype=np.float32)
 
     def shift(field, ends, count):

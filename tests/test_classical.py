@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from perfbench.checker import check_plans
+from perfbench.corpus import corridor
 from quboplan.classical import astar, prioritized_plan
 from quboplan.grid import GridMap, bfs_distances
 from quboplan.planner import RobotSpec
@@ -49,6 +50,20 @@ def test_prioritized_gives_up_at_once_on_a_goal_parked_robots_wall_off():
     robots = [RobotSpec(0, (0, 2), (0, 1)), RobotSpec(1, (2, 0), (1, 0)),
               RobotSpec(2, (23, 23), (0, 0))]
     _gives_up_at_once(GridMap(24, 24), robots, 2)
+
+
+def test_prioritized_follows_a_serpentine_corridor_in_milliseconds():
+    # With the Manhattan bound, every wait in a long corridor made a new
+    # state under the f bound: 1.27 s on this 40x40 map. The BFS distance
+    # around the parked cells bounds each state by the corridor's length.
+    inst = next(i for i in corridor(0) if i.grid.rows == 40)
+    robot, = inst.robots
+    start = time.perf_counter()
+    steps = prioritized_plan(inst.grid, inst.robots)[robot.id]
+    elapsed = time.perf_counter() - start
+    assert steps[-1][0] - steps[0][0] == len(astar(inst.grid, robot.start, robot.goal)) - 1
+    assert check_plans(inst.grid, inst.robots, {robot.id: steps}) == []
+    assert elapsed < 0.5
 
 
 def test_astar_rejects_bad_endpoints():

@@ -14,6 +14,7 @@ from quboplan.penalties import (
     RobotWindow,
     START_REWARD,
     WindowSpec,
+    WindowTerms,
     apply_adjacency,
     apply_approximation,
     apply_backtracking,
@@ -27,10 +28,11 @@ from quboplan.penalties import (
     dense_admissible,
     goal_factor,
 )
-from quboplan.qubo import QuboModel, block_size, var_index
+from quboplan.preprocess import fix_logical, fold, forced_ones
+from quboplan.qubo import block_size, var_index
 from quboplan.scenario import load_scenario
 
-from oracles import penalty_energy
+from oracles import build_window_model_by_terms, fold_by_terms, penalty_energy
 
 
 W = PenaltyWeights()
@@ -43,14 +45,17 @@ def spec_1x2(horizon=1):
     return WindowSpec(g, (rec,), horizon, W)
 
 
-def fresh_model(spec):
-    return QuboModel(len(spec.robots) * block_size(spec.dims))
+def emitted(apply, spec, admissible, *robot):
+    """The model that one emitter's terms alone make over `admissible`."""
+    terms = WindowTerms(spec, admissible)
+    apply(terms, spec, *robot)
+    return terms.model()
 
 
 def test_one_hot_contributions():
     spec = spec_1x2()
     adm = dense_admissible(spec)
-    model = apply_one_hot(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_one_hot, spec, adm, 0)
     a = var_index(spec.dims, 0, 0, (0, 0))
     b = var_index(spec.dims, 0, 0, (0, 1))
     # satisfied step costs zero, double occupancy and empty step cost k_hot
@@ -63,7 +68,7 @@ def test_one_hot_contributions():
 def test_adjacency_contributions():
     spec = spec_1x2()
     adm = dense_admissible(spec)
-    model = apply_adjacency(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_adjacency, spec, adm, 0)
     a0 = var_index(spec.dims, 0, 0, (0, 0))
     b1 = var_index(spec.dims, 0, 1, (0, 1))
     assert model.energy({a0, b1}) == pytest.approx(0.0)  # continuous
@@ -75,7 +80,7 @@ def test_adjacency_diagonal_jump_penalized():
     rec = RobotWindow(start=(0, 0), goal=(1, 1))
     spec = WindowSpec(g, (rec,), 1, W)
     adm = dense_admissible(spec)
-    model = apply_adjacency(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_adjacency, spec, adm, 0)
     a = var_index(spec.dims, 0, 0, (0, 0))
     b = var_index(spec.dims, 0, 1, (1, 1))
     # (1,1) is not a 4-neighbor of (0,0): the step stays penalized
@@ -85,7 +90,7 @@ def test_adjacency_diagonal_jump_penalized():
 def test_start_reward():
     spec = spec_1x2()
     adm = dense_admissible(spec)
-    model = apply_start(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_start, spec, adm, 0)
     a = var_index(spec.dims, 0, 0, (0, 0))
     assert model.get(a, a) == -START_REWARD
     assert model.energy(set()) == 0.0
@@ -96,7 +101,7 @@ def test_goal_late_time_ramp():
     rec = RobotWindow(start=(0, 0), goal=(0, 4))
     spec = WindowSpec(g, (rec,), 4, PenaltyWeights(k_goal=1.0))
     adm = dense_admissible(spec)
-    model = apply_goal_late_time(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_goal_late_time, spec, adm, 0)
     goal_var = lambda t: var_index(spec.dims, 0, t, (0, 4))
     assert model.get(goal_var(0), goal_var(0)) == 0.0  # never at step 0
     assert model.get(goal_var(2), goal_var(2)) == pytest.approx(-1.5)
@@ -106,7 +111,7 @@ def test_goal_late_time_ramp():
 def test_goal_lock_contributions():
     spec = spec_1x2(horizon=2)
     adm = dense_admissible(spec)
-    model = apply_goal_lock(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_goal_lock, spec, adm, 0)
     g1 = var_index(spec.dims, 0, 1, (0, 1))
     g2 = var_index(spec.dims, 0, 2, (0, 1))
     assert model.energy({g1, g2}) == pytest.approx(0.0)   # parked through the end
@@ -119,7 +124,7 @@ def test_backtracking_pairs_and_goal_exemption():
     rec = RobotWindow(start=(0, 0), goal=(0, 3))
     spec = WindowSpec(g, (rec,), 3, W)
     adm = dense_admissible(spec)
-    model = apply_backtracking(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_backtracking, spec, adm, 0)
     c1 = var_index(spec.dims, 0, 1, (0, 1))
     c3 = var_index(spec.dims, 0, 3, (0, 1))
     assert model.get(c1, c3) == W.k_bt
@@ -133,7 +138,7 @@ def test_backtracking_visited_softening():
     rec = RobotWindow(start=(0, 0), goal=(0, 3), visited=frozenset({(0, 1)}))
     spec = WindowSpec(g, (rec,), 2, W)
     adm = dense_admissible(spec)
-    model = apply_backtracking(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_backtracking, spec, adm, 0)
     v = var_index(spec.dims, 0, 2, (0, 1))
     assert model.get(v, v) == pytest.approx(W.k_bt * BT_SOFT_FACTOR)
 
@@ -143,7 +148,7 @@ def test_teleportation_before_bound_only():
     rec = RobotWindow(start=(0, 0), goal=(2, 2))
     spec = WindowSpec(g, (rec,), 6, W)
     adm = dense_admissible(spec)
-    model = apply_teleportation(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_teleportation, spec, adm, 0)
     early = var_index(spec.dims, 0, 2, (2, 2))
     late = var_index(spec.dims, 0, 4, (2, 2))
     assert model.get(early, early) == EARLY_GOAL_PENALTY
@@ -154,7 +159,7 @@ def test_teleportation_degenerate_start_is_goal():
     g = GridMap(3, 3)
     rec = RobotWindow(start=(1, 1), goal=(1, 1))
     spec = WindowSpec(g, (rec,), 2, W)
-    model = apply_teleportation(fresh_model(spec), spec, 0, dense_admissible(spec))
+    model = emitted(apply_teleportation, spec, dense_admissible(spec), 0)
     assert len(model) == 0
 
 
@@ -163,7 +168,7 @@ def test_approximation_rewards():
     rec = RobotWindow(start=(0, 0), goal=(4, 4))
     spec = WindowSpec(g, (rec,), 3, PenaltyWeights(k_approx=1.0))
     adm = dense_admissible(spec)
-    model = apply_approximation(fresh_model(spec), spec, 0, adm)
+    model = emitted(apply_approximation, spec, adm, 0)
     center = var_index(spec.dims, 0, 3, (2, 2))
     assert model.get(center, center) == pytest.approx(-0.5)  # halfway, open space
     goal = var_index(spec.dims, 0, 3, (4, 4))
@@ -180,7 +185,7 @@ def test_vertex_collision_pairs():
     )
     spec = WindowSpec(g, recs, 2, W)
     adm = dense_admissible(spec)
-    model = apply_vertex_collision(fresh_model(spec), spec, adm)
+    model = emitted(apply_vertex_collision, spec, adm)
     a = var_index(spec.dims, 0, 1, (1, 1))
     b = var_index(spec.dims, 1, 1, (1, 1))
     assert model.get(a, b) == W.k_coll
@@ -197,8 +202,8 @@ def test_vertex_collision_symmetric_in_robot_order():
     )
     spec_ab = WindowSpec(g, recs, 2, W)
     spec_ba = WindowSpec(g, recs[::-1], 2, W)
-    m_ab = apply_vertex_collision(fresh_model(spec_ab), spec_ab, dense_admissible(spec_ab))
-    m_ba = apply_vertex_collision(fresh_model(spec_ba), spec_ba, dense_admissible(spec_ba))
+    m_ab = emitted(apply_vertex_collision, spec_ab, dense_admissible(spec_ab))
+    m_ba = emitted(apply_vertex_collision, spec_ba, dense_admissible(spec_ba))
     # robot blocks swap, but the coupled (cell, step) pairs are the same
     def pairs(spec, model):
         out = set()
@@ -276,6 +281,83 @@ def test_model_energy_matches_direct_formulas():
             assert model.energy(ones) == pytest.approx(direct, abs=1e-9)
 
 
+def _merge_rule_window(rng):
+    """A random window and its admissible sets, dense or from
+    `fix_logical`, with waits in some and visited cells in all; `k_adj`
+    equals `k_hot` in a third of them, where one-hot diagonals cancel."""
+    while True:
+        rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        grid = GridMap(rows, cols, frozenset(c for c in cells if rng.random() < 0.15))
+        free = [c for c in cells if grid.is_free(c)]
+        count = int(rng.integers(1, 4))
+        if len(free) >= 2 * count:
+            break
+    picks = [free[k] for k in rng.permutation(len(free))]
+    robots = tuple(RobotWindow(start, goal, frozenset({start} | {c for c in free
+                                                                 if rng.random() < 0.25}))
+                   for start, goal in zip(picks[:2 * count:2], picks[1:2 * count:2]))
+    weights = PenaltyWeights(k_adj=float(rng.choice([2.0, 4.0, 8.0])),
+                             k_coll=float(rng.choice([4.0, 8.0])))
+    spec = WindowSpec(grid, robots, int(rng.integers(1, 9)), weights,
+                      allow_wait=count > 1 or rng.random() < 0.3)
+    dense = rng.random() < 0.3
+    return spec, dense_admissible(spec) if dense else fix_logical(spec)[1]
+
+
+def test_window_models_merge_as_the_term_by_term_builder(monkeypatch):
+    # `_energies` sums in `coeffs` order, so the order is pinned too: a key
+    # sits where its sum first turns non-zero, and one that cancels to 0.0
+    # is added again at the end by a later term.
+    emitted_keys = []
+    merge = WindowTerms.model
+
+    def recording(terms):
+        emitted_keys.append(list(terms.keys))
+        return merge(terms)
+
+    monkeypatch.setattr(WindowTerms, "model", recording)
+    rng = np.random.default_rng(29)
+    readded = 0
+    for _ in range(400):
+        spec, admissible = _merge_rule_window(rng)
+        model = build_window_model(spec, admissible)
+        reference = build_window_model_by_terms(spec, admissible)
+        assert list(model.coeffs.items()) == list(reference.coeffs.items())
+        assert (model.num_vars, model.constant) == (reference.num_vars, reference.constant)
+        first_seen = [key for key in dict.fromkeys(emitted_keys[-1]) if key in model.coeffs]
+        readded += first_seen != list(model.coeffs)
+        ones = forced_ones(spec.dims, admissible)
+        folded = fold(model, ones)
+        folded_reference, free = fold_by_terms(reference, ones)
+        assert list(folded.model.coeffs.items()) == list(folded_reference.coeffs.items())
+        assert folded.model.constant == folded_reference.constant
+        assert (folded.free_vars, folded.model.num_vars) == (free, folded_reference.num_vars)
+    assert readded >= 100
+
+
+def test_window_models_check_each_cell_as_the_per_term_calls_did():
+    grid = GridMap(3, 3, frozenset({(1, 1)}))
+    spec = WindowSpec(grid, (RobotWindow((0, 0), (0, 1)),), 2, W)
+    for t in range(3):
+        outside = dense_admissible(spec)
+        outside[0][t].add((3, 0))
+        with pytest.raises(ValueError, match="outside 3x3 grid"):
+            build_window_model(spec, outside)
+    for t in range(2):
+        blocked = dense_admissible(spec)
+        blocked[0][t].add((1, 1))
+        with pytest.raises(ValueError, match="is an obstacle"):
+            build_window_model(spec, blocked)
+    # No move leaves the last step, so an obstacle there was never checked
+    # where the goal reward is the late-time one; no move enters it either.
+    blocked = dense_admissible(spec)
+    blocked[0][2].add((1, 1))
+    model = build_window_model(spec, blocked)
+    assert list(model.coeffs.items()) == list(build_window_model_by_terms(spec, blocked)
+                                              .coeffs.items())
+
+
 def test_criterion_6_draws_both_goal_rewards_many_times(monkeypatch):
     # Replays the windows that acceptance criterion 6 draws from its seed:
     # 1000 occupancies, four per window, each taking one draw per variable.
@@ -303,8 +385,6 @@ def test_criterion_6_draws_both_goal_rewards_many_times(monkeypatch):
 
 
 def test_obstacle_cells_never_receive_variables():
-    from quboplan.preprocess import fix_logical
-
     g = GridMap(4, 4, frozenset({(1, 1), (2, 3), (3, 0)}))
     rec = RobotWindow(start=(0, 0), goal=(3, 3))
     spec = WindowSpec(g, (rec,), 6, W)
@@ -357,7 +437,7 @@ def _assert_start_forced_and_goal_not_early(spec, admissible):
         assert layers[0] == {rec.start}
         early = min(manhattan(rec.start, rec.goal), len(layers))
         assert not any(rec.goal in layers[t] for t in range(early))
-        assert len(apply_teleportation(fresh_model(spec), spec, robot, admissible)) == 0
+        assert len(emitted(apply_teleportation, spec, admissible, robot)) == 0
 
 
 @pytest.fixture

@@ -506,6 +506,20 @@ def test_windows_read_the_visited_cells_without_copying_them(grid, start, goal, 
             == bfs_layers(grid, start, horizon, exclude_visited=visited - {start}))
 
 
+def test_window_groups_label_each_free_variable_with_its_robot_and_step():
+    grid = GridMap(4, 5, frozenset({(1, 1), (2, 3)}))
+    window = build_window(grid, [((0, 0), (3, 4), {(0, 0)}), ((3, 0), (0, 4), {(3, 0)})], 5,
+                          PenaltyWeights(), allow_wait=True)
+    expected = []
+    for v in window.folded.free_vars:
+        occupancy = qubo.decode([v], window.spec.dims, 2)
+        (robot, t), = [(r, t) for r, steps in enumerate(occupancy)
+                       for t, cells in enumerate(steps) if cells]
+        expected.append(robot * (window.spec.horizon + 1) + t)
+    assert len(expected) > 10
+    assert window.groups.tolist() == expected
+
+
 def test_plan_release_offsets_single_robot():
     g = GridMap(1, 4)
     result = plan_paths(g, [RobotSpec(0, (0, 0), (0, 3), release=2)],

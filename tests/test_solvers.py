@@ -14,7 +14,7 @@ from quboplan.multi import plan_multi
 import quboplan.planner as planner
 from quboplan.planner import build_window, derive_seed
 import quboplan.solvers as solvers
-from quboplan.qubo import QuboModel, var_group
+from quboplan.qubo import QuboModel
 from quboplan.scenario import load_scenario
 from quboplan.solvers import SolverConfig, solve, solve_exhaustive
 
@@ -277,8 +277,7 @@ def _first_window(name):
                           spec.weights, allow_wait=len(robots) > 1)
     folded = window.folded
     cfg = replace(spec.solver_cfg, backend="annealer", seed=derive_seed(spec.seed, 0, 0, 0))
-    groups = [var_group(window.spec.dims, v) for v in folded.free_vars]
-    return folded.model, cfg, groups
+    return folded.model, cfg, window.groups
 
 
 def _window(name):
@@ -753,7 +752,7 @@ def test_kernel_matches_the_reference_on_random_grouped_models(budget, monkeypat
         seen.add(f"{min(len(layout.classes), 3)} classes")
         if layout.classes and layout.classes[0][0] > 0:
             seen.add("singleton groups")
-        if (layout.weight == 0).any():
+        if (solvers._neighbour_rows(layout)[1] == 0).any():
             seen.add("padded neighbour rows")
     assert seen == {"0 classes", "1 classes", "2 classes", "3 classes",
                     "singleton groups", "padded neighbour rows"}
