@@ -128,16 +128,14 @@ class WindowTerms:
     """A window's penalty terms in emission order, over its index table.
 
     `layers[robot][t]` maps each cell admissible to the robot at step t to
-    its variable (`qubo.var_index`), in sorted cell order, and
-    `targets[robot][t]` is the same map without obstacle cells, the cells a
-    move may enter. The table is built once, and it checks each cell as
-    `var_index` and `GridMap.neighbors` would on every term: a cell outside
-    the grid, or an obstacle at a step that a move leaves, raises
-    `ValueError`. Each `apply_*` appends its (a, b) keys, a <= b, and their
-    weights to `keys` and `weights`; `model` merges them.
+    its variable (`qubo.var_index`), in sorted cell order. The table is
+    built once, and it checks each cell once: a cell outside the grid, or an
+    obstacle at any step, raises `ValueError`. Each `apply_*` appends its
+    (a, b) keys, a <= b, and their weights to `keys` and `weights`; `model`
+    merges them.
     """
 
-    __slots__ = ("num_vars", "layers", "targets", "keys", "weights", "constant")
+    __slots__ = ("num_vars", "layers", "keys", "weights", "constant")
 
     def __init__(self, spec: WindowSpec, admissible: Admissible):
         grid, horizon = spec.grid, spec.horizon
@@ -145,9 +143,8 @@ class WindowTerms:
         per_cell = rows * cols
         self.num_vars = len(spec.robots) * block_size(spec.dims)
         self.layers: list[list[dict[Cell, int]]] = []
-        self.targets: list[list[dict[Cell, int]]] = []
         for robot in range(len(spec.robots)):
-            layers, targets = [], []
+            layers = []
             for t in range(horizon + 1):
                 base = (robot * (horizon + 1) + t) * per_cell
                 layer = {}
@@ -156,14 +153,10 @@ class WindowTerms:
                     if not (0 <= i < rows and 0 <= j < cols):
                         raise ValueError(f"cell {c} outside {rows}x{cols} grid")
                     layer[c] = base + i * cols + j
-                blocked = obstacles.intersection(layer) if obstacles else ()
-                if blocked and t < horizon:
-                    raise ValueError(f"cell {min(blocked)} is an obstacle")
+                if obstacles and not obstacles.isdisjoint(layer):
+                    raise ValueError(f"cell {min(obstacles.intersection(layer))} is an obstacle")
                 layers.append(layer)
-                targets.append({c: v for c, v in layer.items() if c not in blocked}
-                               if blocked else layer)
             self.layers.append(layers)
-            self.targets.append(targets)
         self.keys: list[tuple[int, int]] = []
         self.weights: list[float] = []
         self.constant = 0.0
@@ -212,9 +205,9 @@ def apply_adjacency(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
     k = spec.weights.k_adj
     wait = spec.allow_wait
     keys, weights = terms.keys, terms.weights
-    layers, targets = terms.layers[robot], terms.targets[robot]
+    layers = terms.layers[robot]
     for t in range(spec.horizon):
-        nxt = targets[t + 1].get
+        nxt = layers[t + 1].get
         for (i, j), a in layers[t].items():
             keys.append((a, a))
             weights.append(k)

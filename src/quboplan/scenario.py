@@ -63,8 +63,7 @@ def parse_map_text(rows: list[str], first_line: int = 1) -> GridMap:
 _KEY_TYPES = {
     "weights": {f.name: f.type for f in fields(PenaltyWeights)},
     "window": {f.name: f.type for f in fields(WindowConfig)},
-    "solver": {"backend": str, "reads": int, "sweeps": int,
-               "beta0": float, "beta1": float, "seed": int},
+    "solver": {"backend": str, "reads": int, "sweeps": int, "seed": int},
     "bench": {"repeats": int},
 }
 _TYPE_NAMES = {int: "an integer", float: "a number"}
@@ -159,15 +158,9 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
         window_cfg = WindowConfig(**section_dict("window"))
 
         sd = section_dict("solver")
-        defaults = SolverConfig()
-        solver_cfg = SolverConfig(
-            backend=sd.get("backend", defaults.backend),
-            num_reads=sd.get("reads", defaults.num_reads),
-            sweeps=sd.get("sweeps", defaults.sweeps),
-            beta_range=(sd.get("beta0", defaults.beta_range[0]),
-                        sd.get("beta1", defaults.beta_range[1])),
-            seed=sd.get("seed", defaults.seed),
-        )
+        if "reads" in sd:
+            sd["num_reads"] = sd.pop("reads")
+        solver_cfg = SolverConfig(**sd)
         repeats = section_dict("bench").get("repeats", 1)
     except ScenarioError:
         raise

@@ -2,9 +2,10 @@
 
 Both backends consume a frozen model over dense free variables and return a
 `SampleSet`. The exhaustive backend enumerates every assignment and is the
-ground-truth oracle for small instances. The annealer is the production
-sampler; a future hardware or circuit backend would slot in behind the same
-interface.
+ground-truth oracle for small instances. The annealer backend answers a
+model by exact elimination when its tables fit a cap and samples it by
+simulated annealing only above that cap; a future hardware or circuit
+backend would slot in behind the same interface.
 
 The annealer visits one-hot states only: the caller labels each variable
 with its group (in a window model, its (robot, step)), a state sets exactly
@@ -23,9 +24,10 @@ its draws for each sweep in contiguous arrays of its own, and a pass over
 it makes about a dozen numpy calls. Sample energies are scored in one
 vectorised sum that adds the terms in `QuboModel.energy`'s order.
 
-`solve` reads the annealing β range per unit of the largest |coupling
-between groups| and never rescales the model: scaling Q by s is the same as
-scaling β by s, so sample energies stay in the model's own units.
+The annealing β range `_BETA_RANGE` is read per unit of the largest
+|coupling between groups|, and the model is never rescaled: scaling Q by s
+is the same as scaling β by s, so sample energies stay in the model's own
+units.
 
 `solve` first runs min-sum elimination over the groups, exact on one-hot
 states (Dechter, Artif. Intell. 113, 41, 1999), and returns its state at
@@ -56,6 +58,9 @@ _ENUM_CHUNK = 1 << 16
 _RANDOM_BUDGET = 1 << 23
 # Entries in the largest table exact elimination builds before it gives up.
 _EXACT_TABLE_CAP = 1 << 16
+# The annealer's first and last inverse temperature, per unit of the window
+# model's largest |coupling between groups|, in a geometric schedule.
+_BETA_RANGE = (0.4, 40.0)
 
 
 class ModelTooLargeError(ValueError):
@@ -68,14 +73,11 @@ class SolverConfig:
 
     `num_reads` is the annealer's read count: it runs none when exact
     elimination fits its table cap (see `solve`).
-    `beta_range` is the annealer's first and last inverse temperature per
-    unit of the model's largest |coupling between groups| (see `solve`).
     """
 
     backend: str = BACKEND_ANNEALER
     num_reads: int = 100
     sweeps: int = 1000
-    beta_range: tuple[float, float] = (0.4, 40.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -86,9 +88,6 @@ class SolverConfig:
             raise ValueError("num_reads must be >= 1")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        lo, hi = self.beta_range
-        if not 0 < lo < hi < math.inf:
-            raise ValueError("beta_range must satisfy 0 < initial < final < inf")
 
 
 @dataclass(frozen=True)
@@ -288,9 +287,10 @@ def _neighbour_rows(layout: _OneHotLayout) -> tuple[np.ndarray, np.ndarray]:
     return offset, weight
 
 
-def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np.ndarray:
-    """The final state of each of the `cfg.num_reads` reads: one chosen
-    internal variable per group.
+def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray
+                    ) -> np.ndarray:
+    """The final state of each of the `cfg.num_reads` reads, one chosen
+    internal variable per group, with sweep s at inverse temperature `betas[s]`.
 
     Reads run in blocks that fit `_RANDOM_BUDGET`, each in its own call so
     that its arrays are freed before the next block allocates. A read's
@@ -303,7 +303,6 @@ def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> n
     # Every per-read array counts against the budget, in 8-byte units.
     per_read = num_groups * (cfg.sweeps + 2) + stride
     block = max(1, min(len(reads), _RANDOM_BUDGET // per_read))
-    betas = np.geomspace(*cfg.beta_range, cfg.sweeps) * scale
     rows = _neighbour_rows(layout)
     states = np.empty((len(reads), num_groups), dtype=np.intp)
     for lo in range(0, len(reads), block):
@@ -412,7 +411,7 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     with exactly one set bit per group. When `_eliminate` fits its table
     cap, its state at the one-hot minimum is the only sample, with 0
     occurrences: no read runs. Otherwise it anneals, reading
-    `cfg.beta_range` per unit of the largest |coupling between groups| (the
+    `_BETA_RANGE` per unit of the largest |coupling between groups| (the
     peak |coefficient| when groups share none), so scaling the model by a
     positive factor leaves its samples unchanged up to the rounding of β.
     Its occurrences then count all `cfg.num_reads` reads. A model with no
@@ -436,7 +435,8 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
 def _anneal(model, layout: _OneHotLayout, cfg: SolverConfig) -> SampleSet:
     """The annealer's sample set over all `cfg.num_reads` reads."""
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
-    return _collect(model, _tally(layout, _anneal_one_hot(layout, cfg, scale)))
+    betas = np.geomspace(*_BETA_RANGE, cfg.sweeps) * scale
+    return _collect(model, _tally(layout, _anneal_one_hot(layout, cfg, betas)))
 
 
 def _tally(layout: _OneHotLayout, states: np.ndarray) -> dict[tuple[int, ...], int]:

@@ -444,15 +444,15 @@ def four_var_fixture() -> QuboModel:
 # The one-hot annealing kernel as first written: each class reads its state
 # as a strided column slice of `cur`, and accepted moves are masked out and
 # concatenated. `solvers._anneal_one_hot` must return exactly its states.
-def anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, scale: float) -> np.ndarray:
-    """Each read's final state: one chosen internal variable per group.
+def anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray) -> np.ndarray:
+    """Each read's final state: one chosen internal variable per group;
+    sweep s runs at inverse temperature `betas[s]`.
 
     The fields of a block of reads live in one flat array, a row of `stride`
     entries per read, and a state is the flat index of each group's set bit.
     """
     n, num_groups = len(layout.order), len(layout.size)
     stride = 1 << n.bit_length()  # > n, so column n is the padding sink
-    betas = np.geomspace(*cfg.beta_range, cfg.sweeps) * scale
     span = (layout.size - 1).astype(np.float64)
     # Every per-read array counts against the budget, in 8-byte units.
     per_read = num_groups * (cfg.sweeps + 2) + stride

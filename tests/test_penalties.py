@@ -344,18 +344,12 @@ def test_window_models_check_each_cell_as_the_per_term_calls_did():
         outside[0][t].add((3, 0))
         with pytest.raises(ValueError, match="outside 3x3 grid"):
             build_window_model(spec, outside)
-    for t in range(2):
+    # An obstacle is rejected at every step, the last included.
+    for t in range(3):
         blocked = dense_admissible(spec)
         blocked[0][t].add((1, 1))
         with pytest.raises(ValueError, match="is an obstacle"):
             build_window_model(spec, blocked)
-    # No move leaves the last step, so an obstacle there was never checked
-    # where the goal reward is the late-time one; no move enters it either.
-    blocked = dense_admissible(spec)
-    blocked[0][2].add((1, 1))
-    model = build_window_model(spec, blocked)
-    assert list(model.coeffs.items()) == list(build_window_model_by_terms(spec, blocked)
-                                              .coeffs.items())
 
 
 def test_criterion_6_draws_both_goal_rewards_many_times(monkeypatch):

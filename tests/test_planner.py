@@ -217,9 +217,9 @@ def test_an_invalid_exact_minimum_is_solved_again_at_the_same_horizon(monkeypatc
     runs = []
     kernel = solvers._anneal_one_hot
 
-    def recorded_kernel(layout, cfg, scale):
+    def recorded_kernel(layout, cfg, betas):
         runs.append(cfg.num_reads)
-        return kernel(layout, cfg, scale)
+        return kernel(layout, cfg, betas)
 
     monkeypatch.setattr(solvers, "_anneal_one_hot", recorded_kernel)
     grid = GridMap(5, 4, frozenset({(0, 3), (4, 1)}))
