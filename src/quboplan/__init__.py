@@ -23,13 +23,10 @@ from .preprocess import (
     fold,
 )
 from .solvers import (
-    BACKEND_ANNEALER,
-    BACKEND_EXHAUSTIVE,
     Sample,
     SampleSet,
     SolverConfig,
     solve,
-    solve_exhaustive,
 )
 from .planner import (
     Plan,

@@ -16,7 +16,7 @@ from .multi import plan_multi
 from .planner import derive_seed
 from .scenario import ScenarioError, ScenarioSpec
 
-SCHEMA_VERSION = 3  # of the `plan` and `bench` JSON
+SCHEMA_VERSION = 4  # of the `plan` and `bench` JSON
 
 
 def classical_lengths(spec: ScenarioSpec) -> dict:

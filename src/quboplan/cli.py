@@ -16,12 +16,10 @@ from .penalties import build_window_model
 from .planner import build_window
 from .render import render_svg
 from .scenario import ScenarioError, load_scenario
-from .solvers import ModelTooLargeError
 
 
 def _apply_solver_overrides(spec, args):
-    flags = {"backend": args.backend, "num_reads": args.reads,
-             "sweeps": args.sweeps, "seed": args.seed}
+    flags = {"num_reads": args.reads, "sweeps": args.sweeps, "seed": args.seed}
     try:
         spec.solver_cfg = replace(
             spec.solver_cfg, **{k: v for k, v in flags.items() if v is not None})
@@ -124,7 +122,6 @@ def main(argv=None) -> int:
     for p in (plan_p, bench_p, render_p):
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--backend", choices=("annealer", "exhaustive"), default=None)
         p.add_argument("--reads", type=int, default=None)
         p.add_argument("--sweeps", type=int, default=None)
 
@@ -159,7 +156,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ModelTooLargeError, OSError) as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

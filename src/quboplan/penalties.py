@@ -25,7 +25,7 @@ GOAL_RAMP_MAX = 2.0
 BT_SOFT_FACTOR = 0.5
 # The start reward and the early-goal penalty cannot change a plan, so they
 # are constants. Layer 0 of `bfs_layers` is {start}, so the start variable is
-# forced on and `fold` moves its reward into the constant, on either backend.
+# forced on and `fold` moves its reward into the constant before any solve.
 # The goal enters a layer at its BFS distance, never below its L1 distance
 # (left-out visited cells and added obstacles only lengthen it), and
 # `fix_logical` pads the goal only after that step: `apply_teleportation`
@@ -327,7 +327,7 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -
     window-final approximation reward. Without an explicit admissible
     structure the model spans the full dense variable space, where a free
     goal counts as reachable; this keeps the builder self-contained for
-    exhaustive ground-truth checks.
+    ground-truth checks by enumeration.
     """
     if admissible is None:
         admissible = dense_admissible(spec)

@@ -105,8 +105,10 @@ def stitch(steps, window_path):
 class WindowRecord:
     """Joint per-window diagnostics shared by every robot active in it.
 
-    A try at the window fills in what it found; `backend` stays "presolve"
-    unless a sampler ran. The window loop then sets `index`, `global_start`,
+    A try at the window fills in what it found. `backend` says who answered
+    it: "presolve" when logical fixing decided it, "exact" when `solve`
+    returned elimination's state (no read ran), "annealer" when its reads
+    did. The window loop then sets `index`, `global_start`,
     `escalated` (the window was widened) and `retries`, the number of tries
     that failed before the last one (see `plan_paths`).
     """
@@ -320,7 +322,8 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
         cfg = replace(solver_cfg, seed=derive_seed(solver_cfg.seed, *seed_parts))
         sampleset = solve(folded.model, cfg, groups=window.groups)
         occupancy = decode(folded.expand(sampleset.best.bits), spec.dims, len(agents))
-        sampled = {"backend": cfg.backend, "best_energy": sampleset.best.energy,
+        sampled = {"backend": "annealer" if sampleset.best.occurrences else "exact",
+                   "best_energy": sampleset.best.energy,
                    "histogram": [(s.energy, s.occurrences) for s in sampleset.samples[:8]]}
     record = WindowRecord(horizon, report.original_count, report.reduced_count,
                           report.numeric_fixed, **sampled)

@@ -63,7 +63,7 @@ def parse_map_text(rows: list[str], first_line: int = 1) -> GridMap:
 _KEY_TYPES = {
     "weights": {f.name: f.type for f in fields(PenaltyWeights)},
     "window": {f.name: f.type for f in fields(WindowConfig)},
-    "solver": {"backend": str, "reads": int, "sweeps": int, "seed": int},
+    "solver": {"reads": int, "sweeps": int, "seed": int},
     "bench": {"repeats": int},
 }
 _TYPE_NAMES = {int: "an integer", float: "a number"}

@@ -1,11 +1,9 @@
-"""QUBO solving backends: exact enumeration and one-hot simulated annealing.
+"""The QUBO solver: exact elimination over one-hot groups, and simulated
+annealing above its table cap.
 
-Both backends consume a frozen model over dense free variables and return a
-`SampleSet`. The exhaustive backend enumerates every assignment and is the
-ground-truth oracle for small instances. The annealer backend answers a
-model by exact elimination when its tables fit a cap and samples it by
-simulated annealing only above that cap; a future hardware or circuit
-backend would slot in behind the same interface.
+`solve` consumes a frozen model over dense free variables, with each
+variable's group, and returns a `SampleSet`. The annealer stands in for the
+quantum or quantum-inspired sampler that a window's QUBO is meant for.
 
 The annealer visits one-hot states only: the caller labels each variable
 with its group (in a window model, its (robot, step)), a state sets exactly
@@ -47,11 +45,6 @@ import numpy as np
 
 from .grid import _require_ints
 
-BACKEND_EXHAUSTIVE = "exhaustive"
-BACKEND_ANNEALER = "annealer"
-
-EXHAUSTIVE_VAR_CAP = 24
-_ENUM_CHUNK = 1 << 16
 # 8-byte values held per block of reads while annealing: 64 MiB. The 100
 # reads of a `city` window above the table cap need at most 9,920 values
 # each (235 variables in 32 groups at 300 sweeps), so they share one block.
@@ -63,26 +56,25 @@ _EXACT_TABLE_CAP = 1 << 16
 _BETA_RANGE = (0.4, 40.0)
 
 
-class ModelTooLargeError(ValueError):
-    """The model has more variables than the exhaustive backend enumerates."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Backend choice and sampling parameters. Same seed, same samples.
+    """Sampling parameters. Same seed, same samples.
 
     `num_reads` is the annealer's read count: it runs none when exact
     elimination fits its table cap (see `solve`).
     """
 
-    backend: str = BACKEND_ANNEALER
     num_reads: int = 100
     sweeps: int = 1000
     seed: int = 0
 
+    @property
+    def backend(self) -> str:
+        """Always "annealer". Read only by the benchmark tracer's solve
+        counts; it goes when their `annealer` key does (ROADMAP item 7)."""
+        return "annealer"
+
     def __post_init__(self):
-        if self.backend not in (BACKEND_EXHAUSTIVE, BACKEND_ANNEALER):
-            raise ValueError(f"unknown backend {self.backend!r}")
         _require_ints(self, "num_reads", "sweeps", "seed")
         if self.num_reads < 1:
             raise ValueError("num_reads must be >= 1")
@@ -145,54 +137,9 @@ def _collect(model, counts: dict[tuple[int, ...], int], terms=None) -> SampleSet
     return SampleSet(samples)
 
 
-def _dense_arrays(model):
-    pairs, weights = _terms(model)
-    a, b = pairs[:, 0], pairs[:, 1]
-    linear = a == b
-    diag = np.zeros(model.num_vars)
-    diag[a[linear]] = weights[linear]
-    upper = np.zeros((model.num_vars, model.num_vars))
-    upper[a[~linear], b[~linear]] = weights[~linear]
-    return diag, upper
-
-
 def _cut(best: float) -> float:
     """The highest energy that counts as tied with `best`."""
     return best + 1e-9 * max(1.0, abs(best))
-
-
-def solve_exhaustive(model) -> SampleSet:
-    """Global minimum by complete enumeration; every tied optimum is kept."""
-    n = model.num_vars
-    if n > EXHAUSTIVE_VAR_CAP:
-        raise ModelTooLargeError(
-            f"exhaustive backend handles at most {EXHAUSTIVE_VAR_CAP} variables, got {n}"
-        )
-    diag, upper = _dense_arrays(model)
-    shifts = np.arange(n, dtype=np.uint32)
-    total = 1 << n
-
-    def chunk_energies(lo, hi):
-        codes = np.arange(lo, hi, dtype=np.uint32)
-        bits = ((codes[:, None] >> shifts) & 1).astype(np.float64)
-        return bits @ diag + np.einsum("ij,ij->i", bits @ upper, bits)
-
-    # One pass: each chunk keeps its codes near the running minimum. That
-    # cut only falls, so every code near the final minimum is kept.
-    best = math.inf
-    kept, screened = [], []
-    for lo in range(0, total, _ENUM_CHUNK):
-        e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
-        best = min(best, float(e.min()))
-        near = np.nonzero(e <= _cut(best))[0]
-        kept.append(lo + near)
-        screened.append(e[near])
-    codes = np.concatenate(kept)[np.concatenate(screened) <= _cut(best)]
-    # Score the near-minimal codes exactly, so that ties are exact ties.
-    on = ((codes[:, None] >> shifts) & 1).astype(bool)
-    exact = _energies(model, on)
-    ties = on[exact == exact.min()].astype(int)
-    return _collect(model, {tuple(bits): 1 for bits in ties.tolist()})
 
 
 @dataclass(frozen=True)
@@ -405,22 +352,19 @@ def _anneal_block(layout: _OneHotLayout, rows: tuple[np.ndarray, np.ndarray],
 
 
 def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
-    """Dispatch to the configured backend.
+    """The model's lowest one-hot states found, exactly or by annealing.
 
-    The annealer needs `groups`, one label per variable. It returns states
-    with exactly one set bit per group. When `_eliminate` fits its table
-    cap, its state at the one-hot minimum is the only sample, with 0
-    occurrences: no read runs. Otherwise it anneals, reading
-    `_BETA_RANGE` per unit of the largest |coupling between groups| (the
-    peak |coefficient| when groups share none), so scaling the model by a
-    positive factor leaves its samples unchanged up to the rounding of β.
-    Its occurrences then count all `cfg.num_reads` reads. A model with no
-    variables runs no read.
+    `groups` labels each variable, and every state sets exactly one
+    variable per group. When `_eliminate` fits its table cap, its state at
+    the one-hot minimum is the only sample, with 0 occurrences: no read
+    runs. Otherwise it anneals, reading `_BETA_RANGE` per unit of the
+    largest |coupling between groups| (the peak |coefficient| when groups
+    share none), so scaling the model by a positive factor leaves its
+    samples unchanged up to the rounding of β. Its occurrences then count
+    all `cfg.num_reads` reads. A model with no variables runs no read.
     """
-    if cfg.backend == BACKEND_EXHAUSTIVE:
-        return solve_exhaustive(model)
     if groups is None:
-        raise ValueError("the annealer needs each variable's group")
+        raise ValueError("solve needs each variable's group")
     if model.num_vars == 0:
         return SampleSet([Sample((), model.constant, 0)])
     terms = _terms(model)

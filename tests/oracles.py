@@ -8,9 +8,10 @@ library's coefficient-accumulation and solver code paths so agreement
 between the two is meaningful. The first one-hot annealing kernel is kept
 here too, as the reference its faster rewrite must reproduce state for
 state, and so are the grid's first neighbour rule, its first distance
-search, the exhaustive backend's first, two-pass screen, the first,
-tick-by-tick vertex clash scan, and the window builder and fold as first
-written, every term through `QuboModel.add`.
+search, the first, tick-by-tick vertex clash scan, and the window builder
+and fold as first written, every term through `QuboModel.add`. The
+exhaustive solver, a plain enumeration of every assignment, is the ground
+truth that tests plan through in place of `solvers.solve`.
 """
 
 import itertools
@@ -35,16 +36,19 @@ from quboplan.penalties import (
 from quboplan.postprocess import occupied_at
 from quboplan.qubo import QuboModel, block_size, var_index
 from quboplan.solvers import (
-    _ENUM_CHUNK,
     _RANDOM_BUDGET,
     SampleSet,
     SolverConfig,
     _collect,
-    _dense_arrays,
     _energies,
     _neighbour_rows,
     _OneHotLayout,
 )
+
+# The most variables `solve_exhaustive` enumerates, and the codes it scores
+# at a time.
+EXHAUSTIVE_VAR_CAP = 24
+_ENUM_CHUNK = 1 << 16
 
 
 def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) -> float:
@@ -371,10 +375,27 @@ def group_graph_is_forest(model: QuboModel, groups) -> bool:
     return True
 
 
-def solve_exhaustive_two_pass(model) -> SampleSet:
-    """`solvers.solve_exhaustive` as it screened first: one pass over every
-    chunk for the minimum, a second for the codes within tolerance of it."""
+def _dense_arrays(model):
+    """The model's diagonal and its couplings as a dense upper matrix."""
+    diag = np.zeros(model.num_vars)
+    upper = np.zeros((model.num_vars, model.num_vars))
+    for (a, b), w in model.coeffs.items():
+        if a == b:
+            diag[a] = w
+        else:
+            upper[a, b] = w
+    return diag, upper
+
+
+def solve_exhaustive(model) -> SampleSet:
+    """Global minimum by complete enumeration; every tied optimum is kept,
+    with 1 occurrence each. One pass over every chunk finds the minimum, a
+    second the codes within tolerance of it, which are then scored exactly,
+    so that ties are exact ties."""
     n = model.num_vars
+    if n > EXHAUSTIVE_VAR_CAP:
+        raise ValueError(f"solve_exhaustive handles at most {EXHAUSTIVE_VAR_CAP} "
+                         f"variables, got {n}")
     diag, upper = _dense_arrays(model)
     shifts = np.arange(n, dtype=np.uint32)
     total = 1 << n

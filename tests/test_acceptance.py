@@ -22,9 +22,9 @@ from quboplan.planner import RobotSpec, STATUS_REACHED, WindowConfig, plan_paths
 from quboplan.preprocess import fold
 from quboplan.qubo import var_index
 from quboplan.scenario import load_scenario
-from quboplan.solvers import SolverConfig, solve_exhaustive
+from quboplan.solvers import SolverConfig
 
-from oracles import peak_rescaled, penalty_energy, random_grid_model
+from oracles import peak_rescaled, penalty_energy, random_grid_model, solve_exhaustive
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -45,7 +45,7 @@ def _spec(name):
     return load_scenario(str(SCENARIOS / f"{name}.scn"))
 
 
-def test_criterion_1_exhaustive_ground_truth_matches_astar():
+def test_criterion_1_exhaustive_ground_truth_matches_astar(exhaustive):
     started = time.perf_counter()
     checked = 0
     for rows, cols, obstacles in SMALL_PATTERNS.values():
@@ -60,11 +60,7 @@ def test_criterion_1_exhaustive_ground_truth_matches_astar():
             optimum = len(reference) - 1
             window = max(2, min(4, optimum + 1))
             robots = [RobotSpec(0, start, goal)]
-            plan = plan_paths(
-                grid, robots,
-                window_cfg=WindowConfig(window_len=window),
-                solver_cfg=SolverConfig(backend="exhaustive", seed=1),
-            ).plans[0]
+            plan = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=window)).plans[0]
             checked += 1
             assert plan.status == STATUS_REACHED, (start, goal, plan.status)
             assert check_plans(grid, robots, {0: plan.steps}) == [], (start, goal)

@@ -25,7 +25,7 @@ def test_single_robot_lengths_never_beat_classical():
 def test_report_shape_and_reduction_summary():
     spec = load_scenario(str(SCENARIOS / "demo3.scn"))
     report = run_benchmark(spec, repeats=2)
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["grid"] == "3x3"
     assert report["robots"] == 1
     assert report["reduction"]["original"] == 45
@@ -44,9 +44,6 @@ def test_classical_infeasible_marks_both_sides():
 
 [robots]
 0 0 2 2
-
-[solver]
-backend = exhaustive
 """
     spec = parse_scenario(text, name="walled")
     report = run_benchmark(spec, repeats=2)

@@ -14,7 +14,7 @@ def test_plan_writes_json_and_exits_zero(tmp_path, capsys):
     code = main(["plan", str(SCENARIOS / "demo3.scn"), "-o", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 3
+    assert payload["schema"] == 4
     assert payload["status"] == "ok"
     assert payload["robots"][0]["moves"] == 4
     assert payload["preprocess"]["original"] == 45
@@ -41,7 +41,7 @@ def test_plan_rejects_an_empty_map_section_with_exit_two(tmp_path, capsys):
 
 def test_plan_infeasible_exits_one(tmp_path, capsys):
     scn = tmp_path / "walled.scn"
-    scn.write_text("[map]\n...\n..#\n.#.\n\n[robots]\n0 0 2 2\n\n[solver]\nbackend = exhaustive\n")
+    scn.write_text("[map]\n...\n..#\n.#.\n\n[robots]\n0 0 2 2\n")
     code = main(["plan", str(scn)])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
@@ -194,12 +194,16 @@ def test_out_of_range_inputs_exit_two(argv, window, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["plan"], ["bench"], ["render", "-o", "out.svg"]],
                          ids=["plan", "bench", "render"])
-def test_exhaustive_backend_on_a_large_window_exits_two(command, tmp_path, monkeypatch, capsys):
+def test_the_backend_flag_exits_two(command, tmp_path, monkeypatch, capsys):
+    # There is one solver, so no flag chooses it: even the value that named
+    # it is an unknown argument.
     monkeypatch.chdir(tmp_path)
-    argv = [command[0], str(SCENARIOS / "multi10_2.scn"), "--backend", "exhaustive"]
-    assert main(argv + command[1:]) == 2
+    argv = [command[0], str(SCENARIOS / "multi10_2.scn"), "--backend", "annealer"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv + command[1:])
+    assert exited.value.code == 2
     out = capsys.readouterr()
-    assert out.err == "error: exhaustive backend handles at most 24 variables, got 124\n"
+    assert "unrecognized arguments: --backend annealer" in out.err
     assert out.out == "" and not (tmp_path / "out.svg").exists()
 
 

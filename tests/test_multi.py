@@ -23,13 +23,12 @@ from quboplan.qubo import block_size
 from quboplan.solvers import SolverConfig
 
 
-EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 # sha256 of the `to_json()` of every plan of `city(0)`, in corpus order, each
 # dumped with sorted keys. Its windows reach 235 free variables in up to five
 # colour classes, beyond the golden files. A change that means to alter these
 # plans runs this module's independent-checker test, reads the new value from
 # the failed assertion and commits it.
-CITY0_PLANS_SHA256 = "d1e256c5be6d14c6f9063f360eeb64df067a6d7bdf66d2f0f60a4cc2a93fd7ee"
+CITY0_PLANS_SHA256 = "936b9abda6f0d8fdd8dff18bc2627479dcae0a261ff1200034d678551970ee37"
 # The same digest for `corridor(1)`: serpentine corridors that reachability
 # fixing decides window by window, so it pins the presolve path.
 CORRIDOR1_PLANS_SHA256 = "96f7005f4ca92ddec8cdb2cca7d3b4208310fbcc9a4518ea070897e86572b08d"
@@ -93,12 +92,12 @@ def test_collision_terms_only_on_shared_admissible_cells():
     assert cross == []
 
 
-def test_single_robot_multi_equals_plan_paths():
+def test_single_robot_multi_equals_plan_paths(exhaustive):
     g = GridMap(4, 4, frozenset({(1, 1), (2, 2)}))
     cfg = WindowConfig(window_len=8)
     robots = [RobotSpec(0, (0, 0), (3, 3))]
-    solo = plan_paths(g, robots, window_cfg=cfg, solver_cfg=EXHAUSTIVE).plans[0]
-    result = plan_multi(g, robots, window_cfg=cfg, solver_cfg=EXHAUSTIVE)
+    solo = plan_paths(g, robots, window_cfg=cfg).plans[0]
+    result = plan_multi(g, robots, window_cfg=cfg)
     assert result.plans[0].steps == solo.steps
     assert result.plans[0].status == solo.status
 
@@ -113,25 +112,22 @@ def test_two_robot_benchmark_reaches_joint_optimum():
     assert check_plans(g, robots, {p.robot: p.steps for p in result.plans}) == []
 
 
-def test_disjoint_corridor_robots_match_solo_plans():
+def test_disjoint_corridor_robots_match_solo_plans(exhaustive):
     grid = GridMap(3, 5, frozenset({(1, j) for j in range(5)}))
     robots = [RobotSpec(0, (0, 0), (0, 4)), RobotSpec(1, (2, 0), (2, 4))]
-    result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=6),
-                        solver_cfg=EXHAUSTIVE)
+    result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=6))
     assert result.succeeded
     for plan, robot in zip(result.plans, robots):
         solo = plan_paths(grid, [RobotSpec(0, robot.start, robot.goal)],
-                          window_cfg=WindowConfig(window_len=6),
-                          solver_cfg=EXHAUSTIVE).plans[0]
+                          window_cfg=WindowConfig(window_len=6)).plans[0]
         assert plan.moves == solo.moves == 4
 
 
-def test_staggered_release_waits_at_start():
+def test_staggered_release_waits_at_start(exhaustive):
     grid = GridMap(2, 6)
     robots = [RobotSpec(0, (0, 0), (0, 5)),
               RobotSpec(1, (1, 5), (1, 0), release=3)]
-    result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=6),
-                        solver_cfg=EXHAUSTIVE)
+    result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=6))
     late = result.plans[1]
     assert late.status == STATUS_REACHED
     assert late.steps[0] == (3, (1, 5))
@@ -162,14 +158,13 @@ def test_robot_released_at_a_window_end_is_kept_off_its_start():
         assert find_vertex_conflicts([p.steps for p in result.plans]) == []
 
 
-def test_release_robot_parked_on_another_goal_degrades_gracefully():
+def test_release_robot_parked_on_another_goal_degrades_gracefully(exhaustive):
     # the late robot sits on the first robot's goal until released; the first
     # robot makes partial progress, waits, and finishes once the cell clears
     grid = GridMap(1, 6)
     robots = [RobotSpec(0, (0, 0), (0, 5)),
               RobotSpec(1, (0, 5), (0, 3), release=3)]
-    result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=6),
-                        solver_cfg=EXHAUSTIVE)
+    result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=6))
     reached = [p for p in result.plans if p.status == STATUS_REACHED]
     assert find_vertex_conflicts([p.steps for p in reached]) == []
     assert result.plans[0].status == STATUS_REACHED

@@ -28,7 +28,6 @@ from quboplan.solvers import Sample, SampleSet, SolverConfig
 
 from oracles import all_shortest_paths
 
-EXHAUSTIVE = SolverConfig(backend="exhaustive", seed=1)
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -63,48 +62,45 @@ def test_plan_single_empty_map_single_window():
     assert check_plans(g, robots, {0: plan.steps}) == []
 
 
-def test_plan_single_start_equals_goal():
+def test_plan_single_start_equals_goal(exhaustive):
     g = GridMap(3, 3)
-    plan = plan_paths(g, [RobotSpec(0, (1, 1), (1, 1))], solver_cfg=EXHAUSTIVE).plans[0]
+    plan = plan_paths(g, [RobotSpec(0, (1, 1), (1, 1))]).plans[0]
     assert plan.status == STATUS_REACHED
     assert plan.moves == 0
     assert plan.window_log == []
 
 
-def test_plan_single_walled_goal_is_infeasible_without_solving():
+def test_plan_single_walled_goal_is_infeasible_without_solving(exhaustive):
     g = GridMap(3, 3, frozenset({(1, 2), (2, 1)}))
-    plan = plan_paths(g, [RobotSpec(0, (0, 0), (2, 2))], solver_cfg=EXHAUSTIVE).plans[0]
+    plan = plan_paths(g, [RobotSpec(0, (0, 0), (2, 2))]).plans[0]
     assert plan.status == STATUS_INFEASIBLE
     assert plan.window_log == []  # detected before any window was attempted
 
 
-def test_plan_single_exhaustive_matches_shortest_distance():
+def test_plan_single_exhaustive_matches_shortest_distance(exhaustive):
     rng = np.random.default_rng(5)
     g = GridMap(3, 3, frozenset({(1, 1)}))
     for start, goal in (((0, 0), (2, 2)), ((0, 2), (2, 0)), ((1, 0), (1, 2))):
         plan = plan_paths(g, [RobotSpec(0, start, goal)],
-                          window_cfg=WindowConfig(window_len=4),
-                          solver_cfg=EXHAUSTIVE).plans[0]
+                          window_cfg=WindowConfig(window_len=4)).plans[0]
         assert plan.status == STATUS_REACHED
         shortest = len(all_shortest_paths(g, start, goal)[0]) - 1
         assert plan.moves == shortest
 
 
-def test_plan_single_ground_state_is_optimal_when_window_covers_distance():
+def test_plan_single_ground_state_is_optimal_when_window_covers_distance(exhaustive):
     g = GridMap(4, 4)
     plan = plan_paths(g, [RobotSpec(0, (0, 0), (3, 3))],
-                      window_cfg=WindowConfig(window_len=7),
-                      solver_cfg=EXHAUSTIVE).plans[0]
+                      window_cfg=WindowConfig(window_len=7)).plans[0]
     assert plan.status == STATUS_REACHED
     assert plan.moves == manhattan((0, 0), (3, 3))
 
 
-def test_plan_multi_window_progression():
+def test_plan_multi_window_progression(exhaustive):
     # corridor longer than one window forces several fully-preprocessed hops
     g = GridMap(1, 9)
     plan = plan_paths(g, [RobotSpec(0, (0, 0), (0, 8))],
-                      window_cfg=WindowConfig(window_len=3),
-                      solver_cfg=EXHAUSTIVE).plans[0]
+                      window_cfg=WindowConfig(window_len=3)).plans[0]
     assert plan.status == STATUS_REACHED
     assert plan.moves == 8
     assert len(plan.window_log) == 3
@@ -112,26 +108,24 @@ def test_plan_multi_window_progression():
     assert all(w.solved_by_preprocess for w in plan.window_log)
 
 
-def test_plan_windowed_open_map_reaches_goal_validly():
+def test_plan_windowed_open_map_reaches_goal_validly(exhaustive):
     g = GridMap(4, 4)
     robots = [RobotSpec(0, (0, 0), (3, 3))]
-    plan = plan_paths(g, robots, window_cfg=WindowConfig(window_len=3),
-                      solver_cfg=EXHAUSTIVE).plans[0]
+    plan = plan_paths(g, robots, window_cfg=WindowConfig(window_len=3)).plans[0]
     assert plan.status == STATUS_REACHED
     assert check_plans(g, robots, {0: plan.steps}) == []
     assert 6 <= plan.moves <= 12  # at least the L1 bound, bounded wandering
 
 
-def test_plan_window_budget_respected():
+def test_plan_window_budget_respected(exhaustive):
     g = GridMap(1, 9)
     cfg = WindowConfig(window_len=2, max_windows=2)
-    plan = plan_paths(g, [RobotSpec(0, (0, 0), (0, 8))], window_cfg=cfg,
-                      solver_cfg=EXHAUSTIVE).plans[0]
+    plan = plan_paths(g, [RobotSpec(0, (0, 0), (0, 8))], window_cfg=cfg).plans[0]
     assert plan.status == "max_windows_exhausted"
     assert len(plan.window_log) <= 2
 
 
-def test_plan_validates_each_window_on_its_own_map(monkeypatch):
+def test_plan_validates_each_window_on_its_own_map(monkeypatch, exhaustive):
     # The final check runs on the stitched plan, so a segment that the
     # window check never saw is still caught on the input map.
     def stitch_through_obstacle(steps, window_path):
@@ -142,10 +136,9 @@ def test_plan_validates_each_window_on_its_own_map(monkeypatch):
 
     grid = GridMap(2, 2, frozenset({(0, 1)}))
     robots = [RobotSpec(0, (0, 0), (1, 1))]
-    assert plan_paths(grid, robots, solver_cfg=EXHAUSTIVE).plans[0].cells == [
-        (0, 0), (1, 0), (1, 1)]
+    assert plan_paths(grid, robots).plans[0].cells == [(0, 0), (1, 0), (1, 1)]
     monkeypatch.setattr(planner, "stitch", stitch_through_obstacle)
-    plan = plan_paths(grid, robots, solver_cfg=EXHAUSTIVE).plans[0]
+    plan = plan_paths(grid, robots).plans[0]
     assert plan.cells == [(0, 0), (0, 1), (1, 1)]
     assert plan.status == STATUS_EXHAUSTED
     assert plan.notes == ["validation failed: obstacle at step 1"]
@@ -190,7 +183,7 @@ def _record_tries(monkeypatch):
     return tries
 
 
-def test_a_window_whose_first_try_fails_is_rescued_by_the_widened_try(monkeypatch):
+def test_a_window_whose_first_try_fails_is_rescued_by_the_widened_try(monkeypatch, exhaustive):
     # Two robots cross the centre of an empty 3x3 map. Each has one
     # admissible path, through (1, 1) at t=1, so the exact minimum of the
     # window at horizon 6 clashes or breaks a path at each of the six
@@ -200,7 +193,7 @@ def test_a_window_whose_first_try_fails_is_rescued_by_the_widened_try(monkeypatc
     tries = _record_tries(monkeypatch)
     grid = GridMap(3, 3)
     robots = [RobotSpec(0, (1, 0), (1, 2)), RobotSpec(1, (0, 1), (2, 1))]
-    result = plan_paths(grid, robots, solver_cfg=EXHAUSTIVE)
+    result = plan_paths(grid, robots)
     window_0 = [t[1:6] for t in tries if t[0] == 0]
     assert window_0 == [((0, 0), 6, 2.0 * 2 ** k, 4.0 * 2 ** k, False) for k in range(6)] + [
         ((1, 1), 12, 2.0, 4.0, False), ((1, 1), 12, 4.0, 8.0, True)]
@@ -302,13 +295,13 @@ def _samples_take(monkeypatch, paths, solves=1):
     monkeypatch.setattr(planner, "solve", scripted_solve)
 
 
-def test_a_path_that_runs_to_the_horizon_past_a_reachable_goal_is_kept(monkeypatch):
+def test_a_path_that_runs_to_the_horizon_past_a_reachable_goal_is_kept(monkeypatch, exhaustive):
     # The goal (0, 1) is admissible at t=1, well before the horizon 3; the
     # first sample steers around it, and the next window starts where it ends.
     path = [(0, 0), (1, 0), (2, 0), (2, 1)]
     _samples_take(monkeypatch, [path])
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (0, 1))],
-                        window_cfg=WindowConfig(window_len=3), solver_cfg=EXHAUSTIVE)
+                        window_cfg=WindowConfig(window_len=3))
     first, second = result.windows
     assert (first.retries, first.repairs) == (0, [])
     assert second.global_start == 3
@@ -316,7 +309,7 @@ def test_a_path_that_runs_to_the_horizon_past_a_reachable_goal_is_kept(monkeypat
     assert result.succeeded
 
 
-def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch):
+def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch, exhaustive):
     # Two walled-off rooms: the search ends at t=2 in both, so t=3 admits no
     # cell. Robot 0 could have stepped onto its goal at t=1 but stops beside
     # it, and waits there for the rest of the window. The window's first 3
@@ -325,7 +318,7 @@ def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch):
     _samples_take(monkeypatch, [path, [(0, 3), (0, 4), (1, 4)]])
     result = plan_paths(GridMap(2, 5, frozenset({(0, 2), (1, 2)})),
                         [RobotSpec(0, (0, 0), (0, 1)), RobotSpec(1, (0, 3), (1, 4))],
-                        window_cfg=WindowConfig(window_len=5), solver_cfg=EXHAUSTIVE)
+                        window_cfg=WindowConfig(window_len=5))
     first = result.windows[0]
     assert (first.retries, first.repairs) == (0, ["robot 0: waits from t=3"])
     assert result.plans[0].steps[:4] == list(enumerate(path + [(1, 1)]))
@@ -333,14 +326,14 @@ def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch):
     assert result.succeeded
 
 
-def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch):
+def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch, exhaustive):
     # Each step holds one cell, but (2, 0) at t=2 is no move from (0, 1).
     # Every solve, 6 at each horizon, returns that sample.
     tries = _record_tries(monkeypatch)
     path = [(0, 0), (0, 1), (2, 0), (2, 1)]
     _samples_take(monkeypatch, [path], solves=12)
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (2, 2))],
-                        window_cfg=WindowConfig(window_len=3), solver_cfg=EXHAUSTIVE)
+                        window_cfg=WindowConfig(window_len=3))
     assert [(t[2], t[6]) for t in tries] == [(3, ["robot 0: adjacency at t=2"])] * 6 + [
         (6, ["robot 0: adjacency at t=2"])] * 6
     (window,) = result.windows
@@ -383,16 +376,16 @@ def _shared_start(ids):
     return plan_paths(GridMap(1, 5), [RobotSpec(ids[0], (0, 1), (0, 3), release=3),
                                       RobotSpec(ids[1], (0, 1), (0, 4), release=1),
                                       RobotSpec(ids[2], (0, 4), (0, 0))],
-                      window_cfg=WindowConfig(window_len=4), solver_cfg=EXHAUSTIVE)
+                      window_cfg=WindowConfig(window_len=4))
 
 
-def test_clash_repair_waits_name_robots_by_id():
+def test_clash_repair_waits_name_robots_by_id(exhaustive):
     result = _shared_start((5, 9, 3))
     assert result.clash_events == ["robot 3 waits at (0, 2) before t=3 to avoid (0, 1)"]
     assert result.unresolved_conflicts == [(3, (0, 2), 9, 3), (4, (0, 1), 5, 3)]
 
 
-def test_a_clash_on_the_waiting_robots_own_cell_is_reported_at_once():
+def test_a_clash_on_the_waiting_robots_own_cell_is_reported_at_once(exhaustive):
     # Robot 2's one wait keeps it on (0, 2) at t=3, where robot 1 then
     # arrives. Another wait there cannot clear that, so the repair reports
     # the clash instead of spending its budget of waits on it.
@@ -451,15 +444,14 @@ def test_a_robot_parked_from_the_start_can_wall_off_a_goal():
     assert result.plans[0].notes == ["goal (0, 2) walled off by parked robot(s) 1"]
 
 
-def test_a_start_awaiting_release_walls_off_no_goal():
+def test_a_start_awaiting_release_walls_off_no_goal(exhaustive):
     # Robot 2 is parked from the start, so the goals are checked at once,
     # while robot 1's start still cuts robot 0 off from its goal. That start
     # is free again by the time robot 0 gets there.
     grid = GridMap(2, 4, frozenset({(1, 0), (1, 1), (1, 2)}))
     robots = [RobotSpec(0, (0, 0), (0, 2)), RobotSpec(1, (0, 1), (0, 0), release=5),
               RobotSpec(2, (1, 3), (1, 3))]
-    result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=2),
-                        solver_cfg=EXHAUSTIVE)
+    result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=2))
     assert result.succeeded
     assert [p.status for p in result.plans] == [STATUS_REACHED] * 3
 
@@ -520,22 +512,53 @@ def test_window_groups_label_each_free_variable_with_its_robot_and_step():
     assert window.groups.tolist() == expected
 
 
-def test_plan_release_offsets_single_robot():
+def test_plan_release_offsets_single_robot(exhaustive):
     g = GridMap(1, 4)
     result = plan_paths(g, [RobotSpec(0, (0, 0), (0, 3), release=2)],
-                        window_cfg=WindowConfig(window_len=4),
-                        solver_cfg=EXHAUSTIVE)
+                        window_cfg=WindowConfig(window_len=4))
     plan = result.plans[0]
     assert plan.status == STATUS_REACHED
     assert plan.steps[0] == (2, (0, 0))
     assert plan.steps[-1] == (5, (0, 3))
 
 
-def test_plan_json_shape():
+def test_window_records_say_who_answered(monkeypatch):
+    # With elimination's table cap lowered to 3 entries, this plan's fourth
+    # window still fits it and its first and fifth are annealed; fixing
+    # decides the second and third. The label is read off the sample set:
+    # elimination's one state carries 0 occurrences, and an annealed set
+    # counts every read.
+    monkeypatch.setattr(solvers, "_EXACT_TABLE_CAP", 3)
+    answers, solve = [], planner.solve
+
+    def recorded(model, cfg, *, groups):
+        answers.append((cfg.num_reads, solve(model, cfg, groups=groups)))
+        return answers[-1][1]
+
+    monkeypatch.setattr(planner, "solve", recorded)
+    spec = load_scenario(str(pathlib.Path(__file__).parent / "scenarios"
+                             / "multi10_4_window4.scn"))
+    result = plan_paths(spec.grid, spec.robots, weights=spec.weights,
+                        window_cfg=spec.window_cfg, solver_cfg=spec.solver_cfg)
+    assert result.succeeded and all(w.retries == 0 for w in result.windows)
+    assert [w.backend for w in result.windows] == ["annealer", "presolve", "presolve",
+                                                   "exact", "annealer"]
+    solved = [w for w in result.windows if w.backend != "presolve"]
+    assert len(solved) == len(answers)
+    for window, (reads, sampleset) in zip(solved, answers):
+        counts = [s.occurrences for s in sampleset]
+        assert window.histogram == [(s.energy, s.occurrences) for s in sampleset.samples[:8]]
+        assert sum(counts) == (reads if window.backend == "annealer" else 0)
+    # The histogram keeps the 8 lowest samples; the fifth window's reads end
+    # in fewer states, so its histogram counts all 200 of them.
+    assert sum(n for _, n in result.windows[4].histogram) == spec.solver_cfg.num_reads == 200
+    assert result.windows[3].histogram == [(result.windows[3].best_energy, 0)]
+
+
+def test_plan_json_shape(exhaustive):
     g = GridMap(2, 2)
     plan = plan_paths(g, [RobotSpec(0, (0, 0), (1, 1))],
-                      window_cfg=WindowConfig(window_len=2),
-                      solver_cfg=EXHAUSTIVE).plans[0]
+                      window_cfg=WindowConfig(window_len=2)).plans[0]
     payload = plan.to_json()
     assert payload["status"] == STATUS_REACHED
     assert payload["path"][0] == [0, 0, 0]
@@ -606,9 +629,9 @@ def test_best_energy_is_the_folded_models_energy_of_the_chosen_sample(monkeypatc
                         [RobotSpec(0, (0, 0), (4, 4)), RobotSpec(1, (4, 0), (0, 4))],
                         window_cfg=WindowConfig(window_len=5),
                         solver_cfg=SolverConfig(seed=3, num_reads=50, sweeps=200))
-    annealed = [w for w in result.windows if w.backend == "annealer"]
-    assert len(annealed) >= 2 and all(w.retries == 0 for w in annealed)
-    assert [w.best_energy for w in annealed] == chosen
+    solved = [w for w in result.windows if w.backend != "presolve"]
+    assert len(solved) >= 2 and all(w.retries == 0 for w in solved)
+    assert [w.best_energy for w in solved] == chosen
 
 
 @pytest.mark.parametrize("side", range(8, 15))
@@ -683,14 +706,15 @@ def test_annealer_samples_decode_one_cell_per_step(monkeypatch):
         assert outcome.dropped == 0 and outcome.reason in (None, "empty_step")
 
 
-@pytest.mark.parametrize("backend", ["annealer", "exhaustive"])
-def test_two_robots_cross_the_centre_of_an_empty_3x3_map(backend):
+@pytest.mark.parametrize("solver", ["annealer", "exhaustive"])
+def test_two_robots_cross_the_centre_of_an_empty_3x3_map(solver, request):
     # A re-solve at raised weights sends one robot round the edge of the map
-    # (the exhaustive backend only in the widened window), and it then waits
+    # (the exhaustive oracle only in the widened window), and it then waits
     # there: a detour, not a yield inside the window.
+    if solver == "exhaustive":
+        request.getfixturevalue("exhaustive")
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (1, 0), (1, 2)),
-                                        RobotSpec(1, (0, 1), (2, 1))],
-                        solver_cfg=SolverConfig(backend=backend))
+                                        RobotSpec(1, (0, 1), (2, 1))])
     assert result.succeeded, result.windows[-1].repairs
     assert result.windows[0].retries > 0
 
@@ -698,12 +722,15 @@ def test_two_robots_cross_the_centre_of_an_empty_3x3_map(backend):
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="a robot's admissible cell at step t lies exactly t moves from its"
                           " start, so neither robot can wait for the other inside a window;"
-                          " the plans detour instead, 7 moves in all with the annealer and 13"
-                          " with the exhaustive backend (ROADMAP item 3)")
-@pytest.mark.parametrize("backend", ["annealer", "exhaustive"])
-def test_two_robots_cross_the_centre_of_an_empty_3x3_map_in_the_moves_prioritized_needs(backend):
+                          " the plans detour instead, 7 moves in all through `solve` and 13"
+                          " through the exhaustive oracle (ROADMAP item 3)")
+@pytest.mark.parametrize("solver", ["annealer", "exhaustive"])
+def test_two_robots_cross_the_centre_of_an_empty_3x3_map_in_the_moves_prioritized_needs(solver,
+                                                                                        request):
+    if solver == "exhaustive":
+        request.getfixturevalue("exhaustive")
     robots = [RobotSpec(0, (1, 0), (1, 2)), RobotSpec(1, (0, 1), (2, 1))]
-    result = plan_paths(GridMap(3, 3), robots, solver_cfg=SolverConfig(backend=backend))
+    result = plan_paths(GridMap(3, 3), robots)
     assert result.succeeded, result.windows[-1].repairs
     reference = prioritized_plan(GridMap(3, 3), robots)
     assert sum(p.moves for p in result.plans) == sum(

@@ -60,7 +60,6 @@ window_len = 8
 max_windows = 12
 
 [solver]
-backend = annealer
 reads = 64
 sweeps = 256
 seed = 99
@@ -75,7 +74,7 @@ repeats = 4
     assert spec.robots == [RobotSpec(0, (0, 0), (2, 3), 0), RobotSpec(1, (2, 0), (0, 3), 2)]
     assert spec.weights == PenaltyWeights(k_hot=5.0, k_approx=2.0)
     assert spec.window_cfg == WindowConfig(window_len=8, max_windows=12)
-    assert spec.solver_cfg == SolverConfig(backend="annealer", num_reads=64, sweeps=256, seed=99)
+    assert spec.solver_cfg == SolverConfig(num_reads=64, sweeps=256, seed=99)
     assert spec.repeats == 4
 
 
@@ -153,7 +152,8 @@ def test_unknown_section_and_key_rejected():
     for section, line in (("solver", "threads = 4"), ("weights", "norm_scale = 1.0"),
                           ("window", "max_retries = 5"), ("weights", "goal_ramp_max = 2.0"),
                           ("weights", "bt_soft_factor = 0.5"), ("weights", "potential_radius = 1"),
-                          ("solver", "beta0 = 0.2"), ("solver", "beta1 = 8.0")):
+                          ("solver", "beta0 = 0.2"), ("solver", "beta1 = 8.0"),
+                          ("solver", "backend = exhaustive")):
         text = MINIMAL + f"\n[{section}]\n{line}\n"
         with pytest.raises(ScenarioError, match=f"unknown \\[{section}\\] key"):
             parse_scenario(text)
@@ -208,10 +208,12 @@ SMALL = "[map]\n..\n..\n[robots]\n"  # the robot lines start at line 5
      "line 7: repeats must be an integer, got '2.5'"),
     (SMALL + "0 0 1 1\n[weights]\nk_hot = 4,0\n", "line 7: k_hot must be a number, got '4,0'"),
     (SMALL + "0 0 1 1\n[solver]\nbeta0 = 0.2\n", "line 7: unknown [solver] key 'beta0'"),
+    (SMALL + "0 0 1 1\n[solver]\nbackend = exhaustive\n",
+     "line 7: unknown [solver] key 'backend'"),
 ], ids=["duplicate-section", "before-section", "empty-robots", "missing-robots",
         "non-integer-robot", "negative-release", "duplicate-key", "not-key-value",
         "zero-repeats", "fractional-window-len", "exponent-seed", "fractional-repeats",
-        "comma-weight", "removed-beta"])
+        "comma-weight", "removed-beta", "removed-backend"])
 def test_scenario_rejections_name_their_line(text, message):
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario(text)

@@ -18,7 +18,7 @@ from quboplan.planner import build_window, derive_seed
 import quboplan.solvers as solvers
 from quboplan.qubo import QuboModel
 from quboplan.scenario import load_scenario
-from quboplan.solvers import SolverConfig, solve, solve_exhaustive
+from quboplan.solvers import SolverConfig, solve
 
 from oracles import (
     anneal_one_hot,
@@ -28,7 +28,7 @@ from oracles import (
     one_hot_two_lowest,
     peak_rescaled,
     random_grid_model,
-    solve_exhaustive_two_pass,
+    solve_exhaustive,
 )
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -49,8 +49,8 @@ def _tied_triangle():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(backend="quantum")
+    with pytest.raises(TypeError):
+        SolverConfig(backend="x")
     with pytest.raises(ValueError):
         SolverConfig(num_reads=0)
 
@@ -119,39 +119,6 @@ def test_exhaustive_matches_brute_force_on_random_models():
 def test_exhaustive_rejects_oversized_models():
     with pytest.raises(ValueError):
         solve_exhaustive(QuboModel(25))
-
-
-def _chunk_spanning_model(kind, n, rng):
-    """A random model over n variables, 2 to 8 enumeration chunks for n of
-    17 to 19, shaped so the running minimum moves across chunks."""
-    if kind == "late":
-        # Every minimum sets the top bit, so it lies only in the later
-        # chunks, after the earlier ones have kept codes near their own.
-        model = random_grid_model(rng, n, density=0.2)
-        model.add(n - 1, n - 1, -100.0)
-    elif kind == "ties":
-        # The top variable has no coefficient: each minimum ties with its
-        # copy in a chunk that sets the top bit.
-        model = QuboModel(n)
-        model.coeffs = dict(random_grid_model(rng, n - 1, density=0.2).coeffs)
-    else:
-        model = random_grid_model(rng, n, density=0.2, span=2)
-    model.constant = float(rng.integers(-3, 4))
-    return model
-
-
-@pytest.mark.parametrize("kind, n", [("random", 17), ("random", 19), ("late", 18),
-                                     ("late", 19), ("ties", 17), ("ties", 19)])
-def test_one_pass_enumeration_matches_the_two_pass_screen(kind, n):
-    assert 2 <= (1 << n) // solvers._ENUM_CHUNK <= 8
-    model = _chunk_spanning_model(kind, n, np.random.default_rng(n))
-    result, reference = solve_exhaustive(model), solve_exhaustive_two_pass(model)
-    assert [(s.bits, s.energy.hex(), s.occurrences) for s in result] == \
-        [(s.bits, s.energy.hex(), s.occurrences) for s in reference]
-    if kind == "late":
-        assert {s.bits[-1] for s in result} == {1}
-    if kind == "ties":
-        assert {s.bits[-1] for s in result} == {0, 1}
 
 
 def test_annealer_finds_known_minimum():
@@ -252,7 +219,8 @@ def test_metropolis_equilibrium_statistics():
 
 def test_solve_dispatch():
     m = four_var_fixture()
-    assert solve(m, SolverConfig(backend="exhaustive")).best.energy == -11.0
+    with pytest.raises(ValueError, match="group"):
+        solve(m, SolverConfig())
     assert solve(m, SolverConfig(seed=1, num_reads=30), groups=PAIRS).best.energy == -11.0
 
 
@@ -272,7 +240,7 @@ def _first_window(name):
     window = build_window(spec.grid, robots, spec.window_cfg.window_len,
                           spec.weights, allow_wait=len(robots) > 1)
     folded = window.folded
-    cfg = replace(spec.solver_cfg, backend="annealer", seed=derive_seed(spec.seed, 0, 0, 0))
+    cfg = replace(spec.solver_cfg, seed=derive_seed(spec.seed, 0, 0, 0))
     return folded.model, cfg, window.groups
 
 
@@ -574,10 +542,8 @@ def _window_outcomes(monkeypatch, plan_all):
     then runs on it with the window's own settings and ends "at the
     minimum" or "above the minimum" by its best energy. A forest window is
     counted as "forest" and not annealed. A window above the cap is counted
-    as "above the cap", and `solve` has annealed it. A window the
-    exhaustive backend solved is counted as "exhaustive", once checked to
-    end at the minimum. A window annealed above its minimum is listed by
-    its model's size, with both energies."""
+    as "above the cap", and `solve` has annealed it. A window annealed
+    above its minimum is listed by its model's size, with both energies."""
     calls = []
 
     def recorded(model, cfg, *, groups=None):
@@ -596,10 +562,6 @@ def _window_outcomes(monkeypatch, plan_all):
             outcomes["above the cap"] += 1
             continue
         lowest = _state_energy(model, layout, state)
-        if cfg.backend == "exhaustive":
-            assert result.best.energy <= _tied_with(lowest)
-            outcomes["exhaustive"] += 1
-            continue
         assert [s.occurrences for s in result] == [0]
         assert result.best.energy == lowest
         if group_graph_is_forest(model, groups):
@@ -617,14 +579,14 @@ def test_shipped_windows_reach_the_exact_minimum(monkeypatch):
     # ROADMAP item 11 on the first bench seed of every shipped scenario:
     # every window fits the table cap, and the annealer, run on each window
     # whose groups form a cycle (multi5's), ends within the tie tolerance of
-    # elimination's lowest energy. demo3 runs the exhaustive backend.
+    # elimination's lowest energy.
     def plan_all():
         for path in sorted(SCENARIOS.glob("*.scn")):
             spec = load_scenario(str(path))
             run_pipeline(spec, derive_seed(spec.seed, 0))
 
     outcomes, misses = _window_outcomes(monkeypatch, plan_all)
-    assert set(outcomes) == {"forest", "at the minimum", "exhaustive"} and misses == []
+    assert set(outcomes) == {"forest", "at the minimum"} and misses == []
 
 
 def test_city_windows_reach_the_exact_minimum_as_counted(monkeypatch):
