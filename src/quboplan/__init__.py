@@ -6,7 +6,6 @@ from .grid import (
     bfs_distances,
     bfs_layers,
     manhattan,
-    obstacle_potential,
 )
 from .qubo import QuboModel, block_size, decode, var_index
 from .penalties import (

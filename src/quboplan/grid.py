@@ -92,11 +92,6 @@ def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def max_manhattan(grid: GridMap) -> int:
-    """Largest L1 distance representable on the map (corner to corner)."""
-    return (grid.rows - 1) + (grid.cols - 1)
-
-
 def bfs_layers(grid: GridMap, start: Cell, horizon: int,
                exclude_visited=()) -> list[set[Cell]]:
     """Breadth-first reachability layers from `start` up to `horizon` steps.
@@ -130,19 +125,3 @@ def bfs_distances(grid: GridMap, start: Cell) -> dict[Cell, int]:
     layers = bfs_layers(grid, start, grid.rows * grid.cols)
     return {c: t for t, layer in enumerate(layers) for c in layer}
 
-
-def obstacle_potential(grid: GridMap, c: Cell) -> float:
-    """Fraction of the eight surrounding cells blocked by obstacles or borders.
-
-    Out-of-grid cells count as blocked, so map borders repel like walls.
-    Result lies in [0, 1].
-    """
-    if not grid.is_free(c):
-        raise ValueError(f"cell {c} is not a free cell")
-    blocked = sum(
-        not grid.is_free((c[0] + di, c[1] + dj))
-        for di in (-1, 0, 1)
-        for dj in (-1, 0, 1)
-        if di or dj
-    )
-    return blocked / 8

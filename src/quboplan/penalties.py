@@ -3,20 +3,20 @@
 Every constraint of the path model is a weighted quadratic term added to a
 shared model: one-hot occupancy per time step, continuity between steps,
 start/goal conditions, goal locking, revisit discouragement, early-arrival
-discouragement, the window-final approximation reward, and inter-robot
-vertex-collision coupling. Each emitter mirrors one closed-form penalty, so
-model energy always equals the sum of the formulas evaluated on the decoded
-occupancy. The emitters append their terms to one flat list per window,
-indexed through a table built once, and the list is merged into the model
-once.
+discouragement, the window-final reward by BFS distance to the goal, and
+inter-robot vertex-collision coupling. Each emitter mirrors one closed-form
+penalty, so model energy always equals the sum of the formulas evaluated on
+the decoded occupancy. The emitters append their terms to one flat list per
+window, indexed through a table built once, and the list is merged into the
+model once.
 """
 
 import math
 from itertools import repeat
-from collections.abc import Set as AbstractSet
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass, field, fields
 
-from .grid import Cell, GridMap, manhattan, max_manhattan, obstacle_potential
+from .grid import Cell, GridMap, bfs_distances, manhattan
 from .qubo import Dims, QuboModel, block_size
 
 # The goal reward's time multiplier at a window's last step (it starts at 1).
@@ -73,11 +73,15 @@ class RobotWindow:
     leaves them out of the robot's reachability search, and the revisit
     penalties softly discourage them. Held as given and only asked whether
     it holds a cell, it must not change while the window is in use.
+    `goal_distances` maps cells to their BFS distance to the goal, as the
+    planner's walled-off check searched it; `apply_approximation` reads it,
+    and searches the window's own map when it is None.
     """
 
     start: Cell
     goal: Cell
     visited: AbstractSet[Cell] = frozenset()
+    goal_distances: Mapping[Cell, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -290,21 +294,27 @@ def apply_teleportation(terms: WindowTerms, spec: WindowSpec, robot: int) -> Non
 
 
 def apply_approximation(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
-    """Window-final reward for ending close to the goal and in open space.
+    """Window-final reward for ending close to the goal.
 
     Used instead of the late-time goal reward when `build_window_model`
     finds the goal out of reach. Each candidate final cell earns
-    -K * (1 - d(c, goal)/d_max) * (1 - potential(c)).
+    -K * (1 - d(c)/d_max), where d is the robot's `goal_distances` (without
+    them, BFS distance to the goal on the window's map with the goal cell
+    open) and d_max the largest d. A cell the search does not reach earns
+    nothing.
     """
-    goal = spec.robots[robot].goal
+    rec = spec.robots[robot]
+    distances = rec.goal_distances
+    if distances is None:
+        grid = spec.grid
+        distances = bfs_distances(
+            GridMap(grid.rows, grid.cols, grid.obstacles - {rec.goal}), rec.goal)
     k = spec.weights.k_approx
-    d_max = max_manhattan(spec.grid)
+    d_max = max(distances.values())
     for c, a in terms.layers[robot][spec.horizon].items():
-        closeness = 1.0 - (manhattan(c, goal) / d_max if d_max else 0.0)
-        openness = 1.0 - obstacle_potential(spec.grid, c)
-        w = -k * closeness * openness
-        if w != 0.0:
-            terms.add(a, a, w)
+        d = distances.get(c)
+        if d is not None and d < d_max:
+            terms.add(a, a, -k * (1.0 - d / d_max))
 
 
 def apply_vertex_collision(terms: WindowTerms, spec: WindowSpec) -> None:

@@ -229,12 +229,14 @@ class PlanningResult:
 class _Agent:
     """A robot's planning state; `status` stays None while it is still to plan."""
 
-    __slots__ = ("spec", "current", "visited", "steps", "status", "log", "notes")
+    __slots__ = ("spec", "current", "visited", "goal_distances", "steps", "status", "log",
+                 "notes")
 
     def __init__(self, spec: RobotSpec):
         self.spec = spec
         self.current = spec.start
         self.visited = {spec.start}
+        self.goal_distances: dict[Cell, int] | None = None
         self.steps: list[tuple[int, Cell]] = []
         self.status: str | None = None
         self.log: list[WindowRecord] = []
@@ -285,11 +287,12 @@ def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
                  allow_wait: bool = False) -> Window:
     """One window's spec and presolve report, with its model built on demand.
 
-    `robots` holds one (current cell, goal, visited cells) triple per robot;
-    the visited cells are held, not copied. `preprocess.fix_logical` runs
-    each robot's reachability search and decides the admissible cells.
+    `robots` holds one (current cell, goal, visited cells[, goal distances])
+    tuple of `RobotWindow` fields per robot, held, not copied.
+    `preprocess.fix_logical` runs each robot's reachability search and
+    decides the admissible cells.
     """
-    records = tuple(RobotWindow(start, goal, visited) for start, goal, visited in robots)
+    records = tuple(RobotWindow(*robot) for robot in robots)
     spec = WindowSpec(grid, records, horizon, weights, allow_wait)
     report, admissible = fix_logical(spec)
     return Window(spec, report, admissible)
@@ -311,8 +314,8 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
     gives the reason and the step.
     """
     window = build_window(
-        grid, [(a.current, a.spec.goal, a.visited) for a in agents], horizon, weights,
-        allow_wait=multi)
+        grid, [(a.current, a.spec.goal, a.visited, a.goal_distances) for a in agents],
+        horizon, weights, allow_wait=multi)
     spec, report = window.spec, window.report
     if report.reduced_count == 0:
         # Every layer holds one cell or none: the layers are the occupancy.
@@ -395,7 +398,10 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     mid-window join at the next window boundary, waiting on their start
     cell, and every window that reaches a robot's release keeps the others
     off its start. A robot whose goal the parked robots wall off ends as
-    infeasible at once.
+    infeasible at once: a BFS from each goal, on the input map at the start
+    and again whenever the parked set changes (parked robots blocked, starts
+    of robots not yet released open), must reach the robot's cell. Each
+    window's approximation reward reads that search's distances.
 
     The try rule: a window is first tried at `window_len` with seed parts
     (window index, 0, 0). When a try that ran a solve fails, `k_adj` and
@@ -425,7 +431,9 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         if agent.spec.start == agent.spec.goal:
             agent.steps = [(agent.spec.release, agent.spec.start)]
             agent.status = STATUS_REACHED
-        elif agent.spec.goal not in bfs_distances(grid, agent.spec.start):
+            continue
+        agent.goal_distances = bfs_distances(grid, agent.spec.goal)
+        if agent.spec.start not in agent.goal_distances:
             agent.status = STATUS_INFEASIBLE
 
     windows: list[WindowRecord] = []
@@ -446,8 +454,9 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             # blocked for a while and stay open here.
             walls = parked
             for agent in pending:
-                open_map = grid.with_obstacles(parked - {agent.current})
-                if agent.spec.goal not in bfs_distances(open_map, agent.current):
+                agent.goal_distances = bfs_distances(
+                    grid.with_obstacles(parked - {agent.current}), agent.spec.goal)
+                if agent.current not in agent.goal_distances:
                     blockers = ", ".join(str(a.spec.id) for a in parkers)
                     agent.notes.append(
                         f"goal {agent.spec.goal} walled off by parked robot(s) {blockers}")

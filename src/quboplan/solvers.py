@@ -373,14 +373,15 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     if state is not None:
         # The one-hot minimum: no read could end below it, so none runs.
         return _collect(model, dict.fromkeys(_tally(layout, state[None]), 0), terms)
-    return _anneal(model, layout, cfg)
+    return _anneal(model, layout, cfg, terms)
 
 
-def _anneal(model, layout: _OneHotLayout, cfg: SolverConfig) -> SampleSet:
-    """The annealer's sample set over all `cfg.num_reads` reads."""
+def _anneal(model, layout: _OneHotLayout, cfg: SolverConfig, terms=None) -> SampleSet:
+    """The annealer's sample set over all `cfg.num_reads` reads. `terms` is
+    `_terms(model)` when the caller has it."""
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
     betas = np.geomspace(*_BETA_RANGE, cfg.sweeps) * scale
-    return _collect(model, _tally(layout, _anneal_one_hot(layout, cfg, betas)))
+    return _collect(model, _tally(layout, _anneal_one_hot(layout, cfg, betas)), terms)
 
 
 def _tally(layout: _OneHotLayout, states: np.ndarray) -> dict[tuple[int, ...], int]:

@@ -19,12 +19,7 @@ import math
 
 import numpy as np
 
-from quboplan.grid import (
-    GridMap,
-    manhattan,
-    max_manhattan,
-    obstacle_potential,
-)
+from quboplan.grid import GridMap, manhattan
 from quboplan.penalties import (
     BT_SOFT_FACTOR,
     EARLY_GOAL_PENALTY,
@@ -85,12 +80,9 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
         seeks_goal = (manhattan(rec.start, rec.goal) < horizon
                       and any(rec.goal in cells for cells in admissible[r]))
         if not seeks_goal:
-            d_max = max_manhattan(spec.grid)
-            for c in admissible[r][horizon]:
-                if occ(r, horizon, c):
-                    closeness = 1.0 - (manhattan(c, rec.goal) / d_max if d_max else 0.0)
-                    openness = 1.0 - obstacle_potential(spec.grid, c)
-                    total -= w.k_approx * closeness * openness
+            for c, closeness in goal_closeness(spec, rec).items():
+                if c in admissible[r][horizon]:
+                    total -= w.k_approx * closeness * occ(r, horizon, c)
         else:
             for t in range(1, horizon + 1):
                 if rec.goal in admissible[r][t]:
@@ -122,6 +114,20 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
                 for c in admissible[r1][t] & admissible[r2][t]:
                     total += w.k_coll * occ(r1, t, c) * occ(r2, t, c)
     return total
+
+
+def goal_closeness(spec: WindowSpec, rec) -> dict:
+    """The window-final reward's closeness 1 - d/d_max of each cell the goal
+    search reaches: d is the robot's `goal_distances` or, without them, this
+    module's `bfs_distances` from the goal on the window's map with the goal
+    cell open, and d_max the largest d."""
+    distances = rec.goal_distances
+    if distances is None:
+        grid = spec.grid
+        distances = bfs_distances(
+            GridMap(grid.rows, grid.cols, grid.obstacles - {rec.goal}), rec.goal)
+    d_max = max(distances.values())
+    return {c: 1.0 - d / d_max if d_max else 0.0 for c, d in distances.items()}
 
 
 def build_window_model_by_terms(spec: WindowSpec, admissible=None) -> QuboModel:
@@ -164,11 +170,9 @@ def build_window_model_by_terms(spec: WindowSpec, admissible=None) -> QuboModel:
                     a = var_index(dims, robot, t, rec.goal)
                     model.add(a, a, -w.k_goal * goal_factor(t, horizon))
         else:
-            d_max = max_manhattan(spec.grid)
+            closeness = goal_closeness(spec, rec)
             for c, a in entries(robot, horizon):
-                closeness = 1.0 - (manhattan(c, rec.goal) / d_max if d_max else 0.0)
-                openness = 1.0 - obstacle_potential(spec.grid, c)
-                weight = -w.k_approx * closeness * openness
+                weight = -w.k_approx * closeness.get(c, 0.0)
                 if weight != 0.0:
                     model.add(a, a, weight)
         for t in range(horizon):

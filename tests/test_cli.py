@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from quboplan import planner
 from quboplan.cli import main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -18,6 +19,26 @@ def test_plan_writes_json_and_exits_zero(tmp_path, capsys):
     assert payload["status"] == "ok"
     assert payload["robots"][0]["moves"] == 4
     assert payload["preprocess"]["original"] == 45
+
+
+@pytest.mark.parametrize("name", ["single5", "demo3"])
+def test_export_qubo_writes_the_model_the_planner_solves_first(name, tmp_path, monkeypatch):
+    # demo3's first window takes the window-final reward, so its export's
+    # own goal search must give the distances the planner hands the window.
+    models = []
+    solve = planner.solve
+
+    def recording_solve(model, *args, **kwargs):
+        models.append(model)
+        return solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "solve", recording_solve)
+    scenario = str(SCENARIOS / f"{name}.scn")
+    plan, export = tmp_path / "plan.json", tmp_path / "export.txt"
+    assert main(["plan", scenario, "-o", str(plan)]) == 0
+    assert json.loads(plan.read_text())["windows"][0]["backend"] == "exact"
+    assert main(["export-qubo", scenario, "-o", str(export)]) == 0
+    assert export.read_text() == models[0].to_text()
 
 
 def test_plan_missing_file_exits_two(capsys):

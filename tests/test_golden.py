@@ -32,10 +32,10 @@ COMMANDS = {
 
 # (scenario, --raw) -> sha256 of the `export-qubo` output.
 EXPORT_SHA256 = {
-    ("corridor10", False): "489a5d342686f0e721725c92c8fbf5d3a35dc9652f35aa5fd317e497427f72d8",
-    ("corridor10", True): "efa429e9b7ef667643a1f9a0d084d4efa4a9e54288edc718419aff742baffd93",
-    ("demo3", False): "94005bfc7e705664a7ea5e5ccee71d14bc156c07b740681d41619b62d1a8a69b",
-    ("demo3", True): "fb923ffcf1cda511178d4f674e7d57bf7c97da69c87daf70dbc826db8e7f8d9a",
+    ("corridor10", False): "069de06075c669ccbe039072a75baa14b30e9e688ce27682c767f56447c33845",
+    ("corridor10", True): "060c319952b5e02155bc8c20ad09d32e6848ea5ab893ba9ae83b7f3411743d01",
+    ("demo3", False): "2d6a99050c4576e83e384d7e307c0e6b23fed87a741a56cf254e8572eb016f10",
+    ("demo3", True): "c829db4616a6ea41b169d896564c205edbc3f3b5509e68e5e318f0171d2bcb79",
     ("single5", False): "0d1bf4cedbdc667c2cc46b9e2da0fd2286c894a9b0ecd3cb8215dad0cbd7463d",
     ("single5", True): "747a104651d2e5f9a729847cf58988a5cedf6d94c13ee92fce660e5c0d941fdf",
 }

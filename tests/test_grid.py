@@ -6,8 +6,6 @@ from quboplan.grid import (
     bfs_distances,
     bfs_layers,
     manhattan,
-    max_manhattan,
-    obstacle_potential,
 )
 
 import oracles
@@ -172,28 +170,3 @@ def test_bfs_distances_reject_a_blocked_or_outside_start():
             bfs_distances(g, start)
         assert str(got.value) == str(expected.value) == f"start {start} is not a free cell"
 
-
-def test_obstacle_potential_empty_interior():
-    g = GridMap(5, 5)
-    assert obstacle_potential(g, (2, 2)) == 0.0
-
-
-def test_obstacle_potential_fully_enclosed():
-    ring = {(i, j) for i in range(3) for j in range(3)} - {(1, 1)}
-    g = GridMap(3, 3, frozenset(ring))
-    assert obstacle_potential(g, (1, 1)) == 1.0
-
-
-def test_obstacle_potential_single_neighbor():
-    g = GridMap(5, 5, frozenset({(2, 3)}))
-    assert obstacle_potential(g, (2, 2)) == pytest.approx(1 / 8)
-
-
-def test_obstacle_potential_borders_count():
-    g = GridMap(5, 5)
-    assert obstacle_potential(g, (0, 0)) == pytest.approx(5 / 8)
-
-
-def test_max_manhattan():
-    assert max_manhattan(GridMap(5, 5)) == 8
-    assert max_manhattan(GridMap(1, 7)) == 6

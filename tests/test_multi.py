@@ -7,7 +7,7 @@ import pytest
 
 from perfbench.checker import check_plans
 from perfbench.corpus import city, corridor, shipped
-from quboplan.grid import GridMap
+from quboplan.grid import GridMap, bfs_distances
 from quboplan.multi import plan_multi
 from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
 from quboplan.planner import (
@@ -28,13 +28,13 @@ from quboplan.solvers import SolverConfig
 # colour classes, beyond the golden files. A change that means to alter these
 # plans runs this module's independent-checker test, reads the new value from
 # the failed assertion and commits it.
-CITY0_PLANS_SHA256 = "936b9abda6f0d8fdd8dff18bc2627479dcae0a261ff1200034d678551970ee37"
+CITY0_PLANS_SHA256 = "a86a9123717abfc87e8a421bc96112efa74bf5f133368885db92a5d13e9e98bb"
 # The same digest for `corridor(1)`: serpentine corridors that reachability
 # fixing decides window by window, so it pins the presolve path.
 CORRIDOR1_PLANS_SHA256 = "96f7005f4ca92ddec8cdb2cca7d3b4208310fbcc9a4518ea070897e86572b08d"
 # The same two corpora digested over each plan's steps only, so a change to
 # the JSON around the paths moves the pins above but not these.
-CITY0_STEPS_SHA256 = "1d43439b8d6e17e50fed8ea3cc45172a6ee41fd5cb1eb07aae02f1cb350a0f8d"
+CITY0_STEPS_SHA256 = "c15da2bafa0d04f862e562c0f6e821e702a2b78eb8b27a3717bcb1d6ccc2e983"
 CORRIDOR1_STEPS_SHA256 = "ec040e48a8442fd4d6660ab60c0805dad52d50b97fd502cd3522cadcf640dee4"
 # Plans and total moves of `shipped(scenarios, 0)`, the traffic the acceptance
 # tests were tuned on. This pins its lengths, not its paths: equal-energy
@@ -143,10 +143,9 @@ def test_robot_released_at_a_window_end_is_kept_off_its_start():
     # robot 1 appears on (0, 5) at t=6, which robot 0 would otherwise cross
     # on its way to (0, 6). Three-step windows commit one step each, so
     # robot 0 re-plans from (1, 4) at t=4 with (0, 5) blocked for the
-    # release: its goal is then exactly the horizon away, and the
-    # window-final reward's openness factor scores that corner goal below
-    # (0, 2) (ROADMAP item 2), so it backs off to (0, 1) and returns: 13
-    # moves where 7 suffice.
+    # release: its goal is then exactly the horizon away, so the
+    # window-final reward, by BFS distance to the goal, scores the corner
+    # goal highest, and robot 0 takes the 7 moves that suffice.
     grid = GridMap(2, 7)
     robots = [RobotSpec(0, (1, 0), (0, 6)),
               RobotSpec(1, (0, 5), (1, 5), release=6)]
@@ -154,7 +153,7 @@ def test_robot_released_at_a_window_end_is_kept_off_its_start():
         result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=3),
                             solver_cfg=SolverConfig(seed=seed))
         assert result.succeeded, [w.repairs for w in result.windows]
-        assert [p.moves for p in result.plans] == [13, 1]
+        assert [p.moves for p in result.plans] == [7, 1]
         assert find_vertex_conflicts([p.steps for p in result.plans]) == []
 
 
@@ -232,6 +231,19 @@ def test_every_accepted_generated_plan_passes_the_independent_checker():
     assert accepted > len(instances) // 2
     assert city_steps.hexdigest() == CITY0_STEPS_SHA256
     assert city_plans.hexdigest() == CITY0_PLANS_SHA256
+
+
+@pytest.mark.parametrize("corpus, name", [(19, "open14x2#8"), (9, "block14x2#7")])
+def test_no_city_robot_wanders_past_twice_its_distance_to_the_goal(corpus, name):
+    # Robot 1's goal lies beyond its windows, behind walls that L1 closeness
+    # would lead it into; the window-final reward by BFS distance to the
+    # goal steers it around them.
+    inst = next(i for i in city(corpus) if i.name == name)
+    result = plan_multi(inst.grid, inst.robots, weights=inst.weights,
+                        window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
+    assert result.succeeded
+    for robot, plan in zip(inst.robots, result.plans):
+        assert plan.moves <= 2 * bfs_distances(inst.grid, robot.start)[robot.goal]
 
 
 def test_shipped_corpus_plans_stay_valid_at_their_length():

@@ -1,12 +1,13 @@
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from perfbench.corpus import city
 from quboplan import penalties, planner
-from quboplan.grid import GridMap, manhattan
+from quboplan.grid import GridMap, bfs_distances, manhattan
 from quboplan.penalties import (
     BT_SOFT_FACTOR,
     EARLY_GOAL_PENALTY,
@@ -164,17 +165,31 @@ def test_teleportation_degenerate_start_is_goal():
 
 
 def test_approximation_rewards():
-    g = GridMap(5, 5)
-    rec = RobotWindow(start=(0, 0), goal=(4, 4))
+    # A wall stands between start and goal: the goal lies 10 moves from the
+    # start (1, 1) around the wall's end, not 4, and the walled-in corner
+    # (0, 0) has no way to it at all.
+    g = GridMap(5, 5, {(0, 1), (1, 0), (0, 2), (1, 2), (2, 2), (3, 2)})
+    rec = RobotWindow(start=(1, 1), goal=(0, 4))
     spec = WindowSpec(g, (rec,), 3, PenaltyWeights(k_approx=1.0))
     adm = dense_admissible(spec)
     model = emitted(apply_approximation, spec, adm, 0)
-    center = var_index(spec.dims, 0, 3, (2, 2))
-    assert model.get(center, center) == pytest.approx(-0.5)  # halfway, open space
-    goal = var_index(spec.dims, 0, 3, (4, 4))
-    assert model.get(goal, goal) == pytest.approx(-3 / 8)  # borders crowd the corner
-    far = var_index(spec.dims, 0, 2, (2, 2))
-    assert model.get(far, far) == 0.0  # only the final step is rewarded
+
+    def reward(c, t=3):
+        a = var_index(spec.dims, 0, t, c)
+        return model.get(a, a)
+
+    assert reward((0, 4)) == pytest.approx(-1.0)  # the goal, in a corner
+    assert reward((0, 3)) == pytest.approx(-0.9)
+    assert reward((4, 2)) == pytest.approx(-0.4)  # around the wall's end
+    assert reward((1, 1)) == 0.0  # the farthest cell from the goal
+    assert reward((0, 0)) == 0.0  # walled in
+    assert reward((0, 3), t=2) == 0.0  # only the final step is rewarded
+    # Distances handed to the window are read, not searched again: on the
+    # map without the wall the start is 4 of the largest 8 moves away.
+    given = replace(rec, goal_distances=bfs_distances(GridMap(5, 5), rec.goal))
+    spec = WindowSpec(g, (given,), 3, PenaltyWeights(k_approx=1.0))
+    model = emitted(apply_approximation, spec, adm, 0)
+    assert reward((1, 1)) == pytest.approx(-0.5)
 
 
 def test_vertex_collision_pairs():

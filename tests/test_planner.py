@@ -9,7 +9,7 @@ from perfbench.corpus import city, corridor, serpentine
 from quboplan.classical import astar, prioritized_plan
 from quboplan.grid import GridMap, bfs_layers, manhattan
 from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
-from quboplan import planner, qubo, solvers
+from quboplan import penalties, planner, qubo, solvers
 from quboplan.planner import (
     Plan,
     RobotSpec,
@@ -241,7 +241,7 @@ def test_a_multi_robot_plan_commits_all_but_the_last_two_steps_of_a_window(monke
     build = planner.build_window
 
     def recording_build(grid, robots, *args, **kwargs):
-        visited.append([set(cells) for _, _, cells in robots])
+        visited.append([set(cells) for _, _, cells, _ in robots])
         return build(grid, robots, *args, **kwargs)
 
     monkeypatch.setattr(planner, "build_window", recording_build)
@@ -255,6 +255,28 @@ def test_a_multi_robot_plan_commits_all_but_the_last_two_steps_of_a_window(monke
     assert [p.moves for p in result.plans] == [6, 6]
     alone = plan_paths(grid, lanes[:1], window_cfg=WindowConfig(window_len=4))
     assert [w.global_start for w in alone.windows] == [0, 4]
+
+
+def test_planner_windows_read_the_goal_distances_of_the_walled_off_check(monkeypatch):
+    # `plan_paths` hands each window the goal-rooted search it ran to check
+    # reachability, so a window that searched the goal again would fail.
+    def searched(*args):
+        raise AssertionError("a planner window searched its goal again")
+
+    approximated = []
+    approximation = penalties.apply_approximation
+
+    def counted(*args):
+        approximated.append(args[2])
+        return approximation(*args)
+
+    monkeypatch.setattr(penalties, "bfs_distances", searched)
+    monkeypatch.setattr(penalties, "apply_approximation", counted)
+    for inst in city(0):
+        result = plan_paths(inst.grid, inst.robots, inst.weights, inst.window_cfg,
+                            inst.solver_cfg)
+        assert result.succeeded, inst.name
+    assert approximated
 
 
 def test_a_robot_with_no_free_move_waits_in_a_multi_robot_window():
@@ -737,8 +759,7 @@ def test_two_robots_cross_the_centre_of_an_empty_3x3_map_in_the_moves_prioritize
         steps[-1][0] - steps[0][0] for steps in reference.values()) == 5
 
 
-# At `window_len` 2 the window-final reward's openness factor scores robot
-# 0's corner goal (0, 5) below (0, 3) (ROADMAP item 2); a two-step window
+# Robot 0's goal (0, 5) sits in a corner; at `window_len` 2 a window
 # commits one step, and the robot reaches its goal all the same.
 @pytest.mark.parametrize("window_len", [2, 4])
 def test_a_robot_two_moves_from_a_corner_goal_reaches_it(window_len):
