@@ -170,18 +170,8 @@ class WindowTerms:
         self.weights.append(w)
 
     def model(self) -> QuboModel:
-        """The terms merged into a `QuboModel`, term by term under
-        `QuboModel.add`'s rule."""
-        model = QuboModel(self.num_vars, self.constant)
-        coeffs = model.coeffs
-        get = coeffs.get
-        for key, w in zip(self.keys, self.weights):
-            value = get(key, 0.0) + w
-            if value == 0.0:
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = value
-        return model
+        """The terms merged into a `QuboModel` in emission order."""
+        return QuboModel.from_terms(self.num_vars, self.constant, self.keys, self.weights)
 
 
 def apply_one_hot(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:

@@ -335,10 +335,6 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
     for r, agent in enumerate(agents):
         repair = fix_one_hot_continuity(occupancy[r], agent.current, agent.spec.goal,
                                         allow_wait=multi)
-        if repair.dropped:
-            record.repairs.append(
-                f"robot {agent.spec.id}: dropped {repair.dropped} extra cell(s)"
-            )
         path = repair.path
         if multi and path and repair.reason == "empty_step":
             # Trapped short of the horizon (another robot blocks the way, or
@@ -396,11 +392,12 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     there and become static obstacles for later windows, a robot whose start
     is its goal from its release on; robots released
     mid-window join at the next window boundary, waiting on their start
-    cell, and every window that reaches a robot's release keeps the others
-    off its start. A robot whose goal the parked robots wall off ends as
-    infeasible at once: a BFS from each goal, on the input map at the start
-    and again whenever the parked set changes (parked robots blocked, starts
-    of robots not yet released open), must reach the robot's cell. Each
+    cell, and every window that reaches a robot's release, or in which its
+    start is an active robot's goal, keeps the others off its start. A
+    robot whose goal the map or the parked robots wall off ends as
+    infeasible at once: a BFS from each goal, before the first window and
+    again whenever the parked set changes (parked robots blocked, starts of
+    robots not yet released open), must reach the robot's cell. Each
     window's approximation reward reads that search's distances.
 
     The try rule: a window is first tried at `window_len` with seed parts
@@ -431,14 +428,10 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         if agent.spec.start == agent.spec.goal:
             agent.steps = [(agent.spec.release, agent.spec.start)]
             agent.status = STATUS_REACHED
-            continue
-        agent.goal_distances = bfs_distances(grid, agent.spec.goal)
-        if agent.spec.start not in agent.goal_distances:
-            agent.status = STATUS_INFEASIBLE
 
     windows: list[WindowRecord] = []
     clock = 0
-    walls: set[Cell] = set()  # the parked cells the goals were last checked on
+    walls: set[Cell] | None = None  # the parked cells the goals were last checked on
 
     while len(windows) < wcfg.max_windows:
         pending = [a for a in agents if a.status is None]
@@ -457,9 +450,10 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                 agent.goal_distances = bfs_distances(
                     grid.with_obstacles(parked - {agent.current}), agent.spec.goal)
                 if agent.current not in agent.goal_distances:
-                    blockers = ", ".join(str(a.spec.id) for a in parkers)
-                    agent.notes.append(
-                        f"goal {agent.spec.goal} walled off by parked robot(s) {blockers}")
+                    if parkers:
+                        blockers = ", ".join(str(a.spec.id) for a in parkers)
+                        agent.notes.append(
+                            f"goal {agent.spec.goal} walled off by parked robot(s) {blockers}")
                     agent.status = STATUS_INFEASIBLE
             continue
         active = [a for a in pending if a.spec.release <= clock]
@@ -474,13 +468,16 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                 ]
 
         occupied = {a.current for a in active}
+        goals = {a.spec.goal for a in active}
         tries = 0
         for escalated in (False, True):
             horizon = 2 * wcfg.window_len if escalated else wcfg.window_len
-            # A robot released within this try's horizon keeps the others
-            # off its start for the whole try.
+            # A robot released within this try's horizon, or later onto an
+            # active robot's goal, keeps the others off its start for the
+            # whole try.
             releasing = {a.spec.start for a in agents if a.status != STATUS_INFEASIBLE
-                         and clock < a.spec.release <= clock + horizon}
+                         and clock < a.spec.release
+                         and (a.spec.release <= clock + horizon or a.spec.start in goals)}
             eff_grid = grid.with_obstacles((parked | releasing) - occupied)
             tried = weights
             for resolve in range(RESOLVES + 1):

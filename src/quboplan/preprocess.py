@@ -137,8 +137,7 @@ def fold(model: QuboModel, ones, zeros=()) -> FoldedModel:
     touched = {v for key in model.coeffs for v in key}
     free = sorted(touched - ones - zeros)
     position = {orig: dense for dense, orig in enumerate(free)}
-    out = QuboModel(len(free))
-    coeffs = out.coeffs
+    keys, weights = [], []
     constant = float(model.constant)
     for (a, b), w in model.coeffs.items():
         if a in zeros or b in zeros:
@@ -147,19 +146,13 @@ def fold(model: QuboModel, ones, zeros=()) -> FoldedModel:
             if a == b or b in ones:
                 constant += w
                 continue
-            key = (position[b], position[b])
+            keys.append((position[b], position[b]))
         elif b in ones:
-            key = (position[a], position[a])
+            keys.append((position[a], position[a]))
         else:
-            key = (position[a], position[b])
-        # `QuboModel.add`'s rule: a sum that cancels to 0.0 drops its key.
-        value = coeffs.get(key, 0.0) + w
-        if value == 0.0:
-            coeffs.pop(key, None)
-        else:
-            coeffs[key] = value
-    out.constant = constant
-    return FoldedModel(out, free, ones)
+            keys.append((position[a], position[b]))
+        weights.append(w)
+    return FoldedModel(QuboModel.from_terms(len(free), constant, keys, weights), free, ones)
 
 
 def fix_numeric_diagonal(folded: FoldedModel, report: FixReport,

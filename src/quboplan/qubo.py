@@ -63,8 +63,8 @@ class QuboModel:
     The map's order is part of the model: a key takes its place at its first
     non-zero accumulation, and a cancel drops it, so a later term adds it
     again at the end. `solvers._energies` sums terms in this order, and so
-    does a window's `best_energy`; `penalties.WindowTerms.model` and
-    `preprocess.fold` merge terms by `add`'s rule inline.
+    does a window's `best_energy`. `from_terms` merges a whole term list by
+    that rule; `add` applies it to one term.
     """
 
     __slots__ = ("num_vars", "constant", "coeffs")
@@ -75,6 +75,22 @@ class QuboModel:
         self.num_vars = num_vars
         self.constant = float(constant)
         self.coeffs: dict[tuple[int, int], float] = {}
+
+    @classmethod
+    def from_terms(cls, num_vars: int, constant: float, keys, weights) -> "QuboModel":
+        """The model of the terms `keys[i]` with weight `weights[i]`, merged
+        in order. Each key is a canonical (a, b) pair, a <= b, inside
+        0..num_vars - 1; they are not checked."""
+        model = cls(num_vars, constant)
+        coeffs = model.coeffs
+        get = coeffs.get
+        for key, w in zip(keys, weights):
+            value = get(key, 0.0) + w
+            if value == 0.0:
+                coeffs.pop(key, None)
+            else:
+                coeffs[key] = value
+        return model
 
     def add(self, a: int, b: int, w: float) -> "QuboModel":
         """Accumulate weight w onto the canonical (min, max) key."""

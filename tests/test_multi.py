@@ -157,6 +157,19 @@ def test_robot_released_at_a_window_end_is_kept_off_its_start():
         assert find_vertex_conflicts([p.steps for p in result.plans]) == []
 
 
+def test_a_robot_with_its_goal_in_reach_does_not_cycle_until_the_windows_run_out():
+    # Robots 1 and 2 park early, and robot 0 used to repeat (2, 2) -> (2, 3)
+    # -> (2, 2) until the 20 windows ran out, 40 moves, with its goal in reach.
+    grid = GridMap(5, 6, frozenset({(1, 0), (2, 4), (4, 3)}))
+    robots = [RobotSpec(0, (1, 2), (0, 5)), RobotSpec(1, (0, 0), (1, 4), release=5),
+              RobotSpec(2, (3, 3), (2, 5))]
+    result = plan_multi(grid, robots, window_cfg=WindowConfig(window_len=2),
+                        solver_cfg=SolverConfig(num_reads=20, sweeps=150, seed=240))
+    assert result.succeeded, [p.status for p in result.plans]
+    assert len(result.windows) < 20
+    assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
+
+
 def test_release_robot_parked_on_another_goal_degrades_gracefully(exhaustive):
     # the late robot sits on the first robot's goal until released; the first
     # robot makes partial progress, waits, and finishes once the cell clears

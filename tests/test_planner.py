@@ -365,27 +365,36 @@ def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch, exhau
     assert result.plans[0].status == STATUS_EXHAUSTED
 
 
-def test_a_clash_left_in_the_finished_plans_fails_the_plan():
-    # Robot 0 parks on robot 1's start before robot 1 is released there; no
-    # wait can clear a clash with a parked robot, so the final check reports it.
-    result = plan_paths(GridMap(1, 5), [RobotSpec(0, (0, 0), (0, 3)),
-                                        RobotSpec(1, (0, 3), (0, 4), release=10)],
-                        window_cfg=WindowConfig(window_len=6))
+def test_a_robot_keeps_off_a_later_start_that_is_its_goal_until_it_is_left():
+    # Robot 1 stands on robot 0's goal (0, 3) from its release at t=10, so
+    # robot 0 waits beside it and parks only once robot 1 has moved on.
+    grid = GridMap(1, 5)
+    robots = [RobotSpec(0, (0, 0), (0, 3)), RobotSpec(1, (0, 3), (0, 4), release=10)]
+    result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=6))
+    assert result.succeeded, result.unresolved_conflicts
+    assert (result.clash_events, result.unresolved_conflicts) == ([], [])
+    assert [p.moves for p in result.plans] == [13, 3]
+    assert result.plans[0].steps[-1] == (13, (0, 3))
+    assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
+
+
+def test_a_clash_left_in_the_finished_plans_fails_the_plan(exhaustive):
+    # Robot 2 yields to robot 1 with one wait and then meets robot 0 at its
+    # release; the final check reports the clashes the waits cannot clear.
+    result = _shared_start((0, 1, 2))
     assert not result.succeeded
-    assert result.plans[1].status == STATUS_EXHAUSTED
-    assert result.plans[1].notes == ["unresolved vertex conflict at t=10"]
-    assert result.unresolved_conflicts == [(10, (0, 3), 0, 1)]
-    assert result.clash_events == []
+    assert [p.status for p in result.plans] == [STATUS_REACHED] * 2 + [STATUS_EXHAUSTED]
+    assert result.plans[2].notes == ["unresolved vertex conflict at t=3"]
+    assert result.unresolved_conflicts == [(3, (0, 2), 1, 2), (4, (0, 1), 0, 2)]
+    assert result.clash_events == ["robot 2 waits at (0, 2) before t=3 to avoid (0, 1)"]
 
 
-def test_conflict_reports_name_robots_by_id():
-    # The clash above, with ids that are not the robots' positions.
-    result = plan_paths(GridMap(1, 5), [RobotSpec(5, (0, 0), (0, 3)),
-                                        RobotSpec(9, (0, 3), (0, 4), release=10)],
-                        window_cfg=WindowConfig(window_len=6))
-    assert result.unresolved_conflicts == [(10, (0, 3), 5, 9)]
-    assert result.to_json()["unresolved_conflicts"] == [[10, [0, 3], 5, 9]]
-    assert result.plans[1].notes == ["unresolved vertex conflict at t=10"]
+def test_conflict_reports_name_robots_by_id(exhaustive):
+    # The clashes above, with ids that are not the robots' positions.
+    result = _shared_start((5, 9, 3))
+    assert result.unresolved_conflicts == [(3, (0, 2), 9, 3), (4, (0, 1), 5, 3)]
+    assert result.to_json()["unresolved_conflicts"] == [[3, [0, 2], 9, 3], [4, [0, 1], 5, 3]]
+    assert result.plans[2].notes == ["unresolved vertex conflict at t=3"]
 
 
 def _shared_start(ids):
@@ -464,6 +473,19 @@ def test_a_robot_parked_from_the_start_can_wall_off_a_goal():
     assert result.windows == []
     assert result.plans[0].status == STATUS_INFEASIBLE
     assert result.plans[0].notes == ["goal (0, 2) walled off by parked robot(s) 1"]
+
+
+@pytest.mark.parametrize("parked, notes", [
+    ([], []),
+    ([RobotSpec(1, (0, 0), (0, 0))], ["goal (2, 2) walled off by parked robot(s) 1"]),
+])
+def test_a_goal_the_map_walls_off_ends_infeasible_before_any_window(parked, notes):
+    # One search from the goal decides it; only a parked robot is named.
+    grid = GridMap(3, 3, frozenset({(1, 2), (2, 1)}))
+    result = plan_paths(grid, [RobotSpec(0, (0, 1), (2, 2))] + parked)
+    assert result.windows == []
+    assert result.plans[0].status == STATUS_INFEASIBLE
+    assert result.plans[0].notes == notes
 
 
 def test_a_start_awaiting_release_walls_off_no_goal(exhaustive):
