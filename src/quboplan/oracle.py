@@ -2,11 +2,12 @@
 
 Random small scenarios are built into their first window by the planner's
 own window builder. `solve` answers every window within the exact table cap
-by min-sum elimination, so the pipeline anneals only windows too wide for
-it. This check therefore calls the annealer itself, as `solve` runs it
-above the cap (all `num_reads` reads), on two-robot windows whose (robot,
-step) groups form a cycle, and scores its best energy against the
-window's exact one-hot minimum.
+by min-sum elimination, and a wider one by elimination with its collision
+couplings added lazily, so the pipeline anneals only windows whose lazy
+rounds exceed the cap too. This check therefore calls the annealer itself,
+as `solve` runs it then (all `num_reads` reads), on two-robot windows
+whose (robot, step) groups form a cycle, and scores its best energy
+against the window's exact one-hot minimum.
 """
 
 import numpy as np

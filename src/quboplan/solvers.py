@@ -1,5 +1,6 @@
-"""The QUBO solver: exact elimination over one-hot groups, and simulated
-annealing above its table cap.
+"""The QUBO solver: exact elimination over one-hot groups, with collision
+couplings added lazily above its table cap, and simulated annealing when
+even that exceeds the cap.
 
 `solve` consumes a frozen model over dense free variables, with each
 variable's group, and returns a `SampleSet`. The annealer stands in for the
@@ -29,16 +30,20 @@ units.
 
 `solve` first runs min-sum elimination over the groups, exact on one-hot
 states (Dechter, Artif. Intell. 113, 41, 1999), and returns its state at
-the lowest energy, tied or not, with 0 occurrences: no read runs. Only
-when an elimination table would exceed `_EXACT_TABLE_CAP` entries does the
-annealer run, and then it runs all `num_reads` reads. Read r draws from
+the lowest energy, tied or not, with 0 occurrences: no read runs. When an
+elimination table would exceed `_EXACT_TABLE_CAP` entries, it drops the
+collision couplings, eliminates the rest and adds back the ones the state
+fires, round after round, until a state fires none: that state is the
+exact one-hot minimum too (Sharon et al., Artif. Intell. 219, 40, 2015).
+Only when a round's own tables exceed the cap does the annealer run, and
+then it runs all `num_reads` reads. Read r draws from
 `SeedSequence((seed, r))` alone, so its final state does not depend on the
 block of reads it runs in.
 """
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -46,8 +51,8 @@ import numpy as np
 from .grid import _require_ints
 
 # 8-byte values held per block of reads while annealing: 64 MiB. The 100
-# reads of a `city` window above the table cap need at most 9,920 values
-# each (235 variables in 32 groups at 300 sweeps), so they share one block.
+# reads of a window of 235 variables in 32 groups at 300 sweeps need 9,920
+# values each, so they share one block.
 _RANDOM_BUDGET = 1 << 23
 # Entries in the largest table exact elimination builds before it gives up.
 _EXACT_TABLE_CAP = 1 << 16
@@ -61,7 +66,7 @@ class SolverConfig:
     """Sampling parameters. Same seed, same samples.
 
     `num_reads` is the annealer's read count: it runs none when exact
-    elimination fits its table cap (see `solve`).
+    elimination, or its lazy rounds, fit the table cap (see `solve`).
     """
 
     num_reads: int = 100
@@ -355,9 +360,11 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     """The model's lowest one-hot states found, exactly or by annealing.
 
     `groups` labels each variable, and every state sets exactly one
-    variable per group. When `_eliminate` fits its table cap, its state at
-    the one-hot minimum is the only sample, with 0 occurrences: no read
-    runs. Otherwise it anneals, reading `_BETA_RANGE` per unit of the
+    variable per group. When `_eliminate` fits its table cap, or else
+    `_eliminate_lazily`'s rounds do, the state at the one-hot minimum is
+    the only sample, with 0 occurrences: no read runs. The lazy rounds read
+    the labels as integers, two steps of one robot being consecutive.
+    Otherwise it anneals, reading `_BETA_RANGE` per unit of the
     largest |coupling between groups| (the peak |coefficient| when groups
     share none), so scaling the model by a positive factor leaves its
     samples unchanged up to the rounding of β. Its occurrences then count
@@ -370,10 +377,45 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     terms = _terms(model)
     layout = _one_hot_layout(model, groups, terms)
     state = _eliminate(layout)
+    if state is None:
+        state = _eliminate_lazily(layout, np.asarray(groups)[layout.order])
     if state is not None:
         # The one-hot minimum: no read could end below it, so none runs.
         return _collect(model, dict.fromkeys(_tally(layout, state[None]), 0), terms)
     return _anneal(model, layout, cfg, terms)
+
+
+def _eliminate_lazily(layout: _OneHotLayout, labels: np.ndarray) -> np.ndarray | None:
+    """A one-hot state at the lowest one-hot energy of `layout`, as
+    `_eliminate` returns, found by adding the collision couplings lazily so
+    that its tables can stay within the cap; None when a round's own tables
+    exceed it. `labels` holds each internal variable's group label, robot *
+    (horizon + 1) + t in a window.
+
+    Each round drops the positive couplings between groups whose labels
+    differ by more than one (vertex collisions between robots and revisits
+    of a robot's own cells) that no earlier round fired, eliminates the
+    rest, and adds back the dropped couplings its state fires. Dropping
+    positive terms can only lower an energy, so a state that fires none is
+    at the lowest one-hot energy of the whole layout. Each round adds at
+    least one coupling, so the rounds end. This is Conflict-Based Search's
+    lazy treatment of conflicts (Sharon et al., Artif. Intell. 219, 40,
+    2015), or constraint generation (Lam et al., IJCAI 2019).
+    """
+    a, b = layout.pairs[:, 0], layout.pairs[:, 1]
+    lazy = (layout.pair_weight > 0) & (np.abs(labels[a] - labels[b]) > 1)
+    while True:
+        keep = ~lazy
+        state = _eliminate(replace(layout, pairs=layout.pairs[keep],
+                                   pair_weight=layout.pair_weight[keep]))
+        if state is None:
+            return None
+        on = np.zeros(len(labels), dtype=bool)
+        on[state] = True
+        fired = lazy & on[a] & on[b]
+        if not fired.any():
+            return state
+        lazy &= ~fired
 
 
 def _anneal(model, layout: _OneHotLayout, cfg: SolverConfig, terms=None) -> SampleSet:

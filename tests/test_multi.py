@@ -28,13 +28,13 @@ from quboplan.solvers import SolverConfig
 # colour classes, beyond the golden files. A change that means to alter these
 # plans runs this module's independent-checker test, reads the new value from
 # the failed assertion and commits it.
-CITY0_PLANS_SHA256 = "a86a9123717abfc87e8a421bc96112efa74bf5f133368885db92a5d13e9e98bb"
+CITY0_PLANS_SHA256 = "e7ce8c983a0322fdaaad1fb0452f5066d430d8b623315b786af7d66d76e981aa"
 # The same digest for `corridor(1)`: serpentine corridors that reachability
 # fixing decides window by window, so it pins the presolve path.
 CORRIDOR1_PLANS_SHA256 = "96f7005f4ca92ddec8cdb2cca7d3b4208310fbcc9a4518ea070897e86572b08d"
 # The same two corpora digested over each plan's steps only, so a change to
 # the JSON around the paths moves the pins above but not these.
-CITY0_STEPS_SHA256 = "c15da2bafa0d04f862e562c0f6e821e702a2b78eb8b27a3717bcb1d6ccc2e983"
+CITY0_STEPS_SHA256 = "0b7e0d3d141882e2059a897e459e377eccbe9bff488174d8f8076f737db00110"
 CORRIDOR1_STEPS_SHA256 = "ec040e48a8442fd4d6660ab60c0805dad52d50b97fd502cd3522cadcf640dee4"
 # Plans and total moves of `shipped(scenarios, 0)`, the traffic the acceptance
 # tests were tuned on. This pins its lengths, not its paths: equal-energy

@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from perfbench.corpus import city
+from perfbench.checker import check_plans
+from perfbench.corpus import city, shipped
 from quboplan.bench import run_pipeline
 from quboplan.multi import plan_multi
 import quboplan.planner as planner
@@ -518,14 +519,17 @@ def test_elimination_matches_exhaustive_on_pipeline_windows():
 # Among tied minima `_eliminate`'s state follows the elimination order, and so
 # the group order that `_one_hot_layout`'s colouring sets. Eliminating the
 # groups in label order instead passes every other test; it moves city(10)'s
-# block12x3#4 onto other paths of the same length and robot 1 of city(14)'s
-# block12x4#6 from 15 to 19 moves; it also anneals a window of city(14)'s
-# open12x3#5, whose tables then exceed the cap, to the same paths. These
-# plans' paths pin the tie order.
+# block12x3#4 onto other paths of the same length, and it takes a window of
+# city(14)'s open12x3#5 above the cap, which the lazy rounds then answer on
+# the same paths. city(14)'s block12x4#6 lies above the cap from its first
+# window, so its tie order is that of the lazy rounds' last relaxed layout.
+# Its first window's three tries end at the energies the annealer reached,
+# at other tied states, after which robot 1 takes 19 moves, not 15.
+# These plans' paths pin the tie order.
 @pytest.mark.parametrize("seed, name, digest", [
     (10, "block12x3#4", "be641b03e416d9b0c24c62cacd9bb8d6741b9a0b84cd92e4bd5b6192a6c3cbc5"),
     (14, "open12x3#5", "50dadee27cd37057785be564a98b680623a5fc717430af8b4ae281a25b513de6"),
-    (14, "block12x4#6", "4c9359586de7270df8f40cef4656a78341656a7994801aa0ccd8967e61d55d97"),
+    (14, "block12x4#6", "1eb87da471517473ef5c5fd2360f76e2f6f858833212052705ec9da37fa7f446"),
 ], ids=["city10-block12x3#4", "city14-open12x3#5", "city14-block12x4#6"])
 def test_tied_minima_keep_the_city_paths(seed, name, digest):
     inst = next(i for i in city(seed) if i.name == name)
@@ -535,15 +539,9 @@ def test_tied_minima_keep_the_city_paths(seed, name, digest):
     assert hashlib.sha256(paths.encode()).hexdigest() == digest
 
 
-def _window_outcomes(monkeypatch, plan_all):
-    """How the annealer does on each window that `solve` answered during
-    `plan_all()`, counted. A window within the table cap is answered by
-    elimination with no read; when its groups form a cycle, `_anneal`
-    then runs on it with the window's own settings and ends "at the
-    minimum" or "above the minimum" by its best energy. A forest window is
-    counted as "forest" and not annealed. A window above the cap is counted
-    as "above the cap", and `solve` has annealed it. A window annealed
-    above its minimum is listed by its model's size, with both energies."""
+def _solved_windows(monkeypatch, plan_all):
+    """Each (model, cfg, groups, sample set) that `solve` answered during
+    `plan_all()`, in call order."""
     calls = []
 
     def recorded(model, cfg, *, groups=None):
@@ -553,25 +551,57 @@ def _window_outcomes(monkeypatch, plan_all):
 
     monkeypatch.setattr(planner, "solve", recorded)
     plan_all()
+    return calls
+
+
+def _plan_shipped():
+    """Plan every shipped scenario at its first bench seed."""
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        spec = load_scenario(str(path))
+        run_pipeline(spec, derive_seed(spec.seed, 0))
+
+
+def _plan_city(seed, name=None):
+    """A `plan_all` that plans `city(seed)`, or its one instance `name`."""
+    def plan_all():
+        for inst in city(seed):
+            if name in (None, inst.name):
+                plan_multi(inst.grid, inst.robots, weights=inst.weights,
+                           window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
+    return plan_all
+
+
+def _window_outcomes(monkeypatch, plan_all):
+    """How the annealer does on each window that `solve` answered during
+    `plan_all()`, counted. `solve` answers every window exactly with no
+    read: by elimination within the table cap, by the lazy rounds above it.
+    When the window's groups form a cycle, or it lies above the cap,
+    `_anneal` then runs on it with the window's own settings. It never ends
+    below that minimum, and it ends "at the minimum" or "above the minimum"
+    by its best energy, prefixed "above the cap, " for a window above the
+    cap. A window within the cap whose groups form a forest is counted as
+    "forest" and not annealed. A window annealed above its minimum is
+    listed by its model's size, with both energies."""
     outcomes, misses = Counter(), []
-    for model, cfg, groups, result in calls:
+    for model, cfg, groups, result in _solved_windows(monkeypatch, plan_all):
         layout = solvers._one_hot_layout(model, groups)
         state = solvers._eliminate(layout)
-        if state is None:
-            assert sum(s.occurrences for s in result) > 0
-            outcomes["above the cap"] += 1
-            continue
+        above = state is None
+        if above:
+            state = solvers._eliminate_lazily(layout, np.asarray(groups)[layout.order])
+            assert state is not None, "a lazy round exceeded the cap"
         lowest = _state_energy(model, layout, state)
         assert [s.occurrences for s in result] == [0]
         assert result.best.energy == lowest
-        if group_graph_is_forest(model, groups):
+        if not above and group_graph_is_forest(model, groups):
             outcomes["forest"] += 1
-        elif solvers._anneal(model, layout, cfg).best.energy <= _tied_with(lowest):
-            outcomes["at the minimum"] += 1
-        else:
-            outcomes["above the minimum"] += 1
-            misses.append((model.num_vars, round(solvers._anneal(model, layout, cfg).best.energy, 3),
-                           round(lowest, 3)))
+            continue
+        annealed = solvers._anneal(model, layout, cfg).best.energy
+        assert annealed >= lowest - 1e-9 * max(1.0, abs(lowest))
+        where = "at the minimum" if annealed <= _tied_with(lowest) else "above the minimum"
+        outcomes["above the cap, " * above + where] += 1
+        if where == "above the minimum":
+            misses.append((model.num_vars, round(annealed, 3), round(lowest, 3)))
     return outcomes, misses
 
 
@@ -580,29 +610,162 @@ def test_shipped_windows_reach_the_exact_minimum(monkeypatch):
     # every window fits the table cap, and the annealer, run on each window
     # whose groups form a cycle (multi5's), ends within the tie tolerance of
     # elimination's lowest energy.
-    def plan_all():
-        for path in sorted(SCENARIOS.glob("*.scn")):
-            spec = load_scenario(str(path))
-            run_pipeline(spec, derive_seed(spec.seed, 0))
-
-    outcomes, misses = _window_outcomes(monkeypatch, plan_all)
+    outcomes, misses = _window_outcomes(monkeypatch, _plan_shipped)
     assert set(outcomes) == {"forest", "at the minimum"} and misses == []
 
 
 def test_city_windows_reach_the_exact_minimum_as_counted(monkeypatch):
-    # ROADMAP item 11 on `city(0)`'s 29 windows: 14 are forests, one
-    # 4-robot window (block12x4#6's first) lies above the table cap, and of
-    # the 14 whose groups form a cycle the annealer ends 13 at the minimum.
-    # It ends block14x2#7's 97-variable window at -7.967 against -8.005.
-    def plan_all():
-        for inst in city(0):
-            plan_multi(inst.grid, inst.robots, weights=inst.weights,
-                       window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
-
-    outcomes, misses = _window_outcomes(monkeypatch, plan_all)
-    assert outcomes == {"forest": 14, "at the minimum": 13, "above the cap": 1,
-                        "above the minimum": 1}
+    # ROADMAP item 11 on `city(0)`'s 29 windows: 14 are forests, and of the
+    # 14 within the table cap whose groups form a cycle the annealer ends 13
+    # at the minimum. It ends block14x2#7's 97-variable window at -7.967
+    # against -8.005. One 4-robot window (block12x4#6's first) lies above
+    # the cap; `solve` answers it by the lazy rounds, at -23.434, and the
+    # annealer, run on it here only, ends there too.
+    outcomes, misses = _window_outcomes(monkeypatch, _plan_city(0))
+    assert outcomes == {"forest": 14, "at the minimum": 13, "above the minimum": 1,
+                        "above the cap, at the minimum": 1}
     assert misses == [(97, -7.967, -8.005)]
+
+
+def test_no_plan_of_the_benchmark_traffic_anneals(monkeypatch):
+    # Every window of `city(0)` and `shipped(0)` is answered exactly, by
+    # elimination or by the lazy rounds, so their plans stand without the
+    # annealer, and the independent checker accepts each of them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a benchmark window was annealed")
+
+    monkeypatch.setattr(solvers, "_anneal", refuse)
+    instances = [*city(0), *shipped(SCENARIOS, 0)]
+    for inst in instances:
+        result = plan_multi(inst.grid, inst.robots, weights=inst.weights,
+                            window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
+        assert result.succeeded, inst.name
+        steps = {p.robot: p.steps for p in result.plans}
+        assert check_plans(inst.grid, inst.robots, steps) == [], inst.name
+    assert len(instances) > 12
+
+
+def _layout_energy(layout, state) -> float:
+    """The energy of a one-hot state under the couplings `layout` keeps,
+    without the model's constant."""
+    on = np.zeros(len(layout.order), dtype=bool)
+    on[state] = True
+    fired = on[layout.pairs[:, 0]] & on[layout.pairs[:, 1]]
+    return float(layout.diag[state].sum() + layout.pair_weight[fired].sum())
+
+
+def _lazy_rounds(model, groups, monkeypatch):
+    """`_eliminate_lazily` forced on a model: the layout, the final state,
+    and each round's relaxed energy at its own state."""
+    layout = solvers._one_hot_layout(model, groups)
+    rounds, eliminate = [], solvers._eliminate
+
+    def recorded(relaxed):
+        state = eliminate(relaxed)
+        rounds.append(None if state is None else _layout_energy(relaxed, state))
+        return state
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_eliminate", recorded)
+        state = solvers._eliminate_lazily(layout, np.asarray(groups)[layout.order])
+    return layout, state, rounds
+
+
+def _assert_rounds_bound(layout, state, rounds, lowest):
+    """Check that the last round ends at `lowest` (without the constant),
+    and that every round's relaxed energy is at most the one after it."""
+    assert None not in rounds
+    assert _layout_energy(layout, state) == pytest.approx(lowest, abs=1e-9)
+    assert rounds[-1] == pytest.approx(lowest, abs=1e-9)
+    for low, high in zip(rounds, rounds[1:]):
+        assert low <= high + 1e-9
+
+
+def test_lazy_rounds_reach_the_exact_minimum_within_the_cap(monkeypatch):
+    # Forced on windows that elimination answers, the lazy rounds end at its
+    # energy, and at the exhaustive minimum where that oracle fits.
+    from quboplan.oracle import random_instances
+
+    seen = Counter()
+    small = [*random_instances(30, 7), *random_instances(20, 7, robots=2)]
+    for model, groups in small:
+        layout, state, rounds = _lazy_rounds(model, groups, monkeypatch)
+        exact = solve_exhaustive(model).best.energy - model.constant
+        _assert_rounds_bound(layout, state, rounds, exact)
+        seen[min(len(rounds), 2)] += 1
+    shipped_windows = _solved_windows(monkeypatch, _plan_shipped)
+    for model, _, groups, _ in shipped_windows:
+        layout, state, rounds = _lazy_rounds(model, groups, monkeypatch)
+        lowest = _layout_energy(layout, solvers._eliminate(layout))
+        _assert_rounds_bound(layout, state, rounds, lowest)
+        seen[min(len(rounds), 2)] += 1
+    assert len(shipped_windows) == 7
+    assert set(seen) == {1, 2}
+
+
+def test_lazy_rounds_bound_the_minimum_above_the_cap(monkeypatch):
+    # city(14)'s block12x4#6 takes more than one round on the windows above
+    # the cap; each round's relaxed energy is at most the one it ends at.
+    seen = set()
+    for model, _, groups, result in _solved_windows(monkeypatch, _plan_city(14, "block12x4#6")):
+        if solvers._eliminate(solvers._one_hot_layout(model, groups)) is None:
+            layout, state, rounds = _lazy_rounds(model, groups, monkeypatch)
+            _assert_rounds_bound(layout, state, rounds, result.best.energy - model.constant)
+            seen.add(len(rounds) > 1)
+    assert seen == {True}
+
+
+def _lazy_triangle(second=0.0, coupling=3.0):
+    """Three groups of two labelled 0, 2 and 4: each group's first member
+    at -1.0 and its second at `second`, the first members coupled pairwise
+    at `coupling`. Under the defaults every coupling is lazy, the first
+    round's state fires all three, and the second round is the whole
+    model, with a tied minimum of -1.0."""
+    groups = [0, 0, 2, 2, 4, 4]
+    model = QuboModel(6)
+    for v in (0, 2, 4):
+        model.add(v, v, -1.0)
+        model.add(v + 1, v + 1, second)
+    if coupling:
+        for u, v in ((0, 2), (2, 4), (0, 4)):
+            model.add(u, v, coupling)
+    return model, groups
+
+
+# The third case couples the first members at -3.0: a negative coupling is
+# never dropped, since without it the first round would end at -4.5 on the
+# second members, firing no dropped coupling.
+@pytest.mark.parametrize("second, coupling, rounds", [
+    (0.0, 3.0, [-3.0, -1.0]), (0.0, 0.0, [-3.0]), (-1.5, -3.0, [-12.0]),
+], ids=["all_lazy", "no_coupling", "negative"])
+def test_lazy_rounds_end_at_the_minimum_of_a_small_triangle(second, coupling, rounds,
+                                                           monkeypatch):
+    model, groups = _lazy_triangle(second, coupling)
+    layout, state, seen = _lazy_rounds(model, groups, monkeypatch)
+    lowest, _, _ = one_hot_two_lowest(model, groups)
+    _assert_rounds_bound(layout, state, seen, lowest)
+    assert seen == rounds
+
+
+def test_solve_anneals_when_a_lazy_round_exceeds_the_cap(monkeypatch):
+    # Under a cap of 4 entries the triangle fits only its first lazy round;
+    # the second is the whole triangle, so `solve` anneals all its reads.
+    model, groups = _lazy_triangle()
+    monkeypatch.setattr(solvers, "_EXACT_TABLE_CAP", 4)
+    _, state, rounds = _lazy_rounds(model, groups, monkeypatch)
+    assert state is None and rounds == [-3.0, None]
+    result = solve(model, SolverConfig(num_reads=20, sweeps=50), groups=groups)
+    assert _reads_used(result) == 20
+    assert result.best.energy == -1.0
+
+
+def test_city0_wide_window_is_answered_exactly(monkeypatch):
+    # block12x4#6's first window of city(0) is the one the annealer ran at
+    # the benchmark's traffic until the lazy rounds took it.
+    (model, _, groups, result), *_ = _solved_windows(monkeypatch, _plan_city(0, "block12x4#6"))
+    assert solvers._eliminate(solvers._one_hot_layout(model, groups)) is None
+    assert [s.occurrences for s in result] == [0]
+    assert round(result.best.energy, 3) == -23.434
 
 
 def _clique(sizes):
