@@ -148,7 +148,8 @@ def prioritized_plan(grid: GridMap, robots) -> dict[int, list | None]:
     out: dict[int, list | None] = {}
     for r in robots:
         if r.start == r.goal:
-            steps = [(r.release, r.start)]
+            blocked = reservations.blocked_ever_after(r.start, r.release)
+            steps = None if blocked else [(r.release, r.start)]
         elif not (grid.is_free(r.start) and grid.is_free(r.goal)):
             raise ValueError("start and goal must be free cells")
         else:

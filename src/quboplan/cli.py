@@ -1,4 +1,4 @@
-"""Command-line interface: plan, bench, render, oracle-check, export-qubo.
+"""Command-line interface: plan, bench, render, export-qubo.
 
 Exit codes: 0 on success, 1 when planning fails, 2 on input errors. All
 randomness flows from a single seed, and JSON output is byte-identical for
@@ -11,7 +11,6 @@ import sys
 from dataclasses import replace
 
 from .bench import SCHEMA_VERSION, format_table, report_json, run_benchmark, run_pipeline
-from .oracle import oracle_check
 from .penalties import build_window_model
 from .planner import build_window
 from .render import render_svg
@@ -73,22 +72,6 @@ def _cmd_render(args) -> int:
     return 0 if result.succeeded else 1
 
 
-def _cmd_oracle_check(args) -> int:
-    if args.samples < 1 or args.runs < 1:
-        raise ScenarioError("samples and runs must be >= 1")
-    if not 0 <= args.threshold <= 1:
-        raise ScenarioError("threshold must be a number in [0, 1]")
-    report = oracle_check(samples=args.samples, runs_per_sample=args.runs,
-                          seed=args.seed)
-    summary = {k: v for k, v in report.items() if k != "instances"}
-    print(json.dumps(summary, sort_keys=True, indent=2))
-    ok = report["agreement"] >= args.threshold
-    print(f"agreement {report['agreement'] * 100:.1f}% "
-          f"({'PASS' if ok else 'FAIL'} at {args.threshold * 100:.0f}%)",
-          file=sys.stderr)
-    return 0 if ok else 1
-
-
 def _cmd_export_qubo(args) -> int:
     spec = load_scenario(args.scenario)
     if len(spec.robots) != 1:
@@ -111,9 +94,6 @@ def main(argv=None) -> int:
     plan_p = sub.add_parser("plan", help="plan a scenario and print JSON")
     bench_p = sub.add_parser("bench", help="compare against the classical baseline")
     render_p = sub.add_parser("render", help="plan a scenario and write an SVG")
-    oracle_p = sub.add_parser("oracle-check",
-                              help="annealer vs exact elimination agreement suite on "
-                                   "loopy two-robot windows")
     export_p = sub.add_parser("export-qubo",
                               help="dump the first window's model as text triples")
 
@@ -141,12 +121,6 @@ def main(argv=None) -> int:
 
     render_p.add_argument("-o", "--output", required=True, help="SVG output path")
     render_p.set_defaults(func=_cmd_render)
-
-    oracle_p.add_argument("--samples", type=int, default=25)
-    oracle_p.add_argument("--runs", type=int, default=4)
-    oracle_p.add_argument("--seed", type=int, default=7)
-    oracle_p.add_argument("--threshold", type=float, default=0.95)
-    oracle_p.set_defaults(func=_cmd_oracle_check)
 
     export_p.add_argument("--raw", action="store_true",
                           help="skip presolve and export the full window model")

@@ -34,9 +34,10 @@ def var_index(dims: Dims, robot: int, t: int, c: Cell) -> int:
 def decode(ones: Collection[int], dims: Dims, num_robots: int) -> list[list[set[Cell]]]:
     """Inverse of `var_index` applied to every set bit.
 
-    Returns one cell set per step 0..horizon for each robot. An empty set at
-    a step signals a one-hot violation that post-processing deals with
-    downstream.
+    Returns one cell set per step 0..horizon for each robot. A solve sets
+    one member of every (robot, step) group, so an empty set at a step only
+    means that no cell was admissible to that robot there; the repair stops
+    at it.
     """
     rows, cols, horizon = dims
     block = block_size(dims)

@@ -142,11 +142,6 @@ def _collect(model, counts: dict[tuple[int, ...], int], terms=None) -> SampleSet
     return SampleSet(samples)
 
 
-def _cut(best: float) -> float:
-    """The highest energy that counts as tied with `best`."""
-    return best + 1e-9 * max(1.0, abs(best))
-
-
 @dataclass(frozen=True)
 class _OneHotLayout:
     """A model regrouped for one-hot moves.

@@ -11,7 +11,10 @@ state, and so are the grid's first neighbour rule, its first distance
 search, the first, tick-by-tick vertex clash scan, and the window builder
 and fold as first written, every term through `QuboModel.add`. The
 exhaustive solver, a plain enumeration of every assignment, is the ground
-truth that tests plan through in place of `solvers.solve`.
+truth that tests plan through in place of `solvers.solve`. Random small
+scenarios built into their first window by the planner's own window builder
+feed the agreement check that scores the annealer against exact
+elimination.
 """
 
 import itertools
@@ -24,20 +27,26 @@ from quboplan.penalties import (
     BT_SOFT_FACTOR,
     EARLY_GOAL_PENALTY,
     START_REWARD,
+    PenaltyWeights,
     WindowSpec,
     dense_admissible,
     goal_factor,
 )
+from quboplan.planner import build_window, derive_seed
 from quboplan.postprocess import occupied_at
 from quboplan.qubo import QuboModel, block_size, var_index
 from quboplan.solvers import (
     _RANDOM_BUDGET,
     SampleSet,
     SolverConfig,
+    _anneal,
     _collect,
+    _eliminate,
     _energies,
     _neighbour_rows,
+    _one_hot_layout,
     _OneHotLayout,
+    _tally,
 )
 
 # The most variables `solve_exhaustive` enumerates, and the codes it scores
@@ -391,6 +400,11 @@ def _dense_arrays(model):
     return diag, upper
 
 
+def cut(best: float) -> float:
+    """The highest energy that counts as tied with `best`."""
+    return best + 1e-9 * max(1.0, abs(best))
+
+
 def solve_exhaustive(model) -> SampleSet:
     """Global minimum by complete enumeration; every tied optimum is kept,
     with 1 occurrence each. One pass over every chunk finds the minimum, a
@@ -414,16 +428,82 @@ def solve_exhaustive(model) -> SampleSet:
         e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
         best = min(best, float(e.min()))
 
-    tolerance = 1e-9 * max(1.0, abs(best))
     near = []
     for lo in range(0, total, _ENUM_CHUNK):
         e = chunk_energies(lo, min(lo + _ENUM_CHUNK, total))
-        near.append(lo + np.nonzero(e <= best + tolerance)[0])
+        near.append(lo + np.nonzero(e <= cut(best))[0])
     codes = np.concatenate(near)
     on = ((codes[:, None] >> shifts) & 1).astype(bool)
     exact = _energies(model, on)
     ties = on[exact == exact.min()].astype(int)
     return _collect(model, {tuple(bits): 1 for bits in ties.tolist()})
+
+
+def random_instances(samples: int, seed: int, robots: int = 1, max_vars: int = 20,
+                     loopy: bool = False):
+    """Folded first-window models of random solvable scenarios with
+    `robots` robots, as the planner builds them, with 1 to `max_vars` free
+    variables, each with the (robot, step) group of every free variable.
+    With `loopy`, only windows whose groups form a cycle are kept."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE)))
+    produced = 0
+    while produced < samples:
+        size = int(rng.integers(3, 5)) + robots - 1
+        cells = [(i, j) for i in range(size) for j in range(size)]
+        obstacles = frozenset(
+            c for c in cells if rng.random() < 0.15
+        )
+        free = [c for c in cells if c not in obstacles]
+        if len(free) < 4 * robots:
+            continue
+        ends = [free[int(k)] for k in rng.choice(len(free), 2 * robots, replace=False)]
+        grid = GridMap(size, size, obstacles)
+        pairs = list(zip(ends[::2], ends[1::2]))
+        if any(goal not in bfs_distances(grid, start) for start, goal in pairs):
+            continue
+        horizon = int(rng.integers(3, 6))
+        window = build_window(grid, [(start, goal, {start}) for start, goal in pairs], horizon,
+                              PenaltyWeights(), allow_wait=robots > 1)
+        model = window.folded.model
+        if model.num_vars < 1 or model.num_vars > max_vars:
+            continue
+        if loopy and group_graph_is_forest(model, window.groups):
+            continue
+        produced += 1
+        yield model, window.groups
+
+
+def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7) -> dict:
+    """Fraction of annealer runs at default settings that end at the exact
+    one-hot minimum, within `cut`'s tie tolerance, on loopy two-robot first
+    windows, where `solvers.solve` would answer by elimination. Each run
+    draws its own seed; exact elimination gives each window's minimum."""
+    total = 0
+    agreed = 0
+    details = []
+    for model, groups in random_instances(samples, seed, robots=2, max_vars=200, loopy=True):
+        layout = _one_hot_layout(model, groups)
+        ground = _collect(model, _tally(layout, _eliminate(layout)[None])).best.energy
+        hits = 0
+        for run in range(runs_per_sample):
+            sub = derive_seed(seed, total + run)
+            result = _anneal(model, layout, SolverConfig(seed=sub))
+            hits += result.best.energy <= cut(ground)
+        total += runs_per_sample
+        agreed += hits
+        details.append({
+            "free_vars": model.num_vars,
+            "ground_energy": ground,
+            "hits": hits,
+            "runs": runs_per_sample,
+        })
+    return {
+        "samples": len(details),
+        "runs": total,
+        "agreed": agreed,
+        "agreement": round(agreed / total, 4) if total else 0.0,
+        "instances": details,
+    }
 
 
 def peak_rescaled(model: QuboModel, scale: float) -> QuboModel:

@@ -152,3 +152,18 @@ def test_prioritized_conflicts_validator_shared_with_pipeline():
     assert len(lists) == 3
     assert find_vertex_conflicts(lists) == []
     assert check_plans(g, robots, plans) == []
+
+
+def test_prioritized_refuses_a_robot_parked_where_an_earlier_one_passes():
+    # Robot 1 starts on its goal, (0, 1), which robot 0 crosses at t=1: from
+    # release 0 it would stand there then, so it cannot be routed. Released
+    # at t=5, after robot 0 has gone by, it plans as a single step.
+    g = GridMap(1, 3)
+    passing = RobotSpec(0, (0, 0), (0, 2))
+    plans = prioritized_plan(g, [passing, RobotSpec(1, (0, 1), (0, 1))])
+    assert plans[0] == [(0, (0, 0)), (1, (0, 1)), (2, (0, 2))]
+    assert plans[1] is None
+    robots = [passing, RobotSpec(1, (0, 1), (0, 1), release=5)]
+    plans = prioritized_plan(g, robots)
+    assert plans[1] == [(5, (0, 1))]
+    assert check_plans(g, robots, plans) == []

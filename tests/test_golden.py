@@ -1,12 +1,12 @@
 """Byte-for-byte guard on the CLI's deterministic outputs.
 
 `golden/` holds the `plan` JSON of every shipped scenario and of one test
-scenario under `scenarios/` here, a two-repeat `bench` of demo3 and an
-`oracle-check` summary. `export-qubo` output, folded and raw, is pinned by
-its sha256 digest instead, since the raw exports run to hundreds of
-kilobytes. A change that claims to keep the planner's behaviour must
-reproduce each file and digest exactly; a change that means to alter it
-regenerates them with the commands below and says so.
+scenario under `scenarios/` here, and a two-repeat `bench` of demo3.
+`export-qubo` output, folded and raw, is pinned by its sha256 digest
+instead, since the raw exports run to hundreds of kilobytes. A change that
+claims to keep the planner's behaviour must reproduce each file and digest
+exactly; a change that means to alter it regenerates them with the commands
+below and says so.
 """
 
 import hashlib
@@ -22,12 +22,11 @@ GOLDEN = TESTS / "golden"
 SCENARIOS = TESTS.parent / "scenarios"
 PLANNED = ("corridor10", "demo3", "multi10_2", "multi10_4", "multi5", "single5")
 
-# Golden file -> CLI arguments; commands that accept `-o` write to a file.
+# Golden file -> CLI arguments, which each write to the file given by `-o`.
 COMMANDS = {
     **{f"plan_{name}.json": ["plan", str(SCENARIOS / f"{name}.scn")] for name in PLANNED},
     "plan_multi10_4_window4.json": ["plan", str(TESTS / "scenarios" / "multi10_4_window4.scn")],
     "bench_demo3.json": ["bench", str(SCENARIOS / "demo3.scn"), "--repeats", "2"],
-    "oracle_check.json": ["oracle-check", "--samples", "4", "--runs", "2", "--seed", "3"],
 }
 
 # (scenario, --raw) -> sha256 of the `export-qubo` output.
@@ -42,16 +41,10 @@ EXPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("golden", sorted(COMMANDS))
-def test_cli_output_matches_golden(golden, tmp_path, capsys):
-    argv = COMMANDS[golden]
-    if argv[0] == "oracle-check":
-        assert main(argv) == 0
-        produced = capsys.readouterr().out.encode()
-    else:
-        out = tmp_path / golden
-        assert main(argv + ["-o", str(out)]) == 0
-        produced = out.read_bytes()
-    assert produced == (GOLDEN / golden).read_bytes()
+def test_cli_output_matches_golden(golden, tmp_path):
+    out = tmp_path / golden
+    assert main(COMMANDS[golden] + ["-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_a_golden_plan_mixes_decided_and_sampled_windows():
