@@ -6,9 +6,10 @@ global clock; when variables remain free, it builds their QUBO, folds the
 fixed values in and solves it, and the best sample is decoded. A decided
 window's layers are its occupancy. The occupancy is repaired, and the
 accepted sub-path, or in a multi-robot plan its first steps, is stitched
-onto the plan so global times advance by exactly one per step. A failed
-solve is repeated with raised penalty weights, then the window is widened
-once; `plan_paths` states the rule.
+onto the plan so global times advance by exactly one per step. A window is
+first tried on layers bounded from the goal end; a failed try falls back to
+the first-reach layers, is repeated with raised penalty weights, and then
+the window is widened once; `plan_paths` states the rule.
 """
 
 from dataclasses import dataclass, field, replace
@@ -284,23 +285,24 @@ class Window:
 
 
 def build_window(grid: GridMap, robots, horizon: int, weights: PenaltyWeights,
-                 allow_wait: bool = False) -> Window:
+                 allow_wait: bool = False, bounded: bool = True) -> Window:
     """One window's spec and presolve report, with its model built on demand.
 
     `robots` holds one (current cell, goal, visited cells[, goal distances])
     tuple of `RobotWindow` fields per robot, held, not copied.
     `preprocess.fix_logical` runs each robot's reachability search and
-    decides the admissible cells.
+    decides the admissible cells: the first-reach layers, bounded from the
+    goal end unless `bounded` is false.
     """
     records = tuple(RobotWindow(*robot) for robot in robots)
     spec = WindowSpec(grid, records, horizon, weights, allow_wait)
-    report, admissible = fix_logical(spec)
+    report, admissible = fix_logical(spec, bounded)
     return Window(spec, report, admissible)
 
 
-def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, multi
+def _attempt_window(window: Window, agents, solver_cfg, seed_parts
                     ) -> tuple[WindowRecord, list[list[Cell]] | None]:
-    """Build, presolve, solve, and repair one window.
+    """Presolve, solve, and repair one built window.
 
     Logical fixing settles the window when it leaves no variable free; its
     layers are then the occupancy. Otherwise the window's model is folded
@@ -313,10 +315,8 @@ def _attempt_window(grid, agents, weights, solver_cfg, horizon, seed_parts, mult
     clash, or with None when it fails; the record's last repair entry then
     gives the reason and the step.
     """
-    window = build_window(
-        grid, [(a.current, a.spec.goal, a.visited, a.goal_distances) for a in agents],
-        horizon, weights, allow_wait=multi)
     spec, report = window.spec, window.report
+    horizon, multi = spec.horizon, spec.allow_wait
     if report.reduced_count == 0:
         # Every layer holds one cell or none: the layers are the occupancy.
         occupancy, sampled = window.admissible, {}
@@ -401,17 +401,21 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     window's approximation reward reads that search's distances.
 
     The try rule: a window is first tried at `window_len` with seed parts
-    (window index, 0, 0). When a try that ran a solve fails, `k_adj` and
-    `k_coll` are doubled and the same horizon is solved again with the same
-    seed parts, at most `RESOLVES` times (32x); a try decided by logical
-    fixing is not repeated. When the last of them fails too, the window is
-    widened to twice `window_len` with seed parts (window index, 1, 1) and
-    `weights` as given, under the same rule, and a window whose widened
-    tries all fail is abandoned, ending the run. In a plan of two or more
-    robots only the first max(1, horizon - 2) steps of an accepted window
-    are committed (stitched, added to `visited` and passed by the clock),
-    so every committed step was planned with look-ahead; a single robot
-    commits the whole window. Every finished plan, clash-repair waits
+    (window index, 0, 0), on admissible sets bounded from the goal end
+    (`preprocess.fix_logical`). When that try fails and the bound dropped
+    any cell, the same horizon is tried once more on the first-reach layers,
+    at the same weights and seed parts, whether or not a solve ran. When a
+    try on first-reach layers that ran a solve fails, `k_adj` and `k_coll`
+    are doubled and the same horizon is solved again with the same seed
+    parts, at most `RESOLVES` times (32x); a try decided by logical fixing
+    is not repeated. When the last of them fails too, the window is widened
+    to twice `window_len` with seed parts (window index, 1, 1) and `weights`
+    as given, on first-reach layers under the same rule, and a window whose
+    widened tries all fail is abandoned, ending the run. In a plan of two or
+    more robots only the first max(1, horizon - 2) steps of an accepted
+    window are committed (stitched, added to `visited` and passed by the
+    clock), so every committed step was planned with look-ahead; a single
+    robot commits the whole window. Every finished plan, clash-repair waits
     included, is validated once more on the input map by
     `detect_invalid_move`. Raises `ValueError` for a robot set that
     `validate_robots` rejects.
@@ -469,6 +473,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
 
         occupied = {a.current for a in active}
         goals = {a.spec.goal for a in active}
+        states = [(a.current, a.spec.goal, a.visited, a.goal_distances) for a in active]
         tries = 0
         for escalated in (False, True):
             horizon = 2 * wcfg.window_len if escalated else wcfg.window_len
@@ -479,14 +484,19 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                          and clock < a.spec.release
                          and (a.spec.release <= clock + horizon or a.spec.start in goals)}
             eff_grid = grid.with_obstacles((parked | releasing) - occupied)
+            seed_parts = (len(windows), int(escalated), int(escalated))
             tried = weights
             for resolve in range(RESOLVES + 1):
                 if resolve:
                     tried = replace(tried, k_adj=2 * tried.k_adj, k_coll=2 * tried.k_coll)
-                record, paths = _attempt_window(eff_grid, active, tried, scfg, horizon,
-                                                (len(windows), int(escalated), int(escalated)),
-                                                multi)
+                window = build_window(eff_grid, states, horizon, tried, multi,
+                                      bounded=not (escalated or resolve))
+                record, paths = _attempt_window(window, active, scfg, seed_parts)
                 tries += 1
+                if paths is None and window.report.bound_dropped:
+                    window = build_window(eff_grid, states, horizon, tried, multi, bounded=False)
+                    record, paths = _attempt_window(window, active, scfg, seed_parts)
+                    tries += 1
                 if paths is not None or record.backend == "presolve":
                     break
             if paths is not None:

@@ -5,20 +5,32 @@ Logical fixing derives forced assignments from reachability alone, and
 robot's BFS, and a step admits only its layer (the start alone at step 0),
 so no goal is claimed before its BFS distance, and a singleton layer
 forces its variable on (`forced_ones`, computed only when a model is
-folded). Cells outside a layer never enter the model. Folding takes the
-fixed sets as arguments, substitutes their values into the coefficients
-and reindexes the survivors densely. A conservative numeric pass then
-clears outlier diagonals that no incident negative mass could ever
-compensate. A `FixReport` only counts a window's variables.
+folded). Cells outside a layer never enter the model. The layers are then
+bounded from the goal end: a cell stays at step t only when t plus its
+distance to the goal is within `SLACK` of the robot's shortest way there,
+and a cell left with no admissible successor goes too. That is the MDD of
+increasing-cost tree search (Sharon et al., AIJ 195, 2013) with a
+focal-style slack. A window whose first-reach layers already leave no
+variable free skips the bound. Folding takes the fixed sets as
+arguments, substitutes their values into the coefficients and reindexes
+the survivors densely. A conservative numeric pass then clears outlier
+diagonals that no incident negative mass could ever compensate. A
+`FixReport` only counts a window's variables.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import bfs_layers, manhattan
+from .grid import Cell, GridMap, bfs_distances, bfs_layers, manhattan
 from .penalties import Admissible, WindowSpec
 from .qubo import QuboModel, block_size, var_index
+
+# The goal bound's slack, in moves. A cell's step t and its distance d to
+# the goal are lengths of paths from the start and to the goal, so on a
+# 4-connected grid every t + d of a window has one parity: a slack of 1 keeps
+# what 0 keeps, and 2 is the first that admits a detour.
+SLACK = 2
 
 
 def reduction_pct(original: int, reduced: int) -> float:
@@ -30,7 +42,8 @@ def reduction_pct(original: int, reduced: int) -> float:
 class FixReport:
     """A window's variable counts before and after fixing.
 
-    `fix_logical` sets both counts. The numeric pass, run when the window's
+    `fix_logical` sets both counts, and `bound_dropped`, the admissible
+    cells its goal bound dropped. The numeric pass, run when the window's
     model is folded, lowers `reduced_count` by the variables it clears and
     adds the ones it clears by rule to `numeric_fixed`.
     """
@@ -38,9 +51,45 @@ class FixReport:
     original_count: int
     reduced_count: int
     numeric_fixed: int = 0
+    bound_dropped: int = 0
 
 
-def fix_logical(spec: WindowSpec) -> tuple[FixReport, Admissible]:
+def _free_count(admissible: Admissible) -> int:
+    """The variables that admissible sets leave free: those of every layer
+    that admits more than one cell."""
+    return sum(len(cells) for layers in admissible for cells in layers if len(cells) != 1)
+
+
+def _bound_to_goal(grid: GridMap, goal: Cell, distances, layers: list[set[Cell]]
+                   ) -> list[set[Cell]]:
+    """One robot's layers bounded from the goal end.
+
+    A cell c stays at step t when t + d(c) is at most the smallest such sum
+    over the layers plus `SLACK`, d being `distances` to the goal; a cell
+    that `distances` does not hold goes. The goal counts as at its first
+    arrival on every step it is padded to, so parking on it stays
+    admissible exactly when reaching it does. Then, backward from the last
+    step left non-empty, a cell with no kept successor (a neighbour, or
+    itself for the parked goal) goes. Each kept cell keeps the predecessor
+    it was first reached from, whose sum is no larger when `distances` were
+    searched on a map that allows every move of this one, so step 0 keeps
+    the start.
+    """
+    arrival = next((t for t, cells in enumerate(layers) if goal in cells), None)
+    sums = [[(arrival if c == goal else t + distances[c], c)
+             for c in cells if c in distances] for t, cells in enumerate(layers)]
+    best = min((s for step in sums for s, _ in step), default=None)
+    if best is None:
+        return layers
+    kept = [{c for s, c in step if s <= best + SLACK} for step in sums]
+    last = max(t for t, cells in enumerate(kept) if cells)
+    for t in range(last - 1, -1, -1):
+        after = kept[t + 1]
+        kept[t] = {c for c in kept[t] if c in after or not after.isdisjoint(grid.neighbors(c))}
+    return kept
+
+
+def fix_logical(spec: WindowSpec, bounded: bool = True) -> tuple[FixReport, Admissible]:
     """One window's variable counts, plus its admissible variable sets.
 
     Each robot's admissible sets are its BFS layers from its start over the
@@ -52,6 +101,18 @@ def fix_logical(spec: WindowSpec) -> tuple[FixReport, Admissible]:
     it can change neither: the goal lies beyond the horizon in L1 distance
     and the search with exclusions reaches the horizon. With waits allowed,
     a reached goal stays admissible after first arrival, for parking.
+
+    With `bounded`, the first-reach layers of each robot whose goal is free
+    on the window's map are then bounded from the goal end (`SLACK`). The
+    distance to the goal is the robot's `goal_distances`, or a search of
+    the window's map from the goal when that is None. The planner searches
+    it without the starts it closes, so it is a lower bound on the window's
+    own. With the window's own distances, no cell of a shortest path within
+    the horizon is dropped; where closed starts or left-out cells lengthen
+    the way by more than `SLACK`, the bound may lose it, and the planner's
+    first-reach fallback tries again. A window whose first-reach layers
+    leave no variable free skips the bound, at the cost of one comparison.
+    The report's `bound_dropped` counts the cells the bound dropped.
     """
     horizon = spec.horizon
     admissible: Admissible = []
@@ -88,9 +149,21 @@ def fix_logical(spec: WindowSpec) -> tuple[FixReport, Admissible]:
                 for t in range(goal_time + 1, horizon + 1):
                     layers[t].add(rec.goal)
 
-    reduced = sum(len(cells) for layers in admissible
-                  for cells in layers if len(cells) != 1)
-    return FixReport(len(spec.robots) * block_size(spec.dims), reduced), admissible
+    reduced = _free_count(admissible)
+    dropped = 0
+    if bounded and reduced:
+        for r, rec in enumerate(spec.robots):
+            if not spec.grid.is_free(rec.goal):
+                continue
+            distances = rec.goal_distances
+            if distances is None:
+                distances = bfs_distances(spec.grid, rec.goal)
+            layers = admissible[r]
+            admissible[r] = _bound_to_goal(spec.grid, rec.goal, distances, layers)
+            dropped += sum(map(len, layers)) - sum(map(len, admissible[r]))
+        reduced = _free_count(admissible)
+    report = FixReport(len(spec.robots) * block_size(spec.dims), reduced, bound_dropped=dropped)
+    return report, admissible
 
 
 def forced_ones(dims, admissible: Admissible) -> set[int]:

@@ -10,3 +10,13 @@ def exhaustive(monkeypatch):
     """Plan through `oracles.solve_exhaustive` in place of `solvers.solve`:
     every window with free variables is answered by enumeration."""
     monkeypatch.setattr(planner, "solve", lambda model, cfg, *, groups: solve_exhaustive(model))
+
+
+@pytest.fixture
+def first_reach(monkeypatch):
+    """Plan on first-reach layers alone: the goal bound narrows no window, so
+    every try is the one the planner falls back to when a bounded try fails,
+    and the window loop runs as it did before the bound."""
+    fix_logical = planner.fix_logical
+    monkeypatch.setattr(planner, "fix_logical",
+                        lambda spec, bounded=True: fix_logical(spec, bounded=False))

@@ -51,7 +51,7 @@ def test_a_golden_plan_mixes_decided_and_sampled_windows():
     # The planner builds no model for a window that variable fixing decides;
     # this plan takes both branches, so its golden file guards both.
     golden = json.loads((GOLDEN / "plan_multi10_4_window4.json").read_text())
-    assert [w["backend"] for w in golden["windows"]] == ["exact", "presolve", "presolve",
+    assert [w["backend"] for w in golden["windows"]] == ["presolve", "presolve", "presolve",
                                                          "exact", "exact"]
 
 

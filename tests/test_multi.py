@@ -24,11 +24,11 @@ from quboplan.solvers import SolverConfig
 
 
 # sha256 of the `to_json()` of every plan of `city(0)`, in corpus order, each
-# dumped with sorted keys. Its windows reach 235 free variables in up to five
+# dumped with sorted keys. Its windows reach 100 free variables in up to three
 # colour classes, beyond the golden files. A change that means to alter these
 # plans runs this module's independent-checker test, reads the new value from
 # the failed assertion and commits it.
-CITY0_PLANS_SHA256 = "e7ce8c983a0322fdaaad1fb0452f5066d430d8b623315b786af7d66d76e981aa"
+CITY0_PLANS_SHA256 = "9be75e43c9439910c4a420afc247181b3a53201f45e9a6d34541062faf6ac450"
 # The same digest for `corridor(1)`: serpentine corridors that reachability
 # fixing decides window by window, so it pins the presolve path.
 CORRIDOR1_PLANS_SHA256 = "96f7005f4ca92ddec8cdb2cca7d3b4208310fbcc9a4518ea070897e86572b08d"

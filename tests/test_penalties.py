@@ -456,8 +456,8 @@ def planner_windows(monkeypatch):
     seen = []
     fix_logical = planner.fix_logical
 
-    def recording(spec):
-        report, admissible = fix_logical(spec)
+    def recording(spec, bounded=True):
+        report, admissible = fix_logical(spec, bounded)
         seen.append((spec, admissible))
         return report, admissible
 

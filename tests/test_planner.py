@@ -148,9 +148,9 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
     calls = []
     attempt_window = planner._attempt_window
 
-    def counting_attempt(grid, agents, weights, solver_cfg, horizon, seed, multi):
-        record, paths = attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi)
-        calls.append((horizon, paths, list(record.repairs)))
+    def counting_attempt(window, *args):
+        record, paths = attempt_window(window, *args)
+        calls.append((window.spec.horizon, paths, list(record.repairs)))
         return record, paths
 
     monkeypatch.setattr(planner, "_attempt_window", counting_attempt)
@@ -169,14 +169,16 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
 
 def _record_tries(monkeypatch):
     """Each window try of the plans that follow, in call order, as (window
-    index, seed parts, horizon, k_adj, k_coll, accepted, repairs)."""
+    index, seed parts, horizon, whether the goal bound narrowed its layers,
+    k_adj, k_coll, accepted, repairs)."""
     tries = []
     attempt_window = planner._attempt_window
 
-    def recorded(grid, agents, weights, solver_cfg, horizon, seed, multi):
-        record, paths = attempt_window(grid, agents, weights, solver_cfg, horizon, seed, multi)
-        tries.append((seed[0], seed[1:], horizon, weights.k_adj, weights.k_coll,
-                      paths is not None, list(record.repairs)))
+    def recorded(window, agents, solver_cfg, seed):
+        record, paths = attempt_window(window, agents, solver_cfg, seed)
+        weights = window.spec.weights
+        tries.append((seed[0], seed[1:], window.spec.horizon, window.report.bound_dropped > 0,
+                      weights.k_adj, weights.k_coll, paths is not None, list(record.repairs)))
         return record, paths
 
     monkeypatch.setattr(planner, "_attempt_window", recorded)
@@ -189,23 +191,27 @@ def test_a_window_whose_first_try_fails_is_rescued_by_the_widened_try(monkeypatc
     # window at horizon 6 clashes or breaks a path at each of the six
     # weights tried, and the 6th failed solve moves to the widened try. That try starts again at
     # the default weights with its own seed parts, and is accepted once its
-    # weights are doubled.
+    # weights are doubled. Every admissible cell lies within the goal
+    # bound's slack, so the bound narrows no try and none falls back to the
+    # first-reach layers.
     tries = _record_tries(monkeypatch)
     grid = GridMap(3, 3)
     robots = [RobotSpec(0, (1, 0), (1, 2)), RobotSpec(1, (0, 1), (2, 1))]
     result = plan_paths(grid, robots)
-    window_0 = [t[1:6] for t in tries if t[0] == 0]
-    assert window_0 == [((0, 0), 6, 2.0 * 2 ** k, 4.0 * 2 ** k, False) for k in range(6)] + [
-        ((1, 1), 12, 2.0, 4.0, False), ((1, 1), 12, 4.0, 8.0, True)]
+    window_0 = [t[1:7] for t in tries if t[0] == 0]
+    assert window_0 == [((0, 0), 6, False, 2.0 * 2 ** k, 4.0 * 2 ** k, False)
+                        for k in range(6)] + [
+        ((1, 1), 12, False, 2.0, 4.0, False), ((1, 1), 12, False, 4.0, 8.0, True)]
     assert (result.windows[0].escalated, result.windows[0].retries) == (True, 7)
     assert result.succeeded
     assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
 
 
 def test_an_invalid_exact_minimum_is_solved_again_at_the_same_horizon(monkeypatch):
-    # Window 0's exact minimum breaks robot 1's path at the default weights
-    # and again at twice them; at four times `k_adj` and `k_coll` it is a
-    # valid window, accepted at the same horizon with the same seed parts.
+    # Window 0's exact minimum breaks robot 1's path on the bounded layers,
+    # then on the first-reach layers at the same weights and again at twice
+    # them; at four times `k_adj` and `k_coll` it is a valid window,
+    # accepted at the same horizon with the same seed parts.
     tries = _record_tries(monkeypatch)
     runs = []
     kernel = solvers._anneal_one_hot
@@ -220,12 +226,12 @@ def test_an_invalid_exact_minimum_is_solved_again_at_the_same_horizon(monkeypatc
               RobotSpec(2, (0, 1), (3, 1))]
     result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=4),
                         solver_cfg=SolverConfig(num_reads=100, sweeps=300, seed=366))
-    window_0 = [t[1:6] for t in tries if t[0] == 0]
-    assert window_0 == [((0, 0), 4, 2.0, 4.0, False), ((0, 0), 4, 4.0, 8.0, False),
-                        ((0, 0), 4, 8.0, 16.0, True)]
-    assert tries[0][6] == ["robot 1: adjacency at t=2"]
+    window_0 = [t[1:7] for t in tries if t[0] == 0]
+    assert window_0 == [((0, 0), 4, True, 2.0, 4.0, False), ((0, 0), 4, False, 2.0, 4.0, False),
+                        ((0, 0), 4, False, 4.0, 8.0, False), ((0, 0), 4, False, 8.0, 16.0, True)]
+    assert tries[0][7] == tries[1][7] == ["robot 1: adjacency at t=2"]
     assert runs == []  # every window is answered by elimination
-    assert (result.windows[0].escalated, result.windows[0].retries) == (False, 2)
+    assert (result.windows[0].escalated, result.windows[0].retries) == (False, 3)
     assert result.windows[0].histogram == [(result.windows[0].best_energy, 0)]
     assert result.succeeded
     assert [p.moves for p in result.plans] == [2, 4, 3]
@@ -318,11 +324,12 @@ def _samples_take(monkeypatch, paths, solves=1):
 
 
 def test_a_path_that_runs_to_the_horizon_past_a_reachable_goal_is_kept(monkeypatch, exhaustive):
-    # The goal (0, 1) is admissible at t=1, well before the horizon 3; the
-    # first sample steers around it, and the next window starts where it ends.
-    path = [(0, 0), (1, 0), (2, 0), (2, 1)]
+    # The goal (0, 2) is admissible at t=2, before the horizon 3; the first
+    # sample steers around it, within the goal bound's slack, and the next
+    # window starts where it ends.
+    path = [(0, 0), (1, 0), (1, 1), (1, 2)]
     _samples_take(monkeypatch, [path])
-    result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (0, 1))],
+    result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (0, 2))],
                         window_cfg=WindowConfig(window_len=3))
     first, second = result.windows
     assert (first.retries, first.repairs) == (0, [])
@@ -350,14 +357,15 @@ def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch, exhaust
 
 def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch, exhaustive):
     # Each step holds one cell, but (2, 0) at t=2 is no move from (0, 1).
-    # Every solve, 6 at each horizon, returns that sample.
+    # Every solve, 6 at each horizon, returns that sample. The goal bound
+    # narrows no layer of this window, so no try falls back.
     tries = _record_tries(monkeypatch)
     path = [(0, 0), (0, 1), (2, 0), (2, 1)]
     _samples_take(monkeypatch, [path], solves=12)
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (2, 2))],
                         window_cfg=WindowConfig(window_len=3))
-    assert [(t[2], t[6]) for t in tries] == [(3, ["robot 0: adjacency at t=2"])] * 6 + [
-        (6, ["robot 0: adjacency at t=2"])] * 6
+    jump = ["robot 0: adjacency at t=2"]
+    assert [(t[2], t[3], t[7]) for t in tries] == [(3, False, jump)] * 6 + [(6, False, jump)] * 6
     (window,) = result.windows
     assert (window.retries, window.escalated) == (11, True)
     assert window.repairs == ["window abandoned: robot 0: adjacency at t=2"]
@@ -566,10 +574,12 @@ def test_plan_release_offsets_single_robot(exhaustive):
     assert plan.steps[-1] == (5, (0, 3))
 
 
-def test_window_records_say_who_answered(monkeypatch):
-    # With elimination's table cap lowered to 3 entries, this plan's fourth
-    # window still fits it and its first and fifth are annealed; fixing
-    # decides the second and third. The label is read off the sample set:
+def test_window_records_say_who_answered(monkeypatch, first_reach):
+    # On first-reach layers and with elimination's table cap lowered to 3
+    # entries, this plan's fourth window still fits it and its first and
+    # fifth are annealed; fixing decides the second and third. (Under the
+    # goal bound, fixing also decides the first, and the fourth and fifth
+    # take tables of one size.) The label is read off the sample set:
     # elimination's one state carries 0 occurrences, and an annealed set
     # counts every read.
     monkeypatch.setattr(solvers, "_EXACT_TABLE_CAP", 3)

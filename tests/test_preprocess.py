@@ -1,3 +1,4 @@
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from perfbench.corpus import city, serpentine
 from quboplan import planner, preprocess
-from quboplan.grid import GridMap, bfs_layers, manhattan
+from quboplan.grid import GridMap, bfs_distances, bfs_layers, manhattan
 from quboplan.penalties import (
     PenaltyWeights,
     RobotWindow,
@@ -13,6 +14,7 @@ from quboplan.penalties import (
     build_window_model,
 )
 from quboplan.preprocess import (
+    SLACK,
     FixReport,
     fix_logical,
     fix_numeric_diagonal,
@@ -76,26 +78,126 @@ def test_fix_logical_leaves_a_sealed_start_nothing_free():
 
 
 def test_fix_logical_no_shortest_path_is_pruned():
+    # Neither the first-reach layers nor the goal bound drop a cell of a
+    # shortest path within the horizon: with the window's own distances,
+    # each of its cells sums to the shortest distance, the bound's best.
     rng = np.random.default_rng(9)
-    for _ in range(40):
-        rows = int(rng.integers(2, 4))
-        cols = int(rng.integers(2, 4))
+    checked = 0
+    for _ in range(300):
+        rows = int(rng.integers(2, 6))
+        cols = int(rng.integers(2, 6))
         cells = [(i, j) for i in range(rows) for j in range(cols)]
         obstacles = frozenset(c for c in cells if rng.random() < 0.2)
         free = [c for c in cells if c not in obstacles]
         if len(free) < 2:
             continue
-        start, goal = free[0], free[-1]
-        if start == goal:
-            continue
+        start, goal = (free[int(k)] for k in rng.choice(len(free), 2, replace=False))
+        horizon = int(rng.integers(1, 9))
         paths = all_shortest_paths(GridMap(rows, cols, obstacles), start, goal)
-        if not paths or len(paths[0]) - 1 > 4:
+        if not paths or len(paths[0]) - 1 > horizon:
             continue
-        spec = window(GridMap(rows, cols, obstacles), start, goal, 4)
-        _, adm = fix_logical(spec)
-        for path in paths:
-            for t, c in enumerate(path):
-                assert c in adm[0][t], (path, t, c)
+        spec = window(GridMap(rows, cols, obstacles), start, goal, horizon)
+        for allow_wait, bounded in product((False, True), repeat=2):
+            spec = WindowSpec(spec.grid, spec.robots, horizon, spec.weights, allow_wait)
+            _, adm = fix_logical(spec, bounded)
+            for path in paths:
+                for t, c in enumerate(path):
+                    assert c in adm[0][t], (path, t, c, allow_wait, bounded)
+        checked += 1
+    assert checked >= 200
+
+
+def _random_windows(seed, count):
+    """`count` random windows of 1 to 3 robots on maps up to 7x7 with 20 %
+    obstacles. Each robot leaves out some visited cells, and the window
+    closes up to two more cells; half the robots carry goal distances
+    searched on the map without those, as the planner searches them."""
+    rng = np.random.default_rng(seed)
+    while count:
+        rows, cols = (int(n) for n in rng.integers(2, 8, size=2))
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        base = GridMap(rows, cols, frozenset(c for c in cells if rng.random() < 0.2))
+        free = base.free_cells()
+        robots = int(rng.integers(1, 4))
+        if len(free) < 2 * robots:
+            continue
+        picks = [free[int(k)] for k in rng.permutation(len(free))]
+        ends, closed = picks[:2 * robots], picks[2 * robots:2 * robots + int(rng.integers(3))]
+        records = []
+        for start, goal in zip(ends[::2], ends[1::2]):
+            visited = {start} | {c for c in free if rng.random() < 0.15}
+            distances = bfs_distances(base, goal) if rng.random() < 0.5 else None
+            records.append(RobotWindow(start, goal, visited, distances))
+        yield WindowSpec(base.with_obstacles(closed), tuple(records), int(rng.integers(1, 9)),
+                         PenaltyWeights(), robots > 1)
+        count -= 1
+
+
+def test_the_goal_bound_keeps_a_connected_subset_of_the_first_reach_layers():
+    bounded = 0
+    for spec in _random_windows(36, 500):
+        wide_report, wide = fix_logical(spec, bounded=False)
+        report, kept = fix_logical(spec)
+        assert report.original_count == wide_report.original_count
+        assert report.reduced_count == sum(len(cells) for layers in kept
+                                           for cells in layers if len(cells) != 1)
+        assert report.bound_dropped == (sum(len(cells) for layers in wide for cells in layers)
+                                        - sum(len(cells) for layers in kept for cells in layers))
+        for rec, layers, first in zip(spec.robots, kept, wide):
+            assert len(layers) == spec.horizon + 1
+            assert all(cells <= full for cells, full in zip(layers, first))
+            assert layers[0] == {rec.start}
+            distances = rec.goal_distances
+            if distances is None:
+                distances = bfs_distances(spec.grid, rec.goal)
+            if not (wide_report.reduced_count and spec.grid.is_free(rec.goal)
+                    and rec.start in distances):
+                assert layers == first
+                continue
+            bounded += 1
+            arrival = next((t for t, cells in enumerate(first) if rec.goal in cells), None)
+            best = min(arrival if c == rec.goal else t + distances[c]
+                       for t, cells in enumerate(first) for c in cells if c in distances)
+            last = max(t for t, cells in enumerate(layers) if cells)
+            for t, cells in enumerate(layers):
+                for c in cells:
+                    assert (arrival if c == rec.goal else t + distances[c]) <= best + SLACK
+                    if t < last:
+                        assert c in layers[t + 1] or spec.grid.neighbors(c) & layers[t + 1]
+    assert bounded >= 800
+
+
+def test_a_window_that_fixing_decides_skips_the_goal_bound():
+    # Layers of one cell or none leave nothing to bound, even where they
+    # lead away from the goal: the window comes back as first reached.
+    decided = 0
+    specs = list(_random_windows(37, 800))
+    for side in (20, 30):
+        grid, start, goal = serpentine(side, 0, False)
+        specs.append(window(grid, start, goal, 6))
+        specs.append(window(grid, goal, start, 6))
+    for spec in specs:
+        wide_report, wide = fix_logical(spec, bounded=False)
+        if wide_report.reduced_count:
+            continue
+        assert fix_logical(spec) == (wide_report, wide)
+        decided += 1
+    assert decided >= 60
+
+
+@pytest.mark.parametrize("layers, free", [("bounded", 668), ("first-reach", 3306)])
+def test_city0_windows_leave_free_the_variables_counted(layers, free, request):
+    # The goal bound leaves a fifth of the free variables that the
+    # first-reach layers leave over city(0)'s windows; a change that widens
+    # the admissible sets fails here.
+    if layers == "first-reach":
+        request.getfixturevalue("first_reach")
+    total = 0
+    for inst in city(0):
+        result = planner.plan_paths(inst.grid, inst.robots, inst.weights, inst.window_cfg,
+                                    inst.solver_cfg)
+        total += result.preprocess_totals()["reduced"]
+    assert total == free
 
 
 @pytest.mark.parametrize("allow_wait, steps", [(True, [1, 2, 3, 4]), (False, [1])])
