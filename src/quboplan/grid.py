@@ -1,4 +1,10 @@
-"""Grid world: occupancy maps, neighborhoods, distances, and reachability layers."""
+"""Grid world: occupancy maps, neighborhoods, distances, and reachability layers.
+
+Two search loops serve the planner. `bfs_layers` grows a robot's
+first-reach layers from its start over a window's horizon, around the cells
+it has visited; `bfs_distances` searches a whole map from a goal. Neither
+calls `GridMap.neighbors`: each tests a cell's four steps inline.
+"""
 
 from dataclasses import dataclass
 
@@ -64,7 +70,8 @@ class GridMap:
         if c in obstacles:
             raise ValueError(f"cell {c} is an obstacle")
         # Up, left, right, down: one bounds test and one obstacle test each.
-        # This is the innermost call of every reachability search.
+        # The reachability searches test their steps inline; the classical
+        # baselines and the tests' reference code call this.
         out = set()
         if i > 0 and (i - 1, j) not in obstacles:
             out.add((i - 1, j))
@@ -101,17 +108,36 @@ def bfs_layers(grid: GridMap, start: Cell, horizon: int,
     appear at all. The list ends at the last step that reaches a new cell, so
     it holds at most `horizon + 1` layers. The search only asks
     `exclude_visited` whether it holds a cell, so its work follows the cells
-    it reaches, not the size of that collection.
+    it reaches, not the size of that collection. Each of a cell's four
+    steps is tested inline: bounds, then seen, obstacle and excluded cells.
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
+    obstacles = grid.obstacles
+    last_row, last_col = grid.rows - 1, grid.cols - 1
     layers = [{start}]
     seen = {start}
     while len(layers) <= horizon:
         fresh = set()
-        for c in layers[-1]:
-            for n in grid.neighbors(c):
-                if n not in seen and n not in exclude_visited:
+        for i, j in layers[-1]:
+            if i:
+                n = (i - 1, j)
+                if n not in seen and n not in obstacles and n not in exclude_visited:
+                    seen.add(n)
+                    fresh.add(n)
+            if j:
+                n = (i, j - 1)
+                if n not in seen and n not in obstacles and n not in exclude_visited:
+                    seen.add(n)
+                    fresh.add(n)
+            if j < last_col:
+                n = (i, j + 1)
+                if n not in seen and n not in obstacles and n not in exclude_visited:
+                    seen.add(n)
+                    fresh.add(n)
+            if i < last_row:
+                n = (i + 1, j)
+                if n not in seen and n not in obstacles and n not in exclude_visited:
                     seen.add(n)
                     fresh.add(n)
         if not fresh:
@@ -121,7 +147,36 @@ def bfs_layers(grid: GridMap, start: Cell, horizon: int,
 
 
 def bfs_distances(grid: GridMap, start: Cell) -> dict[Cell, int]:
-    """Shortest move counts from `start` to every reachable cell."""
-    layers = bfs_layers(grid, start, grid.rows * grid.cols)
-    return {c: t for t, layer in enumerate(layers) for c in layer}
+    """Shortest move counts from `start` to every reachable cell.
 
+    A frontier loop of its own, not a flattening of `bfs_layers`: it walks
+    flat indices of a per-call copy of the map's open cells, padded with a
+    border of walls, so a step is `idx ± 1` or `idx ± (cols + 2)` and needs
+    no bounds test. A reached index is closed in that copy, and its cell
+    tuple is made once, as it enters the result. The dict's insertion order
+    is not part of the result.
+    """
+    if not grid.is_free(start):
+        raise ValueError(f"start {start} is not a free cell")
+    width = grid.cols + 2
+    row = b"\0" + b"\1" * grid.cols + b"\0"
+    open_cells = bytearray(b"\0" * width + row * grid.rows + b"\0" * width)
+    for i, j in grid.obstacles:
+        open_cells[(i + 1) * width + j + 1] = 0
+    first = (start[0] + 1) * width + start[1] + 1
+    open_cells[first] = 0
+    dist = {start: 0}
+    frontier = [first]
+    d = 0
+    while frontier:
+        d += 1
+        fresh = []
+        for idx in frontier:
+            for n in (idx - width, idx - 1, idx + 1, idx + width):
+                if open_cells[n]:
+                    open_cells[n] = 0
+                    fresh.append(n)
+                    i = n // width
+                    dist[(i - 1, n - i * width - 1)] = d
+        frontier = fresh
+    return dist

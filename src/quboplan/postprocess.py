@@ -9,7 +9,7 @@ All transformations are pure; every function returns new data.
 
 from dataclasses import dataclass
 
-from .grid import Cell, GridMap, manhattan
+from .grid import Cell, GridMap
 
 Steps = list[tuple[int, Cell]]  # (global time, cell), times contiguous
 
@@ -33,12 +33,13 @@ def fix_one_hot_continuity(occupancy, prev_cell: Cell, goal: Cell,
     `prev_cell`, the robot's current cell. Every later step keeps the one
     cell that is a move, or with `allow_wait` a wait, from the cell kept
     before it, and the path ends at its first arrival on `goal`. The cells
-    are admissible, hence free, so a move is one L1 step. The repair stops
-    at an empty step, or where no cell (`adjacency`) or several cells
-    (`ambiguous`) continue the path.
+    are admissible, hence free, so a move is one L1 step and a wait none.
+    The repair stops at an empty step, or where no cell (`adjacency`) or
+    several cells (`ambiguous`) continue the path.
     """
     kept: list[Cell] = []
     dropped = 0
+    least = 0 if allow_wait else 1  # the fewest L1 steps from the kept cell
     for t, cells in enumerate(occupancy):
         if not cells:
             return RepairOutcome(kept, "empty_step", dropped)
@@ -47,9 +48,8 @@ def fix_one_hot_continuity(occupancy, prev_cell: Cell, goal: Cell,
                 return RepairOutcome([], "start_mismatch")
             cell = prev_cell
         else:
-            prev = kept[-1]
-            candidates = [c for c in cells
-                          if manhattan(prev, c) == 1 or (allow_wait and c == prev)]
+            i, j = kept[-1]
+            candidates = [c for c in cells if least <= abs(c[0] - i) + abs(c[1] - j) <= 1]
             if len(candidates) != 1:
                 reason = "ambiguous" if candidates else "adjacency"
                 return RepairOutcome(kept, reason, dropped)
@@ -67,18 +67,17 @@ def detect_invalid_move(path, grid: GridMap, allow_wait: bool = False):
     Returns (step, kind) or None. The obstacle branch is unreachable while
     obstacles are pruned structurally, but stays as defense in depth. Both
     cells of a move are free by then, so they are neighbours exactly when
-    they lie one step apart.
+    they lie one step apart; a wait is no step.
     """
+    rows, cols, obstacles = grid.rows, grid.cols, grid.obstacles
+    least = 0 if allow_wait else 1  # the fewest L1 steps between consecutive cells
     for t, c in enumerate(path):
-        if not grid.is_free(c):
+        i, j = c
+        if not (0 <= i < rows and 0 <= j < cols) or c in obstacles:
             return (t, "obstacle")
-        if t > 0:
-            prev = path[t - 1]
-            if c == prev:
-                if not allow_wait:
-                    return (t, "adjacency")
-            elif manhattan(prev, c) != 1:
-                return (t, "adjacency")
+        if t and not least <= abs(i - prev_i) + abs(j - prev_j) <= 1:
+            return (t, "adjacency")
+        prev_i, prev_j = i, j
     return None
 
 

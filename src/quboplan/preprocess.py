@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cell, GridMap, bfs_distances, bfs_layers, manhattan
+from .grid import Cell, bfs_distances, bfs_layers, manhattan
 from .penalties import Admissible, WindowSpec
 from .qubo import QuboModel, block_size, var_index
 
@@ -60,8 +60,7 @@ def _free_count(admissible: Admissible) -> int:
     return sum(len(cells) for layers in admissible for cells in layers if len(cells) != 1)
 
 
-def _bound_to_goal(grid: GridMap, goal: Cell, distances, layers: list[set[Cell]]
-                   ) -> list[set[Cell]]:
+def _bound_to_goal(goal: Cell, distances, layers: list[set[Cell]]) -> list[set[Cell]]:
     """One robot's layers bounded from the goal end.
 
     A cell c stays at step t when t + d(c) is at most the smallest such sum
@@ -73,7 +72,8 @@ def _bound_to_goal(grid: GridMap, goal: Cell, distances, layers: list[set[Cell]]
     itself for the parked goal) goes. Each kept cell keeps the predecessor
     it was first reached from, whose sum is no larger when `distances` were
     searched on a map that allows every move of this one, so step 0 keeps
-    the start.
+    the start. The kept cells are free, so a successor test looks a cell's
+    four neighbour tuples up in the next kept set.
     """
     arrival = next((t for t, cells in enumerate(layers) if goal in cells), None)
     sums = [[(arrival if c == goal else t + distances[c], c)
@@ -85,7 +85,9 @@ def _bound_to_goal(grid: GridMap, goal: Cell, distances, layers: list[set[Cell]]
     last = max(t for t, cells in enumerate(kept) if cells)
     for t in range(last - 1, -1, -1):
         after = kept[t + 1]
-        kept[t] = {c for c in kept[t] if c in after or not after.isdisjoint(grid.neighbors(c))}
+        kept[t] = {(i, j) for i, j in kept[t]
+                   if (i, j) in after or (i - 1, j) in after or (i, j - 1) in after
+                   or (i, j + 1) in after or (i + 1, j) in after}
     return kept
 
 
@@ -144,8 +146,12 @@ def fix_logical(spec: WindowSpec, bounded: bool = True) -> tuple[FixReport, Admi
             # A goal the search wavefront cannot be continued from would
             # otherwise lose to wandering: parking must stay expressible, and
             # the growing goal rewards then make it the cheapest choice.
-            onward = spec.grid.neighbors(rec.goal) & layers[goal_time + 1]
-            if not onward:
+            # The layers hold free cells only, so the four steps need no
+            # bounds or obstacle test.
+            i, j = rec.goal
+            after = layers[goal_time + 1]
+            if not ((i - 1, j) in after or (i, j - 1) in after
+                    or (i, j + 1) in after or (i + 1, j) in after):
                 for t in range(goal_time + 1, horizon + 1):
                     layers[t].add(rec.goal)
 
@@ -159,7 +165,7 @@ def fix_logical(spec: WindowSpec, bounded: bool = True) -> tuple[FixReport, Admi
             if distances is None:
                 distances = bfs_distances(spec.grid, rec.goal)
             layers = admissible[r]
-            admissible[r] = _bound_to_goal(spec.grid, rec.goal, distances, layers)
+            admissible[r] = _bound_to_goal(rec.goal, distances, layers)
             dropped += sum(map(len, layers)) - sum(map(len, admissible[r]))
         reduced = _free_count(admissible)
     report = FixReport(len(spec.robots) * block_size(spec.dims), reduced, bound_dropped=dropped)

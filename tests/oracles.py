@@ -7,14 +7,16 @@ graph with a cycle by union-find. They deliberately avoid the
 library's coefficient-accumulation and solver code paths so agreement
 between the two is meaningful. The first one-hot annealing kernel is kept
 here too, as the reference its faster rewrite must reproduce state for
-state, and so are the grid's first neighbour rule, its first distance
-search, the first, tick-by-tick vertex clash scan, and the window builder
+state, and so are the grid's first neighbour rule, its first layer and
+distance searches, the first, tick-by-tick vertex clash scan, and the
+window builder
 and fold as first written, every term through `QuboModel.add`. The
 exhaustive solver, a plain enumeration of every assignment, is the ground
 truth that tests plan through in place of `solvers.solve`. Random small
 scenarios built into their first window by the planner's own window builder
 feed the agreement check that scores the annealer against exact
-elimination.
+elimination. A cell collection that answers membership but cannot be listed
+checks that a search only asks its exclusions about cells.
 """
 
 import itertools
@@ -252,6 +254,43 @@ def neighbors(grid: GridMap, c, allow_wait=False) -> set:
     if allow_wait:
         out.add(c)
     return out
+
+
+def bfs_layers(grid: GridMap, start, horizon: int, exclude_visited=()) -> list:
+    """`grid.bfs_layers` as it was first written: each layer's cells
+    expanded through `GridMap.neighbors`."""
+    if not grid.is_free(start):
+        raise ValueError(f"start {start} is not a free cell")
+    layers = [{start}]
+    seen = {start}
+    while len(layers) <= horizon:
+        fresh = set()
+        for c in layers[-1]:
+            for n in grid.neighbors(c):
+                if n not in seen and n not in exclude_visited:
+                    seen.add(n)
+                    fresh.add(n)
+        if not fresh:
+            break
+        layers.append(fresh)
+    return layers
+
+
+class CellsWithoutIteration:
+    """Cells that answer membership and size but cannot be listed, so a
+    search that iterates or copies them fails."""
+
+    def __init__(self, cells):
+        self.cells = frozenset(cells)
+
+    def __contains__(self, c):
+        return c in self.cells
+
+    def __len__(self):
+        return len(self.cells)
+
+    def __iter__(self):
+        raise AssertionError("the visited cells were iterated")
 
 
 def bfs_distances(grid: GridMap, start) -> dict:

@@ -138,20 +138,66 @@ def test_bfs_layers_excluded_cells_omitted():
 
 def test_bfs_layers_rejects_bad_start():
     g = GridMap(3, 3, frozenset({(1, 1)}))
-    with pytest.raises(ValueError):
-        bfs_layers(g, (1, 1), 2)
+    for start in ((1, 1), (3, 0), (0, -1)):
+        with pytest.raises(ValueError) as expected:
+            oracles.bfs_layers(g, start, 2)
+        with pytest.raises(ValueError) as got:
+            bfs_layers(g, start, 2)
+        assert str(got.value) == str(expected.value) == f"start {start} is not a free cell"
+
+
+# Maps one or three cells thin, where a flat index that mixed up rows and
+# columns would step off the map or wrap onto another row.
+THIN_SIZES = [(1, 40), (40, 1), (3, 37), (37, 3)]
+
+
+def _random_map(rng, rows, cols):
+    density = rng.uniform(0.0, 0.4)
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    return GridMap(rows, cols, frozenset(c for c in cells if rng.random() < density))
+
+
+def test_bfs_layers_match_the_first_search_on_random_maps():
+    # The inline step tests must give the layers of the search through
+    # `GridMap.neighbors`, at every horizon, whatever the exclusions hold:
+    # the start or not, cells the search never reaches, cells off the map,
+    # and cells that can only be asked about.
+    rng = np.random.default_rng(41)
+    sizes = [tuple(int(n) for n in rng.integers(1, 9, size=2)) for _ in range(150)]
+    maps = start_excluded = unreached_excluded = 0
+    for rows, cols in sizes + THIN_SIZES:
+        g = _random_map(rng, rows, cols)
+        free = g.free_cells()
+        if not free:
+            continue
+        maps += 1
+        start = free[int(rng.integers(len(free)))]
+        reached = oracles.bfs_distances(g, start)
+        unreached = [c for c in free if c not in reached]
+        off_map = [(-1, 0), (0, -1), (rows, cols - 1), (rows - 1, cols)]
+        excluded = {c for c in free + unreached + off_map if rng.random() < 0.3}
+        if rng.random() < 0.5:
+            excluded.add(start)
+        start_excluded += start in excluded
+        unreached_excluded += not excluded.isdisjoint(unreached)
+        opaque = oracles.CellsWithoutIteration(excluded)
+        for horizon in range(rows * cols + 1):
+            assert bfs_layers(g, start, horizon) == oracles.bfs_layers(g, start, horizon)
+            expected = oracles.bfs_layers(g, start, horizon, excluded)
+            assert bfs_layers(g, start, horizon, exclude_visited=excluded) == expected
+            assert bfs_layers(g, start, horizon, exclude_visited=opaque) == expected
+    assert maps >= 140 and start_excluded >= 50 and unreached_excluded >= 20
 
 
 def test_bfs_distances_match_the_first_search_on_random_maps():
-    # Distances flattened from `bfs_layers` must equal those of the frontier
-    # loop `bfs_distances` once had, from every start, small components too.
+    # The padded frontier loop must give the distances of the search through
+    # `GridMap.neighbors`, from every start, small components and thin maps
+    # too.
     rng = np.random.default_rng(37)
+    sizes = [tuple(int(n) for n in rng.integers(1, 9, size=2)) for _ in range(240)]
     maps = small = 0
-    for _ in range(240):
-        rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
-        density = rng.uniform(0.0, 0.4)
-        cells = [(i, j) for i in range(rows) for j in range(cols)]
-        g = GridMap(rows, cols, frozenset(c for c in cells if rng.random() < density))
+    for rows, cols in sizes + THIN_SIZES:
+        g = _random_map(rng, rows, cols)
         free = g.free_cells()
         maps += bool(free)
         for start in free:
@@ -159,6 +205,11 @@ def test_bfs_distances_match_the_first_search_on_random_maps():
             assert bfs_distances(g, start) == expected
             small += len(expected) <= min(3, len(free) - 1)
     assert maps >= 200 and small >= 100
+    for rows, cols in THIN_SIZES:
+        g = GridMap(rows, cols)
+        corner = (rows - 1, cols - 1)
+        assert bfs_distances(g, (0, 0)) == oracles.bfs_distances(g, (0, 0))
+        assert bfs_distances(g, corner)[(0, 0)] == rows + cols - 2
 
 
 def test_bfs_distances_reject_a_blocked_or_outside_start():

@@ -26,7 +26,7 @@ from quboplan.preprocess import fix_logical
 from quboplan.scenario import load_scenario
 from quboplan.solvers import Sample, SampleSet, SolverConfig
 
-from oracles import all_shortest_paths
+from oracles import CellsWithoutIteration, all_shortest_paths
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -285,6 +285,20 @@ def test_planner_windows_read_the_goal_distances_of_the_walled_off_check(monkeyp
     assert approximated
 
 
+def test_the_window_loop_never_asks_the_map_for_neighbours(monkeypatch):
+    # The two searches, the goal bound and the onward test of a reached goal
+    # test a cell's steps inline, so planning never calls
+    # `GridMap.neighbors`; the classical baselines still do.
+    def asked(*args, **kwargs):
+        raise AssertionError("the window loop called GridMap.neighbors")
+
+    monkeypatch.setattr(GridMap, "neighbors", asked)
+    for inst in (corridor(1)[0], city(0)[0]):
+        result = plan_paths(inst.grid, inst.robots, inst.weights, inst.window_cfg,
+                            inst.solver_cfg)
+        assert result.succeeded, inst.name
+
+
 def test_a_robot_with_no_free_move_waits_in_a_multi_robot_window():
     # Robot 1's start, blocked while it awaits release, is robot 0's only
     # exit, so robot 0 holds its cell until robot 1 has left that start.
@@ -508,23 +522,6 @@ def test_a_start_awaiting_release_walls_off_no_goal(exhaustive):
     assert [p.status for p in result.plans] == [STATUS_REACHED] * 3
 
 
-class _CellsWithoutIteration:
-    """Cells that answer membership and size but cannot be listed, so a
-    search that iterates or copies them fails."""
-
-    def __init__(self, cells):
-        self.cells = frozenset(cells)
-
-    def __contains__(self, c):
-        return c in self.cells
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __iter__(self):
-        raise AssertionError("the visited cells were iterated")
-
-
 @pytest.mark.parametrize("grid, start, goal, visited, horizon", [
     # Exclusions keep: the search runs on past the cells behind the robot.
     (GridMap(1, 9), (0, 4), (0, 8), {(0, k) for k in range(5)}, 3),
@@ -538,7 +535,7 @@ def test_windows_read_the_visited_cells_without_copying_them(grid, start, goal, 
     def spec(cells):
         return WindowSpec(grid, (RobotWindow(start, goal, cells),), horizon, PenaltyWeights())
 
-    listed, opaque = spec(set(visited)), spec(_CellsWithoutIteration(visited))
+    listed, opaque = spec(set(visited)), spec(CellsWithoutIteration(visited))
     listed_report, listed_admissible = fix_logical(listed)
     report, admissible = fix_logical(opaque)
     assert report == listed_report
