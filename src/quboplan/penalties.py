@@ -8,13 +8,15 @@ inter-robot vertex-collision coupling. Each emitter mirrors one closed-form
 penalty, so model energy always equals the sum of the formulas evaluated on
 the decoded occupancy. The emitters append their terms to one flat list per
 window, indexed through a table built once, and the list is merged into the
-model once.
+model once. `derived_weights` reads a window's own objective terms for the
+constraint weights at which its minimum keeps every constraint it can
+(Lucas, "Ising formulations of many NP problems", Front. Phys. 2, 5, 2014).
 """
 
 import math
 from itertools import repeat
 from collections.abc import Mapping, Set as AbstractSet
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .grid import Cell, GridMap, bfs_distances, manhattan
 from .qubo import Dims, QuboModel, block_size
@@ -48,7 +50,9 @@ class PenaltyWeights:
     weights must be finite and strictly positive. Only the weights' ratios
     matter: the annealer reads its β range per unit of the model's largest
     coupling between (robot, step) groups (`solvers.solve`), so no overall
-    scale is set here.
+    scale is set here. A window is first tried at these weights; the
+    planner's one re-solve of a failed window raises `k_hot`, `k_adj` and
+    `k_coll` to `derived_weights`, so each field is a floor there.
     """
 
     k_hot: float = 4.0
@@ -332,17 +336,90 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -
     if admissible is None:
         admissible = dense_admissible(spec)
     terms = WindowTerms(spec, admissible)
-    for robot, rec in enumerate(spec.robots):
+    for robot in range(len(spec.robots)):
         apply_one_hot(terms, spec, robot)
         apply_adjacency(terms, spec, robot)
-        apply_start(terms, spec, robot)
-        if (manhattan(rec.start, rec.goal) < spec.horizon
-                and any(rec.goal in cells for cells in admissible[robot])):
-            apply_goal_late_time(terms, spec, robot)
-        else:
-            apply_approximation(terms, spec, robot)
-        apply_goal_lock(terms, spec, robot)
-        apply_backtracking(terms, spec, robot)
-        apply_teleportation(terms, spec, robot)
+        _apply_objective(terms, spec, robot)
     apply_vertex_collision(terms, spec)
     return terms.model()
+
+
+def _apply_objective(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
+    """One robot's objective: every term but one-hot, adjacency and
+    collision, with the goal reward chosen as `build_window_model` states."""
+    rec = spec.robots[robot]
+    apply_start(terms, spec, robot)
+    if (manhattan(rec.start, rec.goal) < spec.horizon
+            and any(rec.goal in layer for layer in terms.layers[robot])):
+        apply_goal_late_time(terms, spec, robot)
+    else:
+        apply_approximation(terms, spec, robot)
+    apply_goal_lock(terms, spec, robot)
+    apply_backtracking(terms, spec, robot)
+    apply_teleportation(terms, spec, robot)
+
+
+def derived_weights(spec: WindowSpec, admissible: Admissible) -> PenaltyWeights:
+    """Weights at which the window's minimum breaks no move and shares no
+    cell whenever some state of `admissible` does neither.
+
+    A one-hot state sets one variable of every (robot, step) group with an
+    admissible cell. The objective O is the sum of the start reward, the
+    late-time goal reward or the approximation reward, the goal lock, the
+    revisit terms and the early-goal penalty, merged as in the model. On a
+    one-hot state a group's linear terms take the diagonal of its one set
+    variable (0 without one), and a pair of groups holds at most one set
+    coupling (0 without one). So the spread of O over one-hot states is at
+    most S: the sum over groups of their largest minus their smallest such
+    diagonal, plus the sum over pairs of groups of max(0, their largest
+    coupling) - min(0, their smallest). The spec's weights are floors.
+
+    1. `k_adj` and `k_coll` become at least 1 + S. On a one-hot state an
+       adjacency term is 0 when the cell at step t + 1 is a move (or, with
+       waits, a wait) from the cell at t, and `k_adj` when it is not or when
+       step t + 1 admits no cell, the last the same for every state; a
+       collision term is `k_coll` or 0. So, up to terms the same for every
+       one-hot state, a state s that breaks a move or shares a cell has
+       E(s) >= O(s) + 1 + S > max O >= O(v) = E(v) for every state v that
+       does neither, and no such s is a minimum while a v exists.
+    2. `k_hot` becomes at least 1 + R. For a variable, R bounds the sum of
+       |coefficient| over the terms other than one-hot that hold it:
+       adjacency's diagonal and its couplings to at most `moves` cells at
+       t + 1 and from at most `moves` at t - 1 (5 with waits, 4 without),
+       `k_coll` to each other robot, and O's terms. A state that sets m != 1
+       variables of some group gets strictly lower by setting one (m = 0)
+       or clearing one (m >= 2): the one-hot term drops by k_hot * (2m - 3)
+       >= k_hot at m >= 2 and by k_hot at m = 0, and the rest changes by at
+       most R < k_hot. So every minimum over all bit vectors is one-hot.
+       Folding only moves a fixed variable's couplings onto its partners'
+       diagonals, so R still bounds them, and every diagonal is at most
+       R - k_hot < 0, so the numeric pass clears no variable.
+    """
+    terms = WindowTerms(spec, admissible)
+    for robot in range(len(spec.robots)):
+        _apply_objective(terms, spec, robot)
+    objective = terms.model().coeffs
+    per_cell = spec.grid.rows * spec.grid.cols
+    spread = 0.0
+    reach: dict[int, float] = {}
+    couplings: dict[tuple[int, int], tuple[float, float]] = {}
+    for (a, b), w in objective.items():
+        reach[a] = reach.get(a, 0.0) + abs(w)
+        if a != b:
+            reach[b] = reach.get(b, 0.0) + abs(w)
+            groups = (a // per_cell, b // per_cell)
+            low, high = couplings.get(groups, (0.0, 0.0))
+            couplings[groups] = (min(low, w), max(high, w))
+    for low, high in couplings.values():
+        spread += high - low
+    for layers in terms.layers:
+        for layer in layers:
+            if layer:
+                diagonals = [objective.get((a, a), 0.0) for a in layer.values()]
+                spread += max(diagonals) - min(diagonals)
+    floor = spec.weights
+    k_adj, k_coll = max(floor.k_adj, 1.0 + spread), max(floor.k_coll, 1.0 + spread)
+    moves = 5 if spec.allow_wait else 4
+    bound = (k_adj * (1 + 2 * moves) + k_coll * (len(spec.robots) - 1)
+             + max(reach.values(), default=0.0))
+    return replace(floor, k_hot=max(floor.k_hot, 1.0 + bound), k_adj=k_adj, k_coll=k_coll)

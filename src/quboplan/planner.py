@@ -8,8 +8,9 @@ window's layers are its occupancy. The occupancy is repaired, and the
 accepted sub-path, or in a multi-robot plan its first steps, is stitched
 onto the plan so global times advance by exactly one per step. A window is
 first tried on layers bounded from the goal end; a failed try falls back to
-the first-reach layers, is repeated with raised penalty weights, and then
-the window is widened once; `plan_paths` states the rule.
+the first-reach layers, is solved once more at penalty weights derived from
+the window, and then the window is widened once; `plan_paths` states the
+rule.
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,6 +25,7 @@ from .penalties import (
     RobotWindow,
     WindowSpec,
     build_window_model,
+    derived_weights,
 )
 from .postprocess import (
     detect_invalid_move,
@@ -46,9 +48,6 @@ from .solvers import SolverConfig, solve
 STATUS_REACHED = "reached_goal"
 STATUS_EXHAUSTED = "max_windows_exhausted"
 STATUS_INFEASIBLE = "infeasible"
-# How many times a failed solve is repeated at the same horizon, each time
-# with `k_adj` and `k_coll` doubled.
-RESOLVES = 5
 
 
 class StitchError(RuntimeError):
@@ -405,17 +404,24 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     (`preprocess.fix_logical`). When that try fails and the bound dropped
     any cell, the same horizon is tried once more on the first-reach layers,
     at the same weights and seed parts, whether or not a solve ran. When a
-    try on first-reach layers that ran a solve fails, `k_adj` and `k_coll`
-    are doubled and the same horizon is solved again with the same seed
-    parts, at most `RESOLVES` times (32x); a try decided by logical fixing
-    is not repeated. When the last of them fails too, the window is widened
-    to twice `window_len` with seed parts (window index, 1, 1) and `weights`
-    as given, on first-reach layers under the same rule, and a window whose
-    widened tries all fail is abandoned, ending the run. In a plan of two or
-    more robots only the first max(1, horizon - 2) steps of an accepted
-    window are committed (stitched, added to `visited` and passed by the
-    clock), so every committed step was planned with look-ahead; a single
-    robot commits the whole window. Every finished plan, clash-repair waits
+    try on first-reach layers that ran a solve fails, the same window is
+    solved once more with the same seed parts, at the weights
+    `penalties.derived_weights` gives for it: its minimum then breaks no
+    move and shares no cell whenever some state of its admissible sets does
+    neither. A try decided by logical fixing is not repeated. In a
+    multi-robot window waits are moves, so a state the repair accepts, with
+    its robots parked on the goals they reach, pays no adjacency or
+    collision term, and a failed re-solve there means the admissible sets
+    hold no such state, or that the minimum steps a robot off a goal it has
+    reached, which the repair reads as parking there. When the window is
+    still not planned, it is widened to twice `window_len` with seed parts
+    (window index, 1, 1) and `weights` as given, on first-reach layers
+    under the same rule, and a window whose widened re-solve fails too is
+    abandoned, ending the run. In a plan of two or more robots only the
+    first max(1, horizon - 2) steps of an accepted window are committed
+    (stitched, added to `visited` and passed by the clock), so every
+    committed step was planned with look-ahead; a single robot commits the
+    whole window. Every finished plan, clash-repair waits
     included, is validated once more on the input map by
     `detect_invalid_move`. Raises `ValueError` for a robot set that
     `validate_robots` rejects.
@@ -485,20 +491,19 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                          and (a.spec.release <= clock + horizon or a.spec.start in goals)}
             eff_grid = grid.with_obstacles((parked | releasing) - occupied)
             seed_parts = (len(windows), int(escalated), int(escalated))
-            tried = weights
-            for resolve in range(RESOLVES + 1):
-                if resolve:
-                    tried = replace(tried, k_adj=2 * tried.k_adj, k_coll=2 * tried.k_coll)
-                window = build_window(eff_grid, states, horizon, tried, multi,
-                                      bounded=not (escalated or resolve))
+            window = build_window(eff_grid, states, horizon, weights, multi,
+                                  bounded=not escalated)
+            record, paths = _attempt_window(window, active, scfg, seed_parts)
+            tries += 1
+            if paths is None and window.report.bound_dropped:
+                window = build_window(eff_grid, states, horizon, weights, multi, bounded=False)
                 record, paths = _attempt_window(window, active, scfg, seed_parts)
                 tries += 1
-                if paths is None and window.report.bound_dropped:
-                    window = build_window(eff_grid, states, horizon, tried, multi, bounded=False)
-                    record, paths = _attempt_window(window, active, scfg, seed_parts)
-                    tries += 1
-                if paths is not None or record.backend == "presolve":
-                    break
+            if paths is None and record.backend != "presolve":
+                derived = derived_weights(window.spec, window.admissible)
+                window = build_window(eff_grid, states, horizon, derived, multi, bounded=False)
+                record, paths = _attempt_window(window, active, scfg, seed_parts)
+                tries += 1
             if paths is not None:
                 break
 

@@ -484,6 +484,14 @@ def random_instances(samples: int, seed: int, robots: int = 1, max_vars: int = 2
     `robots` robots, as the planner builds them, with 1 to `max_vars` free
     variables, each with the (robot, step) group of every free variable.
     With `loopy`, only windows whose groups form a cycle are kept."""
+    for window in random_windows(samples, seed, robots, max_vars, loopy):
+        yield window.folded.model, window.groups
+
+
+def random_windows(samples: int, seed: int, robots: int = 1, max_vars: int = 20,
+                   loopy: bool = False):
+    """The windows `random_instances` folds, built by `planner.build_window`
+    at the default weights."""
     rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE)))
     produced = 0
     while produced < samples:
@@ -509,7 +517,7 @@ def random_instances(samples: int, seed: int, robots: int = 1, max_vars: int = 2
         if loopy and group_graph_is_forest(model, window.groups):
             continue
         produced += 1
-        yield model, window.groups
+        yield window
 
 
 def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7) -> dict:

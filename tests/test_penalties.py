@@ -1,12 +1,13 @@
+import itertools
 import math
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from perfbench.corpus import city
-from quboplan import penalties, planner
+from quboplan import penalties, planner, qubo
 from quboplan.grid import GridMap, bfs_distances, manhattan
 from quboplan.penalties import (
     BT_SOFT_FACTOR,
@@ -32,8 +33,15 @@ from quboplan.penalties import (
 from quboplan.preprocess import fix_logical, fold, forced_ones
 from quboplan.qubo import block_size, var_index
 from quboplan.scenario import load_scenario
+from quboplan.solvers import SolverConfig, solve
 
-from oracles import build_window_model_by_terms, fold_by_terms, penalty_energy
+from oracles import (
+    build_window_model_by_terms,
+    fold_by_terms,
+    penalty_energy,
+    random_windows,
+    solve_exhaustive,
+)
 
 
 W = PenaltyWeights()
@@ -499,3 +507,81 @@ def test_windows_with_left_out_and_blocked_cells_admit_no_early_goal(planner_win
                              W, allow_wait=count > 1)
     for spec, admissible in planner_windows:
         _assert_start_forced_and_goal_not_early(spec, admissible)
+
+
+def _keeps_every_constraint(spec, occupancy) -> bool:
+    """Whether a one-hot occupancy moves (or, with waits, waits) between
+    every two steps that both admit a cell, and never puts two robots on
+    one cell at one step."""
+    least = 0 if spec.allow_wait else 1
+    for cells in occupancy:
+        for here, there in zip(cells, cells[1:]):
+            if here and there:
+                ((i, j),), ((k, m),) = here, there
+                if not least <= abs(i - k) + abs(j - m) <= 1:
+                    return False
+    return not any(a[t] & b[t] for a, b in itertools.combinations(occupancy, 2)
+                   for t in range(spec.horizon + 1))
+
+
+def _clash_windows():
+    """Two robots crossing the centre of an empty 3x3 map, whose minimum at
+    the default weights breaks a constraint, and two robots head-on in a
+    corridor with a one-cell pocket, whose every state puts both on the
+    corridor's middle cell at t=1."""
+    crossing = planner.build_window(GridMap(3, 3), [((1, 0), (1, 2), {(1, 0)}),
+                                                    ((0, 1), (2, 1), {(0, 1)})], 3, W, True)
+    pocket = planner.build_window(GridMap(2, 3, frozenset({(1, 0), (1, 2)})),
+                                  [((0, 0), (0, 2), {(0, 0)}), ((0, 2), (0, 0), {(0, 2)})], 4,
+                                  W, True)
+    return crossing, pocket
+
+
+def test_derived_weights_make_the_minimum_one_hot_and_keep_every_constraint_they_can():
+    # Multi-robot windows small enough to enumerate. At the derived weights
+    # the minimum over all bit vectors is one-hot, it keeps every constraint
+    # whenever some one-hot state does, and elimination reaches it.
+    crossing, pocket = _clash_windows()
+    best = solve(crossing.folded.model, SolverConfig(), groups=crossing.groups).best
+    decoded = qubo.decode(crossing.folded.expand(best.bits), crossing.spec.dims, 2)
+    assert not _keeps_every_constraint(crossing.spec, decoded)
+    windows = [crossing, pocket, *random_windows(40, 7, robots=2, max_vars=16)]
+    kept = 0
+    for window in windows:
+        spec = window.spec
+        weights = penalties.derived_weights(spec, window.admissible)
+        assert all(getattr(weights, f.name) >= getattr(spec.weights, f.name)
+                   for f in fields(weights))
+        states = [(r.start, r.goal, r.visited, r.goal_distances) for r in spec.robots]
+        derived = planner.build_window(spec.grid, states, spec.horizon, weights,
+                                       spec.allow_wait)
+        assert derived.admissible == window.admissible
+        folded, groups = derived.folded, derived.groups.tolist()
+        members = {}
+        for v, g in enumerate(groups):
+            members.setdefault(g, []).append(v)
+
+        def occupancy(ones):
+            return qubo.decode(folded.expand([int(v in ones) for v in range(len(groups))]),
+                               spec.dims, len(spec.robots))
+
+        minimum = solve_exhaustive(folded.model).best
+        ones = {v for v, bit in enumerate(minimum.bits) if bit}
+        assert all(len(ones.intersection(m)) == 1 for m in members.values())
+        if any(_keeps_every_constraint(spec, occupancy(set(state)))
+               for state in itertools.product(*members.values())):
+            assert _keeps_every_constraint(spec, occupancy(ones))
+            kept += 1
+        exact = solve(folded.model, SolverConfig(), groups=derived.groups).best
+        assert exact.energy == pytest.approx(minimum.energy, abs=1e-9)
+    assert kept == len(windows) - 1  # all but the pocket
+
+
+def test_derived_weights_keep_weights_already_above_them():
+    crossing, _ = _clash_windows()
+    derived = penalties.derived_weights(crossing.spec, crossing.admissible)
+    assert derived.k_adj > W.k_adj and derived.k_coll > W.k_coll
+    high = replace(W, k_hot=2 * derived.k_hot, k_adj=2 * derived.k_adj,
+                   k_coll=2 * derived.k_coll)
+    assert penalties.derived_weights(replace(crossing.spec, weights=high),
+                                     crossing.admissible) == high

@@ -170,7 +170,9 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
 def _record_tries(monkeypatch):
     """Each window try of the plans that follow, in call order, as (window
     index, seed parts, horizon, whether the goal bound narrowed its layers,
-    k_adj, k_coll, accepted, repairs)."""
+    k_adj, k_coll, accepted, repairs, weights, the weights derived from the
+    try's window). The window holds the robots' visited cells, which grow as
+    the plan goes on, so its derived weights are read during the try."""
     tries = []
     attempt_window = planner._attempt_window
 
@@ -178,7 +180,8 @@ def _record_tries(monkeypatch):
         record, paths = attempt_window(window, agents, solver_cfg, seed)
         weights = window.spec.weights
         tries.append((seed[0], seed[1:], window.spec.horizon, window.report.bound_dropped > 0,
-                      weights.k_adj, weights.k_coll, paths is not None, list(record.repairs)))
+                      weights.k_adj, weights.k_coll, paths is not None, list(record.repairs),
+                      weights, penalties.derived_weights(window.spec, window.admissible)))
         return record, paths
 
     monkeypatch.setattr(planner, "_attempt_window", recorded)
@@ -186,32 +189,39 @@ def _record_tries(monkeypatch):
 
 
 def test_a_window_whose_first_try_fails_is_rescued_by_the_widened_try(monkeypatch, exhaustive):
-    # Two robots cross the centre of an empty 3x3 map. Each has one
-    # admissible path, through (1, 1) at t=1, so the exact minimum of the
-    # window at horizon 6 clashes or breaks a path at each of the six
-    # weights tried, and the 6th failed solve moves to the widened try. That try starts again at
-    # the default weights with its own seed parts, and is accepted once its
-    # weights are doubled. Every admissible cell lies within the goal
-    # bound's slack, so the bound narrows no try and none falls back to the
-    # first-reach layers.
+    # Robot 2's start (2, 3), released at t=1, is closed for the whole of
+    # window 0, so robot 0 must pass robot 1's goal (1, 3). At horizon 4 the
+    # bounded try clashes, the first-reach try breaks robot 0's path, and
+    # the re-solve's minimum has robot 1 step onto its goal at t=1 and off
+    # it again: no constraint forbids leaving a goal, but the repair reads
+    # the first arrival as parking, so robot 0 clashes with it. The widened
+    # first-reach try breaks robot 0's path again, and its re-solve at the
+    # weights derived from it plans the window.
     tries = _record_tries(monkeypatch)
-    grid = GridMap(3, 3)
-    robots = [RobotSpec(0, (1, 0), (1, 2)), RobotSpec(1, (0, 1), (2, 1))]
-    result = plan_paths(grid, robots)
-    window_0 = [t[1:7] for t in tries if t[0] == 0]
-    assert window_0 == [((0, 0), 6, False, 2.0 * 2 ** k, 4.0 * 2 ** k, False)
-                        for k in range(6)] + [
-        ((1, 1), 12, False, 2.0, 4.0, False), ((1, 1), 12, False, 4.0, 8.0, True)]
-    assert (result.windows[0].escalated, result.windows[0].retries) == (True, 7)
+    grid = GridMap(3, 5, frozenset({(0, 1), (2, 0)}))
+    robots = [RobotSpec(0, (2, 2), (2, 4)), RobotSpec(1, (1, 2), (1, 3)),
+              RobotSpec(2, (2, 3), (1, 0), release=1), RobotSpec(3, (0, 0), (2, 1), release=1)]
+    result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=4))
+    window_0 = [t for t in tries if t[0] == 0]
+    assert [t[1:4] + t[6:8] for t in window_0] == [
+        ((0, 0), 4, True, False, ["robots 0 and 1: vertex conflict at t=2"]),
+        ((0, 0), 4, False, False, ["robot 0: adjacency at t=3"]),
+        ((0, 0), 4, False, False, ["robots 0 and 1: vertex conflict at t=2"]),
+        ((1, 1), 8, False, False, ["robot 0: adjacency at t=3"]),
+        ((1, 1), 8, False, True, ["robot 0: waits from t=5"])]
+    assert [t[4:6] for t in window_0[:2] + window_0[3:4]] == [(2.0, 4.0)] * 3
+    assert window_0[2][8] == window_0[1][9]
+    assert window_0[4][8] == window_0[3][9]
+    assert (result.windows[0].escalated, result.windows[0].retries) == (True, 4)
     assert result.succeeded
     assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
 
 
 def test_an_invalid_exact_minimum_is_solved_again_at_the_same_horizon(monkeypatch):
     # Window 0's exact minimum breaks robot 1's path on the bounded layers,
-    # then on the first-reach layers at the same weights and again at twice
-    # them; at four times `k_adj` and `k_coll` it is a valid window,
-    # accepted at the same horizon with the same seed parts.
+    # then on the first-reach layers at the same weights. At the weights
+    # derived from the first-reach window it is a valid window, accepted at
+    # the same horizon with the same seed parts.
     tries = _record_tries(monkeypatch)
     runs = []
     kernel = solvers._anneal_one_hot
@@ -226,12 +236,14 @@ def test_an_invalid_exact_minimum_is_solved_again_at_the_same_horizon(monkeypatc
               RobotSpec(2, (0, 1), (3, 1))]
     result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=4),
                         solver_cfg=SolverConfig(num_reads=100, sweeps=300, seed=366))
-    window_0 = [t[1:7] for t in tries if t[0] == 0]
-    assert window_0 == [((0, 0), 4, True, 2.0, 4.0, False), ((0, 0), 4, False, 2.0, 4.0, False),
-                        ((0, 0), 4, False, 4.0, 8.0, False), ((0, 0), 4, False, 8.0, 16.0, True)]
+    window_0 = [t for t in tries if t[0] == 0]
+    assert [t[1:7] for t in window_0] == [
+        ((0, 0), 4, True, 2.0, 4.0, False), ((0, 0), 4, False, 2.0, 4.0, False),
+        ((0, 0), 4, False, 19.0, 19.0, True)]
+    assert window_0[2][8] == window_0[1][9]
     assert tries[0][7] == tries[1][7] == ["robot 1: adjacency at t=2"]
     assert runs == []  # every window is answered by elimination
-    assert (result.windows[0].escalated, result.windows[0].retries) == (False, 3)
+    assert (result.windows[0].escalated, result.windows[0].retries) == (False, 2)
     assert result.windows[0].histogram == [(result.windows[0].best_energy, 0)]
     assert result.succeeded
     assert [p.moves for p in result.plans] == [2, 4, 3]
@@ -371,17 +383,18 @@ def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch, exhaust
 
 def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch, exhaustive):
     # Each step holds one cell, but (2, 0) at t=2 is no move from (0, 1).
-    # Every solve, 6 at each horizon, returns that sample. The goal bound
-    # narrows no layer of this window, so no try falls back.
+    # Every solve, 2 at each horizon (the try and its re-solve), returns
+    # that sample. The goal bound narrows no layer of this window, so no
+    # try falls back.
     tries = _record_tries(monkeypatch)
     path = [(0, 0), (0, 1), (2, 0), (2, 1)]
-    _samples_take(monkeypatch, [path], solves=12)
+    _samples_take(monkeypatch, [path], solves=4)
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (2, 2))],
                         window_cfg=WindowConfig(window_len=3))
     jump = ["robot 0: adjacency at t=2"]
-    assert [(t[2], t[3], t[7]) for t in tries] == [(3, False, jump)] * 6 + [(6, False, jump)] * 6
+    assert [(t[2], t[3], t[7]) for t in tries] == [(3, False, jump)] * 2 + [(6, False, jump)] * 2
     (window,) = result.windows
-    assert (window.retries, window.escalated) == (11, True)
+    assert (window.retries, window.escalated) == (3, True)
     assert window.repairs == ["window abandoned: robot 0: adjacency at t=2"]
     assert result.plans[0].steps == [(0, (0, 0))]
     assert result.plans[0].status == STATUS_EXHAUSTED
@@ -450,8 +463,10 @@ def test_a_clash_on_the_waiting_robots_own_cell_is_reported_at_once(exhaustive):
 
 
 def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
-    # Both robots cross the centre of a 3x3 map at t=1. With a token collision
-    # weight, that clash is the model's minimum, so every try decodes it.
+    # Head-on in a corridor with a one-cell pocket below its middle cell
+    # (0, 1): both robots must stand on (0, 1) at t=1, so no state keeps them
+    # apart. The first try and its re-solve decode that clash at each
+    # horizon, and the window is abandoned.
     calls = []
     attempt_window = planner._attempt_window
 
@@ -461,16 +476,33 @@ def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
         return record, paths
 
     monkeypatch.setattr(planner, "_attempt_window", counting_attempt)
+    result = plan_paths(GridMap(2, 3, frozenset({(1, 0), (1, 2)})),
+                        [RobotSpec(0, (0, 0), (0, 2)), RobotSpec(1, (0, 2), (0, 0))],
+                        solver_cfg=SolverConfig(seed=1, num_reads=20, sweeps=100))
+    clash = "robots 0 and 1: vertex conflict at t=1"
+    assert calls == [(None, clash)] * 4  # a try and its re-solve at each horizon
+    (window,) = result.windows
+    assert window.repairs[-1] == f"window abandoned: {clash}"
+    assert not result.succeeded
+
+
+def test_a_token_collision_weight_is_only_a_floor_for_the_re_solve(monkeypatch):
+    # Both robots cross the centre of a 3x3 map at t=1. With a token
+    # collision weight that clash is the first try's minimum; the re-solve
+    # raises `k_coll` above the objective's spread and plans the window at
+    # the same horizon.
+    tries = _record_tries(monkeypatch)
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (1, 0), (1, 2)),
                                         RobotSpec(1, (0, 1), (2, 1))],
                         weights=PenaltyWeights(k_coll=0.01),
                         window_cfg=WindowConfig(window_len=3),
                         solver_cfg=SolverConfig(seed=1, num_reads=20, sweeps=100))
-    clash = "robots 0 and 1: vertex conflict at t=1"
-    assert calls == [(None, clash)] * 12  # 6 solves at each horizon
-    (window,) = result.windows
-    assert window.repairs[-1] == f"window abandoned: {clash}"
-    assert not result.succeeded
+    first, resolved = (t for t in tries if t[0] == 0)
+    assert first[5:8] == (0.01, False, ["robots 0 and 1: vertex conflict at t=1"])
+    assert resolved[5] > PenaltyWeights().k_coll and resolved[6]
+    assert resolved[8] == first[9]
+    assert (result.windows[0].escalated, result.windows[0].retries) == (False, 1)
+    assert result.succeeded
 
 
 def test_a_goal_walled_off_by_a_parked_robot_ends_infeasible_at_once():
@@ -759,21 +791,21 @@ def test_annealer_samples_decode_one_cell_per_step(monkeypatch):
 
 @pytest.mark.parametrize("solver", ["annealer", "exhaustive"])
 def test_two_robots_cross_the_centre_of_an_empty_3x3_map(solver, request):
-    # A re-solve at raised weights sends one robot round the edge of the map
-    # (the exhaustive oracle only in the widened window), and it then waits
-    # there: a detour, not a yield inside the window.
+    # The first try breaks a path, and its re-solve at derived weights, at
+    # the same horizon, sends one robot round the edge of the map, where it
+    # then waits: a detour, not a yield inside the window.
     if solver == "exhaustive":
         request.getfixturevalue("exhaustive")
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (1, 0), (1, 2)),
                                         RobotSpec(1, (0, 1), (2, 1))])
     assert result.succeeded, result.windows[-1].repairs
-    assert result.windows[0].retries > 0
+    assert (result.windows[0].escalated, result.windows[0].retries) == (False, 1)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="a robot's admissible cell at step t lies exactly t moves from its"
                           " start, so neither robot can wait for the other inside a window;"
-                          " the plans detour instead, 7 moves in all through `solve` and 13"
+                          " the plans detour instead, 7 moves in all through `solve` and"
                           " through the exhaustive oracle (ROADMAP item 3)")
 @pytest.mark.parametrize("solver", ["annealer", "exhaustive"])
 def test_two_robots_cross_the_centre_of_an_empty_3x3_map_in_the_moves_prioritized_needs(solver,
