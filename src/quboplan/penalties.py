@@ -50,9 +50,9 @@ class PenaltyWeights:
     weights must be finite and strictly positive. Only the weights' ratios
     matter: the annealer reads its β range per unit of the model's largest
     coupling between (robot, step) groups (`solvers.solve`), so no overall
-    scale is set here. A window is first tried at these weights; the
-    planner's one re-solve of a failed window raises `k_hot`, `k_adj` and
-    `k_coll` to `derived_weights`, so each field is a floor there.
+    scale is set here. A window is first tried at these weights, on
+    admissible sets bounded from the goal end. First-reach tries run at
+    derived weights (`derived_weights`); fields are floors there.
     """
 
     k_hot: float = 4.0

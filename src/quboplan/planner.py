@@ -7,10 +7,9 @@ fixed values in and solves it, and the best sample is decoded. A decided
 window's layers are its occupancy. The occupancy is repaired, and the
 accepted sub-path, or in a multi-robot plan its first steps, is stitched
 onto the plan so global times advance by exactly one per step. A window is
-first tried on layers bounded from the goal end; a failed try falls back to
-the first-reach layers, is solved once more at penalty weights derived from
-the window, and then the window is widened once; `plan_paths` states the
-rule.
+first tried on layers bounded from the goal end at the given weights, then
+on the first-reach layers at penalty weights derived from the window, then
+once more at twice the length; `plan_paths` states the rule.
 """
 
 from dataclasses import dataclass, field, replace
@@ -108,9 +107,9 @@ class WindowRecord:
     A try at the window fills in what it found. `backend` says who answered
     it: "presolve" when logical fixing decided it, "exact" when `solve`
     returned elimination's state (no read ran), "annealer" when its reads
-    did. The window loop then sets `index`, `global_start`,
-    `escalated` (the window was widened) and `retries`, the number of tries
-    that failed before the last one (see `plan_paths`).
+    did. The window loop then sets `index`, `global_start`, `escalated`
+    (the last try was the widened third) and `retries`, the number of tries
+    that failed before the last one, at most 2 (see `plan_paths`).
     """
 
     horizon: int
@@ -399,31 +398,34 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     robots not yet released open), must reach the robot's cell. Each
     window's approximation reward reads that search's distances.
 
-    The try rule: a window is first tried at `window_len` with seed parts
-    (window index, 0, 0), on admissible sets bounded from the goal end
-    (`preprocess.fix_logical`). When that try fails and the bound dropped
-    any cell, the same horizon is tried once more on the first-reach layers,
-    at the same weights and seed parts, whether or not a solve ran. When a
-    try on first-reach layers that ran a solve fails, the same window is
-    solved once more with the same seed parts, at the weights
-    `penalties.derived_weights` gives for it: its minimum then breaks no
-    move and shares no cell whenever some state of its admissible sets does
-    neither. A try decided by logical fixing is not repeated. In a
-    multi-robot window waits are moves, so a state the repair accepts, with
-    its robots parked on the goals they reach, pays no adjacency or
-    collision term, and a failed re-solve there means the admissible sets
-    hold no such state, or that the minimum steps a robot off a goal it has
-    reached, which the repair reads as parking there. When the window is
-    still not planned, it is widened to twice `window_len` with seed parts
-    (window index, 1, 1) and `weights` as given, on first-reach layers
-    under the same rule, and a window whose widened re-solve fails too is
-    abandoned, ending the run. In a plan of two or more robots only the
-    first max(1, horizon - 2) steps of an accepted window are committed
-    (stitched, added to `visited` and passed by the clock), so every
-    committed step was planned with look-ahead; a single robot commits the
-    whole window. Every finished plan, clash-repair waits
-    included, is validated once more on the input map by
-    `detect_invalid_move`. Raises `ValueError` for a robot set that
+    The try rule: a window gets at most three tries, in a fixed order, and
+    each try builds its window once.
+    1. `window_len` steps on admissible sets bounded from the goal end
+       (`preprocess.fix_logical`), at `weights`, with seed parts (window
+       index, 0, 0).
+    2. The same horizon and seed parts on the first-reach layers. It is
+       skipped only when it would repeat the first try: the bound dropped no
+       cell and logical fixing decided that try.
+    3. Twice `window_len` steps on the first-reach layers, with seed parts
+       (window index, 1, 1).
+
+    A window whose third try fails too is abandoned, ending the run. A try
+    on first-reach layers that leaves variables free is solved at the
+    weights `penalties.derived_weights` gives for its window, with `weights`
+    as floors: its minimum then breaks no move and shares no cell whenever
+    some state of its admissible sets does neither. In a multi-robot window
+    waits are moves, so a state the repair accepts, with its robots parked
+    on the goals they reach, pays no adjacency or collision term, and a
+    failed try on first-reach layers means the admissible sets hold no such
+    state, or that the minimum steps a robot off a goal it has reached,
+    which the repair reads as parking there.
+
+    In a plan of two or more robots only the first max(1, horizon - 2) steps
+    of an accepted window are committed (stitched, added to `visited` and
+    passed by the clock), so every committed step was planned with
+    look-ahead; a single robot commits the whole window. Every finished
+    plan, clash-repair waits included, is validated once more on the input
+    map by `detect_invalid_move`. Raises `ValueError` for a robot set that
     `validate_robots` rejects.
     """
     robots = list(robots)
@@ -480,9 +482,13 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
         occupied = {a.current for a in active}
         goals = {a.spec.goal for a in active}
         states = [(a.current, a.spec.goal, a.visited, a.goal_distances) for a in active]
-        tries = 0
-        for escalated in (False, True):
-            horizon = 2 * wcfg.window_len if escalated else wcfg.window_len
+        index, tries = len(windows), 0
+        for k, (horizon, bounded, seed_parts) in enumerate((
+                (wcfg.window_len, True, (index, 0, 0)),
+                (wcfg.window_len, False, (index, 0, 0)),
+                (2 * wcfg.window_len, False, (index, 1, 1)))):
+            if k == 1 and not window.report.bound_dropped and record.backend == "presolve":
+                continue  # first-reach layers would only repeat the decided first try
             # A robot released within this try's horizon, or later onto an
             # active robot's goal, keeps the others off its start for the
             # whole try.
@@ -490,25 +496,19 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                          and clock < a.spec.release
                          and (a.spec.release <= clock + horizon or a.spec.start in goals)}
             eff_grid = grid.with_obstacles((parked | releasing) - occupied)
-            seed_parts = (len(windows), int(escalated), int(escalated))
-            window = build_window(eff_grid, states, horizon, weights, multi,
-                                  bounded=not escalated)
+            window = build_window(eff_grid, states, horizon, weights, multi, bounded)
+            if not bounded and window.report.reduced_count:
+                # Before the model is first built: the copy takes over the
+                # report, which only folding writes to.
+                derived = derived_weights(window.spec, window.admissible)
+                window = replace(window, spec=replace(window.spec, weights=derived))
             record, paths = _attempt_window(window, active, scfg, seed_parts)
             tries += 1
-            if paths is None and window.report.bound_dropped:
-                window = build_window(eff_grid, states, horizon, weights, multi, bounded=False)
-                record, paths = _attempt_window(window, active, scfg, seed_parts)
-                tries += 1
-            if paths is None and record.backend != "presolve":
-                derived = derived_weights(window.spec, window.admissible)
-                window = build_window(eff_grid, states, horizon, derived, multi, bounded=False)
-                record, paths = _attempt_window(window, active, scfg, seed_parts)
-                tries += 1
             if paths is not None:
                 break
 
-        record.index, record.global_start = len(windows), clock
-        record.escalated, record.retries = escalated, tries - 1
+        record.index, record.global_start = index, clock
+        record.escalated, record.retries = horizon > wcfg.window_len, tries - 1
         windows.append(record)
         for agent in active:
             agent.log.append(record)

@@ -15,8 +15,8 @@ def exhaustive(monkeypatch):
 @pytest.fixture
 def first_reach(monkeypatch):
     """Plan on first-reach layers alone: the goal bound narrows no window, so
-    every try is the one the planner falls back to when a bounded try fails,
-    and the window loop runs as it did before the bound."""
+    a window's first try runs, at the given weights, on the layers its later
+    tries use."""
     fix_logical = planner.fix_logical
     monkeypatch.setattr(planner, "fix_logical",
                         lambda spec, bounded=True: fix_logical(spec, bounded=False))

@@ -489,9 +489,10 @@ def random_instances(samples: int, seed: int, robots: int = 1, max_vars: int = 2
 
 
 def random_windows(samples: int, seed: int, robots: int = 1, max_vars: int = 20,
-                   loopy: bool = False):
+                   loopy: bool = False, bounded: bool = True):
     """The windows `random_instances` folds, built by `planner.build_window`
-    at the default weights."""
+    at the default weights; on the first-reach layers when `bounded` is
+    false."""
     rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE)))
     produced = 0
     while produced < samples:
@@ -510,7 +511,7 @@ def random_windows(samples: int, seed: int, robots: int = 1, max_vars: int = 20,
             continue
         horizon = int(rng.integers(3, 6))
         window = build_window(grid, [(start, goal, {start}) for start, goal in pairs], horizon,
-                              PenaltyWeights(), allow_wait=robots > 1)
+                              PenaltyWeights(), allow_wait=robots > 1, bounded=bounded)
         model = window.folded.model
         if model.num_vars < 1 or model.num_vars > max_vars:
             continue

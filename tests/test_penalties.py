@@ -577,6 +577,44 @@ def test_derived_weights_make_the_minimum_one_hot_and_keep_every_constraint_they
     assert kept == len(windows) - 1  # all but the pocket
 
 
+def _objective_energy(spec, admissible, ones) -> float:
+    """The energy of the window's objective terms alone (every term but
+    one-hot, adjacency and collision) on the original-index state `ones`."""
+    terms = WindowTerms(spec, admissible)
+    for robot in range(len(spec.robots)):
+        penalties._apply_objective(terms, spec, robot)
+    return terms.model().energy(ones)
+
+
+@pytest.mark.parametrize("robots", [2, 3])
+def test_a_valid_minimum_at_the_given_weights_stays_valid_at_derived_weights(robots):
+    # Why a first-reach try runs at derived weights alone. The objective
+    # holds no `k_hot`, `k_adj` or `k_coll`, so it is the same at both
+    # weights, and every state that breaks no move and shares no cell pays
+    # the same constraint energy at each. A minimum at the given weights
+    # that keeps every constraint therefore minimises the objective over
+    # those states, and so does the minimum at the derived weights.
+    valid = 0
+    for window in random_windows(60, 41, robots=robots, max_vars=40, bounded=False):
+        spec, admissible = window.spec, window.admissible
+        given = solve(window.folded.model, SolverConfig(), groups=window.groups).best
+        ones = window.folded.expand(given.bits)
+        if not _keeps_every_constraint(spec, qubo.decode(ones, spec.dims, robots)):
+            continue
+        valid += 1
+        states = [(r.start, r.goal, r.visited, r.goal_distances) for r in spec.robots]
+        derived = planner.build_window(spec.grid, states, spec.horizon,
+                                       penalties.derived_weights(spec, admissible),
+                                       spec.allow_wait, bounded=False)
+        assert derived.admissible == admissible
+        best = solve(derived.folded.model, SolverConfig(), groups=derived.groups).best
+        derived_ones = derived.folded.expand(best.bits)
+        assert _keeps_every_constraint(spec, qubo.decode(derived_ones, spec.dims, robots))
+        assert _objective_energy(spec, admissible, derived_ones) == pytest.approx(
+            _objective_energy(spec, admissible, ones), abs=1e-9)
+    assert valid >= 50
+
+
 def test_derived_weights_keep_weights_already_above_them():
     crossing, _ = _clash_windows()
     derived = penalties.derived_weights(crossing.spec, crossing.admissible)

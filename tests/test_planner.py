@@ -1,5 +1,6 @@
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,21 +168,24 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
     assert [p.status for p in result.plans] == [STATUS_EXHAUSTED, STATUS_EXHAUSTED]
 
 
-def _record_tries(monkeypatch):
+def _record_tries(monkeypatch, floors=PenaltyWeights()):
     """Each window try of the plans that follow, in call order, as (window
     index, seed parts, horizon, whether the goal bound narrowed its layers,
     k_adj, k_coll, accepted, repairs, weights, the weights derived from the
-    try's window). The window holds the robots' visited cells, which grow as
-    the plan goes on, so its derived weights are read during the try."""
+    try's window with `floors` as floors). The window holds the robots'
+    visited cells, which grow as the plan goes on, so its derived weights
+    are read during the try."""
     tries = []
     attempt_window = planner._attempt_window
 
     def recorded(window, agents, solver_cfg, seed):
         record, paths = attempt_window(window, agents, solver_cfg, seed)
         weights = window.spec.weights
+        derived = penalties.derived_weights(replace(window.spec, weights=floors),
+                                            window.admissible)
         tries.append((seed[0], seed[1:], window.spec.horizon, window.report.bound_dropped > 0,
                       weights.k_adj, weights.k_coll, paths is not None, list(record.repairs),
-                      weights, penalties.derived_weights(window.spec, window.admissible)))
+                      weights, derived))
         return record, paths
 
     monkeypatch.setattr(planner, "_attempt_window", recorded)
@@ -191,12 +195,11 @@ def _record_tries(monkeypatch):
 def test_a_window_whose_first_try_fails_is_rescued_by_the_widened_try(monkeypatch, exhaustive):
     # Robot 2's start (2, 3), released at t=1, is closed for the whole of
     # window 0, so robot 0 must pass robot 1's goal (1, 3). At horizon 4 the
-    # bounded try clashes, the first-reach try breaks robot 0's path, and
-    # the re-solve's minimum has robot 1 step onto its goal at t=1 and off
+    # bounded try clashes, and the first-reach try's minimum, at the weights
+    # derived from its window, has robot 1 step onto its goal at t=1 and off
     # it again: no constraint forbids leaving a goal, but the repair reads
     # the first arrival as parking, so robot 0 clashes with it. The widened
-    # first-reach try breaks robot 0's path again, and its re-solve at the
-    # weights derived from it plans the window.
+    # try, at the weights derived from its own window, plans the window.
     tries = _record_tries(monkeypatch)
     grid = GridMap(3, 5, frozenset({(0, 1), (2, 0)}))
     robots = [RobotSpec(0, (2, 2), (2, 4)), RobotSpec(1, (1, 2), (1, 3)),
@@ -205,23 +208,20 @@ def test_a_window_whose_first_try_fails_is_rescued_by_the_widened_try(monkeypatc
     window_0 = [t for t in tries if t[0] == 0]
     assert [t[1:4] + t[6:8] for t in window_0] == [
         ((0, 0), 4, True, False, ["robots 0 and 1: vertex conflict at t=2"]),
-        ((0, 0), 4, False, False, ["robot 0: adjacency at t=3"]),
         ((0, 0), 4, False, False, ["robots 0 and 1: vertex conflict at t=2"]),
-        ((1, 1), 8, False, False, ["robot 0: adjacency at t=3"]),
         ((1, 1), 8, False, True, ["robot 0: waits from t=5"])]
-    assert [t[4:6] for t in window_0[:2] + window_0[3:4]] == [(2.0, 4.0)] * 3
-    assert window_0[2][8] == window_0[1][9]
-    assert window_0[4][8] == window_0[3][9]
-    assert (result.windows[0].escalated, result.windows[0].retries) == (True, 4)
+    assert window_0[0][8] == PenaltyWeights()
+    assert [t[8] == t[9] and t[4] > 2.0 for t in window_0[1:]] == [True, True]
+    assert (result.windows[0].escalated, result.windows[0].retries) == (True, 2)
     assert result.succeeded
     assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
 
 
 def test_an_invalid_exact_minimum_is_solved_again_at_the_same_horizon(monkeypatch):
-    # Window 0's exact minimum breaks robot 1's path on the bounded layers,
-    # then on the first-reach layers at the same weights. At the weights
-    # derived from the first-reach window it is a valid window, accepted at
-    # the same horizon with the same seed parts.
+    # Window 0's exact minimum breaks robot 1's path on the bounded layers.
+    # On the first-reach layers, at the weights derived from their window,
+    # it is a valid window, accepted at the same horizon with the same seed
+    # parts.
     tries = _record_tries(monkeypatch)
     runs = []
     kernel = solvers._anneal_one_hot
@@ -238,12 +238,11 @@ def test_an_invalid_exact_minimum_is_solved_again_at_the_same_horizon(monkeypatc
                         solver_cfg=SolverConfig(num_reads=100, sweeps=300, seed=366))
     window_0 = [t for t in tries if t[0] == 0]
     assert [t[1:7] for t in window_0] == [
-        ((0, 0), 4, True, 2.0, 4.0, False), ((0, 0), 4, False, 2.0, 4.0, False),
-        ((0, 0), 4, False, 19.0, 19.0, True)]
-    assert window_0[2][8] == window_0[1][9]
-    assert tries[0][7] == tries[1][7] == ["robot 1: adjacency at t=2"]
+        ((0, 0), 4, True, 2.0, 4.0, False), ((0, 0), 4, False, 19.0, 19.0, True)]
+    assert window_0[1][8] == window_0[1][9]
+    assert tries[0][7] == ["robot 1: adjacency at t=2"]
     assert runs == []  # every window is answered by elimination
-    assert (result.windows[0].escalated, result.windows[0].retries) == (False, 2)
+    assert (result.windows[0].escalated, result.windows[0].retries) == (False, 1)
     assert result.windows[0].histogram == [(result.windows[0].best_energy, 0)]
     assert result.succeeded
     assert [p.moves for p in result.plans] == [2, 4, 3]
@@ -328,11 +327,11 @@ def _samples_take(monkeypatch, paths, solves=1):
     """Make the first `solves` solves of a plan return the one-hot sample
     that puts robot r on `paths[r]` at each step; later solves run as usual."""
     windows, solved = [], []
-    build, solve = planner.build_window, planner.solve
+    attempt, solve = planner._attempt_window, planner.solve
 
-    def recording_build(*args, **kwargs):
-        windows.append(build(*args, **kwargs))
-        return windows[-1]
+    def recording_attempt(window, *args):
+        windows.append(window)
+        return attempt(window, *args)
 
     def scripted_solve(model, cfg, *, groups):
         if len(solved) == solves:
@@ -345,7 +344,7 @@ def _samples_take(monkeypatch, paths, solves=1):
         solved.append(Sample(bits, model.energy(ones), cfg.num_reads))
         return SampleSet([solved[-1]])
 
-    monkeypatch.setattr(planner, "build_window", recording_build)
+    monkeypatch.setattr(planner, "_attempt_window", recording_attempt)
     monkeypatch.setattr(planner, "solve", scripted_solve)
 
 
@@ -383,18 +382,18 @@ def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch, exhaust
 
 def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch, exhaustive):
     # Each step holds one cell, but (2, 0) at t=2 is no move from (0, 1).
-    # Every solve, 2 at each horizon (the try and its re-solve), returns
-    # that sample. The goal bound narrows no layer of this window, so no
-    # try falls back.
+    # Every solve, one for each of the three tries, returns that sample. The
+    # goal bound narrows no layer of this window, but the first try ran a
+    # solve, so the first-reach try at the same horizon is not skipped.
     tries = _record_tries(monkeypatch)
     path = [(0, 0), (0, 1), (2, 0), (2, 1)]
-    _samples_take(monkeypatch, [path], solves=4)
+    _samples_take(monkeypatch, [path], solves=3)
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (2, 2))],
                         window_cfg=WindowConfig(window_len=3))
     jump = ["robot 0: adjacency at t=2"]
-    assert [(t[2], t[3], t[7]) for t in tries] == [(3, False, jump)] * 2 + [(6, False, jump)] * 2
+    assert [(t[2], t[3], t[7]) for t in tries] == [(3, False, jump)] * 2 + [(6, False, jump)]
     (window,) = result.windows
-    assert (window.retries, window.escalated) == (3, True)
+    assert (window.retries, window.escalated) == (2, True)
     assert window.repairs == ["window abandoned: robot 0: adjacency at t=2"]
     assert result.plans[0].steps == [(0, (0, 0))]
     assert result.plans[0].status == STATUS_EXHAUSTED
@@ -465,8 +464,7 @@ def test_a_clash_on_the_waiting_robots_own_cell_is_reported_at_once(exhaustive):
 def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
     # Head-on in a corridor with a one-cell pocket below its middle cell
     # (0, 1): both robots must stand on (0, 1) at t=1, so no state keeps them
-    # apart. The first try and its re-solve decode that clash at each
-    # horizon, and the window is abandoned.
+    # apart. All three tries decode that clash, and the window is abandoned.
     calls = []
     attempt_window = planner._attempt_window
 
@@ -480,7 +478,7 @@ def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
                         [RobotSpec(0, (0, 0), (0, 2)), RobotSpec(1, (0, 2), (0, 0))],
                         solver_cfg=SolverConfig(seed=1, num_reads=20, sweeps=100))
     clash = "robots 0 and 1: vertex conflict at t=1"
-    assert calls == [(None, clash)] * 4  # a try and its re-solve at each horizon
+    assert calls == [(None, clash)] * 3  # the bounded, first-reach and widened tries
     (window,) = result.windows
     assert window.repairs[-1] == f"window abandoned: {clash}"
     assert not result.succeeded
@@ -488,19 +486,19 @@ def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
 
 def test_a_token_collision_weight_is_only_a_floor_for_the_re_solve(monkeypatch):
     # Both robots cross the centre of a 3x3 map at t=1. With a token
-    # collision weight that clash is the first try's minimum; the re-solve
-    # raises `k_coll` above the objective's spread and plans the window at
-    # the same horizon.
-    tries = _record_tries(monkeypatch)
+    # collision weight that clash is the first try's minimum; the
+    # first-reach try raises `k_coll` above the objective's spread and plans
+    # the window at the same horizon.
+    tries = _record_tries(monkeypatch, PenaltyWeights(k_coll=0.01))
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (1, 0), (1, 2)),
                                         RobotSpec(1, (0, 1), (2, 1))],
                         weights=PenaltyWeights(k_coll=0.01),
                         window_cfg=WindowConfig(window_len=3),
                         solver_cfg=SolverConfig(seed=1, num_reads=20, sweeps=100))
-    first, resolved = (t for t in tries if t[0] == 0)
+    first, second = (t for t in tries if t[0] == 0)
     assert first[5:8] == (0.01, False, ["robots 0 and 1: vertex conflict at t=1"])
-    assert resolved[5] > PenaltyWeights().k_coll and resolved[6]
-    assert resolved[8] == first[9]
+    assert second[5] > PenaltyWeights().k_coll and second[6]
+    assert second[8] == first[9]
     assert (result.windows[0].escalated, result.windows[0].retries) == (False, 1)
     assert result.succeeded
 
@@ -791,9 +789,9 @@ def test_annealer_samples_decode_one_cell_per_step(monkeypatch):
 
 @pytest.mark.parametrize("solver", ["annealer", "exhaustive"])
 def test_two_robots_cross_the_centre_of_an_empty_3x3_map(solver, request):
-    # The first try breaks a path, and its re-solve at derived weights, at
-    # the same horizon, sends one robot round the edge of the map, where it
-    # then waits: a detour, not a yield inside the window.
+    # The first try breaks a path, and the first-reach try at derived
+    # weights, at the same horizon, sends one robot round the edge of the
+    # map, where it then waits: a detour, not a yield inside the window.
     if solver == "exhaustive":
         request.getfixturevalue("exhaustive")
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (1, 0), (1, 2)),
