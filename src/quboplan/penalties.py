@@ -51,8 +51,9 @@ class PenaltyWeights:
     matter: the annealer reads its β range per unit of the model's largest
     coupling between (robot, step) groups (`solvers.solve`), so no overall
     scale is set here. A window is first tried at these weights, on
-    admissible sets bounded from the goal end. First-reach tries run at
-    derived weights (`derived_weights`); fields are floors there.
+    admissible sets bounded from the goal end. The first-reach tries of a
+    multi-robot window run at derived weights (`derived_weights`); fields
+    are floors there.
     """
 
     k_hot: float = 4.0

@@ -8,8 +8,9 @@ window's layers are its occupancy. The occupancy is repaired, and the
 accepted sub-path, or in a multi-robot plan its first steps, is stitched
 onto the plan so global times advance by exactly one per step. A window is
 first tried on layers bounded from the goal end at the given weights, then
-on the first-reach layers at penalty weights derived from the window, then
-once more at twice the length; `plan_paths` states the rule.
+on the first-reach layers, at penalty weights derived from the window when
+it holds two or more robots, then once more at twice the length;
+`plan_paths` states the rule.
 """
 
 from dataclasses import dataclass, field, replace
@@ -409,16 +410,19 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     3. Twice `window_len` steps on the first-reach layers, with seed parts
        (window index, 1, 1).
 
-    A window whose third try fails too is abandoned, ending the run. A try
-    on first-reach layers that leaves variables free is solved at the
-    weights `penalties.derived_weights` gives for its window, with `weights`
-    as floors: its minimum then breaks no move and shares no cell whenever
-    some state of its admissible sets does neither. In a multi-robot window
-    waits are moves, so a state the repair accepts, with its robots parked
-    on the goals they reach, pays no adjacency or collision term, and a
-    failed try on first-reach layers means the admissible sets hold no such
-    state, or that the minimum steps a robot off a goal it has reached,
-    which the repair reads as parking there.
+    A window whose third try fails too is abandoned, ending the run. In a
+    window of two or more robots, a try on first-reach layers that leaves
+    variables free is solved at the weights `penalties.derived_weights`
+    gives for its window, with `weights` as floors: its minimum then breaks
+    no move and shares no cell whenever some state of its admissible sets
+    does neither. Waits are moves there, so a state the repair accepts, with
+    its robots parked on the goals they reach, pays no adjacency or
+    collision term, and a failed try on first-reach layers means the
+    admissible sets hold no such state, or that the minimum steps a robot
+    off a goal it has reached, which the repair reads as parking there. A
+    single robot's tries all run at `weights`: it cannot wait, so it parks
+    on a dead-end goal by breaking moves after its first arrival, which the
+    repair accepts and derived weights make the costliest choice.
 
     In a plan of two or more robots only the first max(1, horizon - 2) steps
     of an accepted window are committed (stitched, added to `visited` and
@@ -497,7 +501,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                          and (a.spec.release <= clock + horizon or a.spec.start in goals)}
             eff_grid = grid.with_obstacles((parked | releasing) - occupied)
             window = build_window(eff_grid, states, horizon, weights, multi, bounded)
-            if not bounded and window.report.reduced_count:
+            if multi and not bounded and window.report.reduced_count:
                 # Before the model is first built: the copy takes over the
                 # report, which only folding writes to.
                 derived = derived_weights(window.spec, window.admissible)

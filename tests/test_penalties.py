@@ -588,9 +588,9 @@ def _objective_energy(spec, admissible, ones) -> float:
 
 @pytest.mark.parametrize("robots", [2, 3])
 def test_a_valid_minimum_at_the_given_weights_stays_valid_at_derived_weights(robots):
-    # Why a first-reach try runs at derived weights alone. The objective
-    # holds no `k_hot`, `k_adj` or `k_coll`, so it is the same at both
-    # weights, and every state that breaks no move and shares no cell pays
+    # Why a multi-robot first-reach try runs at derived weights alone. The
+    # objective holds no `k_hot`, `k_adj` or `k_coll`, so it is the same at
+    # both weights, and every state that breaks no move and shares no cell pays
     # the same constraint energy at each. A minimum at the given weights
     # that keeps every constraint therefore minimises the objective over
     # those states, and so does the minimum at the derived weights.
@@ -613,6 +613,49 @@ def test_a_valid_minimum_at_the_given_weights_stays_valid_at_derived_weights(rob
         assert _objective_energy(spec, admissible, derived_ones) == pytest.approx(
             _objective_energy(spec, admissible, ones), abs=1e-9)
     assert valid >= 50
+
+
+def _try_at(window, weights):
+    """The planner's try at `window` solved at `weights`: its record, and
+    every robot's path when the repair accepts them, else None."""
+    window = replace(window, spec=replace(window.spec, weights=weights))
+    agents = [planner._Agent(planner.RobotSpec(r, robot.start, robot.goal))
+              for r, robot in enumerate(window.spec.robots)]
+    return planner._attempt_window(window, agents, SolverConfig(), (0, 0, 0))
+
+
+@pytest.mark.parametrize("robots", [1, 2, 3])
+def test_derived_weights_lose_an_accepted_first_reach_try_only_with_one_robot(robots):
+    # The repair accepts more than the states that keep every constraint: a
+    # path ends at its first arrival on the goal. With two or more robots
+    # waits are moves, and derived weights lose no try the given weights
+    # win. A single robot cannot wait, so it parks on a dead-end goal by
+    # breaking moves, which derived weights make the costliest choice; its
+    # first-reach tries keep the given weights, which here lose no try that
+    # derived weights win.
+    lost = won = 0
+    for window in random_windows(60, 41, robots=robots, max_vars=40, bounded=False):
+        given = _try_at(window, window.spec.weights)[1] is not None
+        derived = _try_at(window, penalties.derived_weights(window.spec, window.admissible))
+        lost += given and derived[1] is None
+        won += derived[1] is not None and not given
+    if robots == 1:
+        assert (lost > 0, won) == (True, 0)
+    else:
+        assert lost == 0
+
+
+def test_a_single_robot_parks_on_a_dead_end_goal_at_the_given_weights_alone():
+    # (1, 2) is a dead end: a robot there can neither move on nor wait, so
+    # parking breaks a move at each of the steps after its arrival at t=3.
+    # The repair ends the path there and accepts it. At derived weights the
+    # minimum breaks one move instead: it runs on to (0, 4) and jumps onto
+    # the goal at t=5.
+    grid = GridMap(2, 5, frozenset({(1, 0), (1, 1), (1, 3), (1, 4)}))
+    window = planner.build_window(grid, [((0, 0), (1, 2), {(0, 0)})], 5, W, bounded=False)
+    assert _try_at(window, W)[1] == [[(0, 0), (0, 1), (0, 2), (1, 2)]]
+    record, paths = _try_at(window, penalties.derived_weights(window.spec, window.admissible))
+    assert (paths, record.repairs) == (None, ["robot 0: adjacency at t=5"])
 
 
 def test_derived_weights_keep_weights_already_above_them():

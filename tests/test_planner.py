@@ -399,6 +399,29 @@ def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch, exhau
     assert result.plans[0].status == STATUS_EXHAUSTED
 
 
+def test_a_single_robot_parks_on_a_dead_end_goal_in_its_first_reach_try(monkeypatch, exhaustive):
+    # The goal (2, 2) is a dead end. The first solve returns a sample that
+    # jumps from (1, 0) to (0, 2), which fails the bounded try. The
+    # first-reach try runs at the given weights: its minimum parks on the
+    # goal from t=4, breaking the moves the robot cannot make, and the
+    # repair ends the path at that first arrival. Its minimum at derived
+    # weights would run on to (1, 4) and jump onto the goal at t=6.
+    tries = _record_tries(monkeypatch)
+    _samples_take(monkeypatch, [[(0, 0), (1, 0), (0, 2), (1, 2), (2, 2), (2, 2), (2, 2)]])
+    grid = GridMap(3, 5, frozenset({(2, 0), (2, 1), (2, 3), (2, 4)}))
+    robots = [RobotSpec(0, (0, 0), (2, 2))]
+    result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=6))
+    assert [(t[2], t[3], t[6], t[7], t[8]) for t in tries] == [
+        (6, True, False, ["robot 0: adjacency at t=2"], PenaltyWeights()),
+        (6, False, True, [], PenaltyWeights())]
+    assert tries[1][8] != tries[1][9]
+    (window,) = result.windows
+    assert (window.retries, window.escalated) == (1, False)
+    assert result.succeeded
+    assert result.plans[0].moves == 4
+    assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
+
+
 def test_a_robot_keeps_off_a_later_start_that_is_its_goal_until_it_is_left():
     # Robot 1 stands on robot 0's goal (0, 3) from its release at t=10, so
     # robot 0 waits beside it and parks only once robot 1 has moved on.

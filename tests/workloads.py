@@ -1,13 +1,13 @@
 """Generated planning workloads beyond the benchmark's, and a table of how
 the planner fares on them. Run from the repository root:
 
-    python tests/workloads.py [set ...]
+    python tests/workloads.py
 
-It plans every instance of the named sets (all of them by default) and
-prints one row per set: the plans that pass `perfbench.checker`, their
-summed moves, the window tries, the windows with a failed try, the solves
-the annealer answered, and a hash of every path of the set, failed plans
-included, so two versions of the planner can be compared path for path.
+It plans every instance of every set below and prints one row per set:
+the plans that pass `perfbench.checker`, their summed moves, the window
+tries, the windows with a failed try, the solves the annealer answered, and
+a hash of every path of the set, failed plans included, so two versions of
+the planner can be compared path for path.
 
 The sets:
 
@@ -83,8 +83,8 @@ def dense(draw: int) -> list[Instance]:
     return out
 
 
-def random_probe(size: int = PROBE_SIZE) -> list[Instance]:
-    """The first `size` accepted draws of one seeded stream. A draw takes
+def random_probe() -> list[Instance]:
+    """The first 3,000 accepted draws of one seeded stream. A draw takes
     1-6 rows and 2-6 columns, makes each cell an obstacle with probability
     0.15 (row-major), puts 2-4 robots on distinct free cells, releases each
     at 0-3 with probability 0.3 (else at 0) and picks a window of 2-6 steps.
@@ -93,7 +93,7 @@ def random_probe(size: int = PROBE_SIZE) -> list[Instance]:
     at seed k."""
     rng = random.Random(PROBE_SEED)
     out = []
-    while len(out) < size:
+    while len(out) < PROBE_SIZE:
         rows, cols = rng.randint(1, 6), rng.randint(2, 6)
         grid = GridMap(rows, cols, frozenset(
             (i, j) for i in range(rows) for j in range(cols) if rng.random() < PROBE_OBSTACLES))
@@ -167,22 +167,16 @@ def summary(instances) -> dict:
     return row
 
 
-def main(names) -> int:
-    unknown = [n for n in names if n not in SETS]
-    if unknown:
-        print(f"unknown set(s) {', '.join(unknown)}; choose from: {', '.join(SETS)}",
-              file=sys.stderr)
-        return 2
+def main() -> None:
     print("| Set | Plans | Moves | Tries | Windows with a failed try | Annealed solves "
           "| Paths sha256 |")
     print("|---|---|---|---|---|---|---|")
-    for name in names or SETS:
-        r = summary(SETS[name]())
+    for name, instances in SETS.items():
+        r = summary(instances())
         print(f"| {name} | {r['plans']}/{r['instances']} | {r['moves']:,} | {r['tries']:,} "
               f"| {r['failed_try']} of {r['windows']:,} | {r['annealed']} | {r['paths']} |",
               flush=True)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
