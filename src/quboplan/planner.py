@@ -8,9 +8,8 @@ window's layers are its occupancy. The occupancy is repaired, and the
 accepted sub-path, or in a multi-robot plan its first steps, is stitched
 onto the plan so global times advance by exactly one per step. A window is
 first tried on layers bounded from the goal end at the given weights, then
-on the first-reach layers, at penalty weights derived from the window when
-it holds two or more robots, then once more at twice the length;
-`plan_paths` states the rule.
+once more on the first-reach layers, at penalty weights derived from the
+window when it holds two or more robots; `plan_paths` states the rule.
 """
 
 from dataclasses import dataclass, field, replace
@@ -108,9 +107,10 @@ class WindowRecord:
     A try at the window fills in what it found. `backend` says who answered
     it: "presolve" when logical fixing decided it, "exact" when `solve`
     returned elimination's state (no read ran), "annealer" when its reads
-    did. The window loop then sets `index`, `global_start`, `escalated`
-    (the last try was the widened third) and `retries`, the number of tries
-    that failed before the last one, at most 2 (see `plan_paths`).
+    did. The window loop then sets `index`, `global_start` and `retries`,
+    the number of tries that failed before the last one, at most 1 (see
+    `plan_paths`). `escalated` is always false: no try widens the window.
+    It stays, with its JSON key, because the benchmark harness reads it.
     """
 
     horizon: int
@@ -399,18 +399,16 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     robots not yet released open), must reach the robot's cell. Each
     window's approximation reward reads that search's distances.
 
-    The try rule: a window gets at most three tries, in a fixed order, and
-    each try builds its window once.
-    1. `window_len` steps on admissible sets bounded from the goal end
-       (`preprocess.fix_logical`), at `weights`, with seed parts (window
-       index, 0, 0).
-    2. The same horizon and seed parts on the first-reach layers. It is
-       skipped only when it would repeat the first try: the bound dropped no
-       cell and logical fixing decided that try.
-    3. Twice `window_len` steps on the first-reach layers, with seed parts
-       (window index, 1, 1).
+    The try rule: a window gets at most two tries of `window_len` steps,
+    in a fixed order, both with seed parts (window index, 0, 0), and each
+    try builds its window once.
+    1. Admissible sets bounded from the goal end (`preprocess.fix_logical`),
+       at `weights`.
+    2. The first-reach layers. It is skipped only when it would repeat the
+       first try: the bound dropped no cell and logical fixing decided that
+       try.
 
-    A window whose third try fails too is abandoned, ending the run. In a
+    A window whose last try fails is abandoned, ending the run. In a
     window of two or more robots, a try on first-reach layers that leaves
     variables free is solved at the weights `penalties.derived_weights`
     gives for its window, with `weights` as floors: its minimum then breaks
@@ -420,13 +418,13 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     collision term, and a failed try on first-reach layers means the
     admissible sets hold no such state, or that the minimum steps a robot
     off a goal it has reached, which the repair reads as parking there. A
-    single robot's tries all run at `weights`: it cannot wait, so it parks
+    single robot's two tries run at `weights`: it cannot wait, so it parks
     on a dead-end goal by breaking moves after its first arrival, which the
     repair accepts and derived weights make the costliest choice.
 
-    In a plan of two or more robots only the first max(1, horizon - 2) steps
-    of an accepted window are committed (stitched, added to `visited` and
-    passed by the clock), so every committed step was planned with
+    In a plan of two or more robots only the first max(1, window_len - 2)
+    steps of an accepted window are committed (stitched, added to `visited`
+    and passed by the clock), so every committed step was planned with
     look-ahead; a single robot commits the whole window. Every finished
     plan, clash-repair waits included, is validated once more on the input
     map by `detect_invalid_move`. Raises `ValueError` for a robot set that
@@ -436,6 +434,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     validate_robots(grid, robots)
     weights = weights or PenaltyWeights()
     wcfg = window_cfg or WindowConfig()
+    horizon = wcfg.window_len
     scfg = solver_cfg or SolverConfig()
     multi = len(robots) > 1
     agents = [_Agent(r) for r in robots]
@@ -485,34 +484,29 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
 
         occupied = {a.current for a in active}
         goals = {a.spec.goal for a in active}
+        # A robot released within this window, or later onto an active
+        # robot's goal, keeps the others off its start for the whole window.
+        releasing = {a.spec.start for a in agents if a.status != STATUS_INFEASIBLE
+                     and clock < a.spec.release
+                     and (a.spec.release <= clock + horizon or a.spec.start in goals)}
+        eff_grid = grid.with_obstacles((parked | releasing) - occupied)
         states = [(a.current, a.spec.goal, a.visited, a.goal_distances) for a in active]
-        index, tries = len(windows), 0
-        for k, (horizon, bounded, seed_parts) in enumerate((
-                (wcfg.window_len, True, (index, 0, 0)),
-                (wcfg.window_len, False, (index, 0, 0)),
-                (2 * wcfg.window_len, False, (index, 1, 1)))):
-            if k == 1 and not window.report.bound_dropped and record.backend == "presolve":
-                continue  # first-reach layers would only repeat the decided first try
-            # A robot released within this try's horizon, or later onto an
-            # active robot's goal, keeps the others off its start for the
-            # whole try.
-            releasing = {a.spec.start for a in agents if a.status != STATUS_INFEASIBLE
-                         and clock < a.spec.release
-                         and (a.spec.release <= clock + horizon or a.spec.start in goals)}
-            eff_grid = grid.with_obstacles((parked | releasing) - occupied)
-            window = build_window(eff_grid, states, horizon, weights, multi, bounded)
-            if multi and not bounded and window.report.reduced_count:
+        seed_parts = (len(windows), 0, 0)
+        window = build_window(eff_grid, states, horizon, weights, multi)
+        record, paths = _attempt_window(window, active, scfg, seed_parts)
+        # The retry on the first-reach layers, unless it would repeat a first
+        # try that logical fixing decided with no cell dropped by the bound.
+        if paths is None and (window.report.bound_dropped or record.backend != "presolve"):
+            window = build_window(eff_grid, states, horizon, weights, multi, bounded=False)
+            if multi and window.report.reduced_count:
                 # Before the model is first built: the copy takes over the
                 # report, which only folding writes to.
                 derived = derived_weights(window.spec, window.admissible)
                 window = replace(window, spec=replace(window.spec, weights=derived))
             record, paths = _attempt_window(window, active, scfg, seed_parts)
-            tries += 1
-            if paths is not None:
-                break
+            record.retries = 1
 
-        record.index, record.global_start = index, clock
-        record.escalated, record.retries = horizon > wcfg.window_len, tries - 1
+        record.index, record.global_start = len(windows), clock
         windows.append(record)
         for agent in active:
             agent.log.append(record)

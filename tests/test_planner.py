@@ -145,7 +145,7 @@ def test_plan_validates_each_window_on_its_own_map(monkeypatch, exhaustive):
     assert plan.notes == ["validation failed: obstacle at step 1"]
 
 
-def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch):
+def test_failed_deterministic_window_is_abandoned_without_a_retry(monkeypatch):
     calls = []
     attempt_window = planner._attempt_window
 
@@ -156,14 +156,14 @@ def test_failed_deterministic_window_is_widened_once_then_abandoned(monkeypatch)
 
     monkeypatch.setattr(planner, "_attempt_window", counting_attempt)
     # Head-on in a one-cell corridor: each robot has one path, fixing decides
-    # the window, and the two paths meet at t=1 whatever the horizon. A try
-    # that fixing decides runs no solve, so it is never solved again.
+    # the window, and the two paths meet at t=1. The bound drops no cell, so
+    # the first-reach try would repeat the decided first try and is skipped.
     result = plan_paths(GridMap(1, 3), [RobotSpec(0, (0, 0), (0, 2)),
                                         RobotSpec(1, (0, 2), (0, 0))])
     clash = "robots 0 and 1: vertex conflict at t=1"
-    assert calls == [(6, None, [clash]), (12, None, [clash])]
+    assert calls == [(6, None, [clash])]
     (window,) = result.windows
-    assert (window.retries, window.escalated, window.horizon) == (1, True, 12)
+    assert (window.retries, window.escalated, window.horizon) == (0, False, 6)
     assert window.repairs == [f"window abandoned: {clash}"]
     assert [p.status for p in result.plans] == [STATUS_EXHAUSTED, STATUS_EXHAUSTED]
 
@@ -192,29 +192,29 @@ def _record_tries(monkeypatch, floors=PenaltyWeights()):
     return tries
 
 
-def test_a_window_whose_first_try_fails_is_rescued_by_the_widened_try(monkeypatch, exhaustive):
+def test_a_window_whose_minimum_steps_off_a_reached_goal_is_abandoned(monkeypatch, exhaustive):
     # Robot 2's start (2, 3), released at t=1, is closed for the whole of
     # window 0, so robot 0 must pass robot 1's goal (1, 3). At horizon 4 the
     # bounded try clashes, and the first-reach try's minimum, at the weights
     # derived from its window, has robot 1 step onto its goal at t=1 and off
     # it again: no constraint forbids leaving a goal, but the repair reads
-    # the first arrival as parking, so robot 0 clashes with it. The widened
-    # try, at the weights derived from its own window, plans the window.
+    # the first arrival as parking, so robot 0 clashes with it, and the
+    # window is abandoned. ROADMAP item 23 (derived weights that keep a
+    # reached goal) should turn this back into a plan.
     tries = _record_tries(monkeypatch)
     grid = GridMap(3, 5, frozenset({(0, 1), (2, 0)}))
     robots = [RobotSpec(0, (2, 2), (2, 4)), RobotSpec(1, (1, 2), (1, 3)),
               RobotSpec(2, (2, 3), (1, 0), release=1), RobotSpec(3, (0, 0), (2, 1), release=1)]
     result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=4))
-    window_0 = [t for t in tries if t[0] == 0]
-    assert [t[1:4] + t[6:8] for t in window_0] == [
-        ((0, 0), 4, True, False, ["robots 0 and 1: vertex conflict at t=2"]),
-        ((0, 0), 4, False, False, ["robots 0 and 1: vertex conflict at t=2"]),
-        ((1, 1), 8, False, True, ["robot 0: waits from t=5"])]
-    assert window_0[0][8] == PenaltyWeights()
-    assert [t[8] == t[9] and t[4] > 2.0 for t in window_0[1:]] == [True, True]
-    assert (result.windows[0].escalated, result.windows[0].retries) == (True, 2)
-    assert result.succeeded
-    assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
+    clash = ["robots 0 and 1: vertex conflict at t=2"]
+    assert [t[:4] + t[6:8] for t in tries] == [
+        (0, (0, 0), 4, True, False, clash), (0, (0, 0), 4, False, False, clash)]
+    assert tries[0][8] == PenaltyWeights()
+    assert tries[1][8] == tries[1][9] and tries[1][4] > 2.0
+    (window,) = result.windows
+    assert (window.escalated, window.retries) == (False, 1)
+    assert window.repairs == [f"window abandoned: {clash[0]}"]
+    assert not result.succeeded
 
 
 def test_an_invalid_exact_minimum_is_solved_again_at_the_same_horizon(monkeypatch):
@@ -382,18 +382,18 @@ def test_a_robot_that_stops_short_of_a_reachable_goal_waits(monkeypatch, exhaust
 
 def test_a_sample_whose_path_jumps_fails_the_try_at_that_step(monkeypatch, exhaustive):
     # Each step holds one cell, but (2, 0) at t=2 is no move from (0, 1).
-    # Every solve, one for each of the three tries, returns that sample. The
+    # Every solve, one for each of the two tries, returns that sample. The
     # goal bound narrows no layer of this window, but the first try ran a
     # solve, so the first-reach try at the same horizon is not skipped.
     tries = _record_tries(monkeypatch)
     path = [(0, 0), (0, 1), (2, 0), (2, 1)]
-    _samples_take(monkeypatch, [path], solves=3)
+    _samples_take(monkeypatch, [path], solves=2)
     result = plan_paths(GridMap(3, 3), [RobotSpec(0, (0, 0), (2, 2))],
                         window_cfg=WindowConfig(window_len=3))
     jump = ["robot 0: adjacency at t=2"]
-    assert [(t[2], t[3], t[7]) for t in tries] == [(3, False, jump)] * 2 + [(6, False, jump)]
+    assert [(t[2], t[3], t[7]) for t in tries] == [(3, False, jump)] * 2
     (window,) = result.windows
-    assert (window.retries, window.escalated) == (2, True)
+    assert (window.retries, window.escalated) == (1, False)
     assert window.repairs == ["window abandoned: robot 0: adjacency at t=2"]
     assert result.plans[0].steps == [(0, (0, 0))]
     assert result.plans[0].status == STATUS_EXHAUSTED
@@ -487,7 +487,7 @@ def test_a_clash_on_the_waiting_robots_own_cell_is_reported_at_once(exhaustive):
 def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
     # Head-on in a corridor with a one-cell pocket below its middle cell
     # (0, 1): both robots must stand on (0, 1) at t=1, so no state keeps them
-    # apart. All three tries decode that clash, and the window is abandoned.
+    # apart. Both tries decode that clash, and the window is abandoned.
     calls = []
     attempt_window = planner._attempt_window
 
@@ -501,8 +501,9 @@ def test_window_whose_paths_share_a_cell_is_retried_then_abandoned(monkeypatch):
                         [RobotSpec(0, (0, 0), (0, 2)), RobotSpec(1, (0, 2), (0, 0))],
                         solver_cfg=SolverConfig(seed=1, num_reads=20, sweeps=100))
     clash = "robots 0 and 1: vertex conflict at t=1"
-    assert calls == [(None, clash)] * 3  # the bounded, first-reach and widened tries
+    assert calls == [(None, clash)] * 2  # the bounded and the first-reach try
     (window,) = result.windows
+    assert (window.retries, window.escalated) == (1, False)
     assert window.repairs[-1] == f"window abandoned: {clash}"
     assert not result.succeeded
 

@@ -1,6 +1,6 @@
 import pytest
 
-from workloads import dense, plan
+from workloads import bigger, dense, large, plan
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +20,18 @@ def test_the_dense_set_plans_at_least_36_of_48_and_every_plan_passes_the_checker
     assert sum(result.succeeded for _, result, _ in dense_plans) >= 36
 
 
-def test_no_dense_window_takes_more_than_three_tries(dense_plans):
-    # The bounded try, the first-reach try and the widened try; `retries`
-    # counts the failed tries before the last one.
-    retries = [w.retries for _, result, _ in dense_plans for w in result.windows]
-    assert max(retries) == 2
+def test_no_dense_window_takes_more_than_two_tries(dense_plans):
+    # The bounded try and the first-reach try; `retries` counts the failed
+    # tries before the last one, and no try widens the window.
+    windows = [w for _, result, _ in dense_plans for w in result.windows]
+    assert max(w.retries for w in windows) == 1
+    assert not any(w.escalated for w in windows)
+
+
+@pytest.mark.parametrize("instances, count", [(large, 8), (bigger, 4)])
+def test_the_large_and_bigger_sets_plan_every_instance_and_pass_the_checker(instances, count):
+    planned = [(inst, *plan(inst)) for inst in instances()]
+    assert len(planned) == count
+    for inst, result, errors in planned:
+        assert result.succeeded, inst.name
+        assert errors == [], inst.name

@@ -16,15 +16,21 @@ The sets:
 - `dense 0` and `dense 1`: 24 crowded maps each, of sides 8, 10 and 12
   with 4, 6, 8 or 12 robots, built as `perfbench.corpus.city` builds its
   maps. Instance k is `{family}{side}x{robots}#{k}`.
+- `large` and `bigger`: 8 maps of sides 16 to 32 with 4 to 8 robots, and 4
+  maps of sides 32 and 40 with 12 or 16 robots, built the same way.
+- `scale probe`: 4 maps of sides 32 to 64 with 16 to 64 robots, their
+  endpoints drawn one pair at a time.
 - `random probe`: 3,000 small random maps of 2 to 4 robots, some released
   late, with short windows.
 
-A draw is replaced only when a goal is out of reach on the bare map, or
-when a map has too few free cells for its robots; planning outcomes play no
-part in the selection.
+A draw is replaced only when a goal is out of reach on the bare map, when
+a start and its goal lie less than half a side apart (the city-style sets),
+or when a map has too few free cells for its robots; planning outcomes play
+no part in the selection.
 """
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -46,12 +52,16 @@ from quboplan import (  # noqa: E402
     plan_multi,
     planner,
 )
+from quboplan.grid import manhattan  # noqa: E402
 
-DENSE_SIDES = (8, 10, 12)
-DENSE_ROBOTS = (4, 6, 8, 12)
-DENSE_FAMILIES = ("open", "block")
-DENSE_MAX_WINDOWS = 60
-DENSE_READS, DENSE_SWEEPS = 100, 300
+# (family, side, robots) of each instance, in instance order.
+DENSE_MIX = tuple((family, side, count) for side, count, family in itertools.product(
+    (8, 10, 12), (4, 6, 8, 12), ("open", "block")))
+LARGE_MIX = (("block", 16, 4), ("open", 16, 4), ("block", 20, 6), ("open", 20, 6),
+             ("open", 24, 4), ("block", 24, 8), ("open", 24, 8), ("open", 32, 8))
+BIGGER_MIX = (("open", 32, 12), ("block", 32, 12), ("open", 40, 16), ("block", 40, 16))
+SCALE_MIX = (("open", 32, 16), ("open", 48, 32), ("block", 48, 32), ("open", 64, 64))
+READS, SWEEPS = 100, 300
 
 PROBE_SEED = 4242
 PROBE_SIZE = 3000
@@ -60,16 +70,15 @@ PROBE_LATE = 0.3
 PROBE_READS, PROBE_SWEEPS = 20, 100
 
 
-def dense(draw: int) -> list[Instance]:
-    """Draw `draw` of the dense set: instance k runs side-major, then robot
-    count, then family, open before block. Its window is 8 + k mod 3 steps,
-    at most 60 windows, 100 reads x 300 sweeps and seed k."""
+def _city_set(mix, stream: str, max_windows: int) -> list[Instance]:
+    """Instance k of `mix` on a map drawn from `random.Random(stream + str(k))`
+    as `perfbench.corpus.city` draws its own: the map and every endpoint
+    are redrawn until each goal is reachable. Its window is 8 + k mod 3
+    steps, at most `max_windows` windows, 100 reads x 300 sweeps and seed
+    k."""
     out = []
-    for k in range(len(DENSE_SIDES) * len(DENSE_ROBOTS) * len(DENSE_FAMILIES)):
-        side = DENSE_SIDES[k // 8]
-        count = DENSE_ROBOTS[(k % 8) // 2]
-        family = DENSE_FAMILIES[k % 2]
-        rng = random.Random(f"dense{draw}:{k}")
+    for k, (family, side, count) in enumerate(mix):
+        rng = random.Random(f"{stream}{k}")
         while True:
             grid = city_map(family, side, rng)
             pairs = _endpoints(grid, count, rng)
@@ -78,8 +87,52 @@ def dense(draw: int) -> list[Instance]:
         robots = tuple(RobotSpec(r, s, g) for r, (s, g) in enumerate(pairs))
         out.append(Instance(
             f"{family}{side}x{count}#{k}", grid, robots, PenaltyWeights(),
-            WindowConfig(window_len=8 + k % 3, max_windows=DENSE_MAX_WINDOWS),
-            SolverConfig(num_reads=DENSE_READS, sweeps=DENSE_SWEEPS, seed=k)))
+            WindowConfig(window_len=8 + k % 3, max_windows=max_windows),
+            SolverConfig(num_reads=READS, sweeps=SWEEPS, seed=k)))
+    return out
+
+
+def dense(draw: int) -> list[Instance]:
+    """Draw `draw` of the dense set: instance k runs side-major, then robot
+    count, then family, open before block, with at most 60 windows."""
+    return _city_set(DENSE_MIX, f"dense{draw}:", 60)
+
+
+def large() -> list[Instance]:
+    """The large set, at most 60 windows an instance."""
+    return _city_set(LARGE_MIX, "big:", 60)
+
+
+def bigger() -> list[Instance]:
+    """The bigger set, at most 80 windows an instance."""
+    return _city_set(BIGGER_MIX, "bigger:", 80)
+
+
+def scale_probe() -> list[Instance]:
+    """`SCALE_MIX` drawn from one stream, `random.Random("scale:0")`. Each
+    map is drawn as `perfbench.corpus.city_map` draws it. Its endpoints are
+    drawn one pair at a time: a pair is redrawn until both cells are unused,
+    at least half a side apart, and the goal is reachable from the start.
+    (Redrawing the whole set, as `corpus._endpoints` does, almost never
+    succeeds with dozens of robots.) Every instance has a window of 8
+    steps, at most 100 windows, 100 reads x 300 sweeps and seed 0."""
+    rng = random.Random("scale:0")
+    out = []
+    for family, side, count in SCALE_MIX:
+        grid = city_map(family, side, rng)
+        free, used, pairs = grid.free_cells(), set(), []
+        while len(pairs) < count:
+            s, g = rng.sample(free, 2)
+            if (s in used or g in used or manhattan(s, g) < side // 2
+                    or g not in bfs_distances(grid, s)):
+                continue
+            used |= {s, g}
+            pairs.append((s, g))
+        robots = tuple(RobotSpec(r, s, g) for r, (s, g) in enumerate(pairs))
+        out.append(Instance(
+            f"{family}{side}x{count}", grid, robots, PenaltyWeights(),
+            WindowConfig(window_len=8, max_windows=100),
+            SolverConfig(num_reads=READS, sweeps=SWEEPS, seed=0)))
     return out
 
 
@@ -121,6 +174,9 @@ SETS = {
     "city 0-19": lambda: [i for c in range(20) for i in city(c)],
     "dense 0": lambda: dense(0),
     "dense 1": lambda: dense(1),
+    "large": large,
+    "bigger": bigger,
+    "scale probe": scale_probe,
     "random probe": random_probe,
 }
 
