@@ -39,12 +39,22 @@ Only when a round's own tables exceed the cap does the annealer run, and
 then it runs all `num_reads` reads. Read r draws from
 `SeedSequence((seed, r))` alone, so its final state does not depend on the
 block of reads it runs in.
+
+`solve` reads the model once, in one Python pass over its coefficients,
+into `_OneHotModel`: the groups, ranked by their greedy colouring, with
+every diagonal and every table of couplings between two groups in one flat
+array. Elimination and its lazy rounds work on those tables, and the exact
+state's energy is `model.energy`'s. The annealer's layout, the model's
+term arrays and the tally of samples serve reads only, so they are built
+only when reads run. At window sizes a pass over numpy arrays costs more in
+calls than the Python pass it replaces, so numpy holds only the tables and
+the annealer's arrays.
 """
 
 import heapq
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate, chain, count
 
 import numpy as np
 
@@ -119,27 +129,112 @@ def _terms(model) -> tuple[np.ndarray, np.ndarray]:
                                                 count=count)
 
 
-def _energies(model, on: np.ndarray, terms=None) -> np.ndarray:
+def _energies(model, on: np.ndarray) -> np.ndarray:
     """`model.energy` of each row of a boolean matrix, bit for bit.
 
     Each row sums the constant, then every term in `coeffs` order, one
     addition at a time, as `model.energy` does. An inactive term adds -0.0,
-    which leaves any sum unchanged. `terms` is `_terms(model)` when the
-    caller has it.
+    which leaves any sum unchanged.
     """
-    pairs, weights = terms or _terms(model)
+    pairs, weights = _terms(model)
     summands = np.full((len(on), len(pairs) + 1), -0.0)
     summands[:, 0] = model.constant
     np.copyto(summands[:, 1:], weights, where=on[:, pairs[:, 0]] & on[:, pairs[:, 1]])
     return np.add.accumulate(summands, axis=1)[:, -1]
 
 
-def _collect(model, counts: dict[tuple[int, ...], int], terms=None) -> SampleSet:
-    energies = _energies(model, np.array(list(counts), dtype=bool), terms)
+def _collect(model, counts: dict[tuple[int, ...], int]) -> SampleSet:
+    energies = _energies(model, np.array(list(counts), dtype=bool))
     samples = [Sample(bits, energy, hits)
                for (bits, hits), energy in zip(counts.items(), energies.tolist())]
     samples.sort(key=lambda s: (s.energy, s.bits))
     return SampleSet(samples)
+
+
+@dataclass(frozen=True)
+class _OneHotModel:
+    """A model read as one-hot groups, with its elimination tables.
+
+    Groups are numbered by rank in a greedy colouring of the group graph:
+    the groups of one member first, then colour class by colour class, by
+    label within a class. `members[g]` lists group g's variables in
+    ascending order, and `colour[g]` is its colour, -1 for a group of one
+    member, which never moves. `tables` holds every group's diagonal, one
+    entry per member, group after group, then one table per coupled pair of
+    groups: `edges` maps each such pair (g, h), in one of its two orders, to
+    the offset of its table, a row per member of g and a column per member
+    of h, each entry the coupling of the two members (0.0 without one). A
+    coupling inside a group never fires on a one-hot state and is left out.
+    """
+
+    members: list[list[int]]
+    colour: list[int]
+    tables: np.ndarray
+    edges: dict[tuple[int, int], int]
+
+
+def _one_hot_model(model, groups) -> _OneHotModel:
+    """Group the model's variables by label, and lay out their tables, in one
+    pass over its coefficients; then colour the groups greedily, most
+    constrained first."""
+    n = model.num_vars
+    labels = np.asarray(groups)
+    if labels.shape != (n,):
+        raise ValueError(f"groups must label each of the {n} variables once")
+    # Group ids number the distinct labels in ascending order.
+    seq = labels.tolist()
+    index = {label: g for g, label in enumerate(sorted(set(seq)))}
+    ids = [index[label] for label in seq]
+    by_id: list[list[int]] = [[] for _ in index]
+    member = [0] * n
+    for v, g in enumerate(ids):
+        member[v] = len(by_id[g])
+        by_id[g].append(v)
+    num, size = len(by_id), [len(m) for m in by_id]
+
+    diag = [0.0] * n
+    # Each coupled pair of groups, keyed ga * num + gb with ga < gb, and the
+    # offset of its table in the flat array, after the n diagonal entries.
+    offset: dict[int, int] = {}
+    at, weights = [], []
+    end = n
+    for (a, b), w in model.coeffs.items():
+        if a == b:
+            diag[a] = w
+            continue
+        ga, gb = ids[a], ids[b]
+        if ga == gb:
+            continue
+        if ga > gb:
+            ga, gb, a, b = gb, ga, b, a
+        lo = offset.get(ga * num + gb)
+        if lo is None:
+            lo = offset[ga * num + gb] = end
+            end += size[ga] * size[gb]
+        at.append(lo + member[a] * size[gb] + member[b])
+        weights.append(w)
+
+    near: list[set[int]] = [set() for _ in by_id]
+    for key in offset:
+        ga, gb = divmod(key, num)
+        near[ga].add(gb)
+        near[gb].add(ga)
+    colour = [-1] * num
+    for g in sorted(range(num), key=lambda g: (-len(near[g]), g)):
+        if size[g] > 1:
+            taken = {colour[h] for h in near[g]}
+            colour[g] = next(c for c in count() if c not in taken)
+    ranked = sorted(range(num), key=lambda g: (colour[g], g))
+    rank = [0] * num
+    for r, g in enumerate(ranked):
+        rank[g] = r
+
+    members = [by_id[g] for g in ranked]
+    tables = np.zeros(end)
+    tables[:n] = [diag[v] for m in members for v in m]
+    tables[at] = weights
+    edges = {(rank[key // num], rank[key % num]): lo for key, lo in offset.items()}
+    return _OneHotModel(members, [colour[g] for g in ranked], tables, edges)
 
 
 @dataclass(frozen=True)
@@ -165,53 +260,27 @@ class _OneHotLayout:
     peak: float
 
 
-def _one_hot_layout(model, groups, terms=None) -> _OneHotLayout:
-    """Group the model's variables by label and colour the groups greedily.
-    `terms` is `_terms(model)` when the caller has it."""
+def _one_hot_layout(model, one_hot: _OneHotModel) -> _OneHotLayout:
+    """The annealer's arrays for `one_hot`, a grouping of `model`: its groups
+    in rank order, their members in ascending order."""
     n = model.num_vars
-    labels = np.asarray(groups)
-    if labels.shape != (n,):
-        raise ValueError(f"groups must label each of the {n} variables once")
-    gid = np.unique(labels, return_inverse=True)[1].reshape(n)
-    num_groups = int(gid.max()) + 1
-    keys, values = terms or _terms(model)
-    a, b = keys[:, 0], keys[:, 1]
-    linear = a == b
-    cross = gid[a] != gid[b]
-    a, b, w = a[cross], b[cross], values[cross]
-    # The peak |coupling between groups|, or the peak |coefficient| when the
-    # groups share no coupling.
-    peak = float(np.abs(w if len(w) else values).max(initial=0.0))
-
-    # Greedy colouring of the groups that can move, most constrained first.
-    size = np.bincount(gid, minlength=num_groups)
-    touching: list[set[int]] = [set() for _ in range(num_groups)]
-    for ga, gb in set(zip(gid[a].tolist(), gid[b].tolist())):
-        touching[ga].add(gb)
-        touching[gb].add(ga)
-    colour = np.full(num_groups, -1)
-    for g in sorted(range(num_groups), key=lambda g: (-len(touching[g]), g)):
-        if size[g] > 1:
-            taken = {colour[h] for h in touching[g]}
-            colour[g] = next(c for c in range(num_groups) if c not in taken)
-
-    # Groups in class order (the ones that never move first), then variables
-    # in group order.
-    rank = np.empty(num_groups, dtype=np.intp)
-    rank[np.lexsort((np.arange(num_groups), colour))] = np.arange(num_groups)
-    order = np.lexsort((np.arange(n), rank[gid]))
+    order = np.fromiter(chain.from_iterable(one_hot.members), dtype=np.intp, count=n)
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
-    size = size[np.argsort(rank)]
-    first = np.concatenate(([0], np.cumsum(size)[:-1]))
-    ranked = np.sort(colour)
-    classes = [(int(np.searchsorted(ranked, c)), int(np.searchsorted(ranked, c, "right")))
+    size = np.array([len(m) for m in one_hot.members], dtype=np.intp)
+    group = np.repeat(np.arange(len(size)), size)[position]
+    keys, values = _terms(model)
+    a, b = keys[:, 0], keys[:, 1]
+    cross = group[a] != group[b]
+    # The peak |coupling between groups|, or the peak |coefficient| when the
+    # groups share no coupling.
+    peak = float(np.abs(values[cross] if cross.any() else values).max(initial=0.0))
+    colour = np.array(one_hot.colour)
+    classes = [(int(np.searchsorted(colour, c)), int(np.searchsorted(colour, c, "right")))
                for c in range(int(colour.max()) + 1)]
-
-    diag = np.zeros(n)
-    diag[position[keys[linear, 0]]] = values[linear]
-    pairs = np.stack((position[a], position[b]), axis=1)
-    return _OneHotLayout(order, first, size, classes, diag, pairs, w, peak)
+    pairs = np.stack((position[a[cross]], position[b[cross]]), axis=1)
+    return _OneHotLayout(order, np.cumsum(size) - size, size, classes, one_hot.tables[:n],
+                         pairs, values[cross], peak)
 
 
 def _neighbour_rows(layout: _OneHotLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -355,36 +424,41 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     """The model's lowest one-hot states found, exactly or by annealing.
 
     `groups` labels each variable, and every state sets exactly one
-    variable per group. When `_eliminate` fits its table cap, or else
-    `_eliminate_lazily`'s rounds do, the state at the one-hot minimum is
-    the only sample, with 0 occurrences: no read runs. The lazy rounds read
-    the labels as integers, two steps of one robot being consecutive.
-    Otherwise it anneals, reading `_BETA_RANGE` per unit of the
-    largest |coupling between groups| (the peak |coefficient| when groups
-    share none), so scaling the model by a positive factor leaves its
-    samples unchanged up to the rounding of β. Its occurrences then count
-    all `cfg.num_reads` reads. A model with no variables runs no read.
+    variable per group. The model is read once, into `_OneHotModel`. When
+    `_eliminate` fits its table cap, or else `_eliminate_lazily`'s rounds
+    do, the state at the one-hot minimum is the only sample, with 0
+    occurrences and `model.energy` as its energy: no read runs, and no
+    annealer array is built. The lazy rounds read the labels as integers,
+    two steps of one robot being consecutive. Otherwise it anneals,
+    reading `_BETA_RANGE` per unit of the largest |coupling between groups|
+    (the peak |coefficient| when groups share none), so scaling the model
+    by a positive factor leaves its samples unchanged up to the rounding of
+    β. Its occurrences then count all `cfg.num_reads` reads. A model with
+    no variables runs no read.
     """
     if groups is None:
         raise ValueError("solve needs each variable's group")
     if model.num_vars == 0:
         return SampleSet([Sample((), model.constant, 0)])
-    terms = _terms(model)
-    layout = _one_hot_layout(model, groups, terms)
-    state = _eliminate(layout)
-    if state is None:
-        state = _eliminate_lazily(layout, np.asarray(groups)[layout.order])
-    if state is not None:
-        # The one-hot minimum: no read could end below it, so none runs.
-        return _collect(model, dict.fromkeys(_tally(layout, state[None]), 0), terms)
-    return _anneal(model, layout, cfg, terms)
+    one_hot = _one_hot_model(model, groups)
+    chosen = _eliminate(one_hot)
+    if chosen is None:
+        chosen = _eliminate_lazily(one_hot, np.asarray(groups))
+    if chosen is None:
+        return _anneal(model, one_hot, cfg)
+    # The one-hot minimum: no read could end below it, so none runs.
+    ones = [m[c] for m, c in zip(one_hot.members, chosen)]
+    bits = [0] * model.num_vars
+    for v in ones:
+        bits[v] = 1
+    return SampleSet([Sample(tuple(bits), model.energy(ones), 0)])
 
 
-def _eliminate_lazily(layout: _OneHotLayout, labels: np.ndarray) -> np.ndarray | None:
-    """A one-hot state at the lowest one-hot energy of `layout`, as
+def _eliminate_lazily(one_hot: _OneHotModel, labels: np.ndarray) -> list[int] | None:
+    """A one-hot state at the lowest one-hot energy of `one_hot`, as
     `_eliminate` returns, found by adding the collision couplings lazily so
     that its tables can stay within the cap; None when a round's own tables
-    exceed it. `labels` holds each internal variable's group label, robot *
+    exceed it. `labels` holds each variable's group label, robot *
     (horizon + 1) + t in a window.
 
     Each round drops the positive couplings between groups whose labels
@@ -392,33 +466,46 @@ def _eliminate_lazily(layout: _OneHotLayout, labels: np.ndarray) -> np.ndarray |
     of a robot's own cells) that no earlier round fired, eliminates the
     rest, and adds back the dropped couplings its state fires. Dropping
     positive terms can only lower an energy, so a state that fires none is
-    at the lowest one-hot energy of the whole layout. Each round adds at
+    at the lowest one-hot energy of the whole model. Each round adds at
     least one coupling, so the rounds end. This is Conflict-Based Search's
     lazy treatment of conflicts (Sharon et al., Artif. Intell. 219, 40,
     2015), or constraint generation (Lam et al., IJCAI 2019).
     """
-    a, b = layout.pairs[:, 0], layout.pairs[:, 1]
-    lazy = (layout.pair_weight > 0) & (np.abs(labels[a] - labels[b]) > 1)
+    seq = labels.tolist()
+    label = [seq[m[0]] for m in one_hot.members]
+    sizes = [len(m) for m in one_hot.members]
+    tables, edges = one_hot.tables, one_hot.edges
+    # The table offsets of each pair's dropped couplings, and how many
+    # couplings the pair holds.
+    lazy: dict[tuple[int, int], tuple[set[int], int]] = {}
+    for (g, h), lo in edges.items():
+        if abs(label[g] - label[h]) > 1:
+            table = tables[lo:lo + sizes[g] * sizes[h]]
+            lazy[g, h] = set((lo + np.flatnonzero(table > 0)).tolist()), np.count_nonzero(table)
     while True:
-        keep = ~lazy
-        state = _eliminate(replace(layout, pairs=layout.pairs[keep],
-                                   pair_weight=layout.pair_weight[keep]))
-        if state is None:
+        kept = tables.copy()
+        kept[list(chain.from_iterable(dropped for dropped, _ in lazy.values()))] = 0.0
+        chosen = _eliminate(replace(one_hot, tables=kept, edges={
+            pair: lo for pair, lo in edges.items()
+            if pair not in lazy or len(lazy[pair][0]) < lazy[pair][1]}))
+        if chosen is None:
             return None
-        on = np.zeros(len(labels), dtype=bool)
-        on[state] = True
-        fired = lazy & on[a] & on[b]
-        if not fired.any():
-            return state
-        lazy &= ~fired
+        fired = False
+        for (g, h), (dropped, _) in lazy.items():
+            at = edges[g, h] + chosen[g] * sizes[h] + chosen[h]
+            if at in dropped:
+                dropped.remove(at)
+                fired = True
+        if not fired:
+            return chosen
 
 
-def _anneal(model, layout: _OneHotLayout, cfg: SolverConfig, terms=None) -> SampleSet:
-    """The annealer's sample set over all `cfg.num_reads` reads. `terms` is
-    `_terms(model)` when the caller has it."""
+def _anneal(model, one_hot: _OneHotModel, cfg: SolverConfig) -> SampleSet:
+    """The annealer's sample set over all `cfg.num_reads` reads."""
+    layout = _one_hot_layout(model, one_hot)
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
     betas = np.geomspace(*_BETA_RANGE, cfg.sweeps) * scale
-    return _collect(model, _tally(layout, _anneal_one_hot(layout, cfg, betas)), terms)
+    return _collect(model, _tally(layout, _anneal_one_hot(layout, cfg, betas)))
 
 
 def _tally(layout: _OneHotLayout, states: np.ndarray) -> dict[tuple[int, ...], int]:
@@ -432,11 +519,10 @@ def _tally(layout: _OneHotLayout, states: np.ndarray) -> dict[tuple[int, ...], i
     return counts
 
 
-def _eliminate(layout: _OneHotLayout) -> np.ndarray | None:
+def _eliminate(one_hot: _OneHotModel) -> list[int] | None:
     """A one-hot state at the lowest one-hot energy of the model that
-    `layout` regroups (one chosen internal variable per group, as the
-    annealer's states hold), or None when an elimination table would
-    exceed `_EXACT_TABLE_CAP` entries.
+    `one_hot` groups, as the member chosen in each group, or None when an
+    elimination table would exceed `_EXACT_TABLE_CAP` entries.
 
     This is min-sum bucket elimination over the groups (Dechter, Artif.
     Intell. 113, 41, 1999). A one-hot state's energy is the constant, one
@@ -445,45 +531,38 @@ def _eliminate(layout: _OneHotLayout) -> np.ndarray | None:
     groups a table over both. Every table entry holds the lowest sum over
     the groups already eliminated into it. Each group also keeps a member
     at its lowest sum for every assignment of the groups eliminated after
-    it, the highest-indexed one among ties, as the annealer's tied samples
-    sort (`_collect` ranks them by bits, and a set bit later in a group
-    sorts first); read back in reverse order, they give the state.
+    it, the highest one among ties, as the annealer's tied samples sort
+    (`_collect` ranks them by bits, and a set bit later in a group sorts
+    first); read back in reverse order, they give the state. A group's
+    bucket holds its diagonal, then its pair tables in (rank, rank) order,
+    then the tables eliminated into it as they arrive, and ties follow the
+    group ranks, so the colouring sets the tie order.
     """
-    size, first = layout.size, layout.first
-    num_groups = len(size)
-    group = np.repeat(np.arange(num_groups), size)
-    member = np.arange(len(group)) - first[group]
-    a, b = layout.pairs[:, 0], layout.pairs[:, 1]
-    ga, gb = group[a], group[b]
-    edges, edge_of = np.unique(np.minimum(ga, gb) * num_groups + np.maximum(ga, gb),
-                               return_inverse=True)
-    sizes = size.tolist()
-    plan = _elimination_plan(sizes, (edges // num_groups).tolist(),
-                             (edges % num_groups).tolist())
+    tables, edges = one_hot.tables, one_hot.edges
+    sizes = [len(m) for m in one_hot.members]
+    plan = _elimination_plan(sizes, edges)
     if plan is None:
         return None
-    rank = np.empty(num_groups, dtype=np.intp)
-    rank[[g for g, _ in plan]] = np.arange(num_groups)
+    # Each group's place in the elimination order.
+    step = [0] * len(sizes)
+    for i, (g, _) in enumerate(plan):
+        step[g] = i
 
-    # Every pair table in one flat array, rows for the group eliminated first.
-    head = np.where(rank[ga] < rank[gb], a, b)
-    tail = a + b - head
-    heads = np.empty(len(edges), dtype=np.intp)
-    tails = np.empty(len(edges), dtype=np.intp)
-    heads[edge_of], tails[edge_of] = group[head], group[tail]
-    spans = size[heads] * size[tails]
-    starts = np.cumsum(spans) - spans
-    flat = np.bincount(starts[edge_of] + member[head] * size[group[tail]] + member[tail],
-                       layout.pair_weight, int(spans.sum()))
-    buckets: list[list] = [[((g,), layout.diag[lo:lo + sizes[g]])]
-                           for g, lo in enumerate(first.tolist())]
-    for g, h, lo, span in zip(heads.tolist(), tails.tolist(), starts.tolist(), spans.tolist()):
-        buckets[g].append(((g, h), flat[lo:lo + span].reshape(sizes[g], sizes[h])))
+    buckets: list[list] = []
+    for g, lo in enumerate(accumulate(sizes[:-1], initial=0)):
+        buckets.append([((g,), tables[lo:lo + sizes[g]])])
+    # Each pair table, in (lower rank, higher rank) order, in the bucket of
+    # the group eliminated first, with a row per member of that group.
+    for g, h in sorted(edges, key=sorted):
+        lo = edges[g, h]
+        table = tables[lo:lo + sizes[g] * sizes[h]].reshape(sizes[g], sizes[h])
+        if step[g] > step[h]:
+            g, h, table = h, g, table.T
+        buckets[g].append(((g, h), table))
 
-    rank = rank.tolist()
     argmins = []
     for g, near in plan:
-        scope = [g, *sorted(near, key=rank.__getitem__)]
+        scope = [g, *sorted(near, key=step.__getitem__)]
         low = None
         for part, table in buckets[g]:
             if len(part) < len(scope):
@@ -492,18 +571,19 @@ def _eliminate(layout: _OneHotLayout) -> np.ndarray | None:
         argmins.append((scope, len(low) - 1 - low[::-1].argmin(axis=0)))
         if len(scope) > 1:
             buckets[scope[1]].append((tuple(scope[1:]), low.min(axis=0)))
-    chosen = np.empty(num_groups, dtype=np.intp)
+    chosen = [0] * len(sizes)
     for scope, argmin in reversed(argmins):
-        chosen[scope[0]] = argmin[tuple(chosen[scope[1:]])]
-    return first + chosen
+        chosen[scope[0]] = int(argmin[tuple(chosen[u] for u in scope[1:])])
+    return chosen
 
 
-def _elimination_plan(size: list[int], heads: list[int], tails: list[int]):
-    """Each group in min-degree elimination order on the group graph, with
-    its neighbours when eliminated; None when eliminating a group would
-    build a table of more than `_EXACT_TABLE_CAP` entries."""
+def _elimination_plan(size: list[int], edges):
+    """Each group in min-degree elimination order on the graph of `edges`,
+    (group, group) pairs, with its neighbours when eliminated; None when
+    eliminating a group would build a table of more than `_EXACT_TABLE_CAP`
+    entries."""
     near: list[set[int]] = [set() for _ in size]
-    for g, h in zip(heads, tails):
+    for g, h in edges:
         near[g].add(h)
         near[h].add(g)
     queue = [(len(n), g) for g, n in enumerate(near)]

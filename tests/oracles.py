@@ -46,9 +46,8 @@ from quboplan.solvers import (
     _eliminate,
     _energies,
     _neighbour_rows,
-    _one_hot_layout,
+    _one_hot_model,
     _OneHotLayout,
-    _tally,
 )
 
 # The most variables `solve_exhaustive` enumerates, and the codes it scores
@@ -530,12 +529,12 @@ def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7) -> 
     agreed = 0
     details = []
     for model, groups in random_instances(samples, seed, robots=2, max_vars=200, loopy=True):
-        layout = _one_hot_layout(model, groups)
-        ground = _collect(model, _tally(layout, _eliminate(layout)[None])).best.energy
+        one_hot = _one_hot_model(model, groups)
+        ground = model.energy(_eliminate(one_hot))
         hits = 0
         for run in range(runs_per_sample):
             sub = derive_seed(seed, total + run)
-            result = _anneal(model, layout, SolverConfig(seed=sub))
+            result = _anneal(model, one_hot, SolverConfig(seed=sub))
             hits += result.best.energy <= cut(ground)
         total += runs_per_sample
         agreed += hits

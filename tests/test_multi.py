@@ -37,10 +37,13 @@ CORRIDOR1_PLANS_SHA256 = "96f7005f4ca92ddec8cdb2cca7d3b4208310fbcc9a4518ea070897
 CITY0_STEPS_SHA256 = "0b7e0d3d141882e2059a897e459e377eccbe9bff488174d8f8076f737db00110"
 CORRIDOR1_STEPS_SHA256 = "ec040e48a8442fd4d6660ab60c0805dad52d50b97fd502cd3522cadcf640dee4"
 # Plans and total moves of `shipped(scenarios, 0)`, the traffic the acceptance
-# tests were tuned on. This pins its lengths, not its paths: equal-energy
-# optima may trade one shortest path for another.
+# tests were tuned on, and the same digest as `CITY0_PLANS_SHA256` over its
+# plans. No window of it is annealed, so exact elimination decides every path,
+# tied minima included, and the digest pins each window's `best_energy` and
+# histogram too.
 SHIPPED0_PLANS = 54
 SHIPPED0_MOVES = 1003
+SHIPPED0_PLANS_SHA256 = "087043901a5721b7ab5b7a76cca4a3fa85a216c7a9da65859299a419bdf941a9"
 
 
 def _steps_json(result) -> bytes:
@@ -262,14 +265,17 @@ def test_no_city_robot_wanders_past_twice_its_distance_to_the_goal(corpus, name)
 def test_shipped_corpus_plans_stay_valid_at_their_length():
     scenarios = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
     valid = moves = 0
+    shipped_plans = hashlib.sha256()
     for inst in shipped(scenarios, 0):
         result = plan_multi(inst.grid, inst.robots, weights=inst.weights,
                             window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
+        shipped_plans.update(json.dumps(result.to_json(), sort_keys=True).encode())
         steps = {p.robot: p.steps for p in result.plans}
         if result.succeeded and check_plans(inst.grid, inst.robots, steps) == []:
             valid += 1
             moves += sum(p.moves for p in result.plans)
     assert (valid, moves) == (SHIPPED0_PLANS, SHIPPED0_MOVES)
+    assert shipped_plans.hexdigest() == SHIPPED0_PLANS_SHA256
 
 
 def test_corridor_plans_are_decided_by_presolve_and_unchanged():

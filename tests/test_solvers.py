@@ -148,7 +148,12 @@ def test_annealer_needs_groups():
 def _anneal(model, groups, cfg):
     """The annealer itself, all `cfg.num_reads` reads, as `solve` runs it
     on a model above the table cap."""
-    return solvers._anneal(model, solvers._one_hot_layout(model, groups), cfg)
+    return solvers._anneal(model, solvers._one_hot_model(model, groups), cfg)
+
+
+def _layout(model, groups):
+    """The annealer's layout of the model, grouped as `solve` groups it."""
+    return solvers._one_hot_layout(model, solvers._one_hot_model(model, groups))
 
 
 def test_annealer_deterministic_for_fixed_seed(monkeypatch):
@@ -178,14 +183,16 @@ def _assert_eliminated(result, model, groups):
     assert result.best.energy == pytest.approx(lowest, abs=1e-9)
 
 
-def _state_bits(layout, state):
-    """The model bits of one state of internal variables, one per group."""
-    (bits, _), = solvers._tally(layout, state[None]).items()
-    return bits
+def _state_bits(one_hot, state):
+    """The model bits of one state, the member chosen in each group."""
+    bits = [0] * sum(map(len, one_hot.members))
+    for members, chosen in zip(one_hot.members, state):
+        bits[members[chosen]] = 1
+    return tuple(bits)
 
 
-def _state_energy(model, layout, state):
-    return model.energy({v for v, b in enumerate(_state_bits(layout, state)) if b})
+def _state_energy(model, one_hot, state):
+    return model.energy({v for v, b in enumerate(_state_bits(one_hot, state)) if b})
 
 
 def test_sampleset_energies_reverify_and_occurrences_sum():
@@ -209,7 +216,7 @@ def test_metropolis_equilibrium_statistics():
     m.add(1, 1, 0.5)
     m.add(2, 2, 1.0)
     cfg = SolverConfig(seed=8, num_reads=4000, sweeps=60)
-    layout = solvers._one_hot_layout(m, (0, 0, 0))
+    layout = _layout(m, (0, 0, 0))
     held = layout.order[solvers._anneal_one_hot(layout, cfg, np.full(60, beta))[:, 0]]
     weights = np.exp(-beta * np.array([0.0, 0.5, 1.0]))
     for member, expected in enumerate(weights / weights.sum()):
@@ -308,7 +315,7 @@ def _betas(layout, sweeps, beta_range=None):
 
 
 def _full_run(model, groups, cfg):
-    layout = solvers._one_hot_layout(model, groups)
+    layout = _layout(model, groups)
     return layout, solvers._anneal_one_hot(layout, cfg, _betas(layout, cfg.sweeps))
 
 
@@ -441,11 +448,12 @@ def test_a_tied_chain_takes_the_highest_member_of_each_group():
         for u in range(3 * g, 3 * g + 3):
             for v in range(3 * g + 3, 3 * g + 6):
                 model.add(u, v, -0.5)
-    layout = solvers._one_hot_layout(model, groups)
-    state = solvers._eliminate(layout)
+    one_hot = solvers._one_hot_model(model, groups)
+    state = solvers._eliminate(one_hot)
     assert one_hot_two_lowest(model, groups)[:2] == (-1.0, -1.0)
     last = (0, 0, 1) * 3
-    assert _state_bits(layout, state) == last
+    assert _state_bits(one_hot, state) == last
+    layout = solvers._one_hot_layout(model, one_hot)
     every_state = np.array(list(np.ndindex(3, 3, 3))) + layout.first
     assert solvers._collect(model, solvers._tally(layout, every_state)).best.bits == last
     assert _draws(solve(model, SolverConfig(), groups=groups)) == [(last, 0)]
@@ -494,11 +502,11 @@ def test_elimination_matches_one_hot_enumeration_on_random_models():
                                   span=int(rng.choice([2, 16])))
         model.constant = float(rng.integers(-3, 4))
         lowest, second, argmin = one_hot_two_lowest(model, groups)
-        layout = solvers._one_hot_layout(model, groups)
-        state = solvers._eliminate(layout)
-        assert _state_energy(model, layout, state) == pytest.approx(lowest, abs=1e-9)
+        one_hot = solvers._one_hot_model(model, groups)
+        state = solvers._eliminate(one_hot)
+        assert _state_energy(model, one_hot, state) == pytest.approx(lowest, abs=1e-9)
         if cut(lowest) < second:
-            assert _state_bits(layout, state) == argmin
+            assert _state_bits(one_hot, state) == argmin
         seen.add("tie" if second == lowest else "gap")
         seen.add("forest" if group_graph_is_forest(model, groups) else "cycle")
         if 1 in sizes:
@@ -511,24 +519,24 @@ def test_elimination_matches_one_hot_enumeration_on_random_models():
 def test_elimination_matches_exhaustive_on_pipeline_windows():
     unique = 0
     for model, groups in random_instances(40, 7):
-        layout = solvers._one_hot_layout(model, groups)
-        state = solvers._eliminate(layout)
+        one_hot = solvers._one_hot_model(model, groups)
+        state = solvers._eliminate(one_hot)
         exact = solve_exhaustive(model)
-        assert _state_energy(model, layout, state) == pytest.approx(exact.best.energy, abs=1e-9)
+        assert _state_energy(model, one_hot, state) == pytest.approx(exact.best.energy, abs=1e-9)
         if len(exact) == 1:
             unique += 1
-            assert _state_bits(layout, state) == exact.best.bits
+            assert _state_bits(one_hot, state) == exact.best.bits
     assert unique > 0
 
 
 # Among tied minima `_eliminate`'s state follows the elimination order, and so
-# the group order that `_one_hot_layout`'s colouring sets. Eliminating the
+# the group order that `_one_hot_model`'s colouring sets. Eliminating the
 # groups in label order instead passes every other test; it moves city(10)'s
 # block12x3#4 onto other paths of the same length, and it takes a window of
 # city(14)'s open12x3#5 above the cap, which the lazy rounds then answer on
 # the same paths. city(14)'s block12x4#6 fails its bounded first try, and
 # its first-reach fallback lies above the cap, so its tie order is that of
-# the lazy rounds' last relaxed layout. That window's three first-reach
+# the lazy rounds' last relaxed tables. That window's three first-reach
 # tries end at the energies the annealer reached, at other tied states,
 # after which robot 1 takes 19 moves, not 15.
 # These plans' paths pin the tie order.
@@ -590,19 +598,19 @@ def _window_outcomes(monkeypatch, plan_all):
     listed by its model's size, with both energies."""
     outcomes, misses = Counter(), []
     for model, cfg, groups, result in _solved_windows(monkeypatch, plan_all):
-        layout = solvers._one_hot_layout(model, groups)
-        state = solvers._eliminate(layout)
+        one_hot = solvers._one_hot_model(model, groups)
+        state = solvers._eliminate(one_hot)
         above = state is None
         if above:
-            state = solvers._eliminate_lazily(layout, np.asarray(groups)[layout.order])
+            state = solvers._eliminate_lazily(one_hot, np.asarray(groups))
             assert state is not None, "a lazy round exceeded the cap"
-        lowest = _state_energy(model, layout, state)
+        lowest = _state_energy(model, one_hot, state)
         assert [s.occurrences for s in result] == [0]
         assert result.best.energy == lowest
         if not above and group_graph_is_forest(model, groups):
             outcomes["forest"] += 1
             continue
-        annealed = solvers._anneal(model, layout, cfg).best.energy
+        annealed = solvers._anneal(model, one_hot, cfg).best.energy
         assert annealed >= lowest - 1e-9 * max(1.0, abs(lowest))
         where = "at the minimum" if annealed <= cut(lowest) else "above the minimum"
         outcomes["above the cap, " * above + where] += 1
@@ -653,37 +661,56 @@ def test_no_plan_of_the_benchmark_traffic_anneals(monkeypatch):
     assert len(instances) > 12
 
 
-def _layout_energy(layout, state) -> float:
-    """The energy of a one-hot state under the couplings `layout` keeps,
-    without the model's constant."""
-    on = np.zeros(len(layout.order), dtype=bool)
-    on[state] = True
-    fired = on[layout.pairs[:, 0]] & on[layout.pairs[:, 1]]
-    return float(layout.diag[state].sum() + layout.pair_weight[fired].sum())
+def test_exact_solves_build_no_annealer_array(monkeypatch):
+    # `solve` answers every window of `shipped(0)` and `city(0)` exactly
+    # from the one-hot model: neither the annealer's layout nor the term
+    # arrays that score its samples are built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact solve built an annealer array")
+
+    monkeypatch.setattr(solvers, "_one_hot_layout", refuse)
+    monkeypatch.setattr(solvers, "_terms", refuse)
+    backends = Counter()
+    for inst in [*shipped(SCENARIOS, 0), *city(0)]:
+        result = plan_multi(inst.grid, inst.robots, weights=inst.weights,
+                            window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
+        assert result.succeeded, inst.name
+        backends.update(w.backend for w in result.windows)
+    assert backends["exact"] > 0 and backends["annealer"] == 0
+
+
+def _kept_energy(one_hot, state) -> float:
+    """The energy of a one-hot state under the couplings `one_hot` keeps,
+    without the model's constant: its diagonal entries and, for each pair
+    of groups, the entry of its table at the two chosen members."""
+    sizes = [len(m) for m in one_hot.members]
+    firsts = np.cumsum(sizes) - sizes
+    fired = [lo + state[g] * sizes[h] + state[h] for (g, h), lo in one_hot.edges.items()]
+    return float(one_hot.tables[firsts + state].sum() + one_hot.tables[fired].sum())
 
 
 def _lazy_rounds(model, groups, monkeypatch):
-    """`_eliminate_lazily` forced on a model: the layout, the final state,
-    and each round's relaxed energy at its own state."""
-    layout = solvers._one_hot_layout(model, groups)
+    """`_eliminate_lazily` forced on a model: the one-hot model, the final
+    state, and each round's relaxed energy at its own state."""
+    one_hot = solvers._one_hot_model(model, groups)
     rounds, eliminate = [], solvers._eliminate
 
     def recorded(relaxed):
         state = eliminate(relaxed)
-        rounds.append(None if state is None else _layout_energy(relaxed, state))
+        rounds.append(None if state is None else _kept_energy(relaxed, state))
         return state
 
     with monkeypatch.context() as m:
         m.setattr(solvers, "_eliminate", recorded)
-        state = solvers._eliminate_lazily(layout, np.asarray(groups)[layout.order])
-    return layout, state, rounds
+        state = solvers._eliminate_lazily(one_hot, np.asarray(groups))
+    return one_hot, state, rounds
 
 
-def _assert_rounds_bound(layout, state, rounds, lowest):
+def _assert_rounds_bound(one_hot, state, rounds, lowest):
     """Check that the last round ends at `lowest` (without the constant),
     and that every round's relaxed energy is at most the one after it."""
     assert None not in rounds
-    assert _layout_energy(layout, state) == pytest.approx(lowest, abs=1e-9)
+    assert _kept_energy(one_hot, state) == pytest.approx(lowest, abs=1e-9)
     assert rounds[-1] == pytest.approx(lowest, abs=1e-9)
     for low, high in zip(rounds, rounds[1:]):
         assert low <= high + 1e-9
@@ -697,15 +724,15 @@ def test_lazy_rounds_reach_the_exact_minimum_within_the_cap(monkeypatch, first_r
     seen = Counter()
     small = [*random_instances(30, 7), *random_instances(20, 7, robots=2)]
     for model, groups in small:
-        layout, state, rounds = _lazy_rounds(model, groups, monkeypatch)
+        one_hot, state, rounds = _lazy_rounds(model, groups, monkeypatch)
         exact = solve_exhaustive(model).best.energy - model.constant
-        _assert_rounds_bound(layout, state, rounds, exact)
+        _assert_rounds_bound(one_hot, state, rounds, exact)
         seen[min(len(rounds), 2)] += 1
     shipped_windows = _solved_windows(monkeypatch, _plan_shipped)
     for model, _, groups, _ in shipped_windows:
-        layout, state, rounds = _lazy_rounds(model, groups, monkeypatch)
-        lowest = _layout_energy(layout, solvers._eliminate(layout))
-        _assert_rounds_bound(layout, state, rounds, lowest)
+        one_hot, state, rounds = _lazy_rounds(model, groups, monkeypatch)
+        lowest = _kept_energy(one_hot, solvers._eliminate(one_hot))
+        _assert_rounds_bound(one_hot, state, rounds, lowest)
         seen[min(len(rounds), 2)] += 1
     assert len(shipped_windows) == 7
     assert set(seen) == {1, 2}
@@ -716,9 +743,9 @@ def test_lazy_rounds_bound_the_minimum_above_the_cap(monkeypatch):
     # the cap; each round's relaxed energy is at most the one it ends at.
     seen = set()
     for model, _, groups, result in _solved_windows(monkeypatch, _plan_city(14, "block12x4#6")):
-        if solvers._eliminate(solvers._one_hot_layout(model, groups)) is None:
-            layout, state, rounds = _lazy_rounds(model, groups, monkeypatch)
-            _assert_rounds_bound(layout, state, rounds, result.best.energy - model.constant)
+        if solvers._eliminate(solvers._one_hot_model(model, groups)) is None:
+            one_hot, state, rounds = _lazy_rounds(model, groups, monkeypatch)
+            _assert_rounds_bound(one_hot, state, rounds, result.best.energy - model.constant)
             seen.add(len(rounds) > 1)
     assert seen == {True}
 
@@ -749,9 +776,9 @@ def _lazy_triangle(second=0.0, coupling=3.0):
 def test_lazy_rounds_end_at_the_minimum_of_a_small_triangle(second, coupling, rounds,
                                                            monkeypatch):
     model, groups = _lazy_triangle(second, coupling)
-    layout, state, seen = _lazy_rounds(model, groups, monkeypatch)
+    one_hot, state, seen = _lazy_rounds(model, groups, monkeypatch)
     lowest, _, _ = one_hot_two_lowest(model, groups)
-    _assert_rounds_bound(layout, state, seen, lowest)
+    _assert_rounds_bound(one_hot, state, seen, lowest)
     assert seen == rounds
 
 
@@ -772,7 +799,7 @@ def test_city0_wide_window_is_answered_exactly(monkeypatch, first_reach):
     # the annealer ran at the benchmark's traffic until the lazy rounds took
     # it; the goal bound brings it within the cap.
     (model, _, groups, result), *_ = _solved_windows(monkeypatch, _plan_city(0, "block12x4#6"))
-    assert solvers._eliminate(solvers._one_hot_layout(model, groups)) is None
+    assert solvers._eliminate(solvers._one_hot_model(model, groups)) is None
     assert [s.occurrences for s in result] == [0]
     assert round(result.best.energy, 3) == -23.434
 
@@ -797,19 +824,19 @@ def test_elimination_gives_up_above_the_table_cap(sizes, fits):
     # Eliminating either group builds a table over both.
     assert math.prod(sizes) - solvers._EXACT_TABLE_CAP in (0, 256)
     model, groups = _clique(sizes)
-    layout = solvers._one_hot_layout(model, groups)
-    state = solvers._eliminate(layout)
-    assert (_state_energy(model, layout, state) == -2.0) if fits else state is None
+    one_hot = solvers._one_hot_model(model, groups)
+    state = solvers._eliminate(one_hot)
+    assert (_state_energy(model, one_hot, state) == -2.0) if fits else state is None
 
 
 def test_elimination_gives_up_before_building_a_table():
     # Five groups of 40: the first elimination needs 40^5 entries, and the
     # ten pair tables alone would take 10 x 1,600 x 8 bytes.
     model, groups = _clique([40] * 5)
-    layout = solvers._one_hot_layout(model, groups)
+    one_hot = solvers._one_hot_model(model, groups)
     tracemalloc.start()
     try:
-        assert solvers._eliminate(layout) is None
+        assert solvers._eliminate(one_hot) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -879,7 +906,7 @@ def test_sample_energies_repeat_model_energy_bit_for_bit():
 def _assert_kernels_agree(model, groups, cfg, beta_range=None):
     """Check that the kernel and the reference kernel end every read in the
     same state under the same β; return the layout they ran on."""
-    layout = solvers._one_hot_layout(model, groups)
+    layout = _layout(model, groups)
     betas = _betas(layout, cfg.sweeps, beta_range)
     assert np.array_equal(solvers._anneal_one_hot(layout, cfg, betas),
                           anneal_one_hot(layout, cfg, betas))
@@ -922,7 +949,7 @@ def test_annealing_memory_stays_within_the_random_budget():
     # per-read table left out of the count fails here. `solve` answers that
     # window by elimination, so the kernel runs them directly.
     model, cfg, groups = _first_window("multi10_2")
-    layout = solvers._one_hot_layout(model, groups)
+    layout = _layout(model, groups)
     tracemalloc.start()
     try:
         solvers._anneal_one_hot(layout, cfg, _betas(layout, cfg.sweeps))

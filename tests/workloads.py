@@ -5,9 +5,12 @@ the planner fares on them. Run from the repository root:
 
 It plans every instance of every set below and prints one row per set:
 the plans that pass `perfbench.checker`, their summed moves, the window
-tries, the windows with a failed try, the solves the annealer answered, and
-a hash of every path of the set, failed plans included, so two versions of
-the planner can be compared path for path.
+tries, the windows with a failed try, the solves the annealer answered, a
+hash of every path of the set, failed plans included, so two versions of
+the planner can be compared path for path, and the set's wall time in
+seconds, planning and checking every instance (the checker takes under 1 %
+of it), so two versions can be compared for speed on sets the benchmark
+does not run. The time is one run's, on whatever machine runs the script.
 
 The sets:
 
@@ -34,6 +37,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -204,10 +208,12 @@ def summary(instances) -> dict:
     planner.solve = counted
     try:
         row = {"instances": 0, "plans": 0, "moves": 0, "windows": 0, "tries": 0,
-               "failed_try": 0}
+               "failed_try": 0, "seconds": 0.0}
         paths = hashlib.sha256()
         for inst in instances:
+            started = time.perf_counter()
             result, errors = plan(inst)
+            row["seconds"] += time.perf_counter() - started
             row["instances"] += 1
             if result.succeeded and not errors:
                 row["plans"] += 1
@@ -225,13 +231,13 @@ def summary(instances) -> dict:
 
 def main() -> None:
     print("| Set | Plans | Moves | Tries | Windows with a failed try | Annealed solves "
-          "| Paths sha256 |")
-    print("|---|---|---|---|---|---|---|")
+          "| Paths sha256 | Seconds |")
+    print("|---|---|---|---|---|---|---|---|")
     for name, instances in SETS.items():
         r = summary(instances())
         print(f"| {name} | {r['plans']}/{r['instances']} | {r['moves']:,} | {r['tries']:,} "
-              f"| {r['failed_try']} of {r['windows']:,} | {r['annealed']} | {r['paths']} |",
-              flush=True)
+              f"| {r['failed_try']} of {r['windows']:,} | {r['annealed']} | {r['paths']} "
+              f"| {r['seconds']:.2f} |", flush=True)
 
 
 if __name__ == "__main__":
