@@ -447,11 +447,17 @@ def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
     if chosen is None:
         return _anneal(model, one_hot, cfg)
     # The one-hot minimum: no read could end below it, so none runs.
-    ones = [m[c] for m, c in zip(one_hot.members, chosen)]
+    ones = _ones(one_hot, chosen)
     bits = [0] * model.num_vars
     for v in ones:
         bits[v] = 1
     return SampleSet([Sample(tuple(bits), model.energy(ones), 0)])
+
+
+def _ones(one_hot: _OneHotModel, chosen: list[int]) -> list[int]:
+    """The model variables that `chosen`, the member chosen in each group as
+    `_eliminate` returns, sets."""
+    return [m[c] for m, c in zip(one_hot.members, chosen)]
 
 
 def _eliminate_lazily(one_hot: _OneHotModel, labels: np.ndarray) -> list[int] | None:
@@ -475,23 +481,23 @@ def _eliminate_lazily(one_hot: _OneHotModel, labels: np.ndarray) -> list[int] | 
     label = [seq[m[0]] for m in one_hot.members]
     sizes = [len(m) for m in one_hot.members]
     tables, edges = one_hot.tables, one_hot.edges
-    # The table offsets of each pair's dropped couplings, and how many
-    # couplings the pair holds.
-    lazy: dict[tuple[int, int], tuple[set[int], int]] = {}
+    # The table offsets of each pair's dropped couplings.
+    lazy: dict[tuple[int, int], set[int]] = {}
     for (g, h), lo in edges.items():
         if abs(label[g] - label[h]) > 1:
             table = tables[lo:lo + sizes[g] * sizes[h]]
-            lazy[g, h] = set((lo + np.flatnonzero(table > 0)).tolist()), np.count_nonzero(table)
+            lazy[g, h] = set((lo + np.flatnonzero(table > 0)).tolist())
     while True:
         kept = tables.copy()
-        kept[list(chain.from_iterable(dropped for dropped, _ in lazy.values()))] = 0.0
+        kept[list(chain.from_iterable(lazy.values()))] = 0.0
+        # A pair keeps its edge while its table holds a coupling.
         chosen = _eliminate(replace(one_hot, tables=kept, edges={
-            pair: lo for pair, lo in edges.items()
-            if pair not in lazy or len(lazy[pair][0]) < lazy[pair][1]}))
+            (g, h): lo for (g, h), lo in edges.items()
+            if (g, h) not in lazy or kept[lo:lo + sizes[g] * sizes[h]].any()}))
         if chosen is None:
             return None
         fired = False
-        for (g, h), (dropped, _) in lazy.items():
+        for (g, h), dropped in lazy.items():
             at = edges[g, h] + chosen[g] * sizes[h] + chosen[h]
             if at in dropped:
                 dropped.remove(at)

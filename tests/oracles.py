@@ -48,6 +48,7 @@ from quboplan.solvers import (
     _neighbour_rows,
     _one_hot_model,
     _OneHotLayout,
+    _ones,
 )
 
 # The most variables `solve_exhaustive` enumerates, and the codes it scores
@@ -530,7 +531,7 @@ def oracle_check(samples: int = 25, runs_per_sample: int = 4, seed: int = 7) -> 
     details = []
     for model, groups in random_instances(samples, seed, robots=2, max_vars=200, loopy=True):
         one_hot = _one_hot_model(model, groups)
-        ground = model.energy(_eliminate(one_hot))
+        ground = model.energy(_ones(one_hot, _eliminate(one_hot)))
         hits = 0
         for run in range(runs_per_sample):
             sub = derive_seed(seed, total + run)

@@ -1,6 +1,6 @@
 import pytest
 
-from workloads import bigger, dense, large, plan
+from workloads import bigger, dense, large, plan, random_probe, scale_probe, summary
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +35,17 @@ def test_the_large_and_bigger_sets_plan_every_instance_and_pass_the_checker(inst
     for inst, result, errors in planned:
         assert result.succeeded, inst.name
         assert errors == [], inst.name
+
+
+@pytest.mark.parametrize("instances, row", [
+    (scale_probe, {"instances": 4, "plans": 4, "moves": 6645, "windows": 50, "tries": 55,
+                   "failed_try": 5, "annealed": 0, "paths": "c741a25aa464"}),
+    (random_probe, {"instances": 3000, "plans": 2384, "moves": 20965, "windows": 8717,
+                    "tries": 9369, "failed_try": 652, "annealed": 0, "paths": "22ea685b4b9d"}),
+])
+def test_the_probes_keep_their_rows(instances, row):
+    # The scale probe's wide windows take the lazy elimination rounds, and
+    # no other test plans either probe: every path is pinned by its hash.
+    got = summary(instances())
+    del got["seconds"]
+    assert got == row
