@@ -31,6 +31,9 @@ from .qubo import QuboModel, block_size, var_index
 # 4-connected grid every t + d of a window has one parity: a slack of 1 keeps
 # what 0 keeps, and 2 is the first that admits a detour.
 SLACK = 2
+# The numeric pass's outlier threshold, in standard deviations of the
+# diagonals above their mean.
+AGGRESSIVENESS = 3.0
 
 
 def reduction_pct(original: int, reduced: int) -> float:
@@ -234,12 +237,11 @@ def fold(model: QuboModel, ones, zeros=()) -> FoldedModel:
     return FoldedModel(QuboModel.from_terms(len(free), constant, keys, weights), free, ones)
 
 
-def fix_numeric_diagonal(folded: FoldedModel, report: FixReport,
-                         aggressiveness: float = 3.0) -> FoldedModel:
+def fix_numeric_diagonal(folded: FoldedModel, report: FixReport) -> FoldedModel:
     """Iteratively clear free variables whose diagonal can never pay off.
 
     A variable is fixed to zero when its diagonal is an outlier above
-    mean + aggressiveness * std of all diagonals AND stays positive even if
+    mean + `AGGRESSIVENESS` * std of all diagonals AND stays positive even if
     every negative incident pair term fired. Setting such a bit strictly
     raises the energy of any assignment, so the minimum set is untouched.
     Each round refolds and re-examines until nothing more can be cleared;
@@ -259,7 +261,7 @@ def fix_numeric_diagonal(folded: FoldedModel, report: FixReport,
             elif w < 0:
                 slack[a] += w
                 slack[b] += w
-        threshold = diag.mean() + aggressiveness * diag.std()
+        threshold = diag.mean() + AGGRESSIVENESS * diag.std()
         doomed = [
             v for v in range(n)
             if diag[v] > threshold and diag[v] + slack[v] > 0

@@ -24,9 +24,9 @@ it makes about a dozen numpy calls. Sample energies are scored in one
 vectorised sum that adds the terms in `QuboModel.energy`'s order.
 
 The annealing β range `_BETA_RANGE` is read per unit of the largest
-|coupling between groups|, and the model is never rescaled: scaling Q by s
-is the same as scaling β by s, so sample energies stay in the model's own
-units.
+|coupling between groups| (unscaled when there is none), and the model is
+never rescaled: scaling Q by s is the same as scaling β by s, so sample
+energies stay in the model's own units.
 
 `solve` first runs min-sum elimination over the groups, exact on one-hot
 states (Dechter, Artif. Intell. 113, 41, 1999), and returns its state at
@@ -40,15 +40,16 @@ then it runs all `num_reads` reads. Read r draws from
 `SeedSequence((seed, r))` alone, so its final state does not depend on the
 block of reads it runs in.
 
-`solve` reads the model once, in one Python pass over its coefficients,
-into `_OneHotModel`: the groups, ranked by their greedy colouring, with
-every diagonal and every table of couplings between two groups in one flat
-array. Elimination and its lazy rounds work on those tables, and the exact
-state's energy is `model.energy`'s. The annealer's layout, the model's
-term arrays and the tally of samples serve reads only, so they are built
-only when reads run. At window sizes a pass over numpy arrays costs more in
-calls than the Python pass it replaces, so numpy holds only the tables and
-the annealer's arrays.
+`solve` reads the model and its labels once, in one Python pass over its
+coefficients, into `_OneHotModel`: the groups, ranked by their greedy
+colouring, with their labels, every diagonal and every table of couplings
+between two groups in one flat array. Elimination, its lazy rounds and the
+annealer's layout all read those tables. Only `model.energy`, for the
+exact state, and `_energies`, for annealed samples, reread the
+coefficients. The layout and the tally of samples are built only when
+reads run. At window sizes a pass over numpy arrays costs more in calls
+than the Python pass it replaces, so numpy holds only the tables and the
+annealer's arrays.
 """
 
 import heapq
@@ -121,14 +122,6 @@ class SampleSet:
         return len(self.samples)
 
 
-def _terms(model) -> tuple[np.ndarray, np.ndarray]:
-    """The model's (a, b) index pairs and their weights, in `coeffs` order."""
-    count = len(model.coeffs)
-    pairs = np.fromiter(chain.from_iterable(model.coeffs), dtype=np.intp, count=2 * count)
-    return pairs.reshape(count, 2), np.fromiter(model.coeffs.values(), dtype=np.float64,
-                                                count=count)
-
-
 def _energies(model, on: np.ndarray) -> np.ndarray:
     """`model.energy` of each row of a boolean matrix, bit for bit.
 
@@ -136,7 +129,10 @@ def _energies(model, on: np.ndarray) -> np.ndarray:
     addition at a time, as `model.energy` does. An inactive term adds -0.0,
     which leaves any sum unchanged.
     """
-    pairs, weights = _terms(model)
+    count = len(model.coeffs)
+    pairs = np.fromiter(chain.from_iterable(model.coeffs), dtype=np.intp,
+                        count=2 * count).reshape(count, 2)
+    weights = np.fromiter(model.coeffs.values(), dtype=np.float64, count=count)
     summands = np.full((len(on), len(pairs) + 1), -0.0)
     summands[:, 0] = model.constant
     np.copyto(summands[:, 1:], weights, where=on[:, pairs[:, 0]] & on[:, pairs[:, 1]])
@@ -158,9 +154,10 @@ class _OneHotModel:
     Groups are numbered by rank in a greedy colouring of the group graph:
     the groups of one member first, then colour class by colour class, by
     label within a class. `members[g]` lists group g's variables in
-    ascending order, and `colour[g]` is its colour, -1 for a group of one
-    member, which never moves. `tables` holds every group's diagonal, one
-    entry per member, group after group, then one table per coupled pair of
+    ascending order, `labels[g]` is its label, and `colour[g]` is its
+    colour, -1 for a group of one member, which never moves. `tables` holds
+    every group's diagonal, one entry per member, group after group, then
+    one table per coupled pair of
     groups: `edges` maps each such pair (g, h), in one of its two orders, to
     the offset of its table, a row per member of g and a column per member
     of h, each entry the coupling of the two members (0.0 without one). A
@@ -168,6 +165,7 @@ class _OneHotModel:
     """
 
     members: list[list[int]]
+    labels: list
     colour: list[int]
     tables: np.ndarray
     edges: dict[tuple[int, int], int]
@@ -183,7 +181,8 @@ def _one_hot_model(model, groups) -> _OneHotModel:
         raise ValueError(f"groups must label each of the {n} variables once")
     # Group ids number the distinct labels in ascending order.
     seq = labels.tolist()
-    index = {label: g for g, label in enumerate(sorted(set(seq)))}
+    distinct = sorted(set(seq))
+    index = {label: g for g, label in enumerate(distinct)}
     ids = [index[label] for label in seq]
     by_id: list[list[int]] = [[] for _ in index]
     member = [0] * n
@@ -234,20 +233,23 @@ def _one_hot_model(model, groups) -> _OneHotModel:
     tables[:n] = [diag[v] for m in members for v in m]
     tables[at] = weights
     edges = {(rank[key // num], rank[key % num]): lo for key, lo in offset.items()}
-    return _OneHotModel(members, [colour[g] for g in ranked], tables, edges)
+    return _OneHotModel(members, [distinct[g] for g in ranked], [colour[g] for g in ranked],
+                        tables, edges)
 
 
 @dataclass(frozen=True)
 class _OneHotLayout:
-    """A model regrouped for one-hot moves.
+    """A one-hot model laid out for the annealer's moves.
 
-    Internal variables run group by group, so a group's members are the
-    contiguous range `first[g]` .. `first[g] + size[g] - 1`; `order` maps
-    them back to model variables. Groups run class by class: the groups of
-    one `classes` range share no coupling, so their moves are independent.
-    Each coupling between groups is one row of `pairs` (internal indices),
-    with its `pair_weight`; `_neighbour_rows` lays them out for the
-    annealer.
+    Internal variables run group by group, in rank order, so a group's
+    members are the contiguous range `first[g]` .. `first[g] + size[g] - 1`;
+    `order` maps them back to model variables. Groups run class by class:
+    the groups of one `classes` range share no coupling, so their moves are
+    independent. Row i of `offset` and `weight` holds internal variable i's
+    couplings to other groups, padded to one width: `offset` is the
+    neighbour's index minus i, and padding points at the sink column `n`
+    with weight 0. `peak` is the largest |coupling between groups|, 0.0
+    without one.
     """
 
     order: np.ndarray
@@ -255,52 +257,43 @@ class _OneHotLayout:
     size: np.ndarray
     classes: list[tuple[int, int]]
     diag: np.ndarray
-    pairs: np.ndarray
-    pair_weight: np.ndarray
+    offset: np.ndarray
+    weight: np.ndarray
     peak: float
 
 
-def _one_hot_layout(model, one_hot: _OneHotModel) -> _OneHotLayout:
-    """The annealer's arrays for `one_hot`, a grouping of `model`: its groups
-    in rank order, their members in ascending order."""
-    n = model.num_vars
-    order = np.fromiter(chain.from_iterable(one_hot.members), dtype=np.intp, count=n)
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
+def _one_hot_layout(one_hot: _OneHotModel) -> _OneHotLayout:
+    """The annealer's arrays for `one_hot`, read from its tables: each
+    nonzero entry of a pair table is a coupling between groups, the edge
+    whose table holds it gives the two groups, and its row and column give
+    their members."""
     size = np.array([len(m) for m in one_hot.members], dtype=np.intp)
-    group = np.repeat(np.arange(len(size)), size)[position]
-    keys, values = _terms(model)
-    a, b = keys[:, 0], keys[:, 1]
-    cross = group[a] != group[b]
-    # The peak |coupling between groups|, or the peak |coefficient| when the
-    # groups share no coupling.
-    peak = float(np.abs(values[cross] if cross.any() else values).max(initial=0.0))
+    first = np.cumsum(size) - size
+    n = int(size.sum())
+    order = np.fromiter(chain.from_iterable(one_hot.members), dtype=np.intp, count=n)
     colour = np.array(one_hot.colour)
     classes = [(int(np.searchsorted(colour, c)), int(np.searchsorted(colour, c, "right")))
                for c in range(int(colour.max()) + 1)]
-    pairs = np.stack((position[a[cross]], position[b[cross]]), axis=1)
-    return _OneHotLayout(order, np.cumsum(size) - size, size, classes, one_hot.tables[:n],
-                         pairs, values[cross], peak)
 
-
-def _neighbour_rows(layout: _OneHotLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Each variable's couplings to other groups as `offset`/`weight` rows,
-    padded to one width: `offset` is the neighbour's index minus the
-    variable's own, and padding points at the sink column `n` with weight
-    0."""
-    n, pairs, w = len(layout.order), layout.pairs, layout.pair_weight
-    src = np.concatenate((pairs[:, 0], pairs[:, 1]))
-    dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
-    both = np.concatenate((w, w))
+    tables = one_hot.tables
+    edges = sorted((lo, g, h) for (g, h), lo in one_hot.edges.items())
+    lo, g, h = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+    at = n + np.flatnonzero(tables[n:])
+    edge = np.searchsorted(lo, at, "right") - 1
+    row, column = np.divmod(at - lo[edge], size[h[edge]])
+    a, b, w = first[g[edge]] + row, first[h[edge]] + column, tables[at]
+    # Both ends of each coupling, grouped by variable.
+    src, dst = np.concatenate((a, b)), np.concatenate((b, a))
     by_src = np.argsort(src, kind="stable")
-    src, dst, both = src[by_src], dst[by_src], both[by_src]
+    src, dst, both = src[by_src], dst[by_src], np.concatenate((w, w))[by_src]
     degree = np.bincount(src, minlength=n)
     slot = np.arange(len(src)) - np.repeat(np.cumsum(degree) - degree, degree)
     offset = np.repeat((n - np.arange(n))[:, None], int(degree.max()), axis=1)
     weight = np.zeros(offset.shape)
     offset[src, slot] = dst - src
     weight[src, slot] = both
-    return offset, weight
+    return _OneHotLayout(order, first, size, classes, tables[:n], offset, weight,
+                         float(np.abs(w).max(initial=0.0)))
 
 
 def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray
@@ -319,17 +312,15 @@ def _anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray
     # Every per-read array counts against the budget, in 8-byte units.
     per_read = num_groups * (cfg.sweeps + 2) + stride
     block = max(1, min(len(reads), _RANDOM_BUDGET // per_read))
-    rows = _neighbour_rows(layout)
     states = np.empty((len(reads), num_groups), dtype=np.intp)
     for lo in range(0, len(reads), block):
         part = reads[lo:lo + block]
-        states[lo:lo + len(part)] = _anneal_block(layout, rows, cfg, betas, part, stride)
+        states[lo:lo + len(part)] = _anneal_block(layout, cfg, betas, part, stride)
     return states
 
 
-def _anneal_block(layout: _OneHotLayout, rows: tuple[np.ndarray, np.ndarray],
-                  cfg: SolverConfig, betas: np.ndarray, reads: range, stride: int
-                  ) -> np.ndarray:
+def _anneal_block(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray,
+                  reads: range, stride: int) -> np.ndarray:
     """The final states of one block of reads.
 
     The fields of the block live in one flat array, a row of `stride`
@@ -341,7 +332,7 @@ def _anneal_block(layout: _OneHotLayout, rows: tuple[np.ndarray, np.ndarray],
     only, and it compacts the accepted moves once.
     """
     n, num_groups = len(layout.order), len(layout.size)
-    offset, weight = rows
+    offset, weight = layout.offset, layout.weight
     count = len(reads)
     base = (np.arange(count) * stride)[:, None] + layout.first
     # Groups before `moving` have one member and never move.
@@ -420,30 +411,31 @@ def _anneal_block(layout: _OneHotLayout, rows: tuple[np.ndarray, np.ndarray],
     return cur - base + layout.first
 
 
-def solve(model, cfg: SolverConfig, *, groups=None) -> SampleSet:
+def solve(model, cfg: SolverConfig, *, groups) -> SampleSet:
     """The model's lowest one-hot states found, exactly or by annealing.
 
     `groups` labels each variable, and every state sets exactly one
-    variable per group. The model is read once, into `_OneHotModel`. When
-    `_eliminate` fits its table cap, or else `_eliminate_lazily`'s rounds
-    do, the state at the one-hot minimum is the only sample, with 0
-    occurrences and `model.energy` as its energy: no read runs, and no
-    annealer array is built. The lazy rounds read the labels as integers,
-    two steps of one robot being consecutive. Otherwise it anneals,
-    reading `_BETA_RANGE` per unit of the largest |coupling between groups|
-    (the peak |coefficient| when groups share none), so scaling the model
-    by a positive factor leaves its samples unchanged up to the rounding of
-    β. Its occurrences then count all `cfg.num_reads` reads. A model with
-    no variables runs no read.
+    variable per group. The model and its labels are read once, into
+    `_OneHotModel`, and every path reads only that. When `_eliminate` fits
+    its table cap, or else `_eliminate_lazily`'s rounds do, the state at
+    the one-hot minimum is the only sample, with 0 occurrences and
+    `model.energy` as its energy: no read runs, and no annealer array is
+    built. The lazy rounds read the labels as integers, two steps of one
+    robot being consecutive. Otherwise it anneals on the layout read from
+    the pair tables, at `_BETA_RANGE` per unit of the largest |coupling
+    between groups|, so scaling the model by a positive factor leaves its
+    samples unchanged up to the rounding of β; a model with no such
+    coupling, which elimination always fits within the real cap, anneals
+    at `_BETA_RANGE` unscaled. Occurrences then count all `cfg.num_reads`
+    reads, and `_energies` alone rereads the coefficients to score them. A
+    model with no variables runs no read.
     """
-    if groups is None:
-        raise ValueError("solve needs each variable's group")
     if model.num_vars == 0:
         return SampleSet([Sample((), model.constant, 0)])
     one_hot = _one_hot_model(model, groups)
     chosen = _eliminate(one_hot)
     if chosen is None:
-        chosen = _eliminate_lazily(one_hot, np.asarray(groups))
+        chosen = _eliminate_lazily(one_hot)
     if chosen is None:
         return _anneal(model, one_hot, cfg)
     # The one-hot minimum: no read could end below it, so none runs.
@@ -460,31 +452,33 @@ def _ones(one_hot: _OneHotModel, chosen: list[int]) -> list[int]:
     return [m[c] for m, c in zip(one_hot.members, chosen)]
 
 
-def _eliminate_lazily(one_hot: _OneHotModel, labels: np.ndarray) -> list[int] | None:
+def _eliminate_lazily(one_hot: _OneHotModel) -> list[int] | None:
     """A one-hot state at the lowest one-hot energy of `one_hot`, as
     `_eliminate` returns, found by adding the collision couplings lazily so
     that its tables can stay within the cap; None when a round's own tables
-    exceed it. `labels` holds each variable's group label, robot *
+    exceed it. The groups' labels are `one_hot.labels`, robot *
     (horizon + 1) + t in a window.
 
     Each round drops the positive couplings between groups whose labels
-    differ by more than one (vertex collisions between robots and revisits
-    of a robot's own cells) that no earlier round fired, eliminates the
-    rest, and adds back the dropped couplings its state fires. Dropping
-    positive terms can only lower an energy, so a state that fires none is
-    at the lowest one-hot energy of the whole model. Each round adds at
-    least one coupling, so the rounds end. This is Conflict-Based Search's
+    differ by more than one that no earlier round fired, eliminates the
+    rest, and adds back the dropped couplings its state fires. In a model
+    with every cell at every step these are vertex collisions between
+    robots and revisits of a robot's own cells. A planner window holds no
+    revisit coupling, since its first-reach layers admit no cell but the
+    goal at two steps of one robot, so there they are vertex collisions
+    only. Dropping positive terms can only lower an energy, so a state that
+    fires none is at the lowest one-hot energy of the whole model. Each
+    round adds at least one coupling, so the rounds end. This is Conflict-Based Search's
     lazy treatment of conflicts (Sharon et al., Artif. Intell. 219, 40,
     2015), or constraint generation (Lam et al., IJCAI 2019).
     """
-    seq = labels.tolist()
-    label = [seq[m[0]] for m in one_hot.members]
+    labels = one_hot.labels
     sizes = [len(m) for m in one_hot.members]
     tables, edges = one_hot.tables, one_hot.edges
     # The table offsets of each pair's dropped couplings.
     lazy: dict[tuple[int, int], set[int]] = {}
     for (g, h), lo in edges.items():
-        if abs(label[g] - label[h]) > 1:
+        if abs(labels[g] - labels[h]) > 1:
             table = tables[lo:lo + sizes[g] * sizes[h]]
             lazy[g, h] = set((lo + np.flatnonzero(table > 0)).tolist())
     while True:
@@ -508,7 +502,7 @@ def _eliminate_lazily(one_hot: _OneHotModel, labels: np.ndarray) -> list[int] | 
 
 def _anneal(model, one_hot: _OneHotModel, cfg: SolverConfig) -> SampleSet:
     """The annealer's sample set over all `cfg.num_reads` reads."""
-    layout = _one_hot_layout(model, one_hot)
+    layout = _one_hot_layout(one_hot)
     scale = 1.0 / layout.peak if layout.peak > 0 else 1.0
     betas = np.geomspace(*_BETA_RANGE, cfg.sweeps) * scale
     return _collect(model, _tally(layout, _anneal_one_hot(layout, cfg, betas)))

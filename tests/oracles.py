@@ -45,7 +45,6 @@ from quboplan.solvers import (
     _collect,
     _eliminate,
     _energies,
-    _neighbour_rows,
     _one_hot_model,
     _OneHotLayout,
     _ones,
@@ -612,7 +611,7 @@ def anneal_one_hot(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray) 
     block = max(1, min(cfg.num_reads, _RANDOM_BUDGET // per_read))
     seed_base = cfg.seed & 0xFFFFFFFFFFFFFFFF
     states = np.empty((cfg.num_reads, num_groups), dtype=np.intp)
-    offset, weight = _neighbour_rows(layout)
+    offset, weight = layout.offset, layout.weight
     draws = np.empty((cfg.sweeps, num_groups), dtype=np.float32)
 
     def shift(field, ends, count):

@@ -1,12 +1,13 @@
 import itertools
 import math
 import pathlib
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from perfbench.corpus import city
+from perfbench.corpus import city, shipped
 from quboplan import penalties, planner, qubo
 from quboplan.grid import GridMap, bfs_distances, manhattan
 from quboplan.penalties import (
@@ -483,6 +484,25 @@ def test_planner_windows_force_the_start_and_admit_no_early_goal(planner_windows
     assert len(planner_windows) >= len(runs)
     for spec, admissible in planner_windows:
         _assert_start_forced_and_goal_not_early(spec, admissible)
+
+
+def test_planner_windows_admit_no_cell_but_the_goal_at_two_steps(planner_windows):
+    # First-reach layers admit each cell at its first step only, and the
+    # goal is the one cell padded onto later steps. So `apply_backtracking`
+    # emits no revisit coupling in a planner window, and the couplings that
+    # `solvers._eliminate_lazily` drops there are vertex collisions. The
+    # dense model, which admits every cell at every step, still has them.
+    runs = [*shipped(SCENARIOS, 0), *city(0)]
+    for run in runs:
+        planner.plan_paths(run.grid, run.robots, weights=run.weights,
+                           window_cfg=run.window_cfg, solver_cfg=run.solver_cfg)
+    assert len(planner_windows) >= len(runs)
+    for spec, admissible in planner_windows:
+        for robot, rec in enumerate(spec.robots):
+            steps = Counter(c for cells in admissible[robot] for c in cells if c != rec.goal)
+            assert max(steps.values(), default=1) == 1
+            backtracking = emitted(apply_backtracking, spec, admissible, robot)
+            assert all(a == b for a, b in backtracking.coeffs)
 
 
 def test_windows_with_left_out_and_blocked_cells_admit_no_early_goal(planner_windows):

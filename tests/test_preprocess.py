@@ -289,7 +289,7 @@ def test_numeric_fix_leaves_negative_diagonals_alone():
     assert folded.model.num_vars == 6
 
 
-def test_numeric_fix_cascades():
+def test_numeric_fix_cascades(monkeypatch):
     # clearing the first outlier removes the negative coupling that shielded
     # the second, which the next round then clears as well
     model = QuboModel(12)
@@ -301,21 +301,23 @@ def test_numeric_fix_cascades():
     report = FixReport(original_count=12, reduced_count=12)
     folded = fold(model, ())
     exact_before, argmins_before = brute_force_minima(model)
-    folded = fix_numeric_diagonal(folded, report, aggressiveness=1.0)
+    monkeypatch.setattr(preprocess, "AGGRESSIVENESS", 1.0)
+    folded = fix_numeric_diagonal(folded, report)
     assert report.numeric_fixed == 2
     # every surviving optimum matches the original model's optimum
     exact_after, _ = brute_force_minima(folded.model)
     assert exact_after + 0.0 == pytest.approx(exact_before, abs=1e-9)
 
 
-def test_numeric_fix_preserves_minimum_on_random_instances():
+def test_numeric_fix_preserves_minimum_on_random_instances(monkeypatch):
+    monkeypatch.setattr(preprocess, "AGGRESSIVENESS", 1.5)
     rng = np.random.default_rng(31)
     checked = 0
     for _ in range(120):
         n = int(rng.integers(4, 13))
         model = random_grid_model(rng, n, density=0.5)
         report = FixReport(original_count=n, reduced_count=n)
-        folded = fix_numeric_diagonal(fold(model, ()), report, aggressiveness=1.5)
+        folded = fix_numeric_diagonal(fold(model, ()), report)
         if report.numeric_fixed == 0:
             continue
         checked += 1

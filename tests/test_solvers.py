@@ -140,8 +140,6 @@ def test_annealer_zero_variables():
 
 def test_annealer_needs_groups():
     with pytest.raises(ValueError):
-        solve(four_var_fixture(), SolverConfig())
-    with pytest.raises(ValueError):
         solve(four_var_fixture(), SolverConfig(), groups=(0, 1))
 
 
@@ -153,7 +151,7 @@ def _anneal(model, groups, cfg):
 
 def _layout(model, groups):
     """The annealer's layout of the model, grouped as `solve` groups it."""
-    return solvers._one_hot_layout(model, solvers._one_hot_model(model, groups))
+    return solvers._one_hot_layout(solvers._one_hot_model(model, groups))
 
 
 def test_annealer_deterministic_for_fixed_seed(monkeypatch):
@@ -226,7 +224,7 @@ def test_metropolis_equilibrium_statistics():
 
 def test_solve_dispatch():
     m = four_var_fixture()
-    with pytest.raises(ValueError, match="group"):
+    with pytest.raises(TypeError, match="groups"):
         solve(m, SolverConfig())
     assert solve(m, SolverConfig(seed=1, num_reads=30), groups=PAIRS).best.energy == -11.0
 
@@ -250,9 +248,10 @@ def test_a_small_agreement_check_is_deterministic():
 
 def _first_window(name):
     """The folded model, annealer settings and variable groups of a shipped
-    scenario's first window on first-reach layers, as the planner builds
-    and seeds its fallback try. (The goal bound decides multi10_4's first
-    window outright, and these windows are the solver's subjects.)"""
+    scenario's first window, built on first-reach layers at the scenario's
+    own weights, with the solver settings seeded as the planner seeds the
+    first window's tries. (The goal bound decides multi10_4's first window
+    outright, and these windows are the solver's subjects.)"""
     spec = load_scenario(str(SCENARIOS / f"{name}.scn"))
     robots = [(r.start, r.goal, {r.start}) for r in spec.robots]
     window = build_window(spec.grid, robots, spec.window_cfg.window_len,
@@ -323,20 +322,19 @@ def _full_run(model, groups, cfg):
 
 
 # corridor10's first window is decided by variable fixing and builds no model.
-# Every other first window fits the table cap, so `solve` answers it by
-# elimination and runs no read. The triangle is solved under a test-only cap
+# Every other first window fits the table cap, so `solve` answers it exactly:
+# by elimination, with no read. The triangle is solved under a test-only cap
 # below its 9-entry pair tables, so `solve` anneals it, all its reads.
-@pytest.mark.parametrize("name, stops", [("demo3", True), ("multi10_2", True),
+@pytest.mark.parametrize("name, exact", [("demo3", True), ("multi10_2", True),
                                          ("multi10_4", True), ("multi5", True),
                                          ("single5", True), ("triangle", False)])
-def test_solve_returns_the_first_reads_of_a_full_run(name, stops, monkeypatch):
+def test_solve_returns_the_first_reads_of_a_full_run(name, exact, monkeypatch):
     model, cfg, groups = _window(name, monkeypatch)
-    if name == "triangle":
+    if not exact:
         monkeypatch.setattr(solvers, "_EXACT_TABLE_CAP", 8)
     result = solve(model, cfg, groups=groups)
     used = sum(s.occurrences for s in result)
-    assert (used < cfg.num_reads) == stops
-    assert (used > 0) == (name == "triangle")
+    assert (used == 0) == exact
     if used == 0:
         assert len(result) == 1
         return
@@ -346,7 +344,7 @@ def test_solve_returns_the_first_reads_of_a_full_run(name, stops, monkeypatch):
     assert _draws(result) == _draws(prefix)
 
 
-def test_solve_follows_the_stop_rule_on_random_models(monkeypatch):
+def test_solve_follows_the_table_cap_on_random_models(monkeypatch):
     # `solve` answers every model within the table cap by elimination and
     # runs no read. Above a test-only cap it anneals all `num_reads` reads,
     # in one kernel call.
@@ -456,7 +454,7 @@ def test_a_tied_chain_takes_the_highest_member_of_each_group():
     assert one_hot_two_lowest(model, groups)[:2] == (-1.0, -1.0)
     last = (0, 0, 1) * 3
     assert _state_bits(one_hot, state) == last
-    layout = solvers._one_hot_layout(model, one_hot)
+    layout = solvers._one_hot_layout(one_hot)
     every_state = np.array(list(np.ndindex(3, 3, 3))) + layout.first
     assert solvers._collect(model, solvers._tally(layout, every_state)).best.bits == last
     assert _draws(solve(model, SolverConfig(), groups=groups)) == [(last, 0)]
@@ -561,7 +559,7 @@ def _solved_windows(monkeypatch, plan_all):
     `plan_all()`, in call order."""
     calls = []
 
-    def recorded(model, cfg, *, groups=None):
+    def recorded(model, cfg, *, groups):
         result = solve(model, cfg, groups=groups)
         calls.append((model, cfg, groups, result))
         return result
@@ -605,7 +603,7 @@ def _window_outcomes(monkeypatch, plan_all):
         state = solvers._eliminate(one_hot)
         above = state is None
         if above:
-            state = solvers._eliminate_lazily(one_hot, np.asarray(groups))
+            state = solvers._eliminate_lazily(one_hot)
             assert state is not None, "a lazy round exceeded the cap"
         lowest = _state_energy(model, one_hot, state)
         assert [s.occurrences for s in result] == [0]
@@ -666,13 +664,13 @@ def test_no_plan_of_the_benchmark_traffic_anneals(monkeypatch):
 
 def test_exact_solves_build_no_annealer_array(monkeypatch):
     # `solve` answers every window of `shipped(0)` and `city(0)` exactly
-    # from the one-hot model: neither the annealer's layout nor the term
-    # arrays that score its samples are built.
+    # from the one-hot model: the annealer's layout is never built, and
+    # `_energies`, which scores annealed samples, never runs.
     def refuse(*args, **kwargs):
         raise AssertionError("an exact solve built an annealer array")
 
     monkeypatch.setattr(solvers, "_one_hot_layout", refuse)
-    monkeypatch.setattr(solvers, "_terms", refuse)
+    monkeypatch.setattr(solvers, "_energies", refuse)
     backends = Counter()
     for inst in [*shipped(SCENARIOS, 0), *city(0)]:
         result = plan_multi(inst.grid, inst.robots, weights=inst.weights,
@@ -705,7 +703,7 @@ def _lazy_rounds(model, groups, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(solvers, "_eliminate", recorded)
-        state = solvers._eliminate_lazily(one_hot, np.asarray(groups))
+        state = solvers._eliminate_lazily(one_hot)
     return one_hot, state, rounds
 
 
@@ -940,7 +938,7 @@ def test_kernel_matches_the_reference_on_random_grouped_models(budget, monkeypat
         seen.add(f"{min(len(layout.classes), 3)} classes")
         if layout.classes and layout.classes[0][0] > 0:
             seen.add("singleton groups")
-        if (solvers._neighbour_rows(layout)[1] == 0).any():
+        if (layout.weight == 0).any():
             seen.add("padded neighbour rows")
     assert seen == {"0 classes", "1 classes", "2 classes", "3 classes",
                     "singleton groups", "padded neighbour rows"}
