@@ -8,9 +8,12 @@ inter-robot vertex-collision coupling. Each emitter mirrors one closed-form
 penalty, so model energy always equals the sum of the formulas evaluated on
 the decoded occupancy. The emitters append their terms to one flat list per
 window, indexed through a table built once, and the list is merged into the
-model once. `derived_weights` reads a window's own objective terms for the
-constraint weights at which its minimum keeps every constraint it can
-(Lucas, "Ising formulations of many NP problems", Front. Phys. 2, 5, 2014).
+model once. The model a window is solved on leaves out the one-hot pair
+terms, which never fire on the one-hot states the solver visits; the
+complete model keeps them, for `export-qubo` and the tests' oracles.
+`derived_weights` reads a window's own objective terms for the constraint
+weights at which its minimum keeps every constraint it can (Lucas, "Ising
+formulations of many NP problems", Front. Phys. 2, 5, 2014).
 """
 
 import math
@@ -179,13 +182,22 @@ class WindowTerms:
         return QuboModel.from_terms(self.num_vars, self.constant, self.keys, self.weights)
 
 
-def apply_one_hot(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
-    """Exactly-one-cell-per-step: K * (1 - sum x)^2 for every time step."""
+def apply_one_hot(terms: WindowTerms, spec: WindowSpec, robot: int, *,
+                  pairs: bool = True) -> None:
+    """Exactly-one-cell-per-step: K * (1 - sum x)^2 for every time step.
+
+    Without `pairs`, only the constant and the diagonal -K are emitted: the
+    pair terms 2K x_a x_b never fire on a state with one cell per step.
+    """
     k = spec.weights.k_hot
     keys, weights = terms.keys, terms.weights
     for layer in terms.layers[robot]:
         terms.constant += k
         entries = list(layer.values())
+        if not pairs:
+            keys.extend(zip(entries, entries))
+            weights.extend(repeat(-k, len(entries)))
+            continue
         for i, a in enumerate(entries, 1):
             keys.append((a, a))
             weights.append(-k)
@@ -324,7 +336,8 @@ def apply_vertex_collision(terms: WindowTerms, spec: WindowSpec) -> None:
                         terms.add(a, b, k)
 
 
-def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -> QuboModel:
+def build_window_model(spec: WindowSpec, admissible: Admissible | None = None, *,
+                       one_hot_pairs: bool = True) -> QuboModel:
     """Emit every penalty for every robot into one QUBO.
 
     A robot whose goal is admissible at some step and strictly closer than
@@ -333,12 +346,16 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -
     structure the model spans the full dense variable space, where a free
     goal counts as reachable; this keeps the builder self-contained for
     ground-truth checks by enumeration.
+
+    With `one_hot_pairs` false the one-hot pair terms are left out. No
+    other term shares their keys, so every other coefficient keeps its
+    value and its place in the order.
     """
     if admissible is None:
         admissible = dense_admissible(spec)
     terms = WindowTerms(spec, admissible)
     for robot in range(len(spec.robots)):
-        apply_one_hot(terms, spec, robot)
+        apply_one_hot(terms, spec, robot, pairs=one_hot_pairs)
         apply_adjacency(terms, spec, robot)
         _apply_objective(terms, spec, robot)
     apply_vertex_collision(terms, spec)

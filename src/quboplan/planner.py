@@ -42,7 +42,7 @@ from .preprocess import (
     reduction_pct,
 )
 from .qubo import decode
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, derive_seed, solve  # derive_seed: bench reads it here
 
 STATUS_REACHED = "reached_goal"
 STATUS_EXHAUSTED = "max_windows_exhausted"
@@ -243,43 +243,54 @@ class _Agent:
         self.notes: list[str] = []
 
 
-def derive_seed(base: int, *parts: int) -> int:
-    """Seed for one part of a run (a window attempt, a bench repeat) drawn
-    from the run's base seed; each part is taken modulo 2**32."""
-    entropy = (base & 0xFFFFFFFFFFFFFFFF,) + tuple(p & 0xFFFFFFFF for p in parts)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
 @dataclass
 class Window:
     """One window as `build_window` makes it: the spec, the presolve counts
     and the cells logical fixing left admissible.
 
-    The folded model is built when `folded` is first read. A window that
-    logical fixing decided never needs it: each of its layers then holds
-    one cell, or none where the search ended early.
+    Its folded models are built when first read: `one_hot`, which the
+    planner solves, and `folded`, the complete QUBO that `export-qubo` and
+    the tests' oracles read. A window that logical fixing decided needs
+    neither: each of its layers then holds one cell, or none where the
+    search ended early.
     """
 
     spec: WindowSpec
     report: FixReport
     admissible: Admissible
+    _counted: bool = field(default=False, init=False, repr=False, compare=False)
 
     @cached_property
     def folded(self) -> FoldedModel:
         """The window's QUBO over the admissible cells, folded onto the free
         variables with the singleton layers' variables fixed on, and cleared
-        of hopeless diagonals. Only the numeric pass writes into `report`:
-        it lowers the counts by what it clears."""
-        model = build_window_model(self.spec, self.admissible)
+        of hopeless diagonals."""
+        return self._fold(one_hot_pairs=True)
+
+    @cached_property
+    def one_hot(self) -> FoldedModel:
+        """`folded` without the one-hot pair terms, which never fire on the
+        states `solve` visits. Folding never moves such a pair onto a
+        diagonal, and in a planner window every free variable keeps an
+        adjacency coupling, so all else is `folded`'s, in the same order."""
+        return self._fold(one_hot_pairs=False)
+
+    def _fold(self, one_hot_pairs: bool) -> FoldedModel:
+        """The window's model, folded and put through the numeric pass, which
+        counts into `report` for the first model read only: in a planner
+        window the second clears the same variables."""
+        model = build_window_model(self.spec, self.admissible, one_hot_pairs=one_hot_pairs)
         ones = forced_ones(self.spec.dims, self.admissible)
-        return fix_numeric_diagonal(fold(model, ones), self.report)
+        report = replace(self.report) if self._counted else self.report
+        self._counted = True
+        return fix_numeric_diagonal(fold(model, ones), report)
 
     @property
     def groups(self) -> np.ndarray:
         """The (robot, step) group of each free variable, robot * (horizon
         + 1) + t: a robot occupies exactly one cell per step, so a feasible
         assignment sets exactly one variable of each group."""
-        free = np.array(self.folded.free_vars, dtype=np.intp)
+        free = np.array(self.one_hot.free_vars, dtype=np.intp)
         return free // (self.spec.grid.rows * self.spec.grid.cols)
 
 
@@ -304,15 +315,15 @@ def _attempt_window(window: Window, agents, solver_cfg, seed_parts
     """Presolve, solve, and repair one built window.
 
     Logical fixing settles the window when it leaves no variable free; its
-    layers are then the occupancy. Otherwise the window's model is folded
-    and sampled, and the sampler's seed is derived from the run's seed and
-    `seed_parts`. The record takes its counts from the window's report once
-    it is final. The repair decides each robot's path: it is valid
-    when it reaches the goal, runs to the horizon or, in a multi-robot
-    window, stops at an empty step and then waits. Returns the try's record
-    with every robot's path when every path is valid and no two robots
-    clash, or with None when it fails; the record's last repair entry then
-    gives the reason and the step.
+    layers are then the occupancy. Otherwise the window's one-hot model is
+    folded and solved; `solve` derives the sampler's seed from the run's
+    seed and `seed_parts` only if it anneals. The record takes its counts
+    from the window's report once it is final. The repair decides each
+    robot's path: it is valid when it reaches the goal, runs to the horizon
+    or, in a multi-robot window, stops at an empty step and then waits.
+    Returns the try's record with every robot's path when every path is
+    valid and no two robots clash, or with None when it fails; the record's
+    last repair entry then gives the reason and the step.
     """
     spec, report = window.spec, window.report
     horizon, multi = spec.horizon, spec.allow_wait
@@ -320,9 +331,9 @@ def _attempt_window(window: Window, agents, solver_cfg, seed_parts
         # Every layer holds one cell or none: the layers are the occupancy.
         occupancy, sampled = window.admissible, {}
     else:
-        folded = window.folded
-        cfg = replace(solver_cfg, seed=derive_seed(solver_cfg.seed, *seed_parts))
-        sampleset = solve(folded.model, cfg, groups=window.groups)
+        folded = window.one_hot
+        sampleset = solve(folded.model, solver_cfg, groups=window.groups,
+                          seed_parts=seed_parts)
         occupancy = decode(folded.expand(sampleset.best.bits), spec.dims, len(agents))
         sampled = {"backend": "annealer" if sampleset.best.occurrences else "exact",
                    "best_energy": sampleset.best.energy,

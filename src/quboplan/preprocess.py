@@ -47,8 +47,8 @@ class FixReport:
 
     `fix_logical` sets both counts, and `bound_dropped`, the admissible
     cells its goal bound dropped. The numeric pass, run when the window's
-    model is folded, lowers `reduced_count` by the variables it clears and
-    adds the ones it clears by rule to `numeric_fixed`.
+    first model is folded, lowers `reduced_count` by the variables it
+    clears and adds the ones it clears by rule to `numeric_fixed`.
     """
 
     original_count: int
@@ -240,32 +240,33 @@ def fold(model: QuboModel, ones, zeros=()) -> FoldedModel:
 def fix_numeric_diagonal(folded: FoldedModel, report: FixReport) -> FoldedModel:
     """Iteratively clear free variables whose diagonal can never pay off.
 
-    A variable is fixed to zero when its diagonal is an outlier above
-    mean + `AGGRESSIVENESS` * std of all diagonals AND stays positive even if
-    every negative incident pair term fired. Setting such a bit strictly
+    A variable is fixed to zero when its diagonal stays positive even if
+    every negative incident pair term fired AND is an outlier above mean +
+    `AGGRESSIVENESS` * std of all diagonals. Setting such a bit strictly
     raises the energy of any assignment, so the minimum set is untouched.
-    Each round refolds and re-examines until nothing more can be cleared;
-    fixing to one is never attempted. `report`'s counts are updated in
-    place.
+    The first test needs only sums, so a model where no variable passes it
+    is returned before any statistic is taken; in planner windows none
+    does. Each round refolds and re-examines until nothing more can be
+    cleared; fixing to one is never attempted. `report`'s counts are
+    updated in place.
     """
     while True:
         model = folded.model
         n = model.num_vars
-        if n == 0:
-            break
-        diag = np.zeros(n)
-        slack = np.zeros(n)  # sum of negative incident off-diagonal weights
+        diag = [0.0] * n
+        slack = [0.0] * n  # sum of negative incident off-diagonal weights
         for (a, b), w in model.coeffs.items():
             if a == b:
                 diag[a] += w
             elif w < 0:
                 slack[a] += w
                 slack[b] += w
-        threshold = diag.mean() + AGGRESSIVENESS * diag.std()
-        doomed = [
-            v for v in range(n)
-            if diag[v] > threshold and diag[v] + slack[v] > 0
-        ]
+        hopeless = [v for v in range(n) if diag[v] + slack[v] > 0]
+        if not hopeless:
+            break
+        diagonals = np.array(diag)
+        threshold = diagonals.mean() + AGGRESSIVENESS * diagonals.std()
+        doomed = [v for v in hopeless if diag[v] > threshold]
         if not doomed:
             break
         refolded = fold(model, (), doomed)

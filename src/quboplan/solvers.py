@@ -30,23 +30,25 @@ energies stay in the model's own units.
 
 `solve` first runs min-sum elimination over the groups, exact on one-hot
 states (Dechter, Artif. Intell. 113, 41, 1999), and returns its state at
-the lowest energy, tied or not, with 0 occurrences: no read runs. When an
-elimination table would exceed `_EXACT_TABLE_CAP` entries, it drops the
-collision couplings, eliminates the rest and adds back the ones the state
-fires, round after round, until a state fires none: that state is the
-exact one-hot minimum too (Sharon et al., Artif. Intell. 219, 40, 2015).
-Only when a round's own tables exceed the cap does the annealer run, and
-then it runs all `num_reads` reads. Read r draws from
-`SeedSequence((seed, r))` alone, so its final state does not depend on the
-block of reads it runs in.
+the lowest energy, tied or not, with 0 occurrences: no read runs, and no
+seed is derived. When an elimination table would exceed `_EXACT_TABLE_CAP`
+entries, it drops the collision couplings, eliminates the rest and adds
+back the ones the state fires, round after round, until a state fires
+none: that state is the exact one-hot minimum too (Sharon et al., Artif.
+Intell. 219, 40, 2015). Only when a round's own tables exceed the cap does
+the annealer run, and then it runs all `num_reads` reads, from a seed
+`derive_seed` draws from the run's seed and the caller's seed parts. Read
+r draws from `SeedSequence((seed, r))` alone, so its final state does not
+depend on the block of reads it runs in.
 
 `solve` reads the model and its labels once, in one Python pass over its
 coefficients, into `_OneHotModel`: the groups, ranked by their greedy
 colouring, with their labels, every diagonal and every table of couplings
-between two groups in one flat array. Elimination, its lazy rounds and the
-annealer's layout all read those tables. Only `model.energy`, for the
-exact state, and `_energies`, for annealed samples, reread the
-coefficients. The layout and the tally of samples are built only when
+between two groups in one flat array. A planner window's model comes
+without the one-hot pair terms inside a group, which that pass would only
+skip. Elimination, its lazy rounds and the annealer's layout all read
+those tables. Only `model.energy`, for the exact state, and `_energies`,
+for annealed samples, reread the coefficients. The layout and the tally of samples are built only when
 reads run. At window sizes a pass over numpy arrays costs more in calls
 than the Python pass it replaces, so numpy holds only the tables and the
 annealer's arrays.
@@ -72,12 +74,21 @@ _EXACT_TABLE_CAP = 1 << 16
 _BETA_RANGE = (0.4, 40.0)
 
 
+def derive_seed(base: int, *parts: int) -> int:
+    """Seed for one part of a run (a window attempt, a bench repeat) drawn
+    from the run's base seed; each part is taken modulo 2**32."""
+    entropy = (base & 0xFFFFFFFFFFFFFFFF,) + tuple(p & 0xFFFFFFFF for p in parts)
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Sampling parameters. Same seed, same samples.
 
     `num_reads` is the annealer's read count: it runs none when exact
     elimination, or its lazy rounds, fit the table cap (see `solve`).
+    `seed` is the annealer's seed or, when `solve` is given seed parts, the
+    run's seed that it is derived from; an exact answer reads neither.
     """
 
     num_reads: int = 100
@@ -411,7 +422,7 @@ def _anneal_block(layout: _OneHotLayout, cfg: SolverConfig, betas: np.ndarray,
     return cur - base + layout.first
 
 
-def solve(model, cfg: SolverConfig, *, groups) -> SampleSet:
+def solve(model, cfg: SolverConfig, *, groups, seed_parts=()) -> SampleSet:
     """The model's lowest one-hot states found, exactly or by annealing.
 
     `groups` labels each variable, and every state sets exactly one
@@ -427,8 +438,10 @@ def solve(model, cfg: SolverConfig, *, groups) -> SampleSet:
     samples unchanged up to the rounding of β; a model with no such
     coupling, which elimination always fits within the real cap, anneals
     at `_BETA_RANGE` unscaled. Occurrences then count all `cfg.num_reads`
-    reads, and `_energies` alone rereads the coefficients to score them. A
-    model with no variables runs no read.
+    reads, and `_energies` alone rereads the coefficients to score them.
+    The reads draw from `derive_seed(cfg.seed, *seed_parts)`, or from
+    `cfg.seed` as given without seed parts; an exact answer derives no
+    seed. A model with no variables runs no read.
     """
     if model.num_vars == 0:
         return SampleSet([Sample((), model.constant, 0)])
@@ -437,6 +450,8 @@ def solve(model, cfg: SolverConfig, *, groups) -> SampleSet:
     if chosen is None:
         chosen = _eliminate_lazily(one_hot)
     if chosen is None:
+        if seed_parts:
+            cfg = replace(cfg, seed=derive_seed(cfg.seed, *seed_parts))
         return _anneal(model, one_hot, cfg)
     # The one-hot minimum: no read could end below it, so none runs.
     ones = _ones(one_hot, chosen)

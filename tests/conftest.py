@@ -8,8 +8,11 @@ from oracles import solve_exhaustive
 @pytest.fixture
 def exhaustive(monkeypatch):
     """Plan through `oracles.solve_exhaustive` in place of `solvers.solve`:
-    every window with free variables is answered by enumeration."""
-    monkeypatch.setattr(planner, "solve", lambda model, cfg, *, groups: solve_exhaustive(model))
+    every window with free variables is answered by enumeration, over every
+    bit vector of its complete QUBO (the one-hot pair terms included)."""
+    monkeypatch.setattr(planner, "solve",
+                        lambda model, cfg, *, groups, seed_parts=(): solve_exhaustive(model))
+    monkeypatch.setattr(planner.Window, "one_hot", property(lambda window: window.folded))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import re
@@ -6,8 +7,25 @@ import pytest
 
 from quboplan import planner
 from quboplan.cli import main
+from quboplan.qubo import QuboModel
+from quboplan.scenario import load_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _with_one_hot_pairs(model, groups, k_hot) -> QuboModel:
+    """`model` plus the one-hot penalty's pair terms, 2 * `k_hot` on every
+    pair of variables of one group, none of which `model` holds."""
+    complete = QuboModel(model.num_vars, model.constant)
+    complete.coeffs.update(model.coeffs)
+    members = {}
+    for v, g in enumerate(groups):
+        members.setdefault(g, []).append(v)
+    for variables in members.values():
+        for a, b in itertools.combinations(variables, 2):
+            assert (a, b) not in complete.coeffs
+            complete.coeffs[a, b] = 2.0 * k_hot
+    return complete
 
 
 def test_plan_writes_json_and_exits_zero(tmp_path, capsys):
@@ -25,12 +43,14 @@ def test_plan_writes_json_and_exits_zero(tmp_path, capsys):
 def test_export_qubo_writes_the_model_the_planner_solves_first(name, tmp_path, monkeypatch):
     # demo3's first window takes the window-final reward, so its export's
     # own goal search must give the distances the planner hands the window.
-    models = []
+    # The planner solves the model without the one-hot pair terms; the
+    # export is the complete model, so it holds them too.
+    solved = []
     solve = planner.solve
 
-    def recording_solve(model, *args, **kwargs):
-        models.append(model)
-        return solve(model, *args, **kwargs)
+    def recording_solve(model, *args, groups, **kwargs):
+        solved.append((model, groups))
+        return solve(model, *args, groups=groups, **kwargs)
 
     monkeypatch.setattr(planner, "solve", recording_solve)
     scenario = str(SCENARIOS / f"{name}.scn")
@@ -38,7 +58,9 @@ def test_export_qubo_writes_the_model_the_planner_solves_first(name, tmp_path, m
     assert main(["plan", scenario, "-o", str(plan)]) == 0
     assert json.loads(plan.read_text())["windows"][0]["backend"] == "exact"
     assert main(["export-qubo", scenario, "-o", str(export)]) == 0
-    assert export.read_text() == models[0].to_text()
+    model, groups = solved[0]
+    k_hot = load_scenario(scenario).weights.k_hot
+    assert export.read_text() == _with_one_hot_pairs(model, groups, k_hot).to_text()
 
 
 def test_plan_missing_file_exits_two(capsys):
@@ -169,23 +191,26 @@ def test_export_qubo_raw_is_larger(capsys):
 
 @pytest.mark.parametrize("name", ["demo3", "single5"])
 def test_export_qubo_is_the_planners_first_window(name, capsys, monkeypatch):
-    from quboplan import planner
+    # The export is the planner's first presolved model plus the one-hot
+    # pair terms, which the planner leaves out of the model it solves.
     from quboplan.bench import run_pipeline
-    from quboplan.scenario import load_scenario
 
     presolved = []
     numeric_pass = planner.fix_numeric_diagonal
 
     def recording(folded, report):
         folded = numeric_pass(folded, report)
-        presolved.append(folded.model)
+        presolved.append(folded)
         return folded
 
     monkeypatch.setattr(planner, "fix_numeric_diagonal", recording)
     spec = load_scenario(str(SCENARIOS / f"{name}.scn"))
     run_pipeline(spec, spec.seed)
     assert main(["export-qubo", str(SCENARIOS / f"{name}.scn")]) == 0
-    assert capsys.readouterr().out == presolved[0].to_text()
+    first = presolved[0]
+    groups = [v // (spec.grid.rows * spec.grid.cols) for v in first.free_vars]
+    expected = _with_one_hot_pairs(first.model, groups, spec.weights.k_hot)
+    assert capsys.readouterr().out == expected.to_text()
 
 
 @pytest.mark.parametrize("argv, window", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from perfbench.checker import check_plans
-from perfbench.corpus import city, corridor, serpentine
+from perfbench.corpus import city, corridor, serpentine, shipped
 from quboplan.classical import astar, prioritized_plan
 from quboplan.grid import GridMap, bfs_layers, manhattan
 from quboplan.penalties import PenaltyWeights, RobotWindow, WindowSpec, build_window_model
@@ -333,9 +333,9 @@ def _samples_take(monkeypatch, paths, solves=1):
         windows.append(window)
         return attempt(window, *args)
 
-    def scripted_solve(model, cfg, *, groups):
+    def scripted_solve(model, cfg, *, groups, seed_parts=()):
         if len(solved) == solves:
-            return solve(model, cfg, groups=groups)
+            return solve(model, cfg, groups=groups, seed_parts=seed_parts)
         dims, free_vars = windows[-1].spec.dims, windows[-1].folded.free_vars
         chosen = {qubo.var_index(dims, r, t, c)
                   for r, path in enumerate(paths) for t, c in enumerate(path)}
@@ -636,8 +636,8 @@ def test_window_records_say_who_answered(monkeypatch, first_reach):
     monkeypatch.setattr(solvers, "_EXACT_TABLE_CAP", 3)
     answers, solve = [], planner.solve
 
-    def recorded(model, cfg, *, groups):
-        answers.append((cfg.num_reads, solve(model, cfg, groups=groups)))
+    def recorded(model, cfg, *, groups, seed_parts=()):
+        answers.append((cfg.num_reads, solve(model, cfg, groups=groups, seed_parts=seed_parts)))
         return answers[-1][1]
 
     monkeypatch.setattr(planner, "solve", recorded)
@@ -722,8 +722,8 @@ def test_best_energy_is_the_folded_models_energy_of_the_chosen_sample(monkeypatc
         folded_models.append(folded.model)
         return folded
 
-    def recording_solve(model, cfg, *, groups):
-        sampleset = solve(model, cfg, groups=groups)
+    def recording_solve(model, cfg, *, groups, seed_parts=()):
+        sampleset = solve(model, cfg, groups=groups, seed_parts=seed_parts)
         ones = {i for i, b in enumerate(sampleset.best.bits) if b}
         chosen.append(folded_models[-1].energy(ones))
         return sampleset
@@ -746,14 +746,71 @@ def test_decided_corridor_windows_build_no_model(side, monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("a decided window built, seeded or sampled a model")
 
-    for name in ("build_window_model", "solve", "derive_seed"):
-        monkeypatch.setattr(planner, name, unused)
+    for module, name in ((planner, "build_window_model"), (planner, "solve"),
+                         (solvers, "derive_seed")):
+        monkeypatch.setattr(module, name, unused)
     grid, start, goal = serpentine(side, side % 8, side % 2 == 1)
     plan = plan_paths(grid, [RobotSpec(0, start, goal)],
                       window_cfg=WindowConfig(max_windows=side * side)).plans[0]
     assert plan.status == STATUS_REACHED
     assert plan.moves == len(astar(grid, start, goal)) - 1
     assert plan.window_log and all(w.solved_by_preprocess for w in plan.window_log)
+
+
+def _plan_benchmark_traffic():
+    """Plan `shipped(0)` and `city(0)`, each plan checked to succeed."""
+    for run in [*shipped(SCENARIOS, 0), *city(0)]:
+        result = plan_paths(run.grid, run.robots, weights=run.weights,
+                            window_cfg=run.window_cfg, solver_cfg=run.solver_cfg)
+        assert result.succeeded, run.name
+
+
+def test_the_solved_model_is_the_complete_one_without_the_one_hot_pairs(monkeypatch):
+    # Over every window of the benchmark traffic that a try solves, the
+    # model the planner solves (`one_hot`) is the complete one (`folded`)
+    # without the pair terms inside a (robot, step) group, each 2 * k_hot:
+    # the same free variables, groups and constant, and every other
+    # coefficient equal, in the same order. Reading the complete model after
+    # it lowers the report's counts no further. The window holds the robots'
+    # visited cells, which grow as the plan goes on, so both are read during
+    # the try.
+    solved, attempt = [], planner._attempt_window
+
+    def recorded(window, *args):
+        outcome = attempt(window, *args)
+        if window.report.reduced_count:
+            counts = (window.report.reduced_count, window.report.numeric_fixed)
+            solved.append((window, window.one_hot, window.folded))
+            assert counts == (window.report.reduced_count, window.report.numeric_fixed)
+        return outcome
+
+    monkeypatch.setattr(planner, "_attempt_window", recorded)
+    _plan_benchmark_traffic()
+    assert len(solved) >= 80
+    pairs = 0
+    for window, one_hot, folded in solved:
+        assert (one_hot.free_vars, one_hot.fixed_one) == (folded.free_vars, folded.fixed_one)
+        assert one_hot.model.constant == folded.model.constant
+        groups = window.groups
+        per_cell = window.spec.grid.rows * window.spec.grid.cols
+        assert groups.tolist() == [v // per_cell for v in folded.free_vars]
+        inside = {(a, b): w for (a, b), w in folded.model.coeffs.items()
+                  if a != b and groups[a] == groups[b]}
+        assert set(inside.values()) <= {2.0 * window.spec.weights.k_hot}
+        assert list(one_hot.model.coeffs.items()) == [
+            (key, w) for key, w in folded.model.coeffs.items() if key not in inside]
+        pairs += len(inside)
+    assert pairs > 0
+
+
+def test_exact_windows_derive_no_sampler_seed(monkeypatch):
+    # Every window of the benchmark traffic is answered exactly, and `solve`
+    # derives the sampler's seed from the seed parts only when it anneals.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window answered exactly derived a sampler seed")
+
+    monkeypatch.setattr(solvers, "derive_seed", refuse)
+    _plan_benchmark_traffic()
 
 
 def test_decided_windows_compute_no_variable_index(monkeypatch):

@@ -16,6 +16,7 @@ from quboplan.penalties import (
 from quboplan.preprocess import (
     SLACK,
     FixReport,
+    FoldedModel,
     fix_logical,
     fix_numeric_diagonal,
     fold,
@@ -287,6 +288,57 @@ def test_numeric_fix_leaves_negative_diagonals_alone():
     folded = fix_numeric_diagonal(fold(model, ()), report)
     assert report.numeric_fixed == 0
     assert folded.model.num_vars == 6
+
+
+def _numeric_pass_by_the_full_rule(folded: FoldedModel, report: FixReport) -> FoldedModel:
+    """`fix_numeric_diagonal` as its rule reads, with no early return: each
+    round takes the mean and std of the diagonals, then clears every
+    variable above the threshold whose diagonal its negative couplings
+    cannot outweigh."""
+    while folded.model.num_vars:
+        model = folded.model
+        diag, slack = np.zeros(model.num_vars), np.zeros(model.num_vars)
+        for (a, b), w in model.coeffs.items():
+            if a == b:
+                diag[a] += w
+            elif w < 0:
+                slack[a] += w
+                slack[b] += w
+        threshold = diag.mean() + preprocess.AGGRESSIVENESS * diag.std()
+        doomed = np.flatnonzero((diag > threshold) & (diag + slack > 0)).tolist()
+        if not doomed:
+            break
+        refolded = fold(model, (), doomed)
+        kept = [folded.free_vars[d] for d in refolded.free_vars]
+        report.numeric_fixed += len(doomed)
+        report.reduced_count -= len(folded.free_vars) - len(kept)
+        folded = FoldedModel(refolded.model, kept, folded.fixed_one)
+    return folded
+
+
+def test_the_numeric_pass_keeps_a_positive_margin_below_the_threshold():
+    # Variable 1's diagonal outweighs its negative coupling, but it lies
+    # below the outlier threshold in every round, so it is kept; variable
+    # 0 lies above it with no negative coupling, so it is cleared. The
+    # pass's early return for a model with no positive margin changes
+    # nothing here: it ends as the full rule does, report included.
+    model = QuboModel(21)
+    model.add(0, 0, 40.0)
+    model.add(1, 1, 0.5)
+    model.add(1, 2, -0.25)
+    for v in range(2, 21):
+        model.add(v, v, -1.0 - 0.5 * (v - 2))
+    diagonals = np.array([model.get(v, v) for v in range(21)])
+    threshold = diagonals.mean() + preprocess.AGGRESSIVENESS * diagonals.std()
+    assert 0.5 - 0.25 > 0 and 0.5 < threshold < 40.0
+    report = FixReport(original_count=21, reduced_count=21)
+    folded = fix_numeric_diagonal(fold(model, ()), report)
+    full_report = FixReport(original_count=21, reduced_count=21)
+    full = _numeric_pass_by_the_full_rule(fold(model, ()), full_report)
+    assert folded.free_vars == list(range(1, 21))
+    assert report == full_report == FixReport(21, 20, numeric_fixed=1)
+    assert list(folded.model.coeffs.items()) == list(full.model.coeffs.items())
+    assert (folded.free_vars, folded.model.constant) == (full.free_vars, full.model.constant)
 
 
 def test_numeric_fix_cascades(monkeypatch):

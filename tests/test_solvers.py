@@ -344,6 +344,31 @@ def test_solve_returns_the_first_reads_of_a_full_run(name, exact, monkeypatch):
     assert _draws(result) == _draws(prefix)
 
 
+def test_solve_derives_the_annealers_seed_from_its_seed_parts(monkeypatch):
+    # With seed parts, the reads draw from `derive_seed(cfg.seed, *parts)`,
+    # the seed the planner drew for a window before `solve` took the parts;
+    # without them, from `cfg.seed` as given. The triangle anneals under a
+    # test-only cap; an exact answer derives nothing.
+    model, cfg, groups = _window("triangle", monkeypatch)
+    derived, derive = [], solvers.derive_seed
+
+    def recorded(*args):
+        derived.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(solvers, "derive_seed", recorded)
+    assert solve(model, cfg, groups=groups, seed_parts=(2, 0, 0)).best.occurrences == 0
+    assert derived == []
+    monkeypatch.setattr(solvers, "_EXACT_TABLE_CAP", 8)
+    parted = solve(model, cfg, groups=groups, seed_parts=(2, 0, 0))
+    assert derived == [(cfg.seed, 2, 0, 0)]
+    seeded = replace(cfg, seed=derive_seed(cfg.seed, 2, 0, 0))
+    assert _draws(parted) == _draws(solve(model, seeded, groups=groups))
+    one_hot = solvers._one_hot_model(model, groups)
+    assert _draws(solve(model, cfg, groups=groups)) == _draws(solvers._anneal(model, one_hot, cfg))
+    assert len(derived) == 1
+
+
 def test_solve_follows_the_table_cap_on_random_models(monkeypatch):
     # `solve` answers every model within the table cap by elimination and
     # runs no read. Above a test-only cap it anneals all `num_reads` reads,
@@ -556,12 +581,14 @@ def test_tied_minima_keep_the_city_paths(seed, name, digest):
 
 def _solved_windows(monkeypatch, plan_all):
     """Each (model, cfg, groups, sample set) that `solve` answered during
-    `plan_all()`, in call order."""
+    `plan_all()`, in call order, with the seed of `cfg` derived from the
+    call's seed parts as `solve` derives it for its reads."""
     calls = []
 
-    def recorded(model, cfg, *, groups):
-        result = solve(model, cfg, groups=groups)
-        calls.append((model, cfg, groups, result))
+    def recorded(model, cfg, *, groups, seed_parts=()):
+        result = solve(model, cfg, groups=groups, seed_parts=seed_parts)
+        calls.append((model, replace(cfg, seed=derive_seed(cfg.seed, *seed_parts)), groups,
+                      result))
         return result
 
     monkeypatch.setattr(planner, "solve", recorded)

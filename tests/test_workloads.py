@@ -49,3 +49,13 @@ def test_the_probes_keep_their_rows(instances, row):
     got = summary(instances())
     del got["seconds"]
     assert got == row
+
+
+def test_dense_draw_1_keeps_its_annealed_reads():
+    # The one set of this module whose windows are annealed: its three
+    # annealed solves draw from the seed `solve` derives from each window's
+    # seed parts, and every path is pinned by its hash.
+    got = summary(dense(1))
+    del got["seconds"]
+    assert got == {"instances": 24, "plans": 17, "moves": 976, "windows": 54, "tries": 69,
+                   "failed_try": 15, "annealed": 3, "paths": "b6e57b7c9a44"}

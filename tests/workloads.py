@@ -199,9 +199,9 @@ def summary(instances) -> dict:
     annealed = 0
     solve = planner.solve
 
-    def counted(model, cfg, *, groups):
+    def counted(model, cfg, *, groups, seed_parts=()):
         nonlocal annealed
-        sampleset = solve(model, cfg, groups=groups)
+        sampleset = solve(model, cfg, groups=groups, seed_parts=seed_parts)
         annealed += bool(sampleset.best.occurrences)
         return sampleset
 
