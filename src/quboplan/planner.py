@@ -91,12 +91,12 @@ def stitch(steps, window_path):
     by exactly one. A window that does not fit leaves `steps` unchanged.
     """
     window_path = list(window_path)
-    if window_path[0] != steps[-1][1]:
+    base, last = steps[-1]
+    if window_path[0] != last:
         raise StitchError(
-            f"window starts at {window_path[0]} but plan ends at {steps[-1][1]}"
+            f"window starts at {window_path[0]} but plan ends at {last}"
         )
-    base = steps[-1][0]
-    steps.extend((base + k, c) for k, c in enumerate(window_path[1:], 1))
+    steps.extend(zip(range(base + 1, base + len(window_path)), window_path[1:]))
     return steps
 
 
@@ -252,7 +252,9 @@ class Window:
     planner solves, and `folded`, the complete QUBO that `export-qubo` and
     the tests' oracles read. A window that logical fixing decided needs
     neither: each of its layers then holds one cell, or none where the
-    search ended early.
+    search ended early. The spec holds the robots' visited sets, not
+    copies, and `plan_paths` grows them once the window's try is over, so a
+    model must be read during the try: read later, it is another window's.
     """
 
     spec: WindowSpec
@@ -358,8 +360,8 @@ def _attempt_window(window: Window, agents, solver_cfg, seed_parts
         paths.append(path)
     # The collision terms make a clash costly, not impossible, so a sample
     # can still put two robots on one cell; a robot that reached its goal
-    # holds it for the rest of the window.
-    clashes = find_vertex_conflicts([list(enumerate(path)) for path in paths])
+    # holds it for the rest of the window. One path cannot clash.
+    clashes = len(paths) > 1 and find_vertex_conflicts([list(enumerate(p)) for p in paths])
     if clashes:
         t, _, i, j = clashes[0]
         record.repairs.append(

@@ -33,9 +33,10 @@ def fix_one_hot_continuity(occupancy, prev_cell: Cell, goal: Cell,
     `prev_cell`, the robot's current cell. Every later step keeps the one
     cell that is a move, or with `allow_wait` a wait, from the cell kept
     before it, and the path ends at its first arrival on `goal`. The cells
-    are admissible, hence free, so a move is one L1 step and a wait none.
-    The repair stops at an empty step, or where no cell (`adjacency`) or
-    several cells (`ambiguous`) continue the path.
+    are admissible, hence free, so a move is one L1 step and a wait none; a
+    step of one cell is tested directly. The repair stops at an empty step,
+    or where no cell (`adjacency`) or several cells (`ambiguous`) continue
+    the path.
     """
     kept: list[Cell] = []
     dropped = 0
@@ -47,8 +48,11 @@ def fix_one_hot_continuity(occupancy, prev_cell: Cell, goal: Cell,
             if prev_cell not in cells:
                 return RepairOutcome([], "start_mismatch")
             cell = prev_cell
+        elif len(cells) == 1:
+            (cell,) = cells
+            if not least <= abs(cell[0] - i) + abs(cell[1] - j) <= 1:
+                return RepairOutcome(kept, "adjacency", dropped)
         else:
-            i, j = kept[-1]
             candidates = [c for c in cells if least <= abs(c[0] - i) + abs(c[1] - j) <= 1]
             if len(candidates) != 1:
                 reason = "ambiguous" if candidates else "adjacency"
@@ -58,6 +62,7 @@ def fix_one_hot_continuity(occupancy, prev_cell: Cell, goal: Cell,
         kept.append(cell)
         if cell == goal:
             break
+        i, j = cell
     return RepairOutcome(kept, None, dropped)
 
 

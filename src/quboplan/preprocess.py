@@ -60,16 +60,29 @@ class FixReport:
 def _free_count(admissible: Admissible) -> int:
     """The variables that admissible sets leave free: those of every layer
     that admits more than one cell."""
-    return sum(len(cells) for layers in admissible for cells in layers if len(cells) != 1)
+    count = 0
+    for layers in admissible:
+        for cells in layers:
+            if len(cells) > 1:
+                count += len(cells)
+    return count
 
 
-def _bound_to_goal(goal: Cell, distances, layers: list[set[Cell]]) -> list[set[Cell]]:
+def _arrival(goal: Cell, layers: list[set[Cell]]) -> int | None:
+    """The first step whose layer holds `goal`, or None."""
+    for t, cells in enumerate(layers):
+        if goal in cells:
+            return t
+    return None
+
+
+def _bound_to_goal(goal: Cell, arrival, distances, layers: list[set[Cell]]) -> list[set[Cell]]:
     """One robot's layers bounded from the goal end.
 
     A cell c stays at step t when t + d(c) is at most the smallest such sum
     over the layers plus `SLACK`, d being `distances` to the goal; a cell
-    that `distances` does not hold goes. The goal counts as at its first
-    arrival on every step it is padded to, so parking on it stays
+    that `distances` does not hold goes. The goal counts as at `arrival`,
+    its first step, on every step it is padded to, so parking on it stays
     admissible exactly when reaching it does. Then, backward from the last
     step left non-empty, a cell with no kept successor (a neighbour, or
     itself for the parked goal) goes. Each kept cell keeps the predecessor
@@ -78,7 +91,6 @@ def _bound_to_goal(goal: Cell, distances, layers: list[set[Cell]]) -> list[set[C
     the start. The kept cells are free, so a successor test looks a cell's
     four neighbour tuples up in the next kept set.
     """
-    arrival = next((t for t, cells in enumerate(layers) if goal in cells), None)
     sums = [[(arrival if c == goal else t + distances[c], c)
              for c in cells if c in distances] for t, cells in enumerate(layers)]
     best = min((s for step in sums for s, _ in step), default=None)
@@ -104,8 +116,9 @@ def fix_logical(spec: WindowSpec, bounded: bool = True) -> tuple[FixReport, Admi
     where the full search reaches further, the full search is kept and the
     softened revisit penalties take over. The full search is skipped when
     it can change neither: the goal lies beyond the horizon in L1 distance
-    and the search with exclusions reaches the horizon. With waits allowed,
-    a reached goal stays admissible after first arrival, for parking.
+    and the search with exclusions reaches the horizon. One scan per search
+    finds the goal's first arrival, which the padding reuses: with waits
+    allowed, a reached goal stays admissible after it, for parking.
 
     With `bounded`, the first-reach layers of each robot whose goal is free
     on the window's map are then bounded from the goal end (`SLACK`). The
@@ -121,24 +134,24 @@ def fix_logical(spec: WindowSpec, bounded: bool = True) -> tuple[FixReport, Admi
     """
     horizon = spec.horizon
     admissible: Admissible = []
+    arrivals: list[int | None] = []
     for rec in spec.robots:
         start, goal, visited = rec.start, rec.goal, rec.visited
         layers = bfs_layers(spec.grid, start, horizon, exclude_visited=visited)
-        reachable = any(goal in cells for cells in layers)
-        lower = manhattan(start, goal)
+        arrival = _arrival(goal, layers)
         # Only a visited cell other than the start is left out of the search.
-        if (not reachable and len(visited) > (start in visited)
-                and (lower <= horizon or len(layers) <= horizon)):
+        if (arrival is None and len(visited) > (start in visited)
+                and (manhattan(start, goal) <= horizon or len(layers) <= horizon)):
             full = bfs_layers(spec.grid, start, horizon)
-            reachable = any(goal in cells for cells in full)
-            if reachable or len(layers) < len(full):
-                layers = full
+            full_arrival = _arrival(goal, full)
+            if full_arrival is not None or len(layers) < len(full):
+                layers, arrival = full, full_arrival
         admissible.append(layers)
+        arrivals.append(arrival)
     joint_depth = max(len(layers) for layers in admissible) - 1
-    for rec, layers in zip(spec.robots, admissible):
-        layers += [set() for _ in range(horizon + 1 - len(layers))]
-        goal_time = next(
-            (t for t, cells in enumerate(layers) if rec.goal in cells), None)
+    for rec, layers, goal_time in zip(spec.robots, admissible, arrivals):
+        if len(layers) <= horizon:
+            layers += [set() for _ in range(horizon + 1 - len(layers))]
         if spec.allow_wait and goal_time is not None:
             # Keep the goal available after first arrival so the robot can
             # park on it, and an early finisher stays visible to the other
@@ -168,7 +181,7 @@ def fix_logical(spec: WindowSpec, bounded: bool = True) -> tuple[FixReport, Admi
             if distances is None:
                 distances = bfs_distances(spec.grid, rec.goal)
             layers = admissible[r]
-            admissible[r] = _bound_to_goal(rec.goal, distances, layers)
+            admissible[r] = _bound_to_goal(rec.goal, arrivals[r], distances, layers)
             dropped += sum(map(len, layers)) - sum(map(len, admissible[r]))
         reduced = _free_count(admissible)
     report = FixReport(len(spec.robots) * block_size(spec.dims), reduced, bound_dropped=dropped)

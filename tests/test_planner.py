@@ -39,8 +39,22 @@ def test_stitch_drops_boundary_duplicate():
 
 
 def test_stitch_contract_violation():
-    with pytest.raises(StitchError):
-        stitch([(0, (0, 0))], [(2, 2), (2, 1)])
+    # A window that does not start on the plan's last cell leaves the plan
+    # as it was.
+    steps = [(0, (0, 0)), (1, (0, 1))]
+    with pytest.raises(StitchError, match=r"^window starts at \(1, 1\) but plan ends at "
+                                          r"\(0, 1\)$"):
+        stitch(steps, iter([(1, 1), (1, 2)]))
+    assert steps == [(0, (0, 0)), (1, (0, 1))]
+
+
+@pytest.mark.parametrize("shape", [list, tuple, iter])
+def test_stitch_takes_any_sequence_of_cells(shape):
+    steps = [(4, (0, 0)), (5, (0, 1))]
+    path = [(0, 1), (1, 1), (1, 2)]
+    assert stitch(list(steps), shape(path)) == stitch(list(steps), path) == [
+        (4, (0, 0)), (5, (0, 1)), (6, (1, 1)), (7, (1, 2))]
+    assert stitch(list(steps), shape(path[:1])) == steps
 
 
 def test_stitch_three_windows_contiguous():
@@ -801,6 +815,54 @@ def test_the_solved_model_is_the_complete_one_without_the_one_hot_pairs(monkeypa
             (key, w) for key, w in folded.model.coeffs.items() if key not in inside]
         pairs += len(inside)
     assert pairs > 0
+
+
+def test_windows_are_folded_before_the_plan_grows_their_visited_cells(monkeypatch):
+    # A window holds the robots' visited sets, not copies, and the plan grows
+    # them once the window's try is over. Visited sets only grow, so a set
+    # whose size at fold time is its size at build time is the one the
+    # window was built on.
+    sizes, folds = {}, 0
+    build, fold = planner.build_window, planner.Window._fold
+
+    def recording_build(*args, **kwargs):
+        window = build(*args, **kwargs)
+        robots = window.spec.robots
+        sizes[id(robots)] = (robots, [len(rec.visited) for rec in robots])
+        return window
+
+    def checked_fold(window, *args, **kwargs):
+        nonlocal folds
+        robots, at_build = sizes[id(window.spec.robots)]
+        assert robots is window.spec.robots
+        assert [len(rec.visited) for rec in robots] == at_build
+        folds += 1
+        return fold(window, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "build_window", recording_build)
+    monkeypatch.setattr(planner.Window, "_fold", checked_fold)
+    _plan_benchmark_traffic()
+    assert folds >= 80
+
+
+def test_the_benchmark_traffic_repairs_steps_of_one_cell_at_most(monkeypatch):
+    # Presolved layers and decoded one-hot samples both give the repair one
+    # cell per step, or none, so its candidate lists never run on this
+    # traffic; `fix_one_hot_continuity` checks such a step directly.
+    widths, repair = [], planner.fix_one_hot_continuity
+
+    def recording_repair(occupancy, *args, **kwargs):
+        widths.append(max(len(cells) for cells in occupancy))
+        return repair(occupancy, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "fix_one_hot_continuity", recording_repair)
+    _plan_benchmark_traffic()
+    for inst in corridor(1):
+        result = plan_paths(inst.grid, inst.robots, weights=inst.weights,
+                            window_cfg=inst.window_cfg, solver_cfg=inst.solver_cfg)
+        assert result.succeeded, inst.name
+    assert len(widths) >= 1900
+    assert max(widths) == 1
 
 
 def test_exact_windows_derive_no_sampler_seed(monkeypatch):

@@ -218,3 +218,64 @@ def test_resolve_clash_never_changes_cell_sequences():
         original = [c for k, c in enumerate([c for _, c in before])
                     if k == 0 or c != [c for _, c in before][k - 1]]
         assert deduped == original
+
+
+def _continuity_by_candidate_lists(occupancy, prev_cell, goal, allow_wait=False):
+    """The repair as it was before one-cell steps were checked directly:
+    every step after the first lists the cells that continue the path."""
+    kept, dropped = [], 0
+    least = 0 if allow_wait else 1
+    for t, cells in enumerate(occupancy):
+        if not cells:
+            return kept, "empty_step", dropped
+        if t == 0:
+            if prev_cell not in cells:
+                return [], "start_mismatch", 0
+            cell = prev_cell
+        else:
+            i, j = kept[-1]
+            candidates = [c for c in cells if least <= abs(c[0] - i) + abs(c[1] - j) <= 1]
+            if len(candidates) != 1:
+                return kept, "ambiguous" if candidates else "adjacency", dropped
+            cell = candidates[0]
+        dropped += len(cells) - 1
+        kept.append(cell)
+        if cell == goal:
+            break
+    return kept, None, dropped
+
+
+def test_continuity_matches_the_candidate_list_rule_on_random_occupancies():
+    # Steps of no cell, one cell (a move, a wait or a jump) and several
+    # cells, with and without waits, goals on and off the path: the direct
+    # one-cell check ends every repair as the candidate lists did.
+    rng = random.Random(48)
+    reasons, one_cell_moves, one_cell_waits, one_cell_stops = set(), 0, 0, 0
+    for _ in range(4000):
+        prev = (rng.randrange(5), rng.randrange(5))
+        occupancy, cell = [], prev
+        for t in range(rng.randrange(1, 8)):
+            if t:
+                di, dj = rng.choice([(0, 0), (0, 1), (1, 0), (0, -1), (-1, 0), (2, 0), (1, 1)])
+                cell = (cell[0] + di, cell[1] + dj)
+            width = rng.choice([0, 1, 1, 1, 1, 2, 3]) if t else rng.choice([1, 1, 2])
+            cells = {cell} if width else set()
+            while 0 < len(cells) < width:
+                cells.add((cell[0] + rng.randint(-1, 1), cell[1] + rng.randint(-1, 1)))
+            if t == 0 and rng.random() < 0.05:
+                cells = {(prev[0] + 7, prev[1])}
+            occupancy.append(cells)
+        on_path = [c for cells in occupancy for c in cells]
+        goal = rng.choice(on_path) if on_path and rng.random() < 0.5 else FAR_GOAL
+        allow_wait = rng.random() < 0.5
+        out = fix_one_hot_continuity(occupancy, prev, goal, allow_wait=allow_wait)
+        expected = _continuity_by_candidate_lists(occupancy, prev, goal, allow_wait)
+        assert (out.path, out.reason, out.dropped) == expected, (occupancy, prev, goal)
+        reasons.add(out.reason)
+        kept = list(zip(out.path, out.path[1:], occupancy[1:]))
+        one_cell_moves += sum(1 for a, b, cells in kept if len(cells) == 1 and a != b)
+        one_cell_waits += sum(1 for a, b, cells in kept if len(cells) == 1 and a == b)
+        stop = len(out.path)
+        one_cell_stops += (out.reason == "adjacency" and len(occupancy[stop]) == 1)
+    assert reasons == {None, "empty_step", "start_mismatch", "adjacency", "ambiguous"}
+    assert min(one_cell_moves, one_cell_waits, one_cell_stops) >= 100

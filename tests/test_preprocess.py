@@ -536,3 +536,91 @@ def test_skipped_full_searches_change_no_window():
             assert not any(cells & excluded for cells in layers)
         skipped += skippable
     assert skipped >= 20
+
+
+def _fix_logical_by_two_scans(spec, bounded, seen):
+    """`fix_logical` as it was before the goal's first arrival was read
+    once: the layers are scanned for the goal before the fallback, and again
+    after padding. Adds to `seen` the branches each robot takes."""
+    horizon = spec.horizon
+    admissible = []
+    for rec in spec.robots:
+        start, goal, visited = rec.start, rec.goal, rec.visited
+        layers = bfs_layers(spec.grid, start, horizon, exclude_visited=visited)
+        reachable = any(goal in cells for cells in layers)
+        lower = manhattan(start, goal)
+        if (not reachable and len(visited) > (start in visited)
+                and (lower <= horizon or len(layers) <= horizon)):
+            full = bfs_layers(spec.grid, start, horizon)
+            reachable = any(goal in cells for cells in full)
+            if reachable or len(layers) < len(full):
+                seen.add("full search kept, goal " + ("reached" if reachable else "missed"))
+                layers = full
+            else:
+                seen.add("full search dropped")
+        if not reachable:
+            seen.add("goal unreachable")
+        admissible.append(layers)
+    joint_depth = max(len(layers) for layers in admissible) - 1
+    for rec, layers in zip(spec.robots, admissible):
+        layers += [set() for _ in range(horizon + 1 - len(layers))]
+        goal_time = next((t for t, cells in enumerate(layers) if rec.goal in cells), None)
+        if spec.allow_wait and goal_time is not None:
+            for t in range(goal_time + 1, joint_depth + 1):
+                layers[t].add(rec.goal)
+        elif goal_time is not None and goal_time < horizon:
+            after = layers[goal_time + 1]
+            if not spec.grid.neighbors(rec.goal) & after:
+                seen.add("dead-end goal")
+                for t in range(goal_time + 1, horizon + 1):
+                    layers[t].add(rec.goal)
+
+    def free_count():
+        return sum(len(cells) for layers in admissible for cells in layers if len(cells) != 1)
+
+    reduced, dropped = free_count(), 0
+    if bounded and reduced:
+        for r, rec in enumerate(spec.robots):
+            if not spec.grid.is_free(rec.goal):
+                continue
+            distances = rec.goal_distances
+            if distances is None:
+                distances = bfs_distances(spec.grid, rec.goal)
+            layers = admissible[r]
+            arrival = next((t for t, cells in enumerate(layers) if rec.goal in cells), None)
+            admissible[r] = preprocess._bound_to_goal(rec.goal, arrival, distances, layers)
+            dropped += sum(map(len, layers)) - sum(map(len, admissible[r]))
+        reduced = free_count()
+    original = len(spec.robots) * spec.grid.rows * spec.grid.cols * (horizon + 1)
+    return FixReport(original, reduced, bound_dropped=dropped), admissible
+
+
+def test_fix_logical_matches_the_two_scan_rule_on_random_windows():
+    # Random maps, visited sets from sparse to dense (some wall the goal
+    # off), waits on and off, bounded and first-reach: one arrival scan per
+    # robot gives the reports and admissible sets that two scans gave.
+    rng = np.random.default_rng(4848)
+    seen = set()
+    for _ in range(1500):
+        rows, cols = (int(n) for n in rng.integers(2, 8, size=2))
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        base = GridMap(rows, cols, frozenset(c for c in cells if rng.random() < 0.25))
+        free = base.free_cells()
+        robots = int(rng.integers(1, 4))
+        if len(free) < 2 * robots:
+            continue
+        picks = [free[int(k)] for k in rng.permutation(len(free))]
+        density = float(rng.random()) * 0.6
+        records = []
+        for start, goal in zip(picks[:2 * robots:2], picks[1:2 * robots:2]):
+            visited = {start} | {c for c in free if c != goal and rng.random() < density}
+            distances = bfs_distances(base, goal) if rng.random() < 0.5 else None
+            records.append(RobotWindow(start, goal, visited, distances))
+        closed = picks[2 * robots:2 * robots + int(rng.integers(3))]
+        horizon = int(rng.integers(1, 9))
+        for allow_wait, bounded in product((False, True), repeat=2):
+            spec = WindowSpec(base.with_obstacles(closed), tuple(records), horizon,
+                              PenaltyWeights(), allow_wait)
+            assert fix_logical(spec, bounded) == _fix_logical_by_two_scans(spec, bounded, seen)
+    assert seen == {"full search kept, goal reached", "full search kept, goal missed",
+                    "full search dropped", "goal unreachable", "dead-end goal"}
