@@ -88,9 +88,12 @@ def stitch(steps, window_path):
     boundary cell, and return `steps`.
 
     The window must begin on the plan's last cell, and global times continue
-    by exactly one. A window that does not fit leaves `steps` unchanged.
+    by exactly one. A window that does not fit, or an empty side, raises
+    `StitchError` and leaves `steps` unchanged.
     """
-    window_path = list(window_path)
+    window_path = window_path if isinstance(window_path, list) else list(window_path)
+    if not steps or not window_path:
+        raise StitchError(f"{'plan' if not steps else 'window path'} is empty")
     base, last = steps[-1]
     if window_path[0] != last:
         raise StitchError(
@@ -331,17 +334,18 @@ def _attempt_window(window: Window, agents, solver_cfg, seed_parts
     horizon, multi = spec.horizon, spec.allow_wait
     if report.reduced_count == 0:
         # Every layer holds one cell or none: the layers are the occupancy.
-        occupancy, sampled = window.admissible, {}
+        occupancy = window.admissible
+        record = WindowRecord(horizon, report.original_count, 0, report.numeric_fixed)
     else:
         folded = window.one_hot
         sampleset = solve(folded.model, solver_cfg, groups=window.groups,
                           seed_parts=seed_parts)
-        occupancy = decode(folded.expand(sampleset.best.bits), spec.dims, len(agents))
-        sampled = {"backend": "annealer" if sampleset.best.occurrences else "exact",
-                   "best_energy": sampleset.best.energy,
-                   "histogram": [(s.energy, s.occurrences) for s in sampleset.samples[:8]]}
-    record = WindowRecord(horizon, report.original_count, report.reduced_count,
-                          report.numeric_fixed, **sampled)
+        best = sampleset.best
+        occupancy = decode(folded.expand(best.bits), spec.dims, len(agents))
+        record = WindowRecord(
+            horizon, report.original_count, report.reduced_count, report.numeric_fixed,
+            "annealer" if best.occurrences else "exact", best.energy,
+            histogram=[(s.energy, s.occurrences) for s in sampleset.samples[:8]])
 
     paths = []
     for r, agent in enumerate(agents):
@@ -435,6 +439,15 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     on a dead-end goal by breaking moves after its first arrival, which the
     repair accepts and derived weights make the costliest choice.
 
+    The robot sets (pending, parked and active robots, their goals, the
+    starts kept clear) and the goal checks are recomputed only at the first
+    window, after the walled-off pass, after a window that changed a status
+    and while a robot that is not infeasible awaits its release. Otherwise
+    they are reused, exactly: pending and active robots change only with a
+    status, a robot that reached its goal has its last step at or before
+    the clock from then on, one whose start is its goal parks at its
+    release, and only robots released after the clock keep starts clear.
+
     In a plan of two or more robots only the first max(1, window_len - 2)
     steps of an accepted window are committed (stitched, added to `visited`
     and passed by the clock), so every committed step was planned with
@@ -460,49 +473,54 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     windows: list[WindowRecord] = []
     clock = 0
     walls: set[Cell] | None = None  # the parked cells the goals were last checked on
+    commit = max(1, horizon - 2) if multi else horizon
+    stale = True  # the sets below are out of date: a status changed or a release is ahead
 
     while len(windows) < wcfg.max_windows:
-        pending = [a for a in agents if a.status is None]
-        if not pending:
-            break
-        # A robot whose start is its goal parks there only once released.
-        parkers = [a for a in agents
-                   if a.status == STATUS_REACHED and a.steps[-1][0] <= clock]
-        parked = {a.steps[-1][1] for a in parkers}
-        if parked != walls:
-            # Parked robots never move again, so a goal they wall off stays
-            # out of reach. The starts of robots yet to be released are only
-            # blocked for a while and stay open here.
-            walls = parked
-            for agent in pending:
-                agent.goal_distances = bfs_distances(
-                    grid.with_obstacles(parked - {agent.current}), agent.spec.goal)
-                if agent.current not in agent.goal_distances:
-                    if parkers:
-                        blockers = ", ".join(str(a.spec.id) for a in parkers)
-                        agent.notes.append(
-                            f"goal {agent.spec.goal} walled off by parked robot(s) {blockers}")
-                    agent.status = STATUS_INFEASIBLE
-            continue
-        active = [a for a in pending if a.spec.release <= clock]
-        if not active:
-            clock = min(a.spec.release for a in pending)
-            continue
-        for agent in active:
-            if not agent.steps:
-                agent.steps = [
-                    (t, agent.spec.start)
-                    for t in range(agent.spec.release, clock + 1)
-                ]
+        if stale:
+            pending = [a for a in agents if a.status is None]
+            if not pending:
+                break
+            # A robot whose start is its goal parks there only once released.
+            parkers = [a for a in agents
+                       if a.status == STATUS_REACHED and a.steps[-1][0] <= clock]
+            parked = {a.steps[-1][1] for a in parkers}
+            if parked != walls:
+                # Parked robots never move again, so a goal they wall off
+                # stays out of reach. The starts of robots yet to be released
+                # are only blocked for a while and stay open here.
+                walls = parked
+                for agent in pending:
+                    agent.goal_distances = bfs_distances(
+                        grid.with_obstacles(parked - {agent.current}), agent.spec.goal)
+                    if agent.current not in agent.goal_distances:
+                        if parkers:
+                            blockers = ", ".join(str(a.spec.id) for a in parkers)
+                            agent.notes.append(
+                                f"goal {agent.spec.goal} walled off by parked robot(s) {blockers}")
+                        agent.status = STATUS_INFEASIBLE
+                continue
+            active = [a for a in pending if a.spec.release <= clock]
+            if not active:
+                clock = min(a.spec.release for a in pending)
+                continue
+            for agent in active:
+                if not agent.steps:
+                    agent.steps = [(t, agent.spec.start)
+                                   for t in range(agent.spec.release, clock + 1)]
+            goals = {a.spec.goal for a in active}
+            # A robot released within this window, or later onto an active
+            # robot's goal, keeps the others off its start for the whole
+            # window. While one is ahead, the sets are recomputed every window.
+            late = [a for a in agents
+                    if a.status != STATUS_INFEASIBLE and clock < a.spec.release]
+            releasing = {a.spec.start for a in late
+                         if a.spec.release <= clock + horizon or a.spec.start in goals}
+            blocked = parked | releasing
+            stale = bool(late)
 
         occupied = {a.current for a in active}
-        goals = {a.spec.goal for a in active}
-        # A robot released within this window, or later onto an active
-        # robot's goal, keeps the others off its start for the whole window.
-        releasing = {a.spec.start for a in agents if a.status != STATUS_INFEASIBLE
-                     and clock < a.spec.release
-                     and (a.spec.release <= clock + horizon or a.spec.start in goals)}
-        eff_grid = grid.with_obstacles((parked | releasing) - occupied)
+        eff_grid = grid.with_obstacles(blocked - occupied) if blocked else grid
         states = [(a.current, a.spec.goal, a.visited, a.goal_distances) for a in active]
         seed_parts = (len(windows), 0, 0)
         window = build_window(eff_grid, states, horizon, weights, multi)
@@ -528,7 +546,6 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             record.repairs[-1] = f"window abandoned: {record.repairs[-1]}"
             break
 
-        commit = max(1, horizon - 2) if multi else horizon
         for agent, path in zip(active, paths):
             del path[commit + 1:]
             agent.steps = stitch(agent.steps, path)
@@ -536,6 +553,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
             agent.current = path[-1]
             if agent.current == agent.spec.goal:
                 agent.status = STATUS_REACHED
+                stale = True
         clock += commit
 
     plans = [

@@ -148,7 +148,7 @@ def fix_logical(spec: WindowSpec, bounded: bool = True) -> tuple[FixReport, Admi
                 layers, arrival = full, full_arrival
         admissible.append(layers)
         arrivals.append(arrival)
-    joint_depth = max(len(layers) for layers in admissible) - 1
+    joint_depth = max(len(layers) for layers in admissible) - 1 if spec.allow_wait else None
     for rec, layers, goal_time in zip(spec.robots, admissible, arrivals):
         if len(layers) <= horizon:
             layers += [set() for _ in range(horizon + 1 - len(layers))]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import pathlib
 import sys
 from dataclasses import replace
@@ -55,6 +57,19 @@ def test_stitch_takes_any_sequence_of_cells(shape):
     assert stitch(list(steps), shape(path)) == stitch(list(steps), path) == [
         (4, (0, 0)), (5, (0, 1)), (6, (1, 1)), (7, (1, 2))]
     assert stitch(list(steps), shape(path[:1])) == steps
+
+
+@pytest.mark.parametrize("steps, path, side", [
+    ([(0, (0, 0))], [], "window path"),
+    ([(0, (0, 0))], iter([]), "window path"),
+    ([], [(0, 0)], "plan"),
+])
+def test_stitch_names_an_empty_side(steps, path, side):
+    # Either side empty used to raise a bare IndexError.
+    before = list(steps)
+    with pytest.raises(StitchError, match=f"^{side} is empty$"):
+        stitch(steps, path)
+    assert steps == before
 
 
 def test_stitch_three_windows_contiguous():
@@ -324,6 +339,29 @@ def test_the_window_loop_never_asks_the_map_for_neighbours(monkeypatch):
         assert result.succeeded, inst.name
 
 
+def test_a_corridor_plan_asks_for_a_blocked_map_only_for_its_goal_check(monkeypatch):
+    # A robot planning alone changes no robot set of the window loop, so
+    # its goal is checked once and every window plans on the input map.
+    instances = corridor(1)
+    calls = []
+    with_obstacles = GridMap.with_obstacles
+
+    def counted(self, extra):
+        calls.append(frozenset(extra))
+        return with_obstacles(self, extra)
+
+    monkeypatch.setattr(GridMap, "with_obstacles", counted)
+    windows = 0
+    for inst in instances:
+        calls.clear()
+        result = plan_paths(inst.grid, inst.robots, inst.weights, inst.window_cfg,
+                            inst.solver_cfg)
+        assert result.succeeded, inst.name
+        assert calls == [frozenset()], inst.name
+        windows += len(result.windows)
+    assert windows > 50 * len(instances)
+
+
 def test_a_robot_with_no_free_move_waits_in_a_multi_robot_window():
     # Robot 1's start, blocked while it awaits release, is robot 0's only
     # exit, so robot 0 holds its cell until robot 1 has left that start.
@@ -436,12 +474,54 @@ def test_a_single_robot_parks_on_a_dead_end_goal_in_its_first_reach_try(monkeypa
     assert check_plans(grid, robots, {p.robot: p.steps for p in result.plans}) == []
 
 
+def _pinned_plan(grid, robots, window_len, digest):
+    """The plan of `robots` at `window_len`, whose whole `to_json()`,
+    dumped with sorted keys, must hash to `digest`. Each digest below pins
+    one event after which the window loop recomputes its robot sets."""
+    result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=window_len))
+    dumped = json.dumps(result.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(dumped).hexdigest() == digest
+    return result
+
+
+def test_a_start_released_after_the_first_window_stays_blocked_until_then():
+    # Robot 1 appears on (0, 2) at t=5, within the first window, so robot 0
+    # goes round it; robot 1 joins at the window boundary t=8.
+    result = _pinned_plan(GridMap(2, 5), [RobotSpec(0, (0, 0), (0, 4)),
+                                          RobotSpec(1, (0, 2), (1, 0), release=5)], 6,
+                          "050ce8eb2f77a9dc753fb7ad008bc8c7fd3c20a2f4137086e909eead736fbf61")
+    assert result.succeeded
+    assert (0, 2) not in result.plans[0].cells
+    assert result.plans[1].steps[:4] == [(t, (0, 2)) for t in range(5, 9)]
+    assert [w.global_start for w in result.windows] == [0, 4, 8]
+
+
+@pytest.mark.parametrize("grid, parker, others, window_len, digest", [
+    # Robot 1 crosses (0, 2) at t=2 and is still planning at t=5, when the
+    # goal check runs again with the parker in place.
+    (GridMap(1, 8), (0, 2), [RobotSpec(1, (0, 0), (0, 7))], 2,
+     "e8039750321afc6fb97cb9fa019ce00d27d16151aec3187e65f814100e8d9227"),
+    # Robot 1 crosses (0, 4) at t=1. The window at t=2 runs to t=6, so it
+    # keeps the others off (0, 4), though no path would enter it.
+    (GridMap(1, 6), (0, 4), [RobotSpec(1, (0, 5), (0, 1)), RobotSpec(2, (0, 0), (0, 3))], 4,
+     "6d5c3569f8fc98ad0256095c21e80d1e9c900c948ff7feef8d6eb435a8b19228"),
+], ids=["checked at release", "kept clear before release"])
+def test_a_robot_whose_start_is_its_goal_is_passed_through_before_its_release(
+        grid, parker, others, window_len, digest):
+    result = _pinned_plan(grid, [RobotSpec(0, parker, parker, release=5)] + others,
+                          window_len, digest)
+    assert result.succeeded
+    assert result.plans[0].steps == [(5, parker)]
+    assert any(c == parker and t < 5 for t, c in result.plans[1].steps)
+
+
 def test_a_robot_keeps_off_a_later_start_that_is_its_goal_until_it_is_left():
     # Robot 1 stands on robot 0's goal (0, 3) from its release at t=10, so
     # robot 0 waits beside it and parks only once robot 1 has moved on.
     grid = GridMap(1, 5)
     robots = [RobotSpec(0, (0, 0), (0, 3)), RobotSpec(1, (0, 3), (0, 4), release=10)]
-    result = plan_paths(grid, robots, window_cfg=WindowConfig(window_len=6))
+    result = _pinned_plan(grid, robots, 6,
+                          "18304014ed43337129ca3d9931c5931a7256014dbd00095d1a1db4efaf58e1a4")
     assert result.succeeded, result.unresolved_conflicts
     assert (result.clash_events, result.unresolved_conflicts) == ([], [])
     assert [p.moves for p in result.plans] == [13, 3]
@@ -544,9 +624,9 @@ def test_a_token_collision_weight_is_only_a_floor_for_the_re_solve(monkeypatch):
 def test_a_goal_walled_off_by_a_parked_robot_ends_infeasible_at_once():
     # Robot 1 parks on (1, 1), the only way into robot 0's goal (1, 0).
     grid = GridMap(3, 6, frozenset({(0, 0), (0, 3), (1, 4), (2, 1)}))
-    result = plan_paths(grid, [RobotSpec(0, (2, 3), (1, 0)),
-                               RobotSpec(1, (0, 1), (1, 1), release=2)],
-                        window_cfg=WindowConfig(window_len=2))
+    result = _pinned_plan(grid, [RobotSpec(0, (2, 3), (1, 0)),
+                                 RobotSpec(1, (0, 1), (1, 1), release=2)], 2,
+                          "80a620739c388a2bc05b951497d7dafdceb44b00e88101d74e943117d63b5e11")
     walled, parked = result.plans
     assert parked.status == STATUS_REACHED
     assert walled.status == STATUS_INFEASIBLE

@@ -1,6 +1,15 @@
+import hashlib
+import json
+
 import pytest
 
 from workloads import bigger, dense, large, plan, random_probe, scale_probe, summary
+
+# sha256 of the random probe's first 500 plans, each dumped as its name and
+# its whole `to_json()` with sorted keys. The probe's row pins paths only;
+# this also pins windows, notes and statuses. 240 of these instances release
+# a robot late.
+RANDOM_PROBE_500_JSON_SHA256 = "79cb8b235e64e044d21d5e9ed30506e7a3e55629dd74c4bec69e73bc2116e2f6"
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +68,11 @@ def test_dense_draw_1_keeps_its_annealed_reads():
     del got["seconds"]
     assert got == {"instances": 24, "plans": 17, "moves": 976, "windows": 54, "tries": 69,
                    "failed_try": 15, "annealed": 3, "paths": "b6e57b7c9a44"}
+
+
+def test_the_random_probes_first_500_plans_keep_their_json():
+    digest = hashlib.sha256()
+    for inst in random_probe()[:500]:
+        result, _ = plan(inst)
+        digest.update(json.dumps([inst.name, result.to_json()], sort_keys=True).encode())
+    assert digest.hexdigest() == RANDOM_PROBE_500_JSON_SHA256
