@@ -13,8 +13,8 @@ from statistics import median
 
 from .classical import prioritized_plan
 from .multi import plan_multi
-from .planner import derive_seed
 from .scenario import ScenarioError, ScenarioSpec
+from .solvers import derive_seed
 
 SCHEMA_VERSION = 4  # of the `plan` and `bench` JSON
 

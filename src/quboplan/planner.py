@@ -42,7 +42,7 @@ from .preprocess import (
     reduction_pct,
 )
 from .qubo import decode
-from .solvers import SolverConfig, derive_seed, solve  # derive_seed: bench reads it here
+from .solvers import SolverConfig, solve
 
 STATUS_REACHED = "reached_goal"
 STATUS_EXHAUSTED = "max_windows_exhausted"
@@ -349,10 +349,9 @@ def _attempt_window(window: Window, agents, solver_cfg, seed_parts
 
     paths = []
     for r, agent in enumerate(agents):
-        repair = fix_one_hot_continuity(occupancy[r], agent.current, agent.spec.goal,
-                                        allow_wait=multi)
+        repair = fix_one_hot_continuity(occupancy[r], agent.spec.goal, allow_wait=multi)
         path = repair.path
-        if multi and path and repair.reason == "empty_step":
+        if multi and repair.reason == "empty_step":
             # Trapped short of the horizon (another robot blocks the way, or
             # the robot has no free move at all): hold position for the
             # remaining steps and try again next window.
@@ -413,8 +412,10 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     robot whose goal the map or the parked robots wall off ends as
     infeasible at once: a BFS from each goal, before the first window and
     again whenever the parked set changes (parked robots blocked, starts of
-    robots not yet released open), must reach the robot's cell. Each
-    window's approximation reward reads that search's distances.
+    robots not yet released open), must reach the robot's cell. Its note
+    names the parked robots only when a second search, on the bare map,
+    reaches the cell. Each window's approximation reward reads the first
+    search's distances.
 
     The try rule: a window gets at most two tries of `window_len` steps,
     in a fixed order, both with seed parts (window index, 0, 0), and each
@@ -494,10 +495,13 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                     agent.goal_distances = bfs_distances(
                         grid.with_obstacles(parked - {agent.current}), agent.spec.goal)
                     if agent.current not in agent.goal_distances:
-                        if parkers:
+                        goal, cell = agent.spec.goal, agent.current
+                        if parked - {cell} and cell in bfs_distances(grid, goal):
                             blockers = ", ".join(str(a.spec.id) for a in parkers)
                             agent.notes.append(
-                                f"goal {agent.spec.goal} walled off by parked robot(s) {blockers}")
+                                f"goal {goal} walled off by parked robot(s) {blockers}")
+                        else:
+                            agent.notes.append(f"goal {goal} unreachable from {cell} on the map")
                         agent.status = STATUS_INFEASIBLE
                 continue
             active = [a for a in pending if a.spec.release <= clock]

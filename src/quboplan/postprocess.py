@@ -1,10 +1,11 @@
 """Repairs that turn near-valid solver output into usable window paths.
 
 Two stages, applied in order: continuity repair follows each robot's path
-through a window up to its goal, keeping at each step the one cell that
-continues it, and wait insertion clears vertex clashes between finished
-per-robot plans. `detect_invalid_move` is the final check of every plan.
-All transformations are pure; every function returns new data.
+of one cell per step through a window up to its goal, stopping where a
+step is empty or its cell does not continue the path, and wait insertion
+clears vertex clashes between finished per-robot plans.
+`detect_invalid_move` is the final check of every plan. All
+transformations are pure; every function returns new data.
 """
 
 from dataclasses import dataclass
@@ -16,54 +17,44 @@ Steps = list[tuple[int, Cell]]  # (global time, cell), times contiguous
 
 @dataclass
 class RepairOutcome:
-    """Result of continuity repair: the kept prefix, why it stopped (None
-    when it reached the goal or kept every step) and how many extra cells it
-    dropped. The step it stopped at is `len(path)`."""
+    """Result of continuity repair: the kept prefix and why it stopped (None
+    when it reached the goal or kept every step). The step it stopped at is
+    `len(path)`."""
 
     path: list[Cell]
     reason: str | None = None
-    dropped: int = 0
+
+    @property
+    def dropped(self) -> int:
+        """Always 0: every step holds one cell or none. Read only by
+        `perfbench/tracer.py`'s `OBSERVE`; it goes with ROADMAP item 7."""
+        return 0
 
 
-def fix_one_hot_continuity(occupancy, prev_cell: Cell, goal: Cell,
-                           allow_wait: bool = False) -> RepairOutcome:
+def fix_one_hot_continuity(occupancy, goal: Cell, allow_wait: bool = False) -> RepairOutcome:
     """Follow a robot's path step by step up to its goal.
 
-    `occupancy` is one cell set per local step, and step 0 must hold
-    `prev_cell`, the robot's current cell. Every later step keeps the one
-    cell that is a move, or with `allow_wait` a wait, from the cell kept
-    before it, and the path ends at its first arrival on `goal`. The cells
-    are admissible, hence free, so a move is one L1 step and a wait none; a
-    step of one cell is tested directly. The repair stops at an empty step,
-    or where no cell (`adjacency`) or several cells (`ambiguous`) continue
-    the path.
+    `occupancy` is one cell set per local step, each of one cell or none;
+    step 0 holds the robot's cell. Every later cell must be a move, or with
+    `allow_wait` a wait, from the one before it, and the path ends at its
+    first arrival on `goal`. The cells are admissible, hence free, so a move
+    is one L1 step and a wait none. The repair stops at an empty step
+    (`empty_step`) or at a cell that does not continue the path
+    (`adjacency`). A step of several cells raises `ValueError`.
     """
     kept: list[Cell] = []
-    dropped = 0
     least = 0 if allow_wait else 1  # the fewest L1 steps from the kept cell
-    for t, cells in enumerate(occupancy):
+    for cells in occupancy:
         if not cells:
-            return RepairOutcome(kept, "empty_step", dropped)
-        if t == 0:
-            if prev_cell not in cells:
-                return RepairOutcome([], "start_mismatch")
-            cell = prev_cell
-        elif len(cells) == 1:
-            (cell,) = cells
-            if not least <= abs(cell[0] - i) + abs(cell[1] - j) <= 1:
-                return RepairOutcome(kept, "adjacency", dropped)
-        else:
-            candidates = [c for c in cells if least <= abs(c[0] - i) + abs(c[1] - j) <= 1]
-            if len(candidates) != 1:
-                reason = "ambiguous" if candidates else "adjacency"
-                return RepairOutcome(kept, reason, dropped)
-            cell = candidates[0]
-        dropped += len(cells) - 1
+            return RepairOutcome(kept, "empty_step")
+        (cell,) = cells
+        if kept and not least <= abs(cell[0] - i) + abs(cell[1] - j) <= 1:
+            return RepairOutcome(kept, "adjacency")
         kept.append(cell)
         if cell == goal:
             break
         i, j = cell
-    return RepairOutcome(kept, None, dropped)
+    return RepairOutcome(kept)
 
 
 def detect_invalid_move(path, grid: GridMap, allow_wait: bool = False):

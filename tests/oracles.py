@@ -34,7 +34,7 @@ from quboplan.penalties import (
     dense_admissible,
     goal_factor,
 )
-from quboplan.planner import build_window, derive_seed
+from quboplan.planner import build_window
 from quboplan.postprocess import occupied_at
 from quboplan.qubo import QuboModel, block_size, var_index
 from quboplan.solvers import (
@@ -48,6 +48,7 @@ from quboplan.solvers import (
     _one_hot_model,
     _OneHotLayout,
     _ones,
+    derive_seed,
 )
 
 # The most variables `solve_exhaustive` enumerates, and the codes it scores

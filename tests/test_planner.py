@@ -646,16 +646,25 @@ def test_a_robot_parked_from_the_start_can_wall_off_a_goal():
 
 
 @pytest.mark.parametrize("parked, notes", [
-    ([], []),
-    ([RobotSpec(1, (0, 0), (0, 0))], ["goal (2, 2) walled off by parked robot(s) 1"]),
+    ([], ["goal (2, 2) unreachable from (0, 1) on the map"]),
+    ([RobotSpec(1, (0, 0), (0, 0))], ["goal (2, 2) unreachable from (0, 1) on the map"]),
 ])
 def test_a_goal_the_map_walls_off_ends_infeasible_before_any_window(parked, notes):
-    # One search from the goal decides it; only a parked robot is named.
+    # The map alone walls the goal off, so no parked robot is named.
     grid = GridMap(3, 3, frozenset({(1, 2), (2, 1)}))
     result = plan_paths(grid, [RobotSpec(0, (0, 1), (2, 2))] + parked)
     assert result.windows == []
     assert result.plans[0].status == STATUS_INFEASIBLE
     assert result.plans[0].notes == notes
+
+
+def test_a_goal_the_map_walls_off_is_not_blamed_on_an_unrelated_parked_robot():
+    # Obstacles alone enclose (0, 0); robot 1 is parked far from it.
+    grid = GridMap(3, 5, frozenset({(0, 1), (1, 0), (1, 1)}))
+    result = plan_paths(grid, [RobotSpec(0, (0, 0), (2, 2)), RobotSpec(1, (2, 4), (2, 4))])
+    assert result.windows == []
+    assert [p.status for p in result.plans] == [STATUS_INFEASIBLE, STATUS_REACHED]
+    assert result.plans[0].notes == ["goal (2, 2) unreachable from (0, 0) on the map"]
 
 
 def test_a_start_awaiting_release_walls_off_no_goal(exhaustive):

@@ -16,57 +16,28 @@ from quboplan.postprocess import (
 FAR_GOAL = (9, 9)  # a goal that none of the continuity paths below reaches
 
 
-def test_continuity_keeps_unique_adjacent_candidate():
-    occupancy = [{(1, 0)}, {(1, 1), (3, 3)}, {(1, 2)}]
-    out = fix_one_hot_continuity(occupancy, (1, 0), FAR_GOAL)
-    assert out.reason is None
-    assert out.path == [(1, 0), (1, 1), (1, 2)]
-    assert out.dropped == 1
-
-
 def test_continuity_stops_at_a_jump_between_single_cells():
-    occupancy = [{(0, 0)}, {(3, 3)}]  # already one-hot, but not a move
-    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL)
+    occupancy = [{(0, 0)}, {(3, 3)}]  # one cell per step, but not a move
+    out = fix_one_hot_continuity(occupancy, FAR_GOAL)
     assert out.reason == "adjacency"
     assert out.path == [(0, 0)]
 
 
-def test_continuity_ambiguous_tie_fails():
-    occupancy = [{(0, 0)}, {(0, 1), (1, 0)}]  # both adjacent to the seed
-    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL)
-    assert out.reason == "ambiguous"
-    assert len(out.path) == 1
-
-
-def test_continuity_no_candidate_fails():
-    occupancy = [{(0, 0)}, {(2, 2), (2, 0)}]
-    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL)
-    assert out.reason == "adjacency"
-    assert len(out.path) == 1
-
-
 def test_continuity_empty_step_reports_prefix():
     occupancy = [{(0, 0)}, {(0, 1)}, set(), {(0, 2)}]
-    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL)
+    out = fix_one_hot_continuity(occupancy, FAR_GOAL)
     assert out.reason == "empty_step"
     assert out.path == [(0, 0), (0, 1)]
 
 
-def test_continuity_start_mismatch():
-    out = fix_one_hot_continuity([{(1, 1)}], (0, 0), FAR_GOAL)
-    assert out.reason == "start_mismatch"
-    assert out.path == []
-
-
 def test_continuity_wait_counts_as_adjacent_in_wait_mode():
-    occupancy = [{(0, 0)}, {(0, 0), (2, 2)}]
-    out = fix_one_hot_continuity(occupancy, (0, 0), FAR_GOAL, allow_wait=True)
+    out = fix_one_hot_continuity([{(0, 0)}, {(0, 0)}], FAR_GOAL, allow_wait=True)
     assert out.reason is None
     assert out.path == [(0, 0), (0, 0)]
 
 
 def test_continuity_wait_is_a_broken_move_without_wait_mode():
-    out = fix_one_hot_continuity([{(0, 0)}, {(0, 0)}], (0, 0), FAR_GOAL)
+    out = fix_one_hot_continuity([{(0, 0)}, {(0, 0)}], FAR_GOAL)
     assert out.reason == "adjacency"
     assert out.path == [(0, 0)]
 
@@ -75,17 +46,28 @@ def test_continuity_ends_at_the_first_arrival_on_the_goal():
     # After the goal come the goal padded onto the later layers, a jump and
     # an empty step; the repair never looks at them.
     occupancy = [{(0, 0)}, {(0, 1)}, {(0, 2)}, {(0, 2)}, {(2, 2)}, set()]
-    out = fix_one_hot_continuity(occupancy, (0, 0), (0, 2))
+    out = fix_one_hot_continuity(occupancy, (0, 2))
     assert out.reason is None
     assert out.path == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_continuity_idempotent_on_valid_paths():
     path = [(0, 0), (0, 1), (1, 1), (2, 1)]
-    out = fix_one_hot_continuity([{c} for c in path], (0, 0), FAR_GOAL)
+    out = fix_one_hot_continuity([{c} for c in path], FAR_GOAL)
     assert out.reason is None and out.path == path and out.dropped == 0
-    out = fix_one_hot_continuity([{c} for c in path], (0, 0), path[-1])
+    out = fix_one_hot_continuity([{c} for c in path], path[-1])
     assert out.reason is None and out.path == path and out.dropped == 0
+
+
+@pytest.mark.parametrize("occupancy", [
+    [{(0, 0), (1, 1)}],
+    [{(0, 0)}, {(0, 1), (1, 0)}],
+    [{(0, 0)}, {(0, 1)}, {(0, 1), (5, 5)}],
+])
+def test_continuity_refuses_a_step_of_several_cells(occupancy):
+    # Decided layers and decoded one-hot samples hold one cell per step.
+    with pytest.raises(ValueError):
+        fix_one_hot_continuity(occupancy, FAR_GOAL, allow_wait=True)
 
 
 def test_detect_invalid_move():
@@ -220,62 +202,52 @@ def test_resolve_clash_never_changes_cell_sequences():
         assert deduped == original
 
 
-def _continuity_by_candidate_lists(occupancy, prev_cell, goal, allow_wait=False):
-    """The repair as it was before one-cell steps were checked directly:
-    every step after the first lists the cells that continue the path."""
-    kept, dropped = [], 0
+def _continuity_by_candidate_lists(occupancy, goal, allow_wait=False):
+    """The repair by candidate lists: every step after the first lists the
+    cells that continue the path, and the path goes on only through a list
+    of exactly one cell."""
+    kept = []
     least = 0 if allow_wait else 1
     for t, cells in enumerate(occupancy):
         if not cells:
-            return kept, "empty_step", dropped
+            return kept, "empty_step"
         if t == 0:
-            if prev_cell not in cells:
-                return [], "start_mismatch", 0
-            cell = prev_cell
+            (cell,) = cells
         else:
             i, j = kept[-1]
             candidates = [c for c in cells if least <= abs(c[0] - i) + abs(c[1] - j) <= 1]
             if len(candidates) != 1:
-                return kept, "ambiguous" if candidates else "adjacency", dropped
+                return kept, "adjacency"
             cell = candidates[0]
-        dropped += len(cells) - 1
         kept.append(cell)
         if cell == goal:
             break
-    return kept, None, dropped
+    return kept, None
 
 
 def test_continuity_matches_the_candidate_list_rule_on_random_occupancies():
-    # Steps of no cell, one cell (a move, a wait or a jump) and several
-    # cells, with and without waits, goals on and off the path: the direct
-    # one-cell check ends every repair as the candidate lists did.
+    # Steps of no cell or one cell (a move, a wait or a jump), with and
+    # without waits, goals on and off the path: the direct one-cell check
+    # ends every repair as the candidate lists do.
     rng = random.Random(48)
     reasons, one_cell_moves, one_cell_waits, one_cell_stops = set(), 0, 0, 0
     for _ in range(4000):
-        prev = (rng.randrange(5), rng.randrange(5))
-        occupancy, cell = [], prev
+        occupancy, cell = [], (rng.randrange(5), rng.randrange(5))
         for t in range(rng.randrange(1, 8)):
             if t:
                 di, dj = rng.choice([(0, 0), (0, 1), (1, 0), (0, -1), (-1, 0), (2, 0), (1, 1)])
                 cell = (cell[0] + di, cell[1] + dj)
-            width = rng.choice([0, 1, 1, 1, 1, 2, 3]) if t else rng.choice([1, 1, 2])
-            cells = {cell} if width else set()
-            while 0 < len(cells) < width:
-                cells.add((cell[0] + rng.randint(-1, 1), cell[1] + rng.randint(-1, 1)))
-            if t == 0 and rng.random() < 0.05:
-                cells = {(prev[0] + 7, prev[1])}
-            occupancy.append(cells)
+            occupancy.append({cell} if rng.random() < 0.9 else set())
         on_path = [c for cells in occupancy for c in cells]
         goal = rng.choice(on_path) if on_path and rng.random() < 0.5 else FAR_GOAL
         allow_wait = rng.random() < 0.5
-        out = fix_one_hot_continuity(occupancy, prev, goal, allow_wait=allow_wait)
-        expected = _continuity_by_candidate_lists(occupancy, prev, goal, allow_wait)
-        assert (out.path, out.reason, out.dropped) == expected, (occupancy, prev, goal)
+        out = fix_one_hot_continuity(occupancy, goal, allow_wait=allow_wait)
+        expected = _continuity_by_candidate_lists(occupancy, goal, allow_wait)
+        assert (out.path, out.reason) == expected, (occupancy, goal)
         reasons.add(out.reason)
-        kept = list(zip(out.path, out.path[1:], occupancy[1:]))
-        one_cell_moves += sum(1 for a, b, cells in kept if len(cells) == 1 and a != b)
-        one_cell_waits += sum(1 for a, b, cells in kept if len(cells) == 1 and a == b)
-        stop = len(out.path)
-        one_cell_stops += (out.reason == "adjacency" and len(occupancy[stop]) == 1)
-    assert reasons == {None, "empty_step", "start_mismatch", "adjacency", "ambiguous"}
+        kept = list(zip(out.path, out.path[1:]))
+        one_cell_moves += sum(1 for a, b in kept if a != b)
+        one_cell_waits += sum(1 for a, b in kept if a == b)
+        one_cell_stops += out.reason == "adjacency"
+    assert reasons == {None, "empty_step", "adjacency"}
     assert min(one_cell_moves, one_cell_waits, one_cell_stops) >= 100

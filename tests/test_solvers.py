@@ -15,11 +15,11 @@ from perfbench.corpus import city, shipped
 from quboplan.bench import run_pipeline
 from quboplan.multi import plan_multi
 import quboplan.planner as planner
-from quboplan.planner import build_window, derive_seed
+from quboplan.planner import build_window
 import quboplan.solvers as solvers
 from quboplan.qubo import QuboModel
 from quboplan.scenario import load_scenario
-from quboplan.solvers import SolverConfig, solve
+from quboplan.solvers import SolverConfig, derive_seed, solve
 
 from oracles import (
     anneal_one_hot,

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from workloads import bigger, dense, large, plan, random_probe, scale_probe, summary
+from workloads import SETS, bigger, dense, large, plan, random_probe, scale_probe, summary
 
 # sha256 of the random probe's first 500 plans, each dumped as its name and
 # its whole `to_json()` with sorted keys. The probe's row pins paths only;
@@ -51,10 +51,27 @@ def test_the_large_and_bigger_sets_plan_every_instance_and_pass_the_checker(inst
                    "failed_try": 5, "annealed": 0, "paths": "c741a25aa464"}),
     (random_probe, {"instances": 3000, "plans": 2384, "moves": 20965, "windows": 8717,
                     "tries": 9369, "failed_try": 652, "annealed": 0, "paths": "22ea685b4b9d"}),
+    pytest.param(SETS["shipped 0-3"], {
+        "instances": 216, "plans": 216, "moves": 4012, "windows": 352, "tries": 352,
+        "failed_try": 0, "annealed": 0, "paths": "f6f1294124e1"}, id="shipped 0-3"),
+    pytest.param(SETS["city 0-19"], {
+        "instances": 240, "plans": 240, "moves": 6595, "windows": 652, "tries": 661,
+        "failed_try": 9, "annealed": 0, "paths": "eac728a4f11b"}, id="city 0-19"),
+    pytest.param(SETS["dense 0"], {
+        "instances": 24, "plans": 19, "moves": 1459, "windows": 69, "tries": 87,
+        "failed_try": 18, "annealed": 0, "paths": "53ae8e220508"}, id="dense 0"),
+    pytest.param(large, {
+        "instances": 8, "plans": 8, "moves": 1019, "windows": 36, "tries": 36,
+        "failed_try": 0, "annealed": 0, "paths": "e21782bab6c8"}, id="large"),
+    pytest.param(bigger, {
+        "instances": 4, "plans": 4, "moves": 1799, "windows": 33, "tries": 35,
+        "failed_try": 2, "annealed": 0, "paths": "3ee2365e1ba7"}, id="bigger"),
 ])
 def test_the_probes_keep_their_rows(instances, row):
+    # Every row of `python tests/workloads.py` but `dense 1`'s, pinned below
+    # with its annealed reads: every path of each set is pinned by its hash.
     # The scale probe's wide windows take the lazy elimination rounds, and
-    # no other test plans either probe: every path is pinned by its hash.
+    # no other test plans either probe.
     got = summary(instances())
     del got["seconds"]
     assert got == row
