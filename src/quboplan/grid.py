@@ -1,9 +1,9 @@
 """Grid world: occupancy maps, neighborhoods, distances, and reachability layers.
 
-Two search loops serve the planner. `bfs_layers` grows a robot's
-first-reach layers from its start over a window's horizon, around the cells
-it has visited; `bfs_distances` searches a whole map from a goal. Neither
-calls `GridMap.neighbors`: each tests a cell's four steps inline.
+One frontier loop serves both searches: `bfs_layers` grows a robot's
+first-reach layers over a window's horizon, around the cells it has visited;
+`bfs_distances` searches a whole map from a goal. It walks the padded
+open-cell mask that each map builds once, never the obstacle set.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,14 @@ def _require_ints(config, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_cell(cell, name: str) -> None:
+    """Reject a cell that is not a tuple of two `int`s, `bool`s excluded, by
+    name. Exact types keep the check cheap: a map runs it once per obstacle."""
+    if not (type(cell) is tuple and len(cell) == 2
+            and type(cell[0]) is int and type(cell[1]) is int):
+        raise ValueError(f"{name} {cell!r} is not a pair of integers")
+
+
 @dataclass(frozen=True)
 class GridMap:
     """Rectangular 4-connected grid with static obstacles.
@@ -26,7 +34,9 @@ class GridMap:
     Cells are (row, col) tuples indexed from the top-left corner. A move
     steps to one of the four edge neighbours. Maps are
     immutable after construction; callers that need extra blocked cells build
-    a derived map with :meth:`with_obstacles`.
+    a derived map with :meth:`with_obstacles`. The searches' open-cell mask
+    is built once per map; it is not a field, so equality, hashing and the
+    repr ignore it.
     """
 
     rows: int
@@ -38,9 +48,16 @@ class GridMap:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one row and one column")
         object.__setattr__(self, "obstacles", frozenset(self.obstacles))
+        width = self.cols + 2
+        row = b"\0" + b"\1" * self.cols + b"\0"
+        open_cells = bytearray(b"\0" * width + row * self.rows + b"\0" * width)
         for c in self.obstacles:
-            if not self.in_bounds(c):
+            _require_cell(c, "obstacle")
+            i, j = c
+            if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise ValueError(f"obstacle {c} outside {self.rows}x{self.cols} grid")
+            open_cells[(i + 1) * width + j + 1] = 0
+        object.__setattr__(self, "_open", bytes(open_cells))
 
     def in_bounds(self, c: Cell) -> bool:
         return 0 <= c[0] < self.rows and 0 <= c[1] < self.cols
@@ -70,8 +87,8 @@ class GridMap:
         if c in obstacles:
             raise ValueError(f"cell {c} is an obstacle")
         # Up, left, right, down: one bounds test and one obstacle test each.
-        # The reachability searches test their steps inline; the classical
-        # baselines and the tests' reference code call this.
+        # The searches walk the map's mask instead; the classical baselines
+        # and the tests' reference code call this.
         out = set()
         if i > 0 and (i - 1, j) not in obstacles:
             out.add((i - 1, j))
@@ -99,6 +116,41 @@ def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+def _frontier(grid: GridMap, start: Cell, horizon: int, excluded=()) -> list[set[Cell]]:
+    """The cells first reached at each step from `start`, a set per step,
+    within `horizon` steps, ending at the last step that reaches a new cell.
+    It walks flat indices of a copy of the map's mask, padded with walls,
+    so a step is `idx ± 1` or `idx ± (cols + 2)` and needs no bounds test.
+    A reached or `excluded` cell is closed in the copy, so `excluded` is
+    asked once per cell, and never about the start. Both searches call this
+    loop, so neither calls the other, and each call is one search.
+    """
+    if not grid.is_free(start):
+        raise ValueError(f"start {start} is not a free cell")
+    width = grid.cols + 2
+    open_cells = bytearray(grid._open)
+    first = (start[0] + 1) * width + start[1] + 1
+    open_cells[first] = 0
+    frontier = [first]
+    layers = [{start}]
+    while len(layers) <= horizon:
+        fresh, cells = [], set()
+        for idx in frontier:
+            for n in (idx - width, idx - 1, idx + 1, idx + width):
+                if open_cells[n]:
+                    open_cells[n] = 0
+                    i = n // width
+                    c = (i - 1, n - i * width - 1)
+                    if c not in excluded:
+                        fresh.append(n)
+                        cells.add(c)
+        if not fresh:
+            break
+        layers.append(cells)
+        frontier = fresh
+    return layers
+
+
 def bfs_layers(grid: GridMap, start: Cell, horizon: int,
                exclude_visited=()) -> list[set[Cell]]:
     """Breadth-first reachability layers from `start` up to `horizon` steps.
@@ -108,75 +160,16 @@ def bfs_layers(grid: GridMap, start: Cell, horizon: int,
     appear at all. The list ends at the last step that reaches a new cell, so
     it holds at most `horizon + 1` layers. The search only asks
     `exclude_visited` whether it holds a cell, so its work follows the cells
-    it reaches, not the size of that collection. Each of a cell's four
-    steps is tested inline: bounds, then seen, obstacle and excluded cells.
+    it reaches, not the size of that collection.
     """
-    if not grid.is_free(start):
-        raise ValueError(f"start {start} is not a free cell")
-    obstacles = grid.obstacles
-    last_row, last_col = grid.rows - 1, grid.cols - 1
-    layers = [{start}]
-    seen = {start}
-    while len(layers) <= horizon:
-        fresh = set()
-        for i, j in layers[-1]:
-            if i:
-                n = (i - 1, j)
-                if n not in seen and n not in obstacles and n not in exclude_visited:
-                    seen.add(n)
-                    fresh.add(n)
-            if j:
-                n = (i, j - 1)
-                if n not in seen and n not in obstacles and n not in exclude_visited:
-                    seen.add(n)
-                    fresh.add(n)
-            if j < last_col:
-                n = (i, j + 1)
-                if n not in seen and n not in obstacles and n not in exclude_visited:
-                    seen.add(n)
-                    fresh.add(n)
-            if i < last_row:
-                n = (i + 1, j)
-                if n not in seen and n not in obstacles and n not in exclude_visited:
-                    seen.add(n)
-                    fresh.add(n)
-        if not fresh:
-            break
-        layers.append(fresh)
-    return layers
+    return _frontier(grid, start, horizon, exclude_visited)
 
 
 def bfs_distances(grid: GridMap, start: Cell) -> dict[Cell, int]:
-    """Shortest move counts from `start` to every reachable cell.
-
-    A frontier loop of its own, not a flattening of `bfs_layers`: it walks
-    flat indices of a per-call copy of the map's open cells, padded with a
-    border of walls, so a step is `idx ± 1` or `idx ± (cols + 2)` and needs
-    no bounds test. A reached index is closed in that copy, and its cell
-    tuple is made once, as it enters the result. The dict's insertion order
-    is not part of the result.
+    """Shortest move counts from `start` to every reachable cell: the layers
+    of the search under `bfs_layers`, unbounded, as no shortest path is as
+    long as the cell count. The dict's insertion order is not part of the
+    result.
     """
-    if not grid.is_free(start):
-        raise ValueError(f"start {start} is not a free cell")
-    width = grid.cols + 2
-    row = b"\0" + b"\1" * grid.cols + b"\0"
-    open_cells = bytearray(b"\0" * width + row * grid.rows + b"\0" * width)
-    for i, j in grid.obstacles:
-        open_cells[(i + 1) * width + j + 1] = 0
-    first = (start[0] + 1) * width + start[1] + 1
-    open_cells[first] = 0
-    dist = {start: 0}
-    frontier = [first]
-    d = 0
-    while frontier:
-        d += 1
-        fresh = []
-        for idx in frontier:
-            for n in (idx - width, idx - 1, idx + 1, idx + width):
-                if open_cells[n]:
-                    open_cells[n] = 0
-                    fresh.append(n)
-                    i = n // width
-                    dist[(i - 1, n - i * width - 1)] = d
-        frontier = fresh
-    return dist
+    layers = _frontier(grid, start, grid.rows * grid.cols)
+    return {c: d for d, cells in enumerate(layers) for c in cells}

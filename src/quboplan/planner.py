@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Cell, GridMap, _require_ints, bfs_distances
+from .grid import Cell, GridMap, _require_cell, _require_ints, bfs_distances
 from .penalties import (
     Admissible,
     PenaltyWeights,
@@ -78,6 +78,8 @@ class RobotSpec:
     release: int = 0
 
     def __post_init__(self):
+        _require_cell(self.start, "start")
+        _require_cell(self.goal, "goal")
         _require_ints(self, "release")
         if self.release < 0:
             raise ValueError("release time must be >= 0")

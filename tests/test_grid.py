@@ -81,6 +81,15 @@ def test_obstacle_outside_grid_rejected():
         GridMap(2, 2, frozenset({(2, 0)}))
 
 
+@pytest.mark.parametrize("cell", [(0.5, 1), (1, 1, 1), (True, 1), (1,)])
+def test_an_obstacle_that_is_not_a_pair_of_ints_is_rejected(cell):
+    # (0.5, 1) and (1, 1, 1) used to pass the bounds check; `bfs_layers`
+    # then ignored them, and `bfs_distances` raised a bare TypeError.
+    with pytest.raises(ValueError) as excinfo:
+        GridMap(3, 3, frozenset({(0, 0), cell}))
+    assert str(excinfo.value) == f"obstacle {cell!r} is not a pair of integers"
+
+
 def test_manhattan_values():
     assert manhattan((0, 0), (0, 0)) == 0
     assert manhattan((0, 0), (4, 4)) == 8
@@ -158,7 +167,7 @@ def _random_map(rng, rows, cols):
 
 
 def test_bfs_layers_match_the_first_search_on_random_maps():
-    # The inline step tests must give the layers of the search through
+    # The walk over the map's mask must give the layers of the search through
     # `GridMap.neighbors`, at every horizon, whatever the exclusions hold:
     # the start or not, cells the search never reaches, cells off the map,
     # and cells that can only be asked about.
@@ -210,6 +219,26 @@ def test_bfs_distances_match_the_first_search_on_random_maps():
         corner = (rows - 1, cols - 1)
         assert bfs_distances(g, (0, 0)) == oracles.bfs_distances(g, (0, 0))
         assert bfs_distances(g, corner)[(0, 0)] == rows + cols - 2
+
+
+def test_the_searches_read_the_maps_mask_not_its_obstacle_set():
+    # Each map builds its open-cell mask once. With its obstacles swapped for
+    # cells that can only be asked about, both searches still give the first
+    # searches' results, which ask `GridMap.neighbors` about each step.
+    rng = np.random.default_rng(43)
+    maps = 0
+    for rows, cols in [tuple(int(n) for n in rng.integers(1, 9, size=2)) for _ in range(60)]:
+        g = _random_map(rng, rows, cols)
+        free = g.free_cells()
+        if not free:
+            continue
+        maps += 1
+        object.__setattr__(g, "obstacles", oracles.CellsWithoutIteration(g.obstacles))
+        for start in free:
+            assert bfs_distances(g, start) == oracles.bfs_distances(g, start)
+            for horizon in (0, 2, rows * cols):
+                assert bfs_layers(g, start, horizon) == oracles.bfs_layers(g, start, horizon)
+    assert maps >= 50
 
 
 def test_bfs_distances_reject_a_blocked_or_outside_start():

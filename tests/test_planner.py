@@ -802,6 +802,17 @@ def test_a_release_that_is_not_an_int_is_rejected(value):
         RobotSpec(0, (0, 0), (2, 2), release=value)
 
 
+@pytest.mark.parametrize("field", ["start", "goal"])
+@pytest.mark.parametrize("cell", [(0.5, 1), (1, 1, 1), (True, 1), [1, 1]])
+def test_an_endpoint_that_is_not_a_pair_of_ints_is_rejected(field, cell):
+    # A start of (0.5, 1) used to plan, and end infeasible with "goal (2, 2)
+    # unreachable from (0.5, 1) on the map".
+    endpoints = {"start": (0, 0), "goal": (2, 2), field: cell}
+    with pytest.raises(ValueError) as excinfo:
+        RobotSpec(0, **endpoints)
+    assert str(excinfo.value) == f"{field} {cell!r} is not a pair of integers"
+
+
 def test_window_config_validation():
     with pytest.raises(ValueError):
         WindowConfig(window_len=1)

@@ -194,37 +194,46 @@ def plan(inst: Instance):
     return result, check_plans(inst.grid, inst.robots, steps) if result.succeeded else []
 
 
-def summary(instances) -> dict:
-    """One table row over `instances`."""
-    annealed = 0
+def planned(instances):
+    """Yield each of `instances`, planned in order, with its result, the
+    checker's findings, its wall time in seconds and the solves the
+    annealer answered."""
     solve = planner.solve
+    for inst in instances:
+        annealed = 0
 
-    def counted(model, cfg, *, groups, seed_parts=()):
-        nonlocal annealed
-        sampleset = solve(model, cfg, groups=groups, seed_parts=seed_parts)
-        annealed += bool(sampleset.best.occurrences)
-        return sampleset
+        def counted(model, cfg, *, groups, seed_parts=()):
+            nonlocal annealed
+            sampleset = solve(model, cfg, groups=groups, seed_parts=seed_parts)
+            annealed += bool(sampleset.best.occurrences)
+            return sampleset
 
-    planner.solve = counted
-    try:
-        row = {"instances": 0, "plans": 0, "moves": 0, "windows": 0, "tries": 0,
-               "failed_try": 0, "seconds": 0.0}
-        paths = hashlib.sha256()
-        for inst in instances:
+        planner.solve = counted
+        try:
             started = time.perf_counter()
             result, errors = plan(inst)
-            row["seconds"] += time.perf_counter() - started
-            row["instances"] += 1
-            if result.succeeded and not errors:
-                row["plans"] += 1
-                row["moves"] += sum(p.moves for p in result.plans)
-            row["windows"] += len(result.windows)
-            row["tries"] += sum(w.retries + 1 for w in result.windows)
-            row["failed_try"] += sum(1 for w in result.windows if w.retries)
-            paths.update(json.dumps([inst.name, [p.steps for p in result.plans]]).encode())
-    finally:
-        planner.solve = solve
-    row["annealed"] = annealed
+            seconds = time.perf_counter() - started
+        finally:
+            planner.solve = solve
+        yield inst, result, errors, seconds, annealed
+
+
+def summary(records) -> dict:
+    """One table row over the records of `planned`."""
+    row = {"instances": 0, "plans": 0, "moves": 0, "windows": 0, "tries": 0,
+           "failed_try": 0, "seconds": 0.0, "annealed": 0}
+    paths = hashlib.sha256()
+    for inst, result, errors, seconds, annealed in records:
+        row["seconds"] += seconds
+        row["instances"] += 1
+        if result.succeeded and not errors:
+            row["plans"] += 1
+            row["moves"] += sum(p.moves for p in result.plans)
+        row["windows"] += len(result.windows)
+        row["tries"] += sum(w.retries + 1 for w in result.windows)
+        row["failed_try"] += sum(1 for w in result.windows if w.retries)
+        row["annealed"] += annealed
+        paths.update(json.dumps([inst.name, [p.steps for p in result.plans]]).encode())
     row["paths"] = paths.hexdigest()[:12]
     return row
 
@@ -234,7 +243,7 @@ def main() -> None:
           "| Paths sha256 | Seconds |")
     print("|---|---|---|---|---|---|---|---|")
     for name, instances in SETS.items():
-        r = summary(instances())
+        r = summary(planned(instances()))
         print(f"| {name} | {r['plans']}/{r['instances']} | {r['moves']:,} | {r['tries']:,} "
               f"| {r['failed_try']} of {r['windows']:,} | {r['annealed']} | {r['paths']} "
               f"| {r['seconds']:.2f} |", flush=True)
