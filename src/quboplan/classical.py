@@ -80,12 +80,12 @@ def _space_time_astar(grid: GridMap, start: Cell, goal: Cell, release: int,
     """Timed A* with waiting; earlier robots' reservations are hard blocks.
 
     From the last timed reservation on (`settled`) only parked cells block,
-    so a state from then on is bounded by its cell's BFS distance to the
-    goal around them, and one whose cell cannot reach the goal is dropped:
-    every state it leads to is cut off the same way. This also ends the
-    search at once on a goal that the map or the parked robots wall off.
-    Before `settled` the bound is the Manhattan distance, which never
-    exceeds a BFS distance one move on, so the bound stays consistent.
+    so a state's bound is then its cell's distance to the goal in a BFS
+    that leaves them out, and one whose cell cannot reach the goal is
+    dropped: every state it leads to is cut off the same way. This also
+    ends the search at once on a goal that the map or the parked robots
+    wall off. Before `settled` the bound is the Manhattan distance, which
+    never exceeds a BFS distance one move on, so the bound stays consistent.
     """
     if reservations.blocked(start, release):
         return None
@@ -99,8 +99,8 @@ def _space_time_astar(grid: GridMap, start: Cell, goal: Cell, release: int,
         if t < settled:
             return manhattan(cell, goal)
         if dist is None:
-            dist = {} if goal in reservations.parked else bfs_distances(
-                grid.with_obstacles(reservations.parked), goal)
+            parked = reservations.parked
+            dist = {} if goal in parked else bfs_distances(grid, goal, parked)
         return dist.get(cell)
 
     h = bound(start, release)

@@ -2,8 +2,9 @@
 
 One frontier loop serves both searches: `bfs_layers` grows a robot's
 first-reach layers over a window's horizon, around the cells it has visited;
-`bfs_distances` searches a whole map from a goal. It walks the padded
-open-cell mask that each map builds once, never the obstacle set.
+`bfs_distances` searches a whole map from a goal, around cells such as
+parked robots. It walks the padded open-cell mask that each map builds
+once, never the obstacle set.
 """
 
 from dataclasses import dataclass
@@ -32,11 +33,11 @@ class GridMap:
     """Rectangular 4-connected grid with static obstacles.
 
     Cells are (row, col) tuples indexed from the top-left corner. A move
-    steps to one of the four edge neighbours. Maps are
-    immutable after construction; callers that need extra blocked cells build
-    a derived map with :meth:`with_obstacles`. The searches' open-cell mask
-    is built once per map; it is not a field, so equality, hashing and the
-    repr ignore it.
+    steps to one of the four edge neighbours. Maps are immutable after
+    construction; a window that blocks extra cells builds a derived map with
+    :meth:`with_obstacles`, a search leaves them out. The searches'
+    open-cell mask is built once per map; it is not a field, so equality,
+    hashing and the repr ignore it.
     """
 
     rows: int
@@ -165,11 +166,12 @@ def bfs_layers(grid: GridMap, start: Cell, horizon: int,
     return _frontier(grid, start, horizon, exclude_visited)
 
 
-def bfs_distances(grid: GridMap, start: Cell) -> dict[Cell, int]:
+def bfs_distances(grid: GridMap, start: Cell, excluded=()) -> dict[Cell, int]:
     """Shortest move counts from `start` to every reachable cell: the layers
     of the search under `bfs_layers`, unbounded, as no shortest path is as
-    long as the cell count. The dict's insertion order is not part of the
-    result.
+    long as the cell count. Cells in `excluded` other than the start are
+    left out as obstacles are, and `excluded` is only asked whether it
+    holds a cell. The dict's insertion order is not part of the result.
     """
-    layers = _frontier(grid, start, grid.rows * grid.cols)
+    layers = _frontier(grid, start, grid.rows * grid.cols, excluded)
     return {c: d for d, cells in enumerate(layers) for c in cells}

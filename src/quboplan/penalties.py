@@ -82,8 +82,8 @@ class RobotWindow:
     penalties softly discourage them. Held as given and only asked whether
     it holds a cell, it must not change while the window is in use.
     `goal_distances` maps cells to their BFS distance to the goal, as the
-    planner's walled-off check searched it; `apply_approximation` reads it,
-    and searches the window's own map when it is None.
+    planner's walled-off check searched it; the goal bound and the
+    window-final reward read it, and `WindowSpec` fills it in when None.
     """
 
     start: Cell
@@ -96,7 +96,9 @@ class RobotWindow:
 class WindowSpec:
     """Everything needed to build one window's QUBO: map, robots, the
     window's horizon (every robot plans steps 0..horizon), weights, and
-    whether a robot may wait (stay on its cell for a step)."""
+    whether a robot may wait (stay on its cell for a step). A robot without
+    `goal_distances` gets them here, from its goal on the map with the goal
+    open; nothing that reads the window searches a goal."""
 
     grid: GridMap
     robots: tuple[RobotWindow, ...]
@@ -109,14 +111,20 @@ class WindowSpec:
             raise ValueError("window needs at least one robot")
         if self.horizon < 1:
             raise ValueError("window horizon must be >= 1")
-        object.__setattr__(self, "robots", tuple(self.robots))
+        grid, robots = self.grid, []
         for r in self.robots:
-            if not self.grid.is_free(r.start):
+            if not grid.is_free(r.start):
                 raise ValueError(f"robot start {r.start} is not a free cell")
             # A goal may be temporarily blocked (another robot is sitting on
             # it); the goal-seeking terms are then vacuous for this window.
-            if not self.grid.in_bounds(r.goal):
+            if not grid.in_bounds(r.goal):
                 raise ValueError(f"robot goal {r.goal} outside the grid")
+            if r.goal_distances is None:
+                opened = grid if grid.is_free(r.goal) else GridMap(
+                    grid.rows, grid.cols, grid.obstacles - {r.goal})
+                r = replace(r, goal_distances=bfs_distances(opened, r.goal))
+            robots.append(r)
+        object.__setattr__(self, "robots", tuple(robots))
 
     @property
     def dims(self) -> Dims:
@@ -305,17 +313,11 @@ def apply_approximation(terms: WindowTerms, spec: WindowSpec, robot: int) -> Non
 
     Used instead of the late-time goal reward when `build_window_model`
     finds the goal out of reach. Each candidate final cell earns
-    -K * (1 - d(c)/d_max), where d is the robot's `goal_distances` (without
-    them, BFS distance to the goal on the window's map with the goal cell
-    open) and d_max the largest d. A cell the search does not reach earns
-    nothing.
+    -K * (1 - d(c)/d_max), where d is the robot's `goal_distances` (see
+    `WindowSpec`) and d_max the largest d. A cell the table does not hold
+    earns nothing.
     """
-    rec = spec.robots[robot]
-    distances = rec.goal_distances
-    if distances is None:
-        grid = spec.grid
-        distances = bfs_distances(
-            GridMap(grid.rows, grid.cols, grid.obstacles - {rec.goal}), rec.goal)
+    distances = spec.robots[robot].goal_distances
     k = spec.weights.k_approx
     d_max = max(distances.values())
     for c, a in terms.layers[robot][spec.horizon].items():

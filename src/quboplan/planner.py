@@ -413,11 +413,11 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
     start is an active robot's goal, keeps the others off its start. A
     robot whose goal the map or the parked robots wall off ends as
     infeasible at once: a BFS from each goal, before the first window and
-    again whenever the parked set changes (parked robots blocked, starts of
+    again whenever the parked set changes (parked robots left out, starts of
     robots not yet released open), must reach the robot's cell. Its note
     names the parked robots only when a second search, on the bare map,
-    reaches the cell. Each window's approximation reward reads the first
-    search's distances.
+    reaches the cell. Each window's goal bound and approximation reward read
+    the first search's distances, the window's only goal table.
 
     The try rule: a window gets at most two tries of `window_len` steps,
     in a fixed order, both with seed parts (window index, 0, 0), and each
@@ -495,7 +495,7 @@ def plan_paths(grid: GridMap, robots, weights: PenaltyWeights | None = None,
                 walls = parked
                 for agent in pending:
                     agent.goal_distances = bfs_distances(
-                        grid.with_obstacles(parked - {agent.current}), agent.spec.goal)
+                        grid, agent.spec.goal, parked - {agent.current})
                     if agent.current not in agent.goal_distances:
                         goal, cell = agent.spec.goal, agent.current
                         if parked - {cell} and cell in bfs_distances(grid, goal):

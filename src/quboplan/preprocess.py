@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cell, bfs_distances, bfs_layers, manhattan
+from .grid import Cell, bfs_layers, manhattan
 from .penalties import Admissible, WindowSpec
 from .qubo import QuboModel, block_size, var_index
 
@@ -121,16 +121,14 @@ def fix_logical(spec: WindowSpec, bounded: bool = True) -> tuple[FixReport, Admi
     allowed, a reached goal stays admissible after it, for parking.
 
     With `bounded`, the first-reach layers of each robot whose goal is free
-    on the window's map are then bounded from the goal end (`SLACK`). The
-    distance to the goal is the robot's `goal_distances`, or a search of
-    the window's map from the goal when that is None. The planner searches
-    it without the starts it closes, so it is a lower bound on the window's
-    own. With the window's own distances, no cell of a shortest path within
-    the horizon is dropped; where closed starts or left-out cells lengthen
-    the way by more than `SLACK`, the bound may lose it, and the planner's
+    on the window's map are then bounded from the goal end (`SLACK`) by its
+    `goal_distances`; no search runs here. The planner's tables leave out
+    the starts it closes, so they are a lower bound on the window's own.
+    With the window's own distances, no cell of a shortest path within the
+    horizon is dropped; where closed starts or left-out cells lengthen the
+    way by more than `SLACK`, the bound may lose it, and the planner's
     first-reach fallback tries again. A window whose first-reach layers
-    leave no variable free skips the bound, at the cost of one comparison.
-    The report's `bound_dropped` counts the cells the bound dropped.
+    leave no variable free skips the bound; `bound_dropped` counts what it dropped.
     """
     horizon = spec.horizon
     admissible: Admissible = []
@@ -177,11 +175,8 @@ def fix_logical(spec: WindowSpec, bounded: bool = True) -> tuple[FixReport, Admi
         for r, rec in enumerate(spec.robots):
             if not spec.grid.is_free(rec.goal):
                 continue
-            distances = rec.goal_distances
-            if distances is None:
-                distances = bfs_distances(spec.grid, rec.goal)
             layers = admissible[r]
-            admissible[r] = _bound_to_goal(rec.goal, arrivals[r], distances, layers)
+            admissible[r] = _bound_to_goal(rec.goal, arrivals[r], rec.goal_distances, layers)
             dropped += sum(map(len, layers)) - sum(map(len, admissible[r]))
         reduced = _free_count(admissible)
     report = FixReport(len(spec.robots) * block_size(spec.dims), reduced, bound_dropped=dropped)

@@ -22,9 +22,9 @@ def _center(c) -> tuple[int, int]:
 def render_svg(grid: GridMap, plans=(), out_path: str | None = None) -> str:
     """Draw the grid, obstacles, and one polyline per plan.
 
-    `plans` is any iterable of `Plan`s. Starts are marked with circles,
-    goals with squares, and each step carries its global time as a small
-    label.
+    `plans` is any iterable of `Plan`s. A circle marks each plan's first
+    cell and a square its last, the goal only for a plan that reached it;
+    each step carries its global time as a small label.
     """
     width = 2 * MARGIN + grid.cols * CELL
     height = 2 * MARGIN + grid.rows * CELL

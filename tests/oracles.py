@@ -91,7 +91,7 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
         seeks_goal = (manhattan(rec.start, rec.goal) < horizon
                       and any(rec.goal in cells for cells in admissible[r]))
         if not seeks_goal:
-            for c, closeness in goal_closeness(spec, rec).items():
+            for c, closeness in goal_closeness(rec).items():
                 if c in admissible[r][horizon]:
                     total -= w.k_approx * closeness * occ(r, horizon, c)
         else:
@@ -127,16 +127,13 @@ def penalty_energy(spec: WindowSpec, admissible, occupancy, allow_wait=False) ->
     return total
 
 
-def goal_closeness(spec: WindowSpec, rec) -> dict:
+def goal_closeness(rec) -> dict:
     """The window-final reward's closeness 1 - d/d_max of each cell the goal
-    search reaches: d is the robot's `goal_distances` or, without them, this
-    module's `bfs_distances` from the goal on the window's map with the goal
-    cell open, and d_max the largest d."""
+    search reaches: d is the robot's `goal_distances`, and d_max the largest
+    d. A spec fills in a table it is not given;
+    `test_penalties::test_a_window_built_without_goal_tables_searches_each_goal_once`
+    checks that table against this module's `bfs_distances`."""
     distances = rec.goal_distances
-    if distances is None:
-        grid = spec.grid
-        distances = bfs_distances(
-            GridMap(grid.rows, grid.cols, grid.obstacles - {rec.goal}), rec.goal)
     d_max = max(distances.values())
     return {c: 1.0 - d / d_max if d_max else 0.0 for c, d in distances.items()}
 
@@ -181,7 +178,7 @@ def build_window_model_by_terms(spec: WindowSpec, admissible=None) -> QuboModel:
                     a = var_index(dims, robot, t, rec.goal)
                     model.add(a, a, -w.k_goal * goal_factor(t, horizon))
         else:
-            closeness = goal_closeness(spec, rec)
+            closeness = goal_closeness(rec)
             for c, a in entries(robot, horizon):
                 weight = -w.k_approx * closeness.get(c, 0.0)
                 if weight != 0.0:

@@ -190,6 +190,10 @@ def test_bfs_layers_match_the_first_search_on_random_maps():
         start_excluded += start in excluded
         unreached_excluded += not excluded.isdisjoint(unreached)
         opaque = oracles.CellsWithoutIteration(excluded)
+        # The goal search leaves the same cells out, and searches from a
+        # start inside them, as from one outside.
+        blocked = g.with_obstacles({c for c in excluded if g.is_free(c)} - {start})
+        assert bfs_distances(g, start, opaque) == oracles.bfs_distances(blocked, start)
         for horizon in range(rows * cols + 1):
             assert bfs_layers(g, start, horizon) == oracles.bfs_layers(g, start, horizon)
             expected = oracles.bfs_layers(g, start, horizon, excluded)
@@ -204,21 +208,39 @@ def test_bfs_distances_match_the_first_search_on_random_maps():
     # too.
     rng = np.random.default_rng(37)
     sizes = [tuple(int(n) for n in rng.integers(1, 9, size=2)) for _ in range(240)]
-    maps = small = 0
+    maps = small = walled = 0
     for rows, cols in sizes + THIN_SIZES:
         g = _random_map(rng, rows, cols)
         free = g.free_cells()
         maps += bool(free)
+        # Cells a goal search leaves out, as the planner leaves out parked
+        # robots: the search only asks about them, and gives the distances
+        # of the map that blocks them, in the same order.
+        excluded = {c for c in free if rng.random() < 0.25}
+        opaque = oracles.CellsWithoutIteration(excluded)
         for start in free:
             expected = oracles.bfs_distances(g, start)
             assert bfs_distances(g, start) == expected
             small += len(expected) <= min(3, len(free) - 1)
-    assert maps >= 200 and small >= 100
+            blocked = g.with_obstacles(excluded - {start})
+            around = bfs_distances(g, start, opaque)
+            assert around == oracles.bfs_distances(blocked, start)
+            assert list(around.items()) == list(bfs_distances(blocked, start).items())
+            walled += len(around) < len(expected)
+    assert maps >= 200 and small >= 100 and walled >= 200
     for rows, cols in THIN_SIZES:
         g = GridMap(rows, cols)
         corner = (rows - 1, cols - 1)
         assert bfs_distances(g, (0, 0)) == oracles.bfs_distances(g, (0, 0))
         assert bfs_distances(g, corner)[(0, 0)] == rows + cols - 2
+
+
+def test_bfs_distances_search_from_an_excluded_start():
+    # As in `bfs_layers`, the start is never asked about.
+    g = GridMap(1, 3)
+    assert bfs_distances(g, (0, 0), {(0, 0)}) == {(0, 0): 0, (0, 1): 1, (0, 2): 2}
+    assert bfs_distances(g, (0, 0), {(0, 0), (0, 1)}) == {(0, 0): 0}
+    assert bfs_distances(g, (0, 1), {(0, 0)}) == {(0, 1): 0, (0, 2): 1}
 
 
 def test_the_searches_read_the_maps_mask_not_its_obstacle_set():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from perfbench.corpus import city, shipped
-from quboplan import penalties, planner, qubo
+from quboplan import penalties, planner, preprocess, qubo
 from quboplan.grid import GridMap, bfs_distances, manhattan
 from quboplan.penalties import (
     BT_SOFT_FACTOR,
@@ -36,6 +36,7 @@ from quboplan.qubo import block_size, var_index
 from quboplan.scenario import load_scenario
 from quboplan.solvers import SolverConfig, solve
 
+import oracles
 from oracles import (
     build_window_model_by_terms,
     fold_by_terms,
@@ -199,6 +200,38 @@ def test_approximation_rewards():
     spec = WindowSpec(g, (given,), 3, PenaltyWeights(k_approx=1.0))
     model = emitted(apply_approximation, spec, adm, 0)
     assert reward((1, 1)) == pytest.approx(-0.5)
+
+
+def test_a_window_built_without_goal_tables_searches_each_goal_once(monkeypatch):
+    # `build_window` from 3-tuples, then `.folded`: both goals lie past the
+    # horizon, so the goal bound and the window-final reward read each
+    # robot's table, and the spec searched each goal once for them.
+    searched = []
+
+    def counted(grid, start, *args):
+        searched.append(start)
+        return bfs_distances(grid, start, *args)
+
+    for module in (penalties, preprocess, planner):
+        if hasattr(module, "bfs_distances"):
+            monkeypatch.setattr(module, "bfs_distances", counted)
+    g = GridMap(6, 6, frozenset({(2, 2), (3, 3)}))
+    robots = [((0, 2), (5, 5), {(0, 2)}), ((5, 2), (0, 5), {(5, 2)})]
+    window = planner.build_window(g, robots, 4, W)
+    assert window.report.reduced_count and window.report.bound_dropped
+    assert window.folded.model.num_vars
+    assert searched == [(5, 5), (0, 5)]
+    for rec in window.spec.robots:
+        assert rec.goal_distances == oracles.bfs_distances(g, rec.goal)
+    # A goal that is an obstacle on the window's map gets the search with
+    # the goal cell open, as the window-final reward always read it.
+    blocked = g.with_obstacles({(0, 5)})
+    spec = WindowSpec(blocked, (RobotWindow((0, 0), (0, 5)),), 4, W)
+    assert spec.robots[0].goal_distances == oracles.bfs_distances(g, (0, 5))
+    assert searched[2:] == [(0, 5)]
+    # A table the spec is given is kept, not searched again.
+    assert WindowSpec(blocked, spec.robots, 4, W).robots == spec.robots
+    assert searched[3:] == []
 
 
 def test_vertex_collision_pairs():

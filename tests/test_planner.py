@@ -339,9 +339,12 @@ def test_the_window_loop_never_asks_the_map_for_neighbours(monkeypatch):
         assert result.succeeded, inst.name
 
 
-def test_a_corridor_plan_asks_for_a_blocked_map_only_for_its_goal_check(monkeypatch):
-    # A robot planning alone changes no robot set of the window loop, so
-    # its goal is checked once and every window plans on the input map.
+def test_plans_ask_for_a_blocked_map_only_for_windows_with_a_parked_robot(monkeypatch):
+    # The goal checks leave the parked robots out of their searches, so the
+    # only blocked map a plan asks for is a window's. A robot planning alone
+    # asks for none; in `city(0)`, where every robot is released at 0, each
+    # window planned while a robot is parked asks for one, blocking the
+    # parked cells.
     instances = corridor(1)
     calls = []
     with_obstacles = GridMap.with_obstacles
@@ -353,13 +356,23 @@ def test_a_corridor_plan_asks_for_a_blocked_map_only_for_its_goal_check(monkeypa
     monkeypatch.setattr(GridMap, "with_obstacles", counted)
     windows = 0
     for inst in instances:
+        result = plan_paths(inst.grid, inst.robots, inst.weights, inst.window_cfg,
+                            inst.solver_cfg)
+        assert result.succeeded, inst.name
+        windows += len(result.windows)
+    assert calls == [] and windows > 50 * len(instances)
+    parked_windows = 0
+    for inst in city(0):
+        assert all(r.release == 0 for r in inst.robots)
         calls.clear()
         result = plan_paths(inst.grid, inst.robots, inst.weights, inst.window_cfg,
                             inst.solver_cfg)
         assert result.succeeded, inst.name
-        assert calls == [frozenset()], inst.name
-        windows += len(result.windows)
-    assert windows > 50 * len(instances)
+        parked = [frozenset(p.steps[-1][1] for p in result.plans
+                            if p.steps[-1][0] <= w.global_start) for w in result.windows]
+        assert calls == [cells for cells in parked if cells], inst.name
+        parked_windows += len(calls)
+    assert parked_windows >= 5
 
 
 def test_a_robot_with_no_free_move_waits_in_a_multi_robot_window():

@@ -112,7 +112,8 @@ def _random_windows(seed, count):
     """`count` random windows of 1 to 3 robots on maps up to 7x7 with 20 %
     obstacles. Each robot leaves out some visited cells, and the window
     closes up to two more cells; half the robots carry goal distances
-    searched on the map without those, as the planner searches them."""
+    searched on the map without those, as the planner searches them, and
+    the spec searches the window's own map for the rest."""
     rng = np.random.default_rng(seed)
     while count:
         rows, cols = (int(n) for n in rng.integers(2, 8, size=2))
@@ -149,8 +150,6 @@ def test_the_goal_bound_keeps_a_connected_subset_of_the_first_reach_layers():
             assert all(cells <= full for cells, full in zip(layers, first))
             assert layers[0] == {rec.start}
             distances = rec.goal_distances
-            if distances is None:
-                distances = bfs_distances(spec.grid, rec.goal)
             if not (wide_report.reduced_count and spec.grid.is_free(rec.goal)
                     and rec.start in distances):
                 assert layers == first
@@ -584,8 +583,6 @@ def _fix_logical_by_two_scans(spec, bounded, seen):
             if not spec.grid.is_free(rec.goal):
                 continue
             distances = rec.goal_distances
-            if distances is None:
-                distances = bfs_distances(spec.grid, rec.goal)
             layers = admissible[r]
             arrival = next((t for t, cells in enumerate(layers) if rec.goal in cells), None)
             admissible[r] = preprocess._bound_to_goal(rec.goal, arrival, distances, layers)
