@@ -13,6 +13,7 @@ from .penalties import (
     RobotWindow,
     WindowSpec,
     build_window_model,
+    with_one_hot_pairs,
 )
 from .preprocess import (
     FixReport,

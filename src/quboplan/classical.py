@@ -140,18 +140,18 @@ def prioritized_plan(grid: GridMap, robots) -> dict[int, list | None]:
     blocked forever once reached. Swap conflicts are deliberately not
     forbidden, matching the collision model of the QUBO pipeline. Returns
     per-robot step lists [(t, cell), ...], or None for robots that cannot
-    be routed.
+    be routed. A start or goal off the free cells raises `ValueError`.
     """
     robots = sorted(robots, key=lambda r: r.id)
     horizon = 2 * grid.rows * grid.cols + max((r.release for r in robots), default=0)
     reservations = _Reservations()
     out: dict[int, list | None] = {}
     for r in robots:
+        if not (grid.is_free(r.start) and grid.is_free(r.goal)):
+            raise ValueError("start and goal must be free cells")
         if r.start == r.goal:
             blocked = reservations.blocked_ever_after(r.start, r.release)
             steps = None if blocked else [(r.release, r.start)]
-        elif not (grid.is_free(r.start) and grid.is_free(r.goal)):
-            raise ValueError("start and goal must be free cells")
         else:
             steps = _space_time_astar(grid, r.start, r.goal, r.release,
                                       reservations, horizon)

@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from .bench import SCHEMA_VERSION, format_table, report_json, run_benchmark, run_pipeline
-from .penalties import build_window_model
+from .penalties import build_window_model, with_one_hot_pairs
 from .planner import build_window
 from .render import render_svg
 from .scenario import ScenarioError, load_scenario
@@ -79,7 +79,13 @@ def _cmd_export_qubo(args) -> int:
     robot = spec.robots[0]
     window = build_window(spec.grid, [(robot.start, robot.goal, {robot.start})],
                           spec.window_cfg.window_len, spec.weights)
-    model = build_window_model(window.spec) if args.raw else window.folded.model
+    if args.raw:
+        model = build_window_model(window.spec)
+        per_cell = spec.grid.rows * spec.grid.cols
+        groups = [v // per_cell for v in range(model.num_vars)]
+        model = with_one_hot_pairs(model, groups, spec.weights.k_hot)
+    else:
+        model = window.folded.model
     _emit(model.to_text(), args.output)
     return 0
 

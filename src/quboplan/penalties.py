@@ -4,20 +4,20 @@ Every constraint of the path model is a weighted quadratic term added to a
 shared model: one-hot occupancy per time step, continuity between steps,
 start/goal conditions, goal locking, revisit discouragement, early-arrival
 discouragement, the window-final reward by BFS distance to the goal, and
-inter-robot vertex-collision coupling. Each emitter mirrors one closed-form
-penalty, so model energy always equals the sum of the formulas evaluated on
-the decoded occupancy. The emitters append their terms to one flat list per
-window, indexed through a table built once, and the list is merged into the
-model once. The model a window is solved on leaves out the one-hot pair
-terms, which never fire on the one-hot states the solver visits; the
-complete model keeps them, for `export-qubo` and the tests' oracles.
+inter-robot vertex-collision coupling. The emitters append their terms to
+one flat list per window, indexed through a table built once, and the list
+is merged into the model once. That model, which a window is solved on,
+leaves out the one-hot pair terms, which never fire on one-hot states;
+`with_one_hot_pairs` adds them for the complete QUBO, whose energy is the
+sum of the closed-form penalties on any decoded occupancy.
 `derived_weights` reads a window's own objective terms for the constraint
 weights at which its minimum keeps every constraint it can (Lucas, "Ising
 formulations of many NP problems", Front. Phys. 2, 5, 2014).
 """
 
 import math
-from itertools import repeat
+from itertools import combinations, repeat
+from numbers import Real
 from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass, field, fields, replace
 
@@ -50,13 +50,13 @@ class PenaltyWeights:
     """Relative importance of each constraint.
 
     The defaults were tuned empirically on the benchmark scenarios; all
-    weights must be finite and strictly positive. Only the weights' ratios
-    matter: the annealer reads its β range per unit of the model's largest
-    coupling between (robot, step) groups (`solvers.solve`), so no overall
-    scale is set here. A window is first tried at these weights, on
-    admissible sets bounded from the goal end. The first-reach tries of a
-    multi-robot window run at derived weights (`derived_weights`); fields
-    are floors there.
+    weights must be real numbers (not `bool`s), finite and strictly positive.
+    Only the weights' ratios matter: the annealer reads its β range per unit
+    of the model's largest coupling between (robot, step) groups
+    (`solvers.solve`), so no overall scale is set here. A window is first
+    tried at these weights, on admissible sets bounded from the goal end.
+    The first-reach tries of a multi-robot window run at derived weights
+    (`derived_weights`); fields are floors there.
     """
 
     k_hot: float = 4.0
@@ -69,7 +69,10 @@ class PenaltyWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if not 0 < getattr(self, f.name) < math.inf:
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            if not 0 < value < math.inf:
                 raise ValueError(f"{f.name} must be finite and strictly positive")
 
 
@@ -190,28 +193,18 @@ class WindowTerms:
         return QuboModel.from_terms(self.num_vars, self.constant, self.keys, self.weights)
 
 
-def apply_one_hot(terms: WindowTerms, spec: WindowSpec, robot: int, *,
-                  pairs: bool = True) -> None:
-    """Exactly-one-cell-per-step: K * (1 - sum x)^2 for every time step.
-
-    Without `pairs`, only the constant and the diagonal -K are emitted: the
-    pair terms 2K x_a x_b never fire on a state with one cell per step.
-    """
+def apply_one_hot(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
+    """Exactly-one-cell-per-step, K * (1 - sum x)^2 for every time step,
+    without its pair terms: the constant K and the diagonal -K. The pairs
+    2K x_a x_b never fire on a state with one cell per step; the complete
+    penalty is `with_one_hot_pairs`'."""
     k = spec.weights.k_hot
     keys, weights = terms.keys, terms.weights
     for layer in terms.layers[robot]:
         terms.constant += k
         entries = list(layer.values())
-        if not pairs:
-            keys.extend(zip(entries, entries))
-            weights.extend(repeat(-k, len(entries)))
-            continue
-        for i, a in enumerate(entries, 1):
-            keys.append((a, a))
-            weights.append(-k)
-            if i < len(entries):
-                keys.extend(zip(repeat(a), entries[i:]))
-                weights.extend(repeat(2.0 * k, len(entries) - i))
+        keys.extend(zip(entries, entries))
+        weights.extend(repeat(-k, len(entries)))
 
 
 def apply_adjacency(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:
@@ -338,9 +331,9 @@ def apply_vertex_collision(terms: WindowTerms, spec: WindowSpec) -> None:
                         terms.add(a, b, k)
 
 
-def build_window_model(spec: WindowSpec, admissible: Admissible | None = None, *,
-                       one_hot_pairs: bool = True) -> QuboModel:
-    """Emit every penalty for every robot into one QUBO.
+def build_window_model(spec: WindowSpec, admissible: Admissible | None = None) -> QuboModel:
+    """Emit every penalty for every robot into one QUBO, the one-hot pair
+    terms left out (`apply_one_hot`).
 
     A robot whose goal is admissible at some step and strictly closer than
     the horizon seeks it with the late-time reward, any other with the
@@ -348,20 +341,29 @@ def build_window_model(spec: WindowSpec, admissible: Admissible | None = None, *
     structure the model spans the full dense variable space, where a free
     goal counts as reachable; this keeps the builder self-contained for
     ground-truth checks by enumeration.
-
-    With `one_hot_pairs` false the one-hot pair terms are left out. No
-    other term shares their keys, so every other coefficient keeps its
-    value and its place in the order.
     """
     if admissible is None:
         admissible = dense_admissible(spec)
     terms = WindowTerms(spec, admissible)
     for robot in range(len(spec.robots)):
-        apply_one_hot(terms, spec, robot, pairs=one_hot_pairs)
+        apply_one_hot(terms, spec, robot)
         apply_adjacency(terms, spec, robot)
         _apply_objective(terms, spec, robot)
     apply_vertex_collision(terms, spec)
     return terms.model()
+
+
+def with_one_hot_pairs(model: QuboModel, groups, k_hot: float) -> QuboModel:
+    """`model` plus the one-hot pair terms, 2 * `k_hot` on each pair of the
+    variables its coefficients touch that share a (robot, step) label of
+    `groups` (as `solvers.solve` takes them), after its own terms. No other
+    penalty couples two cells of one robot's step, so each pair is a new key."""
+    members: dict[int, list[int]] = {}
+    for v in sorted({v for key in model.coeffs for v in key}):
+        members.setdefault(int(groups[v]), []).append(v)
+    pairs = [pair for entries in members.values() for pair in combinations(entries, 2)]
+    return QuboModel.from_terms(model.num_vars, model.constant, [*model.coeffs, *pairs],
+                                [*model.coeffs.values(), *repeat(2.0 * k_hot, len(pairs))])
 
 
 def _apply_objective(terms: WindowTerms, spec: WindowSpec, robot: int) -> None:

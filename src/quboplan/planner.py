@@ -25,6 +25,7 @@ from .penalties import (
     WindowSpec,
     build_window_model,
     derived_weights,
+    with_one_hot_pairs,
 )
 from .postprocess import (
     detect_invalid_move,
@@ -70,7 +71,7 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class RobotSpec:
-    """A robot's planning request: identity, endpoints, release time."""
+    """A robot's planning request: `int` identity, endpoints, `int` release."""
 
     id: int
     start: Cell
@@ -80,7 +81,7 @@ class RobotSpec:
     def __post_init__(self):
         _require_cell(self.start, "start")
         _require_cell(self.goal, "goal")
-        _require_ints(self, "release")
+        _require_ints(self, "id", "release")
         if self.release < 0:
             raise ValueError("release time must be >= 0")
 
@@ -253,11 +254,10 @@ class Window:
     """One window as `build_window` makes it: the spec, the presolve counts
     and the cells logical fixing left admissible.
 
-    Its folded models are built when first read: `one_hot`, which the
-    planner solves, and `folded`, the complete QUBO that `export-qubo` and
-    the tests' oracles read. A window that logical fixing decided needs
-    neither: each of its layers then holds one cell, or none where the
-    search ended early. The spec holds the robots' visited sets, not
+    Its one model is built when first read, as `one_hot`, which the planner
+    solves, or as `folded`, the complete QUBO. A window that logical fixing
+    decided needs neither: each of its layers holds one cell, or none where
+    the search ended early. The spec holds the robots' visited sets, not
     copies, and `plan_paths` grows them once the window's try is over, so a
     model must be read during the try: read later, it is another window's.
     """
@@ -265,32 +265,21 @@ class Window:
     spec: WindowSpec
     report: FixReport
     admissible: Admissible
-    _counted: bool = field(default=False, init=False, repr=False, compare=False)
-
-    @cached_property
-    def folded(self) -> FoldedModel:
-        """The window's QUBO over the admissible cells, folded onto the free
-        variables with the singleton layers' variables fixed on, and cleared
-        of hopeless diagonals."""
-        return self._fold(one_hot_pairs=True)
 
     @cached_property
     def one_hot(self) -> FoldedModel:
-        """`folded` without the one-hot pair terms, which never fire on the
-        states `solve` visits. Folding never moves such a pair onto a
-        diagonal, and in a planner window every free variable keeps an
-        adjacency coupling, so all else is `folded`'s, in the same order."""
-        return self._fold(one_hot_pairs=False)
-
-    def _fold(self, one_hot_pairs: bool) -> FoldedModel:
-        """The window's model, folded and put through the numeric pass, which
-        counts into `report` for the first model read only: in a planner
-        window the second clears the same variables."""
-        model = build_window_model(self.spec, self.admissible, one_hot_pairs=one_hot_pairs)
+        """The window's model over the admissible cells, folded onto the free
+        variables with the singleton layers' variables fixed on, and cleared
+        of hopeless diagonals, which the numeric pass counts into `report`."""
+        model = build_window_model(self.spec, self.admissible)
         ones = forced_ones(self.spec.dims, self.admissible)
-        report = replace(self.report) if self._counted else self.report
-        self._counted = True
-        return fix_numeric_diagonal(fold(model, ones), report)
+        return fix_numeric_diagonal(fold(model, ones), self.report)
+
+    @cached_property
+    def folded(self) -> FoldedModel:
+        """The complete QUBO: `one_hot` plus its one-hot pair terms."""
+        complete = with_one_hot_pairs(self.one_hot.model, self.groups, self.spec.weights.k_hot)
+        return replace(self.one_hot, model=complete)
 
     @property
     def groups(self) -> np.ndarray:

@@ -47,8 +47,8 @@ class FixReport:
 
     `fix_logical` sets both counts, and `bound_dropped`, the admissible
     cells its goal bound dropped. The numeric pass, run when the window's
-    first model is folded, lowers `reduced_count` by the variables it
-    clears and adds the ones it clears by rule to `numeric_fixed`.
+    model is folded, lowers `reduced_count` by the variables it clears and
+    adds the ones it clears by rule to `numeric_fixed`.
     """
 
     original_count: int

@@ -9,10 +9,18 @@ from oracles import solve_exhaustive
 def exhaustive(monkeypatch):
     """Plan through `oracles.solve_exhaustive` in place of `solvers.solve`:
     every window with free variables is answered by enumeration, over every
-    bit vector of its complete QUBO (the one-hot pair terms included)."""
-    monkeypatch.setattr(planner, "solve",
-                        lambda model, cfg, *, groups, seed_parts=(): solve_exhaustive(model))
-    monkeypatch.setattr(planner.Window, "one_hot", property(lambda window: window.folded))
+    bit vector of its complete QUBO (`Window.folded`, the one-hot pair
+    terms included), which has the free variables of the model the planner
+    passes to `solve`."""
+    tried, attempt = [], planner._attempt_window
+
+    def recorded(window, *args):
+        tried.append(window)
+        return attempt(window, *args)
+
+    monkeypatch.setattr(planner, "_attempt_window", recorded)
+    monkeypatch.setattr(planner, "solve", lambda model, cfg, *, groups, seed_parts=():
+                        solve_exhaustive(tried[-1].folded.model))
 
 
 @pytest.fixture

@@ -126,7 +126,7 @@ def test_criterion_5_fully_preprocessed_windowed_scenario():
 
 
 def test_criterion_6_closed_form_equivalence():
-    from test_penalties import _random_window
+    from test_penalties import _random_window, complete
 
     rng = np.random.default_rng(2024)
     pairs = 0
@@ -134,7 +134,7 @@ def test_criterion_6_closed_form_equivalence():
         spec = _random_window(rng)
         adm = dense_admissible(spec)
         allow_wait = len(spec.robots) > 1
-        model = build_window_model(spec, adm)
+        model = complete(spec, build_window_model(spec, adm))
         for _ in range(4):
             occupancy = []
             ones = set()

@@ -79,6 +79,15 @@ def test_prioritized_rejects_bad_endpoints(start, goal):
         prioritized_plan(g, [RobotSpec(0, (0, 2), (2, 2)), RobotSpec(1, start, goal)])
 
 
+@pytest.mark.parametrize("cell", [(0, 0), (5, 5)], ids=["obstacle", "outside"])
+def test_prioritized_rejects_a_robot_whose_start_is_its_goal_off_the_free_cells(cell):
+    # Such a robot used to be returned parked on its cell, inside a wall or
+    # off the map.
+    g = GridMap(2, 2, frozenset({(0, 0)}))
+    with pytest.raises(ValueError, match="^start and goal must be free cells$"):
+        prioritized_plan(g, [RobotSpec(0, cell, cell)])
+
+
 def test_astar_deterministic():
     g = GridMap(6, 6, frozenset({(2, 2), (3, 3)}))
     assert astar(g, (0, 0), (5, 5)) == astar(g, (0, 0), (5, 5))

@@ -30,6 +30,7 @@ from quboplan.penalties import (
     build_window_model,
     dense_admissible,
     goal_factor,
+    with_one_hot_pairs,
 )
 from quboplan.preprocess import fix_logical, fold, forced_ones
 from quboplan.qubo import block_size, var_index
@@ -63,10 +64,17 @@ def emitted(apply, spec, admissible, *robot):
     return terms.model()
 
 
+def complete(spec, model):
+    """`model`, over a window's whole variable space, with the one-hot pair
+    terms: the complete QUBO, whose energy is the penalty formulas' sum."""
+    per_cell = spec.grid.rows * spec.grid.cols
+    return with_one_hot_pairs(model, np.arange(model.num_vars) // per_cell, spec.weights.k_hot)
+
+
 def test_one_hot_contributions():
     spec = spec_1x2()
     adm = dense_admissible(spec)
-    model = emitted(apply_one_hot, spec, adm, 0)
+    model = complete(spec, emitted(apply_one_hot, spec, adm, 0))
     a = var_index(spec.dims, 0, 0, (0, 0))
     b = var_index(spec.dims, 0, 0, (0, 1))
     # satisfied step costs zero, double occupancy and empty step cost k_hot
@@ -321,7 +329,7 @@ def test_model_energy_matches_direct_formulas():
     for _ in range(120):
         spec = _random_window(rng)
         adm = dense_admissible(spec)
-        model = build_window_model(spec, adm)
+        model = complete(spec, build_window_model(spec, adm))
         dims = spec.dims
         for _ in range(4):
             occupancy = []
@@ -365,7 +373,9 @@ def _merge_rule_window(rng):
 def test_window_models_merge_as_the_term_by_term_builder(monkeypatch):
     # `_energies` sums in `coeffs` order, so the order is pinned too: a key
     # sits where its sum first turns non-zero, and one that cancels to 0.0
-    # is added again at the end by a later term.
+    # is added again at the end by a later term. The reference is the
+    # complete QUBO; the built model is it without the pairs inside a
+    # (robot, step) group, in order, and `with_one_hot_pairs` adds them back.
     emitted_keys = []
     merge = WindowTerms.model
 
@@ -380,13 +390,19 @@ def test_window_models_merge_as_the_term_by_term_builder(monkeypatch):
         spec, admissible = _merge_rule_window(rng)
         model = build_window_model(spec, admissible)
         reference = build_window_model_by_terms(spec, admissible)
-        assert list(model.coeffs.items()) == list(reference.coeffs.items())
+        per_cell = spec.grid.rows * spec.grid.cols
+        assert list(model.coeffs.items()) == [
+            ((a, b), w) for (a, b), w in reference.coeffs.items()
+            if a == b or a // per_cell != b // per_cell]
+        whole = complete(spec, model)
+        assert whole.coeffs == reference.coeffs
         assert (model.num_vars, model.constant) == (reference.num_vars, reference.constant)
+        assert (whole.num_vars, whole.constant) == (reference.num_vars, reference.constant)
         first_seen = [key for key in dict.fromkeys(emitted_keys[-1]) if key in model.coeffs]
         readded += first_seen != list(model.coeffs)
         ones = forced_ones(spec.dims, admissible)
-        folded = fold(model, ones)
-        folded_reference, free = fold_by_terms(reference, ones)
+        folded = fold(whole, ones)
+        folded_reference, free = fold_by_terms(whole, ones)
         assert list(folded.model.coeffs.items()) == list(folded_reference.coeffs.items())
         assert folded.model.constant == folded_reference.constant
         assert (folded.free_vars, folded.model.num_vars) == (free, folded_reference.num_vars)
@@ -466,6 +482,19 @@ def test_weights_validation():
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match="k_adj must be finite and strictly positive"):
             PenaltyWeights(k_adj=value)
+
+
+@pytest.mark.parametrize("field", ["k_hot", "k_coll"])
+@pytest.mark.parametrize("value", [True, "4", None, 4j])
+def test_a_weight_that_is_not_a_real_number_is_rejected(field, value):
+    # k_hot=True planned as 1, and k_hot="4" failed with a bare TypeError.
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+        PenaltyWeights(**{field: value})
+
+
+def test_integer_and_numpy_weights_are_real_numbers():
+    weights = PenaltyWeights(k_hot=4, k_adj=np.float64(2.0), k_coll=np.int64(4))
+    assert (weights.k_hot, weights.k_adj, weights.k_coll) == (4, 2.0, 4)
 
 
 def test_window_spec_rejects_horizon_below_one():

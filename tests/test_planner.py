@@ -3,6 +3,7 @@ import json
 import pathlib
 import sys
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -815,6 +816,14 @@ def test_a_release_that_is_not_an_int_is_rejected(value):
         RobotSpec(0, (0, 0), (2, 2), release=value)
 
 
+@pytest.mark.parametrize("value", ["a", 1.0, True])
+def test_an_id_that_is_not_an_int_is_rejected(value):
+    # An id of "a" next to an int id crashed `plan_multi`'s sort with a bare
+    # TypeError, and an id of 1.0 planned and printed "robot": 1.0.
+    with pytest.raises(ValueError, match=f"^id must be an integer, got {value!r}$"):
+        RobotSpec(value, (0, 0), (2, 2))
+
+
 @pytest.mark.parametrize("field", ["start", "goal"])
 @pytest.mark.parametrize("cell", [(0.5, 1), (1, 1, 1), (True, 1), [1, 1]])
 def test_an_endpoint_that_is_not_a_pair_of_ints_is_rejected(field, cell):
@@ -936,7 +945,7 @@ def test_windows_are_folded_before_the_plan_grows_their_visited_cells(monkeypatc
     # whose size at fold time is its size at build time is the one the
     # window was built on.
     sizes, folds = {}, 0
-    build, fold = planner.build_window, planner.Window._fold
+    build, one_hot = planner.build_window, planner.Window.one_hot.func
 
     def recording_build(*args, **kwargs):
         window = build(*args, **kwargs)
@@ -944,18 +953,47 @@ def test_windows_are_folded_before_the_plan_grows_their_visited_cells(monkeypatc
         sizes[id(robots)] = (robots, [len(rec.visited) for rec in robots])
         return window
 
-    def checked_fold(window, *args, **kwargs):
+    def checked_one_hot(window):
         nonlocal folds
         robots, at_build = sizes[id(window.spec.robots)]
         assert robots is window.spec.robots
         assert [len(rec.visited) for rec in robots] == at_build
         folds += 1
-        return fold(window, *args, **kwargs)
+        return one_hot(window)
 
+    hooked = cached_property(checked_one_hot)
+    hooked.__set_name__(planner.Window, "one_hot")
     monkeypatch.setattr(planner, "build_window", recording_build)
-    monkeypatch.setattr(planner.Window, "_fold", checked_fold)
+    monkeypatch.setattr(planner.Window, "one_hot", hooked)
     _plan_benchmark_traffic()
     assert folds >= 80
+
+
+@pytest.mark.parametrize("order", [("folded", "one_hot"), ("one_hot", "folded")])
+def test_a_window_builds_folds_and_presolves_one_model(order, monkeypatch):
+    # The complete QUBO is the solved model plus its one-hot pairs, so a
+    # window that is read both ways builds and presolves its model once.
+    calls = {"build_window_model": 0, "fix_numeric_diagonal": 0}
+
+    def counted(name):
+        original = getattr(planner, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(planner, name, counted(name))
+    inst = city(0)[0]
+    window = planner.build_window(inst.grid, [(r.start, r.goal, {r.start}) for r in inst.robots],
+                                  inst.window_cfg.window_len, inst.weights, allow_wait=True,
+                                  bounded=False)
+    assert window.report.reduced_count
+    for name in order:
+        getattr(window, name)
+    assert calls == {"build_window_model": 1, "fix_numeric_diagonal": 1}
+    assert window.folded.free_vars == window.one_hot.free_vars
 
 
 def test_the_benchmark_traffic_repairs_steps_of_one_cell_at_most(monkeypatch):

@@ -379,10 +379,12 @@ def test_numeric_fix_preserves_minimum_on_random_instances(monkeypatch):
 
 
 def test_preprocess_window_end_to_end_energy_identity():
+    from test_penalties import complete
+
     grid = GridMap(3, 3, frozenset({(1, 1)}))
     built = build_window(grid, [((0, 0), (2, 2), {(0, 0)})], 4, PenaltyWeights())
     spec, folded = built.spec, built.folded
-    model = build_window_model(spec, built.admissible)
+    model = complete(spec, build_window_model(spec, built.admissible))
     rng = np.random.default_rng(12)
     for _ in range(30):
         bits = [int(rng.integers(2)) for _ in folded.free_vars]

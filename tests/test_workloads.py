@@ -57,28 +57,36 @@ def test_the_large_and_bigger_sets_plan_every_instance_and_pass_the_checker(
 
 @pytest.mark.parametrize("instances, row", [
     (scale_probe, {"instances": 4, "plans": 4, "moves": 6645, "windows": 50, "tries": 55,
-                   "failed_try": 5, "annealed": 0, "paths": "c741a25aa464"}),
+                   "failed_try": 5, "annealed": 0, "paths": "c741a25aa464",
+                   "qubo_vars": 5442, "qubo_couplings": 47750, "qubo_degree": 31}),
     (random_probe, {"instances": 3000, "plans": 2384, "moves": 20965, "windows": 8717,
-                    "tries": 9369, "failed_try": 652, "annealed": 0, "paths": "22ea685b4b9d"}),
+                    "tries": 9369, "failed_try": 652, "annealed": 0, "paths": "22ea685b4b9d",
+                    "qubo_vars": 111, "qubo_couplings": 408, "qubo_degree": 13}),
     pytest.param(SETS["shipped 0-3"], {
         "instances": 216, "plans": 216, "moves": 4012, "windows": 352, "tries": 352,
-        "failed_try": 0, "annealed": 0, "paths": "f6f1294124e1"}, id="shipped 0-3"),
+        "failed_try": 0, "annealed": 0, "paths": "f6f1294124e1",
+        "qubo_vars": 124, "qubo_couplings": 340, "qubo_degree": 7}, id="shipped 0-3"),
     pytest.param(SETS["city 0-19"], {
         "instances": 240, "plans": 240, "moves": 6595, "windows": 652, "tries": 661,
-        "failed_try": 9, "annealed": 0, "paths": "eac728a4f11b"}, id="city 0-19"),
+        "failed_try": 9, "annealed": 0, "paths": "eac728a4f11b",
+        "qubo_vars": 201, "qubo_couplings": 898, "qubo_degree": 20}, id="city 0-19"),
     pytest.param(SETS["dense 0"], {
         "instances": 24, "plans": 19, "moves": 1459, "windows": 69, "tries": 87,
-        "failed_try": 18, "annealed": 0, "paths": "53ae8e220508"}, id="dense 0"),
+        "failed_try": 18, "annealed": 0, "paths": "53ae8e220508",
+        "qubo_vars": 818, "qubo_couplings": 4986, "qubo_degree": 22}, id="dense 0"),
     pytest.param(large, {
         "instances": 8, "plans": 8, "moves": 1019, "windows": 36, "tries": 36,
-        "failed_try": 0, "annealed": 0, "paths": "e21782bab6c8"}, id="large"),
+        "failed_try": 0, "annealed": 0, "paths": "e21782bab6c8",
+        "qubo_vars": 273, "qubo_couplings": 1054, "qubo_degree": 14}, id="large"),
     pytest.param(bigger, {
         "instances": 4, "plans": 4, "moves": 1799, "windows": 33, "tries": 35,
-        "failed_try": 2, "annealed": 0, "paths": "3ee2365e1ba7"}, id="bigger"),
+        "failed_try": 2, "annealed": 0, "paths": "3ee2365e1ba7",
+        "qubo_vars": 870, "qubo_couplings": 5726, "qubo_degree": 22}, id="bigger"),
 ])
 def test_the_probes_keep_their_rows(instances, row, large_and_bigger):
     # Every row of `python tests/workloads.py` but `dense 1`'s, pinned below
-    # with its annealed reads: every path of each set is pinned by its hash.
+    # with its annealed reads: every path of each set is pinned by its hash,
+    # and the size of the largest complete QUBO that any try solves.
     # The scale probe's wide windows take the lazy elimination rounds, and
     # no other test plans either probe.
     records = large_and_bigger.get(instances) or planned(instances())
@@ -94,7 +102,8 @@ def test_dense_draw_1_keeps_its_annealed_reads():
     got = summary(planned(dense(1)))
     del got["seconds"]
     assert got == {"instances": 24, "plans": 17, "moves": 976, "windows": 54, "tries": 69,
-                   "failed_try": 15, "annealed": 3, "paths": "b6e57b7c9a44"}
+                   "failed_try": 15, "annealed": 3, "paths": "b6e57b7c9a44",
+                   "qubo_vars": 799, "qubo_couplings": 4455, "qubo_degree": 20}
 
 
 def test_the_random_probes_first_500_plans_keep_their_json():

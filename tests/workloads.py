@@ -5,12 +5,19 @@ the planner fares on them. Run from the repository root:
 
 It plans every instance of every set below and prints one row per set:
 the plans that pass `perfbench.checker`, their summed moves, the window
-tries, the windows with a failed try, the solves the annealer answered, a
-hash of every path of the set, failed plans included, so two versions of
-the planner can be compared path for path, and the set's wall time in
-seconds, planning and checking every instance (the checker takes under 1 %
-of it), so two versions can be compared for speed on sets the benchmark
-does not run. The time is one run's, on whatever machine runs the script.
+tries, the windows with a failed try, the solves the annealer answered,
+the largest complete QUBO that any try of the set solves, a hash of every
+path of the set, failed plans included, so two versions of the planner
+can be compared path for path, and the set's wall time in seconds,
+planning and checking every instance (the checker takes under 1 % of it),
+so two versions can be compared for speed on sets the benchmark does not
+run. The time is one run's, on whatever machine runs the script.
+
+The complete QUBO of a try is the model it solves plus the one-hot pair
+terms (`penalties.with_one_hot_pairs`), the form a hardware sampler would
+take. Its columns are the most variables, the most couplings and the
+highest degree, a variable's count of couplings, each over every solve of
+the set.
 
 The sets:
 
@@ -39,6 +46,8 @@ import random
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
@@ -194,36 +203,50 @@ def plan(inst: Instance):
     return result, check_plans(inst.grid, inst.robots, steps) if result.succeeded else []
 
 
+def complete_size(model, groups) -> tuple[int, int, int]:
+    """Variables, couplings and highest degree of `model` with the one-hot
+    pair terms, counted from its `solve` groups: a group of m variables
+    adds m(m - 1)/2 couplings, and m - 1 to each member's degree."""
+    pairs = np.array([key for key in model.coeffs if key[0] != key[1]], dtype=np.intp)
+    _, labels, sizes = np.unique(groups, return_inverse=True, return_counts=True)
+    degree = np.bincount(pairs.ravel(), minlength=model.num_vars) + sizes[labels] - 1
+    return model.num_vars, len(pairs) + int((sizes * (sizes - 1) // 2).sum()), int(degree.max())
+
+
 def planned(instances):
     """Yield each of `instances`, planned in order, with its result, the
-    checker's findings, its wall time in seconds and the solves the
-    annealer answered."""
+    checker's findings, its wall time in seconds, counting left out, and
+    one (annealed, variables, couplings, degree) tuple per solve: whether
+    the annealer answered it, and its complete QUBO's `complete_size`."""
     solve = planner.solve
     for inst in instances:
-        annealed = 0
+        solves, counting = [], 0.0
 
         def counted(model, cfg, *, groups, seed_parts=()):
-            nonlocal annealed
+            nonlocal counting
             sampleset = solve(model, cfg, groups=groups, seed_parts=seed_parts)
-            annealed += bool(sampleset.best.occurrences)
+            started = time.perf_counter()
+            solves.append((bool(sampleset.best.occurrences), *complete_size(model, groups)))
+            counting += time.perf_counter() - started
             return sampleset
 
         planner.solve = counted
         try:
             started = time.perf_counter()
             result, errors = plan(inst)
-            seconds = time.perf_counter() - started
+            seconds = time.perf_counter() - started - counting
         finally:
             planner.solve = solve
-        yield inst, result, errors, seconds, annealed
+        yield inst, result, errors, seconds, solves
 
 
 def summary(records) -> dict:
     """One table row over the records of `planned`."""
     row = {"instances": 0, "plans": 0, "moves": 0, "windows": 0, "tries": 0,
-           "failed_try": 0, "seconds": 0.0, "annealed": 0}
+           "failed_try": 0, "seconds": 0.0, "annealed": 0,
+           "qubo_vars": 0, "qubo_couplings": 0, "qubo_degree": 0}
     paths = hashlib.sha256()
-    for inst, result, errors, seconds, annealed in records:
+    for inst, result, errors, seconds, solves in records:
         row["seconds"] += seconds
         row["instances"] += 1
         if result.succeeded and not errors:
@@ -232,7 +255,10 @@ def summary(records) -> dict:
         row["windows"] += len(result.windows)
         row["tries"] += sum(w.retries + 1 for w in result.windows)
         row["failed_try"] += sum(1 for w in result.windows if w.retries)
-        row["annealed"] += annealed
+        for annealed, *size in solves:
+            row["annealed"] += annealed
+            for key, value in zip(("qubo_vars", "qubo_couplings", "qubo_degree"), size):
+                row[key] = max(row[key], value)
         paths.update(json.dumps([inst.name, [p.steps for p in result.plans]]).encode())
     row["paths"] = paths.hexdigest()[:12]
     return row
@@ -240,13 +266,14 @@ def summary(records) -> dict:
 
 def main() -> None:
     print("| Set | Plans | Moves | Tries | Windows with a failed try | Annealed solves "
-          "| Paths sha256 | Seconds |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| Complete QUBO: variables / couplings / degree | Paths sha256 | Seconds |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for name, instances in SETS.items():
         r = summary(planned(instances()))
         print(f"| {name} | {r['plans']}/{r['instances']} | {r['moves']:,} | {r['tries']:,} "
-              f"| {r['failed_try']} of {r['windows']:,} | {r['annealed']} | {r['paths']} "
-              f"| {r['seconds']:.2f} |", flush=True)
+              f"| {r['failed_try']} of {r['windows']:,} | {r['annealed']} "
+              f"| {r['qubo_vars']:,} / {r['qubo_couplings']:,} / {r['qubo_degree']} "
+              f"| {r['paths']} | {r['seconds']:.2f} |", flush=True)
 
 
 if __name__ == "__main__":
